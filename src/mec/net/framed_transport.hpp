@@ -1,0 +1,146 @@
+// Coordinator side of every multi-rank run: one rank per connected fd.
+//
+// The fds come from one of two places, and the transport cannot tell them
+// apart once connected:
+//   - spawn_local_workers (net/worker.hpp) forks W local `mec worker` ranks
+//     over socketpairs (transport=process); each link carries the child's
+//     pid, which the transport kills and reaps on failure and on
+//     destruction;
+//   - connect_workers below dials W `mec worker` daemons over TCP
+//     (transport=tcp), with bounded exponential backoff.
+// Every rank then speaks the one daemon protocol: the versioned handshake,
+// the population frame (protocol.hpp), a ready frame, and the barrier loop
+// (advance / thresholds / finalize).  Every read is bounded by the
+// MEC_TRANSPORT_TIMEOUT_MS poll deadline, and every decoded barrier and
+// final payload is checked against the rank's shard and device slice, so a
+// rank that dies, stalls, or sends a malformed payload raises
+// mec::RuntimeError naming the rank, the peer, the last completed barrier,
+// and the pending frame kind (or the offending field) — never a hang and
+// never a silently corrupted merge.
+//
+// Determinism contract #8: ranks own ascending contiguous shard slices and
+// payloads merge in rank order, so any rank placement streams the exact
+// inproc bytes (pinned by tests/test_transport.cpp and the CI cmp steps).
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "mec/net/address.hpp"
+#include "mec/net/socket.hpp"
+#include "mec/parallel/transport.hpp"
+
+namespace mec::net {
+
+/// A forked local rank.  Move-only; the destructor kills and reaps a child
+/// that is still unreaped, so no exit path — a failed handshake, a thrown
+/// epoch callback, a dead sibling — can leave a worker process behind.  A
+/// default-constructed ChildProcess owns nothing (a remote daemon).
+class ChildProcess {
+ public:
+  ChildProcess() = default;
+  explicit ChildProcess(long pid) noexcept : pid_(pid) {}
+  ~ChildProcess();
+  ChildProcess(ChildProcess&& other) noexcept;
+
+  bool owns() const noexcept { return pid_ > 0; }
+
+  /// Reaps the child if it already exited, else SIGKILLs and reaps it
+  /// (WNOHANG -> SIGKILL -> waitpid).  Returns how it ended: "exit status
+  /// N", "killed by signal N", or "unresponsive, killed".
+  std::string kill_and_reap();
+
+  /// Waits for a child that is about to exit on its own (run complete).
+  void wait() noexcept;
+
+ private:
+  long pid_ = -1;
+};
+
+/// One connected rank endpoint, in rank order.
+struct RankLink {
+  ScopedFd fd;
+  std::string label;   ///< "host:port", or "pid N" for a local rank
+  ChildProcess child;  ///< local ranks only
+};
+
+/// Connects to every daemon, in rank order, each within the
+/// MEC_TRANSPORT_TIMEOUT_MS budget.  Throws mec::RuntimeError naming the
+/// unreachable address.
+std::vector<RankLink> connect_workers(std::span<const Address> workers);
+
+class FramedTransport final : public parallel::Transport {
+ public:
+  struct Config {
+    std::size_t shard_count = 1;
+    std::uint32_t n_devices = 0;
+    std::uint32_t n_clusters = 1;
+  };
+
+  /// Handshakes every link, ships populations[r] to rank r, waits for every
+  /// rank's ready frame, then pushes `initial_thresholds`.  Rank r of W owns
+  /// shards [K*r/W, K*(r+1)/W).  Throws mec::RuntimeError (naming the rank
+  /// and its peer) on any refusal: schema-revision mismatch (both revisions
+  /// named), wrong rank echo, or a worker-side build failure.
+  FramedTransport(const Config& config, std::vector<RankLink> links,
+                  std::span<const std::vector<std::uint8_t>> populations,
+                  std::span<const double> initial_thresholds);
+  FramedTransport(const FramedTransport&) = delete;
+  FramedTransport& operator=(const FramedTransport&) = delete;
+
+  std::size_t ranks() const override { return peers_.size(); }
+  std::span<const parallel::ShardBarrierView> advance(
+      const parallel::BarrierRequest& request) override;
+  double total_q() const override { return total_q_; }
+  double total_q2() const override { return total_q2_; }
+  bool wants_thresholds() const override { return true; }
+  void broadcast_thresholds(std::span<const double> values) override;
+  void finalize(bool flipped) override;
+  parallel::DeviceTotals device_totals(std::uint32_t device) const override;
+  bool metered() const override { return true; }
+  parallel::RankStats rank_stats(std::size_t rank) const override;
+
+ private:
+  struct Peer {
+    RankLink link;
+    std::size_t shard_lo = 0;
+    std::size_t shard_hi = 0;
+    std::uint32_t device_lo = 0;
+    std::uint32_t device_hi = 0;
+    parallel::wire::RankBarrierData data;
+    parallel::RankStats stats;
+    std::uint64_t barriers_done = 0;
+    double last_barrier_time = 0.0;
+    /// Frame kind currently awaited from this peer (0 = none); named in
+    /// the crash/stall diagnostic.
+    std::uint32_t pending = 0;
+  };
+
+  void send_frame(Peer& peer, std::uint32_t kind,
+                  std::span<const std::uint8_t> payload);
+  /// Deadline-bounded read that unwraps kFrameError and rejects any kind
+  /// other than `expected` via fail_peer.
+  parallel::wire::DecodedFrame read_frame(Peer& peer, double barrier_time,
+                                          std::uint32_t expected);
+  /// Rejects a decoded barrier payload that does not match the rank's
+  /// slice, the run's cluster count, or the request's flags.
+  void check_barrier(Peer& peer, const parallel::BarrierRequest& request);
+  /// Throws the diagnostic: "tcp transport worker rank N at host:port ..."
+  /// or "process transport worker rank N (pid P, <how it ended>) ...",
+  /// reaping a local rank's child first.
+  [[noreturn]] void fail_peer(Peer& peer, double barrier_time,
+                              const std::string& what);
+
+  Config config_;
+  std::vector<Peer> peers_;
+  std::vector<parallel::ShardBarrierView> views_;
+  std::vector<parallel::DeviceTotals> totals_;
+  double total_q_ = 0.0;
+  double total_q2_ = 0.0;
+  long timeout_ms_ = 300000;
+};
+
+}  // namespace mec::net

@@ -1,7 +1,8 @@
-// TCP-transport wire protocol: the versioned handshake and the population
-// frame.
+// Framed-rank wire protocol: the versioned handshake and the population
+// frame, spoken by every `mec worker` rank — forked (transport=process) or
+// remote (transport=tcp).
 //
-// Both payloads ride the PR 9 transport envelope (u32 kind | u32 len |
+// Both payloads ride the transport envelope (u32 kind | u32 len |
 // payload | u32 CRC32(payload), little-endian — parallel::wire) with the
 // kFrameHello / kFrameHelloAck / kFramePopulation / kFrameReady kinds.
 //
@@ -13,7 +14,7 @@
 // bytes on connect die in the envelope decode (oversize length or CRC) and
 // the daemon survives to serve the next connection.
 //
-// The population frame carries everything a remote rank needs to rebuild
+// The population frame carries everything a rank needs to rebuild
 // its slice of the run: scenario scalars, sampler specs, the owned slice of
 // user parameters and per-device RNG streams (the *pre-init* snapshots —
 // the worker re-runs init_shard and reproduces the coordinator's draws

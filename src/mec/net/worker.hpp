@@ -1,12 +1,19 @@
-// The `mec worker` daemon: one TCP rank endpoint.
+// The `mec worker` rank: the one place a rank's side of the framed-rank
+// protocol lives.
 //
-// A daemon binds HOST:PORT (port 0 = ephemeral, for tests), accepts one
-// coordinator connection at a time, and serves one full run per connection:
-// versioned handshake, population decode, worker-side rebuild of the rank's
-// scenario slice, then the ordinary serve_worker barrier loop — the same
-// loop a forked ProcessTransport child runs, over a TCP fd instead of a
-// socketpair.  After finalize (or any error) it goes back to accepting, so
-// one daemon can serve many runs back to back.
+// Per connection, a rank serves one full run: versioned handshake,
+// population decode, worker-side rebuild of the rank's scenario slice, a
+// ready frame, then the barrier loop (advance / thresholds / finalize)
+// until the final device totals ship.  Two hosts run that handler:
+//
+//   WorkerDaemon          binds HOST:PORT (port 0 = ephemeral, for tests),
+//                         accepts one coordinator connection at a time and
+//                         goes back to accepting after each run, so one
+//                         daemon serves many runs back to back
+//                         (transport=tcp);
+//   spawn_local_workers   forks W children over socketpairs, each running
+//                         the handler once with logging off and then
+//                         _exit-ing (transport=process).
 //
 // Handshake reads are deadline-bounded (MEC_TRANSPORT_TIMEOUT_MS), so a
 // port-scanning or garbage client cannot wedge the daemon: a bad magic,
@@ -17,8 +24,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "mec/net/address.hpp"
+#include "mec/net/framed_transport.hpp"
 #include "mec/net/socket.hpp"
 
 namespace mec::net {
@@ -50,11 +59,17 @@ class WorkerDaemon {
   void shutdown();
 
  private:
-  void serve_connection(int fd);
-
   Options options_;
   ScopedFd listen_fd_;
   std::atomic<bool> stopping_{false};
 };
+
+/// Forks `ranks` local worker processes, rank r connected to the returned
+/// link r over a socketpair and labelled "pid N".  Each child serves one
+/// run of the daemon protocol and exits; FramedTransport drives them like
+/// any daemon and kills and reaps them on failure.  Throws
+/// mec::RuntimeError if a socketpair or fork fails (children already
+/// forked are reaped by the returned links' destructors).
+std::vector<RankLink> spawn_local_workers(std::size_t ranks);
 
 }  // namespace mec::net

@@ -30,8 +30,10 @@ enum class Counter : std::uint16_t {
   kReplayDeliveries = 8,   ///< cumulative edge deliveries replayed (global)
   kFaultEventsApplied = 9, ///< cumulative fault-schedule actions (global)
   kEventsPerSecond = 10,   ///< events/s over the last leg, all shards (global)
-  // Process-transport diagnostics (per rank; emitted only when the run uses
-  // TransportKind::kProcess — an in-process run has no wire to meter).
+  // Framed-transport diagnostics (per rank; emitted only when the run uses
+  // transport=process or transport=tcp — an in-process run has no wire to
+  // meter).  Frame counts include the startup exchange (hello, population,
+  // initial thresholds out; hello ack, ready in).
   kRankBarrierWaitSeconds = 11,  ///< coordinator wait for the rank's payload
   kRankPayloadBytes = 12,        ///< cumulative payload bytes shipped
   kTransportFramesSent = 13,     ///< frames coordinator -> rank (cumulative)

@@ -2,14 +2,11 @@
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
@@ -19,7 +16,6 @@
 #include "mec/common/error.hpp"
 #include "mec/obs/run_log.hpp"
 #include "mec/obs/wire.hpp"
-#include "mec/parallel/shard_executor.hpp"
 
 namespace mec::parallel {
 
@@ -389,59 +385,11 @@ void write_all(int fd, const std::uint8_t* data, std::size_t n) {
   }
 }
 
-/// Blocking read of exactly `n` bytes; false on clean EOF at a boundary.
-bool read_all(int fd, std::uint8_t* data, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::read(fd, data + got, n - got);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      throw RuntimeError(std::string("transport read failed: ") +
-                         std::strerror(errno));
-    }
-    if (r == 0) {
-      if (got == 0) return false;
-      throw RuntimeError("transport peer closed mid-frame");
-    }
-    got += static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
 std::uint32_t load_le_u32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
          (static_cast<std::uint32_t>(p[1]) << 8) |
          (static_cast<std::uint32_t>(p[2]) << 16) |
          (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-/// Reads one complete frame, blocking without timeout (worker side).
-/// Returns false on clean EOF before a frame starts.
-bool read_frame_blocking(int fd, wire::DecodedFrame& out) {
-  std::uint8_t header[8];
-  if (!read_all(fd, header, sizeof header)) return false;
-  out.kind = load_le_u32(header);
-  const std::uint32_t len = load_le_u32(header + 4);
-  if (len > wire::kMaxTransportPayload)
-    throw RuntimeError("transport frame length exceeds the size cap");
-  out.payload.resize(len);
-  if (len > 0 && !read_all(fd, out.payload.data(), len))
-    throw RuntimeError("transport peer closed mid-frame");
-  std::uint8_t crc_bytes[4];
-  if (!read_all(fd, crc_bytes, sizeof crc_bytes))
-    throw RuntimeError("transport peer closed mid-frame");
-  if (load_le_u32(crc_bytes) != obs::crc32(out.payload))
-    throw RuntimeError("transport frame CRC mismatch");
-  return true;
-}
-
-long env_long(const char* name, long fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0') return fallback;
-  return parsed;
 }
 
 }  // namespace
@@ -474,23 +422,27 @@ void write_frame(int fd, std::uint32_t kind,
 }
 
 DecodedFrame read_frame_deadline(int fd, long timeout_ms) {
+  const bool bounded = timeout_ms >= 0;
   const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
+                        std::chrono::milliseconds(bounded ? timeout_ms : 0);
   std::uint8_t header[8];
   std::size_t have = 0;
   std::vector<std::uint8_t> body;  // payload + crc once the header is in
   std::size_t body_have = 0;
   for (;;) {
     const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline)
+    if (bounded && now >= deadline)
       throw PeerError(PeerError::Kind::kTimeout,
                       "transport read deadline expired after " +
                           std::to_string(timeout_ms) + " ms");
     struct pollfd pfd{fd, POLLIN, 0};
-    const long wait_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                             deadline - now)
-                             .count();
-    const int ready = ::poll(&pfd, 1, static_cast<int>(wait_ms) + 1);
+    const long wait_ms =
+        bounded ? std::chrono::duration_cast<std::chrono::milliseconds>(
+                      deadline - now)
+                          .count() +
+                      1
+                : -1;
+    const int ready = ::poll(&pfd, 1, static_cast<int>(wait_ms));
     if (ready < 0) {
       if (errno == EINTR) continue;
       throw RuntimeError(std::string("transport poll failed: ") +
@@ -538,266 +490,5 @@ DecodedFrame read_frame_deadline(int fd, long timeout_ms) {
 }
 
 }  // namespace wire
-
-// --- worker loop -----------------------------------------------------------
-
-void serve_worker(RankWorker& worker, std::size_t rank, int fd) {
-  // Robustness-test hooks: crash (hard _exit) or stall (stop heartbeating)
-  // at the given barrier number, on the given rank only.
-  const long crash_rank = env_long("MEC_TEST_WORKER_CRASH_RANK", -1);
-  const long crash_barrier = env_long("MEC_TEST_WORKER_CRASH_BARRIER", 1);
-  const long stall_rank = env_long("MEC_TEST_WORKER_STALL_RANK", -1);
-  const long stall_barrier = env_long("MEC_TEST_WORKER_STALL_BARRIER", 1);
-  long barriers = 0;
-
-  const auto reply = [fd](std::uint32_t kind,
-                          std::span<const std::uint8_t> payload) {
-    const std::vector<std::uint8_t> frame = wire::encode_frame(kind, payload);
-    write_all(fd, frame.data(), frame.size());
-  };
-
-  for (;;) {
-    wire::DecodedFrame frame;
-    if (!read_frame_blocking(fd, frame))
-      throw RuntimeError("transport coordinator closed the channel");
-    switch (frame.kind) {
-      case wire::kFrameAdvance: {
-        const BarrierRequest req = wire::decode_barrier_request(frame.payload);
-        worker.advance(req);
-        ++barriers;
-        if (static_cast<long>(rank) == crash_rank && barriers == crash_barrier)
-          ::_exit(17);
-        if (static_cast<long>(rank) == stall_rank && barriers == stall_barrier)
-          for (;;) ::pause();
-        reply(wire::kFrameBarrier,
-              wire::encode_barrier_payload(worker.views(), req.want_q,
-                                           worker.total_q(),
-                                           worker.total_q2()));
-        break;
-      }
-      case wire::kFrameThresholds:
-        worker.set_thresholds(wire::decode_thresholds(frame.payload));
-        break;
-      case wire::kFrameFinalize: {
-        obs::wire::ByteReader r(frame.payload);
-        worker.finalize(r.get_u8() != 0);
-        const std::uint32_t lo = worker.device_lo();
-        const std::uint32_t hi = worker.device_hi();
-        std::vector<DeviceTotals> totals;
-        totals.reserve(hi - lo);
-        for (std::uint32_t d = lo; d < hi; ++d)
-          totals.push_back(worker.device_totals(d));
-        reply(wire::kFrameFinal, wire::encode_device_totals(lo, hi, totals));
-        return;
-      }
-      default:
-        throw RuntimeError("transport worker received an unknown frame kind " +
-                           std::to_string(frame.kind));
-    }
-  }
-}
-
-// --- coordinator side ------------------------------------------------------
-
-ProcessTransport::ProcessTransport(const Config& config,
-                                   const WorkerFactory& factory)
-    : config_(config) {
-  MEC_EXPECTS(config.workers >= 1 && config.workers <= config.shard_count);
-  timeout_ms_ = resolve_transport_timeout_ms();
-  ranks_.resize(config.workers);
-  for (std::size_t r = 0; r < config.workers; ++r) {
-    ranks_[r].shard_lo = config.shard_count * r / config.workers;
-    ranks_[r].shard_hi = config.shard_count * (r + 1) / config.workers;
-  }
-  for (std::size_t r = 0; r < config.workers; ++r) {
-    int fds[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
-      throw RuntimeError(std::string("transport socketpair failed: ") +
-                         std::strerror(errno));
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      throw RuntimeError(std::string("transport fork failed: ") +
-                         std::strerror(errno));
-    }
-    if (pid == 0) {
-      // Child: keep only this rank's channel, build the worker in place
-      // (everything it needs arrived via copy-on-write), serve, and leave
-      // through _exit so no parent-owned atexit/stream state runs twice.
-      ::close(fds[0]);
-      for (std::size_t q = 0; q < r; ++q) ::close(ranks_[q].fd);
-      int status = 0;
-      try {
-        std::unique_ptr<RankWorker> worker =
-            factory(r, ranks_[r].shard_lo, ranks_[r].shard_hi);
-        serve_worker(*worker, r, fds[1]);
-      } catch (const std::exception& e) {
-        obs::wire::ByteWriter w;
-        const std::string what = e.what();
-        w.put_u32(static_cast<std::uint32_t>(what.size()));
-        w.put_bytes(what.data(), what.size());
-        const std::vector<std::uint8_t> payload = w.take();
-        try {
-          const auto frame = wire::encode_frame(wire::kFrameError, payload);
-          write_all(fds[1], frame.data(), frame.size());
-        } catch (...) {
-        }
-        status = 1;
-      }
-      ::_exit(status);
-    }
-    ranks_[r].fd = fds[0];
-    ranks_[r].pid = pid;
-    ::close(fds[1]);
-  }
-}
-
-ProcessTransport::~ProcessTransport() {
-  for (Rank& rank : ranks_) {
-    if (rank.fd >= 0) ::close(rank.fd);
-    if (rank.pid > 0 && !rank.reaped) {
-      ::kill(static_cast<pid_t>(rank.pid), SIGKILL);
-      int status = 0;
-      ::waitpid(static_cast<pid_t>(rank.pid), &status, 0);
-    }
-  }
-}
-
-void ProcessTransport::send_frame(Rank& rank, std::uint32_t kind,
-                                  std::span<const std::uint8_t> payload) {
-  const std::vector<std::uint8_t> frame = wire::encode_frame(kind, payload);
-  write_all(rank.fd, frame.data(), frame.size());
-  ++rank.stats.frames_sent;
-}
-
-void ProcessTransport::fail_rank(Rank& rank, double barrier_time,
-                                 const std::string& what) {
-  const std::size_t index = static_cast<std::size_t>(&rank - ranks_.data());
-  std::string status = "unresponsive, killed";
-  if (rank.pid > 0 && !rank.reaped) {
-    int wstatus = 0;
-    pid_t done = ::waitpid(static_cast<pid_t>(rank.pid), &wstatus, WNOHANG);
-    if (done == 0) {
-      // Still alive (the stall case): put it down so the run fails cleanly
-      // instead of leaking a wedged child.
-      ::kill(static_cast<pid_t>(rank.pid), SIGKILL);
-      done = ::waitpid(static_cast<pid_t>(rank.pid), &wstatus, 0);
-    }
-    if (done == rank.pid) {
-      rank.reaped = true;
-      if (WIFEXITED(wstatus))
-        status = "exit status " + std::to_string(WEXITSTATUS(wstatus));
-      else if (WIFSIGNALED(wstatus) && WTERMSIG(wstatus) != SIGKILL)
-        status = "killed by signal " + std::to_string(WTERMSIG(wstatus));
-    }
-  }
-  std::string msg = "transport worker rank " + std::to_string(index) + " (" +
-                    status + ") " + what + " before the barrier at t=" +
-                    std::to_string(barrier_time) + "; last completed barrier #" +
-                    std::to_string(rank.barriers_done) + " (t=" +
-                    std::to_string(rank.last_barrier_time) + ")";
-  if (rank.pending != 0)
-    msg += "; pending frame: " + wire::frame_kind_name(rank.pending);
-  throw RuntimeError(msg);
-}
-
-wire::DecodedFrame ProcessTransport::read_frame(Rank& rank,
-                                                double barrier_time) {
-  wire::DecodedFrame frame;
-  try {
-    frame = wire::read_frame_deadline(rank.fd, timeout_ms_);
-  } catch (const wire::PeerError& e) {
-    if (e.kind() == wire::PeerError::Kind::kTimeout)
-      fail_rank(rank, barrier_time,
-                "stopped responding (no payload within " +
-                    std::to_string(timeout_ms_) + " ms)");
-    fail_rank(rank, barrier_time, "exited unexpectedly");
-  }
-  ++rank.stats.frames_received;
-  rank.stats.payload_bytes += frame.payload.size();
-  if (frame.kind == wire::kFrameError) {
-    obs::wire::ByteReader r(frame.payload);
-    const std::uint32_t n = r.get_u32();
-    fail_rank(rank, barrier_time, "failed: " + r.get_string(n));
-  }
-  return frame;
-}
-
-std::span<const ShardBarrierView> ProcessTransport::advance(
-    const BarrierRequest& request) {
-  const std::vector<std::uint8_t> payload =
-      wire::encode_barrier_request(request);
-  for (Rank& rank : ranks_)
-    send_frame(rank, wire::kFrameAdvance, payload);
-  for (Rank& rank : ranks_) {
-    rank.pending = wire::kFrameBarrier;
-    const auto t0 = std::chrono::steady_clock::now();
-    wire::DecodedFrame frame = read_frame(rank, request.limit);
-    rank.stats.barrier_wait_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (frame.kind != wire::kFrameBarrier)
-      fail_rank(rank, request.limit,
-                "sent an unexpected frame kind " + std::to_string(frame.kind));
-    rank.data = wire::decode_barrier_payload(frame.payload);
-    rank.pending = 0;
-    ++rank.barriers_done;
-    rank.last_barrier_time = request.limit;
-  }
-  views_.clear();
-  total_q_ = 0.0;
-  total_q2_ = 0.0;
-  for (Rank& rank : ranks_) {
-    for (const ShardBarrierView& v : rank.data.views()) views_.push_back(v);
-    if (rank.data.has_q) {
-      total_q_ += rank.data.total_q;
-      total_q2_ += rank.data.total_q2;
-    }
-  }
-  return views_;
-}
-
-void ProcessTransport::broadcast_thresholds(std::span<const double> values) {
-  const std::vector<std::uint8_t> payload = wire::encode_thresholds(values);
-  for (Rank& rank : ranks_) send_frame(rank, wire::kFrameThresholds, payload);
-}
-
-void ProcessTransport::finalize(bool flipped) {
-  obs::wire::ByteWriter w(1);
-  w.put_u8(flipped ? 1 : 0);
-  const std::vector<std::uint8_t> payload = w.take();
-  for (Rank& rank : ranks_) send_frame(rank, wire::kFrameFinalize, payload);
-  totals_.assign(config_.n_devices, DeviceTotals{});
-  const double t_mark = -1.0;  // finalize has no barrier time
-  for (Rank& rank : ranks_) {
-    rank.pending = wire::kFrameFinal;
-    wire::DecodedFrame frame = read_frame(rank, t_mark);
-    if (frame.kind != wire::kFrameFinal)
-      fail_rank(rank, t_mark,
-                "sent an unexpected frame kind " + std::to_string(frame.kind));
-    rank.pending = 0;
-    wire::FinalTotals fin = wire::decode_device_totals(frame.payload);
-    if (fin.device_hi > config_.n_devices)
-      throw RuntimeError("transport final totals exceed the device range");
-    for (std::uint32_t d = fin.device_lo; d < fin.device_hi; ++d)
-      totals_[d] = fin.totals[d - fin.device_lo];
-    int status = 0;
-    ::waitpid(static_cast<pid_t>(rank.pid), &status, 0);
-    rank.reaped = true;
-    ::close(rank.fd);
-    rank.fd = -1;
-  }
-}
-
-DeviceTotals ProcessTransport::device_totals(std::uint32_t device) const {
-  MEC_EXPECTS(device < totals_.size());
-  return totals_[device];
-}
-
-RankStats ProcessTransport::rank_stats(std::size_t rank) const {
-  MEC_EXPECTS(rank < ranks_.size());
-  return ranks_[rank].stats;
-}
 
 }  // namespace mec::parallel

@@ -9,12 +9,14 @@
 // communicate exclusively through the Transport interface below, so the
 // same coordinator drives both backends:
 //
-//   InProcessTransport  one rank, this process, zero-copy views — the
-//                       engine's historical path, bit-identical to it;
-//   ProcessTransport    W forked worker processes over socketpairs, each
-//                       serving its shard slice; payloads travel as
-//                       length-prefixed CRC32 frames in the .meclog wire
-//                       dialect (obs/wire.hpp + obs::crc32).
+//   InProcessTransport     one rank, this process, zero-copy views — the
+//                          engine's historical path, bit-identical to it;
+//   net::FramedTransport   W ranks over connected fds — forked local
+//                          `mec worker` ranks over socketpairs
+//                          (transport=process) or remote daemons over TCP
+//                          (transport=tcp) — speaking one protocol of
+//                          length-prefixed CRC32 frames in the .meclog
+//                          wire dialect (codec below + obs::crc32).
 //
 // Determinism contract (docs/ARCHITECTURE.md #8): everything in a barrier
 // payload is either an order-invariant merge (integer counters, latency
@@ -28,8 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -53,9 +53,10 @@ struct BarrierRequest {
   bool want_queue_stats = false; ///< per-shard queue diagnostics + leg time
 };
 
-/// One shard's barrier-time state as the coordinator consumes it.  In
-/// process mode the spans/pointers reference the rank payload decoded for
-/// the current barrier; either way they are valid until the next advance().
+/// One shard's barrier-time state as the coordinator consumes it.  Over a
+/// framed transport the spans/pointers reference the rank payload decoded
+/// for the current barrier; either way they are valid until the next
+/// advance().
 struct ShardBarrierView {
   std::uint32_t shard = 0;  ///< global shard index
   std::span<const sim::OffloadRecord> log;  ///< this leg's offloads, in time order
@@ -90,7 +91,7 @@ struct DeviceTotals {
   double energy_sum = 0.0;
 };
 
-/// Wall-clock wire diagnostics for one rank (process transport only; the
+/// Wall-clock wire diagnostics for one rank (framed transports only; the
 /// in-process rank has no wire to meter).  Feed the kRank*/kTransport*
 /// counters in the stream log.
 struct RankStats {
@@ -102,8 +103,8 @@ struct RankStats {
 
 /// One rank's executable side: advances its owned shards and serves barrier
 /// state.  Implemented by sim::engine::LegRunner (templated on fault mode
-/// and decision provider); this interface is what the process worker loop
-/// and the in-process transport drive.
+/// and decision provider); this interface is what the worker's barrier
+/// loop (net/worker.cpp) and the in-process transport drive.
 class RankWorker {
  public:
   virtual ~RankWorker() = default;
@@ -122,7 +123,7 @@ class RankWorker {
   virtual double total_q() const = 0;
   virtual double total_q2() const = 0;
 
-  /// Installs the post-epoch thresholds (process workers mirror the
+  /// Installs the post-epoch thresholds (framed ranks mirror the
   /// coordinator's policy state; the in-process rank reads it live).
   virtual void set_thresholds(std::span<const double> values) = 0;
 
@@ -153,8 +154,8 @@ class Transport {
   virtual double total_q() const = 0;
   virtual double total_q2() const = 0;
 
-  /// Whether epoch-mutated thresholds must be pushed to the ranks (process
-  /// workers decide on mirrored copies; the in-process rank does not).
+  /// Whether epoch-mutated thresholds must be pushed to the ranks (framed
+  /// ranks decide on mirrored copies; the in-process rank does not).
   virtual bool wants_thresholds() const = 0;
   virtual void broadcast_thresholds(std::span<const double> values) = 0;
 
@@ -205,7 +206,7 @@ namespace wire {
 inline constexpr std::uint32_t kFrameAdvance = 0x10;     ///< BarrierRequest
 inline constexpr std::uint32_t kFrameThresholds = 0x11;  ///< f64 per device
 inline constexpr std::uint32_t kFrameFinalize = 0x12;    ///< u8 flipped
-inline constexpr std::uint32_t kFrameHello = 0x13;       ///< TCP handshake
+inline constexpr std::uint32_t kFrameHello = 0x13;       ///< handshake
 inline constexpr std::uint32_t kFramePopulation = 0x14;  ///< rank's slice
 inline constexpr std::uint32_t kFrameBarrier = 0x20;     ///< barrier payload
 inline constexpr std::uint32_t kFrameFinal = 0x21;       ///< device totals
@@ -297,7 +298,7 @@ struct FinalTotals {
 };
 FinalTotals decode_device_totals(std::span<const std::uint8_t> payload);
 
-// --- deadline-bounded fd framing (shared by process + tcp backends) --------
+// --- deadline-bounded fd framing (coordinator and worker sides) -------------
 
 /// Peer-liveness failure on a framed channel: the fd hit EOF at a frame
 /// boundary (kClosed) or the read deadline expired (kTimeout).  Transports
@@ -320,11 +321,14 @@ class PeerError final : public std::runtime_error {
 void write_frame(int fd, std::uint32_t kind,
                  std::span<const std::uint8_t> payload);
 
-/// Reads one complete frame from `fd` within `timeout_ms` — the poll-deadline
-/// loop both backends share.  Partial reads are resumed across polls; the
-/// deadline covers the whole frame, not each chunk.  Throws PeerError
-/// (kClosed on EOF, kTimeout on deadline) and mec::RuntimeError on CRC
-/// mismatch, an oversized length, or a poll/read error.
+/// Reads one complete frame from `fd` within `timeout_ms` — the one
+/// poll-deadline reader every framed endpoint uses.  Partial reads are
+/// resumed across polls; the deadline covers the whole frame, not each
+/// chunk.  A negative `timeout_ms` waits without a deadline (a worker's
+/// barrier loop: the coordinator may spend arbitrarily long between
+/// barriers).  Throws PeerError (kClosed on EOF, kTimeout on deadline) and
+/// mec::RuntimeError on CRC mismatch, an oversized length, or a poll/read
+/// error.
 DecodedFrame read_frame_deadline(int fd, long timeout_ms);
 
 }  // namespace wire
@@ -338,84 +342,5 @@ inline constexpr long kMaxTransportTimeoutMs = 86'400'000;
 /// [1, 86400000] instead of silently falling back (same contract as
 /// MEC_SHARDS in resolve_shard_count).
 long resolve_transport_timeout_ms(long fallback_ms = 300000);
-
-// --- process backend -------------------------------------------------------
-
-/// Builds the rank's worker inside the forked child (so the closure and
-/// everything it captures — device states, RNG streams, fault views — are
-/// inherited copy-on-write, never serialized).
-using WorkerFactory = std::function<std::unique_ptr<RankWorker>(
-    std::size_t rank, std::size_t shard_lo, std::size_t shard_hi)>;
-
-/// Child-side message loop: serves kAdvance/kThresholds/kFinalize over `fd`
-/// until the final totals are shipped.  Honors the MEC_TEST_WORKER_CRASH_* /
-/// MEC_TEST_WORKER_STALL_* hooks used by the robustness tests.  Throws
-/// mec::RuntimeError on a wire error.
-void serve_worker(RankWorker& worker, std::size_t rank, int fd);
-
-/// Coordinator side of the multi-process backend: forks one worker process
-/// per rank over a socketpair, assigns rank r the shard slice
-/// [K*r/W, K*(r+1)/W) (ascending and contiguous, preserving the global
-/// merge order), and detects a worker that dies or stalls mid-run — every
-/// payload read is bounded by MEC_TRANSPORT_TIMEOUT_MS (default 300000) and
-/// failure raises mec::RuntimeError naming the rank and its last completed
-/// barrier instead of hanging.
-class ProcessTransport final : public Transport {
- public:
-  struct Config {
-    std::size_t shard_count = 1;
-    std::size_t workers = 1;       ///< already clamped to shard_count
-    std::uint32_t n_devices = 0;
-  };
-
-  /// Forks the workers; `factory` runs only in the children.
-  ProcessTransport(const Config& config, const WorkerFactory& factory);
-  ~ProcessTransport() override;
-  ProcessTransport(const ProcessTransport&) = delete;
-  ProcessTransport& operator=(const ProcessTransport&) = delete;
-
-  std::size_t ranks() const override { return ranks_.size(); }
-  std::span<const ShardBarrierView> advance(
-      const BarrierRequest& request) override;
-  double total_q() const override { return total_q_; }
-  double total_q2() const override { return total_q2_; }
-  bool wants_thresholds() const override { return true; }
-  void broadcast_thresholds(std::span<const double> values) override;
-  void finalize(bool flipped) override;
-  DeviceTotals device_totals(std::uint32_t device) const override;
-  bool metered() const override { return true; }
-  RankStats rank_stats(std::size_t rank) const override;
-
- private:
-  struct Rank {
-    int fd = -1;
-    long pid = -1;
-    std::size_t shard_lo = 0;
-    std::size_t shard_hi = 0;
-    wire::RankBarrierData data;
-    RankStats stats;
-    std::uint64_t barriers_done = 0;
-    double last_barrier_time = 0.0;
-    /// Frame kind the coordinator is currently waiting on (0 = none); a
-    /// crash diagnostic names it so a death during the finalize exchange is
-    /// distinguishable from a mid-leg one.
-    std::uint32_t pending = 0;
-    bool reaped = false;
-  };
-
-  void send_frame(Rank& rank, std::uint32_t kind,
-                  std::span<const std::uint8_t> payload);
-  wire::DecodedFrame read_frame(Rank& rank, double barrier_time);
-  [[noreturn]] void fail_rank(Rank& rank, double barrier_time,
-                              const std::string& what);
-
-  Config config_;
-  std::vector<Rank> ranks_;
-  std::vector<ShardBarrierView> views_;
-  std::vector<DeviceTotals> totals_;
-  double total_q_ = 0.0;
-  double total_q2_ = 0.0;
-  long timeout_ms_ = 300000;
-};
 
 }  // namespace mec::parallel

@@ -37,7 +37,8 @@ struct ClosedLoopOptions {
   ServiceSampler service;         ///< null => exponential
   LatencySampler latency;         ///< null => exponential
   /// Wire-describable sampler specs forwarded to SimulationOptions;
-  /// required (instead of the closures above) for transport=tcp.
+  /// required (instead of the closures above) for transport=process and
+  /// transport=tcp.
   std::optional<SamplerSpec> service_spec;
   std::optional<SamplerSpec> latency_spec;
   double utilization_ewma_tau = 10.0;

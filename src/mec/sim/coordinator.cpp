@@ -21,7 +21,7 @@ namespace {
 /// cadences, gamma mode, and the counter catalogue.  Values here describe
 /// the run, so they are identical for every shard count except `shards`
 /// itself — and deliberately carry nothing transport-specific, which is
-/// what lets CI byte-compare a process-transport stream against the
+/// what lets CI byte-compare a framed-transport stream against the
 /// in-process one.  Determinism tests compare window frames, not metadata.
 obs::RunLogMeta make_stream_meta(const CoordinatorContext& cc) {
   const SimulationOptions& options = *cc.options;
@@ -367,7 +367,7 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
   if (!has_fixed_gamma) events += replay->deliveries();
 
   // Ranks reset never-flipped shards, integrate every device to t_end, and
-  // (process mode) ship their DeviceTotals.
+  // (framed ranks) ship their DeviceTotals.
   transport.finalize(flipped);
 
   double scale_integral = options.horizon;

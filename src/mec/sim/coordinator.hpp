@@ -10,7 +10,7 @@
 // DeviceState or an event queue directly — everything it knows about rank
 // state arrives through ShardBarrierView and DeviceTotals — which is
 // exactly what lets the same function drive the in-process rank and a fleet
-// of forked workers to byte-identical results.
+// of framed ranks to byte-identical results.
 #pragma once
 
 #include <cstddef>

@@ -312,8 +312,8 @@ void init_shard(parallel::ShardContext& sc,
 
 /// One rank's executable side: owns the shard slice [shard_lo, shard_hi)
 /// of the workspace and serves the RankWorker protocol over it.  The
-/// in-process run wraps one LegRunner covering every shard; a process
-/// worker builds one per child for its slice (over a TroValueDecide mirror
+/// in-process run wraps one LegRunner covering every shard; a framed rank
+/// (net/worker.cpp) builds one for its slice (over a TroValueDecide mirror
 /// of the coordinator's thresholds, refreshed by set_thresholds at epochs).
 template <bool WithFaults, class Decide>
 class LegRunner final : public parallel::RankWorker {

@@ -74,16 +74,16 @@ MecSimulation::MecSimulation(std::span<const core::UserParams> users,
     if (!options_.latency_spec) options_.latency_spec.emplace();
     options_.latency = make_latency_sampler(*options_.latency_spec);
   }
-  if (options_.transport == TransportKind::kTcp) {
+  if (options_.transport == TransportKind::kTcp)
     MEC_EXPECTS_MSG(!options_.worker_addresses.empty(),
                     "transport=tcp needs worker_addresses (one host:port per "
                     "rank)");
+  if (options_.transport != TransportKind::kInProcess)
     MEC_EXPECTS_MSG(
         options_.service_spec && options_.latency_spec,
-        "transport=tcp needs wire-describable samplers: set service_spec/"
-        "latency_spec instead of raw service/latency closures (a closure "
-        "cannot be shipped to a remote worker)");
-  }
+        "transport=process and transport=tcp need wire-describable samplers: "
+        "set service_spec/latency_spec instead of raw service/latency "
+        "closures (a closure cannot be shipped to a worker rank)");
   n_initial_ = users_.size();
   if (options_.faults && !options_.faults->empty()) {
     options_.faults->check(n_initial_);

@@ -61,10 +61,10 @@ LatencySampler deterministic_latency();
 LatencySampler empirical_latency(random::EmpiricalDataset latencies);
 
 /// Wire-describable sampler recipe.  A raw ServiceSampler/LatencySampler is
-/// an arbitrary closure and cannot cross a machine boundary; a spec is data,
-/// so the TCP transport ships it in the population frame and the worker
-/// rebuilds the *same* factory closure — same parameters, same RNG-draw
-/// order, hence bit-identical streams.  make_service_sampler /
+/// an arbitrary closure and cannot cross a process or machine boundary; a
+/// spec is data, so framed transports ship it in the population frame and
+/// the rank rebuilds the *same* factory closure — same parameters, same
+/// RNG-draw order, hence bit-identical streams.  make_service_sampler /
 /// make_latency_sampler map each kind onto the factory of the same name.
 struct SamplerSpec {
   enum class Kind : std::uint8_t {
@@ -99,20 +99,18 @@ enum class TransportKind {
   /// Workers are plain objects in this process sharing the workspace
   /// (today's default; zero-copy barrier views).
   kInProcess,
-  /// The run forks worker processes, each owning a contiguous slice of the
-  /// shards; barrier payloads travel over length-prefixed CRC-checked
-  /// socket frames.  Requires a decision provider with per-device TRO
-  /// thresholds (threshold_value(n) >= 0 for every device) — virtual
-  /// non-TRO policies cannot be mirrored across a process boundary.
+  /// The run forks W local `mec worker` ranks over socketpairs, each
+  /// owning a contiguous slice of the shards and speaking the daemon
+  /// protocol: handshake, population frame, then barrier payloads as
+  /// length-prefixed CRC-checked frames.
   kProcess,
-  /// Ranks live in `mec worker` daemons reached over TCP
-  /// (SimulationOptions::worker_addresses, one rank per address); the same
-  /// wire dialect as kProcess plus a versioned handshake and an explicit
-  /// population frame per rank (workers cannot inherit device arrays by
-  /// fork).  Requires per-device TRO thresholds like kProcess, and
-  /// wire-describable samplers (service_spec/latency_spec — raw sampler
-  /// closures cannot cross a machine boundary).
+  /// The same framed ranks, hosted by `mec worker` daemons reached over TCP
+  /// (SimulationOptions::worker_addresses, one rank per address).
   kTcp,
+  // Both framed kinds require a decision provider with per-device TRO
+  // thresholds (threshold_value(n) >= 0 for every device — virtual non-TRO
+  // policies cannot be mirrored into a rank) and wire-describable samplers
+  // (service_spec/latency_spec — a raw closure cannot be shipped).
 };
 
 struct SimulationOptions {
@@ -122,11 +120,12 @@ struct SimulationOptions {
   ServiceSampler service;  ///< null => exponential_service()
   LatencySampler latency;  ///< null => exponential_latency()
   /// Wire-describable sampler recipes.  Setting a spec (and leaving the
-  /// matching raw sampler null) makes the run TCP-shippable: the
-  /// constructor materializes the sampler via make_service_sampler /
-  /// make_latency_sampler, so results are identical to passing the factory
-  /// product directly.  Setting both a spec and its raw sampler is an
-  /// error; with neither, the spec defaults to exponential.
+  /// matching raw sampler null) makes the run shippable to framed ranks
+  /// (transport=process or tcp): the constructor materializes the sampler
+  /// via make_service_sampler / make_latency_sampler, so results are
+  /// identical to passing the factory product directly.  Setting both a
+  /// spec and its raw sampler is an error; with neither, the spec defaults
+  /// to exponential.
   std::optional<SamplerSpec> service_spec;
   std::optional<SamplerSpec> latency_spec;
   /// If set, the edge delay uses this constant utilization (quasi-stationary
@@ -188,7 +187,7 @@ struct SimulationOptions {
   /// Execution transport for the shard legs (see TransportKind).  Results
   /// are bit-identical across transports for any shard/worker split.
   TransportKind transport = TransportKind::kInProcess;
-  /// Worker-process count for TransportKind::kProcess: 0 (default) picks 2;
+  /// Forked-rank count for TransportKind::kProcess: 0 (default) picks 2;
   /// any value is capped at the run's shard count.  Ignored by kInProcess.
   /// Worker rank r owns the contiguous shard slice [K*r/W, K*(r+1)/W).
   std::size_t workers = 0;

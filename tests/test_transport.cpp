@@ -1,36 +1,52 @@
-// Cross-transport equivalence and process-backend robustness.
+// Framed-rank battery: cross-transport equivalence, robustness, refusals,
+// payload validation, and the worker daemon's handshake.
 //
-// Determinism contract #8 (docs/ARCHITECTURE.md): the transport choice can
-// never change a single result byte.  The first half of this file proves it
-// on every coupling path — fixed gamma, tracked gamma (EWMA replay), fault
-// schedules with churn, multi-cluster topologies, and the closed-loop DTU
-// whose epoch callbacks retune thresholds that must now cross a process
-// boundary — comparing in-process results against forked-worker runs at
-// several worker counts, including uneven shard slices.  Streamed .meclog
-// files are compared byte for byte (with counter frames off: those carry
-// wall-clock values and are the one deliberately nondeterministic frame).
-//
-// The second half exercises the failure modes: a worker that dies mid-run
-// or stops responding must fail the run with a diagnostic naming the rank
-// and its last completed barrier — never hang — and policies that cannot be
-// mirrored into a worker process are rejected up front.
+// transport=process (ranks forked over socketpairs) and transport=tcp
+// (loopback daemons) are one net::FramedTransport driving `mec worker`
+// ranks, so each case is one function run over both placements wherever
+// both apply: TransportEquivalence / ProcessTransport* suites fork W in
+// {1, 2, 3, 4} ranks (3 gives the uneven slices {0}, {1}, {2,3}), and
+// TcpTransport* suites dial W in {1, 2, 4} daemons.  Determinism contract
+// #8 (docs/ARCHITECTURE.md): results and streamed .meclog bytes (counter
+// frames off — they carry wall-clock values) equal the in-process run's on
+// fixed and tracked gamma, faults with churn across clusters,
+// non-exponential sampler specs, and the closed-loop DTU.  A rank that
+// dies or stalls fails the run naming the rank, its peer, and its last
+// completed barrier, and leaves no forked rank behind; unmirrorable
+// policies and unshippable closures are refused up front; scripted peers
+// check that malformed payloads are refused by name.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mec/common/error.hpp"
 #include "mec/core/edge_delay.hpp"
 #include "mec/core/user.hpp"
 #include "mec/fault/fault_schedule.hpp"
+#include "mec/net/address.hpp"
+#include "mec/net/framed_transport.hpp"
+#include "mec/net/protocol.hpp"
+#include "mec/net/socket.hpp"
+#include "mec/net/worker.hpp"
+#include "mec/obs/wire.hpp"
 #include "mec/parallel/transport.hpp"
 #include "mec/population/population.hpp"
 #include "mec/population/scenario.hpp"
+#include "mec/random/empirical_data.hpp"
 #include "mec/random/rng.hpp"
 #include "mec/sim/closed_loop.hpp"
 #include "mec/sim/mec_simulation.hpp"
@@ -40,26 +56,29 @@
 namespace mec {
 namespace {
 
+namespace pwire = parallel::wire;
+using sim::TransportKind;
+
 /// Sets an environment variable for the enclosing scope and restores the
 /// prior state on exit, so a failing test cannot leak robustness hooks into
 /// the rest of the suite.
 class ScopedEnv {
  public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    if (const char* prev = std::getenv(name)) previous_ = prev;
-    ::setenv(name, value.c_str(), 1);
+  ScopedEnv(const std::string& name, const std::string& value) : name_(name) {
+    if (const char* prev = std::getenv(name.c_str())) previous_ = prev;
+    ::setenv(name.c_str(), value.c_str(), 1);
   }
   ~ScopedEnv() {
     if (previous_.has_value())
-      ::setenv(name_, previous_->c_str(), 1);
+      ::setenv(name_.c_str(), previous_->c_str(), 1);
     else
-      ::unsetenv(name_);
+      ::unsetenv(name_.c_str());
   }
   ScopedEnv(const ScopedEnv&) = delete;
   ScopedEnv& operator=(const ScopedEnv&) = delete;
 
  private:
-  const char* name_;
+  std::string name_;
   std::optional<std::string> previous_;
 };
 
@@ -144,43 +163,108 @@ void expect_result_identical(const sim::SimulationResult& a,
   EXPECT_EQ(a.faults.churn_departed, b.faults.churn_departed);
 }
 
+/// N quiet daemons on ephemeral loopback ports, each served from its own
+/// thread inside this process.  The destructor pokes every accept loop via
+/// shutdown(), so a failing test cannot strand a serve() thread.
+class DaemonFleet {
+ public:
+  explicit DaemonFleet(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      net::WorkerDaemon::Options o;
+      o.listen = net::Address{"127.0.0.1", 0};
+      o.quiet = true;
+      daemons_.push_back(std::make_unique<net::WorkerDaemon>(o));
+      addresses_.push_back("127.0.0.1:" +
+                           std::to_string(daemons_.back()->port()));
+    }
+    for (const auto& d : daemons_)
+      threads_.emplace_back([daemon = d.get()] { daemon->serve(); });
+  }
+  ~DaemonFleet() {
+    for (const auto& d : daemons_) d->shutdown();
+    for (std::thread& t : threads_) t.join();
+  }
+  const std::vector<std::string>& addresses() const { return addresses_; }
+
+ private:
+  std::vector<std::unique_ptr<net::WorkerDaemon>> daemons_;
+  std::vector<std::thread> threads_;
+  std::vector<std::string> addresses_;
+};
+
+/// The worker counts each placement runs at.
+std::vector<std::size_t> worker_counts(TransportKind kind) {
+  if (kind == TransportKind::kProcess) return {1, 2, 3, 4};
+  return {1, 2, 4};
+}
+
+/// W framed ranks for the enclosing scope: forked ranks are spawned by each
+/// run; tcp ranks are W loopback daemons that live as long as this object.
+struct Ranks {
+  Ranks(TransportKind kind, std::size_t workers) : workers(workers) {
+    if (kind == TransportKind::kTcp) fleet.emplace(workers);
+    transport = kind;
+  }
+  /// Points simulation or closed-loop options at these ranks.
+  template <class Options>
+  void place(Options& o) const {
+    o.transport = transport;
+    o.workers = workers;
+    if (fleet) o.worker_addresses = fleet->addresses();
+  }
+  TransportKind transport;
+  std::size_t workers;
+  std::optional<DaemonFleet> fleet;
+};
+
+/// Every failure path must reap the forked ranks: after it, this process
+/// has no child left to wait for.
+void expect_no_child_left() {
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1)
+      << "a forked rank outlived the failed run";
+  EXPECT_EQ(errno, ECHILD);
+}
+
+// --- byte equality ---------------------------------------------------------
+
 /// Runs the scenario once in process (shards = 4) and once per worker count
-/// through the forked backend, expecting bit-identical results.  Worker
-/// count 3 gives rank slices {0}, {1}, {2,3}: the uneven-partition case.
-void expect_transport_invariant(sim::SimulationOptions options,
-                                const std::shared_ptr<const fault::FaultSchedule>&
-                                    schedule = nullptr) {
+/// over framed ranks, expecting bit-identical results.
+void expect_transport_invariant(
+    TransportKind kind, sim::SimulationOptions options,
+    const std::shared_ptr<const fault::FaultSchedule>& schedule = nullptr) {
   const auto users = mixed_users(41);
   options.faults = schedule;
   options.shards = 4;
-  options.transport = sim::TransportKind::kInProcess;
+  options.transport = TransportKind::kInProcess;
   sim::MecSimulation reference(users, 8.0, core::make_reciprocal_delay(),
                                options);
   const sim::SimulationResult base =
       reference.run_tro(mixed_thresholds(reference.total_devices()));
-  for (const std::size_t w : {1u, 2u, 3u, 4u}) {
-    options.transport = sim::TransportKind::kProcess;
-    options.workers = w;
-    sim::MecSimulation forked(users, 8.0, core::make_reciprocal_delay(),
+  for (const std::size_t w : worker_counts(kind)) {
+    const Ranks ranks(kind, w);
+    ranks.place(options);
+    sim::MecSimulation framed(users, 8.0, core::make_reciprocal_delay(),
                               options);
     const sim::SimulationResult r =
-        forked.run_tro(mixed_thresholds(forked.total_devices()));
+        framed.run_tro(mixed_thresholds(framed.total_devices()));
     SCOPED_TRACE("workers = " + std::to_string(w));
     expect_result_identical(base, r);
   }
 }
 
-TEST(TransportEquivalence, FixedGammaWithSampling) {
+sim::SimulationOptions fixed_gamma_options() {
   sim::SimulationOptions o;
   o.warmup = 5.0;
   o.horizon = 40.0;
   o.seed = 31337;
   o.fixed_gamma = 0.25;
   o.sample_interval = 2.5;
-  expect_transport_invariant(o);
+  return o;
 }
 
-TEST(TransportEquivalence, TrackedGammaWithSampling) {
+sim::SimulationOptions tracked_gamma_options() {
   sim::SimulationOptions o;
   o.warmup = 2.0;
   o.horizon = 50.0;
@@ -188,10 +272,22 @@ TEST(TransportEquivalence, TrackedGammaWithSampling) {
   o.utilization_ewma_tau = 5.0;
   o.initial_gamma = 0.3;
   o.sample_interval = 3.0;
-  expect_transport_invariant(o);
+  return o;
 }
 
-TEST(TransportEquivalence, FaultsAndChurnAcrossClusters) {
+sim::SimulationOptions faulted_cluster_options() {
+  sim::SimulationOptions o;
+  o.warmup = 3.0;
+  o.horizon = 40.0;
+  o.seed = 2024;
+  o.utilization_ewma_tau = 8.0;
+  o.initial_gamma = 0.2;
+  o.sample_interval = 4.0;
+  o.topology.clusters = 2;
+  return o;
+}
+
+std::shared_ptr<fault::FaultSchedule> faulted_cluster_schedule() {
   auto schedule = std::make_shared<fault::FaultSchedule>();
   schedule->add_capacity_scale(10.0, 0.5, 1);  // cluster 1 browns out
   schedule->add_capacity_scale(24.0, 1.0, 1);
@@ -207,22 +303,65 @@ TEST(TransportEquivalence, FaultsAndChurnAcrossClusters) {
   joiner.energy_local = 1.0;
   joiner.energy_offload = 0.5;
   schedule->add_user_arrival(15.0, joiner);
-
-  sim::SimulationOptions o;
-  o.warmup = 3.0;
-  o.horizon = 40.0;
-  o.seed = 2024;
-  o.utilization_ewma_tau = 8.0;
-  o.initial_gamma = 0.2;
-  o.sample_interval = 4.0;
-  o.topology.clusters = 2;
-  expect_transport_invariant(o, schedule);
+  return schedule;
 }
 
-TEST(TransportEquivalence, ClosedLoopDtuCrossesTheProcessBoundary) {
-  // The closed loop is the hardest case for the process backend: every
-  // epoch callback retunes MutableTroPolicy thresholds in the coordinator,
-  // which must be re-mirrored into the workers before the next leg.
+/// Non-exponential samplers through the population frame: the ranks must
+/// rebuild the exact Erlang-4 service and empirical latency samplers the
+/// in-process engine materializes from the same specs.
+sim::SimulationOptions sampler_spec_options() {
+  sim::SimulationOptions o = tracked_gamma_options();
+  sim::SamplerSpec service;
+  service.kind = sim::SamplerSpec::Kind::kErlang;
+  service.param = 4.0;
+  sim::SamplerSpec latency;
+  latency.kind = sim::SamplerSpec::Kind::kEmpirical;
+  latency.data = random::synthetic_wifi_offload_latencies().samples();
+  o.service_spec = service;
+  o.latency_spec = latency;
+  return o;
+}
+
+TEST(TransportEquivalence, FixedGammaWithSampling) {
+  expect_transport_invariant(TransportKind::kProcess, fixed_gamma_options());
+}
+
+TEST(TcpTransportEquivalence, FixedGammaWithSampling) {
+  expect_transport_invariant(TransportKind::kTcp, fixed_gamma_options());
+}
+
+TEST(TransportEquivalence, TrackedGammaWithSampling) {
+  expect_transport_invariant(TransportKind::kProcess, tracked_gamma_options());
+}
+
+TEST(TcpTransportEquivalence, TrackedGammaWithSampling) {
+  expect_transport_invariant(TransportKind::kTcp, tracked_gamma_options());
+}
+
+TEST(TransportEquivalence, FaultsAndChurnAcrossClusters) {
+  expect_transport_invariant(TransportKind::kProcess,
+                             faulted_cluster_options(),
+                             faulted_cluster_schedule());
+}
+
+TEST(TcpTransportEquivalence, FaultsAndChurnAcrossClustersMatchInProcess) {
+  expect_transport_invariant(TransportKind::kTcp, faulted_cluster_options(),
+                             faulted_cluster_schedule());
+}
+
+TEST(TransportEquivalence, NonExponentialSamplerSpecsCrossTheProcessBoundary) {
+  expect_transport_invariant(TransportKind::kProcess, sampler_spec_options());
+}
+
+TEST(TcpTransportEquivalence,
+     NonExponentialSamplerSpecsCrossTheMachineBoundary) {
+  expect_transport_invariant(TransportKind::kTcp, sampler_spec_options());
+}
+
+/// The closed loop is the hardest case for framed ranks: every epoch
+/// callback retunes MutableTroPolicy thresholds in the coordinator, which
+/// must be re-mirrored into the ranks before the next leg.
+void expect_closed_loop_invariant(TransportKind kind) {
   const auto pop = population::sample_population(
       population::theoretical_scenario(population::LoadRegime::kAtService, 60),
       91);
@@ -231,12 +370,12 @@ TEST(TransportEquivalence, ClosedLoopDtuCrossesTheProcessBoundary) {
   opt.update_period = 5.0;
   opt.eta0 = 0.2;
   opt.shards = 4;
-  opt.transport = sim::TransportKind::kInProcess;
+  opt.transport = TransportKind::kInProcess;
   const sim::ClosedLoopResult base =
       run_closed_loop(pop.users, pop.config.capacity, pop.config.delay, opt);
-  for (const std::size_t w : {2u, 3u}) {
-    opt.transport = sim::TransportKind::kProcess;
-    opt.workers = w;
+  for (const std::size_t w : worker_counts(kind)) {
+    const Ranks ranks(kind, w);
+    ranks.place(opt);
     const sim::ClosedLoopResult r =
         run_closed_loop(pop.users, pop.config.capacity, pop.config.delay, opt);
     SCOPED_TRACE("workers = " + std::to_string(w));
@@ -258,6 +397,14 @@ TEST(TransportEquivalence, ClosedLoopDtuCrossesTheProcessBoundary) {
   }
 }
 
+TEST(TransportEquivalence, ClosedLoopDtuCrossesTheProcessBoundary) {
+  expect_closed_loop_invariant(TransportKind::kProcess);
+}
+
+TEST(TcpTransportEquivalence, ClosedLoopDtuCrossesTheMachineBoundary) {
+  expect_closed_loop_invariant(TransportKind::kTcp);
+}
+
 std::string test_scoped_path(const std::string& suffix) {
   const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
   const std::string name = std::string(info->test_suite_name()) + "_" +
@@ -271,43 +418,101 @@ std::vector<char> slurp(const std::string& path) {
                            std::istreambuf_iterator<char>());
 }
 
-TEST(TransportEquivalence, StreamedLogsAreByteIdentical) {
+/// Streams the faulted multi-cluster scenario in process and over framed
+/// ranks; the .meclog files must match byte for byte.
+void expect_streamed_logs_identical(TransportKind kind) {
   const auto users = mixed_users(41);
-  sim::SimulationOptions o;
-  o.warmup = 2.0;
-  o.horizon = 40.0;
+  sim::SimulationOptions o = faulted_cluster_options();
+  o.faults = faulted_cluster_schedule();
   o.seed = 7;
-  o.utilization_ewma_tau = 5.0;
-  o.initial_gamma = 0.3;
   o.sample_interval = 2.0;
-  o.topology.clusters = 2;
   o.shards = 4;
   o.stream_counters = false;  // counter frames carry wall-clock values
 
   const std::string in_path = test_scoped_path("inproc.meclog");
-  const std::string proc_path = test_scoped_path("process.meclog");
-  o.transport = sim::TransportKind::kInProcess;
+  const std::string framed_path = test_scoped_path("framed.meclog");
+  o.transport = TransportKind::kInProcess;
   o.stream_log = in_path;
   sim::MecSimulation a(users, 8.0, core::make_reciprocal_delay(), o);
   a.run_tro(mixed_thresholds(a.total_devices()));
-
-  o.transport = sim::TransportKind::kProcess;
-  o.workers = 2;
-  o.stream_log = proc_path;
-  sim::MecSimulation b(users, 8.0, core::make_reciprocal_delay(), o);
-  b.run_tro(mixed_thresholds(b.total_devices()));
-
   const std::vector<char> in_bytes = slurp(in_path);
-  const std::vector<char> proc_bytes = slurp(proc_path);
   ASSERT_FALSE(in_bytes.empty());
-  EXPECT_EQ(in_bytes, proc_bytes);
+
+  for (const std::size_t w : worker_counts(kind)) {
+    const Ranks ranks(kind, w);
+    ranks.place(o);
+    o.stream_log = framed_path;
+    sim::MecSimulation b(users, 8.0, core::make_reciprocal_delay(), o);
+    b.run_tro(mixed_thresholds(b.total_devices()));
+    SCOPED_TRACE("workers = " + std::to_string(w));
+    EXPECT_EQ(in_bytes, slurp(framed_path));
+  }
   std::filesystem::remove(in_path);
-  std::filesystem::remove(proc_path);
+  std::filesystem::remove(framed_path);
 }
 
-// --- robustness ------------------------------------------------------------
+TEST(TransportEquivalence, StreamedLogsAreByteIdentical) {
+  expect_streamed_logs_identical(TransportKind::kProcess);
+}
 
-sim::SimulationOptions process_run_options() {
+TEST(TcpTransportEquivalence, StreamedLogsAreByteIdentical) {
+  expect_streamed_logs_identical(TransportKind::kTcp);
+}
+
+TEST(TcpTransportEquivalence, OneDaemonServesManyRunsBackToBack) {
+  const auto users = mixed_users(17);
+  sim::SimulationOptions o;
+  o.warmup = 1.0;
+  o.horizon = 15.0;
+  o.seed = 11;
+  o.fixed_gamma = 0.25;
+  o.shards = 2;
+  o.transport = TransportKind::kInProcess;
+  sim::MecSimulation reference(users, 8.0, core::make_reciprocal_delay(), o);
+  const sim::SimulationResult base =
+      reference.run_tro(mixed_thresholds(reference.total_devices()));
+
+  DaemonFleet fleet(1);
+  o.transport = TransportKind::kTcp;
+  o.worker_addresses = fleet.addresses();
+  sim::MecSimulation remote(users, 8.0, core::make_reciprocal_delay(), o);
+  for (int run = 0; run < 3; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    expect_result_identical(
+        base, remote.run_tro(mixed_thresholds(remote.total_devices())));
+  }
+}
+
+// --- crashed / stalled / failing runs --------------------------------------
+
+/// Forks a child process that serves `daemon` (already bound in the parent,
+/// so the port is known) with the `hooks` variables set in its environment.
+/// The crash hook hard-exits the child, which is the point: the sacrificial
+/// process stands in for a machine that dies mid-run.
+pid_t fork_daemon(net::WorkerDaemon& daemon,
+                  const std::vector<std::pair<std::string, std::string>>&
+                      hooks) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    for (const auto& [name, value] : hooks)
+      ::setenv(name.c_str(), value.c_str(), 1);
+    int status = 1;
+    try {
+      status = daemon.serve();
+    } catch (...) {
+    }
+    ::_exit(status);
+  }
+  return pid;
+}
+
+void reap(pid_t pid) {
+  ::kill(pid, SIGKILL);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+}
+
+sim::SimulationOptions hooked_run_options() {
   sim::SimulationOptions o;
   o.warmup = 2.0;
   o.horizon = 30.0;
@@ -315,31 +520,131 @@ sim::SimulationOptions process_run_options() {
   o.fixed_gamma = 0.25;
   o.sample_interval = 2.0;  // plenty of barriers for the hooks to hit
   o.shards = 4;
-  o.transport = sim::TransportKind::kProcess;
-  o.workers = 2;
   return o;
 }
 
-TEST(ProcessTransportRobustness, WorkerCrashFailsWithRankAndBarrier) {
-  ScopedEnv crash_rank("MEC_TEST_WORKER_CRASH_RANK", "1");
-  ScopedEnv crash_barrier("MEC_TEST_WORKER_CRASH_BARRIER", "3");
+/// Runs the hooked scenario on two ranks of `kind` with the robustness hook
+/// `<hook>_RANK=rank`, `<hook>_BARRIER=barrier` on the hosting process, and
+/// returns the run's error message.  Forked ranks inherit the hook from
+/// this process; for tcp only the hooked rank's daemon carries it.
+std::string failing_run(TransportKind kind, const std::string& hook,
+                        int rank, int barrier) {
+  const std::vector<std::pair<std::string, std::string>> hooks = {
+      {hook + "_RANK", std::to_string(rank)},
+      {hook + "_BARRIER", std::to_string(barrier)}};
   const auto users = mixed_users(41);
-  sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(),
-                         process_run_options());
-  try {
-    des.run_tro(mixed_thresholds(des.total_devices()));
-    FAIL() << "a crashed worker must fail the run";
-  } catch (const RuntimeError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("exit status 17"), std::string::npos) << what;
-    EXPECT_NE(what.find("last completed barrier #2"), std::string::npos)
-        << what;
-    // The diagnostic names the frame the coordinator was still waiting for,
-    // so a hung-vs-crashed worker is distinguishable from the message alone.
-    EXPECT_NE(what.find("pending frame: barrier payload"), std::string::npos)
-        << what;
+  sim::SimulationOptions o = hooked_run_options();
+  std::string what;
+  const auto run = [&] {
+    sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
+    try {
+      des.run_tro(mixed_thresholds(des.total_devices()));
+      ADD_FAILURE() << "a " << hook << " rank must fail the run, not hang it";
+    } catch (const RuntimeError& e) {
+      what = e.what();
+    }
+  };
+  if (kind == TransportKind::kProcess) {
+    const ScopedEnv rank_env(hooks[0].first, hooks[0].second);
+    const ScopedEnv barrier_env(hooks[1].first, hooks[1].second);
+    o.transport = TransportKind::kProcess;
+    o.workers = 2;
+    run();
+    expect_no_child_left();
+    return what;
   }
+  net::WorkerDaemon::Options d;
+  d.listen = net::Address{"127.0.0.1", 0};
+  d.quiet = true;
+  net::WorkerDaemon d0(d), d1(d);
+  o.transport = TransportKind::kTcp;
+  o.worker_addresses = {"127.0.0.1:" + std::to_string(d0.port()),
+                        "127.0.0.1:" + std::to_string(d1.port())};
+  const std::vector<std::pair<std::string, std::string>> none;
+  const pid_t pid0 = fork_daemon(d0, rank == 0 ? hooks : none);
+  const pid_t pid1 = fork_daemon(d1, rank == 1 ? hooks : none);
+  run();
+  reap(pid0);
+  reap(pid1);
+  return what;
+}
+
+/// Rank 1 _exit(17)s after its third advance: the peer just vanishes.
+void expect_crash_diagnostic(const std::string& what) {
+  EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+  EXPECT_NE(what.find("closed the connection"), std::string::npos) << what;
+  EXPECT_NE(what.find("last completed barrier #2"), std::string::npos)
+      << what;
+  // The diagnostic names the frame the coordinator was still waiting for,
+  // so a hung-vs-crashed rank is distinguishable from the message alone.
+  EXPECT_NE(what.find("pending frame: barrier payload"), std::string::npos)
+      << what;
+}
+
+/// Rank 0 stops heartbeating after its second advance but keeps its channel
+/// open: only the read deadline can unstick the coordinator.
+void expect_stall_diagnostic(const std::string& what) {
+  EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
+  EXPECT_NE(what.find("stopped responding"), std::string::npos) << what;
+  EXPECT_NE(what.find("last completed barrier #1"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("pending frame: barrier payload"), std::string::npos)
+      << what;
+}
+
+TEST(ProcessTransportRobustness, WorkerCrashFailsWithRankAndBarrier) {
+  const std::string what = failing_run(TransportKind::kProcess,
+                                       "MEC_TEST_WORKER_CRASH", 1, 3);
+  expect_crash_diagnostic(what);
+  EXPECT_NE(what.find("process transport worker rank 1 (pid "),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("exit status 17"), std::string::npos) << what;
+}
+
+TEST(TcpTransportRobustness, KilledWorkerFailsWithRankAddressAndBarrier) {
+  const std::string what =
+      failing_run(TransportKind::kTcp, "MEC_TEST_WORKER_CRASH", 1, 3);
+  expect_crash_diagnostic(what);
+  EXPECT_NE(what.find("tcp transport worker rank 1 at 127.0.0.1:"),
+            std::string::npos)
+      << what;
+}
+
+TEST(ProcessTransportRobustness, WorkerStallFailsInsteadOfHanging) {
+  const ScopedEnv timeout("MEC_TRANSPORT_TIMEOUT_MS", "500");
+  const std::string what = failing_run(TransportKind::kProcess,
+                                       "MEC_TEST_WORKER_STALL", 0, 2);
+  expect_stall_diagnostic(what);
+  EXPECT_NE(what.find("unresponsive, killed"), std::string::npos) << what;
+}
+
+TEST(TcpTransportRobustness, StalledWorkerFailsInsteadOfHanging) {
+  const ScopedEnv timeout("MEC_TRANSPORT_TIMEOUT_MS", "500");
+  const std::string what =
+      failing_run(TransportKind::kTcp, "MEC_TEST_WORKER_STALL", 0, 2);
+  expect_stall_diagnostic(what);
+  EXPECT_NE(what.find("tcp transport worker rank 0 at 127.0.0.1:"),
+            std::string::npos)
+      << what;
+}
+
+TEST(ProcessTransportRobustness, ThrowingEpochCallbackLeavesNoWorkerBehind) {
+  // The coordinator itself fails mid-run while every rank is healthy and
+  // blocked on its next frame: unwinding the transport must kill and reap
+  // them all.
+  const auto users = mixed_users(41);
+  sim::SimulationOptions o = hooked_run_options();
+  o.epoch_period = 5.0;
+  o.on_epoch = [](double now, double) {
+    if (now >= 10.0) throw std::runtime_error("epoch callback failed");
+  };
+  o.transport = TransportKind::kProcess;
+  o.workers = 3;
+  sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
+  EXPECT_THROW(des.run_tro(mixed_thresholds(des.total_devices())),
+               std::runtime_error);
+  expect_no_child_left();
 }
 
 TEST(TransportTimeout, EnvOverrideIsValidatedLoudly) {
@@ -348,7 +653,7 @@ TEST(TransportTimeout, EnvOverrideIsValidatedLoudly) {
   // falling back to 5 minutes would make stall tests pass vacuously.
   for (const char* bad : {"banana", "0", "-5", "1e3", "250ms", "86400001",
                           "999999999999999999999"}) {
-    ScopedEnv env("MEC_TRANSPORT_TIMEOUT_MS", bad);
+    const ScopedEnv env("MEC_TRANSPORT_TIMEOUT_MS", bad);
     try {
       parallel::resolve_transport_timeout_ms();
       FAIL() << "value '" << bad << "' must be rejected";
@@ -363,64 +668,430 @@ TEST(TransportTimeout, EnvOverrideIsValidatedLoudly) {
 
 TEST(TransportTimeout, EnvOverrideAndFallbackResolve) {
   {
-    ScopedEnv env("MEC_TRANSPORT_TIMEOUT_MS", "250");
+    const ScopedEnv env("MEC_TRANSPORT_TIMEOUT_MS", "250");
     EXPECT_EQ(parallel::resolve_transport_timeout_ms(), 250);
     EXPECT_EQ(parallel::resolve_transport_timeout_ms(9000), 250);
   }
   {
-    ScopedEnv env("MEC_TRANSPORT_TIMEOUT_MS", "86400000");
+    const ScopedEnv env("MEC_TRANSPORT_TIMEOUT_MS", "86400000");
     EXPECT_EQ(parallel::resolve_transport_timeout_ms(),
               parallel::kMaxTransportTimeoutMs);
   }
   {
     // Unset and empty both mean "use the fallback", matching MEC_SHARDS.
-    ScopedEnv env("MEC_TRANSPORT_TIMEOUT_MS", "");
+    const ScopedEnv env("MEC_TRANSPORT_TIMEOUT_MS", "");
     EXPECT_EQ(parallel::resolve_transport_timeout_ms(1234), 1234);
   }
 }
 
-TEST(ProcessTransportRobustness, WorkerStallFailsInsteadOfHanging) {
-  ScopedEnv stall_rank("MEC_TEST_WORKER_STALL_RANK", "0");
-  ScopedEnv stall_barrier("MEC_TEST_WORKER_STALL_BARRIER", "2");
-  ScopedEnv timeout("MEC_TRANSPORT_TIMEOUT_MS", "500");
-  const auto users = mixed_users(41);
-  sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(),
-                         process_run_options());
-  try {
-    des.run_tro(mixed_thresholds(des.total_devices()));
-    FAIL() << "a stalled worker must fail the run within the timeout";
-  } catch (const RuntimeError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
-    EXPECT_NE(what.find("stopped responding"), std::string::npos) << what;
-    EXPECT_NE(what.find("last completed barrier #1"), std::string::npos)
-        << what;
-  }
-}
+// --- refusals --------------------------------------------------------------
 
-TEST(ProcessTransportRobustness, RejectsPoliciesWithoutTroThresholds) {
-  // A DPO policy decides without a threshold; its state cannot be mirrored
-  // into a worker process, so the run must be refused up front (before any
-  // fork), not fail mid-run or silently diverge.
+/// A DPO policy decides without a threshold; its state cannot be mirrored
+/// into a rank, so the run must be refused up front — before any fork or
+/// connect — not fail mid-run or silently diverge.
+void expect_non_tro_refused(TransportKind kind) {
   const auto users = mixed_users(8);
   sim::SimulationOptions o;
   o.warmup = 1.0;
   o.horizon = 10.0;
   o.fixed_gamma = 0.25;
   o.shards = 2;
-  o.transport = sim::TransportKind::kProcess;
+  o.transport = kind;
   o.workers = 2;
+  if (kind == TransportKind::kTcp) o.worker_addresses = {"127.0.0.1:9"};
   sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
   std::vector<std::unique_ptr<sim::OffloadPolicy>> policies;
   for (std::size_t i = 0; i < users.size(); ++i)
     policies.push_back(sim::make_dpo_policy(0.5));
+  const bool local = kind == TransportKind::kProcess;
   try {
     des.run(policies);
-    FAIL() << "non-TRO policies must be rejected under transport=process";
+    FAIL() << "non-TRO policies must be rejected under framed transports";
   } catch (const RuntimeError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("transport=process"), std::string::npos) << what;
+    EXPECT_NE(what.find(local ? "transport=process" : "transport=tcp"),
+              std::string::npos)
+        << what;
     EXPECT_NE(what.find("TRO"), std::string::npos) << what;
+    EXPECT_NE(what.find(local ? "process boundary" : "machine boundary"),
+              std::string::npos)
+        << what;
+  }
+  if (local) expect_no_child_left();
+}
+
+TEST(ProcessTransportRobustness, RejectsPoliciesWithoutTroThresholds) {
+  expect_non_tro_refused(TransportKind::kProcess);
+}
+
+TEST(TcpTransportRobustness, RejectsPoliciesWithoutTroThresholds) {
+  expect_non_tro_refused(TransportKind::kTcp);
+}
+
+/// A closure cannot be shipped to a rank; the constructor must say so
+/// instead of silently running different distributions per side.
+void expect_sampler_closure_refused(TransportKind kind) {
+  const auto users = mixed_users(8);
+  sim::SimulationOptions o = hooked_run_options();
+  o.transport = kind;
+  if (kind == TransportKind::kTcp) o.worker_addresses = {"127.0.0.1:9"};
+  o.service = sim::erlang_service(4);
+  try {
+    sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
+    FAIL() << "raw sampler closures must be rejected under framed transports";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("service_spec"), std::string::npos) << what;
+    EXPECT_NE(what.find(kind == TransportKind::kProcess ? "transport=process"
+                                                        : "transport=tcp"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(ProcessTransportRobustness, RawSamplerClosuresAreRejected) {
+  expect_sampler_closure_refused(TransportKind::kProcess);
+}
+
+TEST(TcpTransportRobustness, RawSamplerClosuresAreRejected) {
+  expect_sampler_closure_refused(TransportKind::kTcp);
+}
+
+sim::SimulationOptions tcp_run_options(
+    const std::vector<std::string>& addresses) {
+  sim::SimulationOptions o = hooked_run_options();
+  o.transport = TransportKind::kTcp;
+  o.worker_addresses = addresses;
+  return o;
+}
+
+TEST(TcpTransportRobustness, UnreachableWorkerFailsWithAddress) {
+  // Nothing listens here: connect must give up within the budget and name
+  // the address instead of retrying forever.
+  const ScopedEnv timeout("MEC_TRANSPORT_TIMEOUT_MS", "400");
+  const auto users = mixed_users(9);
+  sim::SimulationOptions o = tcp_run_options({"127.0.0.1:9"});
+  o.shards = 1;
+  sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
+  try {
+    des.run_tro(mixed_thresholds(des.total_devices()));
+    FAIL() << "an unreachable daemon must fail the run";
+  } catch (const RuntimeError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("127.0.0.1:9"), std::string::npos) << what;
+  }
+}
+
+// --- daemon handshake ------------------------------------------------------
+
+void expect_tiny_tcp_run_succeeds(const std::vector<std::string>& addresses) {
+  const auto users = mixed_users(9);
+  sim::SimulationOptions o;
+  o.warmup = 0.0;
+  o.horizon = 5.0;
+  o.seed = 3;
+  o.fixed_gamma = 0.25;
+  o.shards = 1;
+  o.transport = TransportKind::kTcp;
+  o.worker_addresses = addresses;
+  sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
+  const sim::SimulationResult r =
+      des.run_tro(mixed_thresholds(des.total_devices()));
+  EXPECT_GT(r.total_events, 0u);
+}
+
+TEST(TcpTransportHandshake, WorkerRejectsACoordinatorRevisionMismatch) {
+  DaemonFleet fleet(1);
+  const net::Address addr = net::parse_address(fleet.addresses()[0]);
+  net::ScopedFd fd = net::connect_with_backoff(addr, 2000);
+  net::wire::Hello hello;
+  hello.revision = 99;
+  hello.ranks = 1;
+  pwire::write_frame(fd.get(), pwire::kFrameHello,
+                     net::wire::encode_hello(hello));
+  // The daemon answers with an error frame naming both revisions, then
+  // closes this connection and survives to serve a real run.
+  const pwire::DecodedFrame reply = pwire::read_frame_deadline(fd.get(), 5000);
+  ASSERT_EQ(reply.kind, pwire::kFrameError);
+  obs::wire::ByteReader r(reply.payload);
+  const std::string what = r.get_string(r.get_u32());
+  EXPECT_NE(what.find("revision 99"), std::string::npos) << what;
+  EXPECT_NE(what.find("revision 1"), std::string::npos) << what;
+  fd.reset();
+  expect_tiny_tcp_run_succeeds(fleet.addresses());
+}
+
+TEST(TcpTransportHandshake, CoordinatorRejectsAWorkerRevisionMismatch) {
+  // A fake "newer worker": accepts one connection, answers the hello with
+  // an ack carrying revision 99.  The coordinator must refuse, naming both
+  // revisions and the peer address.
+  const ScopedEnv timeout("MEC_TRANSPORT_TIMEOUT_MS", "2000");
+  net::ScopedFd listener = net::listen_on(net::Address{"127.0.0.1", 0});
+  const std::uint16_t port = net::bound_port(listener.get());
+  std::thread fake([&listener] {
+    net::ScopedFd conn = net::accept_connection(listener.get());
+    const pwire::DecodedFrame frame =
+        pwire::read_frame_deadline(conn.get(), 5000);
+    const net::wire::Hello hello = net::wire::decode_hello(frame.payload);
+    net::wire::HelloAck ack;
+    ack.revision = 99;
+    ack.rank = hello.rank;
+    pwire::write_frame(conn.get(), pwire::kFrameHelloAck,
+                       net::wire::encode_hello_ack(ack));
+  });
+  net::FramedTransport::Config cfg;
+  cfg.shard_count = 1;
+  cfg.n_devices = 1;
+  const std::vector<net::Address> workers = {net::Address{"127.0.0.1", port}};
+  const std::vector<std::vector<std::uint8_t>> populations(1);
+  const std::vector<double> thresholds(1, 1.0);
+  try {
+    net::FramedTransport transport(cfg, net::connect_workers(workers),
+                                   populations, thresholds);
+    FAIL() << "a worker revision mismatch must be refused";
+  } catch (const RuntimeError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("this coordinator speaks revision 1"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("answered revision 99"), std::string::npos) << what;
+    EXPECT_NE(what.find("127.0.0.1:"), std::string::npos) << what;
+  }
+  fake.join();
+}
+
+TEST(TcpTransportHandshake, GarbageBytesOnConnectAreRejectedAndSurvived) {
+  DaemonFleet fleet(1);
+  const net::Address addr = net::parse_address(fleet.addresses()[0]);
+  {
+    net::ScopedFd fd = net::connect_with_backoff(addr, 2000);
+    const std::string junk = "GET / HTTP/1.1\r\nHost: not-a-mec-peer\r\n\r\n";
+    ASSERT_EQ(::write(fd.get(), junk.data(), junk.size()),
+              static_cast<ssize_t>(junk.size()));
+    // The daemon kills this connection at the envelope decode (absurd
+    // length / CRC); it must not crash, hang, or poison the next run.
+  }
+  expect_tiny_tcp_run_succeeds(fleet.addresses());
+}
+
+TEST(TcpTransportHandshake, DuplicateWorkerAddressIsRejectedUpFront) {
+  DaemonFleet fleet(1);
+  const auto users = mixed_users(9);
+  sim::SimulationOptions o = tcp_run_options(
+      {fleet.addresses()[0], fleet.addresses()[0]});
+  sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
+  try {
+    des.run_tro(mixed_thresholds(des.total_devices()));
+    FAIL() << "a duplicated worker address must be rejected";
+  } catch (const RuntimeError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("listed twice"), std::string::npos) << what;
+    EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+  }
+}
+
+TEST(TcpTransportHandshake, MoreWorkersThanShardsIsRejectedUpFront) {
+  const auto users = mixed_users(9);
+  sim::SimulationOptions o = tcp_run_options(
+      {"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3", "127.0.0.1:4",
+       "127.0.0.1:5"});
+  sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
+  try {
+    des.run_tro(mixed_thresholds(des.total_devices()));
+    FAIL() << "more workers than shards must be rejected before connecting";
+  } catch (const RuntimeError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("5 workers"), std::string::npos) << what;
+    EXPECT_NE(what.find("4 shards"), std::string::npos) << what;
+  }
+}
+
+// --- address parsing -------------------------------------------------------
+
+TEST(NetAddress, ParsesHostAndPort) {
+  const net::Address a = net::parse_address("127.0.0.1:8080");
+  EXPECT_EQ(a.host, "127.0.0.1");
+  EXPECT_EQ(a.port, 8080);
+  EXPECT_EQ(a.str(), "127.0.0.1:8080");
+}
+
+TEST(NetAddress, RejectsMalformedSpecs) {
+  for (const char* bad : {"nocolon", ":1234", "host:", "host:0", "host:abc",
+                          "host:12x", "host:65536", "host:-1"})
+    EXPECT_THROW(net::parse_address(bad), RuntimeError) << bad;
+  // Port 0 is only an error when ephemeral binds make no sense.
+  EXPECT_EQ(net::parse_address("host:0", /*allow_port_zero=*/true).port, 0);
+}
+
+TEST(NetAddress, WorkerListRejectsDuplicatesNamingBothRanks) {
+  try {
+    net::parse_worker_list("10.0.0.1:7000,10.0.0.2:7000,10.0.0.1:7000");
+    FAIL() << "duplicate worker addresses must be rejected";
+  } catch (const RuntimeError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("10.0.0.1:7000"), std::string::npos) << what;
+    EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("rank 2"), std::string::npos) << what;
+  }
+  EXPECT_THROW(net::parse_worker_list(""), RuntimeError);
+  EXPECT_THROW(net::parse_worker_list("a:1,,b:2"), RuntimeError);
+}
+
+// --- payload validation against scripted peers -----------------------------
+//
+// The run below has 10 devices in 2 shards, 2 clusters and 2 ranks: rank r
+// owns shard r and devices [5r, 5r+5).  A scripted rank is the far end of a
+// socketpair with every reply written up front — hello ack, ready, one
+// barrier payload, final totals — so no thread is needed (the frames are
+// tiny, and the coordinator's own frames sit unread in the socket buffer).
+
+/// What one scripted rank sends; well-formed by default for rank `rank`.
+struct RankScript {
+  explicit RankScript(std::uint32_t rank)
+      : shard(rank), final_lo(5 * rank), final_hi(5 * rank + 5) {
+    sim::OffloadRecord rec;
+    rec.time = 0.5;
+    rec.latency = 0.1;
+    rec.device = 5 * rank + 2;
+    rec.cluster = static_cast<std::uint16_t>(rec.device % 2);
+    rec.measured = true;
+    log.push_back(rec);
+  }
+  std::uint32_t shard;
+  std::size_t shards = 1;
+  std::vector<std::uint64_t> cluster_offloads{3, 4};
+  std::vector<sim::OffloadRecord> log;
+  bool sketches = true;
+  bool queue_stats = false;
+  bool q = true;
+  std::uint32_t final_lo;
+  std::uint32_t final_hi;
+};
+
+/// The request the scripted barrier answers: sums and sketches, no stats.
+parallel::BarrierRequest scripted_request() {
+  parallel::BarrierRequest req;
+  req.limit = 1.0;
+  req.want_q = true;
+  req.want_sketches = true;
+  return req;
+}
+
+net::RankLink scripted_rank(std::uint32_t rank, const RankScript& script,
+                            net::ScopedFd& far_end) {
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  far_end = net::ScopedFd(fds[1]);
+  net::wire::HelloAck ack;
+  ack.rank = rank;
+  pwire::write_frame(fds[1], pwire::kFrameHelloAck,
+                     net::wire::encode_hello_ack(ack));
+  obs::wire::ByteWriter ready(4);
+  ready.put_u32(rank);
+  pwire::write_frame(fds[1], pwire::kFrameReady, ready.take());
+
+  stats::LatencySketch sketch;
+  sketch.add(0.25);
+  std::vector<parallel::ShardBarrierView> views(script.shards);
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    parallel::ShardBarrierView& v = views[i];
+    v.shard = script.shard + static_cast<std::uint32_t>(i);
+    v.log = script.log;
+    v.events = 7;
+    v.cluster_offloads = script.cluster_offloads;
+    if (script.sketches) {
+      v.local_sojourns = &sketch;
+      v.offload_delays = &sketch;
+    }
+    v.has_queue_stats = script.queue_stats;
+  }
+  pwire::write_frame(fds[1], pwire::kFrameBarrier,
+                     pwire::encode_barrier_payload(views, script.q, 2.0, 4.0));
+
+  std::vector<parallel::DeviceTotals> totals(script.final_hi -
+                                             script.final_lo);
+  for (std::uint32_t d = script.final_lo; d < script.final_hi; ++d)
+    totals[d - script.final_lo].arrivals = 100 + d;
+  pwire::write_frame(
+      fds[1], pwire::kFrameFinal,
+      pwire::encode_device_totals(script.final_lo, script.final_hi, totals));
+
+  net::RankLink link;
+  link.fd = net::ScopedFd(fds[0]);
+  link.label = "scripted peer " + std::to_string(rank);
+  return link;
+}
+
+/// Drives one barrier and the finalize exchange against two scripted ranks;
+/// returns the error, or "" when the coordinator accepted everything (then
+/// device d's arrivals must read 100 + d).
+std::string run_scripted(const RankScript& rank1) {
+  net::ScopedFd far0, far1;
+  std::vector<net::RankLink> links;
+  links.push_back(scripted_rank(0, RankScript(0), far0));
+  links.push_back(scripted_rank(1, rank1, far1));
+  net::FramedTransport::Config cfg;
+  cfg.shard_count = 2;
+  cfg.n_devices = 10;
+  cfg.n_clusters = 2;
+  const std::vector<std::vector<std::uint8_t>> populations(2);
+  const std::vector<double> thresholds(10, 1.0);
+  try {
+    net::FramedTransport transport(cfg, std::move(links), populations,
+                                   thresholds);
+    const auto views = transport.advance(scripted_request());
+    EXPECT_EQ(views.size(), 2u);
+    for (std::size_t i = 0; i < views.size(); ++i)
+      EXPECT_EQ(views[i].shard, i);
+    EXPECT_EQ(transport.total_q(), 4.0);
+    transport.finalize(false);
+    for (std::uint32_t d = 0; d < 10; ++d)
+      EXPECT_EQ(transport.device_totals(d).arrivals, 100u + d) << d;
+  } catch (const RuntimeError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FramedTransportValidation, WellFormedScriptedRanksAreAccepted) {
+  EXPECT_EQ(run_scripted(RankScript(1)), "");
+}
+
+TEST(FramedTransportValidation, EveryMalformedPayloadIsRefusedByName) {
+  struct Case {
+    void (*mutate)(RankScript&);
+    const char* field;  ///< field, received value, expected value
+  };
+  const Case cases[] = {
+      {[](RankScript& s) { s.shard = 0; }, "shards[0].shard = 0, expected 1"},
+      {[](RankScript& s) { s.shards = 2; }, "shard count = 2, expected 1"},
+      {[](RankScript& s) { s.cluster_offloads = {3, 4, 5}; },
+       "shards[0].cluster_offloads.size() = 3, expected 2"},
+      {[](RankScript& s) { s.sketches = false; },
+       "shards[0].sketches = absent, expected present"},
+      {[](RankScript& s) { s.queue_stats = true; },
+       "shards[0].queue stats = present, expected absent"},
+      {[](RankScript& s) { s.q = false; },
+       "queue sums = absent, expected present"},
+      {[](RankScript& s) { s.log[0].device = 2; },
+       "shards[0].log[0].device = 2, expected a device in [5, 10)"},
+      {[](RankScript& s) { s.log[0].cluster = 2; },
+       "shards[0].log[0].cluster = 2, expected a cluster below 2"},
+      // Accepting these would overwrite rank 0's totals and leave rank 1's
+      // devices at zero.
+      {[](RankScript& s) { s.final_lo = 0, s.final_hi = 5; },
+       "final totals with devices = [0, 5), expected [5, 10)"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.field);
+    RankScript script(1);
+    c.mutate(script);
+    const std::string what = run_scripted(script);
+    EXPECT_NE(what.find("worker rank 1 at scripted peer 1"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(c.field), std::string::npos) << what;
   }
 }
 

@@ -83,10 +83,11 @@ sharded execution (simulate, closedloop):
                                  queues (bit-identical for any k; default
                                  honors MEC_SHARDS, then 1)
   --transport=<inproc|process|tcp>  run shard legs in this process
-                                 (default), in forked worker processes, or
-                                 in `mec worker` daemons reached over TCP;
-                                 results are byte-identical in every case
-  --workers=<w>                  worker-process count for
+                                 (default), in forked local `mec worker`
+                                 ranks, or in `mec worker` daemons reached
+                                 over TCP; results are byte-identical in
+                                 every case
+  --workers=<w>                  forked-rank count for
                                  --transport=process (default 2, capped at
                                  the shard count)
   --workers=<host:port,...>      for --transport=tcp: one `mec worker`
@@ -403,9 +404,8 @@ int cmd_simulate(const io::Args& args) {
   parse_workers_flag(args, so.transport, so.workers, so.worker_addresses);
   so.stream_counters = args.get_long("counters", 1) != 0;
   const std::string service = args.get_string("service", "exp");
-  // TCP ranks rebuild their samplers from wire-describable specs; the
-  // other transports keep taking the factory closures directly.  Either
-  // route materializes the same sampler, so results do not depend on it.
+  // One sampler route for every transport: the spec is data, so framed
+  // ranks rebuild the very sampler the in-process engine materializes.
   sim::SamplerSpec service_spec;
   if (service == "erlang4") {
     service_spec.kind = sim::SamplerSpec::Kind::kErlang;
@@ -419,10 +419,7 @@ int cmd_simulate(const io::Args& args) {
   } else if (service != "exp") {
     throw RuntimeError("unknown --service (exp|erlang4|hyperexp4|empirical)");
   }
-  if (so.transport == sim::TransportKind::kTcp)
-    so.service_spec = service_spec;
-  else if (service != "exp")
-    so.service = sim::make_service_sampler(service_spec);
+  so.service_spec = service_spec;
 
   std::vector<double> xs(mfne.thresholds.begin(), mfne.thresholds.end());
   if (faults && faults->churn_arrivals() > 0) {
@@ -453,7 +450,7 @@ int cmd_simulate(const io::Args& args) {
       po.horizon = so.horizon;
       po.seed = so.seed;
       po.topology = topology;
-      po.service = so.service;
+      po.service = sim::make_service_sampler(service_spec);
       po.faults = faults;
       po.shards = so.shards;
       po.sample_interval = so.sample_interval;
@@ -483,7 +480,7 @@ int cmd_simulate(const io::Args& args) {
     mo.horizon = so.horizon;
     mo.seed = so.seed;
     mo.topology = topology;
-    mo.service = so.service;
+    mo.service = sim::make_service_sampler(service_spec);
     mo.faults = faults;
     mo.shards = so.shards;
     mo.sample_interval = so.sample_interval;
