@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "mec/common/error.hpp"
 #include "mec/random/rng.hpp"
 
 namespace mec::random {
+
+// gtest names value-parameterized cases after the printed parameter; without
+// this it prints the handle's bytes, a heap address that changes every run.
+void PrintTo(const Distribution& d, std::ostream* os) { *os << d.describe(); }
+
 namespace {
 
 double sample_mean(const Distribution& d, int n, std::uint64_t seed) {
