@@ -4,12 +4,16 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <memory>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mec/common/error.hpp"
@@ -94,43 +98,77 @@ void serve_barriers(parallel::RankWorker& worker, std::size_t rank, int fd) {
   }
 }
 
+/// A global-indexed array of `n` elements of which only the rank's slice
+/// [lo, hi) is constructed and ever touched.  The storage is one untouched
+/// allocation, so the pages behind the other ranks' slices are never
+/// faulted in and a rank's resident set follows its slice, not the
+/// population.
+template <class T>
+class RankSlice {
+ public:
+  RankSlice(std::size_t n, std::size_t lo, std::size_t hi)
+      : base_(static_cast<T*>(::operator new(n * sizeof(T), kAlign))),
+        lo_(lo),
+        hi_(hi) {
+    std::uninitialized_value_construct(base_ + lo_, base_ + hi_);
+  }
+  ~RankSlice() {
+    std::destroy(base_ + lo_, base_ + hi_);
+    ::operator delete(base_, kAlign);
+  }
+  RankSlice(const RankSlice&) = delete;
+  RankSlice& operator=(const RankSlice&) = delete;
+
+  T* data() const { return base_; }
+
+ private:
+  static constexpr std::align_val_t kAlign{alignof(T)};
+  T* base_;
+  std::size_t lo_, hi_;
+};
+
 // Rebuilds the rank's slice and serves the barrier loop until finalize.
 //
-// Arrays are full-size with only the owned slice populated: LegRunner tags
-// barrier views with *global* shard ids and LegContext pointers are indexed
-// by global device id, so a compacted layout would corrupt the merge order.
+// Device, RNG and user arrays are indexed by *global* device id —
+// LegRunner tags barrier views with global shard ids and LegContext
+// pointers are indexed by global device id, so a compacted layout would
+// corrupt the merge order — but only the owned slice exists (RankSlice).
 // The shipped RNG words are the coordinator's pre-init snapshots
 // (ws.rng_init); re-running init_shard here reproduces the coordinator's
 // initial-arrival draws bit for bit, which is what keeps the streamed
 // .meclog bytes identical to inproc for any worker placement.
 template <bool WithFaults>
-void serve_rank(int fd, const wire::WorkerPopulation& pop) {
-  sim::SimWorkspace::Impl ws;
-  ws.prepare(pop.n_devices);
-  std::vector<core::UserParams> users(pop.n_devices);
-  for (std::size_t i = 0; i < pop.users.size(); ++i)
-    users[pop.device_lo + i] = pop.users[i];
-  for (std::size_t i = 0; i < pop.rng_states.size(); ++i)
-    ws.rngs[pop.device_lo + i] =
-        random::Xoshiro256::from_state(pop.rng_states[i]);
+void serve_rank(int fd, wire::WorkerPopulation pop) {
+  const std::uint32_t lo = pop.device_lo;
+  RankSlice<core::UserParams> users(pop.n_devices, lo, pop.device_hi);
+  RankSlice<sim::DeviceState> devices(pop.n_devices, lo, pop.device_hi);
+  RankSlice<random::Xoshiro256> rngs(pop.n_devices, lo, pop.device_hi);
+  {
+    // The shipped copies go once the slice arrays hold them.
+    const auto shipped_users = std::move(pop.users);
+    const auto shipped_rngs = std::move(pop.rng_states);
+    std::copy(shipped_users.begin(), shipped_users.end(), users.data() + lo);
+    for (std::size_t i = 0; i < shipped_rngs.size(); ++i)
+      rngs.data()[lo + i] = random::Xoshiro256::from_state(shipped_rngs[i]);
+  }
 
-  const bool measuring_from_start = pop.warmup == 0.0;
+  sim::SimWorkspace::Impl ws;  // the rank uses only its shard contexts
   ws.shards.resize(pop.shard_count);
   for (std::uint32_t s = pop.shard_lo; s < pop.shard_hi; ++s) {
     parallel::ShardContext& sc = ws.shards[s];
     sc.reset(parallel::shard_bound(pop.n_devices, pop.shard_count, s),
              parallel::shard_bound(pop.n_devices, pop.shard_count, s + 1),
-             measuring_from_start);
+             /*measuring_from_start=*/pop.warmup == 0.0);
     sc.cluster_offloads.assign(pop.n_clusters, 0);
-    sim::engine::init_shard<WithFaults>(sc, users, pop.n_initial, ws.rngs,
-                                        pop.actions);
+    sim::engine::init_shard<WithFaults>(sc, users.data(), pop.n_initial,
+                                        rngs.data(), pop.actions);
   }
 
   const sim::ServiceSampler service = sim::make_service_sampler(pop.service);
   const sim::LatencySampler latency = sim::make_latency_sampler(pop.latency);
   std::vector<double> mirror(pop.n_devices, 0.0);
   const sim::engine::LegContext<sim::TroValueDecide> lc{
-      users.data(),  ws.devices.data(),   ws.rngs.data(),  nullptr,
+      users.data(),  devices.data(),      rngs.data(),     nullptr,
       &service,      &latency,            pop.warmup,      pop.t_end,
       pop.n_devices, pop.n_clusters,      pop.has_fixed_gamma,
       pop.fixed_delay};
@@ -170,7 +208,8 @@ void serve_connection(int fd, bool quiet) {
   if (frame.kind != pwire::kFramePopulation)
     throw RuntimeError("mec worker expected a population frame, got " +
                        pwire::frame_kind_name(frame.kind));
-  const wire::WorkerPopulation pop = wire::decode_population(frame.payload);
+  wire::WorkerPopulation pop = wire::decode_population(frame.payload);
+  frame = {};  // the decoded slice is all the rank keeps
   if (pop.rank != hello.rank)
     throw RuntimeError("population frame is for rank " +
                        std::to_string(pop.rank) +
@@ -184,9 +223,9 @@ void serve_connection(int fd, bool quiet) {
                  pop.shard_lo, pop.shard_hi, pop.shard_count,
                  pop.with_faults ? "faults on" : "faults off");
   if (pop.with_faults)
-    serve_rank<true>(fd, pop);
+    serve_rank<true>(fd, std::move(pop));
   else
-    serve_rank<false>(fd, pop);
+    serve_rank<false>(fd, std::move(pop));
 }
 
 /// Best-effort error frame, so the coordinator fails with a named cause

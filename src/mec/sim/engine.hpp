@@ -236,7 +236,8 @@ SimulationResult run_sharded(const std::vector<core::UserParams>& users,
              parallel::shard_bound(n_devices, shard_count, s + 1),
              cc.measuring_from_start);
     sc.cluster_offloads.assign(n_clusters, 0);
-    init_shard<WithFaults>(sc, users, n_initial, ws.rngs, plan.actions);
+    init_shard<WithFaults>(sc, users.data(), n_initial, ws.rngs.data(),
+                           plan.actions);
   }
   if (shard_count > 1) {
     const std::size_t lanes =

@@ -282,10 +282,11 @@ void run_leg(parallel::ShardContext& sc, const LegContext<Decide>& lc,
 /// equal times the environment change applies before any task event —
 /// lower sequence number), then the initial arrivals of the owned range in
 /// device order (matching the global RNG-consumption order per device).
+/// `users` and `rngs` are indexed by global device id; only the owned range
+/// is read.
 template <bool WithFaults>
-void init_shard(parallel::ShardContext& sc,
-                const std::vector<core::UserParams>& users,
-                std::uint32_t n_initial, std::vector<random::Xoshiro256>& rngs,
+void init_shard(parallel::ShardContext& sc, const core::UserParams* users,
+                std::uint32_t n_initial, random::Xoshiro256* rngs,
                 std::span<const fault::ResolvedAction> plan_actions) {
   if constexpr (WithFaults) {
     for (const fault::ResolvedAction& a : plan_actions) {

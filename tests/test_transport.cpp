@@ -201,9 +201,8 @@ std::vector<std::size_t> worker_counts(TransportKind kind) {
 /// W framed ranks for the enclosing scope: forked ranks are spawned by each
 /// run; tcp ranks are W loopback daemons that live as long as this object.
 struct Ranks {
-  Ranks(TransportKind kind, std::size_t workers) : workers(workers) {
-    if (kind == TransportKind::kTcp) fleet.emplace(workers);
-    transport = kind;
+  Ranks(TransportKind kind, std::size_t w) : transport(kind), workers(w) {
+    if (kind == TransportKind::kTcp) fleet.emplace(w);
   }
   /// Points simulation or closed-loop options at these ranks.
   template <class Options>
@@ -418,34 +417,37 @@ std::vector<char> slurp(const std::string& path) {
                            std::istreambuf_iterator<char>());
 }
 
-/// Streams the faulted multi-cluster scenario in process and over framed
-/// ranks; the .meclog files must match byte for byte.
+/// Streams the two-cluster tracked-gamma scenario in process and over
+/// framed ranks, fault-free and under its fault schedule; the .meclog files
+/// must match byte for byte.
 void expect_streamed_logs_identical(TransportKind kind) {
   const auto users = mixed_users(41);
-  sim::SimulationOptions o = faulted_cluster_options();
-  o.faults = faulted_cluster_schedule();
-  o.seed = 7;
-  o.sample_interval = 2.0;
-  o.shards = 4;
-  o.stream_counters = false;  // counter frames carry wall-clock values
-
   const std::string in_path = test_scoped_path("inproc.meclog");
   const std::string framed_path = test_scoped_path("framed.meclog");
-  o.transport = TransportKind::kInProcess;
-  o.stream_log = in_path;
-  sim::MecSimulation a(users, 8.0, core::make_reciprocal_delay(), o);
-  a.run_tro(mixed_thresholds(a.total_devices()));
-  const std::vector<char> in_bytes = slurp(in_path);
-  ASSERT_FALSE(in_bytes.empty());
+  for (const bool faulted : {false, true}) {
+    SCOPED_TRACE(faulted ? "faulted" : "fault-free");
+    sim::SimulationOptions o = faulted_cluster_options();
+    if (faulted) o.faults = faulted_cluster_schedule();
+    o.seed = 7;
+    o.sample_interval = 2.0;
+    o.shards = 4;
+    o.stream_counters = false;  // counter frames carry wall-clock values
+    o.transport = TransportKind::kInProcess;
+    o.stream_log = in_path;
+    sim::MecSimulation a(users, 8.0, core::make_reciprocal_delay(), o);
+    a.run_tro(mixed_thresholds(a.total_devices()));
+    const std::vector<char> in_bytes = slurp(in_path);
+    ASSERT_FALSE(in_bytes.empty());
 
-  for (const std::size_t w : worker_counts(kind)) {
-    const Ranks ranks(kind, w);
-    ranks.place(o);
-    o.stream_log = framed_path;
-    sim::MecSimulation b(users, 8.0, core::make_reciprocal_delay(), o);
-    b.run_tro(mixed_thresholds(b.total_devices()));
-    SCOPED_TRACE("workers = " + std::to_string(w));
-    EXPECT_EQ(in_bytes, slurp(framed_path));
+    for (const std::size_t w : worker_counts(kind)) {
+      const Ranks ranks(kind, w);
+      ranks.place(o);
+      o.stream_log = framed_path;
+      sim::MecSimulation b(users, 8.0, core::make_reciprocal_delay(), o);
+      b.run_tro(mixed_thresholds(b.total_devices()));
+      SCOPED_TRACE("workers = " + std::to_string(w));
+      EXPECT_EQ(in_bytes, slurp(framed_path));
+    }
   }
   std::filesystem::remove(in_path);
   std::filesystem::remove(framed_path);
@@ -484,6 +486,23 @@ TEST(TcpTransportEquivalence, OneDaemonServesManyRunsBackToBack) {
 }
 
 // --- crashed / stalled / failing runs --------------------------------------
+
+/// Builds a simulation of `users` with `o`, runs TRO, and returns the
+/// message of the `Error` that either step throws; `must` says why one has
+/// to.
+template <class Error = RuntimeError>
+std::string run_error(const std::vector<core::UserParams>& users,
+                      const sim::SimulationOptions& o,
+                      const std::string& must) {
+  try {
+    sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
+    des.run_tro(mixed_thresholds(des.total_devices()));
+  } catch (const Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << must;
+  return "";
+}
 
 /// Forks a child process that serves `daemon` (already bound in the parent,
 /// so the port is known) with the `hooks` variables set in its environment.
@@ -534,22 +553,13 @@ std::string failing_run(TransportKind kind, const std::string& hook,
       {hook + "_BARRIER", std::to_string(barrier)}};
   const auto users = mixed_users(41);
   sim::SimulationOptions o = hooked_run_options();
-  std::string what;
-  const auto run = [&] {
-    sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
-    try {
-      des.run_tro(mixed_thresholds(des.total_devices()));
-      ADD_FAILURE() << "a " << hook << " rank must fail the run, not hang it";
-    } catch (const RuntimeError& e) {
-      what = e.what();
-    }
-  };
+  const std::string must = "a " + hook + " rank must fail the run, not hang it";
   if (kind == TransportKind::kProcess) {
     const ScopedEnv rank_env(hooks[0].first, hooks[0].second);
     const ScopedEnv barrier_env(hooks[1].first, hooks[1].second);
     o.transport = TransportKind::kProcess;
     o.workers = 2;
-    run();
+    const std::string what = run_error(users, o, must);
     expect_no_child_left();
     return what;
   }
@@ -563,7 +573,7 @@ std::string failing_run(TransportKind kind, const std::string& hook,
   const std::vector<std::pair<std::string, std::string>> none;
   const pid_t pid0 = fork_daemon(d0, rank == 0 ? hooks : none);
   const pid_t pid1 = fork_daemon(d1, rank == 1 ? hooks : none);
-  run();
+  const std::string what = run_error(users, o, must);
   reap(pid0);
   reap(pid1);
   return what;
@@ -691,13 +701,8 @@ TEST(TransportTimeout, EnvOverrideAndFallbackResolve) {
 /// connect — not fail mid-run or silently diverge.
 void expect_non_tro_refused(TransportKind kind) {
   const auto users = mixed_users(8);
-  sim::SimulationOptions o;
-  o.warmup = 1.0;
-  o.horizon = 10.0;
-  o.fixed_gamma = 0.25;
-  o.shards = 2;
+  sim::SimulationOptions o = hooked_run_options();
   o.transport = kind;
-  o.workers = 2;
   if (kind == TransportKind::kTcp) o.worker_addresses = {"127.0.0.1:9"};
   sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
   std::vector<std::unique_ptr<sim::OffloadPolicy>> policies;
@@ -731,22 +736,18 @@ TEST(TcpTransportRobustness, RejectsPoliciesWithoutTroThresholds) {
 /// A closure cannot be shipped to a rank; the constructor must say so
 /// instead of silently running different distributions per side.
 void expect_sampler_closure_refused(TransportKind kind) {
-  const auto users = mixed_users(8);
   sim::SimulationOptions o = hooked_run_options();
   o.transport = kind;
   if (kind == TransportKind::kTcp) o.worker_addresses = {"127.0.0.1:9"};
   o.service = sim::erlang_service(4);
-  try {
-    sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
-    FAIL() << "raw sampler closures must be rejected under framed transports";
-  } catch (const ContractViolation& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("service_spec"), std::string::npos) << what;
-    EXPECT_NE(what.find(kind == TransportKind::kProcess ? "transport=process"
-                                                        : "transport=tcp"),
-              std::string::npos)
-        << what;
-  }
+  const std::string what = run_error<ContractViolation>(
+      mixed_users(8), o,
+      "raw sampler closures must be rejected under framed transports");
+  EXPECT_NE(what.find("service_spec"), std::string::npos) << what;
+  EXPECT_NE(what.find(kind == TransportKind::kProcess ? "transport=process"
+                                                      : "transport=tcp"),
+            std::string::npos)
+      << what;
 }
 
 TEST(ProcessTransportRobustness, RawSamplerClosuresAreRejected) {
@@ -769,35 +770,22 @@ TEST(TcpTransportRobustness, UnreachableWorkerFailsWithAddress) {
   // Nothing listens here: connect must give up within the budget and name
   // the address instead of retrying forever.
   const ScopedEnv timeout("MEC_TRANSPORT_TIMEOUT_MS", "400");
-  const auto users = mixed_users(9);
   sim::SimulationOptions o = tcp_run_options({"127.0.0.1:9"});
   o.shards = 1;
-  sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
-  try {
-    des.run_tro(mixed_thresholds(des.total_devices()));
-    FAIL() << "an unreachable daemon must fail the run";
-  } catch (const RuntimeError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("127.0.0.1:9"), std::string::npos) << what;
-  }
+  const std::string what = run_error(mixed_users(9), o,
+                                     "an unreachable daemon must fail the run");
+  EXPECT_NE(what.find("127.0.0.1:9"), std::string::npos) << what;
 }
 
 // --- daemon handshake ------------------------------------------------------
 
 void expect_tiny_tcp_run_succeeds(const std::vector<std::string>& addresses) {
   const auto users = mixed_users(9);
-  sim::SimulationOptions o;
-  o.warmup = 0.0;
-  o.horizon = 5.0;
-  o.seed = 3;
-  o.fixed_gamma = 0.25;
+  sim::SimulationOptions o = tcp_run_options(addresses);
   o.shards = 1;
-  o.transport = TransportKind::kTcp;
-  o.worker_addresses = addresses;
   sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
-  const sim::SimulationResult r =
-      des.run_tro(mixed_thresholds(des.total_devices()));
-  EXPECT_GT(r.total_events, 0u);
+  EXPECT_GT(des.run_tro(mixed_thresholds(des.total_devices())).total_events,
+            0u);
 }
 
 TEST(TcpTransportHandshake, WorkerRejectsACoordinatorRevisionMismatch) {
@@ -876,35 +864,23 @@ TEST(TcpTransportHandshake, GarbageBytesOnConnectAreRejectedAndSurvived) {
 
 TEST(TcpTransportHandshake, DuplicateWorkerAddressIsRejectedUpFront) {
   DaemonFleet fleet(1);
-  const auto users = mixed_users(9);
-  sim::SimulationOptions o = tcp_run_options(
-      {fleet.addresses()[0], fleet.addresses()[0]});
-  sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
-  try {
-    des.run_tro(mixed_thresholds(des.total_devices()));
-    FAIL() << "a duplicated worker address must be rejected";
-  } catch (const RuntimeError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("listed twice"), std::string::npos) << what;
-    EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
-    EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
-  }
+  const std::string what = run_error(
+      mixed_users(9),
+      tcp_run_options({fleet.addresses()[0], fleet.addresses()[0]}),
+      "a duplicated worker address must be rejected");
+  EXPECT_NE(what.find("listed twice"), std::string::npos) << what;
+  EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
+  EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
 }
 
 TEST(TcpTransportHandshake, MoreWorkersThanShardsIsRejectedUpFront) {
-  const auto users = mixed_users(9);
-  sim::SimulationOptions o = tcp_run_options(
-      {"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3", "127.0.0.1:4",
-       "127.0.0.1:5"});
-  sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
-  try {
-    des.run_tro(mixed_thresholds(des.total_devices()));
-    FAIL() << "more workers than shards must be rejected before connecting";
-  } catch (const RuntimeError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("5 workers"), std::string::npos) << what;
-    EXPECT_NE(what.find("4 shards"), std::string::npos) << what;
-  }
+  const std::string what = run_error(
+      mixed_users(9),
+      tcp_run_options({"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3",
+                       "127.0.0.1:4", "127.0.0.1:5"}),
+      "more workers than shards must be rejected before connecting");
+  EXPECT_NE(what.find("5 workers"), std::string::npos) << what;
+  EXPECT_NE(what.find("4 shards"), std::string::npos) << what;
 }
 
 // --- address parsing -------------------------------------------------------
