@@ -94,8 +94,8 @@ struct WorkerPopulation {
   sim::SamplerSpec service;
   sim::SamplerSpec latency;
   /// Owned slice only (device_hi - device_lo entries each): per-worker
-  /// network stays O(slice) even though the worker materializes full-size
-  /// arrays for global indexing.
+  /// network and memory stay O(slice); the worker indexes its arrays by
+  /// global device id but constructs only this slice.
   std::vector<core::UserParams> users;
   std::vector<std::array<std::uint64_t, 4>> rng_states;
   /// Full resolved schedule — every rank replays the global outage/capacity
