@@ -74,8 +74,10 @@ void run_regime(mec::bench::Context& ctx, mec::population::LoadRegime regime,
   // Replicated DES validation with the non-exponential measured service
   // distribution; replication r runs with seed_r = seed + golden * (r+1).
   sim::SimulationOptions so;
-  so.service = sim::empirical_service(random::synthetic_yolo_processing_times());
-  so.latency = sim::empirical_latency(random::synthetic_wifi_offload_latencies());
+  so.service = {.kind = sim::SamplerSpec::Kind::kEmpirical,
+                .data = random::synthetic_yolo_processing_times().samples()};
+  so.latency = {.kind = sim::SamplerSpec::Kind::kEmpirical,
+                .data = random::synthetic_wifi_offload_latencies().samples()};
   so.fixed_gamma = mfne.gamma_star;
   so.horizon = ctx.smoke() ? 40.0 : 150.0;
   so.warmup = ctx.smoke() ? 5.0 : 15.0;

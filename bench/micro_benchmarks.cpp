@@ -149,8 +149,10 @@ void BM_RunReplicationsScaling(benchmark::State& state) {
       population::practical_scenario(population::LoadRegime::kAtService), 21);
   const core::EdgeDelay delay = core::make_reciprocal_delay();
   sim::SimulationOptions so;
-  so.service = sim::empirical_service(random::synthetic_yolo_processing_times());
-  so.latency = sim::empirical_latency(random::synthetic_wifi_offload_latencies());
+  so.service = {.kind = sim::SamplerSpec::Kind::kEmpirical,
+                .data = random::synthetic_yolo_processing_times().samples()};
+  so.latency = {.kind = sim::SamplerSpec::Kind::kEmpirical,
+                .data = random::synthetic_wifi_offload_latencies().samples()};
   so.fixed_gamma = 0.44;
   so.horizon = 60.0;
   so.warmup = 10.0;

@@ -96,7 +96,6 @@ class FramedTransport final : public parallel::Transport {
       const parallel::BarrierRequest& request) override;
   double total_q() const override { return total_q_; }
   double total_q2() const override { return total_q2_; }
-  bool wants_thresholds() const override { return true; }
   void broadcast_thresholds(std::span<const double> values) override;
   void finalize(bool flipped) override;
   parallel::DeviceTotals device_totals(std::uint32_t device) const override;

@@ -4,8 +4,8 @@
 // stream log is attached, so the event loop itself never pays for them; the
 // few counters that live inside hot structures (the two-gear EventQueue's
 // gear switches and calendar retunes) are incremented on rare, already-cold
-// paths and compile to nothing when the MEC_OBS_COUNTERS CMake option is
-// OFF (see common/instrument.hpp).
+// paths.  Counters are always compiled in; SimulationOptions::stream_counters
+// is the one switch.
 //
 // Counter samples are wall-clock diagnostics: unlike window frames they are
 // NOT deterministic across shard counts or machines, and no test compares
@@ -13,8 +13,6 @@
 #pragma once
 
 #include <cstdint>
-
-#include "mec/common/instrument.hpp"
 
 namespace mec::obs {
 

@@ -87,7 +87,7 @@ struct WindowRecord {
   std::uint64_t offloads_penalized = 0;
   std::uint64_t fault_events_applied = 0;
   /// Distribution of floor(threshold) over the population at `time`
-  /// (TRO-family runs; all-zero when the policy has no threshold).
+  /// (run_tro runs; all-zero for a run over policy objects).
   std::array<std::uint32_t, kThresholdBins> threshold_histogram{};
   /// Per-edge-cluster trailer (v2): one utilization estimate and one
   /// cumulative measured offload count per topology cluster, in cluster

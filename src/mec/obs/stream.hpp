@@ -51,8 +51,7 @@ struct WindowExtras {
 class StreamingSink final : public sim::MetricsSink {
  public:
   /// Opens `path` and writes the header + meta frame.  `with_counters`
-  /// requests counter frames (the engine additionally requires the build
-  /// to have MEC_OBS_COUNTERS on).  Throws mec::RuntimeError on I/O error.
+  /// requests counter frames.  Throws mec::RuntimeError on I/O error.
   StreamingSink(const std::string& path, const RunLogMeta& meta,
                 bool with_counters);
 

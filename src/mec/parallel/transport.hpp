@@ -123,8 +123,8 @@ class RankWorker {
   virtual double total_q() const = 0;
   virtual double total_q2() const = 0;
 
-  /// Installs the post-epoch thresholds (framed ranks mirror the
-  /// coordinator's policy state; the in-process rank reads it live).
+  /// Installs the post-epoch thresholds in a framed rank's copy of the
+  /// run's threshold array (the in-process rank reads the array itself).
   virtual void set_thresholds(std::span<const double> values) = 0;
 
   /// Run end: resets measurements of never-flipped shards (when the run's
@@ -154,9 +154,9 @@ class Transport {
   virtual double total_q() const = 0;
   virtual double total_q2() const = 0;
 
-  /// Whether epoch-mutated thresholds must be pushed to the ranks (framed
-  /// ranks decide on mirrored copies; the in-process rank does not).
-  virtual bool wants_thresholds() const = 0;
+  /// Hands the post-epoch threshold array to every rank before its next
+  /// leg (framed ranks decide on copies; the in-process rank reads the
+  /// array itself, so its transport ignores the call).
   virtual void broadcast_thresholds(std::span<const double> values) = 0;
 
   virtual void finalize(bool flipped) = 0;
@@ -182,7 +182,6 @@ class InProcessTransport final : public Transport {
   }
   double total_q() const override { return worker_->total_q(); }
   double total_q2() const override { return worker_->total_q2(); }
-  bool wants_thresholds() const override { return false; }
   void broadcast_thresholds(std::span<const double>) override {}
   void finalize(bool flipped) override { worker_->finalize(flipped); }
   DeviceTotals device_totals(std::uint32_t device) const override {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <utility>
 
 #include "mec/common/error.hpp"
 #include "mec/core/threshold_oracle.hpp"
@@ -22,7 +22,7 @@ ClosedLoopResult run_closed_loop(std::span<const core::UserParams> users,
   MEC_EXPECTS(options.drift_margin > 0.0);
 
   // With churn, joining devices are appended to the population in schedule
-  // order (mirroring MecSimulation's constructor) and get their own policy.
+  // order (mirroring MecSimulation's constructor) and get their own threshold.
   std::vector<core::UserParams> all_users(users.begin(), users.end());
   if (options.faults && !options.faults->empty()) {
     const std::vector<core::UserParams> joiners = options.faults->churn_users();
@@ -30,15 +30,8 @@ ClosedLoopResult run_closed_loop(std::span<const core::UserParams> users,
   }
 
   // Devices start at threshold 0 (offload everything), as in Algorithm 1.
-  std::vector<std::unique_ptr<OffloadPolicy>> policies;
-  std::vector<MutableTroPolicy*> tunable;
-  policies.reserve(all_users.size());
-  tunable.reserve(all_users.size());
-  for (std::size_t n = 0; n < all_users.size(); ++n) {
-    auto policy = std::make_unique<MutableTroPolicy>(0.0);
-    tunable.push_back(policy.get());
-    policies.push_back(std::move(policy));
-  }
+  // The simulation decides on this array; the epoch callback rewrites it.
+  std::vector<double> thresholds(all_users.size(), 0.0);
 
   // Algorithm 1 state, updated by the epoch callback.
   struct LoopState {
@@ -59,8 +52,6 @@ ClosedLoopResult run_closed_loop(std::span<const core::UserParams> users,
   sim_options.seed = options.seed;
   sim_options.service = options.service;
   sim_options.latency = options.latency;
-  sim_options.service_spec = options.service_spec;
-  sim_options.latency_spec = options.latency_spec;
   sim_options.utilization_ewma_tau = options.utilization_ewma_tau;
   sim_options.epoch_period = options.update_period;
   sim_options.faults = options.faults;
@@ -103,8 +94,8 @@ ClosedLoopResult run_closed_loop(std::span<const core::UserParams> users,
       const double g_value = delay(ghat);
       for (std::size_t n = 0; n < all_users.size(); ++n) {
         if (options.update_gate && !options.update_gate(n, state.t)) continue;
-        tunable[n]->set_threshold(
-            static_cast<double>(core::best_threshold(all_users[n], g_value)));
+        thresholds[n] =
+            static_cast<double>(core::best_threshold(all_users[n], g_value));
       }
       if (state.t >= 2 &&
           std::abs(ghat - state.ghat_prev2) <= options.oscillation_tol) {
@@ -116,18 +107,16 @@ ClosedLoopResult run_closed_loop(std::span<const core::UserParams> users,
     }
 
     double mean_x = 0.0;
-    for (const MutableTroPolicy* p : tunable) mean_x += p->threshold();
-    mean_x /= static_cast<double>(tunable.size());
+    for (const double x : thresholds) mean_x += x;
+    mean_x /= static_cast<double>(thresholds.size());
     result.epochs.push_back(
         ClosedLoopEpoch{now, gamma_measured, ghat, state.eta, mean_x});
   };
 
   MecSimulation simulation(users, capacity, delay, std::move(sim_options));
-  result.run = simulation.run(policies);
+  result.run = simulation.run_tro(thresholds);
 
-  result.thresholds.reserve(tunable.size());
-  for (const MutableTroPolicy* p : tunable)
-    result.thresholds.push_back(p->threshold());
+  result.thresholds = std::move(thresholds);
   result.final_gamma_hat = state.ghat_prev;
   result.estimate_settled = state.settled;
   return result;

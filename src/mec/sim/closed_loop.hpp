@@ -6,15 +6,15 @@
 // the paper's quasi-stationary argument coexist in real time: tasks flow
 // continuously (fast scale) while every `update_period` seconds the edge
 // broadcasts its *measured* utilization estimate and devices best-respond
-// (slow scale).  This module runs exactly that: one continuous simulation in
-// which an epoch callback executes Algorithm 1's estimate/step/halving logic
-// against the engine's EWMA utilization and retunes per-device
-// MutableTroPolicy thresholds in place — queues are never reset, stragglers
-// can skip updates, and convergence happens under genuine measurement noise.
+// (slow scale).  This module runs exactly that: one continuous run_tro
+// simulation in which an epoch callback executes Algorithm 1's
+// estimate/step/halving logic against the engine's EWMA utilization and
+// rewrites the per-device threshold array in place — queues are never
+// reset, stragglers can skip updates, and convergence happens under genuine
+// measurement noise.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -34,17 +34,12 @@ struct ClosedLoopOptions {
   double oscillation_tol = 1e-12;
   std::uint64_t seed = 1;
   core::UpdateGate update_gate;   ///< null => every device updates
-  ServiceSampler service;         ///< null => exponential
-  LatencySampler latency;         ///< null => exponential
-  /// Wire-describable sampler specs forwarded to SimulationOptions;
-  /// required (instead of the closures above) for transport=process and
-  /// transport=tcp.
-  std::optional<SamplerSpec> service_spec;
-  std::optional<SamplerSpec> latency_spec;
+  SamplerSpec service;            ///< forwarded to SimulationOptions
+  SamplerSpec latency;            ///< forwarded to SimulationOptions
   double utilization_ewma_tau = 10.0;
   /// Optional fault/churn schedule forwarded to the simulator.  With churn,
-  /// joining devices get their own MutableTroPolicy (threshold 0 until the
-  /// first post-join broadcast), like any late joiner in Algorithm 1.
+  /// joining devices get their own threshold slot (0 until the first
+  /// post-join broadcast), like any late joiner in Algorithm 1.
   std::shared_ptr<const fault::FaultSchedule> faults;
   /// Algorithm 1 freezes thresholds once |ghat_t - ghat_{t-1}| <= epsilon —
   /// correct in a stationary environment, blind in a faulty one.  With
@@ -59,9 +54,9 @@ struct ClosedLoopOptions {
   /// MEC_SHARDS, else autotuned).  Thresholds mutate only at epoch
   /// barriers, so the closed loop is bit-identical for every shard count.
   std::size_t shards = 0;
-  /// Transport + worker count forwarded to SimulationOptions.  The loop's
-  /// MutableTroPolicy thresholds are TRO by construction, so the process
-  /// transport's mirrored-threshold requirement always holds here.
+  /// Transport + worker count forwarded to SimulationOptions.  The loop
+  /// runs run_tro over its threshold array, so framed ranks get each
+  /// epoch's thresholds through the post-epoch broadcast.
   TransportKind transport = TransportKind::kInProcess;
   std::size_t workers = 0;
   /// host:port per rank, forwarded to SimulationOptions (tcp only).

@@ -7,29 +7,6 @@
 
 namespace mec::sim {
 
-PriceBasedPolicy::PriceBasedPolicy(const core::UserParams& user,
-                                   double initial_price)
-    : service_rate_(user.service_rate),
-      base_cost_(user.offload_latency +
-                 user.weight * (user.energy_offload - user.energy_local)),
-      threshold_(0.0) {
-  refresh(initial_price);
-}
-
-void PriceBasedPolicy::refresh(double price) {
-  // Offload iff w*p_E + tau + price < w*p_L + (q+1)/s, i.e. iff the local
-  // queue exceeds x = s*(base + price) - 1.  The max keeps a deeply
-  // subsidized edge at "offload everything" instead of a negative
-  // threshold.
-  threshold_ = std::max(0.0, service_rate_ * (base_cost_ + price) - 1.0);
-}
-
-std::string PriceBasedPolicy::describe() const {
-  std::ostringstream os;
-  os << "price-based TRO(x=" << threshold_ << ")";
-  return os.str();
-}
-
 MinorityGatedPolicy::MinorityGatedPolicy(double threshold,
                                          const std::uint8_t* active)
     : threshold_(threshold), active_(active) {
@@ -45,8 +22,8 @@ std::string MinorityGatedPolicy::describe() const {
 
 namespace {
 
-/// Mirrors MecSimulation's churn handling: the policy vector must cover the
-/// initial population plus schedule-order joiners.
+/// Mirrors MecSimulation's churn handling: the threshold and policy vectors
+/// must cover the initial population plus schedule-order joiners.
 std::vector<core::UserParams> with_churn(
     std::span<const core::UserParams> users,
     const std::shared_ptr<const fault::FaultSchedule>& faults) {
@@ -78,17 +55,27 @@ PriceBasedResult run_price_based(std::span<const core::UserParams> users,
   std::vector<double> prices = options.topology.prices;
   if (prices.empty()) prices.assign(clusters, 0.0);
 
-  std::vector<std::unique_ptr<OffloadPolicy>> policies;
-  std::vector<PriceBasedPolicy*> tunable;
-  policies.reserve(all_users.size());
-  tunable.reserve(all_users.size());
-  for (std::size_t n = 0; n < all_users.size(); ++n) {
-    auto policy = std::make_unique<PriceBasedPolicy>(
-        all_users[n],
-        prices[options.topology.route(static_cast<std::uint32_t>(n))]);
-    tunable.push_back(policy.get());
-    policies.push_back(std::move(policy));
-  }
+  // Per-device priceless offload handicap tau + w*(p_E - p_L), and the
+  // threshold array the simulation decides on.
+  std::vector<double> base_costs;
+  base_costs.reserve(all_users.size());
+  for (const core::UserParams& u : all_users)
+    base_costs.push_back(u.offload_latency +
+                         u.weight * (u.energy_offload - u.energy_local));
+  std::vector<double> thresholds(all_users.size());
+  const auto refresh_thresholds = [&] {
+    // Offload iff w*p_E + tau + price < w*p_L + (q+1)/s, i.e. iff the local
+    // queue exceeds x = s*(base + price) - 1.  The max keeps a deeply
+    // subsidized edge at "offload everything" instead of a negative
+    // threshold.
+    for (std::size_t n = 0; n < all_users.size(); ++n) {
+      const double price =
+          prices[options.topology.route(static_cast<std::uint32_t>(n))];
+      thresholds[n] = std::max(
+          0.0, all_users[n].service_rate * (base_costs[n] + price) - 1.0);
+    }
+  };
+  refresh_thresholds();
 
   PriceBasedResult result;
 
@@ -118,16 +105,14 @@ PriceBasedResult run_price_based(std::span<const core::UserParams> users,
           prices[k] + options.price_step *
                           (cluster_gammas[k] - options.gamma_target),
           0.0, options.max_price);
-    for (std::size_t n = 0; n < tunable.size(); ++n)
-      tunable[n]->refresh(
-          prices[options.topology.route(static_cast<std::uint32_t>(n))]);
+    refresh_thresholds();
     result.price_epochs.push_back(prices);
     result.gamma_epochs.emplace_back(cluster_gammas.begin(),
                                      cluster_gammas.end());
   };
 
   MecSimulation simulation(users, capacity, delay, std::move(so));
-  result.run = simulation.run(policies);
+  result.run = simulation.run_tro(thresholds);
   result.final_prices = std::move(prices);
   return result;
 }

@@ -7,8 +7,8 @@
 //       offload cost w*p_E + tau + price and offloads when the edge is
 //       cheaper — which is exactly a TRO threshold rule with threshold
 //       x_n(price) = max(0, s_n*(tau_n + w_n*(p_E - p_L) + price) - 1), so
-//       the policy rides the sealed TRO fast path with a price-modulated
-//       live threshold.
+//       run_price_based runs run_tro over a threshold array that its epoch
+//       callback rewrites after every price update.
 //
 //   minority-game activation — each cluster is an agent of a deterministic
 //       minority game (see minority_game.hpp); clusters on the minority
@@ -17,12 +17,13 @@
 //       keep everything local; devices of an active one apply their TRO
 //       threshold.
 //
-// Determinism contract (both families): policy-visible state — prices,
+// Determinism contract (both families): decision state — prices,
 // thresholds, activation flags — mutates only inside on_cluster_epoch,
 // i.e. at observation-grid barriers where all shards are parked, so runs
 // are bit-identical for every shard count.  Decisions consume exactly the
 // RNG draws the TRO rule would (price-based always, minority-game only
-// while the cluster is active), keeping per-device streams aligned.
+// while the cluster is active), keeping per-device streams aligned.  Both
+// families run in process only.
 #pragma once
 
 #include <cstdint>
@@ -38,30 +39,6 @@
 #include "mec/sim/policy_dispatch.hpp"
 
 namespace mec::sim {
-
-/// TRO-family policy whose threshold is derived from the device parameters
-/// and its cluster's current price.  refresh(price) must be called only at
-/// epoch barriers (see the determinism contract above).
-class PriceBasedPolicy final : public OffloadPolicy {
- public:
-  PriceBasedPolicy(const core::UserParams& user, double initial_price);
-
-  bool offload(std::uint64_t queue_length,
-               random::Xoshiro256& rng) const override {
-    return tro_offload(threshold_, queue_length, rng);
-  }
-  std::string describe() const override;
-  const double* tro_threshold() const noexcept override { return &threshold_; }
-
-  /// Recomputes the threshold for a new cluster price (epoch barriers only).
-  void refresh(double price);
-  double threshold() const noexcept { return threshold_; }
-
- private:
-  double service_rate_;
-  double base_cost_;  ///< tau + w*(p_E - p_L): priceless offload handicap
-  double threshold_;
-};
 
 /// Gates a TRO threshold behind the device's cluster activation flag (the
 /// pointed-to byte is owned by the minority-game driver and flips only at
@@ -96,8 +73,8 @@ struct PriceBasedOptions {
   double horizon = 200.0;
   std::uint64_t seed = 1;
   ClusterTopology topology;  ///< initial prices come from topology.prices
-  ServiceSampler service;    ///< null => exponential
-  LatencySampler latency;    ///< null => exponential
+  SamplerSpec service;
+  SamplerSpec latency;
   double utilization_ewma_tau = 10.0;
   double initial_gamma = 0.0;
   std::shared_ptr<const fault::FaultSchedule> faults;
@@ -118,7 +95,7 @@ struct PriceBasedResult {
 /// Runs one simulation under the price-based policy family: devices hold
 /// price-modulated TRO thresholds, and every cluster's price moves by
 /// price_step * (gamma_k - gamma_target) (clamped to [0, max_price]) at
-/// each epoch barrier.
+/// each epoch barrier, after which every device's threshold is recomputed.
 PriceBasedResult run_price_based(std::span<const core::UserParams> users,
                                  double capacity,
                                  const core::EdgeDelay& delay,
@@ -136,8 +113,8 @@ struct MinorityGameRunOptions {
   double horizon = 200.0;
   std::uint64_t seed = 1;
   ClusterTopology topology;
-  ServiceSampler service;
-  LatencySampler latency;
+  SamplerSpec service;
+  SamplerSpec latency;
   double utilization_ewma_tau = 10.0;
   double initial_gamma = 0.0;
   std::shared_ptr<const fault::FaultSchedule> faults;

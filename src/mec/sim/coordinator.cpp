@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "mec/common/error.hpp"
-#include "mec/common/instrument.hpp"
 #include "mec/obs/counters.hpp"
 #include "mec/obs/stream.hpp"
 #include "mec/sim/coupling.hpp"
@@ -53,6 +53,18 @@ obs::RunLogMeta make_stream_meta(const CoordinatorContext& cc) {
 
 }  // namespace
 
+void check_thresholds(std::span<const double> thresholds,
+                      const std::string& context) {
+  for (std::size_t d = 0; d < thresholds.size(); ++d) {
+    const double x = thresholds[d];
+    if (x >= 0.0 && x < 0x1p64) continue;
+    std::ostringstream os;
+    os << context << ": device " << d << " has threshold " << x
+       << ", expected a value in [0, 2^64)";
+    throw ContractViolation(os.str());
+  }
+}
+
 SimulationResult coordinator_run(const CoordinatorContext& cc,
                                  parallel::Transport& transport) {
   const SimulationOptions& options = *cc.options;
@@ -69,7 +81,7 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
   if (!options.stream_log.empty()) {
     stream = std::make_unique<obs::StreamingSink>(
         options.stream_log, make_stream_meta(cc),
-        options.stream_counters && obs_counters_compiled());
+        options.stream_counters);
     thresh_hist.assign(obs::kThresholdBins, 0);
   }
   const bool counters_on = stream != nullptr && stream->counters_enabled();
@@ -132,7 +144,6 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
   // what a single queue would have accumulated so far).
   stats::LatencySketch window_sojourns;
   stats::LatencySketch window_offload_delays;
-  std::vector<double> thresh_scratch;  ///< post-epoch broadcast buffer
   std::uint64_t counter_prev_events = 0;
   const ObservationGrid grid(options.sample_interval, options.epoch_period,
                              cc.t_end);
@@ -228,14 +239,15 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
           extras.offload_delays = &offload_delays;
         }
         std::fill(thresh_hist.begin(), thresh_hist.end(), 0u);
-        for (std::uint32_t d = 0; d < cc.n_devices; ++d) {
-          const double th = cc.threshold_of(d);
-          if (th < 0.0) continue;
-          const std::size_t bin =
-              th >= static_cast<double>(obs::kThresholdBins - 1)
-                  ? obs::kThresholdBins - 1
-                  : static_cast<std::size_t>(th);
-          ++thresh_hist[bin];
+        if (cc.thresholds != nullptr) {
+          for (std::uint32_t d = 0; d < cc.n_devices; ++d) {
+            const double th = cc.thresholds[d];
+            const std::size_t bin =
+                th >= static_cast<double>(obs::kThresholdBins - 1)
+                    ? obs::kThresholdBins - 1
+                    : static_cast<std::size_t>(th);
+            ++thresh_hist[bin];
+          }
         }
         extras.threshold_histogram = thresh_hist;
         cluster_off_scratch.assign(cc.n_clusters, 0);
@@ -312,16 +324,18 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
       // state mutated here is seen identically by every shard count.
       if (options.on_cluster_epoch)
         options.on_cluster_epoch(g.time, cluster_gammas_at(g.time));
-      // Epoch callbacks are the only place thresholds change; ranks holding
-      // mirrored policy copies get the post-epoch values before their next
-      // leg.  Shards always see a frozen policy between barriers either
-      // way, so the mirror is exactly as fresh as the live pointers.
-      if (transport.wants_thresholds() &&
-          (options.on_epoch || options.on_cluster_epoch)) {
-        thresh_scratch.resize(cc.n_devices);
-        for (std::uint32_t d = 0; d < cc.n_devices; ++d)
-          thresh_scratch[d] = cc.threshold_of(d);
-        transport.broadcast_thresholds(thresh_scratch);
+      // Epoch callbacks are the only place thresholds change.  The array is
+      // checked once, then framed ranks get a copy before their next leg
+      // (the in-process rank reads the array itself).  Shards always see
+      // frozen thresholds between barriers either way, so every rank
+      // decides on the same values.
+      if (cc.thresholds != nullptr) {
+        const std::span<const double> thresholds(cc.thresholds,
+                                                 cc.n_devices);
+        std::ostringstream when;
+        when << "epoch callback at t=" << g.time;
+        check_thresholds(thresholds, when.str());
+        transport.broadcast_thresholds(thresholds);
       }
     }
   }

@@ -4,9 +4,9 @@
 // The coordinator walks the run's observation grid, asking the transport to
 // advance every rank to each barrier, then performs the work that must be
 // serial and global: the GammaReplay over the merged offload logs, sample
-// recording and stream windows, epoch callbacks (and the threshold
-// broadcast that follows them when ranks hold mirrored policy state), and
-// the final result assembly over per-device totals.  It never touches a
+// recording and stream windows, epoch callbacks (and the threshold check
+// and broadcast that follow them), and the final result assembly over
+// per-device totals.  It never touches a
 // DeviceState or an event queue directly — everything it knows about rank
 // state arrives through ShardBarrierView and DeviceTotals — which is
 // exactly what lets the same function drive the in-process rank and a fleet
@@ -15,7 +15,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <span>
+#include <string>
 
 #include "mec/core/edge_delay.hpp"
 #include "mec/core/user.hpp"
@@ -35,11 +36,10 @@ struct CoordinatorContext {
   const SimulationOptions* options = nullptr;
   const core::EdgeDelay* delay = nullptr;
   const fault::FaultPlan* plan = nullptr;
-  /// Authoritative per-device threshold read (the coordinator's live
-  /// decision provider): feeds the stream's threshold histogram and the
-  /// post-epoch broadcast.  Returns < 0 for devices without a TRO
-  /// threshold.
-  std::function<double(std::uint32_t)> threshold_of;
+  /// The run_tro threshold array (n_devices entries), which epoch callbacks
+  /// may rewrite: feeds the stream's threshold histogram and the post-epoch
+  /// check and broadcast.  Null for a run over policy objects.
+  const double* thresholds = nullptr;
   std::uint32_t n_devices = 0;
   std::uint32_t n_initial = 0;
   std::uint32_t n_clusters = 1;
@@ -50,6 +50,13 @@ struct CoordinatorContext {
   bool measuring_from_start = false;
   std::size_t shard_count = 1;
 };
+
+/// Throws mec::ContractViolation naming the first device whose threshold
+/// lies outside [0, 2^64) — NaN and infinities included; floor(x) must be
+/// a queue length for tro_offload — with its value and `context` (the
+/// caller, or the epoch whose callbacks wrote it).
+void check_thresholds(std::span<const double> thresholds,
+                      const std::string& context);
 
 /// One full run over an already-initialized rank fleet: grid-stepped
 /// barriers, replay, observation, result assembly.  Bit-identical across

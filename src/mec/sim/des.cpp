@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "mec/common/error.hpp"
-#include "mec/common/instrument.hpp"
 #include "mec/common/prefetch.hpp"
 
 namespace mec::sim {
@@ -167,9 +166,6 @@ void EventQueue::rebuild(std::size_t target_size) {
   // scratch_ holds every stored node (see gather_all); retune the bucket
   // width from the observed time span, rebin everything, and re-establish
   // the window invariant.
-#ifdef MEC_OBS_COUNTERS
-  const bool was_calendar = calendar_;
-#endif
   double tmin = scratch_.front().time;
   double tmax = tmin;
   double tsum = 0.0;
@@ -198,7 +194,10 @@ void EventQueue::rebuild(std::size_t target_size) {
   if (buckets_.size() != nb) buckets_.resize(nb);
   bucket_mask_ = nb - 1;
   base_ = bucket_of(tmin);
-  MEC_OBS_COUNT(was_calendar ? ++retunes_ : ++gear_switches_);
+  if (calendar_)
+    ++retunes_;
+  else
+    ++gear_switches_;
   calendar_ = true;
   tuned_size_ = target_size;
   switch_check_ = 0;
@@ -218,7 +217,7 @@ void EventQueue::rebuild(std::size_t target_size) {
 }
 
 void EventQueue::exit_calendar() {
-  MEC_OBS_COUNT(++gear_switches_);
+  ++gear_switches_;
   gather_all();
   side_.swap(scratch_);
   scratch_.clear();

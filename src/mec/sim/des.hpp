@@ -100,8 +100,8 @@ class EventQueue {
   }
 
   /// Cumulative heap<->calendar gear switches since the last clear().
-  /// Telemetry (obs::Counter::kShardGearSwitches); stays 0 in builds with
-  /// MEC_OBS_COUNTERS off — the increments live on the rare rebuild paths.
+  /// Telemetry (obs::Counter::kShardGearSwitches); the increments live on
+  /// the rare rebuild paths, off the per-event path.
   std::uint64_t gear_switches() const noexcept { return gear_switches_; }
 
   /// Cumulative calendar-queue retunes (width/ring resizes) since the last

@@ -25,13 +25,16 @@
 // exact output, and tests/test_transport.cpp pins in-process == framed.
 //
 // This header is internal to mec_simulation.cpp: the templates here are
-// instantiated once per (fault mode x decision provider) pair in that TU.
+// instantiated once per (fault mode x decision provider) pair in that TU,
+// run_framed once per fault mode (framed ranks always decide on a threshold
+// array).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "mec/common/error.hpp"
@@ -55,7 +58,6 @@ namespace mec::sim {
 struct SimWorkspace::Impl {
   std::vector<random::Xoshiro256> rngs;  ///< batched per-device streams
   std::vector<DeviceState> devices;
-  std::vector<const double*> threshold_ptrs;  ///< scratch for TroPointerDecide
   std::vector<parallel::ShardContext> shards;
   std::unique_ptr<parallel::ThreadPool> pool;  ///< lazily built when K > 1
 
@@ -79,31 +81,24 @@ struct SimWorkspace::Impl {
 namespace engine {
 
 /// Runs the coordinator over W framed ranks (transport=process or tcp):
-/// one TRO-mirror check, one population frame per rank, then spawn local
-/// ranks or connect to daemons.  The coordinator needs only the RNG split
+/// one population frame per rank, then spawn local ranks or connect to
+/// daemons.  Ranks decide on a copy of the run's threshold array, refreshed
+/// by the post-epoch broadcast, so a run over policy objects is refused
+/// before forking or connecting.  The coordinator needs only the RNG split
 /// (rng_init) here — the ranks rebuild device states and re-run init_shard
 /// themselves — so nothing rank-side is initialized in this process.
-template <bool WithFaults, class Decide>
+template <bool WithFaults>
 SimulationResult run_framed(const SimulationOptions& options,
                             const CoordinatorContext& cc,
-                            const SimWorkspace::Impl& ws,
-                            const Decide& decide) {
+                            const SimWorkspace::Impl& ws) {
   const bool local = options.transport == TransportKind::kProcess;
   const std::string kind = local ? "process" : "tcp";
-  // Ranks decide over a mirrored threshold vector, refreshed by the
-  // post-epoch broadcast, so the decision provider must expose a
-  // per-device TRO threshold.  Checked before forking or connecting.
-  std::vector<double> mirror(cc.n_devices);
-  for (std::uint32_t d = 0; d < cc.n_devices; ++d) {
-    mirror[d] = decide.threshold_value(d);
-    if (mirror[d] < 0.0)
-      throw RuntimeError(
-          "transport=" + kind +
-          " requires per-device TRO thresholds, but the policy for device " +
-          std::to_string(d) +
-          " has none (virtual non-TRO policies cannot cross a " +
-          (local ? "process" : "machine") + " boundary)");
-  }
+  if (cc.thresholds == nullptr)
+    throw RuntimeError(
+        "transport=" + kind +
+        " requires per-device TRO thresholds (run_tro), but this run "
+        "dispatches policy objects (virtual policies cannot cross a " +
+        (local ? "process" : "machine") + " boundary)");
   std::vector<net::Address> addresses;
   std::size_t ranks = std::min<std::size_t>(
       options.workers == 0 ? 2 : options.workers, cc.shard_count);
@@ -118,9 +113,6 @@ SimulationResult run_framed(const SimulationOptions& options,
                          std::to_string(cc.shard_count) +
                          " shards; drop workers or raise --shards");
   }
-  MEC_EXPECTS_MSG(options.service_spec && options.latency_spec,
-                  "framed transports require sampler specs (enforced by "
-                  "MecSimulation)");
 
   // Each rank's slice travels in its population frame.  The RNG words are
   // the *pre-init* snapshots (rng_init); the rank re-runs init_shard and
@@ -138,8 +130,8 @@ SimulationResult run_framed(const SimulationOptions& options,
   base.fixed_delay =
       base.has_fixed_gamma ? (*cc.delay)(*options.fixed_gamma) : 0.0;
   base.with_faults = WithFaults;
-  base.service = *options.service_spec;
-  base.latency = *options.latency_spec;
+  base.service = options.service;
+  base.latency = options.latency;
   if constexpr (WithFaults)
     base.actions.assign(cc.plan->actions.begin(), cc.plan->actions.end());
   std::vector<std::vector<std::uint8_t>> populations;
@@ -168,18 +160,21 @@ SimulationResult run_framed(const SimulationOptions& options,
   net::FramedTransport transport(
       cfg,
       local ? net::spawn_local_workers(ranks) : net::connect_workers(addresses),
-      populations, mirror);
+      populations, {cc.thresholds, cc.n_devices});
   populations = {};  // shipped; the ranks own their slices now
   return coordinator_run(cc, transport);
 }
 
 /// One full simulation run: RNG split, fault plan, transport selection, and
-/// the coordinator's barrier-stepped loop.
+/// the coordinator's barrier-stepped loop.  `service` and `latency` are the
+/// samplers built from options.service / options.latency.
 template <bool WithFaults, class Decide>
 SimulationResult run_sharded(const std::vector<core::UserParams>& users,
                              std::size_t n_initial_devices, double capacity,
                              const core::EdgeDelay& delay,
                              const SimulationOptions& options,
+                             const ServiceSampler& service,
+                             const LatencySampler& latency,
                              SimWorkspace::Impl& ws, const Decide& decide) {
   const auto n_devices = static_cast<std::uint32_t>(users.size());
   const auto n_initial = static_cast<std::uint32_t>(n_initial_devices);
@@ -209,9 +204,8 @@ SimulationResult run_sharded(const std::vector<core::UserParams>& users,
   cc.options = &options;
   cc.delay = &delay;
   cc.plan = &plan;
-  cc.threshold_of = [&decide](std::uint32_t d) {
-    return decide.threshold_value(d);
-  };
+  if constexpr (std::is_same_v<Decide, TroValueDecide>)
+    cc.thresholds = decide.thresholds;
   cc.n_devices = n_devices;
   cc.n_initial = n_initial;
   cc.n_clusters = n_clusters;
@@ -225,7 +219,7 @@ SimulationResult run_sharded(const std::vector<core::UserParams>& users,
   cc.shard_count = shard_count;
 
   if (options.transport != TransportKind::kInProcess)
-    return run_framed<WithFaults>(options, cc, ws, decide);
+    return run_framed<WithFaults>(options, cc, ws);
 
   ws.prepare(users.size());
   std::copy(ws.rng_init.begin(), ws.rng_init.end(), ws.rngs.begin());
@@ -246,11 +240,11 @@ SimulationResult run_sharded(const std::vector<core::UserParams>& users,
       ws.pool = std::make_unique<parallel::ThreadPool>(lanes);
   }
   const bool has_fixed_gamma = options.fixed_gamma.has_value();
-  const LegContext<Decide> lc{users.data(),     ws.devices.data(),
-                              ws.rngs.data(),   &decide,
-                              &options.service, &options.latency,
-                              options.warmup,   t_end,
-                              n_devices,        n_clusters,
+  const LegContext<Decide> lc{users.data(),   ws.devices.data(),
+                              ws.rngs.data(), &decide,
+                              &service,       &latency,
+                              options.warmup, t_end,
+                              n_devices,      n_clusters,
                               has_fixed_gamma,
                               has_fixed_gamma ? delay(*options.fixed_gamma)
                                               : 0.0};

@@ -9,8 +9,10 @@
 // same code serve the in-process rank and a forked worker process
 // unchanged.
 //
-// This header is internal to mec_simulation.cpp: the templates here are
-// instantiated once per (fault mode x decision provider) pair in that TU.
+// This header is internal to the engine: the templates here are
+// instantiated once per (fault mode x decision provider) pair in
+// mec_simulation.cpp, and once per fault mode over TroValueDecide in
+// net/worker.cpp.
 #pragma once
 
 #include <algorithm>
@@ -314,15 +316,17 @@ void init_shard(parallel::ShardContext& sc, const core::UserParams* users,
 /// One rank's executable side: owns the shard slice [shard_lo, shard_hi)
 /// of the workspace and serves the RankWorker protocol over it.  The
 /// in-process run wraps one LegRunner covering every shard; a framed rank
-/// (net/worker.cpp) builds one for its slice (over a TroValueDecide mirror
-/// of the coordinator's thresholds, refreshed by set_thresholds at epochs).
+/// (net/worker.cpp) builds one for its slice (over a TroValueDecide on its
+/// copy of the run's threshold array, refreshed by set_thresholds at
+/// epochs).
 template <bool WithFaults, class Decide>
 class LegRunner final : public parallel::RankWorker {
  public:
   /// `pool` may be null: a single-shard rank runs serially, and a
   /// multi-shard rank with no caller-provided pool builds its own.
-  /// `threshold_mirror` is the buffer a TroValueDecide reads (null for the
-  /// in-process rank, whose provider reads the live policy state).
+  /// `threshold_mirror` is the buffer a framed rank's TroValueDecide reads
+  /// (null for the in-process rank, whose provider reads the caller's
+  /// array or policy objects).
   LegRunner(SimWorkspace::Impl& ws, Decide decide,
             const LegContext<Decide>& lc, std::size_t shard_lo,
             std::size_t shard_hi, parallel::ThreadPool* pool,
@@ -421,7 +425,7 @@ class LegRunner final : public parallel::RankWorker {
   double total_q2() const override { return total_q2_; }
 
   void set_thresholds(std::span<const double> values) override {
-    if (mirror_ == nullptr) return;  // in-process rank reads the live policy
+    if (mirror_ == nullptr) return;  // the in-process rank has no copy
     MEC_EXPECTS(values.size() == mirror_->size());
     std::copy(values.begin(), values.end(), mirror_->begin());
   }

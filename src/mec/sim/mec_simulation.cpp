@@ -17,23 +17,18 @@ SimWorkspace::~SimWorkspace() = default;
 SimWorkspace::SimWorkspace(SimWorkspace&&) noexcept = default;
 SimWorkspace& SimWorkspace::operator=(SimWorkspace&&) noexcept = default;
 
-namespace {
-
 /// Picks the fault-free or fault-aware instantiation of the engine.
 template <class Decide>
-SimulationResult dispatch_run(const std::vector<core::UserParams>& users,
-                              std::size_t n_initial, double capacity,
-                              const core::EdgeDelay& delay,
-                              const SimulationOptions& options,
-                              SimWorkspace::Impl& ws, const Decide& decide) {
-  if (options.faults && !options.faults->empty())
-    return engine::run_sharded<true>(users, n_initial, capacity, delay,
-                                     options, ws, decide);
-  return engine::run_sharded<false>(users, n_initial, capacity, delay, options,
-                                    ws, decide);
+SimulationResult MecSimulation::dispatch(SimWorkspace& workspace,
+                                         const Decide& decide) const {
+  if (options_.faults && !options_.faults->empty())
+    return engine::run_sharded<true>(users_, n_initial_, capacity_, delay_,
+                                     options_, service_, latency_,
+                                     *workspace.impl_, decide);
+  return engine::run_sharded<false>(users_, n_initial_, capacity_, delay_,
+                                    options_, service_, latency_,
+                                    *workspace.impl_, decide);
 }
-
-}  // namespace
 
 MecSimulation::MecSimulation(std::span<const core::UserParams> users,
                              double capacity, core::EdgeDelay delay,
@@ -62,28 +57,12 @@ MecSimulation::MecSimulation(std::span<const core::UserParams> users,
                   "the observation grid)");
   if (options_.fixed_gamma)
     MEC_EXPECTS(*options_.fixed_gamma >= 0.0 && *options_.fixed_gamma <= 1.0);
-  MEC_EXPECTS_MSG(!(options_.service && options_.service_spec),
-                  "set SimulationOptions::service or service_spec, not both");
-  MEC_EXPECTS_MSG(!(options_.latency && options_.latency_spec),
-                  "set SimulationOptions::latency or latency_spec, not both");
-  if (!options_.service) {
-    if (!options_.service_spec) options_.service_spec.emplace();
-    options_.service = make_service_sampler(*options_.service_spec);
-  }
-  if (!options_.latency) {
-    if (!options_.latency_spec) options_.latency_spec.emplace();
-    options_.latency = make_latency_sampler(*options_.latency_spec);
-  }
+  service_ = make_service_sampler(options_.service);
+  latency_ = make_latency_sampler(options_.latency);
   if (options_.transport == TransportKind::kTcp)
     MEC_EXPECTS_MSG(!options_.worker_addresses.empty(),
                     "transport=tcp needs worker_addresses (one host:port per "
                     "rank)");
-  if (options_.transport != TransportKind::kInProcess)
-    MEC_EXPECTS_MSG(
-        options_.service_spec && options_.latency_spec,
-        "transport=process and transport=tcp need wire-describable samplers: "
-        "set service_spec/latency_spec instead of raw service/latency "
-        "closures (a closure cannot be shipped to a worker rank)");
   n_initial_ = users_.size();
   if (options_.faults && !options_.faults->empty()) {
     options_.faults->check(n_initial_);
@@ -112,22 +91,7 @@ SimulationResult MecSimulation::run(
     SimWorkspace& workspace) const {
   MEC_EXPECTS(policies.size() == users_.size());
   for (const auto& p : policies) MEC_EXPECTS(p != nullptr);
-
-  // Seal the arrival decision when the whole population is TRO-family; any
-  // non-threshold policy falls back to per-arrival virtual dispatch.
-  std::vector<const double*>& thresholds = workspace.impl_->threshold_ptrs;
-  thresholds.clear();
-  thresholds.reserve(policies.size());
-  for (const auto& p : policies) {
-    const double* threshold = p->tro_threshold();
-    if (threshold == nullptr) break;
-    thresholds.push_back(threshold);
-  }
-  if (thresholds.size() == policies.size())
-    return dispatch_run(users_, n_initial_, capacity_, delay_, options_,
-                        *workspace.impl_, TroPointerDecide{thresholds.data()});
-  return dispatch_run(users_, n_initial_, capacity_, delay_, options_,
-                      *workspace.impl_, VirtualDecide{policies.data()});
+  return dispatch(workspace, VirtualDecide{policies.data()});
 }
 
 SimulationResult MecSimulation::run_tro(
@@ -139,9 +103,8 @@ SimulationResult MecSimulation::run_tro(
 SimulationResult MecSimulation::run_tro(std::span<const double> thresholds,
                                         SimWorkspace& workspace) const {
   MEC_EXPECTS(thresholds.size() == users_.size());
-  for (const double x : thresholds) MEC_EXPECTS(x >= 0.0);
-  return dispatch_run(users_, n_initial_, capacity_, delay_, options_,
-                      *workspace.impl_, TroValueDecide{thresholds.data()});
+  engine::check_thresholds(thresholds, "run_tro");
+  return dispatch(workspace, TroValueDecide{thresholds.data()});
 }
 
 SimulationResult MecSimulation::run_dpo(std::span<const double> rhos) const {

@@ -25,7 +25,6 @@
 #include "mec/core/edge_delay.hpp"
 #include "mec/core/user.hpp"
 #include "mec/fault/fault_schedule.hpp"
-#include "mec/random/empirical.hpp"
 #include "mec/random/rng.hpp"
 #include "mec/sim/coupling.hpp"
 #include "mec/sim/metrics.hpp"
@@ -41,42 +40,28 @@ using ServiceSampler =
 using LatencySampler =
     std::function<double(random::Xoshiro256&, const core::UserParams&)>;
 
-/// Exponential(s_n) service — the theoretical model.
-ServiceSampler exponential_service();
-/// Deterministic 1/s_n service.
-ServiceSampler deterministic_service();
-/// Resamples `times` rescaled so each device's mean service time is 1/s_n.
-ServiceSampler empirical_service(random::EmpiricalDataset times);
-/// Erlang-k service with mean 1/s_n (SCV = 1/k). Requires stages >= 1.
-ServiceSampler erlang_service(std::size_t stages);
-/// Two-phase balanced-means hyperexponential service with mean 1/s_n and
-/// the given squared coefficient of variation. Requires scv >= 1.
-ServiceSampler hyperexponential_service(double scv);
-
-/// Exponential(mean tau_n) latency.
-LatencySampler exponential_latency();
-/// Deterministic tau_n latency.
-LatencySampler deterministic_latency();
-/// Resamples `latencies` rescaled so each device's mean latency is tau_n.
-LatencySampler empirical_latency(random::EmpiricalDataset latencies);
-
-/// Wire-describable sampler recipe.  A raw ServiceSampler/LatencySampler is
-/// an arbitrary closure and cannot cross a process or machine boundary; a
-/// spec is data, so framed transports ship it in the population frame and
-/// the rank rebuilds the *same* factory closure — same parameters, same
-/// RNG-draw order, hence bit-identical streams.  make_service_sampler /
-/// make_latency_sampler map each kind onto the factory of the same name.
+/// A run's service or latency distribution, as data.  Every run option that
+/// picks a sampler takes a spec, so a run description can always be shipped
+/// to framed ranks: the population frame carries the spec and each rank
+/// rebuilds the same sampler (same parameters, same RNG-draw order) that the
+/// in-process rank uses, hence bit-identical streams.  Service samplers have
+/// mean 1/s_n and latency samplers mean tau_n for every device.
 struct SamplerSpec {
   enum class Kind : std::uint8_t {
     kExponential = 0,
     kDeterministic = 1,
-    /// param = stage count k >= 1 (service only).
+    /// Erlang-k service (SCV = 1/k); param = stage count k, an integer in
+    /// [1, kMaxErlangStages].  Service only.
     kErlang = 2,
-    /// param = SCV >= 1 (service only).
+    /// Two-phase balanced-means hyperexponential service; param = SCV, a
+    /// finite value >= 1.  Service only.
     kHyperExponential = 3,
-    /// data = samples to resample (rescaled per device to the target mean).
+    /// data = measured samples (finite, >= 0, positive mean), resampled and
+    /// rescaled per device to the target mean.
     kEmpirical = 4,
   };
+  static constexpr std::uint32_t kMaxErlangStages = 1'000'000;
+
   Kind kind = Kind::kExponential;
   double param = 0.0;
   std::vector<double> data;
@@ -84,9 +69,10 @@ struct SamplerSpec {
   bool operator==(const SamplerSpec&) const = default;
 };
 
-/// Builds the sampler a spec describes; throws mec::RuntimeError on an
-/// invalid spec (bad param/data for the kind, or a latency kind the latency
-/// factories do not offer).
+/// Builds the sampler a spec describes.  An invalid spec throws
+/// mec::RuntimeError naming the role (service or latency), the kind, the
+/// received value and the accepted range; latency samplers accept the
+/// exponential, deterministic and empirical kinds only.
 ServiceSampler make_service_sampler(const SamplerSpec& spec);
 LatencySampler make_latency_sampler(const SamplerSpec& spec);
 
@@ -107,27 +93,17 @@ enum class TransportKind {
   /// The same framed ranks, hosted by `mec worker` daemons reached over TCP
   /// (SimulationOptions::worker_addresses, one rank per address).
   kTcp,
-  // Both framed kinds require a decision provider with per-device TRO
-  // thresholds (threshold_value(n) >= 0 for every device — virtual non-TRO
-  // policies cannot be mirrored into a rank) and wire-describable samplers
-  // (service_spec/latency_spec — a raw closure cannot be shipped).
+  // Both framed kinds run run_tro only: ranks decide on a copy of the
+  // caller's threshold array, refreshed after every epoch.  run(policies)
+  // dispatches policy objects, which cannot cross a process boundary.
 };
 
 struct SimulationOptions {
   double warmup = 20.0;    ///< discarded transient, in simulated seconds
   double horizon = 200.0;  ///< measurement window length
   std::uint64_t seed = 1;
-  ServiceSampler service;  ///< null => exponential_service()
-  LatencySampler latency;  ///< null => exponential_latency()
-  /// Wire-describable sampler recipes.  Setting a spec (and leaving the
-  /// matching raw sampler null) makes the run shippable to framed ranks
-  /// (transport=process or tcp): the constructor materializes the sampler
-  /// via make_service_sampler / make_latency_sampler, so results are
-  /// identical to passing the factory product directly.  Setting both a
-  /// spec and its raw sampler is an error; with neither, the spec defaults
-  /// to exponential.
-  std::optional<SamplerSpec> service_spec;
-  std::optional<SamplerSpec> latency_spec;
+  SamplerSpec service;  ///< local service times (default exponential)
+  SamplerSpec latency;  ///< wireless offload latencies (default exponential)
   /// If set, the edge delay uses this constant utilization (quasi-stationary
   /// evaluation); otherwise an online EWMA estimate with time constant
   /// `utilization_ewma_tau` is used, seeded from `initial_gamma`.
@@ -139,18 +115,23 @@ struct SimulationOptions {
   double sample_interval = 0.0;
   /// When > 0 and on_epoch is set, the engine invokes on_epoch(now, gamma)
   /// every `epoch_period` simulated seconds, where gamma is the engine's
-  /// current utilization estimate.  The callback may retune
-  /// MutableTroPolicy thresholds — this is how the closed-loop DTU runs
-  /// *inside* the simulator (see mec/sim/closed_loop.hpp).
+  /// current utilization estimate.  The callback may rewrite elements of
+  /// the threshold array the run was started with (run_tro) — this is how
+  /// the closed-loop DTU runs *inside* the simulator (see
+  /// mec/sim/closed_loop.hpp).  After the epoch's callbacks the coordinator
+  /// checks the array once (every value finite and >= 0; a violation names
+  /// the device, the value and the epoch time) and hands it to framed ranks
+  /// before the next leg.
   double epoch_period = 0.0;
   std::function<void(double now, double gamma_estimate)> on_epoch;
   /// Per-cluster epoch hook: invoked at every epoch instant with the
   /// per-cluster utilization estimates (one entry per topology cluster;
   /// the fixed_gamma value replicated per cluster in quasi-stationary
-  /// mode).  Controllers mutating policy-visible state (prices, cluster
-  /// activation flags) must do so only here — epoch instants are shard
-  /// barriers, which is what keeps the new policy families bit-identical
-  /// across shard counts.  May be combined with on_epoch (it fires after).
+  /// mode).  Controllers mutating decision state (price-driven thresholds,
+  /// cluster activation flags) must do so only here or in on_epoch — epoch
+  /// instants are shard barriers, which is what keeps the policy families
+  /// bit-identical across shard counts.  May be combined with on_epoch (it
+  /// fires after); threshold rewrites are checked as for on_epoch.
   std::function<void(double now, std::span<const double> cluster_gammas)>
       on_cluster_epoch;
   /// Edge-cluster layout (defaults to one cluster covering the whole
@@ -206,8 +187,7 @@ struct SimulationOptions {
   /// Emit engine-counter frames (events/s per shard, queue gear switches,
   /// barrier wait, replay backlog, ...) into the stream log.  Counter
   /// frames are wall-clock diagnostics — useful, but not deterministic.
-  /// No effect without stream_log, or when the build has the
-  /// MEC_OBS_COUNTERS CMake option off.
+  /// No effect without stream_log.
   bool stream_counters = true;
   /// Record the in-memory SimulationResult::timeline.  Default on; long
   /// streamed runs turn it off so telemetry memory stays O(devices + one
@@ -242,7 +222,9 @@ class SimWorkspace {
 class MecSimulation {
  public:
   /// Copies the population. Requires non-empty users, capacity > 0, valid
-  /// delay, warmup >= 0, horizon > 0.  When the options carry a fault
+  /// delay, warmup >= 0, horizon > 0.  Builds the samplers the options'
+  /// specs describe, so an invalid spec throws here, before any rank is
+  /// forked or connected.  When the options carry a fault
   /// schedule with churn, the joining users are appended to the population
   /// at construction (in schedule order): policy/threshold spans passed to
   /// run()/run_tro() must then have total_devices() entries.  The nominal
@@ -251,16 +233,20 @@ class MecSimulation {
   MecSimulation(std::span<const core::UserParams> users, double capacity,
                 core::EdgeDelay delay, SimulationOptions options = {});
 
-  /// Runs with per-device policies (size must match total_devices()).  When
-  /// every policy exposes tro_threshold(), the arrival decision runs on a
-  /// sealed non-virtual fast path (bit-identical to the virtual dispatch).
+  /// Runs with per-device policy objects (size must match total_devices()),
+  /// one virtual call per arrival — the path for DPO, the minority game and
+  /// other non-threshold rules.  In-process only: framed transports refuse
+  /// it.
   SimulationResult run(
       std::span<const std::unique_ptr<OffloadPolicy>> policies) const;
   SimulationResult run(std::span<const std::unique_ptr<OffloadPolicy>> policies,
                        SimWorkspace& workspace) const;
 
-  /// Runs the TRO policy with per-device thresholds (x_n >= 0) without
-  /// materializing policy objects (always on the fast path).
+  /// Runs the TRO policy with per-device thresholds (finite, x_n >= 0) read
+  /// straight from the caller's array on every arrival: the sealed,
+  /// non-virtual fast path, and the only TRO path.  The array must outlive
+  /// the run; epoch callbacks may rewrite its elements (never resize it),
+  /// and the next leg decides on the new values.
   SimulationResult run_tro(std::span<const double> thresholds) const;
   SimulationResult run_tro(std::span<const double> thresholds,
                            SimWorkspace& workspace) const;
@@ -275,11 +261,17 @@ class MecSimulation {
   std::size_t initial_devices() const noexcept { return n_initial_; }
 
  private:
+  template <class Decide>
+  SimulationResult dispatch(SimWorkspace& workspace,
+                            const Decide& decide) const;
+
   std::vector<core::UserParams> users_;  ///< initial population + churn users
   std::size_t n_initial_ = 0;
   double capacity_;
   core::EdgeDelay delay_;
   SimulationOptions options_;
+  ServiceSampler service_;  ///< built from options_.service
+  LatencySampler latency_;  ///< built from options_.latency
 };
 
 /// Adapts the simulator to Algorithm 1's gamma_t oracle: each call runs one

@@ -28,8 +28,6 @@ class TroPolicy final : public OffloadPolicy {
     os << "TRO(x=" << threshold_ << ")";
     return os.str();
   }
-  const double* tro_threshold() const noexcept override { return &threshold_; }
-
  private:
   double threshold_;
   std::uint64_t floor_;
@@ -78,31 +76,6 @@ std::unique_ptr<OffloadPolicy> make_tro_policy(double threshold) {
 std::unique_ptr<OffloadPolicy> make_dpo_policy(double rho) {
   MEC_EXPECTS(rho >= 0.0 && rho <= 1.0);
   return std::make_unique<DpoPolicy>(rho);
-}
-
-MutableTroPolicy::MutableTroPolicy(double threshold) : threshold_(threshold) {
-  MEC_EXPECTS(threshold >= 0.0);
-}
-
-bool MutableTroPolicy::offload(std::uint64_t queue_length,
-                               random::Xoshiro256& rng) const {
-  const double fl = std::floor(threshold_);
-  const auto floor_int = static_cast<std::uint64_t>(fl);
-  if (queue_length < floor_int) return false;
-  if (queue_length == floor_int)
-    return !random::bernoulli(rng, threshold_ - fl);
-  return true;
-}
-
-std::string MutableTroPolicy::describe() const {
-  std::ostringstream os;
-  os << "MutableTRO(x=" << threshold_ << ")";
-  return os.str();
-}
-
-void MutableTroPolicy::set_threshold(double threshold) {
-  MEC_EXPECTS(threshold >= 0.0);
-  threshold_ = threshold;
 }
 
 std::unique_ptr<OffloadPolicy> make_local_only_policy() {

@@ -22,20 +22,12 @@ class OffloadPolicy {
   virtual bool offload(std::uint64_t queue_length,
                        random::Xoshiro256& rng) const = 0;
   virtual std::string describe() const = 0;
-
-  /// TRO-family policies return a pointer to their live threshold; the
-  /// simulator then runs a sealed, devirtualized arrival fast path that
-  /// re-reads the pointed-to value on every decision (so MutableTroPolicy
-  /// retuning is observed immediately) and draws exactly the RNG sequence
-  /// offload() would.  The pointer must stay valid for the policy's
-  /// lifetime.  Policies whose decision is not a threshold rule return
-  /// nullptr and go through the virtual call instead.
-  virtual const double* tro_threshold() const noexcept { return nullptr; }
 };
 
 /// TRO policy with real threshold x >= 0 (Section II): local below floor(x),
 /// randomized at floor(x) with local-probability x - floor(x), offloaded
-/// above.
+/// above.  A simulation over per-device thresholds is faster as
+/// MecSimulation::run_tro, which draws the same RNG sequence.
 std::unique_ptr<OffloadPolicy> make_tro_policy(double threshold);
 
 /// DPO policy: offload independently with probability rho in [0,1].
@@ -44,26 +36,5 @@ std::unique_ptr<OffloadPolicy> make_dpo_policy(double rho);
 /// Degenerate policies for tests and baselines.
 std::unique_ptr<OffloadPolicy> make_local_only_policy();
 std::unique_ptr<OffloadPolicy> make_offload_all_policy();
-
-/// A TRO policy whose threshold can be retuned while a simulation is
-/// running — the building block of the closed-loop (DTU-in-the-simulator)
-/// operation, where devices update thresholds at broadcast epochs.
-class MutableTroPolicy final : public OffloadPolicy {
- public:
-  /// Requires threshold >= 0.
-  explicit MutableTroPolicy(double threshold);
-
-  bool offload(std::uint64_t queue_length,
-               random::Xoshiro256& rng) const override;
-  std::string describe() const override;
-  const double* tro_threshold() const noexcept override { return &threshold_; }
-
-  double threshold() const noexcept { return threshold_; }
-  /// Requires threshold >= 0.
-  void set_threshold(double threshold);
-
- private:
-  double threshold_;
-};
 
 }  // namespace mec::sim

@@ -1,15 +1,16 @@
 // Policy-dispatch layer: how the engine asks "offload this arrival?".
 //
-// The analytic TRO rule is shared verbatim by three interchangeable decision
-// providers — a sealed value fast path, a sealed live-pointer fast path for
-// the closed loop, and the generic virtual dispatch — instantiated into the
-// event loop as a template parameter so the all-TRO case pays no virtual
-// call.  Determinism contract: every provider consumes *exactly* the RNG
-// draws the equivalent OffloadPolicy::offload() would (one Bernoulli at the
-// boundary state, none elsewhere), so all instantiations are bit-identical
-// for a given seed, and the decision depends only on (device, queue length,
-// device RNG) — never on other devices or the edge state — which is what
-// lets shards decide independently between barriers.
+// Two interchangeable decision providers are instantiated into the event
+// loop as a template parameter: the sealed TRO fast path over a threshold
+// array (run_tro, and through it run_closed_loop and run_price_based,
+// whose epoch callbacks rewrite the array), and the generic virtual
+// dispatch over policy objects (DPO, the minority game).  Determinism
+// contract: the TRO rule consumes *exactly* the RNG draws the equivalent
+// OffloadPolicy::offload() would (one Bernoulli at the boundary state,
+// none elsewhere), so both providers are bit-identical for a given seed,
+// and the decision depends only on (device, queue length, device RNG) —
+// never on other devices or the edge state — which is what lets shards
+// decide independently between barriers.
 #pragma once
 
 #include <cmath>
@@ -21,10 +22,10 @@
 
 namespace mec::sim {
 
-/// The TRO decision rule, shared verbatim by the sealed fast paths and
-/// (through TroPolicy / MutableTroPolicy) the virtual path: both consume
-/// exactly one Bernoulli draw at the boundary state and none elsewhere, so
-/// the paths are bit-identical for a given seed.
+/// The TRO decision rule of Section II: local below floor(x), randomized at
+/// floor(x) with local-probability x - floor(x), offloaded above.  Consumes
+/// exactly one Bernoulli draw at the boundary state and none elsewhere.
+/// Requires 0 <= x < 2^64 (engine::check_thresholds).
 inline bool tro_offload(double threshold, std::uint64_t queue_length,
                         random::Xoshiro256& rng) {
   const double fl = std::floor(threshold);
@@ -35,32 +36,14 @@ inline bool tro_offload(double threshold, std::uint64_t queue_length,
   return true;
 }
 
-/// Fast path for run_tro: fixed thresholds read straight from the caller's
-/// array, no policy objects at all.
+/// Fast path for run_tro: thresholds read straight from the caller's array
+/// on every decision, no policy objects at all.  Epoch callbacks may
+/// rewrite the array between legs; a framed rank reads its own copy.
 struct TroValueDecide {
   const double* thresholds;
   bool operator()(std::uint32_t device, std::uint64_t queue_length,
                   random::Xoshiro256& rng) const {
     return tro_offload(thresholds[device], queue_length, rng);
-  }
-  /// Telemetry hook (barrier-time only): the device's current threshold,
-  /// or a negative value when the policy has none.
-  double threshold_value(std::uint32_t device) const {
-    return thresholds[device];
-  }
-};
-
-/// Fast path for run(policies) when every policy is TRO-family: live
-/// threshold pointers, re-read per decision so epoch-callback retuning of
-/// MutableTroPolicy takes effect immediately.
-struct TroPointerDecide {
-  const double* const* thresholds;
-  bool operator()(std::uint32_t device, std::uint64_t queue_length,
-                  random::Xoshiro256& rng) const {
-    return tro_offload(*thresholds[device], queue_length, rng);
-  }
-  double threshold_value(std::uint32_t device) const {
-    return *thresholds[device];
   }
 };
 
@@ -70,10 +53,6 @@ struct VirtualDecide {
   bool operator()(std::uint32_t device, std::uint64_t queue_length,
                   random::Xoshiro256& rng) const {
     return policies[device]->offload(queue_length, rng);
-  }
-  double threshold_value(std::uint32_t device) const {
-    const double* p = policies[device]->tro_threshold();
-    return p != nullptr ? *p : -1.0;
   }
 };
 

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-
+#include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "mec/common/error.hpp"
@@ -91,8 +93,10 @@ TEST(ClosedLoop, WorksWithEmpiricalServiceTimes) {
   const auto& cfg = pop.config;
   ClosedLoopOptions opt;
   opt.horizon = 400.0;
-  opt.service = empirical_service(random::synthetic_yolo_processing_times());
-  opt.latency = empirical_latency(random::synthetic_wifi_offload_latencies());
+  opt.service = {.kind = SamplerSpec::Kind::kEmpirical,
+                 .data = random::synthetic_yolo_processing_times().samples()};
+  opt.latency = {.kind = SamplerSpec::Kind::kEmpirical,
+                 .data = random::synthetic_wifi_offload_latencies().samples()};
   const ClosedLoopResult r =
       run_closed_loop(pop.users, cfg.capacity, cfg.delay, opt);
   EXPECT_TRUE(r.estimate_settled);
@@ -182,16 +186,48 @@ TEST(EpochFlush, EpochCountMatchesTheGridForAnActivePopulation) {
   EXPECT_DOUBLE_EQ(fired.back(), 24.0);
 }
 
-TEST(MutableTroPolicyTest, RetuningChangesDecisions) {
-  random::Xoshiro256 rng(7);
-  MutableTroPolicy policy(0.0);
-  EXPECT_TRUE(policy.offload(0, rng));
-  policy.set_threshold(3.0);
-  EXPECT_FALSE(policy.offload(2, rng));
-  EXPECT_TRUE(policy.offload(3, rng));
-  EXPECT_DOUBLE_EQ(policy.threshold(), 3.0);
-  EXPECT_THROW(policy.set_threshold(-1.0), ContractViolation);
-  EXPECT_NE(policy.describe().find("3"), std::string::npos);
+// The epoch callbacks rewrite the run_tro array in place; the coordinator
+// checks it once per epoch, before any leg decides on it (floor(x) of a
+// negative, NaN or infinite threshold is no queue length).
+TEST(EpochThresholdCheck, InvalidRewriteFailsNamingDeviceValueAndTime) {
+  const auto pop = sampled(20, 97);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const bool per_cluster : {false, true}) {
+    for (const double bad : {-1.0, nan, inf, 0x1p64}) {
+      SCOPED_TRACE(std::string(per_cluster ? "on_cluster_epoch" : "on_epoch") +
+                   " writes " + std::to_string(bad));
+      std::vector<double> xs(pop.users.size(), 1.5);
+      SimulationOptions o;
+      o.warmup = 0.0;
+      o.horizon = 20.0;
+      o.seed = 5;
+      o.fixed_gamma = 0.2;
+      o.epoch_period = 5.0;
+      const auto rewrite = [&](double now) {
+        if (now >= 10.0) xs[3] = bad;
+      };
+      if (per_cluster)
+        o.on_cluster_epoch = [&](double now, std::span<const double>) {
+          rewrite(now);
+        };
+      else
+        o.on_epoch = [&](double now, double) { rewrite(now); };
+      MecSimulation sim(pop.users, pop.config.capacity, pop.config.delay, o);
+      try {
+        sim.run_tro(xs);
+        ADD_FAILURE() << "an invalid epoch threshold must fail the run";
+      } catch (const ContractViolation& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("epoch callback at t=10: device 3 has threshold"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("expected a value in [0, 2^64)"),
+                  std::string::npos)
+            << what;
+      }
+    }
+  }
 }
 
 }  // namespace

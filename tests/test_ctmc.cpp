@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -68,12 +69,14 @@ TEST(CtmcStationary, SolvesANonReversibleCycle) {
 
 TEST(CtmcStationary, SatisfiesGlobalBalanceOnADenseRandomChain) {
   GeneratorMatrix g(6);
-  // Deterministic "random-looking" strongly-connected chain.
-  int seed = 1;
+  // Deterministic "random-looking" strongly-connected chain.  Unsigned
+  // arithmetic wraps where a signed LCG would overflow (undefined behavior);
+  // the masked 31-bit values are the same either way.
+  std::uint32_t seed = 1;
   for (std::size_t i = 0; i < 6; ++i)
     for (std::size_t j = 0; j < 6; ++j) {
       if (i == j) continue;
-      seed = (seed * 1103515245 + 12345) & 0x7fffffff;
+      seed = (seed * 1103515245u + 12345u) & 0x7fffffffu;
       g.add_rate(i, j, 0.1 + static_cast<double>(seed % 100) / 25.0);
     }
   const auto pi = stationary_distribution(g);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -200,7 +201,8 @@ TEST(Des, EmpiricalServiceSamplerPreservesTheMeanRate) {
   random::Xoshiro256 rng(6);
   core::UserParams u;
   u.service_rate = 4.0;
-  const ServiceSampler sampler = empirical_service(dataset);
+  const ServiceSampler sampler = make_service_sampler(
+      {.kind = SamplerSpec::Kind::kEmpirical, .data = dataset.samples()});
   double acc = 0.0;
   const int n = 200000;
   for (int i = 0; i < n; ++i) acc += sampler(rng, u);
@@ -212,7 +214,8 @@ TEST(Des, EmpiricalLatencySamplerPreservesTheMeanLatency) {
   random::Xoshiro256 rng(7);
   core::UserParams u;
   u.offload_latency = 2.5;
-  const LatencySampler sampler = empirical_latency(dataset);
+  const LatencySampler sampler = make_latency_sampler(
+      {.kind = SamplerSpec::Kind::kEmpirical, .data = dataset.samples()});
   double acc = 0.0;
   const int n = 200000;
   for (int i = 0; i < n; ++i) acc += sampler(rng, u);
@@ -224,8 +227,9 @@ TEST(Des, DeterministicSamplersAreExact) {
   core::UserParams u;
   u.service_rate = 5.0;
   u.offload_latency = 1.25;
-  EXPECT_DOUBLE_EQ(deterministic_service()(rng, u), 0.2);
-  EXPECT_DOUBLE_EQ(deterministic_latency()(rng, u), 1.25);
+  const SamplerSpec deterministic{.kind = SamplerSpec::Kind::kDeterministic};
+  EXPECT_DOUBLE_EQ(make_service_sampler(deterministic)(rng, u), 0.2);
+  EXPECT_DOUBLE_EQ(make_latency_sampler(deterministic)(rng, u), 1.25);
 }
 
 TEST(Des, FixedGammaControlsTheEdgeDelaySeenByTasks) {
@@ -235,7 +239,7 @@ TEST(Des, FixedGammaControlsTheEdgeDelaySeenByTasks) {
   o.horizon = 300.0;
   o.warmup = 10.0;
   o.seed = 9;
-  o.latency = deterministic_latency();
+  o.latency.kind = SamplerSpec::Kind::kDeterministic;
   o.fixed_gamma = 0.0;
   MecSimulation sim_lo(users, 10.0, core::make_reciprocal_delay(), o);
   o.fixed_gamma = 0.9;
@@ -257,7 +261,7 @@ TEST(Des, EwmaFeedbackTracksTheOfferedLoad) {
   o.horizon = 500.0;
   o.warmup = 50.0;
   o.seed = 10;
-  o.latency = deterministic_latency();
+  o.latency.kind = SamplerSpec::Kind::kDeterministic;
   MecSimulation sim(users, 10.0, core::make_reciprocal_delay(), o);
   const SimulationResult r = sim.run_tro(zeros);
   // gamma = 0.2 => g = 1/0.9; measured per-offload delay = tau + g(gamma_t)
@@ -322,7 +326,7 @@ TEST(Des, OffloadDelayPercentilesReflectLatencyPlusEdge) {
   o.horizon = 100.0;
   o.warmup = 5.0;
   o.seed = 22;
-  o.latency = deterministic_latency();
+  o.latency.kind = SamplerSpec::Kind::kDeterministic;
   o.fixed_gamma = 0.1;
   MecSimulation sim(users, 10.0, core::make_reciprocal_delay(), o);
   const SimulationResult r =
@@ -482,6 +486,17 @@ TEST(Des, RejectsInvalidConfiguration) {
   MecSimulation sim(users, 10.0, core::make_reciprocal_delay());
   const std::vector<double> wrong(2, 1.0);
   EXPECT_THROW(sim.run_tro(wrong), ContractViolation);
+  std::vector<double> negative(users.size(), 1.0);
+  negative[3] = -0.5;
+  try {
+    sim.run_tro(negative);
+    FAIL() << "a negative threshold must be rejected";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("run_tro: device 3 has threshold -0.5"),
+              std::string::npos)
+        << what;
+  }
 }
 
 }  // namespace

@@ -11,9 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -158,7 +161,7 @@ TEST(GoldenTrace, DpoPoliciesOnTheGenericVirtualPath) {
   o.warmup = 0.0;
   o.horizon = 50.0;
   o.seed = 5;
-  o.latency = deterministic_latency();
+  o.latency.kind = SamplerSpec::Kind::kDeterministic;
   MecSimulation s(users, 8.0, core::make_reciprocal_delay(), o);
   std::vector<double> rhos;
   for (std::size_t i = 0; i < users.size(); ++i)
@@ -180,37 +183,43 @@ TEST(GoldenTrace, DpoPoliciesOnTheGenericVirtualPath) {
   EXPECT_EQ(d7.empirical_cost, 0x1.b332232937deap+0);
 }
 
-// Forwards to a real TRO policy but hides tro_threshold(), forcing the
-// simulator onto the generic virtual-dispatch path.  The fast path promises
-// to draw exactly the RNG sequence offload() draws, so the two paths must
-// agree bit-for-bit.
-class HiddenTroPolicy final : public OffloadPolicy {
+// A test-local TRO policy that reads its device's entry of a shared array
+// on every decision, with its own copy of the Section II rule: the virtual
+// path as an independent reader of the array run_tro decides on.
+class ArrayTroPolicy final : public OffloadPolicy {
  public:
-  explicit HiddenTroPolicy(double threshold)
-      : inner_(make_tro_policy(threshold)) {}
+  ArrayTroPolicy(const std::vector<double>& xs, std::size_t device)
+      : xs_(&xs), device_(device) {}
   bool offload(std::uint64_t queue_length,
                random::Xoshiro256& rng) const override {
-    return inner_->offload(queue_length, rng);
+    const double x = (*xs_)[device_];
+    const auto floor_x = static_cast<std::uint64_t>(std::floor(x));
+    if (queue_length != floor_x) return queue_length > floor_x;
+    return !random::bernoulli(rng, x - std::floor(x));
   }
-  std::string describe() const override { return "hidden-tro"; }
+  std::string describe() const override { return "array-tro"; }
 
  private:
-  std::unique_ptr<OffloadPolicy> inner_;
+  const std::vector<double>* xs_;
+  std::size_t device_;
 };
 
 TEST(FastPathEquivalence, SealedTroPathMatchesGenericDispatchBitForBit) {
+  // run(policies) dispatches every arrival through OffloadPolicy::offload;
+  // run_tro promises to draw exactly the RNG sequence that call draws.
   const auto users = golden_users(40);
   const auto xs = scenario_a_thresholds(users.size());
   MecSimulation s(users, 8.0, core::make_reciprocal_delay(),
                   scenario_a_options());
-  std::vector<std::unique_ptr<OffloadPolicy>> hidden;
-  for (const double x : xs) hidden.push_back(std::make_unique<HiddenTroPolicy>(x));
-  expect_bitwise_equal(s.run_tro(xs), s.run(hidden));
+  std::vector<std::unique_ptr<OffloadPolicy>> readers;
+  for (std::size_t n = 0; n < users.size(); ++n)
+    readers.push_back(std::make_unique<ArrayTroPolicy>(xs, n));
+  expect_bitwise_equal(s.run_tro(xs), s.run(readers));
 }
 
 TEST(FastPathEquivalence, PolicyObjectsExposingThresholdsMatchRunTro) {
-  // make_tro_policy exposes tro_threshold(), so run() seals onto the fast
-  // path itself; it must agree with the policy-free run_tro entry point.
+  // make_tro_policy objects each hold one threshold and decide on the
+  // virtual path; they must agree with the policy-free run_tro entry point.
   const auto users = golden_users(40);
   const auto xs = scenario_a_thresholds(users.size());
   MecSimulation s(users, 8.0, core::make_reciprocal_delay(),
@@ -218,6 +227,48 @@ TEST(FastPathEquivalence, PolicyObjectsExposingThresholdsMatchRunTro) {
   std::vector<std::unique_ptr<OffloadPolicy>> policies;
   for (const double x : xs) policies.push_back(make_tro_policy(x));
   expect_bitwise_equal(s.run_tro(xs), s.run(policies));
+}
+
+TEST(FastPathEquivalence, EpochRewrittenArrayMatchesAVirtualReaderBitForBit) {
+  // Both epoch hooks rewrite the array the run decides on: on_epoch from
+  // the scalar gamma, on_cluster_epoch (after it) from each device's
+  // cluster gamma.  run_tro reads the array on its sealed path; run()
+  // reads it through ArrayTroPolicy.  Fractional values keep the boundary
+  // Bernoulli draw in play.
+  const auto users = golden_users(40);
+  std::vector<double> xs;
+  std::size_t epochs = 0;
+  SimulationOptions o = scenario_b_options();
+  o.topology.clusters = 2;
+  o.sample_interval = 4.0;
+  o.epoch_period = 6.0;
+  o.on_epoch = [&](double, double gamma) {
+    ++epochs;
+    for (std::size_t n = 0; n < xs.size(); ++n)
+      xs[n] = 0.5 * static_cast<double>((n + epochs) % 7) + gamma;
+  };
+  o.on_cluster_epoch = [&](double, std::span<const double> cluster_gammas) {
+    for (std::size_t n = 0; n < xs.size(); ++n)
+      xs[n] += 2.0 * cluster_gammas[n % cluster_gammas.size()];
+  };
+  for (const std::size_t k : {1u, 4u}) {
+    SCOPED_TRACE("shards = " + std::to_string(k));
+    o.shards = k;
+    MecSimulation s(users, 8.0, core::make_reciprocal_delay(), o);
+    xs = scenario_a_thresholds(users.size());
+    epochs = 0;
+    const SimulationResult sealed = s.run_tro(xs);
+    const std::vector<double> sealed_final = xs;
+    ASSERT_GT(epochs, 10u);
+
+    xs = scenario_a_thresholds(users.size());
+    epochs = 0;
+    std::vector<std::unique_ptr<OffloadPolicy>> readers;
+    for (std::size_t n = 0; n < users.size(); ++n)
+      readers.push_back(std::make_unique<ArrayTroPolicy>(xs, n));
+    expect_bitwise_equal(sealed, s.run(readers));
+    EXPECT_EQ(sealed_final, xs);
+  }
 }
 
 TEST(WorkspaceReuse, ReusedWorkspaceReproducesFreshRunsBitForBit) {

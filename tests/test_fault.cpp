@@ -306,7 +306,7 @@ TEST(FaultEngine, OutagePenaltyAddsExactLatency) {
   auto schedule = std::make_shared<FaultSchedule>();
   schedule->add_outage(0.0, 1000.0, OutageMode::kPenalty, 0.75);
   sim::SimulationOptions o = base_options();
-  o.latency = sim::deterministic_latency();
+  o.latency.kind = sim::SamplerSpec::Kind::kDeterministic;
   o.faults = schedule;
   const auto r = sim::MecSimulation(users, 10.0, delay(), o).run_tro(xs);
   const double expected = 0.25 + delay()(0.2) + 0.75;

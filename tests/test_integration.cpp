@@ -76,8 +76,10 @@ TEST(Integration, PracticalPipelineWithMeasuredDataAndAsyncUpdates) {
   // distributions: the offload fractions shift only mildly, so the measured
   // utilization stays in the neighbourhood of the exponential-theory MFNE.
   sim::SimulationOptions o;
-  o.service = sim::empirical_service(random::synthetic_yolo_processing_times());
-  o.latency = sim::empirical_latency(random::synthetic_wifi_offload_latencies());
+  o.service = {.kind = sim::SamplerSpec::Kind::kEmpirical,
+               .data = random::synthetic_yolo_processing_times().samples()};
+  o.latency = {.kind = sim::SamplerSpec::Kind::kEmpirical,
+               .data = random::synthetic_wifi_offload_latencies().samples()};
   o.fixed_gamma = mfne.gamma_star;
   o.horizon = 300.0;
   o.warmup = 30.0;

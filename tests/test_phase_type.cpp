@@ -150,7 +150,7 @@ TEST(PhaseTypeTro, AgreesWithDiscreteEventSimulation) {
   o.horizon = 1500.0;
   o.seed = 77;
   o.fixed_gamma = 0.2;
-  o.service = sim::erlang_service(3);
+  o.service = {.kind = sim::SamplerSpec::Kind::kErlang, .param = 3.0};
   sim::MecSimulation des(users, 10.0, core::make_reciprocal_delay(), o);
   const sim::SimulationResult r =
       des.run_tro(std::vector<double>(users.size(), x));
@@ -176,7 +176,8 @@ TEST(PhaseTypeTro, HyperexponentialAgreesWithSimulation) {
   o.horizon = 1500.0;
   o.seed = 78;
   o.fixed_gamma = 0.2;
-  o.service = sim::hyperexponential_service(scv);
+  o.service = {.kind = sim::SamplerSpec::Kind::kHyperExponential,
+               .param = scv};
   sim::MecSimulation des(users, 10.0, core::make_reciprocal_delay(), o);
   const sim::SimulationResult r =
       des.run_tro(std::vector<double>(users.size(), x));

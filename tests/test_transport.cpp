@@ -12,8 +12,8 @@
 // fixed and tracked gamma, faults with churn across clusters,
 // non-exponential sampler specs, and the closed-loop DTU.  A rank that
 // dies or stalls fails the run naming the rank, its peer, and its last
-// completed barrier, and leaves no forked rank behind; unmirrorable
-// policies and unshippable closures are refused up front; scripted peers
+// completed barrier, and leaves no forked rank behind; runs over policy
+// objects and invalid sampler specs are refused up front; scripted peers
 // check that malformed payloads are refused by name.
 #include <gtest/gtest.h>
 
@@ -316,8 +316,8 @@ sim::SimulationOptions sampler_spec_options() {
   sim::SamplerSpec latency;
   latency.kind = sim::SamplerSpec::Kind::kEmpirical;
   latency.data = random::synthetic_wifi_offload_latencies().samples();
-  o.service_spec = service;
-  o.latency_spec = latency;
+  o.service = service;
+  o.latency = latency;
   return o;
 }
 
@@ -358,8 +358,8 @@ TEST(TcpTransportEquivalence,
 }
 
 /// The closed loop is the hardest case for framed ranks: every epoch
-/// callback retunes MutableTroPolicy thresholds in the coordinator, which
-/// must be re-mirrored into the ranks before the next leg.
+/// callback rewrites the threshold array in the coordinator, which must
+/// reach the ranks' copies before the next leg.
 void expect_closed_loop_invariant(TransportKind kind) {
   const auto pop = population::sample_population(
       population::theoretical_scenario(population::LoadRegime::kAtService, 60),
@@ -657,6 +657,31 @@ TEST(ProcessTransportRobustness, ThrowingEpochCallbackLeavesNoWorkerBehind) {
   expect_no_child_left();
 }
 
+TEST(ProcessTransportRobustness, InvalidEpochThresholdFailsAndLeavesNoWorker) {
+  // The coordinator checks the rewritten array before broadcasting it, so
+  // the ranks never decide on -1; they are killed and reaped on unwind.
+  const auto users = mixed_users(41);
+  std::vector<double> xs = mixed_thresholds(users.size());
+  sim::SimulationOptions o = hooked_run_options();
+  o.epoch_period = 5.0;
+  o.on_epoch = [&xs](double now, double) {
+    if (now >= 10.0) xs[7] = -1.0;
+  };
+  o.transport = TransportKind::kProcess;
+  o.workers = 2;
+  sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
+  try {
+    des.run_tro(xs);
+    ADD_FAILURE() << "an invalid epoch threshold must fail the run";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("epoch callback at t=10: device 7 has threshold -1"),
+              std::string::npos)
+        << what;
+  }
+  expect_no_child_left();
+}
+
 TEST(TransportTimeout, EnvOverrideIsValidatedLoudly) {
   // A malformed or out-of-range MEC_TRANSPORT_TIMEOUT_MS must throw naming
   // the variable and the accepted range — a typo'd deadline silently
@@ -696,9 +721,9 @@ TEST(TransportTimeout, EnvOverrideAndFallbackResolve) {
 
 // --- refusals --------------------------------------------------------------
 
-/// A DPO policy decides without a threshold; its state cannot be mirrored
-/// into a rank, so the run must be refused up front — before any fork or
-/// connect — not fail mid-run or silently diverge.
+/// Framed ranks decide on a copy of a threshold array; a run over policy
+/// objects (here DPO) has none, so it must be refused up front — before
+/// any fork or connect — not fail mid-run or silently diverge.
 void expect_non_tro_refused(TransportKind kind) {
   const auto users = mixed_users(8);
   sim::SimulationOptions o = hooked_run_options();
@@ -733,29 +758,61 @@ TEST(TcpTransportRobustness, RejectsPoliciesWithoutTroThresholds) {
   expect_non_tro_refused(TransportKind::kTcp);
 }
 
-/// A closure cannot be shipped to a rank; the constructor must say so
-/// instead of silently running different distributions per side.
-void expect_sampler_closure_refused(TransportKind kind) {
-  sim::SimulationOptions o = hooked_run_options();
-  o.transport = kind;
-  if (kind == TransportKind::kTcp) o.worker_addresses = {"127.0.0.1:9"};
-  o.service = sim::erlang_service(4);
-  const std::string what = run_error<ContractViolation>(
-      mixed_users(8), o,
-      "raw sampler closures must be rejected under framed transports");
-  EXPECT_NE(what.find("service_spec"), std::string::npos) << what;
-  EXPECT_NE(what.find(kind == TransportKind::kProcess ? "transport=process"
-                                                      : "transport=tcp"),
-            std::string::npos)
-      << what;
+/// Invalid sampler specs, each with the message naming its role, kind,
+/// received value and accepted range.  Specs are the only sampler input, so
+/// this check is the user-facing gate.
+struct BadSpec {
+  bool latency;  ///< the spec goes to options.latency, else to .service
+  sim::SamplerSpec spec;
+  const char* message;
+};
+const BadSpec kBadSpecs[] = {
+    {false,
+     {.kind = sim::SamplerSpec::Kind::kErlang, .param = 2.5},
+     "service sampler spec (kind erlang): stage count = 2.5, expected an "
+     "integer in [1, 1000000]"},
+    {false,
+     {.kind = sim::SamplerSpec::Kind::kHyperExponential, .param = 0.5},
+     "service sampler spec (kind hyperexponential): SCV = 0.5, expected a "
+     "finite value >= 1"},
+    {false,
+     {.kind = sim::SamplerSpec::Kind::kEmpirical},
+     "service sampler spec (kind empirical): sample count = 0, expected at "
+     "least 1"},
+    {true,
+     {.kind = sim::SamplerSpec::Kind::kEmpirical, .data = {0.1, -0.2}},
+     "latency sampler spec (kind empirical): data[1] = -0.2, expected a "
+     "finite value >= 0"},
+    {true,
+     {.kind = sim::SamplerSpec::Kind::kErlang, .param = 4.0},
+     "latency sampler spec (kind erlang): kind = 2, expected 0, 1 or 4"},
+};
+
+/// The MecSimulation constructor must refuse every bad spec before a rank
+/// is forked or dialled.
+void expect_bad_specs_refused(TransportKind kind) {
+  // Were a spec accepted, the tcp run would dial a closed port: fail fast.
+  const ScopedEnv timeout("MEC_TRANSPORT_TIMEOUT_MS", "400");
+  for (const BadSpec& c : kBadSpecs) {
+    SCOPED_TRACE(c.message);
+    sim::SimulationOptions o = hooked_run_options();
+    o.transport = kind;
+    if (kind == TransportKind::kTcp) o.worker_addresses = {"127.0.0.1:9"};
+    (c.latency ? o.latency : o.service) = c.spec;
+    const std::string what = run_error(mixed_users(8), o,
+                                       "an invalid sampler spec must be "
+                                       "rejected");
+    EXPECT_NE(what.find(c.message), std::string::npos) << what;
+    expect_no_child_left();
+  }
 }
 
-TEST(ProcessTransportRobustness, RawSamplerClosuresAreRejected) {
-  expect_sampler_closure_refused(TransportKind::kProcess);
+TEST(ProcessTransportRobustness, InvalidSamplerSpecsAreRejectedByName) {
+  expect_bad_specs_refused(TransportKind::kProcess);
 }
 
-TEST(TcpTransportRobustness, RawSamplerClosuresAreRejected) {
-  expect_sampler_closure_refused(TransportKind::kTcp);
+TEST(TcpTransportRobustness, InvalidSamplerSpecsAreRejectedByName) {
+  expect_bad_specs_refused(TransportKind::kTcp);
 }
 
 sim::SimulationOptions tcp_run_options(

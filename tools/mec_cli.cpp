@@ -404,22 +404,20 @@ int cmd_simulate(const io::Args& args) {
   parse_workers_flag(args, so.transport, so.workers, so.worker_addresses);
   so.stream_counters = args.get_long("counters", 1) != 0;
   const std::string service = args.get_string("service", "exp");
-  // One sampler route for every transport: the spec is data, so framed
-  // ranks rebuild the very sampler the in-process engine materializes.
-  sim::SamplerSpec service_spec;
+  // The spec is data, so framed ranks rebuild the very sampler the
+  // in-process engine builds.
   if (service == "erlang4") {
-    service_spec.kind = sim::SamplerSpec::Kind::kErlang;
-    service_spec.param = 4.0;
+    so.service.kind = sim::SamplerSpec::Kind::kErlang;
+    so.service.param = 4.0;
   } else if (service == "hyperexp4") {
-    service_spec.kind = sim::SamplerSpec::Kind::kHyperExponential;
-    service_spec.param = 4.0;
+    so.service.kind = sim::SamplerSpec::Kind::kHyperExponential;
+    so.service.param = 4.0;
   } else if (service == "empirical") {
-    service_spec.kind = sim::SamplerSpec::Kind::kEmpirical;
-    service_spec.data = random::synthetic_yolo_processing_times().samples();
+    so.service.kind = sim::SamplerSpec::Kind::kEmpirical;
+    so.service.data = random::synthetic_yolo_processing_times().samples();
   } else if (service != "exp") {
     throw RuntimeError("unknown --service (exp|erlang4|hyperexp4|empirical)");
   }
-  so.service_spec = service_spec;
 
   std::vector<double> xs(mfne.thresholds.begin(), mfne.thresholds.end());
   if (faults && faults->churn_arrivals() > 0) {
@@ -433,9 +431,8 @@ int cmd_simulate(const io::Args& args) {
     throw RuntimeError("unknown --policy (tro|price|minority)");
   if (so.transport != sim::TransportKind::kInProcess && policy != "tro")
     throw RuntimeError(
-        "--transport=process and --transport=tcp require --policy=tro (the "
-        "price and minority controllers retune virtual policies that cannot "
-        "cross a process or machine boundary)");
+        "--transport=process and --transport=tcp require --policy=tro "
+        "(--policy=price and --policy=minority run in process only)");
   if (policy != "tro") {
     if (args.has("replications") || args.has("target-ci") ||
         args.has("target-rel"))
@@ -450,7 +447,7 @@ int cmd_simulate(const io::Args& args) {
       po.horizon = so.horizon;
       po.seed = so.seed;
       po.topology = topology;
-      po.service = sim::make_service_sampler(service_spec);
+      po.service = so.service;
       po.faults = faults;
       po.shards = so.shards;
       po.sample_interval = so.sample_interval;
@@ -480,7 +477,7 @@ int cmd_simulate(const io::Args& args) {
     mo.horizon = so.horizon;
     mo.seed = so.seed;
     mo.topology = topology;
-    mo.service = sim::make_service_sampler(service_spec);
+    mo.service = so.service;
     mo.faults = faults;
     mo.shards = so.shards;
     mo.sample_interval = so.sample_interval;
