@@ -59,9 +59,9 @@ void ShardContext::reset(std::uint32_t lo_device, std::uint32_t hi_device,
   lo = lo_device;
   hi = hi_device;
   queue.clear();
-  // One pending arrival per owned device, at most one in-service departure,
-  // plus headroom for in-flight offload deliveries (fixed-gamma mode).
-  queue.reserve(2 * static_cast<std::size_t>(hi - lo) + 64);
+  // One pending arrival and at most one in-service departure per owned
+  // device.
+  queue.reserve(2 * static_cast<std::size_t>(hi - lo));
   log.clear();
   local_sojourns = stats::LatencySketch{};
   offload_delays = stats::LatencySketch{};
@@ -73,6 +73,8 @@ void ShardContext::reset(std::uint32_t lo_device, std::uint32_t hi_device,
   offloads_penalized = 0;
   measuring = measuring_from_start;
   flipped = measuring_from_start;
+  carried_deliveries.clear();
+  delivery_flip = false;
   outage = false;
   outage_mode = fault::OutageMode::kReject;
   outage_penalty = 0.0;

@@ -89,7 +89,9 @@ struct ShardContext {
   std::vector<sim::OffloadRecord> log;
   stats::LatencySketch local_sojourns;
   stats::LatencySketch offload_delays;  ///< fixed-gamma mode only
-  std::uint64_t events = 0;  ///< task-event pops (fault pops count centrally)
+  /// Task-event pops plus fixed-gamma deliveries, each counted in the leg
+  /// it lands in (fault pops count centrally).
+  std::uint64_t events = 0;
   std::uint64_t offloads_in_window = 0;
   /// Measured offloads per edge cluster (sized by the engine when the run's
   /// topology has clusters; summed across shards at barriers — integer
@@ -100,6 +102,15 @@ struct ShardContext {
   std::uint64_t offloads_penalized = 0;
   bool measuring = false;
   bool flipped = false;  ///< this shard's own pop opened the window
+  /// Instants of fixed-gamma deliveries (counted, never queued) that land
+  /// at or after the current leg's limit and no later than t_end; the next
+  /// leg counts those it covers before its first pop.
+  std::vector<double> carried_deliveries;
+  /// A counted fixed-gamma delivery landed at or after warm-up.  OR-ed into
+  /// the barrier view's `flipped` but not into `flipped`, so finalize still
+  /// resets the shard: the fixed-gamma twin of
+  /// GammaReplay::delivery_flip_trigger().
+  bool delivery_flip = false;
   // Outage runtime (every shard tracks the global outage toggles).
   bool outage = false;
   fault::OutageMode outage_mode = fault::OutageMode::kReject;

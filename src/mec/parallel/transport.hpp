@@ -66,7 +66,9 @@ struct ShardBarrierView {
   std::uint64_t offloads_rejected = 0;
   std::uint64_t offloads_penalized = 0;
   std::span<const std::uint64_t> cluster_offloads;
-  bool flipped = false;  ///< this shard's own pop opened the window
+  /// This shard's own pop opened the window, or one of its fixed-gamma
+  /// deliveries landed at or after warm-up (ShardContext::delivery_flip).
+  bool flipped = false;
   /// Cumulative sketches; null unless BarrierRequest::want_sketches.
   const stats::LatencySketch* local_sojourns = nullptr;
   const stats::LatencySketch* offload_delays = nullptr;

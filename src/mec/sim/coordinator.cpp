@@ -202,9 +202,10 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
             p.active_devices == 0
                 ? 0.0
                 : total_q2 / static_cast<double>(p.active_devices);
-        // Cumulative event total at this barrier: shard task-event pops
-        // (order-invariant sum) + fault actions popped (cursor) + replay
-        // deliveries (serial) — each term K-invariant by construction.
+        // Cumulative event total at this barrier: shard task-event pops and
+        // fixed-gamma deliveries (order-invariant sum) + fault actions
+        // popped (cursor) + replay deliveries (serial) — each term
+        // K-invariant by construction.
         std::uint64_t events_now = 0;
         for (const parallel::ShardBarrierView& v : views)
           events_now += v.events;
@@ -350,7 +351,8 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
   // Close the measurement window.  A shard whose own events never crossed
   // the warm-up boundary still needs its devices reset if *any* pop did in
   // the single-queue engine — its own, another shard's, a fault action, or
-  // an edge delivery (central in tracked-gamma mode).
+  // an edge delivery (the shard's trigger in fixed-gamma mode, the
+  // replay's in tracked-gamma mode).
   bool flipped = cc.measuring_from_start;
   for (const parallel::ShardBarrierView& v : final_views)
     flipped |= v.flipped;

@@ -42,11 +42,10 @@ namespace mec::sim {
 /// What happened, dispatched by MecSimulation.  At most four kinds: the
 /// packed node layout reserves exactly two bits for the kind.
 enum class EventKind : std::uint8_t {
-  kArrival,          ///< a new task arrives at `device`
-  kLocalDeparture,   ///< `device` finishes its in-service local task
-  kOffloadDelivery,  ///< an offloaded task of `device` completes at the edge
-  kFault,            ///< a FaultSchedule action fires; `device` holds the
-                     ///< action's index into the schedule, not a device id
+  kArrival,         ///< a new task arrives at `device`
+  kLocalDeparture,  ///< `device` finishes its in-service local task
+  kFault,           ///< a FaultSchedule action fires; `device` holds the
+                    ///< action's index into the schedule, not a device id
 };
 
 /// Decoded event as handed to the simulation loop (not the storage layout).

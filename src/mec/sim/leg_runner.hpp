@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -98,6 +99,15 @@ void apply_shard_fault(parallel::ShardContext& sc,
   }
 }
 
+/// Books one fixed-gamma delivery that lands at `delivery` inside the
+/// current leg.  In the single-queue engine its pop only counts as an event
+/// and, at or after warm-up, opens the window (ShardContext::delivery_flip).
+inline void count_delivery(parallel::ShardContext& sc, double delivery,
+                           double warmup) {
+  ++sc.events;
+  if (delivery >= warmup) sc.delivery_flip = true;
+}
+
 /// One shard leg: drains the shard's queue up to `limit` (exclusive at
 /// barriers, inclusive for the final leg to t_end).  This is the hot loop,
 /// instantiated per decision provider so the arrival decision inlines, and
@@ -105,12 +115,21 @@ void apply_shard_fault(parallel::ShardContext& sc,
 template <bool WithFaults, class Decide>
 void run_leg(parallel::ShardContext& sc, const LegContext<Decide>& lc,
              double limit, bool inclusive) {
+  const auto in_leg = [&](double t) {
+    return inclusive ? t <= limit : t < limit;
+  };
+  // Fixed-gamma deliveries carried over the last barrier: count those that
+  // land in this leg, keep the rest for a later one.
+  std::erase_if(sc.carried_deliveries, [&](double delivery) {
+    if (!in_leg(delivery)) return false;
+    count_delivery(sc, delivery, lc.warmup);
+    return true;
+  });
   EventQueue& queue = sc.queue;
   while (!queue.empty()) {
     {
       const double t = queue.next_time();
-      if (t > lc.t_end) return;
-      if (inclusive ? t > limit : t >= limit) return;
+      if (t > lc.t_end || !in_leg(t)) return;
     }
     const Event e = queue.pop();
     if (!queue.empty()) {
@@ -195,7 +214,7 @@ void run_leg(parallel::ShardContext& sc, const LegContext<Decide>& lc,
           const double latency = (*lc.latency)(rng, u);
           if (lc.has_fixed_gamma) {
             // Pinned gamma: the edge delay is shard-local, so the delivery
-            // event and all offload metrics complete right here.
+            // and all offload metrics complete right here.
             double delay_value = lc.fixed_delay;
             if (penalized) delay_value += penalty;
             if (sc.measuring) {
@@ -206,8 +225,17 @@ void run_leg(parallel::ShardContext& sc, const LegContext<Decide>& lc,
               dev.energy_sum += u.energy_offload;
               sc.offload_delays.add(latency + delay_value);
             }
-            queue.push(now + latency + delay_value,
-                       EventKind::kOffloadDelivery, e.device);
+            // A delivery touches no state, so it is counted in the leg it
+            // lands in (limit <= t_end) rather than queued, and one landing
+            // after t_end is not counted at all.  Leaving it out of the
+            // queue keeps the (time, seq) order of every other event.
+            const double delivery = now + latency + delay_value;
+            MEC_EXPECTS(std::isfinite(delivery));
+            MEC_EXPECTS(delivery >= 0.0);
+            if (in_leg(delivery))
+              count_delivery(sc, delivery, lc.warmup);
+            else if (delivery <= lc.t_end)
+              sc.carried_deliveries.push_back(delivery);
           } else {
             // Tracked gamma: everything g(gamma)-dependent (edge delay,
             // delivery time, delay metrics) is deferred to the central
@@ -267,11 +295,6 @@ void run_leg(parallel::ShardContext& sc, const LegContext<Decide>& lc,
         }
         break;
       }
-      case EventKind::kOffloadDelivery:
-        // Task completed at the edge; all accounting happened at decision
-        // time (fixed-gamma mode only — tracked-gamma deliveries are
-        // counted by the replay).
-        break;
       case EventKind::kFault:
         // Handled (and `continue`d) before the device references above.
         MEC_ASSERT(WithFaults);
@@ -384,7 +407,7 @@ class LegRunner final : public parallel::RankWorker {
       v.offloads_rejected = sc.offloads_rejected;
       v.offloads_penalized = sc.offloads_penalized;
       v.cluster_offloads = sc.cluster_offloads;
-      v.flipped = sc.flipped;
+      v.flipped = sc.flipped || sc.delivery_flip;
       if (req.want_sketches) {
         v.local_sojourns = &sc.local_sojourns;
         v.offload_delays = &sc.offload_delays;

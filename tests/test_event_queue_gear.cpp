@@ -95,7 +95,7 @@ EventKind kind_of(std::uint64_t i) {
   switch (i % 3) {
     case 0: return EventKind::kArrival;
     case 1: return EventKind::kLocalDeparture;
-    default: return EventKind::kOffloadDelivery;
+    default: return EventKind::kFault;
   }
 }
 
@@ -172,7 +172,7 @@ TEST(EventQueueGear, EventsExactlyOnBucketWindowEdges) {
     for (std::uint32_t burst = 0; burst < 3; ++burst)
       h.push(edge, EventKind::kLocalDeparture, 100 + burst);
     h.push(edge - width * 1e-12, EventKind::kArrival, 200);
-    h.push(edge + width * 1e-12, EventKind::kOffloadDelivery, 201);
+    h.push(edge + width * 1e-12, EventKind::kFault, 201);
   }
   h.drain_and_check();
 }

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mec/common/error.hpp"
@@ -280,6 +281,41 @@ TEST(FaultEngine, CrashDropsQueueAndStopsArrivalsUntilRestart) {
       sim::MecSimulation(users, 10.0, delay(), o2).run_tro(xs);
   EXPECT_EQ(restarted.faults.restarts, 1u);
   EXPECT_GT(restarted.devices[0].arrivals, crashed.devices[0].arrivals);
+}
+
+TEST(FaultEngine, AFixedGammaDeliveryAloneOpensTheMeasurementWindow) {
+  // One device offloads until it crashes at t = 4 for good.  Its edge
+  // deliveries take tau + g(0.2) = 2 + 1/0.9, so with warm-up 5 the only
+  // events at or after warm-up are deliveries (at these seeds no stale
+  // arrival or departure pops that late).  The first of them opens the
+  // window, which resets the device's warm-up queue integral: with no
+  // arrival and an empty queue inside the window, the cost is the idle
+  // w * p_L = 1.  The expected values were captured while deliveries were
+  // still queued as events; they hold in process and on a forked rank.
+  const auto users = homogeneous(1, 3.0, 1.0, 2.0);
+  const std::vector<double> xs{2.5};
+  const auto schedule =
+      std::make_shared<const FaultSchedule>(parse_fault_schedule("crash 4 0"));
+  for (const sim::TransportKind transport :
+       {sim::TransportKind::kInProcess, sim::TransportKind::kProcess}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      sim::SimulationOptions o = base_options(seed);
+      o.warmup = 5.0;
+      o.horizon = 5.0;
+      o.latency.kind = sim::SamplerSpec::Kind::kDeterministic;
+      o.faults = schedule;
+      o.transport = transport;
+      o.workers = 1;
+      const auto r = sim::MecSimulation(users, 10.0, delay(), o).run_tro(xs);
+      SCOPED_TRACE(std::string(transport == sim::TransportKind::kProcess
+                                   ? "one forked rank"
+                                   : "in process") +
+                   ", seed " + std::to_string(seed));
+      EXPECT_EQ(r.mean_queue_length, 0.0);
+      EXPECT_EQ(r.mean_cost, 0x1p+0);
+      if (seed == 1) EXPECT_EQ(r.total_events, 18u);
+    }
+  }
 }
 
 TEST(FaultEngine, OutageRejectForcesLocalExecution) {

@@ -452,6 +452,7 @@ int cmd_simulate(const io::Args& args) {
       po.shards = so.shards;
       po.sample_interval = so.sample_interval;
       po.stream_log = so.stream_log;
+      po.stream_counters = so.stream_counters;
       const sim::PriceBasedResult r =
           sim::run_price_based(pop.users, cfg.capacity, cfg.delay, po);
       std::printf(
@@ -482,6 +483,7 @@ int cmd_simulate(const io::Args& args) {
     mo.shards = so.shards;
     mo.sample_interval = so.sample_interval;
     mo.stream_log = so.stream_log;
+    mo.stream_counters = so.stream_counters;
     const sim::MinorityGameRunResult r =
         sim::run_minority_game(pop.users, cfg.capacity, cfg.delay, mo);
     std::printf(
