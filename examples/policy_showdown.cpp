@@ -11,7 +11,6 @@
 // under identical seeds and the per-policy cost, delay, energy, and edge
 // utilization are reported side by side.
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "mec/baseline/dpo.hpp"
@@ -23,8 +22,6 @@
 #include "mec/sim/mec_simulation.hpp"
 
 namespace {
-
-using PolicySet = std::vector<std::unique_ptr<mec::sim::OffloadPolicy>>;
 
 void report(mec::io::TextTable& table, const char* name,
             const mec::sim::SimulationResult& r) {
@@ -82,13 +79,11 @@ int main() {
   const std::vector<double> shared(pop.size(), one_rho.rho);
   report(table, "DPO-1rho (shared rho)", sim.run_dpo(shared));
 
-  PolicySet local_only, offload_all;
-  for (std::size_t i = 0; i < pop.size(); ++i) {
-    local_only.push_back(sim::make_local_only_policy());
-    offload_all.push_back(sim::make_offload_all_policy());
-  }
-  report(table, "local-only", sim.run(local_only));
-  report(table, "offload-all", sim.run(offload_all));
+  // rho = 0 and rho = 1 are the degenerate DPO policies: no draws at all.
+  report(table, "local-only",
+         sim.run_dpo(std::vector<double>(pop.size(), 0.0)));
+  report(table, "offload-all",
+         sim.run_dpo(std::vector<double>(pop.size(), 1.0)));
 
   std::printf("%s", table.to_string().c_str());
   std::printf(

@@ -152,10 +152,9 @@ void serve_rank(int fd, wire::WorkerPopulation pop) {
       rngs.data()[lo + i] = random::Xoshiro256::from_state(shipped_rngs[i]);
   }
 
-  sim::SimWorkspace::Impl ws;  // the rank uses only its shard contexts
-  ws.shards.resize(pop.shard_count);
+  std::vector<parallel::ShardContext> shards(pop.shard_count);
   for (std::uint32_t s = pop.shard_lo; s < pop.shard_hi; ++s) {
-    parallel::ShardContext& sc = ws.shards[s];
+    parallel::ShardContext& sc = shards[s];
     sc.reset(parallel::shard_bound(pop.n_devices, pop.shard_count, s),
              parallel::shard_bound(pop.n_devices, pop.shard_count, s + 1),
              /*measuring_from_start=*/pop.warmup == 0.0);
@@ -173,8 +172,8 @@ void serve_rank(int fd, wire::WorkerPopulation pop) {
       pop.n_devices, pop.n_clusters,      pop.has_fixed_gamma,
       pop.fixed_delay};
   sim::engine::LegRunner<WithFaults, sim::TroValueDecide> runner(
-      ws, sim::TroValueDecide{mirror.data()}, lc, pop.shard_lo, pop.shard_hi,
-      nullptr, &mirror);
+      shards, sim::TroValueDecide{mirror.data()}, lc, pop.shard_lo,
+      pop.shard_hi, nullptr, &mirror);
 
   obs::wire::ByteWriter w(4);
   w.put_u32(pop.rank);

@@ -87,7 +87,8 @@ struct WindowRecord {
   std::uint64_t offloads_penalized = 0;
   std::uint64_t fault_events_applied = 0;
   /// Distribution of floor(threshold) over the population at `time`
-  /// (run_tro runs; all-zero for a run over policy objects).
+  /// (run_tro runs; all-zero for run_dpo).  A minority-game run puts the
+  /// devices of inactive clusters (threshold 2^63) in the last bin.
   std::array<std::uint32_t, kThresholdBins> threshold_histogram{};
   /// Per-edge-cluster trailer (v2): one utilization estimate and one
   /// cumulative measured offload count per topology cluster, in cluster

@@ -3,8 +3,8 @@
 // barrier, so a long-horizon run's telemetry memory is O(devices + one
 // window) instead of O(samples).
 //
-// The sink receives the engine's left-limit TimelinePoint through the
-// MetricsSink interface (so it composes with TimelineRecorder — a run can
+// The sink receives the engine's left-limit TimelinePoint through
+// on_sample, the same point the run's TimelineRecorder gets (a run can
 // stream *and* keep the in-memory timeline, which is exactly what the
 // equivalence tests compare), and the barrier-only extras — cumulative
 // event totals, merged latency sketches, fault counters, the threshold
@@ -17,7 +17,7 @@
 #include <string>
 
 #include "mec/obs/run_log.hpp"
-#include "mec/sim/observer.hpp"
+#include "mec/sim/metrics.hpp"
 #include "mec/stats/latency_sketch.hpp"
 
 namespace mec::obs {
@@ -43,19 +43,19 @@ struct WindowExtras {
   std::span<const std::uint64_t> cluster_offloads;
 };
 
-/// MetricsSink that streams windows to disk instead of accumulating them.
+/// Streams windows to disk instead of accumulating them.
 /// Protocol per grid sample instant: on_sample(point) stages the point,
 /// commit_window(extras) folds and writes the frame.  finish(footer) seals
 /// the log; a sink destroyed without finish() leaves a valid footer-less
 /// log (what a crashed run looks like).
-class StreamingSink final : public sim::MetricsSink {
+class StreamingSink {
  public:
   /// Opens `path` and writes the header + meta frame.  `with_counters`
   /// requests counter frames.  Throws mec::RuntimeError on I/O error.
   StreamingSink(const std::string& path, const RunLogMeta& meta,
                 bool with_counters);
 
-  void on_sample(const sim::TimelinePoint& point) override;
+  void on_sample(const sim::TimelinePoint& point);
 
   /// Folds the staged point + extras into a WindowRecord and flushes it.
   /// Requires a staged point (one on_sample per commit).

@@ -1,29 +1,20 @@
 #include "mec/sim/cluster_policies.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "mec/common/error.hpp"
 
 namespace mec::sim {
 
-MinorityGatedPolicy::MinorityGatedPolicy(double threshold,
-                                         const std::uint8_t* active)
-    : threshold_(threshold), active_(active) {
-  MEC_EXPECTS(threshold >= 0.0);
-  MEC_EXPECTS(active != nullptr);
-}
-
-std::string MinorityGatedPolicy::describe() const {
-  std::ostringstream os;
-  os << "minority-gated TRO(x=" << threshold_ << ")";
-  return os.str();
-}
-
 namespace {
 
-/// Mirrors MecSimulation's churn handling: the threshold and policy vectors
-/// must cover the initial population plus schedule-order joiners.
+/// Threshold of a device whose cluster the minority game deactivated.  No
+/// queue reaches 2^63, so tro_offload keeps every arrival local and draws
+/// nothing: "keep every task local" is TRO at x = infinity.
+constexpr double kInactiveThreshold = 0x1p63;
+
+/// Mirrors MecSimulation's churn handling: threshold vectors must cover the
+/// initial population plus schedule-order joiners.
 std::vector<core::UserParams> with_churn(
     std::span<const core::UserParams> users,
     const std::shared_ptr<const fault::FaultSchedule>& faults) {
@@ -52,8 +43,7 @@ PriceBasedResult run_price_based(std::span<const core::UserParams> users,
       with_churn(users, options.faults);
   const std::size_t clusters = options.topology.clusters;
 
-  std::vector<double> prices = options.topology.prices;
-  if (prices.empty()) prices.assign(clusters, 0.0);
+  std::vector<double> prices(clusters, 0.0);
 
   // Per-device priceless offload handicap tau + w*(p_E - p_L), and the
   // threshold array the simulation decides on.
@@ -135,18 +125,10 @@ MinorityGameRunResult run_minority_game(
   game_config.agents = clusters;
   MinorityGame game(game_config);
 
-  // Activation flags live here; the policies hold stable pointers into the
-  // vector, and flips happen only in the epoch callback.
-  std::vector<std::uint8_t> active(clusters, 1);
-
-  std::vector<std::unique_ptr<OffloadPolicy>> policies;
-  policies.reserve(all_users.size());
-  for (std::size_t n = 0; n < all_users.size(); ++n) {
-    const std::size_t k =
-        options.topology.route(static_cast<std::uint32_t>(n));
-    policies.push_back(std::make_unique<MinorityGatedPolicy>(
-        options.thresholds[n], &active[k]));
-  }
+  // The array the simulation decides on.  Every cluster starts active, so
+  // it starts as the caller's thresholds; the epoch callback rewrites it
+  // after each game step.
+  std::vector<double> thresholds = options.thresholds;
 
   MinorityGameRunResult result;
 
@@ -169,13 +151,17 @@ MinorityGameRunResult run_minority_game(
   so.on_cluster_epoch = [&](double /*now*/,
                             std::span<const double> /*cluster_gammas*/) {
     const std::size_t attendance = game.step();
-    const std::vector<std::uint8_t>& actions = game.actions();
-    for (std::size_t k = 0; k < clusters; ++k) active[k] = actions[k];
+    const std::vector<std::uint8_t>& active = game.actions();
+    for (std::size_t n = 0; n < thresholds.size(); ++n)
+      thresholds[n] =
+          active[options.topology.route(static_cast<std::uint32_t>(n))] != 0
+              ? options.thresholds[n]
+              : kInactiveThreshold;
     result.attendance.push_back(attendance);
   };
 
   MecSimulation simulation(users, capacity, delay, std::move(so));
-  result.run = simulation.run(policies);
+  result.run = simulation.run_tro(thresholds);
 
   if (!result.attendance.empty()) {
     double acc = 0.0;

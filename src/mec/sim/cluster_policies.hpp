@@ -13,17 +13,19 @@
 //   minority-game activation — each cluster is an agent of a deterministic
 //       minority game (see minority_game.hpp); clusters on the minority
 //       side stay active for the next epoch (Ranadheera et al., server
-//       activation via minority games).  Devices of an inactive cluster
-//       keep everything local; devices of an active one apply their TRO
-//       threshold.
+//       activation via minority games).  Devices of an active cluster
+//       apply their own TRO threshold; devices of an inactive one get
+//       threshold 2^63, which no queue reaches, so they keep every task
+//       local and draw nothing.  run_minority_game runs run_tro over a
+//       threshold array that its epoch callback rewrites after every game
+//       step.
 //
-// Determinism contract (both families): decision state — prices,
-// thresholds, activation flags — mutates only inside on_cluster_epoch,
-// i.e. at observation-grid barriers where all shards are parked, so runs
-// are bit-identical for every shard count.  Decisions consume exactly the
-// RNG draws the TRO rule would (price-based always, minority-game only
-// while the cluster is active), keeping per-device streams aligned.  Both
-// families run in process only.
+// Determinism contract (both families): decision state — prices and
+// activation flags, and the thresholds derived from them — mutates only
+// inside on_cluster_epoch, i.e. at observation-grid barriers where all
+// shards are parked, so runs are bit-identical for every shard count.
+// Both families decide through the TRO rule on one threshold array.  Both
+// run in process only: their options carry no transport.
 #pragma once
 
 #include <cstdint>
@@ -36,29 +38,8 @@
 #include "mec/core/user.hpp"
 #include "mec/sim/mec_simulation.hpp"
 #include "mec/sim/minority_game.hpp"
-#include "mec/sim/policy_dispatch.hpp"
 
 namespace mec::sim {
-
-/// Gates a TRO threshold behind the device's cluster activation flag (the
-/// pointed-to byte is owned by the minority-game driver and flips only at
-/// epoch barriers).  Not a threshold rule — inactive clusters skip the
-/// boundary Bernoulli draw — so it dispatches through the virtual path.
-class MinorityGatedPolicy final : public OffloadPolicy {
- public:
-  MinorityGatedPolicy(double threshold, const std::uint8_t* active);
-
-  bool offload(std::uint64_t queue_length,
-               random::Xoshiro256& rng) const override {
-    if (*active_ == 0) return false;
-    return tro_offload(threshold_, queue_length, rng);
-  }
-  std::string describe() const override;
-
- private:
-  double threshold_;
-  const std::uint8_t* active_;
-};
 
 // --- price-based driver ----------------------------------------------------
 
@@ -72,7 +53,7 @@ struct PriceBasedOptions {
   double warmup = 0.0;
   double horizon = 200.0;
   std::uint64_t seed = 1;
-  ClusterTopology topology;  ///< initial prices come from topology.prices
+  ClusterTopology topology;  ///< every cluster starts at price 0
   SamplerSpec service;
   SamplerSpec latency;
   double utilization_ewma_tau = 10.0;
@@ -132,8 +113,9 @@ struct MinorityGameRunResult {
 };
 
 /// Runs one simulation under minority-game server activation: the game is
-/// stepped at every epoch barrier and each cluster's activation flag is set
-/// to its agent's chosen side.
+/// stepped at every epoch barrier, and each device's threshold is set to
+/// its own (active cluster) or to 2^63 (inactive cluster) from its agent's
+/// chosen side.
 MinorityGameRunResult run_minority_game(
     std::span<const core::UserParams> users, double capacity,
     const core::EdgeDelay& delay, const MinorityGameRunOptions& options);

@@ -38,7 +38,7 @@ struct CoordinatorContext {
   const fault::FaultPlan* plan = nullptr;
   /// The run_tro threshold array (n_devices entries), which epoch callbacks
   /// may rewrite: feeds the stream's threshold histogram and the post-epoch
-  /// check and broadcast.  Null for a run over policy objects.
+  /// check and broadcast.  Null for a run_dpo run.
   const double* thresholds = nullptr;
   std::uint32_t n_devices = 0;
   std::uint32_t n_initial = 0;

@@ -51,9 +51,6 @@ struct ClusterTopology {
   /// Per-cluster capacity shares; empty means an equal split.  When given,
   /// must have `clusters` entries, each > 0, summing to 1.
   std::vector<double> shares;
-  /// Optional per-cluster initial prices (price-based policy); empty means
-  /// all clusters start at price 0.
-  std::vector<double> prices;
 
   std::size_t route(std::uint32_t device) const noexcept {
     return device % clusters;
@@ -76,8 +73,6 @@ struct ClusterTopology {
       MEC_EXPECTS_MSG(std::abs(sum - 1.0) <= 1e-9,
                       "cluster shares must sum to 1");
     }
-    MEC_EXPECTS_MSG(prices.empty() || prices.size() == clusters,
-                    "cluster prices must match the cluster count");
   }
 };
 

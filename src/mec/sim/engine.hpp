@@ -1,10 +1,10 @@
 // The sharded simulation engine: thin composition of the layer headers.
 //
 //   device model   (device_state.hpp)  per-device queues + accumulators
-//   policy dispatch (policy_dispatch.hpp) sealed/virtual decision providers
+//   policy dispatch (policy_dispatch.hpp) TRO/DPO value-array deciders
 //   edge coupling  (coupling.hpp)      EWMA gamma + g(gamma) replay
 //   fault plan     (fault/fault_plan.hpp) resolved schedule + shard views
-//   observers      (observer.hpp)      grid barriers + metrics sinks
+//   observers      (observer.hpp)      grid barriers + timeline recorder
 //   leg runner     (leg_runner.hpp)    per-rank event loop + RankWorker
 //   transport      (parallel/transport.hpp) rank <-> coordinator seam
 //   coordinator    (coordinator.hpp)   serial barrier work + result assembly
@@ -27,7 +27,7 @@
 // This header is internal to mec_simulation.cpp: the templates here are
 // instantiated once per (fault mode x decision provider) pair in that TU,
 // run_framed once per fault mode (framed ranks always decide on a threshold
-// array).
+// array, so a DPO run stays in process).
 #pragma once
 
 #include <algorithm>
@@ -83,10 +83,11 @@ namespace engine {
 /// Runs the coordinator over W framed ranks (transport=process or tcp):
 /// one population frame per rank, then spawn local ranks or connect to
 /// daemons.  Ranks decide on a copy of the run's threshold array, refreshed
-/// by the post-epoch broadcast, so a run over policy objects is refused
-/// before forking or connecting.  The coordinator needs only the RNG split
-/// (rng_init) here — the ranks rebuild device states and re-run init_shard
-/// themselves — so nothing rank-side is initialized in this process.
+/// by the post-epoch broadcast, so a run with no threshold array (run_dpo)
+/// is refused before forking or connecting.  The coordinator needs only the
+/// RNG split (rng_init) here — the ranks rebuild device states and re-run
+/// init_shard themselves — so nothing rank-side is initialized in this
+/// process.
 template <bool WithFaults>
 SimulationResult run_framed(const SimulationOptions& options,
                             const CoordinatorContext& cc,
@@ -97,7 +98,8 @@ SimulationResult run_framed(const SimulationOptions& options,
     throw RuntimeError(
         "transport=" + kind +
         " requires per-device TRO thresholds (run_tro), but this run "
-        "dispatches policy objects (virtual policies cannot cross a " +
+        "decides on DPO offload probabilities (only threshold arrays are "
+        "shipped across a " +
         (local ? "process" : "machine") + " boundary)");
   std::vector<net::Address> addresses;
   std::size_t ranks = std::min<std::size_t>(
@@ -248,7 +250,7 @@ SimulationResult run_sharded(const std::vector<core::UserParams>& users,
                               has_fixed_gamma,
                               has_fixed_gamma ? delay(*options.fixed_gamma)
                                               : 0.0};
-  LegRunner<WithFaults, Decide> runner(ws, decide, lc, 0, shard_count,
+  LegRunner<WithFaults, Decide> runner(ws.shards, decide, lc, 0, shard_count,
                                        shard_count > 1 ? ws.pool.get()
                                                        : nullptr,
                                        nullptr);

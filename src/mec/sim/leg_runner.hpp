@@ -337,10 +337,10 @@ void init_shard(parallel::ShardContext& sc, const core::UserParams* users,
 }
 
 /// One rank's executable side: owns the shard slice [shard_lo, shard_hi)
-/// of the workspace and serves the RankWorker protocol over it.  The
-/// in-process run wraps one LegRunner covering every shard; a framed rank
-/// (net/worker.cpp) builds one for its slice (over a TroValueDecide on its
-/// copy of the run's threshold array, refreshed by set_thresholds at
+/// of the run's shard contexts and serves the RankWorker protocol over it.
+/// The in-process run wraps one LegRunner covering every shard; a framed
+/// rank (net/worker.cpp) builds one for its slice (over a TroValueDecide on
+/// its copy of the run's threshold array, refreshed by set_thresholds at
 /// epochs).
 template <bool WithFaults, class Decide>
 class LegRunner final : public parallel::RankWorker {
@@ -349,19 +349,19 @@ class LegRunner final : public parallel::RankWorker {
   /// multi-shard rank with no caller-provided pool builds its own.
   /// `threshold_mirror` is the buffer a framed rank's TroValueDecide reads
   /// (null for the in-process rank, whose provider reads the caller's
-  /// array or policy objects).
-  LegRunner(SimWorkspace::Impl& ws, Decide decide,
+  /// array).
+  LegRunner(std::vector<parallel::ShardContext>& shards, Decide decide,
             const LegContext<Decide>& lc, std::size_t shard_lo,
             std::size_t shard_hi, parallel::ThreadPool* pool,
             std::vector<double>* threshold_mirror)
-      : ws_(&ws),
+      : shards_(shards),
         decide_(decide),
         lc_(lc),
         shard_lo_(shard_lo),
         shard_hi_(shard_hi),
         pool_(pool),
         mirror_(threshold_mirror) {
-    MEC_EXPECTS(shard_lo_ < shard_hi_ && shard_hi_ <= ws_->shards.size());
+    MEC_EXPECTS(shard_lo_ < shard_hi_ && shard_hi_ <= shards_.size());
     lc_.decide = &decide_;
     if (pool_ == nullptr && shard_hi_ - shard_lo_ > 1) {
       owned_pool_ = std::make_unique<parallel::ThreadPool>(std::min(
@@ -375,17 +375,17 @@ class LegRunner final : public parallel::RankWorker {
     // The previous leg's offload log was consumed (or serialized) at the
     // last barrier; freeing it here keeps the in-process views zero-copy.
     for (std::size_t s = shard_lo_; s < shard_hi_; ++s)
-      ws_->shards[s].log.clear();
+      shards_[s].log.clear();
     const auto run_one = [&](std::size_t s) {
       if (req.want_queue_stats) {
         const auto t0 = std::chrono::steady_clock::now();
-        run_leg<WithFaults>(ws_->shards[s], lc_, req.limit, req.inclusive);
+        run_leg<WithFaults>(shards_[s], lc_, req.limit, req.inclusive);
         leg_seconds_[s - shard_lo_] =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           t0)
                 .count();
       } else {
-        run_leg<WithFaults>(ws_->shards[s], lc_, req.limit, req.inclusive);
+        run_leg<WithFaults>(shards_[s], lc_, req.limit, req.inclusive);
       }
     };
     const std::size_t owned = shard_hi_ - shard_lo_;
@@ -397,7 +397,7 @@ class LegRunner final : public parallel::RankWorker {
     }
     views_.clear();
     for (std::size_t s = shard_lo_; s < shard_hi_; ++s) {
-      const parallel::ShardContext& sc = ws_->shards[s];
+      const parallel::ShardContext& sc = shards_[s];
       parallel::ShardBarrierView v;
       v.shard = static_cast<std::uint32_t>(s);
       v.log = {sc.log.data(), sc.log.size()};
@@ -456,7 +456,7 @@ class LegRunner final : public parallel::RankWorker {
   void finalize(bool flipped) override {
     if (flipped) {
       for (std::size_t s = shard_lo_; s < shard_hi_; ++s) {
-        const parallel::ShardContext& sc = ws_->shards[s];
+        const parallel::ShardContext& sc = shards_[s];
         if (sc.flipped) continue;
         for (std::uint32_t d = sc.lo; d < sc.hi; ++d)
           lc_.devices[d].reset_measurements(lc_.warmup);
@@ -480,14 +480,14 @@ class LegRunner final : public parallel::RankWorker {
   }
 
   std::uint32_t device_lo() const override {
-    return ws_->shards[shard_lo_].lo;
+    return shards_[shard_lo_].lo;
   }
   std::uint32_t device_hi() const override {
-    return ws_->shards[shard_hi_ - 1].hi;
+    return shards_[shard_hi_ - 1].hi;
   }
 
  private:
-  SimWorkspace::Impl* ws_;
+  std::span<parallel::ShardContext> shards_;
   Decide decide_;
   LegContext<Decide> lc_;
   std::size_t shard_lo_;

@@ -4,6 +4,7 @@
 // live in their own layer headers/TUs — this file only composes them.
 #include "mec/sim/mec_simulation.hpp"
 
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -80,20 +81,6 @@ MecSimulation::MecSimulation(std::span<const core::UserParams> users,
   for (const auto& u : users_) u.check();
 }
 
-SimulationResult MecSimulation::run(
-    std::span<const std::unique_ptr<OffloadPolicy>> policies) const {
-  SimWorkspace workspace;
-  return run(policies, workspace);
-}
-
-SimulationResult MecSimulation::run(
-    std::span<const std::unique_ptr<OffloadPolicy>> policies,
-    SimWorkspace& workspace) const {
-  MEC_EXPECTS(policies.size() == users_.size());
-  for (const auto& p : policies) MEC_EXPECTS(p != nullptr);
-  return dispatch(workspace, VirtualDecide{policies.data()});
-}
-
 SimulationResult MecSimulation::run_tro(
     std::span<const double> thresholds) const {
   SimWorkspace workspace;
@@ -109,10 +96,15 @@ SimulationResult MecSimulation::run_tro(std::span<const double> thresholds,
 
 SimulationResult MecSimulation::run_dpo(std::span<const double> rhos) const {
   MEC_EXPECTS(rhos.size() == users_.size());
-  std::vector<std::unique_ptr<OffloadPolicy>> policies;
-  policies.reserve(rhos.size());
-  for (const double rho : rhos) policies.push_back(make_dpo_policy(rho));
-  return run(policies);
+  for (std::size_t d = 0; d < rhos.size(); ++d) {
+    if (rhos[d] >= 0.0 && rhos[d] <= 1.0) continue;
+    std::ostringstream os;
+    os << "run_dpo: device " << d << " has offload probability " << rhos[d]
+       << ", expected a value in [0, 1]";
+    throw ContractViolation(os.str());
+  }
+  SimWorkspace workspace;
+  return dispatch(workspace, DpoValueDecide{rhos.data()});
 }
 
 DesUtilizationSource::DesUtilizationSource(

@@ -1,12 +1,13 @@
 // Full-system discrete-event simulator of the heterogeneous MEC model.
 //
-// N devices receive Poisson task streams; an admission policy (TRO, DPO, ...)
-// routes each arrival to the local FCFS queue or to the edge.  Local service
-// times come from a pluggable sampler (exponential by default; resampled
-// measured datasets for the practical settings).  Offloaded tasks pay a
-// wireless latency sample plus the edge processing delay g(gamma), where
-// gamma is either held fixed (quasi-stationary evaluation, mirroring the
-// theory) or tracked online with an exponentially-weighted rate estimator.
+// N devices receive Poisson task streams; an admission policy (TRO or DPO,
+// one value per device) routes each arrival to the local FCFS queue or to
+// the edge.  Local service times come from a pluggable sampler (exponential
+// by default; resampled measured datasets for the practical settings).
+// Offloaded tasks pay a wireless latency sample plus the edge processing
+// delay g(gamma), where gamma is either held fixed (quasi-stationary
+// evaluation, mirroring the theory) or tracked online with an
+// exponentially-weighted rate estimator.
 //
 // The simulator is the library's ground truth: tests validate the closed
 // forms (Eq. 7-8) against it, and the practical-settings experiments use it
@@ -28,7 +29,6 @@
 #include "mec/random/rng.hpp"
 #include "mec/sim/coupling.hpp"
 #include "mec/sim/metrics.hpp"
-#include "mec/sim/policies.hpp"
 
 namespace mec::sim {
 
@@ -94,8 +94,8 @@ enum class TransportKind {
   /// (SimulationOptions::worker_addresses, one rank per address).
   kTcp,
   // Both framed kinds run run_tro only: ranks decide on a copy of the
-  // caller's threshold array, refreshed after every epoch.  run(policies)
-  // dispatches policy objects, which cannot cross a process boundary.
+  // caller's threshold array, refreshed after every epoch.  run_dpo runs
+  // in process only.
 };
 
 struct SimulationOptions {
@@ -127,11 +127,12 @@ struct SimulationOptions {
   /// Per-cluster epoch hook: invoked at every epoch instant with the
   /// per-cluster utilization estimates (one entry per topology cluster;
   /// the fixed_gamma value replicated per cluster in quasi-stationary
-  /// mode).  Controllers mutating decision state (price-driven thresholds,
-  /// cluster activation flags) must do so only here or in on_epoch — epoch
-  /// instants are shard barriers, which is what keeps the policy families
-  /// bit-identical across shard counts.  May be combined with on_epoch (it
-  /// fires after); threshold rewrites are checked as for on_epoch.
+  /// mode).  Controllers mutating decision state (thresholds driven by
+  /// prices or cluster activation) must do so only here or in on_epoch —
+  /// epoch instants are shard barriers, which is what keeps the policy
+  /// families bit-identical across shard counts.  May be combined with
+  /// on_epoch (it fires after); threshold rewrites are checked as for
+  /// on_epoch.
   std::function<void(double now, std::span<const double> cluster_gammas)>
       on_cluster_epoch;
   /// Edge-cluster layout (defaults to one cluster covering the whole
@@ -153,7 +154,7 @@ struct SimulationOptions {
   ///   - Crashes drop the device's local queue (counted in
   ///     FaultStats::tasks_lost) and stop its arrivals until a restart.
   ///   - Churn joins append devices after the initial population, in
-  ///     schedule order; policy/threshold spans must cover them (see
+  ///     schedule order; threshold/probability spans must cover them (see
   ///     total_devices()).  Departures retire an active device for good.
   std::shared_ptr<const fault::FaultSchedule> faults;
   /// Shard count for the run's device partition: an explicit value >= 1
@@ -226,32 +227,25 @@ class MecSimulation {
   /// specs describe, so an invalid spec throws here, before any rank is
   /// forked or connected.  When the options carry a fault
   /// schedule with churn, the joining users are appended to the population
-  /// at construction (in schedule order): policy/threshold spans passed to
-  /// run()/run_tro() must then have total_devices() entries.  The nominal
+  /// at construction (in schedule order): the spans passed to run_tro() and
+  /// run_dpo() must then have total_devices() entries.  The nominal
   /// edge capacity stays `initial_devices() * capacity` — churn moves load,
   /// not infrastructure.
   MecSimulation(std::span<const core::UserParams> users, double capacity,
                 core::EdgeDelay delay, SimulationOptions options = {});
 
-  /// Runs with per-device policy objects (size must match total_devices()),
-  /// one virtual call per arrival — the path for DPO, the minority game and
-  /// other non-threshold rules.  In-process only: framed transports refuse
-  /// it.
-  SimulationResult run(
-      std::span<const std::unique_ptr<OffloadPolicy>> policies) const;
-  SimulationResult run(std::span<const std::unique_ptr<OffloadPolicy>> policies,
-                       SimWorkspace& workspace) const;
-
   /// Runs the TRO policy with per-device thresholds (finite, x_n >= 0) read
-  /// straight from the caller's array on every arrival: the sealed,
-  /// non-virtual fast path, and the only TRO path.  The array must outlive
-  /// the run; epoch callbacks may rewrite its elements (never resize it),
-  /// and the next leg decides on the new values.
+  /// straight from the caller's array on every arrival.  The array must
+  /// outlive the run; epoch callbacks may rewrite its elements (never
+  /// resize it), and the next leg decides on the new values.
   SimulationResult run_tro(std::span<const double> thresholds) const;
   SimulationResult run_tro(std::span<const double> thresholds,
                            SimWorkspace& workspace) const;
 
-  /// Runs the DPO policy with per-device offload probabilities.
+  /// Runs the DPO policy with per-device offload probabilities: one
+  /// bernoulli(rho_n) per arrival.  Every rho_n must lie in [0, 1]; a
+  /// violation names the device and the value.  In-process only: framed
+  /// transports refuse it.
   SimulationResult run_dpo(std::span<const double> rhos) const;
 
   /// Initial population plus any churn users from the fault schedule.

@@ -1,9 +1,10 @@
 // Observer layer: how measurements leave the engine.
 //
-// The engine never appends to result vectors directly; it fires sampled
-// TimelinePoints into a MetricsSink at scheduled grid instants.  The grid
-// itself (ObservationGrid) is precomputed from the sample/epoch cadences
-// and doubles as the sharded engine's barrier schedule: every grid instant
+// The engine never appends to result vectors directly; it hands sampled
+// TimelinePoints to a TimelineRecorder (and, for a streamed run, to
+// obs::StreamingSink) at scheduled grid instants.  The grid itself
+// (ObservationGrid) is precomputed from the sample/epoch cadences and
+// doubles as the sharded engine's barrier schedule: every grid instant
 // is a synchronization point where shard legs stop, the gamma replay
 // catches up, and observers read a globally consistent left-limit state.
 //
@@ -21,19 +22,10 @@
 
 namespace mec::sim {
 
-/// Receives sampled trajectory points as the run crosses grid instants.
-class MetricsSink {
+/// Collects the sampled trajectory for SimulationResult.
+class TimelineRecorder {
  public:
-  virtual ~MetricsSink() = default;
-  virtual void on_sample(const TimelinePoint& point) = 0;
-};
-
-/// Default sink: collects the sampled trajectory for SimulationResult.
-class TimelineRecorder final : public MetricsSink {
- public:
-  void on_sample(const TimelinePoint& point) override {
-    points_.push_back(point);
-  }
+  void on_sample(const TimelinePoint& point) { points_.push_back(point); }
   std::vector<TimelinePoint> take() noexcept { return std::move(points_); }
 
  private:

@@ -1,24 +1,22 @@
 // Policy-dispatch layer: how the engine asks "offload this arrival?".
 //
-// Two interchangeable decision providers are instantiated into the event
-// loop as a template parameter: the sealed TRO fast path over a threshold
-// array (run_tro, and through it run_closed_loop and run_price_based,
-// whose epoch callbacks rewrite the array), and the generic virtual
-// dispatch over policy objects (DPO, the minority game).  Determinism
-// contract: the TRO rule consumes *exactly* the RNG draws the equivalent
-// OffloadPolicy::offload() would (one Bernoulli at the boundary state,
-// none elsewhere), so both providers are bit-identical for a given seed,
-// and the decision depends only on (device, queue length, device RNG) —
-// never on other devices or the edge state — which is what lets shards
-// decide independently between barriers.
+// Every run decides on one per-device value array, and the decision
+// provider is instantiated into the event loop as a template parameter:
+// TroValueDecide over a threshold array (run_tro, and through it
+// run_closed_loop, run_price_based and run_minority_game, whose epoch
+// callbacks rewrite the array), and DpoValueDecide over an offload
+// probability array (run_dpo).  Determinism contract: the TRO rule draws
+// one Bernoulli at the boundary state and none elsewhere, the DPO rule one
+// Bernoulli per arrival (none at rho = 0 or 1), and the decision depends
+// only on (device, queue length, device RNG) — never on other devices or
+// the edge state — which is what lets shards decide independently between
+// barriers.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
-#include <memory>
 
 #include "mec/random/rng.hpp"
-#include "mec/sim/policies.hpp"
 
 namespace mec::sim {
 
@@ -36,9 +34,9 @@ inline bool tro_offload(double threshold, std::uint64_t queue_length,
   return true;
 }
 
-/// Fast path for run_tro: thresholds read straight from the caller's array
-/// on every decision, no policy objects at all.  Epoch callbacks may
-/// rewrite the array between legs; a framed rank reads its own copy.
+/// TRO over the caller's threshold array, read on every decision.  Epoch
+/// callbacks may rewrite the array between legs; a framed rank reads its
+/// own copy.
 struct TroValueDecide {
   const double* thresholds;
   bool operator()(std::uint32_t device, std::uint64_t queue_length,
@@ -47,12 +45,13 @@ struct TroValueDecide {
   }
 };
 
-/// Generic path: one virtual call per arrival (DPO, custom policies).
-struct VirtualDecide {
-  const std::unique_ptr<OffloadPolicy>* policies;
-  bool operator()(std::uint32_t device, std::uint64_t queue_length,
+/// DPO over the caller's offload probabilities (rho_n in [0, 1]): offload
+/// independently of the queue, one bernoulli(rho_n) per arrival.
+struct DpoValueDecide {
+  const double* rhos;
+  bool operator()(std::uint32_t device, std::uint64_t /*queue_length*/,
                   random::Xoshiro256& rng) const {
-    return policies[device]->offload(queue_length, rng);
+    return random::bernoulli(rng, rhos[device]);
   }
 };
 

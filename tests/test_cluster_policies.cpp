@@ -10,15 +10,20 @@
 // statistics (mean attendance ~ N/2, herding at small memory, deterministic
 // trajectories), and the perturbation switch (scoring the majority instead)
 // destroys the self-organization.  The simulator driver is pinned to the
-// standalone engine: one epoch = one round, same seed, same trajectory.
+// standalone engine: one epoch = one round, same seed, same trajectory —
+// and its results to hexfloat goldens, with and without faults.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "mec/core/edge_delay.hpp"
 #include "mec/core/mfne.hpp"
+#include "mec/core/threshold_oracle.hpp"
+#include "mec/fault/fault_text.hpp"
 #include "mec/population/population.hpp"
 #include "mec/population/scenario.hpp"
 #include "mec/sim/cluster_policies.hpp"
@@ -273,6 +278,100 @@ TEST(MinorityGameDriver, EpochAttendanceMatchesStandaloneGame) {
   for (const std::size_t a : r.attendance) EXPECT_LE(a, 4u);
   EXPECT_GT(r.run.mean_cost, 0.0);
   ASSERT_EQ(r.run.cluster_utilization.size(), 4u);
+}
+
+
+// --- minority driver golden -------------------------------------------------
+
+/// A 400-device, 4-cluster minority run, optionally under a schedule with a
+/// brown-out, an outage, a per-cluster capacity step, churn and a
+/// crash/restart, all inside the horizon.
+sim::MinorityGameRunResult golden_minority_run(bool with_faults,
+                                               std::size_t shards) {
+  const auto cfg = population::theoretical_scenario(
+      population::LoadRegime::kAtService, 400);
+  const auto pop = population::sample_population(cfg, 19);
+  const core::MfneResult mfne =
+      core::solve_mfne(pop.users, cfg.delay, cfg.capacity);
+
+  sim::MinorityGameRunOptions mo;
+  mo.game.seed = 77;
+  mo.thresholds.assign(mfne.thresholds.begin(), mfne.thresholds.end());
+  mo.update_period = 5.0;
+  mo.warmup = 2.0;
+  mo.horizon = 80.0;
+  mo.seed = 77;
+  mo.topology.clusters = 4;
+  mo.shards = shards;
+  mo.record_timeline = false;
+  if (with_faults) {
+    const auto schedule = std::make_shared<const fault::FaultSchedule>(
+        fault::parse_fault_schedule("capacity 20 0.6\n"
+                                    "outage 25 30 reject\n"
+                                    "capacity 35 1.0 cluster 1\n"
+                                    "churn 5 70 2 1 7\n"
+                                    "crash 15 10\n"
+                                    "restart 40 10\n",
+                                    &cfg));
+    // Joiners best-respond to the equilibrium edge delay.
+    const double delay_star = cfg.delay(mfne.gamma_star);
+    for (const core::UserParams& u : schedule->churn_users())
+      mo.thresholds.push_back(
+          static_cast<double>(core::best_threshold(u, delay_star)));
+    mo.faults = schedule;
+  }
+  return sim::run_minority_game(pop.users, cfg.capacity, cfg.delay, mo);
+}
+
+// Captured when inactive clusters' devices decided through gated policy
+// objects that skipped the TRO rule.  Their 2^63 threshold in the run_tro
+// array must reproduce every draw and result bit for bit, at one and at
+// four shards.
+TEST(MinorityGameDriver, RunMatchesGoldenAtEveryShardCountAndUnderFaults) {
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("fault-free, shards = " + std::to_string(shards));
+    const sim::SimulationResult r = golden_minority_run(false, shards).run;
+    EXPECT_EQ(r.total_events, 185632u);
+    EXPECT_EQ(r.measured_utilization, 0x1.c99ce075f6fd2p-4);
+    EXPECT_EQ(r.mean_cost, 0x1.f47708574eba5p+1);
+    const sim::DeviceStats& d = r.devices[10];
+    EXPECT_EQ(d.arrivals, 221u);
+    EXPECT_EQ(d.offloaded, 32u);
+    EXPECT_EQ(d.local_completed, 189u);
+    EXPECT_EQ(d.mean_queue_length, 0x1.3625c0383b7abp+1);
+    EXPECT_EQ(d.offload_fraction, 0x1.288b01288b013p-3);
+    EXPECT_EQ(d.mean_local_sojourn, 0x1.068f06f55c57bp+0);
+    EXPECT_EQ(d.mean_offload_delay, 0x1.a1fe8eed0e62cp+0);
+    EXPECT_EQ(d.energy_per_task, 0x1.6cbcda5377c9p-1);
+    EXPECT_EQ(d.empirical_cost, 0x1.d438268f1194p+0);
+    ASSERT_EQ(r.cluster_utilization.size(), 4u);
+    EXPECT_EQ(r.cluster_utilization[0], 0x1.cc226809d4952p-4);
+    EXPECT_EQ(r.cluster_utilization[1], 0x1.116872b020c4ap-3);
+    EXPECT_EQ(r.cluster_utilization[2], 0x1.4902de00d1b71p-4);
+    EXPECT_EQ(r.cluster_utilization[3], 0x1.ee7d566cf41f2p-4);
+  }
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("faults, shards = " + std::to_string(shards));
+    const sim::SimulationResult r = golden_minority_run(true, shards).run;
+    EXPECT_EQ(r.total_events, 208335u);
+    EXPECT_EQ(r.measured_utilization, 0x1.6b6180aaf6a68p-3);
+    EXPECT_EQ(r.mean_cost, 0x1.bbf46f3cd01a4p+1);
+    const sim::DeviceStats& d = r.devices[10];  // crashes at 15, back at 40
+    EXPECT_EQ(d.arrivals, 150u);
+    EXPECT_EQ(d.offloaded, 24u);
+    EXPECT_EQ(d.local_completed, 124u);
+    EXPECT_EQ(d.mean_queue_length, 0x1.bd4f409040e4p+0);
+    EXPECT_EQ(d.offload_fraction, 0x1.47ae147ae147bp-3);
+    EXPECT_EQ(d.mean_local_sojourn, 0x1.1d180785e279bp+0);
+    EXPECT_EQ(d.mean_offload_delay, 0x1.96c75a0ccb5ebp+0);
+    EXPECT_EQ(d.energy_per_task, 0x1.69a9731cc7da1p-1);
+    EXPECT_EQ(d.empirical_cost, 0x1.97ad656f51b32p+0);
+    ASSERT_EQ(r.cluster_utilization.size(), 4u);
+    EXPECT_EQ(r.cluster_utilization[0], 0x1.63f388ae8674ap-3);
+    EXPECT_EQ(r.cluster_utilization[1], 0x1.b9525d7ee30f9p-3);
+    EXPECT_EQ(r.cluster_utilization[2], 0x1.0bdf59c91700cp-3);
+    EXPECT_EQ(r.cluster_utilization[3], 0x1.8460c2b55a151p-3);
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "mec/queueing/threshold_queue.hpp"
 #include "mec/random/empirical_data.hpp"
 #include "mec/sim/des.hpp"
+#include "mec/sim/policy_dispatch.hpp"
 
 namespace mec::sim {
 namespace {
@@ -64,50 +65,76 @@ TEST(EventQueueTest, RejectsNonFiniteTimes) {
 
 TEST(Policies, TroDecidesByQueueLength) {
   random::Xoshiro256 rng(1);
-  const auto policy = make_tro_policy(2.0);  // integer threshold
-  EXPECT_FALSE(policy->offload(0, rng));
-  EXPECT_FALSE(policy->offload(1, rng));
-  EXPECT_TRUE(policy->offload(2, rng));  // frac = 0 => always offload at 2
-  EXPECT_TRUE(policy->offload(5, rng));
+  const double x = 2.0;  // integer threshold
+  EXPECT_FALSE(tro_offload(x, 0, rng));
+  EXPECT_FALSE(tro_offload(x, 1, rng));
+  EXPECT_TRUE(tro_offload(x, 2, rng));  // frac = 0 => always offload at 2
+  EXPECT_TRUE(tro_offload(x, 5, rng));
 }
 
 TEST(Policies, TroRandomizesAtTheBoundaryState) {
   random::Xoshiro256 rng(2);
-  const auto policy = make_tro_policy(2.25);  // local w.p. 0.25 at q=2
+  const double x = 2.25;  // local w.p. 0.25 at q=2
   int offloads = 0;
   const int trials = 40000;
-  for (int i = 0; i < trials; ++i) offloads += policy->offload(2, rng);
+  for (int i = 0; i < trials; ++i) offloads += tro_offload(x, 2, rng);
   EXPECT_NEAR(static_cast<double>(offloads) / trials, 0.75, 0.01);
-  EXPECT_FALSE(policy->offload(1, rng));
-  EXPECT_TRUE(policy->offload(3, rng));
+  EXPECT_FALSE(tro_offload(x, 1, rng));
+  EXPECT_TRUE(tro_offload(x, 3, rng));
 }
 
 TEST(Policies, DpoIgnoresQueueLength) {
   random::Xoshiro256 rng(3);
-  const auto policy = make_dpo_policy(0.4);
+  const double rhos[] = {0.4};
+  const DpoValueDecide decide{rhos};
   int offloads = 0;
   const int trials = 40000;
   for (int i = 0; i < trials; ++i)
-    offloads += policy->offload(static_cast<std::uint64_t>(i % 7), rng);
+    offloads += decide(0, static_cast<std::uint64_t>(i % 7), rng);
   EXPECT_NEAR(static_cast<double>(offloads) / trials, 0.4, 0.01);
 }
 
 TEST(Policies, DegenerateAndDescriptions) {
+  // rho = 0 is local-only and rho = 1 offload-all; neither draws, and
+  // neither does x = 0 at an empty queue (the boundary state, whose local
+  // probability is 0).
   random::Xoshiro256 rng(4);
-  EXPECT_FALSE(make_local_only_policy()->offload(100, rng));
-  EXPECT_TRUE(make_offload_all_policy()->offload(0, rng));
-  EXPECT_NE(make_tro_policy(2.5)->describe().find("2.5"), std::string::npos);
-  EXPECT_THROW(make_tro_policy(-1.0), ContractViolation);
-  EXPECT_THROW(make_dpo_policy(1.5), ContractViolation);
+  const auto before = rng.state();
+  const double rhos[] = {0.0, 1.0};
+  const DpoValueDecide decide{rhos};
+  EXPECT_FALSE(decide(0, 100, rng));
+  EXPECT_TRUE(decide(1, 0, rng));
+  EXPECT_TRUE(tro_offload(0.0, 0, rng));
+  EXPECT_EQ(rng.state(), before);
+
+  // Out-of-range inputs are refused up front, naming the device and value.
+  const auto users = homogeneous(3, 1.0, 2.0);
+  MecSimulation sim(users, 10.0, core::make_reciprocal_delay());
+  std::string what;
+  try {
+    sim.run_tro(std::vector<double>{0.0, -1.0, 2.5});
+  } catch (const ContractViolation& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("run_tro: device 1 has threshold -1"), std::string::npos)
+      << what;
+  what.clear();
+  try {
+    sim.run_dpo(std::vector<double>{0.5, 0.5, 1.5});
+  } catch (const ContractViolation& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("run_dpo: device 2 has offload probability 1.5, "
+                      "expected a value in [0, 1]"),
+            std::string::npos)
+      << what;
 }
 
 TEST(Des, LocalOnlyReproducesMm1MeanQueue) {
   const auto users = homogeneous(200, 1.0, 2.0);
   MecSimulation sim(users, 10.0, core::make_reciprocal_delay(), long_run());
-  std::vector<std::unique_ptr<OffloadPolicy>> policies;
-  for (std::size_t i = 0; i < users.size(); ++i)
-    policies.push_back(make_local_only_policy());
-  const SimulationResult r = sim.run(policies);
+  const SimulationResult r =
+      sim.run_dpo(std::vector<double>(users.size(), 0.0));  // local-only
   const auto mm1 = queueing::mm1_metrics(1.0, 2.0);
   EXPECT_NEAR(r.mean_queue_length, mm1.mean_in_system, 0.03);
   EXPECT_DOUBLE_EQ(r.measured_utilization, 0.0);
@@ -121,10 +148,8 @@ TEST(Des, LocalOnlyReproducesMm1MeanQueue) {
 TEST(Des, OffloadAllMatchesOfferedLoadOverCapacity) {
   const auto users = homogeneous(200, 2.0, 1.0);
   MecSimulation sim(users, 10.0, core::make_reciprocal_delay(), long_run());
-  std::vector<std::unique_ptr<OffloadPolicy>> policies;
-  for (std::size_t i = 0; i < users.size(); ++i)
-    policies.push_back(make_offload_all_policy());
-  const SimulationResult r = sim.run(policies);
+  const SimulationResult r =
+      sim.run_dpo(std::vector<double>(users.size(), 1.0));  // offload-all
   EXPECT_NEAR(r.measured_utilization, 2.0 / 10.0, 0.01);
   EXPECT_DOUBLE_EQ(r.mean_offload_fraction, 1.0);
   EXPECT_NEAR(r.mean_queue_length, 0.0, 1e-12);
@@ -307,10 +332,8 @@ TEST(Des, SojournPercentilesMatchMm1Theory) {
   // p95 = ln20/(mu-lambda), p99 = ln100/(mu-lambda).
   const auto users = homogeneous(300, 1.0, 2.0);
   MecSimulation sim(users, 10.0, core::make_reciprocal_delay(), long_run(21));
-  std::vector<std::unique_ptr<OffloadPolicy>> policies;
-  for (std::size_t i = 0; i < users.size(); ++i)
-    policies.push_back(make_local_only_policy());
-  const SimulationResult r = sim.run(policies);
+  const SimulationResult r =
+      sim.run_dpo(std::vector<double>(users.size(), 0.0));  // local-only
   const double rate = 2.0 - 1.0;
   EXPECT_GT(r.local_sojourn_percentiles.count(), 100000u);
   EXPECT_NEAR(r.local_sojourn_percentiles.p50(), std::log(2.0) / rate, 0.03);
@@ -382,10 +405,8 @@ TEST(Des, WarmupSojournsAreClippedToTheMeasurementWindow) {
   o.seed = 99;
   o.fixed_gamma = 0.2;
   MecSimulation sim(users, 10.0, core::make_reciprocal_delay(), o);
-  std::vector<std::unique_ptr<OffloadPolicy>> policies;
-  for (std::size_t i = 0; i < users.size(); ++i)
-    policies.push_back(make_local_only_policy());
-  const SimulationResult r = sim.run(policies);
+  const SimulationResult r =
+      sim.run_dpo(std::vector<double>(users.size(), 0.0));  // local-only
   const double sojourn = r.device_mean(
       [](const DeviceStats& d) { return d.mean_local_sojourn; });
   EXPECT_GT(sojourn, 0.0);
@@ -401,10 +422,8 @@ TEST(Des, WarmupClipDoesNotDisturbSteadyStateMeasurements) {
   SimulationOptions o = long_run();
   o.warmup = 200.0;
   MecSimulation sim(users, 10.0, core::make_reciprocal_delay(), o);
-  std::vector<std::unique_ptr<OffloadPolicy>> policies;
-  for (std::size_t i = 0; i < users.size(); ++i)
-    policies.push_back(make_local_only_policy());
-  const SimulationResult r = sim.run(policies);
+  const SimulationResult r =
+      sim.run_dpo(std::vector<double>(users.size(), 0.0));  // local-only
   const double sojourn = r.device_mean(
       [](const DeviceStats& d) { return d.mean_local_sojourn; });
   EXPECT_NEAR(sojourn, queueing::mm1_metrics(1.0, 2.0).mean_sojourn, 0.05);

@@ -11,9 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <span>
 #include <string>
@@ -155,6 +153,8 @@ TEST(GoldenTrace, OnlineEwmaGammaHomogeneousFractionalThreshold) {
   EXPECT_EQ(d7.empirical_cost, 0x1.93c78f57e91e3p+0);
 }
 
+// Captured when DPO ran through virtual policy objects; run_dpo's
+// DpoValueDecide must draw the same sequence.
 TEST(GoldenTrace, DpoPoliciesOnTheGenericVirtualPath) {
   const auto users = golden_users(40);
   SimulationOptions o;
@@ -183,58 +183,13 @@ TEST(GoldenTrace, DpoPoliciesOnTheGenericVirtualPath) {
   EXPECT_EQ(d7.empirical_cost, 0x1.b332232937deap+0);
 }
 
-// A test-local TRO policy that reads its device's entry of a shared array
-// on every decision, with its own copy of the Section II rule: the virtual
-// path as an independent reader of the array run_tro decides on.
-class ArrayTroPolicy final : public OffloadPolicy {
- public:
-  ArrayTroPolicy(const std::vector<double>& xs, std::size_t device)
-      : xs_(&xs), device_(device) {}
-  bool offload(std::uint64_t queue_length,
-               random::Xoshiro256& rng) const override {
-    const double x = (*xs_)[device_];
-    const auto floor_x = static_cast<std::uint64_t>(std::floor(x));
-    if (queue_length != floor_x) return queue_length > floor_x;
-    return !random::bernoulli(rng, x - std::floor(x));
-  }
-  std::string describe() const override { return "array-tro"; }
-
- private:
-  const std::vector<double>* xs_;
-  std::size_t device_;
-};
-
-TEST(FastPathEquivalence, SealedTroPathMatchesGenericDispatchBitForBit) {
-  // run(policies) dispatches every arrival through OffloadPolicy::offload;
-  // run_tro promises to draw exactly the RNG sequence that call draws.
-  const auto users = golden_users(40);
-  const auto xs = scenario_a_thresholds(users.size());
-  MecSimulation s(users, 8.0, core::make_reciprocal_delay(),
-                  scenario_a_options());
-  std::vector<std::unique_ptr<OffloadPolicy>> readers;
-  for (std::size_t n = 0; n < users.size(); ++n)
-    readers.push_back(std::make_unique<ArrayTroPolicy>(xs, n));
-  expect_bitwise_equal(s.run_tro(xs), s.run(readers));
-}
-
-TEST(FastPathEquivalence, PolicyObjectsExposingThresholdsMatchRunTro) {
-  // make_tro_policy objects each hold one threshold and decide on the
-  // virtual path; they must agree with the policy-free run_tro entry point.
-  const auto users = golden_users(40);
-  const auto xs = scenario_a_thresholds(users.size());
-  MecSimulation s(users, 8.0, core::make_reciprocal_delay(),
-                  scenario_a_options());
-  std::vector<std::unique_ptr<OffloadPolicy>> policies;
-  for (const double x : xs) policies.push_back(make_tro_policy(x));
-  expect_bitwise_equal(s.run_tro(xs), s.run(policies));
-}
-
 TEST(FastPathEquivalence, EpochRewrittenArrayMatchesAVirtualReaderBitForBit) {
   // Both epoch hooks rewrite the array the run decides on: on_epoch from
   // the scalar gamma, on_cluster_epoch (after it) from each device's
-  // cluster gamma.  run_tro reads the array on its sealed path; run()
-  // reads it through ArrayTroPolicy.  Fractional values keep the boundary
-  // Bernoulli draw in play.
+  // cluster gamma.  The in-process rank reads the array itself; forked
+  // ranks (transport=process, one per shard) decide on the copies the
+  // coordinator broadcasts after every epoch.  Fractional values keep the
+  // boundary Bernoulli draw in play.
   const auto users = golden_users(40);
   std::vector<double> xs;
   std::size_t epochs = 0;
@@ -254,20 +209,21 @@ TEST(FastPathEquivalence, EpochRewrittenArrayMatchesAVirtualReaderBitForBit) {
   for (const std::size_t k : {1u, 4u}) {
     SCOPED_TRACE("shards = " + std::to_string(k));
     o.shards = k;
-    MecSimulation s(users, 8.0, core::make_reciprocal_delay(), o);
+    o.transport = TransportKind::kInProcess;
+    MecSimulation inproc(users, 8.0, core::make_reciprocal_delay(), o);
     xs = scenario_a_thresholds(users.size());
     epochs = 0;
-    const SimulationResult sealed = s.run_tro(xs);
-    const std::vector<double> sealed_final = xs;
+    const SimulationResult direct = inproc.run_tro(xs);
+    const std::vector<double> direct_final = xs;
     ASSERT_GT(epochs, 10u);
 
+    o.transport = TransportKind::kProcess;
+    o.workers = k;
+    MecSimulation forked(users, 8.0, core::make_reciprocal_delay(), o);
     xs = scenario_a_thresholds(users.size());
     epochs = 0;
-    std::vector<std::unique_ptr<OffloadPolicy>> readers;
-    for (std::size_t n = 0; n < users.size(); ++n)
-      readers.push_back(std::make_unique<ArrayTroPolicy>(xs, n));
-    expect_bitwise_equal(sealed, s.run(readers));
-    EXPECT_EQ(sealed_final, xs);
+    expect_bitwise_equal(direct, forked.run_tro(xs));
+    EXPECT_EQ(direct_final, xs);
   }
 }
 

@@ -50,7 +50,6 @@
 #include "mec/random/rng.hpp"
 #include "mec/sim/closed_loop.hpp"
 #include "mec/sim/mec_simulation.hpp"
-#include "mec/sim/policies.hpp"
 #include "mec/stats/latency_sketch.hpp"
 
 namespace mec {
@@ -721,21 +720,18 @@ TEST(TransportTimeout, EnvOverrideAndFallbackResolve) {
 
 // --- refusals --------------------------------------------------------------
 
-/// Framed ranks decide on a copy of a threshold array; a run over policy
-/// objects (here DPO) has none, so it must be refused up front — before
-/// any fork or connect — not fail mid-run or silently diverge.
+/// Framed ranks decide on a copy of a threshold array; a DPO run has none,
+/// so it must be refused up front — before any fork or connect — not fail
+/// mid-run or silently diverge.
 void expect_non_tro_refused(TransportKind kind) {
   const auto users = mixed_users(8);
   sim::SimulationOptions o = hooked_run_options();
   o.transport = kind;
   if (kind == TransportKind::kTcp) o.worker_addresses = {"127.0.0.1:9"};
   sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
-  std::vector<std::unique_ptr<sim::OffloadPolicy>> policies;
-  for (std::size_t i = 0; i < users.size(); ++i)
-    policies.push_back(sim::make_dpo_policy(0.5));
   const bool local = kind == TransportKind::kProcess;
   try {
-    des.run(policies);
+    des.run_dpo(std::vector<double>(users.size(), 0.5));
     FAIL() << "non-TRO policies must be rejected under framed transports";
   } catch (const RuntimeError& e) {
     const std::string what = e.what();

@@ -110,6 +110,8 @@ multi-cluster edge (simulate):
                                  dual ascent toward --gamma-target;
                                  minority = minority-game server activation
   --gamma-target=<g> --update-period=<s>   price/minority controls
+  a --config file's `clusters` and `cluster_shares` keys apply to simulate
+  and closedloop alike
 
 fault injection (simulate, closedloop):
   --fault-schedule=<file.fault>  deterministic fault/churn schedule
@@ -577,6 +579,7 @@ int cmd_closedloop(const io::Args& args) {
       core::solve_mfne(pop.users, cfg.delay, cfg.capacity).gamma_star;
 
   sim::ClosedLoopOptions opt;
+  opt.topology = build_topology(args, cfg);
   opt.update_period = args.get_double("period", opt.update_period);
   opt.horizon = args.get_double("horizon", opt.horizon);
   opt.eta0 = args.get_double("eta0", opt.eta0);
