@@ -83,13 +83,14 @@ int run(mec::bench::Context& ctx) {
 
   std::vector<Arm> arms;
 
+  sim::SimulationOptions so;
+  so.warmup = warmup;
+  so.horizon = horizon;
+  so.seed = seed;
+  so.shards = shards;
+  so.topology = topology;
+
   {
-    sim::SimulationOptions so;
-    so.warmup = warmup;
-    so.horizon = horizon;
-    so.seed = seed;
-    so.shards = shards;
-    so.topology = topology;
     const sim::MecSimulation sim(pop.users, cfg.capacity, cfg.delay, so);
     const sim::SimulationResult r = sim.run_tro(xs);
     arms.push_back({"tro", r.mean_cost, r.measured_utilization,
@@ -97,7 +98,7 @@ int run(mec::bench::Context& ctx) {
                     "MFNE thresholds, static"});
   }
   {
-    sim::ClosedLoopOptions co;
+    sim::ClosedLoopOptions co;  // measures from time 0: no warm-up
     co.update_period = update_period;
     co.horizon = horizon;
     co.seed = seed;
@@ -111,15 +112,9 @@ int run(mec::bench::Context& ctx) {
                                        : "Algorithm 1, not settled"});
   }
   {
-    sim::PriceBasedOptions po;
+    sim::PriceBasedOptions po{so};
     po.gamma_target = mfne.gamma_star;
     po.update_period = update_period;
-    po.warmup = warmup;
-    po.horizon = horizon;
-    po.seed = seed;
-    po.topology = topology;
-    po.shards = shards;
-    po.record_timeline = false;
     const sim::PriceBasedResult r =
         sim::run_price_based(pop.users, cfg.capacity, cfg.delay, po);
     std::string note = "final prices:";
@@ -130,16 +125,10 @@ int run(mec::bench::Context& ctx) {
                     note});
   }
   {
-    sim::MinorityGameRunOptions mo;
+    sim::MinorityGameRunOptions mo{so};
     mo.game.seed = seed;
     mo.thresholds = xs;
     mo.update_period = update_period;
-    mo.warmup = warmup;
-    mo.horizon = horizon;
-    mo.seed = seed;
-    mo.topology = topology;
-    mo.shards = shards;
-    mo.record_timeline = false;
     const sim::MinorityGameRunResult r =
         sim::run_minority_game(pop.users, cfg.capacity, cfg.delay, mo);
     arms.push_back({"minority", r.run.mean_cost, r.run.measured_utilization,

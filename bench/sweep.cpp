@@ -454,44 +454,6 @@ void run_cell(const SweepSpec& spec, const SweepCell& cell,
       }
   }
 
-  if (policy.token.kind == PolicyKind::kPrice) {
-    sim::PriceBasedOptions po;
-    po.gamma_target = policy.gamma_star;
-    po.update_period = spec.window;  // epochs ride the sample barriers
-    po.warmup = spec.warmup;
-    po.horizon = spec.horizon;
-    po.seed = cell.seed;
-    po.topology = topology;
-    po.faults = faults;
-    po.shards = cell.shard_count;
-    po.sample_interval = spec.window;
-    po.stream_log = cell.path;
-    po.stream_counters = false;
-    po.record_timeline = false;
-    (void)sim::run_price_based(sc.pop.users, sc.config.capacity,
-                               sc.config.delay, po);
-    return;
-  }
-  if (policy.token.kind == PolicyKind::kMinority) {
-    sim::MinorityGameRunOptions mo;
-    mo.game.seed = cell.seed;
-    mo.thresholds = std::move(values);
-    mo.update_period = spec.window;
-    mo.warmup = spec.warmup;
-    mo.horizon = spec.horizon;
-    mo.seed = cell.seed;
-    mo.topology = topology;
-    mo.faults = faults;
-    mo.shards = cell.shard_count;
-    mo.sample_interval = spec.window;
-    mo.stream_log = cell.path;
-    mo.stream_counters = false;
-    mo.record_timeline = false;
-    (void)sim::run_minority_game(sc.pop.users, sc.config.capacity,
-                                 sc.config.delay, mo);
-    return;
-  }
-
   sim::SimulationOptions so;
   so.warmup = spec.warmup;
   so.horizon = spec.horizon;
@@ -505,8 +467,26 @@ void run_cell(const SweepSpec& spec, const SweepCell& cell,
   so.record_timeline = false;
   so.faults = faults;
   so.topology = topology;
-  if (policy.quasi_stationary) so.fixed_gamma = policy.gamma_star;
 
+  if (policy.token.kind == PolicyKind::kPrice) {
+    sim::PriceBasedOptions po{so};
+    po.gamma_target = policy.gamma_star;
+    po.update_period = spec.window;  // epochs ride the sample barriers
+    (void)sim::run_price_based(sc.pop.users, sc.config.capacity,
+                               sc.config.delay, po);
+    return;
+  }
+  if (policy.token.kind == PolicyKind::kMinority) {
+    sim::MinorityGameRunOptions mo{so};
+    mo.game.seed = cell.seed;
+    mo.thresholds = std::move(values);
+    mo.update_period = spec.window;
+    (void)sim::run_minority_game(sc.pop.users, sc.config.capacity,
+                                 sc.config.delay, mo);
+    return;
+  }
+
+  if (policy.quasi_stationary) so.fixed_gamma = policy.gamma_star;
   const sim::MecSimulation sim(sc.pop.users, sc.config.capacity,
                                sc.config.delay, so);
   if (policy.token.kind == PolicyKind::kDpo)

@@ -10,6 +10,7 @@
 // configuration files) throw mec::RuntimeError instead.
 #pragma once
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -33,6 +34,17 @@ namespace detail {
                                    std::string_view file, int line,
                                    std::string_view message);
 }  // namespace detail
+
+/// Checks one field of a run's options.  Unless `ok`, throws
+/// ContractViolation naming the run, the field, the value received and the
+/// accepted range: "run_closed_loop: update_period is 0, expected a value
+/// > 0".  The string overload takes a value that is not a number ("set").
+void check_option(bool ok, std::string_view run, std::string_view field,
+                  double value, std::string_view expected);
+void check_option(bool ok, std::string_view run, std::string_view field,
+                  std::size_t value, std::string_view expected);
+void check_option(bool ok, std::string_view run, std::string_view field,
+                  std::string_view value, std::string_view expected);
 
 }  // namespace mec
 

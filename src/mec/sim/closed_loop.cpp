@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 #include <utility>
 
 #include "mec/common/error.hpp"
@@ -12,26 +13,26 @@ namespace mec::sim {
 ClosedLoopResult run_closed_loop(std::span<const core::UserParams> users,
                                  double capacity, const core::EdgeDelay& delay,
                                  const ClosedLoopOptions& options) {
-  MEC_EXPECTS(!users.empty());
-  MEC_EXPECTS(capacity > 0.0);
-  MEC_EXPECTS(delay.valid());
-  MEC_EXPECTS(options.update_period > 0.0);
-  MEC_EXPECTS(options.horizon > options.update_period);
-  MEC_EXPECTS(options.eta0 > 0.0 && options.eta0 <= 1.0);
-  MEC_EXPECTS(options.epsilon > 0.0 && options.epsilon < 1.0);
-  MEC_EXPECTS(options.drift_margin > 0.0);
+  constexpr std::string_view kRun = "run_closed_loop";
+  check_driver_options(options, options.update_period, kRun,
+                       /*steers_on_gamma=*/true);
+  check_option(options.warmup == 0.0, kRun, "warmup", options.warmup,
+               "0 (the whole closed-loop run is the measurement)");
+  check_option(options.horizon > options.update_period, kRun, "horizon",
+               options.horizon, "a value > update_period");
+  check_option(options.eta0 > 0.0 && options.eta0 <= 1.0, kRun, "eta0",
+               options.eta0, "a value in (0, 1]");
+  check_option(options.epsilon > 0.0 && options.epsilon < 1.0, kRun, "epsilon",
+               options.epsilon, "a value in (0, 1)");
+  check_option(options.drift_margin > 0.0, kRun, "drift_margin",
+               options.drift_margin, "a value > 0");
 
-  // With churn, joining devices are appended to the population in schedule
-  // order (mirroring MecSimulation's constructor) and get their own threshold.
-  std::vector<core::UserParams> all_users(users.begin(), users.end());
-  if (options.faults && !options.faults->empty()) {
-    const std::vector<core::UserParams> joiners = options.faults->churn_users();
-    all_users.insert(all_users.end(), joiners.begin(), joiners.end());
-  }
-
-  // Devices start at threshold 0 (offload everything), as in Algorithm 1.
-  // The simulation decides on this array; the epoch callback rewrites it.
-  std::vector<double> thresholds(all_users.size(), 0.0);
+  // The population (churn joiners included) and the threshold array the
+  // simulation decides on; both are bound once the simulation is built.
+  // Devices start at threshold 0 (offload everything), as in Algorithm 1,
+  // and the epoch callback rewrites the array.
+  std::span<const core::UserParams> population;
+  std::vector<double> thresholds;
 
   // Algorithm 1 state, updated by the epoch callback.
   struct LoopState {
@@ -46,24 +47,8 @@ ClosedLoopResult run_closed_loop(std::span<const core::UserParams> users,
 
   ClosedLoopResult result;
 
-  SimulationOptions sim_options;
-  sim_options.warmup = 0.0;  // the whole run *is* the experiment
-  sim_options.horizon = options.horizon;
-  sim_options.seed = options.seed;
-  sim_options.service = options.service;
-  sim_options.latency = options.latency;
-  sim_options.utilization_ewma_tau = options.utilization_ewma_tau;
+  SimulationOptions sim_options = options;
   sim_options.epoch_period = options.update_period;
-  sim_options.faults = options.faults;
-  sim_options.shards = options.shards;
-  sim_options.transport = options.transport;
-  sim_options.workers = options.workers;
-  sim_options.worker_addresses = options.worker_addresses;
-  sim_options.topology = options.topology;
-  sim_options.sample_interval = options.sample_interval;
-  sim_options.stream_log = options.stream_log;
-  sim_options.stream_counters = options.stream_counters;
-  sim_options.record_timeline = options.record_timeline;
   sim_options.on_epoch = [&](double now, double gamma_measured) {
     ++state.t;
     if (state.settled && options.resume_on_drift &&
@@ -92,10 +77,10 @@ ClosedLoopResult run_closed_loop(std::span<const core::UserParams> users,
       ghat = std::clamp(state.ghat_prev + step, 0.0, 1.0);
 
       const double g_value = delay(ghat);
-      for (std::size_t n = 0; n < all_users.size(); ++n) {
+      for (std::size_t n = 0; n < population.size(); ++n) {
         if (options.update_gate && !options.update_gate(n, state.t)) continue;
         thresholds[n] =
-            static_cast<double>(core::best_threshold(all_users[n], g_value));
+            static_cast<double>(core::best_threshold(population[n], g_value));
       }
       if (state.t >= 2 &&
           std::abs(ghat - state.ghat_prev2) <= options.oscillation_tol) {
@@ -113,7 +98,10 @@ ClosedLoopResult run_closed_loop(std::span<const core::UserParams> users,
         ClosedLoopEpoch{now, gamma_measured, ghat, state.eta, mean_x});
   };
 
-  MecSimulation simulation(users, capacity, delay, std::move(sim_options));
+  const MecSimulation simulation(users, capacity, delay,
+                                 std::move(sim_options));
+  population = simulation.users();
+  thresholds.assign(population.size(), 0.0);
   result.run = simulation.run_tro(thresholds);
 
   result.thresholds = std::move(thresholds);

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "mec/core/dtu.hpp"
@@ -26,21 +25,31 @@
 
 namespace mec::sim {
 
-struct ClosedLoopOptions {
-  double update_period = 5.0;   ///< seconds between broadcast epochs, > 0
-  double horizon = 400.0;       ///< total simulated seconds, > 0
-  double eta0 = 0.1;            ///< Algorithm 1 step, (0, 1]
-  double epsilon = 0.01;        ///< Algorithm 1 accuracy, (0, 1)
+/// A closed-loop run: the simulation it runs plus Algorithm 1's parameters.
+/// Every SimulationOptions field applies as in any run — shards,
+/// transports, topology, faults, streaming — except three that
+/// run_closed_loop refuses by name:
+///   - warmup must stay 0, because the whole run is the measurement;
+///   - fixed_gamma must stay unset, because the loop steers on measured
+///     utilization;
+///   - epoch_period, on_epoch and on_cluster_epoch belong to the driver.
+/// Thresholds change only at epoch barriers, so the loop is bit-identical
+/// for every shard count and transport.  With churn, joining devices get
+/// their own threshold (0 until the first post-join broadcast), like any
+/// late joiner in Algorithm 1.  With several clusters, Algorithm 1 keeps
+/// broadcasting the aggregate utilization; the per-cluster gamma
+/// trajectories still land in the telemetry stream.
+struct ClosedLoopOptions : SimulationOptions {
+  ClosedLoopOptions() {
+    warmup = 0.0;
+    horizon = 400.0;
+  }
+
+  double update_period = 5.0;  ///< seconds between broadcast epochs, > 0
+  double eta0 = 0.1;           ///< Algorithm 1 step, (0, 1]
+  double epsilon = 0.01;       ///< Algorithm 1 accuracy, (0, 1)
   double oscillation_tol = 1e-12;
-  std::uint64_t seed = 1;
-  core::UpdateGate update_gate;   ///< null => every device updates
-  SamplerSpec service;            ///< forwarded to SimulationOptions
-  SamplerSpec latency;            ///< forwarded to SimulationOptions
-  double utilization_ewma_tau = 10.0;
-  /// Optional fault/churn schedule forwarded to the simulator.  With churn,
-  /// joining devices get their own threshold slot (0 until the first
-  /// post-join broadcast), like any late joiner in Algorithm 1.
-  std::shared_ptr<const fault::FaultSchedule> faults;
+  core::UpdateGate update_gate;  ///< null => every device updates
   /// Algorithm 1 freezes thresholds once |ghat_t - ghat_{t-1}| <= epsilon —
   /// correct in a stationary environment, blind in a faulty one.  With
   /// resume_on_drift, a settled loop whose *measured* utilization strays
@@ -50,30 +59,6 @@ struct ClosedLoopOptions {
   /// exact stopping rule.
   bool resume_on_drift = false;
   double drift_margin = 0.05;
-  /// Shard count forwarded to SimulationOptions::shards (0 = explicit
-  /// MEC_SHARDS, else autotuned).  Thresholds mutate only at epoch
-  /// barriers, so the closed loop is bit-identical for every shard count.
-  std::size_t shards = 0;
-  /// Transport + worker count forwarded to SimulationOptions.  The loop
-  /// runs run_tro over its threshold array, so framed ranks get each
-  /// epoch's thresholds through the post-epoch broadcast.
-  TransportKind transport = TransportKind::kInProcess;
-  std::size_t workers = 0;
-  /// host:port per rank, forwarded to SimulationOptions (tcp only).
-  std::vector<std::string> worker_addresses;
-  /// Edge cluster topology forwarded to the simulator.  Algorithm 1 keeps
-  /// broadcasting the scalar aggregate utilization; the per-cluster gamma
-  /// trajectories still land in the telemetry stream.
-  ClusterTopology topology;
-  /// Observation-grid spacing forwarded to the simulator; > 0 records a
-  /// timeline and (with stream_log) cuts streamed windows.
-  double sample_interval = 0.0;
-  /// Streamed-telemetry passthrough (see SimulationOptions): the closed
-  /// loop's epoch retunes land between grid instants, so the streamed
-  /// gamma trajectory shows each broadcast taking effect.
-  std::string stream_log;
-  bool stream_counters = true;
-  bool record_timeline = true;
 };
 
 /// One broadcast epoch of the in-simulator algorithm.
@@ -95,8 +80,8 @@ struct ClosedLoopResult {
   SimulationResult run;             ///< whole-run measurements
 };
 
-/// Runs the closed loop. Requires non-empty users, capacity > 0, valid
-/// delay, and well-formed options.
+/// Runs the closed loop. Requires non-empty users, capacity > 0 and a valid
+/// delay; a bad option throws ContractViolation naming the field.
 ClosedLoopResult run_closed_loop(std::span<const core::UserParams> users,
                                  double capacity, const core::EdgeDelay& delay,
                                  const ClosedLoopOptions& options = {});

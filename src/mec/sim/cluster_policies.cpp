@@ -1,6 +1,10 @@
 #include "mec/sim/cluster_policies.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <utility>
 
 #include "mec/common/error.hpp"
 
@@ -13,78 +17,48 @@ namespace {
 /// nothing: "keep every task local" is TRO at x = infinity.
 constexpr double kInactiveThreshold = 0x1p63;
 
-/// Mirrors MecSimulation's churn handling: threshold vectors must cover the
-/// initial population plus schedule-order joiners.
-std::vector<core::UserParams> with_churn(
-    std::span<const core::UserParams> users,
-    const std::shared_ptr<const fault::FaultSchedule>& faults) {
-  std::vector<core::UserParams> all(users.begin(), users.end());
-  if (faults && !faults->empty()) {
-    const std::vector<core::UserParams> joiners = faults->churn_users();
-    all.insert(all.end(), joiners.begin(), joiners.end());
-  }
-  return all;
-}
-
 }  // namespace
 
 PriceBasedResult run_price_based(std::span<const core::UserParams> users,
                                  double capacity,
                                  const core::EdgeDelay& delay,
                                  const PriceBasedOptions& options) {
-  MEC_EXPECTS(!users.empty());
-  MEC_EXPECTS(options.update_period > 0.0);
-  MEC_EXPECTS(options.gamma_target > 0.0 && options.gamma_target <= 1.0);
-  MEC_EXPECTS(options.price_step >= 0.0);
-  MEC_EXPECTS(options.max_price >= 0.0);
-  options.topology.check();
+  constexpr std::string_view kRun = "run_price_based";
+  check_driver_options(options, options.update_period, kRun,
+                       /*steers_on_gamma=*/true);
+  check_option(options.gamma_target > 0.0 && options.gamma_target <= 1.0, kRun,
+               "gamma_target", options.gamma_target, "a value in (0, 1]");
+  check_option(options.price_step >= 0.0, kRun, "price_step",
+               options.price_step, "a value >= 0");
+  check_option(options.max_price >= 0.0, kRun, "max_price", options.max_price,
+               "a value >= 0");
 
-  const std::vector<core::UserParams> all_users =
-      with_churn(users, options.faults);
   const std::size_t clusters = options.topology.clusters;
-
   std::vector<double> prices(clusters, 0.0);
 
-  // Per-device priceless offload handicap tau + w*(p_E - p_L), and the
-  // threshold array the simulation decides on.
+  // The population (churn joiners included), each device's priceless
+  // offload handicap tau + w*(p_E - p_L), and the threshold array the
+  // simulation decides on; all are bound once the simulation is built.
+  std::span<const core::UserParams> population;
   std::vector<double> base_costs;
-  base_costs.reserve(all_users.size());
-  for (const core::UserParams& u : all_users)
-    base_costs.push_back(u.offload_latency +
-                         u.weight * (u.energy_offload - u.energy_local));
-  std::vector<double> thresholds(all_users.size());
+  std::vector<double> thresholds;
   const auto refresh_thresholds = [&] {
     // Offload iff w*p_E + tau + price < w*p_L + (q+1)/s, i.e. iff the local
     // queue exceeds x = s*(base + price) - 1.  The max keeps a deeply
     // subsidized edge at "offload everything" instead of a negative
     // threshold.
-    for (std::size_t n = 0; n < all_users.size(); ++n) {
+    for (std::size_t n = 0; n < population.size(); ++n) {
       const double price =
           prices[options.topology.route(static_cast<std::uint32_t>(n))];
       thresholds[n] = std::max(
-          0.0, all_users[n].service_rate * (base_costs[n] + price) - 1.0);
+          0.0, population[n].service_rate * (base_costs[n] + price) - 1.0);
     }
   };
-  refresh_thresholds();
 
   PriceBasedResult result;
 
-  SimulationOptions so;
-  so.warmup = options.warmup;
-  so.horizon = options.horizon;
-  so.seed = options.seed;
-  so.service = options.service;
-  so.latency = options.latency;
-  so.utilization_ewma_tau = options.utilization_ewma_tau;
-  so.initial_gamma = options.initial_gamma;
+  SimulationOptions so = options;
   so.epoch_period = options.update_period;
-  so.topology = options.topology;
-  so.faults = options.faults;
-  so.shards = options.shards;
-  so.sample_interval = options.sample_interval;
-  so.stream_log = options.stream_log;
-  so.stream_counters = options.stream_counters;
-  so.record_timeline = options.record_timeline;
   so.on_cluster_epoch = [&](double /*now*/,
                             std::span<const double> cluster_gammas) {
     // Dual ascent on the per-cluster congestion prices, then one threshold
@@ -101,7 +75,14 @@ PriceBasedResult run_price_based(std::span<const core::UserParams> users,
                                      cluster_gammas.end());
   };
 
-  MecSimulation simulation(users, capacity, delay, std::move(so));
+  const MecSimulation simulation(users, capacity, delay, std::move(so));
+  population = simulation.users();
+  base_costs.reserve(population.size());
+  for (const core::UserParams& u : population)
+    base_costs.push_back(u.offload_latency +
+                         u.weight * (u.energy_offload - u.energy_local));
+  thresholds.resize(population.size());
+  refresh_thresholds();
   result.run = simulation.run_tro(thresholds);
   result.final_prices = std::move(prices);
   return result;
@@ -110,19 +91,13 @@ PriceBasedResult run_price_based(std::span<const core::UserParams> users,
 MinorityGameRunResult run_minority_game(
     std::span<const core::UserParams> users, double capacity,
     const core::EdgeDelay& delay, const MinorityGameRunOptions& options) {
-  MEC_EXPECTS(!users.empty());
-  MEC_EXPECTS(options.update_period > 0.0);
+  constexpr std::string_view kRun = "run_minority_game";
+  check_driver_options(options, options.update_period, kRun,
+                       /*steers_on_gamma=*/false);
   options.topology.check();
 
-  const std::vector<core::UserParams> all_users =
-      with_churn(users, options.faults);
-  MEC_EXPECTS_MSG(options.thresholds.size() == all_users.size(),
-                  "minority-game run needs one threshold per device "
-                  "(incl. churn joiners)");
-  const std::size_t clusters = options.topology.clusters;
-
   MinorityGameConfig game_config = options.game;
-  game_config.agents = clusters;
+  game_config.agents = options.topology.clusters;
   MinorityGame game(game_config);
 
   // The array the simulation decides on.  Every cluster starts active, so
@@ -132,22 +107,8 @@ MinorityGameRunResult run_minority_game(
 
   MinorityGameRunResult result;
 
-  SimulationOptions so;
-  so.warmup = options.warmup;
-  so.horizon = options.horizon;
-  so.seed = options.seed;
-  so.service = options.service;
-  so.latency = options.latency;
-  so.utilization_ewma_tau = options.utilization_ewma_tau;
-  so.initial_gamma = options.initial_gamma;
+  SimulationOptions so = options;
   so.epoch_period = options.update_period;
-  so.topology = options.topology;
-  so.faults = options.faults;
-  so.shards = options.shards;
-  so.sample_interval = options.sample_interval;
-  so.stream_log = options.stream_log;
-  so.stream_counters = options.stream_counters;
-  so.record_timeline = options.record_timeline;
   so.on_cluster_epoch = [&](double /*now*/,
                             std::span<const double> /*cluster_gammas*/) {
     const std::size_t attendance = game.step();
@@ -160,7 +121,11 @@ MinorityGameRunResult run_minority_game(
     result.attendance.push_back(attendance);
   };
 
-  MecSimulation simulation(users, capacity, delay, std::move(so));
+  const MecSimulation simulation(users, capacity, delay, std::move(so));
+  check_option(thresholds.size() == simulation.total_devices(), kRun,
+               "thresholds.size()", thresholds.size(),
+               "one threshold per device, churn joiners included (" +
+                   std::to_string(simulation.total_devices()) + ")");
   result.run = simulation.run_tro(thresholds);
 
   if (!result.attendance.empty()) {

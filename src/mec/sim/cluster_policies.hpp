@@ -24,14 +24,19 @@
 // activation flags, and the thresholds derived from them — mutates only
 // inside on_cluster_epoch, i.e. at observation-grid barriers where all
 // shards are parked, so runs are bit-identical for every shard count.
-// Both families decide through the TRO rule on one threshold array.  Both
-// run in process only: their options carry no transport.
+// Both families decide through the TRO rule on one threshold array, which
+// the coordinator hands to framed ranks after every epoch, so both run on
+// every transport with the in-process results and stream bytes.
+//
+// Each driver's options are a SimulationOptions plus its controller's
+// parameters.  Every SimulationOptions field applies as in any run, except
+// that epoch_period, on_epoch and on_cluster_epoch belong to the driver
+// and are refused by name, and the price driver, which steers on measured
+// utilization, refuses fixed_gamma.  The minority game ignores gamma, so
+// it honours fixed_gamma.
 #pragma once
 
-#include <cstdint>
-#include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "mec/core/edge_delay.hpp"
@@ -43,27 +48,15 @@ namespace mec::sim {
 
 // --- price-based driver ----------------------------------------------------
 
-struct PriceBasedOptions {
+/// A price-based run: the simulation it runs plus the dual ascent's
+/// parameters.  Every cluster starts at price 0.
+struct PriceBasedOptions : SimulationOptions {
   /// Per-cluster utilization target of the dual ascent; the equilibrium
-  /// gamma_star of the scenario is the natural choice.
+  /// gamma_star of the scenario is the natural choice.  In (0, 1].
   double gamma_target = 0.5;
-  double price_step = 2.0;   ///< ascent step per unit utilization error
-  double max_price = 50.0;   ///< clamp ceiling (floor is 0)
-  double update_period = 5.0;
-  double warmup = 0.0;
-  double horizon = 200.0;
-  std::uint64_t seed = 1;
-  ClusterTopology topology;  ///< every cluster starts at price 0
-  SamplerSpec service;
-  SamplerSpec latency;
-  double utilization_ewma_tau = 10.0;
-  double initial_gamma = 0.0;
-  std::shared_ptr<const fault::FaultSchedule> faults;
-  std::size_t shards = 0;
-  double sample_interval = 0.0;
-  std::string stream_log;
-  bool stream_counters = true;
-  bool record_timeline = true;
+  double price_step = 2.0;     ///< ascent step per unit utilization error
+  double max_price = 50.0;     ///< clamp ceiling (floor is 0)
+  double update_period = 5.0;  ///< seconds between price updates, > 0
 };
 
 struct PriceBasedResult {
@@ -84,26 +77,14 @@ PriceBasedResult run_price_based(std::span<const core::UserParams> users,
 
 // --- minority-game driver --------------------------------------------------
 
-struct MinorityGameRunOptions {
-  MinorityGameConfig game;  ///< agents is overwritten with topology.clusters
+/// A minority-game run: the simulation it runs plus the game and the
+/// thresholds of devices whose cluster is active.
+struct MinorityGameRunOptions : SimulationOptions {
+  MinorityGameConfig game{};  ///< agents is overwritten with topology.clusters
   /// Per-device TRO thresholds applied while the device's cluster is
   /// active; must cover the population incl. churn joiners.
-  std::vector<double> thresholds;
-  double update_period = 5.0;
-  double warmup = 0.0;
-  double horizon = 200.0;
-  std::uint64_t seed = 1;
-  ClusterTopology topology;
-  SamplerSpec service;
-  SamplerSpec latency;
-  double utilization_ewma_tau = 10.0;
-  double initial_gamma = 0.0;
-  std::shared_ptr<const fault::FaultSchedule> faults;
-  std::size_t shards = 0;
-  double sample_interval = 0.0;
-  std::string stream_log;
-  bool stream_counters = true;
-  bool record_timeline = true;
+  std::vector<double> thresholds{};
+  double update_period = 5.0;  ///< seconds between game rounds, > 0
 };
 
 struct MinorityGameRunResult {

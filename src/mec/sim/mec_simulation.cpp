@@ -5,6 +5,8 @@
 #include "mec/sim/mec_simulation.hpp"
 
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -41,44 +43,68 @@ MecSimulation::MecSimulation(std::span<const core::UserParams> users,
   MEC_EXPECTS(!users_.empty());
   MEC_EXPECTS(capacity_ > 0.0);
   MEC_EXPECTS(delay_.valid());
-  MEC_EXPECTS(options_.warmup >= 0.0);
-  MEC_EXPECTS(options_.horizon > 0.0);
-  MEC_EXPECTS(options_.utilization_ewma_tau > 0.0);
-  MEC_EXPECTS(options_.initial_gamma >= 0.0 && options_.initial_gamma <= 1.0);
-  MEC_EXPECTS(options_.sample_interval >= 0.0);
-  MEC_EXPECTS(options_.epoch_period >= 0.0);
-  MEC_EXPECTS_MSG(options_.epoch_period == 0.0 ||
-                      static_cast<bool>(options_.on_epoch) ||
-                      static_cast<bool>(options_.on_cluster_epoch),
-                  "epoch_period needs an on_epoch or on_cluster_epoch "
-                  "callback");
-  options_.topology.check();
-  MEC_EXPECTS_MSG(options_.stream_log.empty() || options_.sample_interval > 0.0,
-                  "stream_log needs sample_interval > 0 (windows are cut at "
-                  "the observation grid)");
-  if (options_.fixed_gamma)
-    MEC_EXPECTS(*options_.fixed_gamma >= 0.0 && *options_.fixed_gamma <= 1.0);
-  service_ = make_service_sampler(options_.service);
-  latency_ = make_latency_sampler(options_.latency);
-  if (options_.transport == TransportKind::kTcp)
-    MEC_EXPECTS_MSG(!options_.worker_addresses.empty(),
-                    "transport=tcp needs worker_addresses (one host:port per "
-                    "rank)");
+  constexpr std::string_view kRun = "MecSimulation";
+  const SimulationOptions& o = options_;
+  check_option(o.warmup >= 0.0, kRun, "warmup", o.warmup, "a value >= 0");
+  check_option(o.horizon > 0.0, kRun, "horizon", o.horizon, "a value > 0");
+  check_option(o.utilization_ewma_tau > 0.0, kRun, "utilization_ewma_tau",
+               o.utilization_ewma_tau, "a value > 0");
+  check_option(o.initial_gamma >= 0.0 && o.initial_gamma <= 1.0, kRun,
+               "initial_gamma", o.initial_gamma, "a value in [0, 1]");
+  if (o.fixed_gamma)
+    check_option(*o.fixed_gamma >= 0.0 && *o.fixed_gamma <= 1.0, kRun,
+                 "fixed_gamma", *o.fixed_gamma, "a value in [0, 1]");
+  check_option(o.sample_interval >= 0.0, kRun, "sample_interval",
+               o.sample_interval, "a value >= 0");
+  check_option(o.stream_log.empty() || o.sample_interval > 0.0, kRun,
+               "sample_interval", o.sample_interval,
+               "a value > 0 with a stream_log (windows are cut at the "
+               "observation grid)");
+  check_option(o.epoch_period >= 0.0, kRun, "epoch_period", o.epoch_period,
+               "a value >= 0");
+  check_option(o.epoch_period == 0.0 || o.on_epoch || o.on_cluster_epoch, kRun,
+               "epoch_period", o.epoch_period,
+               "0 without an on_epoch or on_cluster_epoch callback");
+  check_option(
+      o.transport != TransportKind::kTcp || !o.worker_addresses.empty(), kRun,
+      "worker_addresses", "empty", "one host:port per rank with transport=tcp");
+  o.topology.check();
+  service_ = make_service_sampler(o.service);
+  latency_ = make_latency_sampler(o.latency);
   n_initial_ = users_.size();
-  if (options_.faults && !options_.faults->empty()) {
-    options_.faults->check(n_initial_);
-    for (const fault::FaultAction& a : options_.faults->actions())
-      MEC_EXPECTS_MSG(a.cluster == fault::FaultAction::kAllClusters ||
-                          a.cluster < options_.topology.clusters,
-                      "fault action targets a cluster outside the topology");
-    const std::vector<core::UserParams> joiners = options_.faults->churn_users();
+  if (o.faults && !o.faults->empty()) {
+    o.faults->check(n_initial_);
+    for (const fault::FaultAction& a : o.faults->actions())
+      if (a.cluster != fault::FaultAction::kAllClusters &&
+          a.cluster >= o.topology.clusters)
+        throw ContractViolation(
+            "MecSimulation: faults names cluster " + std::to_string(a.cluster) +
+            ", expected a cluster below topology.clusters (" +
+            std::to_string(o.topology.clusters) + ")");
+    const std::vector<core::UserParams> joiners = o.faults->churn_users();
     users_.insert(users_.end(), joiners.begin(), joiners.end());
     MEC_EXPECTS_MSG(users_.size() < (std::size_t{1} << 20),
                     "population incl. churn must fit the packed event layout");
-    MEC_EXPECTS_MSG(options_.faults->size() < (std::size_t{1} << 20),
+    MEC_EXPECTS_MSG(o.faults->size() < (std::size_t{1} << 20),
                     "fault schedule must fit the packed event layout");
   }
   for (const auto& u : users_) u.check();
+}
+
+void check_driver_options(const SimulationOptions& options,
+                          double update_period, std::string_view driver,
+                          bool steers_on_gamma) {
+  check_option(update_period > 0.0, driver, "update_period", update_period,
+               "a value > 0");
+  check_option(options.epoch_period == 0.0, driver, "epoch_period",
+               options.epoch_period, "0 (the driver sets it to update_period)");
+  check_option(!options.on_epoch, driver, "on_epoch", "set",
+               "unset (the driver installs its own)");
+  check_option(!options.on_cluster_epoch, driver, "on_cluster_epoch", "set",
+               "unset (the driver installs its own)");
+  check_option(!steers_on_gamma || !options.fixed_gamma, driver, "fixed_gamma",
+               options.fixed_gamma.value_or(0.0),
+               "unset (the driver steers on measured utilization)");
 }
 
 SimulationResult MecSimulation::run_tro(

@@ -20,6 +20,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mec/core/dtu.hpp"
@@ -196,6 +197,17 @@ struct SimulationOptions {
   bool record_timeline = true;
 };
 
+/// Checks the fields a controller driver (run_closed_loop, run_price_based,
+/// run_minority_game) cannot take from its caller, throwing
+/// ContractViolation that names `driver` and the field: update_period must
+/// be > 0, and epoch_period, on_epoch and on_cluster_epoch must be unset,
+/// because the driver sets them.  A driver that steers on measured
+/// utilization (`steers_on_gamma`) also refuses fixed_gamma: under a pinned
+/// gamma its callback would get the pinned value instead of a measurement.
+void check_driver_options(const SimulationOptions& options,
+                          double update_period, std::string_view driver,
+                          bool steers_on_gamma);
+
 /// Reusable per-run simulation state (device states, RNG streams, the
 /// future-event list).  A default-constructed workspace is empty; the first
 /// run sizes it, and reusing it across runs of same-sized populations makes
@@ -248,8 +260,10 @@ class MecSimulation {
   /// transports refuse it.
   SimulationResult run_dpo(std::span<const double> rhos) const;
 
-  /// Initial population plus any churn users from the fault schedule.
-  std::size_t population_size() const noexcept { return users_.size(); }
+  /// Initial population plus any churn users from the fault schedule, in
+  /// device order: the population the threshold and probability spans of
+  /// run_tro() and run_dpo() cover.
+  std::span<const core::UserParams> users() const noexcept { return users_; }
   std::size_t total_devices() const noexcept { return users_.size(); }
   /// The population passed to the constructor (pre-churn).
   std::size_t initial_devices() const noexcept { return n_initial_; }

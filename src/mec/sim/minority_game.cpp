@@ -9,9 +9,12 @@ MinorityGame::MinorityGame(const MinorityGameConfig& config)
     : memory_(config.memory),
       strategies_(config.strategies),
       invert_(config.invert) {
-  MEC_EXPECTS(config.agents >= 1);
-  MEC_EXPECTS(config.memory >= 1 && config.memory <= 20);
-  MEC_EXPECTS(config.strategies >= 1);
+  check_option(config.agents >= 1, "MinorityGame", "agents", config.agents,
+               "a value >= 1");
+  check_option(config.memory >= 1 && config.memory <= 20, "MinorityGame",
+               "memory", config.memory, "a value in [1, 20]");
+  check_option(config.strategies >= 1, "MinorityGame", "strategies",
+               config.strategies, "a value >= 1");
 
   const std::size_t histories = std::size_t{1} << memory_;
   tables_.resize(config.agents * strategies_ * histories);

@@ -123,14 +123,58 @@ TEST(ClosedLoop, ThresholdsFreezeOnceSettled) {
 
 TEST(ClosedLoop, RejectsBadOptions) {
   const auto pop = sampled(10, 95);
-  ClosedLoopOptions opt;
-  opt.update_period = 0.0;
-  EXPECT_THROW(run_closed_loop(pop.users, 10.0, pop.config.delay, opt),
-               ContractViolation);
-  opt = {};
-  opt.horizon = 1.0;  // below the update period
-  EXPECT_THROW(run_closed_loop(pop.users, 10.0, pop.config.delay, opt),
-               ContractViolation);
+  // Each bad option is refused by name, with the value received: Algorithm
+  // 1's parameters, the fields the loop cannot honour (warm-up, a pinned
+  // gamma), the epoch fields the driver owns, and the shared simulation
+  // fields, which MecSimulation checks.
+  struct BadOption {
+    const char* run;
+    const char* field;
+    const char* value;
+    void (*set)(ClosedLoopOptions&);
+  };
+  const BadOption bad[] = {
+      {"run_closed_loop", "update_period", "0",
+       [](ClosedLoopOptions& o) { o.update_period = 0.0; }},
+      {"run_closed_loop", "horizon", "1",  // below the update period
+       [](ClosedLoopOptions& o) { o.horizon = 1.0; }},
+      {"run_closed_loop", "eta0", "1.5",
+       [](ClosedLoopOptions& o) { o.eta0 = 1.5; }},
+      {"run_closed_loop", "epsilon", "0",
+       [](ClosedLoopOptions& o) { o.epsilon = 0.0; }},
+      {"run_closed_loop", "drift_margin", "-0.1",
+       [](ClosedLoopOptions& o) { o.drift_margin = -0.1; }},
+      {"run_closed_loop", "warmup", "20",
+       [](ClosedLoopOptions& o) { o.warmup = 20.0; }},
+      {"run_closed_loop", "fixed_gamma", "0.3",
+       [](ClosedLoopOptions& o) { o.fixed_gamma = 0.3; }},
+      {"run_closed_loop", "epoch_period", "2",
+       [](ClosedLoopOptions& o) { o.epoch_period = 2.0; }},
+      {"run_closed_loop", "on_epoch", "set",
+       [](ClosedLoopOptions& o) { o.on_epoch = [](double, double) {}; }},
+      {"run_closed_loop", "on_cluster_epoch", "set",
+       [](ClosedLoopOptions& o) {
+         o.on_cluster_epoch = [](double, std::span<const double>) {};
+       }},
+      {"MecSimulation", "utilization_ewma_tau", "0",
+       [](ClosedLoopOptions& o) { o.utilization_ewma_tau = 0.0; }},
+  };
+  for (const BadOption& b : bad) {
+    SCOPED_TRACE(b.field);
+    ClosedLoopOptions opt;
+    b.set(opt);
+    try {
+      run_closed_loop(pop.users, 10.0, pop.config.delay, opt);
+      ADD_FAILURE() << "accepted a bad " << b.field;
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string(b.run) + ": " + b.field + " is " +
+                          b.value + ", expected"),
+                std::string::npos)
+          << what;
+      EXPECT_EQ(what.find("precondition violated"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(EpochFlush, TrailingEpochsFireThroughTheEndOfTheHorizon) {

@@ -17,9 +17,11 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "mec/common/error.hpp"
 #include "mec/core/edge_delay.hpp"
 #include "mec/core/mfne.hpp"
 #include "mec/core/threshold_oracle.hpp"
@@ -143,6 +145,114 @@ TEST(PriceBasedPolicy, RunIsBitwiseInvariantAcrossShardCounts) {
     for (std::size_t c = 0; c < base.run.cluster_utilization.size(); ++c)
       EXPECT_EQ(r.run.cluster_utilization[c], base.run.cluster_utilization[c]);
   }
+}
+
+// --- option refusals --------------------------------------------------------
+
+/// Runs `run` and expects a ContractViolation naming `what_run`, the field
+/// and the value received, never a raw contract expression.
+template <class Run>
+void expect_refused(Run run, const std::string& what_run,
+                    const std::string& field, const std::string& value) {
+  SCOPED_TRACE(what_run + " " + field);
+  try {
+    run();
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    const std::string message = what_run + ": " + field + " is " + value;
+    EXPECT_NE(what.find(message + ", expected"), std::string::npos) << what;
+    EXPECT_EQ(what.find("precondition violated"), std::string::npos) << what;
+  }
+}
+
+// Both drivers refuse a bad controller parameter and the epoch fields they
+// own by name; the price driver steers on measured utilization, so it also
+// refuses a pinned gamma, which the minority game (blind to gamma) honours.
+TEST(ClusterPolicyDrivers, RejectBadOptionsByName) {
+  const PriceFixture f = price_fixture(12);
+  const auto& cfg = f.pop.config;
+  struct BadPrice {
+    const char* field;
+    const char* value;
+    void (*set)(sim::PriceBasedOptions&);
+  };
+  const BadPrice bad_price[] = {
+      {"update_period", "0",
+       [](sim::PriceBasedOptions& o) { o.update_period = 0.0; }},
+      {"gamma_target", "2",
+       [](sim::PriceBasedOptions& o) { o.gamma_target = 2.0; }},
+      {"gamma_target", "0",
+       [](sim::PriceBasedOptions& o) { o.gamma_target = 0.0; }},
+      {"price_step", "-1",
+       [](sim::PriceBasedOptions& o) { o.price_step = -1.0; }},
+      {"max_price", "-5",
+       [](sim::PriceBasedOptions& o) { o.max_price = -5.0; }},
+      {"fixed_gamma", "0.3",
+       [](sim::PriceBasedOptions& o) { o.fixed_gamma = 0.3; }},
+      {"epoch_period", "2",
+       [](sim::PriceBasedOptions& o) { o.epoch_period = 2.0; }},
+      {"on_epoch", "set",
+       [](sim::PriceBasedOptions& o) { o.on_epoch = [](double, double) {}; }},
+      {"on_cluster_epoch", "set",
+       [](sim::PriceBasedOptions& o) {
+         o.on_cluster_epoch = [](double, std::span<const double>) {};
+       }},
+  };
+  for (const BadPrice& b : bad_price) {
+    sim::PriceBasedOptions po = price_options(f);
+    b.set(po);
+    expect_refused(
+        [&] { sim::run_price_based(f.pop.users, cfg.capacity, cfg.delay, po); },
+        "run_price_based", b.field, b.value);
+  }
+
+  sim::MinorityGameRunOptions good;
+  good.thresholds.assign(f.mfne.thresholds.begin(), f.mfne.thresholds.end());
+  good.warmup = 1.0;
+  good.horizon = 20.0;
+  good.topology.clusters = 2;
+  struct BadMinority {
+    const char* run;
+    const char* field;
+    const char* value;
+    void (*set)(sim::MinorityGameRunOptions&);
+  };
+  const BadMinority bad_minority[] = {
+      {"run_minority_game", "update_period", "-1",
+       [](sim::MinorityGameRunOptions& o) { o.update_period = -1.0; }},
+      {"run_minority_game", "thresholds.size()", "3",
+       [](sim::MinorityGameRunOptions& o) { o.thresholds.resize(3); }},
+      {"run_minority_game", "epoch_period", "2",
+       [](sim::MinorityGameRunOptions& o) { o.epoch_period = 2.0; }},
+      {"run_minority_game", "on_epoch", "set",
+       [](sim::MinorityGameRunOptions& o) {
+         o.on_epoch = [](double, double) {};
+       }},
+      {"run_minority_game", "on_cluster_epoch", "set",
+       [](sim::MinorityGameRunOptions& o) {
+         o.on_cluster_epoch = [](double, std::span<const double>) {};
+       }},
+      {"MinorityGame", "memory", "0",
+       [](sim::MinorityGameRunOptions& o) { o.game.memory = 0; }},
+      {"MinorityGame", "strategies", "0",
+       [](sim::MinorityGameRunOptions& o) { o.game.strategies = 0; }},
+  };
+  for (const BadMinority& b : bad_minority) {
+    sim::MinorityGameRunOptions mo = good;
+    b.set(mo);
+    expect_refused(
+        [&] {
+          sim::run_minority_game(f.pop.users, cfg.capacity, cfg.delay, mo);
+        },
+        b.run, b.field, b.value);
+  }
+  sim::MinorityGameRunOptions pinned = good;
+  pinned.fixed_gamma = 0.3;
+  EXPECT_GT(sim::run_minority_game(f.pop.users, cfg.capacity, cfg.delay,
+                                   pinned)
+                .run.total_events,
+            0u);
 }
 
 // --- minority game ----------------------------------------------------------

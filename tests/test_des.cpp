@@ -494,13 +494,50 @@ TEST(Des, TimelineDisabledByDefault) {
 
 TEST(Des, RejectsInvalidConfiguration) {
   const auto users = homogeneous(5, 1.0, 2.0);
-  SimulationOptions o;
-  o.horizon = -1.0;
-  EXPECT_THROW(
-      MecSimulation(users, 10.0, core::make_reciprocal_delay(), o),
-      ContractViolation);
-  o = {};
-  EXPECT_THROW(MecSimulation({}, 10.0, core::make_reciprocal_delay(), o),
+  // Each bad option is refused by name: the message carries the field and
+  // the value received, never a raw contract expression.
+  struct BadOption {
+    const char* field;
+    const char* value;
+    void (*set)(SimulationOptions&);
+  };
+  const BadOption bad[] = {
+      {"warmup", "-1", [](SimulationOptions& o) { o.warmup = -1.0; }},
+      {"horizon", "-1", [](SimulationOptions& o) { o.horizon = -1.0; }},
+      {"horizon", "0", [](SimulationOptions& o) { o.horizon = 0.0; }},
+      {"utilization_ewma_tau", "0",
+       [](SimulationOptions& o) { o.utilization_ewma_tau = 0.0; }},
+      {"initial_gamma", "1.5",
+       [](SimulationOptions& o) { o.initial_gamma = 1.5; }},
+      {"fixed_gamma", "-0.25",
+       [](SimulationOptions& o) { o.fixed_gamma = -0.25; }},
+      {"sample_interval", "-2",
+       [](SimulationOptions& o) { o.sample_interval = -2.0; }},
+      {"sample_interval", "0",
+       [](SimulationOptions& o) { o.stream_log = "unused.meclog"; }},
+      {"epoch_period", "-3",
+       [](SimulationOptions& o) { o.epoch_period = -3.0; }},
+      {"epoch_period", "5", [](SimulationOptions& o) { o.epoch_period = 5.0; }},
+      {"worker_addresses", "empty",
+       [](SimulationOptions& o) { o.transport = TransportKind::kTcp; }},
+  };
+  for (const BadOption& b : bad) {
+    SCOPED_TRACE(b.field);
+    SimulationOptions o;
+    b.set(o);
+    try {
+      MecSimulation(users, 10.0, core::make_reciprocal_delay(), o);
+      ADD_FAILURE() << "accepted a bad " << b.field;
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("MecSimulation: " + std::string(b.field) + " is " +
+                          b.value + ", expected"),
+                std::string::npos)
+          << what;
+      EXPECT_EQ(what.find("precondition violated"), std::string::npos) << what;
+    }
+  }
+  EXPECT_THROW(MecSimulation({}, 10.0, core::make_reciprocal_delay()),
                ContractViolation);
   MecSimulation sim(users, 10.0, core::make_reciprocal_delay());
   const std::vector<double> wrong(2, 1.0);

@@ -10,7 +10,8 @@
 // #8 (docs/ARCHITECTURE.md): results and streamed .meclog bytes (counter
 // frames off — they carry wall-clock values) equal the in-process run's on
 // fixed and tracked gamma, faults with churn across clusters,
-// non-exponential sampler specs, and the closed-loop DTU.  A rank that
+// non-exponential sampler specs, the closed-loop DTU, and the price and
+// minority-game controllers.  A rank that
 // dies or stalls fails the run naming the rank, its peer, and its last
 // completed barrier, and leaves no forked rank behind; runs over policy
 // objects and invalid sampler specs are refused up front; scripted peers
@@ -49,6 +50,7 @@
 #include "mec/random/empirical_data.hpp"
 #include "mec/random/rng.hpp"
 #include "mec/sim/closed_loop.hpp"
+#include "mec/sim/cluster_policies.hpp"
 #include "mec/sim/mec_simulation.hpp"
 #include "mec/stats/latency_sketch.hpp"
 
@@ -458,6 +460,102 @@ TEST(TransportEquivalence, StreamedLogsAreByteIdentical) {
 
 TEST(TcpTransportEquivalence, StreamedLogsAreByteIdentical) {
   expect_streamed_logs_identical(TransportKind::kTcp);
+}
+
+/// A controller driver's run: its simulation result and its controller's
+/// trajectory (prices per epoch, or attendance per round).
+struct DriverRun {
+  sim::SimulationResult run;
+  std::vector<double> trajectory;
+};
+
+/// Runs a controller driver in process (shards = 4) and over framed ranks
+/// at every worker count, fault-free and under faulted_cluster_schedule(),
+/// streaming each run.  The driver rewrites the threshold array at every
+/// epoch, and the coordinator must hand each rewrite to the ranks before
+/// the next leg: results, trajectories and .meclog bytes all match.
+template <class Options, class Run>
+void expect_driver_invariant(TransportKind kind, Options options, Run run) {
+  const std::string in_path = test_scoped_path("inproc.meclog");
+  const std::string framed_path = test_scoped_path("framed.meclog");
+  for (const bool faulted : {false, true}) {
+    SCOPED_TRACE(faulted ? "faulted" : "fault-free");
+    options.faults = nullptr;
+    if (faulted) options.faults = faulted_cluster_schedule();
+    options.shards = 4;
+    options.stream_counters = false;  // counter frames carry wall-clock values
+    options.transport = TransportKind::kInProcess;
+    options.worker_addresses.clear();
+    options.stream_log = in_path;
+    const DriverRun base = run(options);
+    const std::vector<char> in_bytes = slurp(in_path);
+    ASSERT_FALSE(in_bytes.empty());
+    ASSERT_FALSE(base.trajectory.empty());
+
+    for (const std::size_t w : worker_counts(kind)) {
+      const Ranks ranks(kind, w);
+      ranks.place(options);
+      options.stream_log = framed_path;
+      const DriverRun r = run(options);
+      SCOPED_TRACE("workers = " + std::to_string(w));
+      expect_result_identical(base.run, r.run);
+      EXPECT_EQ(base.trajectory, r.trajectory);
+      EXPECT_EQ(in_bytes, slurp(framed_path));
+    }
+  }
+  std::filesystem::remove(in_path);
+  std::filesystem::remove(framed_path);
+}
+
+DriverRun price_run(const sim::PriceBasedOptions& options) {
+  const sim::PriceBasedResult r = sim::run_price_based(
+      mixed_users(41), 8.0, core::make_reciprocal_delay(), options);
+  DriverRun out{r.run, {}};
+  for (const std::vector<double>& prices : r.price_epochs)
+    out.trajectory.insert(out.trajectory.end(), prices.begin(), prices.end());
+  return out;
+}
+
+void expect_price_invariant(TransportKind kind) {
+  // A target below the unpriced utilization (about 0.22), so prices rise
+  // and every epoch rewrites thresholds.
+  sim::PriceBasedOptions o{faulted_cluster_options()};
+  o.gamma_target = 0.1;
+  o.update_period = 5.0;
+  expect_driver_invariant(kind, o, price_run);
+}
+
+DriverRun minority_run(sim::MinorityGameRunOptions options) {
+  const auto users = mixed_users(41);
+  options.thresholds = mixed_thresholds(
+      users.size() + (options.faults ? options.faults->churn_arrivals() : 0));
+  const sim::MinorityGameRunResult r = sim::run_minority_game(
+      users, 8.0, core::make_reciprocal_delay(), options);
+  return {r.run, std::vector<double>(r.attendance.begin(), r.attendance.end())};
+}
+
+void expect_minority_invariant(TransportKind kind) {
+  sim::MinorityGameRunOptions o{faulted_cluster_options()};
+  o.topology.clusters = 4;
+  o.game.seed = 77;
+  o.update_period = 5.0;
+  expect_driver_invariant(kind, o, minority_run);
+}
+
+TEST(TransportEquivalence, PriceBasedRunCrossesTheProcessBoundary) {
+  expect_price_invariant(TransportKind::kProcess);
+}
+
+TEST(TcpTransportEquivalence, PriceBasedRunCrossesTheMachineBoundary) {
+  expect_price_invariant(TransportKind::kTcp);
+}
+
+TEST(TransportEquivalence, MinorityGameRunCrossesTheProcessBoundary) {
+  expect_minority_invariant(TransportKind::kProcess);
+}
+
+TEST(TcpTransportEquivalence, MinorityGameRunCrossesTheMachineBoundary) {
+  expect_minority_invariant(TransportKind::kTcp);
 }
 
 TEST(TcpTransportEquivalence, OneDaemonServesManyRunsBackToBack) {

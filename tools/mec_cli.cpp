@@ -86,7 +86,7 @@ sharded execution (simulate, closedloop):
                                  (default), in forked local `mec worker`
                                  ranks, or in `mec worker` daemons reached
                                  over TCP; results are byte-identical in
-                                 every case
+                                 every case, for every --policy
   --workers=<w>                  forked-rank count for
                                  --transport=process (default 2, capped at
                                  the shard count)
@@ -109,7 +109,9 @@ multi-cluster edge (simulate):
                                  price = per-cluster congestion prices,
                                  dual ascent toward --gamma-target;
                                  minority = minority-game server activation
-  --gamma-target=<g> --update-period=<s>   price/minority controls
+  --gamma-target=<g>             price target utilization (price only)
+  --update-period=<s>            seconds between price updates or game
+                                 rounds (price and minority only)
   a --config file's `clusters` and `cluster_shares` keys apply to simulate
   and closedloop alike
 
@@ -286,6 +288,25 @@ std::shared_ptr<const fault::FaultSchedule> build_faults(
   return nullptr;
 }
 
+/// Fills the run options that `simulate` (every policy) and `closedloop`
+/// share: topology, horizon, seed, faults, shards, transport and streaming.
+/// An absent --horizon keeps the options' own default.
+void fill_run_options(const io::Args& args,
+                      const population::ScenarioConfig& cfg,
+                      sim::SimulationOptions& o) {
+  o.topology = build_topology(args, cfg);
+  o.horizon = args.get_double("horizon", o.horizon);
+  o.seed = static_cast<std::uint64_t>(args.get_long("seed", 42));
+  o.faults = build_faults(args, cfg);
+  o.shards = static_cast<std::size_t>(args.get_long("shards", 0));
+  o.stream_log = args.get_path("stream-log");
+  if (args.has("window") || !o.stream_log.empty())
+    o.sample_interval = args.get_double("window", 1.0);
+  o.transport = parse_transport(args.get_string("transport", "inproc"));
+  parse_workers_flag(args, o.transport, o.workers, o.worker_addresses);
+  o.stream_counters = args.get_long("counters", 1) != 0;
+}
+
 int cmd_scenarios() {
   io::TextTable table("built-in scenario presets");
   table.set_header({"name", "paper section", "N", "c", "notes"});
@@ -383,28 +404,24 @@ int cmd_simulate(const io::Args& args) {
                 "gamma-target", "update-period", "transport", "workers",
                 "counters"});
   args.reject_unknown(known);
+  const std::string policy = args.get_string("policy", "tro");
+  if (policy != "tro" && policy != "price" && policy != "minority")
+    throw RuntimeError("unknown --policy (tro|price|minority)");
+  if (args.has("gamma-target") && policy != "price")
+    throw RuntimeError("--gamma-target requires --policy=price (it is the "
+                       "price controller's utilization target)");
+  if (args.has("update-period") && policy == "tro")
+    throw RuntimeError("--update-period requires --policy=price or "
+                       "--policy=minority (--policy=tro has no controller)");
   const auto cfg = build_scenario(args);
   const auto pop = population::sample_population(
       cfg, static_cast<std::uint64_t>(args.get_long("seed", 42)));
   const core::MfneResult mfne =
       core::solve_mfne(pop.users, cfg.delay, cfg.capacity);
-  const auto faults = build_faults(args, cfg);
-  const sim::ClusterTopology topology = build_topology(args, cfg);
 
   sim::SimulationOptions so;
-  so.topology = topology;
-  so.horizon = args.get_double("horizon", 200.0);
-  so.warmup = args.get_double("warmup", 20.0);
-  so.seed = static_cast<std::uint64_t>(args.get_long("seed", 42));
-  so.fixed_gamma = mfne.gamma_star;
-  so.faults = faults;
-  so.shards = static_cast<std::size_t>(args.get_long("shards", 0));
-  so.stream_log = args.get_path("stream-log");
-  if (args.has("window") || !so.stream_log.empty())
-    so.sample_interval = args.get_double("window", 1.0);
-  so.transport = parse_transport(args.get_string("transport", "inproc"));
-  parse_workers_flag(args, so.transport, so.workers, so.worker_addresses);
-  so.stream_counters = args.get_long("counters", 1) != 0;
+  fill_run_options(args, cfg, so);
+  so.warmup = args.get_double("warmup", so.warmup);
   const std::string service = args.get_string("service", "exp");
   // The spec is data, so framed ranks rebuild the very sampler the
   // in-process engine builds.
@@ -422,19 +439,12 @@ int cmd_simulate(const io::Args& args) {
   }
 
   std::vector<double> xs(mfne.thresholds.begin(), mfne.thresholds.end());
-  if (faults && faults->churn_arrivals() > 0) {
+  if (so.faults && so.faults->churn_arrivals() > 0) {
     // Churn joiners also best-respond to the equilibrium utilization.
     const double g_star = cfg.delay(mfne.gamma_star);
-    for (const core::UserParams& u : faults->churn_users())
+    for (const core::UserParams& u : so.faults->churn_users())
       xs.push_back(static_cast<double>(core::best_threshold(u, g_star)));
   }
-  const std::string policy = args.get_string("policy", "tro");
-  if (policy != "tro" && policy != "price" && policy != "minority")
-    throw RuntimeError("unknown --policy (tro|price|minority)");
-  if (so.transport != sim::TransportKind::kInProcess && policy != "tro")
-    throw RuntimeError(
-        "--transport=process and --transport=tcp require --policy=tro "
-        "(--policy=price and --policy=minority run in process only)");
   if (policy != "tro") {
     if (args.has("replications") || args.has("target-ci") ||
         args.has("target-rel"))
@@ -442,24 +452,14 @@ int cmd_simulate(const io::Args& args) {
                          " runs one closed-loop simulation; it cannot "
                          "combine with replications or sequential stopping");
     if (policy == "price") {
-      sim::PriceBasedOptions po;
+      sim::PriceBasedOptions po{so};
       po.gamma_target = args.get_double("gamma-target", mfne.gamma_star);
-      po.update_period = args.get_double("update-period", 5.0);
-      po.warmup = so.warmup;
-      po.horizon = so.horizon;
-      po.seed = so.seed;
-      po.topology = topology;
-      po.service = so.service;
-      po.faults = faults;
-      po.shards = so.shards;
-      po.sample_interval = so.sample_interval;
-      po.stream_log = so.stream_log;
-      po.stream_counters = so.stream_counters;
+      po.update_period = args.get_double("update-period", po.update_period);
       const sim::PriceBasedResult r =
           sim::run_price_based(pop.users, cfg.capacity, cfg.delay, po);
       std::printf(
           "scenario: %s  policy=price  clusters=%zu  target gamma=%.4f\n",
-          cfg.name.c_str(), topology.clusters, po.gamma_target);
+          cfg.name.c_str(), so.topology.clusters, po.gamma_target);
       for (std::size_t k = 0; k < r.final_prices.size(); ++k)
         std::printf("cluster %zu: price=%.4f  gamma=%.4f\n", k,
                     r.final_prices[k],
@@ -472,26 +472,16 @@ int cmd_simulate(const io::Args& args) {
                     so.stream_log.c_str(), so.stream_log.c_str());
       return 0;
     }
-    sim::MinorityGameRunOptions mo;
+    sim::MinorityGameRunOptions mo{so};
     mo.game.seed = so.seed;
     mo.thresholds = xs;
-    mo.update_period = args.get_double("update-period", 5.0);
-    mo.warmup = so.warmup;
-    mo.horizon = so.horizon;
-    mo.seed = so.seed;
-    mo.topology = topology;
-    mo.service = so.service;
-    mo.faults = faults;
-    mo.shards = so.shards;
-    mo.sample_interval = so.sample_interval;
-    mo.stream_log = so.stream_log;
-    mo.stream_counters = so.stream_counters;
+    mo.update_period = args.get_double("update-period", mo.update_period);
     const sim::MinorityGameRunResult r =
         sim::run_minority_game(pop.users, cfg.capacity, cfg.delay, mo);
     std::printf(
         "scenario: %s  policy=minority  clusters=%zu  rounds=%zu  mean "
         "attendance=%.2f\n",
-        cfg.name.c_str(), topology.clusters, r.attendance.size(),
+        cfg.name.c_str(), so.topology.clusters, r.attendance.size(),
         r.mean_attendance);
     std::printf("%s", sim::summarize(r.run).c_str());
     if (!so.stream_log.empty())
@@ -499,6 +489,8 @@ int cmd_simulate(const io::Args& args) {
                   so.stream_log.c_str(), so.stream_log.c_str());
     return 0;
   }
+  // The controllers above steer on measured utilization; TRO pins gamma*.
+  so.fixed_gamma = mfne.gamma_star;
   const auto replications =
       static_cast<std::size_t>(args.get_long("replications", 1));
   const bool sequential = args.has("target-ci") || args.has("target-rel");
@@ -579,27 +571,22 @@ int cmd_closedloop(const io::Args& args) {
       core::solve_mfne(pop.users, cfg.delay, cfg.capacity).gamma_star;
 
   sim::ClosedLoopOptions opt;
-  opt.topology = build_topology(args, cfg);
+  fill_run_options(args, cfg, opt);
   opt.update_period = args.get_double("period", opt.update_period);
-  opt.horizon = args.get_double("horizon", opt.horizon);
   opt.eta0 = args.get_double("eta0", opt.eta0);
   opt.epsilon = args.get_double("epsilon", opt.epsilon);
-  opt.seed = static_cast<std::uint64_t>(args.get_long("seed", 42));
-  opt.shards = static_cast<std::size_t>(args.get_long("shards", 0));
-  opt.stream_log = args.get_path("stream-log");
-  if (args.has("window") || !opt.stream_log.empty())
-    opt.sample_interval = args.get_double("window", 1.0);
-  opt.transport = parse_transport(args.get_string("transport", "inproc"));
-  parse_workers_flag(args, opt.transport, opt.workers, opt.worker_addresses);
-  opt.stream_counters = args.get_long("counters", 1) != 0;
   const double async = args.get_double("async", 1.0);
   if (async < 1.0) opt.update_gate = core::make_bernoulli_gate(async, 1);
-  opt.faults = build_faults(args, cfg);
   if (opt.faults) {
     // Under a fault schedule Algorithm 1 must not stay frozen when the
     // environment moves; the margin is tunable for sensitivity studies.
     opt.resume_on_drift = true;
     opt.drift_margin = args.get_double("drift-margin", opt.drift_margin);
+  } else if (args.has("drift-margin")) {
+    throw RuntimeError(
+        "--drift-margin requires a fault schedule (--fault-schedule or "
+        "`fault =` lines in --config): only then does the loop resume on "
+        "utilization drift");
   }
 
   const sim::ClosedLoopResult r =
