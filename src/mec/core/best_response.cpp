@@ -80,24 +80,6 @@ double utilization_of_thresholds(std::span<const UserParams> users,
   return acc / (static_cast<double>(users.size()) * capacity);
 }
 
-double utilization_of_thresholds(std::span<const UserParams> users,
-                                 std::span<const double> thresholds,
-                                 double capacity, parallel::ThreadPool& pool) {
-  MEC_EXPECTS(!users.empty());
-  MEC_EXPECTS(users.size() == thresholds.size());
-  MEC_EXPECTS(capacity > 0.0);
-  std::vector<double> rates(users.size(), 0.0);
-  pool.parallel_for_each(
-      users.size(),
-      [&](std::size_t n) {
-        rates[n] = user_offload_rate(users[n], thresholds[n]);
-      },
-      kUserGrain);
-  double acc = 0.0;
-  for (const double r : rates) acc += r;
-  return acc / (static_cast<double>(users.size()) * capacity);
-}
-
 double average_cost(std::span<const UserParams> users,
                     std::span<const double> thresholds,
                     const EdgeDelay& delay, double gamma) {

@@ -49,12 +49,6 @@ double utilization_of_thresholds(std::span<const UserParams> users,
                                  std::span<const double> thresholds,
                                  double capacity);
 
-/// Parallel overload of the Eq.-(6) map; bit-identical to the serial one
-/// (per-index slots, serial in-order reduction).
-double utilization_of_thresholds(std::span<const UserParams> users,
-                                 std::span<const double> thresholds,
-                                 double capacity, parallel::ThreadPool& pool);
-
 /// Average Eq.-(1) cost across the population when user n plays thresholds[n]
 /// and the edge delay value is g(gamma). Sizes must match.
 double average_cost(std::span<const UserParams> users,

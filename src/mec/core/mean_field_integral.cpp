@@ -14,10 +14,6 @@ InverseCdf uniform_inverse_cdf(double lo, double hi) {
   return [lo, hi](double u) { return lo + (hi - lo) * u; };
 }
 
-InverseCdf constant_inverse_cdf(double value) {
-  return [value](double) { return value; };
-}
-
 double halton(std::size_t index, std::size_t dimension) {
   static constexpr std::array<std::size_t, 5> kPrimes = {2, 3, 5, 7, 11};
   MEC_EXPECTS(dimension < kPrimes.size());

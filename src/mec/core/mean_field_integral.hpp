@@ -24,9 +24,6 @@ using InverseCdf = std::function<double(double)>;
 /// Inverse CDF of U(lo, hi). Requires lo <= hi.
 InverseCdf uniform_inverse_cdf(double lo, double hi);
 
-/// Inverse CDF of a point mass.
-InverseCdf constant_inverse_cdf(double value);
-
 /// The five independent heterogeneity marginals plus system constants.
 struct MeanFieldModel {
   InverseCdf arrival;         ///< A

@@ -103,17 +103,4 @@ SocialOptimum solve_social_optimum(std::span<const UserParams> users,
   return out;
 }
 
-double price_of_anarchy(std::span<const UserParams> users,
-                        const EdgeDelay& delay, double capacity) {
-  const MfneResult nash = solve_mfne(users, delay, capacity);
-  std::vector<double> nash_xs(nash.thresholds.begin(), nash.thresholds.end());
-  const double nash_cost =
-      average_cost(users, nash_xs, delay,
-                   std::min(1.0, utilization_of_thresholds(users, nash_xs,
-                                                           capacity)));
-  const SocialOptimum so = solve_social_optimum(users, delay, capacity);
-  MEC_ENSURES(so.average_cost > 0.0);
-  return nash_cost / so.average_cost;
-}
-
 }  // namespace mec::core

@@ -1,4 +1,5 @@
-// Socially optimal thresholds and the price of anarchy of the MFNE.
+// Socially optimal thresholds: the planner's side of the MFNE's price of
+// anarchy, W(Nash)/W(planner) (`mec_bench ablation_price_of_anarchy`).
 //
 // The MFNE is a *Nash* point: each user ignores that offloading one more
 // task raises g(gamma) for everyone.  A planner internalizes the externality;
@@ -12,7 +13,7 @@
 // are integers, the result is a first-order planner solution within the
 // threshold class; the solver falls back to the Nash thresholds if they ever
 // evaluate better, so its cost is never above the equilibrium cost and the
-// reported price of anarchy is >= 1 by construction.
+// price of anarchy is >= 1 by construction.
 #pragma once
 
 #include <cstdint>
@@ -50,9 +51,5 @@ double edge_delay_derivative(const EdgeDelay& delay, double gamma,
 SocialOptimum solve_social_optimum(std::span<const UserParams> users,
                                    const EdgeDelay& delay, double capacity,
                                    const SocialOptimumOptions& options = {});
-
-/// W(Nash)/W(planner) >= 1: how inefficient selfish threshold play is.
-double price_of_anarchy(std::span<const UserParams> users,
-                        const EdgeDelay& delay, double capacity);
 
 }  // namespace mec::core

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 
 #include "mec/common/error.hpp"
@@ -115,6 +116,22 @@ bool Args::get_bool(const std::string& name, bool fallback) const {
     return false;
   throw RuntimeError("flag --" + name + " expects a boolean, got '" +
                      it->second + "'");
+}
+
+std::size_t Args::get_count(const std::string& name, std::size_t fallback,
+                            std::size_t min, std::size_t max) const {
+  if (!has(name)) return fallback;
+  const long value = get_long(name, 0);
+  if (value >= 0 && static_cast<std::size_t>(value) >= min &&
+      static_cast<std::size_t>(value) <= max)
+    return static_cast<std::size_t>(value);
+  std::ostringstream os;
+  os << "--" << name << " is " << value << ", expected an integer ";
+  if (max == std::numeric_limits<std::size_t>::max())
+    os << ">= " << min;
+  else
+    os << "in [" << min << ", " << max << "]";
+  throw RuntimeError(os.str());
 }
 
 void Args::reject_unknown(const std::set<std::string>& known) const {

@@ -8,8 +8,9 @@
 // treating "true" as a filename.
 #pragma once
 
+#include <cstddef>
+#include <limits>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -38,6 +39,12 @@ class Args {
   /// rejects fractional values and trailing garbage.
   long get_long(const std::string& name, long fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
+  /// A count: an integer (spelled as get_long accepts) in [min, max].  A
+  /// value outside the range, a negative one included, throws
+  /// mec::RuntimeError naming the flag, the value and the range.
+  std::size_t get_count(
+      const std::string& name, std::size_t fallback, std::size_t min = 0,
+      std::size_t max = std::numeric_limits<std::size_t>::max()) const;
   /// Like get_string, but a bare `--flag` (no value) is an error rather
   /// than the "true" sentinel — use for filenames and other paths.
   std::string get_path(const std::string& name,

@@ -6,8 +6,6 @@
 
 namespace mec::io {
 
-Json Json::null() { return Json(); }
-
 Json Json::boolean(bool value) {
   Json j;
   j.kind_ = Kind::kBool;
@@ -33,13 +31,6 @@ Json Json::string(std::string value) {
   Json j;
   j.kind_ = Kind::kString;
   j.string_ = std::move(value);
-  return j;
-}
-
-Json Json::array(std::vector<Json> items) {
-  Json j;
-  j.kind_ = Kind::kArray;
-  j.array_ = std::move(items);
   return j;
 }
 
@@ -114,19 +105,6 @@ void Json::write(std::string& out, int indent, int depth) const {
       out += json_escape(string_);
       out += '"';
       break;
-    case Kind::kArray: {
-      out += '[';
-      bool first = true;
-      for (const Json& item : array_) {
-        if (!first) out += ',';
-        first = false;
-        newline_indent(out, indent, depth + 1);
-        item.write(out, indent, depth + 1);
-      }
-      if (!array_.empty()) newline_indent(out, indent, depth);
-      out += ']';
-      break;
-    }
     case Kind::kObject: {
       out += '{';
       bool first = true;

@@ -7,38 +7,31 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
 namespace mec::io {
 
-/// An immutable JSON value (null, bool, number, string, array, object).
+/// An immutable JSON value (null, bool, number, string, object).
 class Json {
  public:
   Json() : kind_(Kind::kNull) {}  // null
 
-  static Json null();
   static Json boolean(bool value);
   static Json number(double value);
   static Json integer(long long value);
   static Json string(std::string value);
-  static Json array(std::vector<Json> items);
   static Json object(std::map<std::string, Json> members);
 
   /// Serializes; `indent` > 0 pretty-prints with that many spaces per level.
   std::string dump(int indent = 0) const;
 
-  bool is_null() const noexcept { return kind_ == Kind::kNull; }
-
  private:
-  enum class Kind { kNull, kBool, kNumber, kInteger, kString, kArray, kObject };
+  enum class Kind { kNull, kBool, kNumber, kInteger, kString, kObject };
   Kind kind_;
   bool bool_ = false;
   double number_ = 0.0;
   long long integer_ = 0;
   std::string string_;
-  std::vector<Json> array_;
   std::map<std::string, Json> object_;
 
   void write(std::string& out, int indent, int depth) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <iostream>
@@ -9,7 +10,12 @@
 #include <thread>
 #include <vector>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <unistd.h>
+#endif
+
 #include "mec/common/error.hpp"
+#include "mec/io/args.hpp"
 #include "mec/io/ascii_plot.hpp"
 #include "mec/io/table.hpp"
 #include "mec/obs/counters.hpp"
@@ -216,6 +222,38 @@ int run_tail(const std::string& path, const TailOptions& options) {
     os << "error: " << e.what() << '\n';
     return 1;
   }
+}
+
+int tail_main(const io::Args& args, const std::string& positional_path) {
+  constexpr const char* kUsage =
+      "usage: mec tail | mec_tail <run.meclog> [--follow] [--check] "
+      "[--interval=<ms>] [--csv=<file>] [--hist-csv=<file>] "
+      "[--max-updates=<k>]";
+  args.reject_unknown({"log", "follow", "check", "interval", "csv",
+                       "hist-csv", "max-updates", "help"});
+  if (args.get_bool("help", false)) {
+    std::cout << kUsage << '\n';
+    return 0;
+  }
+  const std::string flag_path = args.get_path("log");
+  if (!positional_path.empty() && !flag_path.empty())
+    throw RuntimeError("the log path is given twice ('" + positional_path +
+                       "' and --log=" + flag_path + "); give one");
+  const std::string path = positional_path.empty() ? flag_path
+                                                   : positional_path;
+  if (path.empty()) throw RuntimeError(kUsage);
+  TailOptions opt;
+  opt.follow = args.get_bool("follow", false);
+  opt.check = args.get_bool("check", false);
+  opt.interval_ms =
+      static_cast<int>(args.get_count("interval", 500, 1, INT_MAX));
+  opt.csv = args.get_path("csv");
+  opt.hist_csv = args.get_path("hist-csv");
+  opt.max_updates = args.get_count("max-updates", 0);
+#if defined(__unix__) || defined(__APPLE__)
+  opt.ansi = opt.follow && ::isatty(STDOUT_FILENO) != 0;
+#endif
+  return run_tail(path, opt);
 }
 
 }  // namespace mec::obs

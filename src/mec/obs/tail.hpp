@@ -9,6 +9,10 @@
 #include <iosfwd>
 #include <string>
 
+namespace mec::io {
+class Args;
+}  // namespace mec::io
+
 namespace mec::obs {
 
 struct TailOptions {
@@ -29,5 +33,14 @@ struct TailOptions {
 /// crashed or in-flight runs render normally — only --check treats a
 /// missing footer as failure.
 int run_tail(const std::string& path, const TailOptions& options);
+
+/// The viewer's flag grammar, shared by `mec tail` and mec_tail: the log
+/// path comes from the caller's positional operand or from --log (not
+/// both), plus --follow, --check, --interval=<ms> (>= 1),
+/// --csv=<file>, --hist-csv=<file>, --max-updates=<k> and --help.  An
+/// unknown flag, a path flag without a value, an out-of-range count or a
+/// missing path throws mec::RuntimeError naming it.  Returns run_tail's
+/// exit code (0 after printing the usage line for --help).
+int tail_main(const io::Args& args, const std::string& positional_path);
 
 }  // namespace mec::obs

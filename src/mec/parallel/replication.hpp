@@ -7,10 +7,10 @@
 //
 //     seed_r = base_seed + 0x9E3779B97F4A7C15 * (r + 1)
 //
-// (the splitmix64 golden-ratio increment, matching DesUtilizationSource's
-// per-call decorrelation idiom), each replication writes its result into its
-// own slot, and the slots are merged serially in replication order.  The
-// aggregated output is therefore bit-identical for any thread count.
+// (the splitmix64 golden-ratio increment), each replication writes its
+// result into its own slot, and the slots are merged serially in
+// replication order.  The aggregated output is therefore bit-identical for
+// any thread count.
 #pragma once
 
 #include <cstddef>

@@ -35,23 +35,6 @@ Metric parse_metric(const std::string& name) {
       "local-sojourn|offload-delay)");
 }
 
-double metric_value(const sim::SimulationResult& result, Metric metric) {
-  switch (metric) {
-    case Metric::kMeanCost: return result.mean_cost;
-    case Metric::kMeanQueueLength: return result.mean_queue_length;
-    case Metric::kMeanOffloadFraction: return result.mean_offload_fraction;
-    case Metric::kMeasuredUtilization: return result.measured_utilization;
-    case Metric::kMeanLocalSojourn:
-      return result.device_mean(
-          [](const sim::DeviceStats& d) { return d.mean_local_sojourn; });
-    case Metric::kMeanOffloadDelay:
-      return result.device_mean(
-          [](const sim::DeviceStats& d) { return d.mean_offload_delay; });
-  }
-  MEC_EXPECTS_MSG(false, "unreachable metric selector");
-  return 0.0;
-}
-
 const MetricSummary& select_metric(const ReplicationResult& result,
                                    Metric metric) noexcept {
   switch (metric) {
@@ -134,15 +117,6 @@ SequentialResult run_until_confident(std::span<const core::UserParams> users,
   out.replications = r_done;
   if (options.keep_runs) out.aggregate.runs = std::move(results);
   return out;
-}
-
-const char* to_string(Verdict verdict) noexcept {
-  switch (verdict) {
-    case Verdict::kFirstLower: return "first-lower";
-    case Verdict::kSecondLower: return "second-lower";
-    case Verdict::kUndecided: return "undecided";
-  }
-  return "unknown";
 }
 
 CompareResult compare_sequential(const PairedEvaluator& evaluate,

@@ -52,10 +52,6 @@ const char* to_string(Metric metric) noexcept;
 /// Inverse of to_string; throws RuntimeError on an unknown name.
 Metric parse_metric(const std::string& name);
 
-/// The per-replication scalar that aggregate_replications folds into the
-/// corresponding MetricSummary.
-double metric_value(const sim::SimulationResult& result, Metric metric);
-
 /// The selected metric's summary inside an aggregate.
 const MetricSummary& select_metric(const ReplicationResult& result,
                                    Metric metric) noexcept;
@@ -139,8 +135,6 @@ enum class Verdict {
   kSecondLower,  ///< CI entirely above 0: arm B is smaller
   kUndecided,    ///< budget exhausted with 0 still inside the interval
 };
-
-const char* to_string(Verdict verdict) noexcept;
 
 struct CompareResult {
   Verdict verdict = Verdict::kUndecided;

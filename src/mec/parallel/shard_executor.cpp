@@ -30,6 +30,8 @@ std::size_t auto_shard_count(std::size_t n_devices,
 
 std::size_t resolve_shard_count(std::size_t requested,
                                 std::size_t n_devices) {
+  check_option(requested <= kMaxShardCount, "SimulationOptions", "shards",
+               requested, "a value in [0, 4096] (0 picks the count)");
   if (requested > 0) return requested;
   if (const char* env = std::getenv("MEC_SHARDS")) {
     // Eager validation, same policy as the bench runner's flag parsing: a
@@ -43,11 +45,11 @@ std::size_t resolve_shard_count(std::size_t requested,
     const bool clean = env[0] >= '0' && env[0] <= '9' && *end == '\0' &&
                        errno == 0;
     if (!clean || parsed < 1 ||
-        parsed > static_cast<long>(kMaxEnvShardCount)) {
+        parsed > static_cast<long>(kMaxShardCount)) {
       throw RuntimeError("MEC_SHARDS=\"" + std::string(env) +
                          "\" is not a valid shard count (expected an "
                          "integer in [1, " +
-                         std::to_string(kMaxEnvShardCount) + "])");
+                         std::to_string(kMaxShardCount) + "])");
     }
     return static_cast<std::size_t>(parsed);
   }

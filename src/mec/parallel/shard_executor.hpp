@@ -47,10 +47,10 @@ namespace mec::parallel {
 std::size_t auto_shard_count(std::size_t n_devices,
                              std::size_t hardware_threads) noexcept;
 
-/// Largest shard count MEC_SHARDS may request.  Counter frames identify a
-/// shard in a u16 with 0xFFFF reserved for global values, and no machine
-/// this targets benefits past a few thousand shards.
-inline constexpr std::size_t kMaxEnvShardCount = 4096;
+/// Largest shard count a run may use.  Counter frames identify a shard in a
+/// u16 with 0xFFFF reserved for global values, and no machine this targets
+/// benefits past a few thousand shards.
+inline constexpr std::size_t kMaxShardCount = 4096;
 
 /// Shard count for a run: an explicit request wins; 0 defers to the
 /// MEC_SHARDS environment variable (so a whole test suite can be forced
@@ -58,9 +58,10 @@ inline constexpr std::size_t kMaxEnvShardCount = 4096;
 /// auto_shard_count heuristic picks from the population size and
 /// std::thread::hardware_concurrency().
 ///
-/// MEC_SHARDS is validated eagerly: a non-numeric or out-of-range value
-/// throws mec::RuntimeError naming the variable and the accepted range
-/// [1, kMaxEnvShardCount] instead of being silently ignored.
+/// Both are validated eagerly: an explicit request above kMaxShardCount
+/// throws mec::ContractViolation naming SimulationOptions::shards, and a
+/// non-numeric or out-of-range MEC_SHARDS throws mec::RuntimeError naming
+/// the variable and the accepted range [1, kMaxShardCount].
 std::size_t resolve_shard_count(std::size_t requested,
                                 std::size_t n_devices);
 

@@ -8,7 +8,9 @@
 
 namespace mec::parallel {
 
-std::size_t resolve_thread_count(std::size_t requested) noexcept {
+std::size_t resolve_thread_count(std::size_t requested) {
+  check_option(requested <= kMaxThreads, "ThreadPool", "threads", requested,
+               "a value in [0, 1024] (0 selects the hardware concurrency)");
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

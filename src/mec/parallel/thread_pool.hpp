@@ -26,14 +26,20 @@
 
 namespace mec::parallel {
 
+/// Largest thread count a caller may request: a pool starts one OS thread
+/// per lane but the caller's.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 /// `requested` threads, except 0 selects the hardware concurrency (>= 1).
-std::size_t resolve_thread_count(std::size_t requested) noexcept;
+/// A request above kMaxThreads throws mec::ContractViolation naming it.
+std::size_t resolve_thread_count(std::size_t requested);
 
 /// A fixed-size worker pool executing blocking parallel-for loops.
 class ThreadPool {
  public:
   /// Spawns `threads - 1` workers (the caller is the remaining lane);
-  /// 0 selects the hardware concurrency.
+  /// 0 selects the hardware concurrency.  The count is resolved, and
+  /// refused above kMaxThreads, before any worker starts.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 

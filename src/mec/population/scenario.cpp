@@ -1,33 +1,45 @@
 #include "mec/population/scenario.hpp"
 
+#include <string>
+#include <string_view>
+
 #include "mec/common/error.hpp"
 #include "mec/random/empirical_data.hpp"
 
 namespace mec::population {
 
 void ScenarioConfig::check() const {
-  MEC_EXPECTS_MSG(arrival.valid() && service.valid() && latency.valid() &&
-                      energy_local.valid() && energy_offload.valid(),
-                  "all five heterogeneity distributions must be set");
-  MEC_EXPECTS(weight > 0.0);
-  MEC_EXPECTS(capacity > 0.0);
-  MEC_EXPECTS(delay.valid());
-  MEC_EXPECTS(n_users >= 1);
-  MEC_EXPECTS_MSG(service.lower_bound() > 0.0 ||
-                      service.mean() > 0.0,
-                  "service rates must be positive");
-  MEC_EXPECTS_MSG(clusters >= 1, "clusters must be at least 1");
-  if (!cluster_shares.empty()) {
-    MEC_EXPECTS_MSG(cluster_shares.size() == clusters,
-                    "cluster_shares must list one share per cluster");
-    double total = 0.0;
-    for (const double share : cluster_shares) {
-      MEC_EXPECTS_MSG(share > 0.0, "cluster shares must be positive");
-      total += share;
-    }
-    MEC_EXPECTS_MSG(total > 1.0 - 1e-9 && total < 1.0 + 1e-9,
-                    "cluster shares must sum to 1");
+  constexpr std::string_view kRun = "ScenarioConfig";
+  const auto require = [kRun](const random::Distribution& d,
+                              std::string_view field) {
+    check_option(d.valid(), kRun, field, "unset", "a distribution");
+  };
+  require(arrival, "arrival");
+  require(service, "service");
+  require(latency, "latency");
+  require(energy_local, "energy_local");
+  require(energy_offload, "energy_offload");
+  check_option(weight > 0.0, kRun, "weight", weight, "a value > 0");
+  check_option(capacity > 0.0, kRun, "capacity", capacity, "a value > 0");
+  check_option(delay.valid(), kRun, "delay", "unset", "an edge delay");
+  check_option(n_users >= 1, kRun, "n_users", n_users, "a value >= 1");
+  check_option(service.lower_bound() > 0.0 || service.mean() > 0.0, kRun,
+               "the service mean", service.mean(), "a value > 0");
+  check_option(clusters >= 1 && clusters < 0xFFFF, kRun, "clusters", clusters,
+               "a value in [1, 65534]");
+  if (cluster_shares.empty()) return;
+  check_option(cluster_shares.size() == clusters, kRun, "cluster_shares.size()",
+               cluster_shares.size(),
+               "one share per cluster (" + std::to_string(clusters) + ")");
+  double total = 0.0;
+  for (std::size_t k = 0; k < cluster_shares.size(); ++k) {
+    check_option(cluster_shares[k] > 0.0, kRun,
+                 "cluster_shares[" + std::to_string(k) + "]",
+                 cluster_shares[k], "a value > 0");
+    total += cluster_shares[k];
   }
+  check_option(total > 1.0 - 1e-9 && total < 1.0 + 1e-9, kRun,
+               "the sum of cluster_shares", total, "1 (within 1e-9)");
 }
 
 std::string to_string(LoadRegime regime) {

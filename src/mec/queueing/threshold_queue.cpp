@@ -69,37 +69,8 @@ TroMetrics tro_metrics(double theta, double x) {
   return m;
 }
 
-double tro_mean_queue_length(double theta, double x) {
-  return tro_metrics(theta, x).mean_queue_length;
-}
-
 double tro_offload_probability(double theta, double x) {
   return tro_metrics(theta, x).offload_probability;
-}
-
-std::vector<double> tro_stationary_distribution(double theta, double x) {
-  const auto [k, frac] = decompose(theta, x);
-  const std::size_t n = static_cast<std::size_t>(k) + 2;
-  std::vector<double> pi(n, 0.0);
-  // Build weights with rescaling, then normalize.
-  pi[0] = 1.0;
-  double total = 1.0;
-  double w = 1.0;
-  for (std::size_t i = 1; i <= static_cast<std::size_t>(k); ++i) {
-    w *= theta;
-    pi[i] = w;
-    total += w;
-    if (total > 1e280) {
-      constexpr double kRescale = 1e-280;
-      for (std::size_t j = 0; j <= i; ++j) pi[j] *= kRescale;
-      w *= kRescale;
-      total *= kRescale;
-    }
-  }
-  pi[n - 1] = frac * w * theta;
-  total += pi[n - 1];
-  for (double& p : pi) p /= total;
-  return pi;
 }
 
 }  // namespace mec::queueing

@@ -12,8 +12,6 @@
 // cancellation).
 #pragma once
 
-#include <vector>
-
 namespace mec::queueing {
 
 /// Steady-state metrics of the TRO local queue.
@@ -23,18 +21,12 @@ struct TroMetrics {
   double p_empty;               ///< pi_0
 };
 
-/// Exact metrics for arrival intensity `theta` = a/s and threshold `x`.
+/// Exact metrics for arrival intensity `theta` = a/s and threshold `x`:
+/// Q(x) of Eq. (7), alpha(x) of Eq. (8) and pi_0.
 /// Requires theta > 0 and 0 <= x <= 1e6.
 TroMetrics tro_metrics(double theta, double x);
 
-/// Q(x) — Eq. (7). Requires theta > 0 and 0 <= x <= 1e6.
-double tro_mean_queue_length(double theta, double x);
-
 /// alpha(x) — Eq. (8). Requires theta > 0 and 0 <= x <= 1e6.
 double tro_offload_probability(double theta, double x);
-
-/// Full stationary distribution over states 0..floor(x)+1.
-/// Requires theta > 0 and 0 <= x <= 1e6.
-std::vector<double> tro_stationary_distribution(double theta, double x);
 
 }  // namespace mec::queueing

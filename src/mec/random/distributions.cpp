@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <sstream>
 #include <utility>
 
 #include "mec/common/error.hpp"
@@ -35,10 +34,6 @@ double Distribution::lower_bound() const {
   return model_->lower_bound();
 }
 
-std::string Distribution::describe() const {
-  return model_ ? model_->describe() : "<empty>";
-}
-
 namespace {
 
 constexpr int kMaxRejectionIters = 1'000'000;
@@ -52,11 +47,6 @@ class UniformModel final : public DistributionModel {
   double mean() const override { return 0.5 * (lo_ + hi_); }
   double upper_bound() const override { return hi_; }
   double lower_bound() const override { return lo_; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "U(" << lo_ << ", " << hi_ << ")";
-    return os.str();
-  }
 
  private:
   double lo_, hi_;
@@ -69,11 +59,6 @@ class ConstantModel final : public DistributionModel {
   double mean() const override { return v_; }
   double upper_bound() const override { return v_; }
   double lower_bound() const override { return v_; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "const(" << v_ << ")";
-    return os.str();
-  }
 
  private:
   double v_;
@@ -107,11 +92,6 @@ class TruncatedExponentialModel final : public DistributionModel {
   }
   double upper_bound() const override { return cap_; }
   double lower_bound() const override { return 0.0; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "TruncExp(mean=" << 1.0 / rate_ << ", cap=" << cap_ << ")";
-    return os.str();
-  }
 
  private:
   double rate_, cap_;
@@ -139,12 +119,6 @@ class TruncatedNormalModel final : public DistributionModel {
   }
   double upper_bound() const override { return hi_; }
   double lower_bound() const override { return lo_; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "TruncN(" << mu_ << ", " << sigma_ << "; [" << lo_ << ", " << hi_
-       << "])";
-    return os.str();
-  }
 
  private:
   double mu_, sigma_, lo_, hi_;
@@ -170,11 +144,6 @@ class TruncatedLognormalModel final : public DistributionModel {
   }
   double upper_bound() const override { return cap_; }
   double lower_bound() const override { return 0.0; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "TruncLogN(" << mu_ << ", " << sigma_ << "; cap=" << cap_ << ")";
-    return os.str();
-  }
 
  private:
   double mu_, sigma_, cap_;
@@ -229,12 +198,6 @@ class TruncatedGammaModel final : public DistributionModel {
   double mean() const override { return mean_; }
   double upper_bound() const override { return cap_; }
   double lower_bound() const override { return 0.0; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "TruncGamma(k=" << shape_ << ", theta=" << scale_ << "; cap=" << cap_
-       << ")";
-    return os.str();
-  }
 
  private:
   double shape_, scale_, cap_;
@@ -243,8 +206,7 @@ class TruncatedGammaModel final : public DistributionModel {
 
 class ResamplingModel final : public DistributionModel {
  public:
-  ResamplingModel(std::vector<double> data, std::string label)
-      : data_(std::move(data)), label_(std::move(label)) {
+  explicit ResamplingModel(std::vector<double> data) : data_(std::move(data)) {
     mean_ = std::accumulate(data_.begin(), data_.end(), 0.0) /
             static_cast<double>(data_.size());
     const auto [lo, hi] = std::minmax_element(data_.begin(), data_.end());
@@ -257,16 +219,9 @@ class ResamplingModel final : public DistributionModel {
   double mean() const override { return mean_; }
   double upper_bound() const override { return hi_; }
   double lower_bound() const override { return lo_; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "Empirical(" << label_ << ", n=" << data_.size()
-       << ", mean=" << mean_ << ")";
-    return os.str();
-  }
 
  private:
   std::vector<double> data_;
-  std::string label_;
   double mean_, lo_, hi_;
 };
 
@@ -296,51 +251,11 @@ class MixtureModel final : public DistributionModel {
       lo = std::min(lo, component.lower_bound());
     return lo;
   }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "Mixture(" << components_.size() << " components)";
-    return os.str();
-  }
 
  private:
   std::vector<Distribution> components_;
   std::vector<double> cdf_;  // cumulative weights, last entry == 1
   double mean_;
-};
-
-class AffineModel final : public DistributionModel {
- public:
-  AffineModel(Distribution base, double scale, double shift, bool clamp)
-      : base_(std::move(base)), scale_(scale), shift_(shift), clamp_(clamp) {}
-  double sample(Xoshiro256& rng) const override {
-    const double v = scale_ * base_.sample(rng) + shift_;
-    return clamp_ ? std::max(0.0, v) : v;
-  }
-  double mean() const override {
-    // Exact when clamping never binds; callers that clamp accept the bias.
-    return scale_ * base_.mean() + shift_;
-  }
-  double upper_bound() const override {
-    const double a = scale_ * base_.lower_bound() + shift_;
-    const double b = scale_ * base_.upper_bound() + shift_;
-    return std::max(a, b);
-  }
-  double lower_bound() const override {
-    const double a = scale_ * base_.lower_bound() + shift_;
-    const double b = scale_ * base_.upper_bound() + shift_;
-    const double lo = std::min(a, b);
-    return clamp_ ? std::max(0.0, lo) : lo;
-  }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << scale_ << "*[" << base_.describe() << "]+" << shift_;
-    return os.str();
-  }
-
- private:
-  Distribution base_;
-  double scale_, shift_;
-  bool clamp_;
 };
 
 }  // namespace
@@ -380,12 +295,11 @@ Distribution make_truncated_gamma(double shape, double scale, double cap) {
   return Distribution(std::make_shared<TruncatedGammaModel>(shape, scale, cap));
 }
 
-Distribution make_resampling(std::vector<double> data, std::string label) {
+Distribution make_resampling(std::vector<double> data) {
   MEC_EXPECTS(!data.empty());
   MEC_EXPECTS(std::all_of(data.begin(), data.end(),
                           [](double v) { return v >= 0.0; }));
-  return Distribution(
-      std::make_shared<ResamplingModel>(std::move(data), std::move(label)));
+  return Distribution(std::make_shared<ResamplingModel>(std::move(data)));
 }
 
 Distribution make_mixture(std::vector<Distribution> components,
@@ -407,13 +321,6 @@ Distribution make_mixture(std::vector<Distribution> components,
   cdf.back() = 1.0;
   return Distribution(
       std::make_shared<MixtureModel>(std::move(components), std::move(cdf), mean));
-}
-
-Distribution make_affine(Distribution base, double scale, double shift,
-                         bool clamp_at_zero) {
-  MEC_EXPECTS(base.valid());
-  return Distribution(
-      std::make_shared<AffineModel>(std::move(base), scale, shift, clamp_at_zero));
 }
 
 }  // namespace mec::random

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "mec/random/rng.hpp"
@@ -24,7 +23,6 @@ class DistributionModel {
   virtual double upper_bound() const = 0;
   /// Largest closed lower bound on the support.
   virtual double lower_bound() const = 0;
-  virtual std::string describe() const = 0;
 };
 
 /// Value-semantic handle to an immutable distribution model.
@@ -37,7 +35,6 @@ class Distribution {
   double mean() const;
   double upper_bound() const;
   double lower_bound() const;
-  std::string describe() const;
   bool valid() const noexcept { return model_ != nullptr; }
 
  private:
@@ -70,16 +67,11 @@ Distribution make_truncated_gamma(double shape, double scale, double cap);
 /// Resamples uniformly from a fixed set of observations (the paper's
 /// "sampled from the real-world data we collected").
 /// Requires non-empty data with non-negative values.
-Distribution make_resampling(std::vector<double> data, std::string label);
+Distribution make_resampling(std::vector<double> data);
 
 /// Finite mixture: picks component i with probability weights[i] (normalized)
 /// and samples from it. Requires equal non-zero sizes and positive total mass.
 Distribution make_mixture(std::vector<Distribution> components,
                           std::vector<double> weights);
-
-/// Affine transform a*X + b of an existing distribution, clamped to stay
-/// non-negative when clamp_at_zero is true.
-Distribution make_affine(Distribution base, double scale, double shift,
-                         bool clamp_at_zero = false);
 
 }  // namespace mec::random

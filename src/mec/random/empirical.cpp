@@ -40,7 +40,7 @@ double EmpiricalDataset::resample(Xoshiro256& rng) const {
 }
 
 Distribution EmpiricalDataset::as_distribution() const {
-  return make_resampling(samples_, name_);
+  return make_resampling(samples_);
 }
 
 std::pair<std::vector<double>, std::vector<double>> EmpiricalDataset::histogram(
@@ -60,14 +60,6 @@ std::pair<std::vector<double>, std::vector<double>> EmpiricalDataset::histogram(
     mass[idx] += 1.0 / static_cast<double>(samples_.size());
   }
   return {edges, mass};
-}
-
-EmpiricalDataset EmpiricalDataset::scaled(double factor,
-                                          std::string new_name) const {
-  MEC_EXPECTS(factor > 0.0);
-  std::vector<double> scaled_samples = samples_;
-  for (double& v : scaled_samples) v *= factor;
-  return EmpiricalDataset(std::move(scaled_samples), std::move(new_name));
 }
 
 }  // namespace mec::random

@@ -41,10 +41,6 @@ class EmpiricalDataset {
   std::pair<std::vector<double>, std::vector<double>> histogram(
       std::size_t bins) const;
 
-  /// Dataset with every sample multiplied by `factor` (> 0); used to rescale
-  /// measured processing times into service-rate units.
-  EmpiricalDataset scaled(double factor, std::string new_name) const;
-
  private:
   std::vector<double> samples_;  // kept sorted for quantiles
   std::string name_;

@@ -1,8 +1,28 @@
 #include "mec/sim/coupling.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
+#include <string_view>
 
 namespace mec::sim {
+
+void ClusterTopology::check() const {
+  constexpr std::string_view kRun = "ClusterTopology";
+  check_option(clusters >= 1 && clusters < 0xFFFF, kRun, "clusters", clusters,
+               "a value in [1, 65534]");
+  if (shares.empty()) return;
+  check_option(shares.size() == clusters, kRun, "shares.size()", shares.size(),
+               "one share per cluster (" + std::to_string(clusters) + ")");
+  double sum = 0.0;
+  for (std::size_t k = 0; k < shares.size(); ++k) {
+    check_option(shares[k] > 0.0, kRun, "shares[" + std::to_string(k) + "]",
+                 shares[k], "a value > 0");
+    sum += shares[k];
+  }
+  check_option(std::abs(sum - 1.0) <= 1e-9, kRun, "the sum of shares", sum,
+               "1 (within 1e-9)");
+}
 
 double GammaReplay::clamped_gamma(double rate, std::size_t cluster) const {
   // Single-cluster bit-compat: caps_[0] == edge_capacity (share 1.0) and

@@ -59,21 +59,11 @@ struct ClusterTopology {
     return shares.empty() ? 1.0 / static_cast<double>(clusters)
                           : shares[cluster];
   }
-  void check() const {
-    MEC_EXPECTS_MSG(clusters >= 1, "topology needs at least one cluster");
-    MEC_EXPECTS_MSG(clusters < 0xFFFF, "cluster count exceeds the id space");
-    MEC_EXPECTS_MSG(shares.empty() || shares.size() == clusters,
-                    "cluster shares must match the cluster count");
-    if (!shares.empty()) {
-      double sum = 0.0;
-      for (const double s : shares) {
-        MEC_EXPECTS_MSG(s > 0.0, "cluster shares must be positive");
-        sum += s;
-      }
-      MEC_EXPECTS_MSG(std::abs(sum - 1.0) <= 1e-9,
-                      "cluster shares must sum to 1");
-    }
-  }
+  /// Throws ContractViolation naming the field, the value and the accepted
+  /// range: clusters in [1, 65534] (cluster ids are u16 on the wire, 0xFFFF
+  /// is reserved), and shares, when given, one per cluster, each > 0,
+  /// summing to 1.
+  void check() const;
 };
 
 /// Exponentially-weighted estimator of the aggregate offload task rate.

@@ -280,7 +280,6 @@ void EventQueue::advance() {
 void EventQueue::push(double time, EventKind kind, std::uint32_t device) {
   MEC_EXPECTS(std::isfinite(time));
   MEC_EXPECTS(time >= 0.0);
-  MEC_EXPECTS(device < (1u << kDeviceBits));
   const Node nd{time, (next_seq_++ << kSeqShift) |
                           (static_cast<std::uint64_t>(device) << kKindBits) |
                           static_cast<std::uint64_t>(kind)};

@@ -59,11 +59,15 @@ struct Event {
 /// Min future-event list with deterministic tie-breaking.
 class EventQueue {
  public:
+  /// Device ids (and fault-view indices) a node can carry: [0, 2^20).
+  /// MecSimulation refuses larger populations and fault schedules.
+  static constexpr std::size_t kMaxDevices = std::size_t{1} << 20;
+
   /// Pre-sizes the live heap (small populations then never reallocate).
   void reserve(std::size_t capacity);
 
   /// Schedules an event; `time` must be finite and >= 0, and `device`
-  /// must fit the packed node layout (device < 2^20).
+  /// must be below kMaxDevices.
   void push(double time, EventKind kind, std::uint32_t device);
 
   bool empty() const noexcept { return size_ == 0; }
@@ -119,6 +123,7 @@ class EventQueue {
   static constexpr std::uint64_t kKindBits = 2;
   static constexpr std::uint64_t kDeviceBits = 20;
   static constexpr std::uint64_t kSeqShift = kKindBits + kDeviceBits;
+  static_assert(kMaxDevices == std::size_t{1} << kDeviceBits);
 
   static bool earlier(const Node& a, const Node& b) noexcept {
     if (a.time != b.time) return a.time < b.time;

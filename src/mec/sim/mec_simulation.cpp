@@ -72,7 +72,14 @@ MecSimulation::MecSimulation(std::span<const core::UserParams> users,
   service_ = make_service_sampler(o.service);
   latency_ = make_latency_sampler(o.latency);
   n_initial_ = users_.size();
+  // The event queue carries a device id, or a fault's index in a shard's
+  // view of the schedule, in a 20-bit field.
+  constexpr std::size_t kMaxDevices = EventQueue::kMaxDevices;
+  constexpr std::string_view kLimit =
+      "a value <= 1048576 (2^20, the event queue's device field)";
   if (o.faults && !o.faults->empty()) {
+    check_option(o.faults->size() <= kMaxDevices, kRun, "fault actions",
+                 o.faults->size(), kLimit);
     o.faults->check(n_initial_);
     for (const fault::FaultAction& a : o.faults->actions())
       if (a.cluster != fault::FaultAction::kAllClusters &&
@@ -83,11 +90,9 @@ MecSimulation::MecSimulation(std::span<const core::UserParams> users,
             std::to_string(o.topology.clusters) + ")");
     const std::vector<core::UserParams> joiners = o.faults->churn_users();
     users_.insert(users_.end(), joiners.begin(), joiners.end());
-    MEC_EXPECTS_MSG(users_.size() < (std::size_t{1} << 20),
-                    "population incl. churn must fit the packed event layout");
-    MEC_EXPECTS_MSG(o.faults->size() < (std::size_t{1} << 20),
-                    "fault schedule must fit the packed event layout");
   }
+  check_option(users_.size() <= kMaxDevices, kRun, "devices", users_.size(),
+               kLimit);
   for (const auto& u : users_) u.check();
 }
 
@@ -131,36 +136,6 @@ SimulationResult MecSimulation::run_dpo(std::span<const double> rhos) const {
   }
   SimWorkspace workspace;
   return dispatch(workspace, DpoValueDecide{rhos.data()});
-}
-
-DesUtilizationSource::DesUtilizationSource(
-    std::span<const core::UserParams> users, double capacity,
-    core::EdgeDelay delay, SimulationOptions options)
-    : users_(users.begin(), users.end()),
-      capacity_(capacity),
-      delay_(std::move(delay)),
-      options_(std::move(options)) {
-  MEC_EXPECTS(!users_.empty());
-  MEC_EXPECTS(capacity_ > 0.0);
-  MEC_EXPECTS(delay_.valid());
-}
-
-double DesUtilizationSource::utilization(std::span<const double> thresholds) {
-  SimulationOptions run_options = options_;
-  // Decorrelate successive DTU iterations while staying deterministic.
-  run_options.seed = options_.seed + 0x9E3779B97F4A7C15ULL * ++call_count_;
-  // Successive oracle calls would clobber one stream log; streaming belongs
-  // to a directly-configured run, not the DTU's inner loop.
-  run_options.stream_log.clear();
-  MecSimulation simulation(users_, capacity_, delay_, std::move(run_options));
-  last_ = simulation.run_tro(thresholds, workspace_);
-  return last_->measured_utilization;
-}
-
-const SimulationResult& DesUtilizationSource::last_result() const {
-  MEC_EXPECTS_MSG(last_.has_value(),
-                  "last_result() before any utilization() call");
-  return *last_;
 }
 
 }  // namespace mec::sim

@@ -23,7 +23,6 @@
 #include <string_view>
 #include <vector>
 
-#include "mec/core/dtu.hpp"
 #include "mec/core/edge_delay.hpp"
 #include "mec/core/user.hpp"
 #include "mec/fault/fault_schedule.hpp"
@@ -211,10 +210,10 @@ void check_driver_options(const SimulationOptions& options,
 /// Reusable per-run simulation state (device states, RNG streams, the
 /// future-event list).  A default-constructed workspace is empty; the first
 /// run sizes it, and reusing it across runs of same-sized populations makes
-/// steady-state simulation allocation-free — the replication engine and the
-/// DTU's utilization oracle both run thousands of same-shape simulations.
-/// Results are bit-identical whether or not a workspace is reused.  A
-/// workspace must not be shared between concurrent runs.
+/// steady-state simulation allocation-free — the replication engine runs
+/// thousands of same-shape simulations.  Results are bit-identical whether
+/// or not a workspace is reused.  A workspace must not be shared between
+/// concurrent runs.
 class SimWorkspace {
  public:
   SimWorkspace();
@@ -280,31 +279,6 @@ class MecSimulation {
   SimulationOptions options_;
   ServiceSampler service_;  ///< built from options_.service
   LatencySampler latency_;  ///< built from options_.latency
-};
-
-/// Adapts the simulator to Algorithm 1's gamma_t oracle: each call runs one
-/// simulation with the supplied thresholds and returns the measured
-/// utilization.  Successive calls use decorrelated seeds.
-class DesUtilizationSource final : public core::UtilizationSource {
- public:
-  DesUtilizationSource(std::span<const core::UserParams> users,
-                       double capacity, core::EdgeDelay delay,
-                       SimulationOptions options = {});
-
-  double utilization(std::span<const double> thresholds) override;
-
-  /// Result of the most recent run (for cost reporting). Requires at least
-  /// one utilization() call.
-  const SimulationResult& last_result() const;
-
- private:
-  std::vector<core::UserParams> users_;
-  double capacity_;
-  core::EdgeDelay delay_;
-  SimulationOptions options_;
-  SimWorkspace workspace_;  ///< reused across utilization() calls
-  std::optional<SimulationResult> last_;
-  std::uint64_t call_count_ = 0;
 };
 
 }  // namespace mec::sim

@@ -190,16 +190,6 @@ ConfidenceInterval mean_confidence_interval(const RunningSummary& summary,
                             confidence};
 }
 
-ConfidenceInterval paired_difference_interval(std::span<const double> a,
-                                              std::span<const double> b,
-                                              double confidence) {
-  MEC_EXPECTS(a.size() == b.size());
-  MEC_EXPECTS(a.size() >= 2);
-  RunningSummary diff;
-  for (std::size_t i = 0; i < a.size(); ++i) diff.add(a[i] - b[i]);
-  return mean_confidence_interval(diff, confidence);
-}
-
 double alpha_spending_level(double alpha, std::size_t look) {
   MEC_EXPECTS(alpha > 0.0 && alpha < 1.0);
   MEC_EXPECTS(look >= 1);

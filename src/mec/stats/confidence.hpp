@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 #include "mec/stats/summary.hpp"
 
@@ -48,13 +47,6 @@ double student_t_quantile(double p, std::size_t dof);
 /// 0 < confidence < 1.
 ConfidenceInterval mean_confidence_interval(const RunningSummary& summary,
                                             double confidence);
-
-/// Paired-t CI on E[a - b] from per-replication pairs evaluated on common
-/// random numbers: the interval of the mean of the differences a[i] - b[i].
-/// Requires equal sizes >= 2 and 0 < confidence < 1.
-ConfidenceInterval paired_difference_interval(std::span<const double> a,
-                                              std::span<const double> b,
-                                              double confidence);
 
 /// Geometric alpha-spending schedule for repeatedly-inspected tests: look k
 /// (1-indexed) of a sequential procedure may spend alpha * 2^{-k}, so the

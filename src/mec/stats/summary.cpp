@@ -1,6 +1,5 @@
 #include "mec/stats/summary.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "mec/common/error.hpp"
@@ -8,33 +7,10 @@
 namespace mec::stats {
 
 void RunningSummary::add(double value) noexcept {
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
   ++count_;
   const double delta = value - mean_;
   mean_ += delta / static_cast<double>(count_);
   m2_ += delta * (value - mean_);
-}
-
-void RunningSummary::merge(const RunningSummary& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(count_);
-  const auto nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double RunningSummary::mean() const {
@@ -51,45 +27,6 @@ double RunningSummary::stddev() const { return std::sqrt(variance()); }
 
 double RunningSummary::standard_error() const {
   return stddev() / std::sqrt(static_cast<double>(count_));
-}
-
-double RunningSummary::min() const {
-  MEC_EXPECTS(count_ >= 1);
-  return min_;
-}
-
-double RunningSummary::max() const {
-  MEC_EXPECTS(count_ >= 1);
-  return max_;
-}
-
-double mean(std::span<const double> values) {
-  MEC_EXPECTS(!values.empty());
-  double acc = 0.0;
-  for (const double v : values) acc += v;
-  return acc / static_cast<double>(values.size());
-}
-
-double variance(std::span<const double> values) {
-  MEC_EXPECTS(values.size() >= 2);
-  const double m = mean(values);
-  double acc = 0.0;
-  for (const double v : values) acc += (v - m) * (v - m);
-  return acc / static_cast<double>(values.size() - 1);
-}
-
-double time_average(std::span<const double> values,
-                    std::span<const double> durations) {
-  MEC_EXPECTS(values.size() == durations.size());
-  MEC_EXPECTS(!values.empty());
-  double weighted = 0.0, total = 0.0;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    MEC_EXPECTS(durations[i] >= 0.0);
-    weighted += values[i] * durations[i];
-    total += durations[i];
-  }
-  MEC_EXPECTS_MSG(total > 0.0, "time_average needs positive total duration");
-  return weighted / total;
 }
 
 }  // namespace mec::stats

@@ -1,9 +1,7 @@
-// Streaming summary statistics (Welford) and batch helpers.
+// Streaming summary statistics (Welford).
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <vector>
 
 namespace mec::stats {
 
@@ -12,8 +10,6 @@ namespace mec::stats {
 class RunningSummary {
  public:
   void add(double value) noexcept;
-  /// Merges another accumulator (parallel reduction; Chan et al. update).
-  void merge(const RunningSummary& other) noexcept;
 
   std::size_t count() const noexcept { return count_; }
   /// Requires count() >= 1.
@@ -24,26 +20,11 @@ class RunningSummary {
   double stddev() const;
   /// stddev / sqrt(n). Requires count() >= 2.
   double standard_error() const;
-  double min() const;
-  double max() const;
 
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
-
-/// Batch mean. Requires non-empty input.
-double mean(std::span<const double> values);
-
-/// Unbiased sample variance. Requires size >= 2.
-double variance(std::span<const double> values);
-
-/// Time-weighted average of a piecewise-constant signal: values[i] holds over
-/// durations[i]. Requires equal sizes, positive total duration.
-double time_average(std::span<const double> values,
-                    std::span<const double> durations);
 
 }  // namespace mec::stats

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "mec/common/error.hpp"
 
 namespace mec::io {
@@ -101,6 +104,34 @@ TEST(ArgsTyped, LongStillRejectsNonIntegersAndGarbage) {
   EXPECT_THROW(a.get_long("junk", 0), RuntimeError);  // trailing garbage
   EXPECT_THROW(a.get_long("huge", 0), RuntimeError);  // out of long range
   EXPECT_THROW(a.get_long("inf", 0), RuntimeError);
+}
+
+TEST(ArgsTyped, CountRefusesOutOfRangeValuesByName) {
+  const Args a = Args::parse({"cmd", "--n=1e3", "--zero=0", "--neg=-5",
+                              "--big=5000", "--frac=2.5"});
+  EXPECT_EQ(a.get_count("n", 7, 1), 1000u);
+  EXPECT_EQ(a.get_count("absent", 7, 1), 7u);  // the fallback is not checked
+  EXPECT_EQ(a.get_count("zero", 7), 0u);       // zero allowed by default
+  EXPECT_EQ(a.get_count("big", 7, 0, 5000), 5000u);
+  // Each refusal names the flag, the value and the accepted range.
+  const struct {
+    const char* flag;
+    std::size_t min, max;
+    const char* message;
+  } refused[] = {
+      {"neg", 0, SIZE_MAX, "--neg is -5, expected an integer >= 0"},
+      {"zero", 1, SIZE_MAX, "--zero is 0, expected an integer >= 1"},
+      {"big", 0, 4096, "--big is 5000, expected an integer in [0, 4096]"},
+  };
+  for (const auto& r : refused) {
+    try {
+      (void)a.get_count(r.flag, 1, r.min, r.max);
+      ADD_FAILURE() << "accepted --" << r.flag;
+    } catch (const RuntimeError& e) {
+      EXPECT_EQ(std::string(e.what()), r.message);
+    }
+  }
+  EXPECT_THROW((void)a.get_count("frac", 1), RuntimeError);  // not an integer
 }
 
 }  // namespace

@@ -15,13 +15,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mec/common/error.hpp"
 #include "mec/core/edge_delay.hpp"
 #include "mec/core/user.hpp"
 #include "mec/fault/fault_schedule.hpp"
+#include "mec/population/scenario.hpp"
 #include "mec/random/rng.hpp"
 #include "mec/sim/coupling.hpp"
 #include "mec/sim/mec_simulation.hpp"
@@ -286,6 +289,77 @@ TEST(GammaReplayMerge, MultiLegMergeMatchesSerialReference) {
 }
 
 // --- topology validation ----------------------------------------------------
+
+TEST(TopologyValidation, RefusesBadLayoutsAndScenariosByName) {
+  // Each bad cluster layout or scenario field is refused with
+  // "<type>: <field> is <value>, expected <range>", never a raw contract
+  // expression.
+  const auto topology = [](std::size_t clusters, std::vector<double> shares) {
+    sim::ClusterTopology t;
+    t.clusters = clusters;
+    t.shares = std::move(shares);
+    t.check();
+  };
+  const auto scenario = [](auto edit) {
+    population::ScenarioConfig c = population::theoretical_scenario(
+        population::LoadRegime::kAtService, 10);
+    edit(c);
+    c.check();
+  };
+  const struct {
+    const char* message;
+    std::function<void()> check;
+  } bad[] = {
+      {"ClusterTopology: clusters is 0, expected a value in [1, 65534]",
+       [&] { topology(0, {}); }},
+      {"ClusterTopology: clusters is 70000, expected a value in [1, 65534]",
+       [&] { topology(70000, {}); }},
+      {"ClusterTopology: shares.size() is 1, expected one share per "
+       "cluster (2)",
+       [&] { topology(2, {0.5}); }},
+      {"ClusterTopology: shares[1] is -0, expected a value > 0",
+       [&] { topology(2, {1.0, -0.0}); }},
+      {"ClusterTopology: the sum of shares is 1.1, expected 1",
+       [&] { topology(2, {0.5, 0.6}); }},
+      {"ScenarioConfig: capacity is 0, expected a value > 0",
+       [&] { scenario([](auto& c) { c.capacity = 0.0; }); }},
+      {"ScenarioConfig: weight is -1, expected a value > 0",
+       [&] { scenario([](auto& c) { c.weight = -1.0; }); }},
+      {"ScenarioConfig: n_users is 0, expected a value >= 1",
+       [&] { scenario([](auto& c) { c.n_users = 0; }); }},
+      {"ScenarioConfig: arrival is unset, expected a distribution",
+       [&] { scenario([](auto& c) { c.arrival = {}; }); }},
+      {"ScenarioConfig: delay is unset, expected an edge delay",
+       [&] { scenario([](auto& c) { c.delay = {}; }); }},
+      {"ScenarioConfig: clusters is 0, expected a value in [1, 65534]",
+       [&] { scenario([](auto& c) { c.clusters = 0; }); }},
+      {"ScenarioConfig: cluster_shares[0] is -1, expected a value > 0",
+       [&] {
+         scenario([](auto& c) {
+           c.clusters = 2;
+           c.cluster_shares = {-1.0, 2.0};
+         });
+       }},
+      {"ScenarioConfig: the sum of cluster_shares is 0.5, expected 1",
+       [&] {
+         scenario([](auto& c) {
+           c.clusters = 2;
+           c.cluster_shares = {0.25, 0.25};
+         });
+       }},
+  };
+  for (const auto& b : bad) {
+    SCOPED_TRACE(b.message);
+    try {
+      b.check();
+      ADD_FAILURE() << "accepted";
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(b.message), std::string::npos) << what;
+      EXPECT_EQ(what.find("precondition violated"), std::string::npos) << what;
+    }
+  }
+}
 
 TEST(TopologyValidation, MalformedTopologiesAreRejected) {
   const auto users = mixed_users(5);

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "mec/common/error.hpp"
 #include "mec/core/best_response.hpp"
+#include "mec/fault/fault_schedule.hpp"
 #include "mec/queueing/mm1.hpp"
 #include "mec/queueing/threshold_queue.hpp"
 #include "mec/random/empirical_data.hpp"
@@ -308,25 +311,6 @@ TEST(Des, EmpiricalCostMatchesAnalyticCostForExponentialService) {
   EXPECT_NEAR(r.mean_cost, analytic, 0.05);
 }
 
-TEST(DesUtilizationSourceTest, ApproximatesTheAnalyticMap) {
-  const auto users = homogeneous(200, 2.0, 2.0, /*tau=*/0.3);
-  SimulationOptions o;
-  o.horizon = 400.0;
-  o.warmup = 40.0;
-  DesUtilizationSource source(users, 10.0, core::make_reciprocal_delay(), o);
-  const std::vector<double> xs(users.size(), 1.0);
-  const double measured = source.utilization(xs);
-  EXPECT_NEAR(measured, core::utilization_of_thresholds(users, xs, 10.0),
-              0.01);
-  EXPECT_GT(source.last_result().total_events, 0u);
-}
-
-TEST(DesUtilizationSourceTest, LastResultRequiresACall) {
-  const auto users = homogeneous(10, 1.0, 2.0);
-  DesUtilizationSource source(users, 10.0, core::make_reciprocal_delay());
-  EXPECT_THROW(source.last_result(), ContractViolation);
-}
-
 TEST(Des, SojournPercentilesMatchMm1Theory) {
   // M/M/1 sojourn is Exp(mu - lambda): p50 = ln2/(mu-lambda),
   // p95 = ln20/(mu-lambda), p99 = ln100/(mu-lambda).
@@ -490,6 +474,42 @@ TEST(Des, TimelineDisabledByDefault) {
   const SimulationResult r =
       sim.run_tro(std::vector<double>(users.size(), 1.0));
   EXPECT_TRUE(r.timeline.empty());
+}
+
+TEST(Des, NamesTheDeviceCeilingAtConstruction) {
+  // The event queue packs a device id into 20 bits.  2^20 devices
+  // construct, churn joiners included; one more is refused by name before
+  // any run.  No run starts here.
+  const core::EdgeDelay delay = core::make_reciprocal_delay();
+  const std::size_t limit = EventQueue::kMaxDevices;
+  ASSERT_EQ(limit, std::size_t{1} << 20);
+  std::vector<core::UserParams> users = homogeneous(limit, 1.0, 2.0);
+  EXPECT_NO_THROW(MecSimulation(users, 10.0, delay));
+  const auto refused = [&](std::span<const core::UserParams> population,
+                           const SimulationOptions& o) {
+    try {
+      MecSimulation(population, 10.0, delay, o);
+      ADD_FAILURE() << "accepted " << population.size() << " devices";
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("MecSimulation: devices is 1048577, expected a "
+                          "value <= 1048576"),
+                std::string::npos)
+          << what;
+      EXPECT_EQ(what.find("precondition violated"), std::string::npos) << what;
+    }
+  };
+  users.push_back(users.back());
+  refused(users, {});
+  // One joiner on top of 2^20 - 1 initial devices fills the layout exactly;
+  // on top of 2^20 it overflows it.
+  auto join = std::make_shared<fault::FaultSchedule>();
+  join->add_user_arrival(1.0, users.back());
+  SimulationOptions churn;
+  churn.faults = join;
+  const std::span<const core::UserParams> all(users);
+  EXPECT_NO_THROW(MecSimulation(all.first(limit - 1), 10.0, delay, churn));
+  refused(all.first(limit), churn);
 }
 
 TEST(Des, RejectsInvalidConfiguration) {

@@ -16,6 +16,7 @@
 #include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mec/core/edge_delay.hpp"
@@ -243,6 +244,23 @@ TEST(WorkspaceReuse, ReusedWorkspaceReproducesFreshRunsBitForBit) {
   expect_bitwise_equal(fresh, first);
   expect_bitwise_equal(fresh, second);
   expect_bitwise_equal(fresh, third);
+}
+
+TEST(WorkspaceReuse, MovedWorkspaceKeepsItsCachedState) {
+  // A workspace moves with its sized buffers and cached RNG streams: runs on
+  // the move-constructed and the move-assigned copy still reproduce a
+  // fresh run bit for bit.
+  const auto users = golden_users(40);
+  const std::vector<double> xs(users.size(), 1.75);
+  MecSimulation s(users, 8.0, core::make_reciprocal_delay(),
+                  scenario_b_options());
+  const SimulationResult fresh = s.run_tro(xs);
+  SimWorkspace ws;
+  expect_bitwise_equal(fresh, s.run_tro(xs, ws));
+  SimWorkspace moved(std::move(ws));
+  expect_bitwise_equal(fresh, s.run_tro(xs, moved));
+  ws = std::move(moved);
+  expect_bitwise_equal(fresh, s.run_tro(xs, ws));
 }
 
 TEST(WorkspaceReuse, WorkspaceSurvivesPopulationSizeChanges) {

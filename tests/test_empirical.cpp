@@ -67,15 +67,6 @@ TEST(EmpiricalDataset, DegenerateHistogramPutsAllMassInFirstBin) {
   EXPECT_DOUBLE_EQ(mass[0], 1.0);
 }
 
-TEST(EmpiricalDataset, ScaledMultipliesEverySample) {
-  const EmpiricalDataset d({1.0, 3.0}, "s");
-  const EmpiricalDataset s = d.scaled(2.0, "s2");
-  EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 6.0);
-  EXPECT_THROW(d.scaled(0.0, "bad"), ContractViolation);
-}
-
 TEST(EmpiricalDataset, AsDistributionRoundTripsMeanAndBounds) {
   const EmpiricalDataset d({1.0, 2.0, 6.0}, "dist");
   const Distribution dist = d.as_distribution();

@@ -89,30 +89,6 @@ TEST(Integration, PracticalPipelineWithMeasuredDataAndAsyncUpdates) {
               0.25 * mfne.gamma_star + 0.02);
 }
 
-TEST(Integration, DtuWithSimulationInTheLoopStillFindsTheEquilibrium) {
-  // Algorithm 1 driven by *measured* utilization (DES oracle) instead of the
-  // closed form: convergence must land near the analytic MFNE.
-  const auto pop = population::sample_population(
-      population::theoretical_scenario(population::LoadRegime::kBelowService,
-                                       300),
-      2026);
-  const auto& cfg = pop.config;
-  const double gamma_star =
-      core::solve_mfne(pop.users, cfg.delay, cfg.capacity).gamma_star;
-
-  sim::SimulationOptions o;
-  o.horizon = 150.0;
-  o.warmup = 15.0;
-  sim::DesUtilizationSource source(pop.users, cfg.capacity, cfg.delay, o);
-  core::DtuOptions opt;
-  opt.eta0 = 0.1;
-  opt.epsilon = 0.02;  // looser: the oracle is noisy
-  opt.max_iterations = 200;
-  const core::DtuResult dtu = run_dtu(pop.users, cfg.delay, source, opt);
-  EXPECT_TRUE(dtu.converged);
-  EXPECT_NEAR(dtu.final_gamma_hat, gamma_star, 0.06);
-}
-
 TEST(Integration, TableThreeShapeDtuBeatsDpoInBothSettingFamilies) {
   for (const bool practical : {false, true}) {
     for (const auto regime : {population::LoadRegime::kBelowService,

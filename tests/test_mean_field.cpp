@@ -64,7 +64,8 @@ TEST(InverseCdfs, UniformAndConstant) {
   EXPECT_DOUBLE_EQ(u(0.0), 2.0);
   EXPECT_DOUBLE_EQ(u(0.5), 4.0);
   EXPECT_DOUBLE_EQ(u(1.0), 6.0);
-  const InverseCdf c = constant_inverse_cdf(3.3);
+  // A point mass is the degenerate uniform.
+  const InverseCdf c = uniform_inverse_cdf(3.3, 3.3);
   EXPECT_DOUBLE_EQ(c(0.1), 3.3);
   EXPECT_DOUBLE_EQ(c(0.9), 3.3);
 }

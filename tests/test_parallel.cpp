@@ -44,6 +44,26 @@ TEST(ThreadPool, ResolvesThreadCounts) {
   EXPECT_EQ(ThreadPool(5).thread_count(), 5u);
 }
 
+TEST(ResolveCounts, RefuseOutOfRangeRequestsByName) {
+  // Refused where they are resolved, before a pool or a shard set exists.
+  EXPECT_EQ(resolve_thread_count(kMaxThreads), kMaxThreads);
+  EXPECT_EQ(resolve_shard_count(kMaxShardCount, 100), kMaxShardCount);
+  const auto expect_named = [](auto resolve, const std::string& message) {
+    try {
+      (void)resolve();
+      ADD_FAILURE() << "accepted: " << message;
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_named([] { return resolve_thread_count(kMaxThreads + 1); },
+               "ThreadPool: threads is 1025, expected a value in [0, 1024]");
+  expect_named([] { return resolve_shard_count(kMaxShardCount + 1, 100); },
+               "SimulationOptions: shards is 4097, expected a value in "
+               "[0, 4096]");
+}
+
 TEST(ReplicationOptions, DefaultThreadsSelectHardwareConcurrency) {
   // The documented default: threads = 0 defers to the hardware, exactly as
   // ThreadPool(0) does.  Pinned so the default cannot silently drift back
@@ -181,7 +201,7 @@ TEST(ThreadPool, PropagatesTheFirstException) {
   }
 }
 
-TEST(ReplicationSeed, MatchesTheDesUtilizationSourceIdiom) {
+TEST(ReplicationSeed, IsTheGoldenRatioIncrement) {
   EXPECT_EQ(replication_seed(7, 0), 7 + 0x9E3779B97F4A7C15ULL);
   EXPECT_EQ(replication_seed(7, 1), 7 + 2 * 0x9E3779B97F4A7C15ULL);
   EXPECT_NE(replication_seed(7, 0), replication_seed(8, 0));
@@ -350,42 +370,6 @@ TEST(ParallelBestResponse, BitIdenticalToSerialAcrossThreadCounts) {
           << "gamma=" << gamma;
     }
   }
-}
-
-TEST(ParallelUtilizationOfThresholds, BitIdenticalToSerial) {
-  const auto cfg = population::theoretical_scenario(
-      population::LoadRegime::kAboveService, 2000);
-  const auto pop = population::sample_population(cfg, 19);
-  std::vector<double> xs(pop.size());
-  for (std::size_t n = 0; n < xs.size(); ++n)
-    xs[n] = static_cast<double>(n % 7);
-  const double serial =
-      core::utilization_of_thresholds(pop.users, xs, cfg.capacity);
-  for (const std::size_t threads : {1u, 4u}) {
-    ThreadPool pool(threads);
-    EXPECT_DOUBLE_EQ(
-        core::utilization_of_thresholds(pop.users, xs, cfg.capacity, pool),
-        serial);
-  }
-}
-
-TEST(DesUtilizationSource, IsReproducibleAcrossConstructions) {
-  // Two sources with identical options must yield the same utilization
-  // sequence call by call (the per-call decorrelation is deterministic).
-  const auto users = homogeneous(60, 1.5, 2.0);
-  sim::SimulationOptions o;
-  o.warmup = 5.0;
-  o.horizon = 60.0;
-  o.seed = 23;
-  const std::vector<double> xs(users.size(), 1.0);
-  sim::DesUtilizationSource a(users, 10.0, core::make_reciprocal_delay(), o);
-  sim::DesUtilizationSource b(users, 10.0, core::make_reciprocal_delay(), o);
-  const double a1 = a.utilization(xs);
-  const double a2 = a.utilization(xs);
-  EXPECT_DOUBLE_EQ(a1, b.utilization(xs));
-  EXPECT_DOUBLE_EQ(a2, b.utilization(xs));
-  EXPECT_NE(a1, a2);  // successive calls are decorrelated on purpose
-  EXPECT_EQ(a.last_result().total_events, b.last_result().total_events);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "mec/common/error.hpp"
@@ -18,6 +19,18 @@ std::vector<UserParams> sampled(population::LoadRegime regime, std::size_t n) {
   return population::sample_population(
              population::theoretical_scenario(regime, n), 321)
       .users;
+}
+
+/// W(Nash)/W(planner), computed as ablation_price_of_anarchy does: the
+/// MFNE thresholds' average cost at the utilization they induce, over the
+/// social optimum's average cost.
+double price_of_anarchy(std::span<const UserParams> users,
+                        const EdgeDelay& delay, double capacity) {
+  const MfneResult nash = solve_mfne(users, delay, capacity);
+  const std::vector<double> xs(nash.thresholds.begin(), nash.thresholds.end());
+  const double nash_cost = average_cost(
+      users, xs, delay, utilization_of_thresholds(users, xs, capacity));
+  return nash_cost / solve_social_optimum(users, delay, capacity).average_cost;
 }
 
 TEST(EdgeDelayDerivative, MatchesAnalyticDerivativeOfReciprocal) {

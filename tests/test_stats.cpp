@@ -16,10 +16,10 @@ TEST(RunningSummary, MatchesBatchFormulas) {
   RunningSummary s;
   for (const double v : data) s.add(v);
   EXPECT_EQ(s.count(), 5u);
-  EXPECT_DOUBLE_EQ(s.mean(), mean(data));
-  EXPECT_NEAR(s.variance(), variance(data), 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 8.0);
+  // Batch formulas: mean 20 / 5 = 4; squared deviations 9 + 0 + 4 + 16 + 1
+  // over n - 1 = 4.
+  EXPECT_DOUBLE_EQ(s.mean(), 4.0);
+  EXPECT_NEAR(s.variance(), 7.5, 1e-12);
 }
 
 TEST(RunningSummary, ContractsOnInsufficientData) {
@@ -30,49 +30,12 @@ TEST(RunningSummary, ContractsOnInsufficientData) {
   EXPECT_THROW(s.variance(), ContractViolation);
 }
 
-TEST(RunningSummary, MergeEqualsSequentialAccumulation) {
-  random::Xoshiro256 rng(1);
-  RunningSummary all, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = random::uniform(rng, -2.0, 7.0);
-    all.add(v);
-    (i < 400 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(RunningSummary, MergeWithEmptyIsIdentity) {
-  RunningSummary a, empty;
-  a.add(3.0);
-  a.add(5.0);
-  const double m = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), m);
-  empty.merge(a);
-  EXPECT_DOUBLE_EQ(empty.mean(), m);
-}
-
 TEST(RunningSummary, IsStableForLargeOffsets) {
   // Welford must not lose the variance of tiny fluctuations on a huge mean.
   RunningSummary s;
   for (int i = 0; i < 1000; ++i)
     s.add(1e12 + (i % 2 == 0 ? 1.0 : -1.0));
   EXPECT_NEAR(s.variance(), 1.0, 1e-2);
-}
-
-TEST(TimeAverage, WeighsByDuration) {
-  const std::vector<double> values{2.0, 10.0};
-  const std::vector<double> durations{3.0, 1.0};
-  EXPECT_DOUBLE_EQ(time_average(values, durations), 4.0);
-  EXPECT_THROW(time_average(values, std::vector<double>{1.0}),
-               ContractViolation);
-  EXPECT_THROW(time_average(values, std::vector<double>{0.0, 0.0}),
-               ContractViolation);
 }
 
 TEST(NormalQuantile, MatchesKnownValues) {
@@ -246,19 +209,6 @@ TEST(MeanConfidenceInterval, SmallRCoverageMatchesNominal) {
     EXPECT_NEAR(static_cast<double>(covered) / trials, 0.95, 0.01)
         << "R=" << replications;
   }
-}
-
-TEST(PairedDifferenceInterval, MatchesIntervalOfDifferences) {
-  const std::vector<double> a{1.4, 2.6, 3.5, 4.5, 5.2};
-  const std::vector<double> b{1.0, 2.0, 3.0, 4.0, 5.0};
-  RunningSummary diff;
-  for (std::size_t i = 0; i < a.size(); ++i) diff.add(a[i] - b[i]);
-  const ConfidenceInterval expected = mean_confidence_interval(diff, 0.95);
-  const ConfidenceInterval ci = paired_difference_interval(a, b, 0.95);
-  EXPECT_DOUBLE_EQ(ci.mean, expected.mean);
-  EXPECT_DOUBLE_EQ(ci.half_width, expected.half_width);
-  EXPECT_THROW(paired_difference_interval(a, std::vector<double>{1.0}, 0.95),
-               ContractViolation);
 }
 
 TEST(AlphaSpending, GeometricScheduleIsBoundedByAlpha) {

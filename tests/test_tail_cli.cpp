@@ -1,0 +1,98 @@
+// The two log-viewer front ends, `mec tail` and mec_tail, share one flag
+// grammar (obs::tail_main).  One table drives both binaries and expects the
+// same exit status and the same message from each.
+#include <gtest/gtest.h>
+
+#include <sys/wait.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
+
+#include "mec/core/edge_delay.hpp"
+#include "mec/core/user.hpp"
+#include "mec/sim/mec_simulation.hpp"
+
+namespace {
+
+using namespace mec;
+
+std::string temp_path(const std::string& name) {
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// Runs `command` with stdout discarded; returns its exit status and puts
+/// its stderr in `err`.
+int run(const std::string& command, std::string& err) {
+  const std::string err_path = temp_path("mec_tail_cli.err");
+  const int status =
+      std::system((command + " > /dev/null 2> " + err_path).c_str());
+  std::ifstream in(err_path);
+  err.assign(std::istreambuf_iterator<char>(in),
+             std::istreambuf_iterator<char>());
+  std::filesystem::remove(err_path);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(TailFrontEnds, AgreeOnEveryFlag) {
+  const std::string log = temp_path("mec_tail_cli.meclog");
+  const std::string csv = temp_path("mec_tail_cli.csv");
+  {
+    std::vector<core::UserParams> users(20);
+    for (auto& u : users) {
+      u.arrival_rate = 1.0;
+      u.service_rate = 2.0;
+      u.offload_latency = 0.5;
+      u.energy_local = 1.0;
+      u.energy_offload = 0.5;
+    }
+    sim::SimulationOptions o;
+    o.warmup = 0.0;
+    o.horizon = 5.0;
+    o.stream_log = log;
+    o.sample_interval = 1.0;
+    sim::MecSimulation sim(users, 10.0, core::make_reciprocal_delay(), o);
+    (void)sim.run_tro(std::vector<double>(users.size(), 2.0));
+  }
+  struct Row {
+    std::string args;
+    int exit_code;
+    std::string message;  ///< expected in stderr; empty: stderr is empty
+  };
+  const Row rows[] = {
+      {log + " --check", 0, ""},
+      {"--log=" + log + " --check", 0, ""},
+      {log + " --csv=" + csv, 0, ""},
+      {log + " --csv", 1, "error: flag --csv expects a value"},
+      {log + " --hist-csv", 1, "error: flag --hist-csv expects a value"},
+      {"--log", 1, "error: flag --log expects a value"},
+      {log + " --bogus=1", 1, "error: unknown flag: --bogus"},
+      {log + " --interval=0", 1,
+       "error: --interval is 0, expected an integer in [1, 2147483647]"},
+      {log + " --max-updates=-1", 1,
+       "error: --max-updates is -1, expected an integer >= 0"},
+      {log + " --log=" + log, 1, "error: the log path is given twice"},
+      {"--check", 1, "error: usage: mec tail | mec_tail <run.meclog>"},
+  };
+  for (const std::string& binary :
+       {std::string("\"" MEC_CLI_BINARY "\" tail"),
+        std::string("\"" MEC_TAIL_BINARY "\"")}) {
+    for (const Row& row : rows) {
+      SCOPED_TRACE(binary + " " + row.args);
+      std::string err;
+      EXPECT_EQ(run(binary + " " + row.args, err), row.exit_code);
+      if (row.message.empty())
+        EXPECT_EQ(err, "");
+      else
+        EXPECT_EQ(err.rfind(row.message, 0), 0u) << err;
+    }
+    ASSERT_TRUE(std::filesystem::exists(csv));
+    std::filesystem::remove(csv);
+  }
+  std::filesystem::remove(log);
+}
+
+}  // namespace

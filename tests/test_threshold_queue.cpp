@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numeric>
 #include <tuple>
 #include <vector>
 
@@ -102,16 +101,6 @@ TEST(TroQueue, FractionalThresholdMatchesAugmentedBirthDeathChain) {
   EXPECT_NEAR(m.mean_queue_length, mean_state(pi), 1e-10);
   EXPECT_NEAR(m.p_empty, pi[0], 1e-12);
   EXPECT_NEAR(m.offload_probability, 0.6 * pi[3] + pi[4], 1e-12);
-}
-
-TEST(TroQueue, StationaryDistributionIsConsistentWithMetrics) {
-  const double theta = 2.2, x = 4.7;
-  const auto pi = tro_stationary_distribution(theta, x);
-  ASSERT_EQ(pi.size(), 6u);  // states 0..5
-  EXPECT_NEAR(std::accumulate(pi.begin(), pi.end(), 0.0), 1.0, 1e-12);
-  const TroMetrics m = tro_metrics(theta, x);
-  EXPECT_NEAR(pi[0], m.p_empty, 1e-12);
-  EXPECT_NEAR(mean_state(pi), m.mean_queue_length, 1e-10);
 }
 
 TEST(TroQueue, IsNumericallyStableAcrossThetaEqualsOne) {

@@ -24,14 +24,11 @@
 //
 // Common flags: --n (population size), --seed, --capacity, --latency-mean.
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 #include "mec/baseline/dpo.hpp"
 #include "mec/common/error.hpp"
@@ -48,6 +45,8 @@
 #include "mec/obs/tail.hpp"
 #include "mec/parallel/replication.hpp"
 #include "mec/parallel/sequential.hpp"
+#include "mec/parallel/shard_executor.hpp"
+#include "mec/parallel/thread_pool.hpp"
 #include "mec/population/population.hpp"
 #include "mec/population/scenario.hpp"
 #include "mec/population/scenario_text.hpp"
@@ -177,7 +176,7 @@ void parse_workers_flag(const io::Args& args, sim::TransportKind transport,
   if (args.has("workers") && transport != sim::TransportKind::kProcess)
     throw RuntimeError(
         "--workers only applies to --transport=process or --transport=tcp");
-  workers = static_cast<std::size_t>(args.get_long("workers", 0));
+  workers = args.get_count("workers", 0, 1, parallel::kMaxShardCount);
 }
 
 population::LoadRegime parse_regime(const std::string& name) {
@@ -191,23 +190,25 @@ population::ScenarioConfig build_scenario(const io::Args& args) {
   if (args.has("config")) {
     population::ScenarioConfig cfg =
         population::load_scenario_file(args.get_path("config"));
-    if (args.has("n"))
-      cfg.n_users = static_cast<std::size_t>(args.get_long("n", 1));
+    cfg.n_users = args.get_count("n", cfg.n_users, 1);
     if (args.has("capacity")) cfg.capacity = args.get_double("capacity", 0.0);
     cfg.check();
     return cfg;
   }
   const std::string name = args.get_string("scenario", "theoretical");
   const auto regime = parse_regime(args.get_string("regime", "eq"));
-  const auto n = static_cast<std::size_t>(args.get_long("n", 0));
+  // Each preset has its own default population size.
+  const auto n = [&args](std::size_t preset) {
+    return args.get_count("n", preset, 1);
+  };
 
   population::ScenarioConfig cfg;
   if (name == "theoretical") {
-    cfg = population::theoretical_scenario(regime, n ? n : 10000);
+    cfg = population::theoretical_scenario(regime, n(10000));
   } else if (name == "comparison") {
-    cfg = population::theoretical_comparison_scenario(regime, n ? n : 1000);
+    cfg = population::theoretical_comparison_scenario(regime, n(1000));
   } else if (name == "practical") {
-    cfg = population::practical_scenario(regime, n ? n : 1000,
+    cfg = population::practical_scenario(regime, n(1000),
                                          args.get_double("latency-mean", 0.4));
   } else {
     throw RuntimeError("unknown scenario '" + name +
@@ -247,7 +248,7 @@ sim::ClusterTopology build_topology(const io::Args& args,
     topology.clusters = topology.shares.size();
   }
   if (args.has("clusters")) {
-    const auto k = static_cast<std::size_t>(args.get_long("clusters", 1));
+    const std::size_t k = args.get_count("clusters", 1, 1);
     if (args.has("topology")) {
       if (k != topology.clusters)
         throw RuntimeError("--clusters disagrees with the --topology share count");
@@ -256,11 +257,7 @@ sim::ClusterTopology build_topology(const io::Args& args,
       if (topology.shares.size() != k) topology.shares.clear();
     }
   }
-  try {
-    topology.check();
-  } catch (const ContractViolation& e) {
-    throw RuntimeError(std::string("invalid cluster topology: ") + e.what());
-  }
+  topology.check();
   return topology;
 }
 
@@ -298,7 +295,7 @@ void fill_run_options(const io::Args& args,
   o.horizon = args.get_double("horizon", o.horizon);
   o.seed = static_cast<std::uint64_t>(args.get_long("seed", 42));
   o.faults = build_faults(args, cfg);
-  o.shards = static_cast<std::size_t>(args.get_long("shards", 0));
+  o.shards = args.get_count("shards", 0, 0, parallel::kMaxShardCount);
   o.stream_log = args.get_path("stream-log");
   if (args.has("window") || !o.stream_log.empty())
     o.sample_interval = args.get_double("window", 1.0);
@@ -370,8 +367,9 @@ int cmd_dtu(const io::Args& args) {
   core::DtuOptions opt;
   opt.eta0 = args.get_double("eta0", opt.eta0);
   opt.epsilon = args.get_double("epsilon", opt.epsilon);
-  opt.max_iterations =
-      static_cast<int>(args.get_long("max-iterations", opt.max_iterations));
+  opt.max_iterations = static_cast<int>(args.get_count(
+      "max-iterations", static_cast<std::size_t>(opt.max_iterations), 1,
+      INT_MAX));
   const double async = args.get_double("async", 1.0);
   if (async < 1.0) opt.update_gate = core::make_bernoulli_gate(async, 1);
 
@@ -491,8 +489,7 @@ int cmd_simulate(const io::Args& args) {
   }
   // The controllers above steer on measured utilization; TRO pins gamma*.
   so.fixed_gamma = mfne.gamma_star;
-  const auto replications =
-      static_cast<std::size_t>(args.get_long("replications", 1));
+  const std::size_t replications = args.get_count("replications", 1, 1);
   const bool sequential = args.has("target-ci") || args.has("target-rel");
   if (so.transport != sim::TransportKind::kInProcess &&
       (sequential || replications > 1))
@@ -512,10 +509,9 @@ int cmd_simulate(const io::Args& args) {
     sq.target_relative = args.get_double("target-rel", 0.0);
     if (args.has("replications"))
       sq.min_replications = std::max<std::size_t>(replications, 2);
-    sq.max_replications = static_cast<std::size_t>(
-        args.get_long("max-replications", 512));
-    sq.wave = static_cast<std::size_t>(args.get_long("wave", 8));
-    sq.threads = static_cast<std::size_t>(args.get_long("threads", 0));
+    sq.max_replications = args.get_count("max-replications", 512, 1);
+    sq.wave = args.get_count("wave", 8, 1);
+    sq.threads = args.get_count("threads", 0, 0, parallel::kMaxThreads);
     const parallel::SequentialResult r = parallel::run_until_confident(
         pop.users, cfg.capacity, cfg.delay, so, xs, sq);
     std::printf("scenario: %s  service=%s  gamma*=%.4f  threads=%zu\n",
@@ -536,7 +532,7 @@ int cmd_simulate(const io::Args& args) {
           "--replications > 1 (the replicas would race on one file)");
     parallel::ReplicationOptions ro;
     ro.replications = replications;
-    ro.threads = static_cast<std::size_t>(args.get_long("threads", 0));
+    ro.threads = args.get_count("threads", 0, 0, parallel::kMaxThreads);
     ro.confidence = args.get_double("confidence", 0.95);
     const parallel::ReplicationResult r = parallel::run_replications(
         pop.users, cfg.capacity, cfg.delay, so, xs, ro);
@@ -644,34 +640,10 @@ int cmd_worker(const io::Args& args) {
   // and for running several daemons on one host without picking ports.
   opt.listen = net::parse_address(args.get_string("listen", ""),
                                   /*allow_port_zero=*/true);
-  const long max_runs = args.get_long("max-runs", 0);
-  if (max_runs < 0)
-    throw RuntimeError("--max-runs must be >= 0 (0 = serve forever)");
-  opt.max_runs = static_cast<std::size_t>(max_runs);
+  opt.max_runs = args.get_count("max-runs", 0);
   opt.quiet = args.get_long("quiet", 0) != 0;
   net::WorkerDaemon daemon(opt);
   return daemon.serve();
-}
-
-int cmd_tail(const io::Args& args, const std::string& positional_path) {
-  args.reject_unknown({"log", "follow", "check", "interval", "csv",
-                       "hist-csv", "max-updates", "help"});
-  const std::string path =
-      positional_path.empty() ? args.get_path("log") : positional_path;
-  if (path.empty())
-    throw RuntimeError("usage: mec tail <run.meclog> [--follow] [--check]");
-  obs::TailOptions opt;
-  opt.follow = args.get_bool("follow", false);
-  opt.check = args.get_bool("check", false);
-  opt.interval_ms = static_cast<int>(args.get_long("interval", 500));
-  opt.csv = args.get_path("csv");
-  opt.hist_csv = args.get_path("hist-csv");
-  opt.max_updates =
-      static_cast<std::uint64_t>(args.get_long("max-updates", 0));
-#if defined(__unix__) || defined(__APPLE__)
-  opt.ansi = opt.follow && ::isatty(STDOUT_FILENO) != 0;
-#endif
-  return obs::run_tail(path, opt);
 }
 
 int cmd_compare(const io::Args& args) {
@@ -732,7 +704,7 @@ int main(int argc, char** argv) {
     if (args.command() == "simulate") return cmd_simulate(args);
     if (args.command() == "closedloop") return cmd_closedloop(args);
     if (args.command() == "compare") return cmd_compare(args);
-    if (args.command() == "tail") return cmd_tail(args, tail_path);
+    if (args.command() == "tail") return obs::tail_main(args, tail_path);
     if (args.command() == "worker") return cmd_worker(args);
     std::fprintf(stderr, "unknown command '%s'\n%s", args.command().c_str(),
                  kUsage);

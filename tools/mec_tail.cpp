@@ -3,21 +3,18 @@
 //   mec_tail <run.meclog> [--follow] [--check] [--interval=<ms>]
 //            [--csv=<file>] [--hist-csv=<file>] [--max-updates=<k>]
 //
-// Identical to `mec tail`, but links only the obs/io/stats layers — it can
-// ship to a monitoring box without the simulation engine.  --follow keeps
-// polling a growing log until the writer's footer lands; --check validates
-// frame CRCs and the footer and sets the exit status (for CI gates).
+// Identical to `mec tail` (both parse their flags with obs::tail_main), but
+// links only the obs/io/stats layers — it can ship to a monitoring box
+// without the simulation engine.  --follow keeps polling a growing log
+// until the writer's footer lands; --check validates frame CRCs and the
+// footer and sets the exit status (for CI gates).
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
-#include "mec/common/error.hpp"
 #include "mec/io/args.hpp"
 #include "mec/obs/tail.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 int main(int argc, char** argv) {
   using namespace mec;
@@ -34,28 +31,7 @@ int main(int argc, char** argv) {
   try {
     // A leading synthetic command keeps Args from eating the first flag.
     raw.insert(raw.begin(), "tail");
-    const io::Args args = io::Args::parse(raw);
-    args.reject_unknown(
-        {"follow", "check", "interval", "csv", "hist-csv", "max-updates",
-         "help"});
-    if (path.empty() || args.get_bool("help", false)) {
-      std::printf(
-          "usage: mec_tail <run.meclog> [--follow] [--check] "
-          "[--interval=<ms>] [--csv=<file>] [--hist-csv=<file>]\n");
-      return path.empty() && !args.get_bool("help", false) ? 1 : 0;
-    }
-    obs::TailOptions opt;
-    opt.follow = args.get_bool("follow", false);
-    opt.check = args.get_bool("check", false);
-    opt.interval_ms = static_cast<int>(args.get_long("interval", 500));
-    opt.csv = args.get_string("csv", "");
-    opt.hist_csv = args.get_string("hist-csv", "");
-    opt.max_updates =
-        static_cast<std::uint64_t>(args.get_long("max-updates", 0));
-#if defined(__unix__) || defined(__APPLE__)
-    opt.ansi = opt.follow && ::isatty(STDOUT_FILENO) != 0;
-#endif
-    return obs::run_tail(path, opt);
+    return obs::tail_main(io::Args::parse(raw), path);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
