@@ -1,7 +1,8 @@
 // Ablation X5: google-benchmark micro-benchmarks of the hot paths — the TRO
 // closed forms, the Lemma-1 oracle, a full V(gamma) population sweep, the
-// MFNE bisection, the discrete-event simulator's event throughput, and the
-// parallel replication engine's scaling across thread counts.
+// MFNE bisection, the discrete-event simulator's event throughput, the
+// event queue's hold cost, and the parallel replication engine's scaling
+// across thread counts.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -19,6 +20,8 @@
 #include "mec/population/scenario.hpp"
 #include "mec/queueing/threshold_queue.hpp"
 #include "mec/random/empirical_data.hpp"
+#include "mec/random/rng.hpp"
+#include "mec/sim/des.hpp"
 #include "mec/sim/mec_simulation.hpp"
 
 namespace {
@@ -136,6 +139,40 @@ BENCHMARK(BM_DesStreamedThroughput)
     ->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
+// Hold model on the event queue alone, at 1.5e5 pending nodes: pop the
+// earliest node and push it back Exp(rate) later, one hold per iteration
+// (the time column is ns per hold).  `exp1` gives every node rate 1, as
+// the suite's sim.queue_hold_ns probe does.  `rates_u06` draws each node's
+// rate from U(0, 6], the paper's at-service arrival law: its slow nodes
+// stretch the mean residual the calendar buckets are sized from, so each
+// bucket window holds ~13,000 nodes here, against ~150 under exp1.
+void BM_EventQueueHold(benchmark::State& state, bool rate_spread) {
+  constexpr std::uint32_t kPending = 150000;
+  random::Xoshiro256 rng(2024);
+  std::vector<double> increments(4096);
+  for (double& x : increments) x = random::exponential(rng, 1.0);
+  std::vector<double> mean(kPending, 1.0);
+  if (rate_spread)
+    for (double& m : mean) m = 1.0 / (6.0 - random::uniform(rng, 0.0, 6.0));
+  sim::EventQueue queue;
+  for (std::uint32_t d = 0; d < kPending; ++d) {
+    const double t = random::exponential(rng, 1.0) * mean[d];
+    queue.push(t, sim::EventKind::kArrival, d);
+  }
+  std::size_t cursor = 0;
+  const auto hold = [&] {
+    const sim::Event e = queue.pop();
+    const double dt = increments[cursor++ & 4095u] * mean[e.device];
+    queue.push(e.time + dt, e.kind, e.device);
+    return e.time;
+  };
+  for (std::uint32_t h = 0; h < 4 * kPending; ++h) hold();  // settle
+  for (auto _ : state) benchmark::DoNotOptimize(hold());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_EventQueueHold, exp1, false);
+BENCHMARK_CAPTURE(BM_EventQueueHold, rates_u06, true);
+
 // Scaling of the replication engine on a Fig.-7-sized workload (practical
 // scenario, N = 1000, empirical service/latency): 8 independent DES
 // replications spread over range(0) threads.  The replications are
@@ -240,12 +277,12 @@ BENCHMARK(BM_ParallelBestResponse)
 
 // google-benchmark keeps its own flag parser, so the experiment hands it a
 // synthetic argv: the runner's --filter maps to --benchmark_filter, and
-// --smoke pins the two cheapest closed-form benchmarks so the CI smoke
-// matrix stays fast.
+// --smoke pins the two cheapest closed-form benchmarks and the queue hold
+// model so the CI smoke matrix stays fast.
 int run(mec::bench::Context& ctx) {
   std::string filter = ctx.get_string("filter");
   if (filter.empty() && ctx.smoke())
-    filter = "BM_TroMetrics|BM_BestThresholdOracle";
+    filter = "BM_TroMetrics|BM_BestThresholdOracle|BM_EventQueueHold";
 
   std::vector<std::string> argv_storage = {"micro_benchmarks"};
   if (!filter.empty())
@@ -270,7 +307,7 @@ int run(mec::bench::Context& ctx) {
     {"micro_benchmarks",
      "Ablation X5: google-benchmark micro-benchmarks of the hot paths",
      {{"filter", mec::bench::FlagKind::kString, "",
-       "regex passed to --benchmark_filter (smoke pins the closed forms)"}},
+       "regex passed to --benchmark_filter (smoke pins a fast subset)"}},
      run});
 
 }  // namespace

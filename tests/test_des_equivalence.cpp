@@ -11,7 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <set>
 #include <span>
 #include <string>
@@ -21,6 +25,10 @@
 
 #include "mec/core/edge_delay.hpp"
 #include "mec/core/user.hpp"
+#include "mec/obs/counters.hpp"
+#include "mec/obs/run_log.hpp"
+#include "mec/population/population.hpp"
+#include "mec/population/scenario.hpp"
 #include "mec/random/rng.hpp"
 #include "mec/sim/des.hpp"
 
@@ -182,6 +190,78 @@ TEST(GoldenTrace, DpoPoliciesOnTheGenericVirtualPath) {
   EXPECT_EQ(d7.mean_offload_delay, 0x1.7791115f1ffadp+0);
   EXPECT_EQ(d7.energy_per_task, 0x1.cd6e1e98a04d2p-1);
   EXPECT_EQ(d7.empirical_cost, 0x1.b332232937deap+0);
+}
+
+// The paper's heterogeneous population at a size whose future-event list
+// passes the calendar switch (16,384 pending events), so the run pops its
+// events through calendar windows; the 40-device goldens above never leave
+// heap gear.  The run streams engine counters, which never perturb the
+// event stream, and every counter frame must show calendar gear.
+SimulationResult calendar_gear_run(bool tracked) {
+  const population::Population pop = population::sample_population(
+      population::theoretical_comparison_scenario(
+          population::LoadRegime::kAtService, 20000),
+      1729);
+  SimulationOptions o;
+  o.warmup = 1.0;
+  o.horizon = 3.0;
+  o.seed = 1729;
+  o.shards = 1;
+  o.record_timeline = false;
+  if (tracked)
+    o.initial_gamma = 0.3;
+  else
+    o.fixed_gamma = 0.3;
+  o.sample_interval = 0.5;
+  const std::string tag = tracked ? "tracked" : "fixed";
+  const std::filesystem::path dir = std::filesystem::temp_directory_path();
+  o.stream_log = (dir / ("mec_calendar_gear_" + tag + ".meclog")).string();
+  MecSimulation s(pop.users, pop.config.capacity, pop.config.delay, o);
+  const SimulationResult r = s.run_tro(scenario_a_thresholds(pop.users.size()));
+
+  const obs::LogScan scan = obs::scan_log(o.stream_log);
+  EXPECT_TRUE(scan.complete()) << scan.error;
+  const auto gear_id =
+      static_cast<std::uint16_t>(obs::Counter::kShardCalendarGear);
+  std::size_t gear_samples = 0;
+  for (const std::vector<obs::CounterValue>& frame : scan.counters)
+    for (const obs::CounterValue& c : frame)
+      if (c.id == gear_id) {
+        EXPECT_EQ(c.value, 1.0);
+        ++gear_samples;
+      }
+  EXPECT_GE(gear_samples, 8u);
+  std::filesystem::remove(o.stream_log);
+  return r;
+}
+
+// Captured while each calendar window was sorted whole.
+TEST(GoldenTrace, HeterogeneousPopulationInCalendarGear) {
+  const SimulationResult fixed = calendar_gear_run(false);
+  EXPECT_EQ(fixed.total_events, 375354u);
+  EXPECT_EQ(fixed.measured_utilization, 0x1.581221b24904ap-3);
+  EXPECT_EQ(fixed.mean_cost, 0x1.80b4dde050f7p+1);
+  const DeviceStats& f = fixed.devices[1234];
+  EXPECT_EQ(f.arrivals, 8u);
+  EXPECT_EQ(f.offloaded, 3u);
+  EXPECT_EQ(f.local_completed, 5u);
+  EXPECT_EQ(f.mean_queue_length, 0x1.8192e4d58b6b8p-2);
+  EXPECT_EQ(f.mean_local_sojourn, 0x1.bfc5644e1a21p-3);
+  EXPECT_EQ(f.mean_offload_delay, 0x1.5cb1ecbcf318cp+0);
+  EXPECT_EQ(f.empirical_cost, 0x1.383319d427cbcp+0);
+
+  const SimulationResult tracked = calendar_gear_run(true);
+  EXPECT_EQ(tracked.total_events, 376283u);
+  EXPECT_EQ(tracked.measured_utilization, 0x1.581221b24904ap-3);
+  EXPECT_EQ(tracked.mean_cost, 0x1.7df73b38bbcffp+1);
+  const DeviceStats& t = tracked.devices[1234];
+  EXPECT_EQ(t.arrivals, 8u);
+  EXPECT_EQ(t.offloaded, 3u);
+  EXPECT_EQ(t.local_completed, 5u);
+  EXPECT_EQ(t.mean_queue_length, 0x1.8192e4d58b6b8p-2);
+  EXPECT_EQ(t.mean_local_sojourn, 0x1.bfc5644e1a21p-3);
+  EXPECT_EQ(t.mean_offload_delay, 0x1.52041cba41521p+0);
+  EXPECT_EQ(t.empirical_cost, 0x1.3431ebd325214p+0);
 }
 
 TEST(FastPathEquivalence, EpochRewrittenArrayMatchesAVirtualReaderBitForBit) {
@@ -359,6 +439,90 @@ TEST(EventQueueEquivalence, MatchesReferenceOrderAcrossGearSwitches) {
     push(random::exponential(rng, 1.0), EventKind::kArrival, i % 64);
   while (!ref.empty()) check_pop(q, ref);
   EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(EventQueueEquivalence, DenseHeterogeneousWindowsMatchReferenceOrder) {
+  // The paper's rate law: every node re-pushes itself Exp(r_i) later, with
+  // r_i drawn from U(0, 6].  The slowest nodes stretch the mean residual
+  // the calendar sizes its buckets from, so each window holds hundreds of
+  // nodes, the case the window's distribution pass exists for.  A tie
+  // flood sits in the side heap when a growth retune fires, so it reaches
+  // a window in heap-array order rather than insertion order, and nodes at
+  // the largest double below bucket edges probe the top sub-range.
+  constexpr std::uint32_t kNodes = 100000;
+  constexpr std::uint32_t kTies = 6000;
+  EventQueue q;
+  std::set<RefNode> ref;
+  random::Xoshiro256 rng(6022140857u);
+  std::vector<double> rates(kNodes);
+  for (double& r : rates) r = 6.0 - random::uniform(rng, 0.0, 6.0);
+  std::uint64_t seq = 0;
+  std::uint32_t one_shot = kNodes;  // ties and edge probes: never re-pushed
+  const auto push = [&](double t, EventKind k, std::uint32_t dev) {
+    q.push(t, k, dev);
+    ref.emplace(t, seq++, dev, static_cast<int>(k));
+  };
+  const auto hold = [&] {
+    const double t = std::get<0>(*ref.begin());
+    const std::uint32_t dev = std::get<2>(*ref.begin());
+    check_pop(q, ref);
+    if (dev < kNodes)
+      push(t + random::exponential(rng, rates[dev]), EventKind::kArrival, dev);
+  };
+
+  // Past the calendar switch (16,384), short of the 4x growth retune.
+  constexpr std::uint32_t kFirst = 20000;
+  for (std::uint32_t d = 0; d < kFirst; ++d)
+    push(random::exponential(rng, rates[d]), EventKind::kArrival, d);
+  ASSERT_TRUE(q.calendar_gear());
+  ASSERT_EQ(q.calendar_retunes(), 0u);
+
+  // The tie flood, at the front's time: inside the live window, so it
+  // lands in the side heap.  A few pops move its last node to the root and
+  // sift it down, so the heap array leaves insertion order.
+  const double tie = q.next_time();
+  for (std::uint32_t j = 0; j < kTies; ++j)
+    push(tie, EventKind::kLocalDeparture, one_shot++);
+  for (int j = 0; j < 16 && !HasFailure(); ++j) hold();
+
+  // Growing past 4x the switch size retunes while the ties are pending:
+  // the rebuild re-bins the side heap in heap-array order.
+  for (std::uint32_t d = kFirst; d < kNodes; ++d)
+    push(tie + random::exponential(rng, rates[d]), EventKind::kArrival, d);
+  ASSERT_EQ(q.calendar_retunes(), 1u);
+  ASSERT_GE(q.size(), std::size_t{kNodes});
+  ASSERT_EQ(std::get<0>(*ref.begin()), tie);
+  const RefNode last_tie(tie, ~std::uint64_t{0}, 0, 0);
+  ASSERT_GE(std::distance(ref.begin(), ref.upper_bound(last_tie)), 5000);
+
+  // Equal-time pairs at the largest double below a bucket edge (in-bucket
+  // fraction 1 - ulp, the top sub-range) and on the edge itself.
+  const double w = q.calendar_bucket_width();
+  const double first_edge = std::floor(tie / w) + 1.0;
+  for (int k = 0; k < 8; ++k) {
+    const double edge = (first_edge + k) * w;
+    const double below = std::nextafter(edge, 0.0);
+    push(below, EventKind::kArrival, one_shot++);
+    push(edge, EventKind::kArrival, one_shot++);
+    push(below, EventKind::kFault, one_shot++);
+  }
+
+  // Steady state: every pop re-pushes.  Every 1,024 holds, count the
+  // pending nodes within one bucket width of the front.
+  std::ptrdiff_t densest = 0;
+  for (int step = 0; step < 200000 && !HasFailure(); ++step) {
+    hold();
+    if (step % 1024 != 0) continue;
+    ASSERT_TRUE(q.calendar_gear());
+    const double limit = std::get<0>(*ref.begin()) + q.calendar_bucket_width();
+    const auto end = ref.lower_bound(RefNode(limit, 0, 0, 0));
+    densest = std::max(densest, std::distance(ref.begin(), end));
+  }
+  EXPECT_GE(densest, 256);
+
+  // Drain: crosses the shrink retune and the fall back to the heap.
+  while (!ref.empty() && !HasFailure()) check_pop(q, ref);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueueEquivalence, AllSimultaneousEventsStayFifoAtScale) {
