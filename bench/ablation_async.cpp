@@ -44,7 +44,8 @@ int run(mec::bench::Context& ctx) {
       err.add(std::abs(r.final_gamma - star));
       all_converged &= r.converged;
     }
-    table.add_row({io::TextTable::fmt(p, 2), io::TextTable::fmt(iters.mean(), 1),
+    table.add_row({io::TextTable::fmt(p, 2),
+                   io::TextTable::fmt(iters.mean(), 1),
                    io::TextTable::fmt(err.mean(), 5),
                    all_converged ? "yes" : "no"});
   }

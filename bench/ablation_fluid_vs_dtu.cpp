@@ -70,8 +70,9 @@ int run(mec::bench::Context& ctx) {
                   popt)
                   .c_str());
 
-  std::printf("fluid endpoint:  %.5f\nDTU endpoint:    %.5f\nMFNE:            %.5f\n",
-              fluid.back().y, dtu.final_gamma_hat, star);
+  std::printf(
+      "fluid endpoint:  %.5f\nDTU endpoint:    %.5f\nMFNE:            %.5f\n",
+      fluid.back().y, dtu.final_gamma_hat, star);
 
   const std::string csv_path = ctx.output_path("ablation_fluid_vs_dtu.csv");
   io::write_csv(csv_path, {"fluid_t", "fluid_gamma"}, {ft, fy});

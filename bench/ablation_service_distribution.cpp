@@ -42,7 +42,8 @@ int run(mec::bench::Context& ctx) {
                         all_laws[1], all_laws[3], all_laws[5]}
                   : all_laws;
 
-  std::printf("=== Ablation: service-time distribution (exact phase-type) ===\n");
+  std::printf(
+      "=== Ablation: service-time distribution (exact phase-type) ===\n");
   std::printf("population: %zu users of %s\n\n", pop.size(),
               cfg.name.c_str());
 

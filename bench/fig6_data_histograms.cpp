@@ -32,7 +32,8 @@ void show(const mec::random::EmpiricalDataset& data, const char* title,
 
 int run(mec::bench::Context& ctx) {
   using namespace mec;
-  std::printf("=== Fig. 6: statistics of the (synthetic) measured data ===\n\n");
+  std::printf(
+      "=== Fig. 6: statistics of the (synthetic) measured data ===\n\n");
 
   const auto times = random::synthetic_yolo_processing_times();
   show(times, "(a) local processing time (YOLOv3 on RPi 4, synthetic)",

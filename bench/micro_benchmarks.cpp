@@ -1,11 +1,14 @@
 // Ablation X5: google-benchmark micro-benchmarks of the hot paths — the TRO
 // closed forms, the Lemma-1 oracle, a full V(gamma) population sweep, the
 // MFNE bisection, the discrete-event simulator's event throughput, the
-// event queue's hold cost, and the parallel replication engine's scaling
-// across thread counts.
+// event queue's hold cost, the frame CRC and barrier-payload codec, and the
+// parallel replication engine's scaling across thread counts.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstdint>
 #include <cstdio>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,8 +17,10 @@
 #include "mec/core/best_response.hpp"
 #include "mec/core/mfne.hpp"
 #include "mec/core/threshold_oracle.hpp"
+#include "mec/obs/run_log.hpp"
 #include "mec/parallel/replication.hpp"
 #include "mec/parallel/sequential.hpp"
+#include "mec/parallel/transport.hpp"
 #include "mec/population/population.hpp"
 #include "mec/population/scenario.hpp"
 #include "mec/queueing/threshold_queue.hpp"
@@ -173,6 +178,59 @@ void BM_EventQueueHold(benchmark::State& state, bool rate_spread) {
 BENCHMARK_CAPTURE(BM_EventQueueHold, exp1, false);
 BENCHMARK_CAPTURE(BM_EventQueueHold, rates_u06, true);
 
+// The frame CRC over 1 MiB of seeded random bytes; read the bytes/s column.
+// Every framed byte (barrier payloads, population and threshold frames,
+// .meclog frames) passes through it once on each side of the wire.
+void BM_Crc32(benchmark::State& state) {
+  random::Xoshiro256 rng(7);
+  std::vector<std::uint8_t> buf(std::size_t{1} << 20);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng());
+  for (auto _ : state) benchmark::DoNotOptimize(obs::crc32(buf));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32);
+
+// One rank's barrier payload, 65,536 offload records over 2 shards, encoded
+// and decoded per iteration (items are records): the wire cost a framed
+// rank pays before each barrier and the coordinator pays again on receipt.
+void BM_BarrierPayloadCodec(benchmark::State& state) {
+  constexpr std::size_t kRecords = 65536;
+  random::Xoshiro256 rng(11);
+  std::vector<sim::OffloadRecord> log(kRecords);
+  double t = 0.0;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    sim::OffloadRecord& rec = log[i];
+    t += random::exponential(rng, 1000.0);
+    rec.time = t;
+    rec.latency = random::exponential(rng, 5.0);
+    rec.device = static_cast<std::uint32_t>(rng() % 100000);
+    rec.cluster = static_cast<std::uint16_t>(rec.device % 4);
+    rec.measured = true;
+    rec.penalized = i % 16 == 0;
+    rec.penalty = rec.penalized ? 0.5 : 0.0;
+  }
+  const std::uint64_t cluster_offloads[4] = {1, 2, 3, 4};
+  std::array<parallel::ShardBarrierView, 2> views;
+  for (std::size_t s = 0; s < views.size(); ++s) {
+    views[s].shard = static_cast<std::uint32_t>(s);
+    views[s].log = std::span(log).subspan(s * kRecords / 2, kRecords / 2);
+    views[s].events = 4 * kRecords;
+    views[s].offloads_in_window = kRecords / 2;
+    views[s].cluster_offloads = cluster_offloads;
+  }
+  for (auto _ : state) {
+    const std::vector<std::uint8_t> bytes =
+        parallel::wire::encode_barrier_payload(views, true, 1.0, 2.0);
+    const parallel::wire::RankBarrierData data =
+        parallel::wire::decode_barrier_payload(bytes);
+    benchmark::DoNotOptimize(data.shards.back().log.back().time);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kRecords));
+}
+BENCHMARK(BM_BarrierPayloadCodec)->Unit(benchmark::kMicrosecond);
+
 // Scaling of the replication engine on a Fig.-7-sized workload (practical
 // scenario, N = 1000, empirical service/latency): 8 independent DES
 // replications spread over range(0) threads.  The replications are
@@ -277,12 +335,14 @@ BENCHMARK(BM_ParallelBestResponse)
 
 // google-benchmark keeps its own flag parser, so the experiment hands it a
 // synthetic argv: the runner's --filter maps to --benchmark_filter, and
-// --smoke pins the two cheapest closed-form benchmarks and the queue hold
-// model so the CI smoke matrix stays fast.
+// --smoke pins the two cheapest closed-form benchmarks, the queue hold
+// model and the frame CRC and codec so the CI smoke matrix stays fast.
 int run(mec::bench::Context& ctx) {
   std::string filter = ctx.get_string("filter");
   if (filter.empty() && ctx.smoke())
-    filter = "BM_TroMetrics|BM_BestThresholdOracle|BM_EventQueueHold";
+    filter =
+        "BM_TroMetrics|BM_BestThresholdOracle|BM_EventQueueHold|BM_Crc32|"
+        "BM_BarrierPayloadCodec";
 
   std::vector<std::string> argv_storage = {"micro_benchmarks"};
   if (!filter.empty())

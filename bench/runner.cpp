@@ -145,7 +145,8 @@ bool Context::get_bool(const std::string& flag) const {
 
 void Context::emit_bench(std::map<std::string, io::Json> fields) const {
   fields.emplace("bench", io::Json::string(experiment_.name));
-  const std::string line = "BENCH " + io::Json::object(std::move(fields)).dump();
+  const std::string line =
+      "BENCH " + io::Json::object(std::move(fields)).dump();
   std::printf("%s\n", line.c_str());
   std::fflush(stdout);
   if (!out_file_.empty()) {

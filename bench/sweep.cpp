@@ -231,7 +231,8 @@ SweepSpec parse_sweep_spec(const std::string& text) {
     } else if (key == "scenario") {
       validate_scenario_token(value, lineno);
       for (const std::string& existing : spec.scenarios)
-        if (existing == value) fail(lineno, "duplicate scenario '" + value + "'");
+        if (existing == value)
+          fail(lineno, "duplicate scenario '" + value + "'");
       spec.scenarios.push_back(value);
     } else if (key == "fault") {
       for (const std::string& existing : spec.faults)

@@ -26,8 +26,8 @@ int run(mec::bench::Context& ctx) {
   const std::size_t qmc_nodes = ctx.smoke() ? (1 << 12) : (1 << 15);
 
   io::TextTable table("TABLE I: MFNE under theoretical settings");
-  table.set_header({"System Setup", "NE (sampled, N=10^4)", "NE (mean-field QMC)",
-                    "Paper"});
+  table.set_header({"System Setup", "NE (sampled, N=10^4)",
+                    "NE (mean-field QMC)", "Paper"});
 
   const struct {
     population::LoadRegime regime;

@@ -22,7 +22,8 @@ int main() {
   //    theoretical distributions (E[A] < E[S] regime).
   population::ScenarioConfig config = population::theoretical_scenario(
       population::LoadRegime::kBelowService);
-  population::Population pop = population::sample_population(config, /*seed=*/7);
+  population::Population pop =
+      population::sample_population(config, /*seed=*/7);
   std::printf("scenario: %s, N=%zu, c=%.1f, g=%s\n", config.name.c_str(),
               pop.size(), config.capacity, config.delay.description().c_str());
   std::printf("E[A]=%.3f  E[S]=%.3f\n", pop.mean_arrival_rate(),

@@ -20,7 +20,8 @@ namespace mec {
 /// Thrown when a precondition/postcondition/invariant check fails.
 class ContractViolation final : public std::logic_error {
  public:
-  explicit ContractViolation(const std::string& what) : std::logic_error(what) {}
+  explicit ContractViolation(const std::string& what)
+      : std::logic_error(what) {}
 };
 
 /// Thrown for recoverable runtime failures (bad config, non-convergence, ...).

@@ -25,8 +25,9 @@ UpdateGate make_bernoulli_gate(double p, std::uint64_t seed) {
   // Stateless splitmix64 hash of (n, t, seed): deterministic, independent
   // across pairs, and insensitive to evaluation order.
   return [p, seed](std::size_t n, int t) {
-    std::uint64_t x = seed ^ (0x9E3779B97F4A7C15ULL * (n + 1)) ^
-                      (0xBF58476D1CE4E5B9ULL * static_cast<std::uint64_t>(t + 1));
+    std::uint64_t x =
+        seed ^ (0x9E3779B97F4A7C15ULL * (n + 1)) ^
+        (0xBF58476D1CE4E5B9ULL * static_cast<std::uint64_t>(t + 1));
     x ^= x >> 30;
     x *= 0xBF58476D1CE4E5B9ULL;
     x ^= x >> 27;

@@ -61,7 +61,8 @@ struct DtuOptions {
   double eta0 = 0.1;            ///< initial step, 0 < eta0 <= 1
   double epsilon = 0.01;        ///< convergence accuracy, 0 < epsilon < 1
   int max_iterations = 100000;  ///< hard guard
-  double oscillation_tol = 1e-12;  ///< FP tolerance for gamma_hat_t == gamma_hat_{t-2}
+  /// FP tolerance for gamma_hat_t == gamma_hat_{t-2}
+  double oscillation_tol = 1e-12;
   std::vector<double> initial_thresholds;  ///< empty => all users start at 0
   UpdateGate update_gate;       ///< null => synchronous updates
 };

@@ -8,9 +8,10 @@
 //   x* = 0                      if beta < f(1|theta)  (including beta <= 0),
 //   x* = m                      if f(m|theta) <= beta < f(m+1|theta).
 //
-// f is evaluated with the exact recurrence f(m+1) = f(m) + sum_{i<=m+1} theta^i,
-// stopping as soon as f exceeds beta, so there is no overflow for any input in
-// the model's bounded-parameter regime.
+// f is evaluated with the exact recurrence
+// f(m+1) = f(m) + sum_{i<=m+1} theta^i, stopping as soon as f exceeds beta,
+// so there is no overflow for any input in the model's bounded-parameter
+// regime.
 #pragma once
 
 #include <cstdint>

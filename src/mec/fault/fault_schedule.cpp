@@ -62,7 +62,8 @@ void FaultSchedule::add_restart(double time, std::uint32_t device) {
   insert(a);
 }
 
-void FaultSchedule::add_user_arrival(double time, const core::UserParams& user) {
+void FaultSchedule::add_user_arrival(double time,
+                                     const core::UserParams& user) {
   user.check();
   FaultAction a;
   a.time = time;

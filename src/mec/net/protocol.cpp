@@ -112,6 +112,7 @@ sim::SamplerSpec decode_sampler_spec(ByteReader& r) {
   spec.kind = static_cast<sim::SamplerSpec::Kind>(kind);
   spec.param = r.get_f64();
   const std::uint32_t n = r.get_u32();
+  r.need_items(n, 8, "population sampler data values");
   spec.data.resize(n);
   for (double& v : spec.data) v = r.get_f64();
   return spec;
@@ -121,7 +122,7 @@ sim::SamplerSpec decode_sampler_spec(ByteReader& r) {
 
 std::vector<std::uint8_t> encode_population(const WorkerPopulation& pop) {
   const std::size_t slice = pop.users.size();
-  ByteWriter w(96 + slice * (kUserParamsWireSize + kRngStateWireSize) +
+  ByteWriter w(112 + slice * (kUserParamsWireSize + kRngStateWireSize) +
                pop.actions.size() * kResolvedActionWireSize +
                (pop.service.data.size() + pop.latency.data.size()) * 8);
   w.put_u32(pop.rank);
@@ -190,6 +191,7 @@ WorkerPopulation decode_population(std::span<const std::uint8_t> payload) {
   pop.service = decode_sampler_spec(r);
   pop.latency = decode_sampler_spec(r);
   const std::uint32_t n_users = r.get_u32();
+  r.need_items(n_users, kUserParamsWireSize, "population users");
   pop.users.resize(n_users);
   for (core::UserParams& u : pop.users) {
     u.arrival_rate = r.get_f64();
@@ -200,10 +202,13 @@ WorkerPopulation decode_population(std::span<const std::uint8_t> payload) {
     u.weight = r.get_f64();
   }
   const std::uint32_t n_rngs = r.get_u32();
+  r.need_items(n_rngs, kRngStateWireSize, "population rng states");
   pop.rng_states.resize(n_rngs);
   for (std::array<std::uint64_t, 4>& s : pop.rng_states)
     for (std::uint64_t& word : s) word = r.get_u64();
   const std::uint32_t n_actions = r.get_u32();
+  r.need_items(n_actions, kResolvedActionWireSize,
+               "population fault actions");
   pop.actions.resize(n_actions);
   for (fault::ResolvedAction& a : pop.actions) {
     a.time = r.get_f64();

@@ -36,7 +36,8 @@ class WorkerDaemon {
  public:
   struct Options {
     Address listen;          ///< port 0 binds an ephemeral port
-    std::size_t max_runs = 0;  ///< serve() returns after this many (0 = forever)
+    /// serve() returns after this many runs (0 = forever)
+    std::size_t max_runs = 0;
     bool quiet = false;        ///< suppress the per-run log lines
   };
 

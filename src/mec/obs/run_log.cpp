@@ -14,18 +14,28 @@ namespace {
 // the scalar codec lives in obs/wire.hpp, shared with the transport layer.
 using wire::ByteReader;
 using wire::ByteWriter;
+using wire::load_le;
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slice-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320.
+/// Table 0 is the bytewise table; table k advances table k-1's entry by one
+/// more zero byte, so table k gives the CRC contribution of a byte that has
+/// k further bytes after it in an 8-byte block.
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit)
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+  return t;
 }
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 constexpr std::size_t kWindowDoubles = 15;
 constexpr std::size_t kWindowU64s = 11;
@@ -34,18 +44,23 @@ constexpr std::size_t kWindowU64s = 11;
 constexpr std::size_t kWindowFixedSize =
     kWindowDoubles * 8 + kWindowU64s * 8 + kThresholdBins * 4;
 
-std::uint32_t load_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept {
+  const auto& t = kCrcTables;
   std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::uint8_t b : bytes) c = kCrcTable[(c ^ b) & 0xFFu] ^ (c >> 8);
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  // Eight bytes per step: the running CRC folds into the first four, and
+  // each byte's contribution is one table lookup, independent of the rest.
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = load_le<std::uint32_t>(p) ^ c;
+    const std::uint32_t hi = load_le<std::uint32_t>(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -133,6 +148,8 @@ std::vector<std::uint8_t> encode_footer(const RunFooter& footer) {
 RunLogMeta decode_meta(std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
   const std::uint32_t n = r.get_u32();
+  // Each entry is at least its two u32 string lengths.
+  r.need_items(n, 8, "run-log meta entries");
   RunLogMeta meta;
   meta.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -193,6 +210,7 @@ std::vector<CounterValue> decode_counters(
     std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
   const std::uint32_t n = r.get_u32();
+  r.need_items(n, 12, "run-log counter values");
   std::vector<CounterValue> values;
   values.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -300,8 +318,8 @@ RunLogReader::RunLogReader(const std::string& path) {
     file_ = nullptr;
     throw RuntimeError("not a .meclog file (bad magic): " + path);
   }
-  version_ = load_u32(header.data() + 8);
-  const std::uint32_t bins = load_u32(header.data() + 12);
+  version_ = load_le<std::uint32_t>(header.data() + 8);
+  const std::uint32_t bins = load_le<std::uint32_t>(header.data() + 12);
   if (version_ != kFormatVersion || bins != kThresholdBins) {
     std::fclose(file_);
     file_ = nullptr;
@@ -338,8 +356,8 @@ ReadStatus RunLogReader::next(Frame& out) {
     rewind();
     return ReadStatus::kTruncated;
   }
-  const std::uint32_t kind = load_u32(prefix.data());
-  const std::uint32_t length = load_u32(prefix.data() + 4);
+  const std::uint32_t kind = load_le<std::uint32_t>(prefix.data());
+  const std::uint32_t length = load_le<std::uint32_t>(prefix.data() + 4);
   if (kind < static_cast<std::uint32_t>(FrameKind::kMeta) ||
       kind > static_cast<std::uint32_t>(FrameKind::kFooter) ||
       length > kMaxFramePayload) {
@@ -358,7 +376,7 @@ ReadStatus RunLogReader::next(Frame& out) {
     rewind();
     return ReadStatus::kTruncated;
   }
-  if (crc32(payload) != load_u32(checksum.data())) {
+  if (crc32(payload) != load_le<std::uint32_t>(checksum.data())) {
     rewind();
     return ReadStatus::kCorrupt;
   }

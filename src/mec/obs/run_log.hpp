@@ -135,7 +135,8 @@ std::vector<std::uint8_t> encode_footer(const RunFooter& footer);
 /// Decoders throw mec::RuntimeError on malformed payloads.
 RunLogMeta decode_meta(std::span<const std::uint8_t> payload);
 WindowRecord decode_window(std::span<const std::uint8_t> payload);
-std::vector<CounterValue> decode_counters(std::span<const std::uint8_t> payload);
+std::vector<CounterValue> decode_counters(
+    std::span<const std::uint8_t> payload);
 RunFooter decode_footer(std::span<const std::uint8_t> payload);
 
 // --- writer ----------------------------------------------------------------

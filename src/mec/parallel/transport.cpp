@@ -23,6 +23,7 @@ namespace wire {
 
 using obs::wire::ByteReader;
 using obs::wire::ByteWriter;
+using obs::wire::load_le;
 
 // The wire layout below spells out every field explicitly; these asserts
 // pin the in-memory layouts the format mirrors, so a field added to either
@@ -49,6 +50,10 @@ static_assert(sizeof(DeviceTotals) == 56 &&
               "DeviceTotals layout drifted; update the wire codec and "
               "kDeviceTotalsWireSize together");
 static_assert(kDeviceTotalsWireSize == 56);
+
+/// The fewest bytes one shard block of a barrier payload can take: shard id,
+/// five u64 totals, the cluster and log counts and the three u8 flags.
+constexpr std::size_t kMinShardWireSize = 4 + 5 * 8 + 4 + 4 + 3;
 
 std::string frame_kind_name(std::uint32_t kind) {
   const char* name = "unknown";
@@ -177,10 +182,14 @@ stats::LatencySketch decode_sketch(ByteReader& r,
 std::vector<std::uint8_t> encode_barrier_payload(
     std::span<const ShardBarrierView> views, bool has_q, double total_q,
     double total_q2) {
+  // A full sketch is its count, extrema, bin count and every bin.
+  constexpr std::size_t kSketchWireSize =
+      8 + 8 + 8 + 4 + stats::LatencySketch::bin_count() * 8;
   std::size_t reserve = 16;
   for (const ShardBarrierView& v : views)
     reserve += 128 + v.log.size() * kOffloadRecordWireSize +
-               v.cluster_offloads.size() * 8;
+               v.cluster_offloads.size() * 8 +
+               (v.local_sojourns != nullptr ? 2 * kSketchWireSize : 0);
   ByteWriter w(reserve);
   w.put_u32(static_cast<std::uint32_t>(views.size()));
   for (const ShardBarrierView& v : views) {
@@ -231,6 +240,7 @@ RankBarrierData decode_barrier_payload(std::span<const std::uint8_t> payload) {
   RankBarrierData data;
   std::vector<std::uint64_t> bin_scratch;
   const std::uint32_t n_shards = r.get_u32();
+  r.need_items(n_shards, kMinShardWireSize, "barrier shard blocks");
   data.shards.resize(n_shards);
   for (RankBarrierData::Shard& s : data.shards) {
     s.shard = r.get_u32();
@@ -240,11 +250,13 @@ RankBarrierData decode_barrier_payload(std::span<const std::uint8_t> payload) {
     s.offloads_rejected = r.get_u64();
     s.offloads_penalized = r.get_u64();
     const std::uint32_t n_clusters = r.get_u32();
+    r.need_items(n_clusters, 8, "barrier cluster offload counts");
     s.cluster_offloads.resize(n_clusters);
     for (std::uint32_t k = 0; k < n_clusters; ++k)
       s.cluster_offloads[k] = r.get_u64();
     s.flipped = r.get_u8() != 0;
     const std::uint32_t n_log = r.get_u32();
+    r.need_items(n_log, kOffloadRecordWireSize, "barrier offload records");
     s.log.resize(n_log);
     for (sim::OffloadRecord& rec : s.log) {
       rec.time = r.get_f64();
@@ -320,6 +332,7 @@ std::vector<std::uint8_t> encode_thresholds(std::span<const double> values) {
 std::vector<double> decode_thresholds(std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
   const std::uint32_t count = r.get_u32();
+  r.need_items(count, 8, "thresholds");
   std::vector<double> values(count);
   for (std::uint32_t i = 0; i < count; ++i) values[i] = r.get_f64();
   return values;
@@ -351,6 +364,8 @@ FinalTotals decode_device_totals(std::span<const std::uint8_t> payload) {
   out.device_hi = r.get_u32();
   if (out.device_hi < out.device_lo)
     throw RuntimeError("transport final-totals device range is inverted");
+  r.need_items(out.device_hi - out.device_lo, kDeviceTotalsWireSize,
+               "final device totals");
   out.totals.resize(out.device_hi - out.device_lo);
   for (DeviceTotals& t : out.totals) {
     t.arrivals = r.get_u64();
@@ -383,13 +398,6 @@ void write_all(int fd, const std::uint8_t* data, std::size_t n) {
     data += sent;
     n -= static_cast<std::size_t>(sent);
   }
-}
-
-std::uint32_t load_le_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
@@ -461,7 +469,7 @@ DecodedFrame read_frame_deadline(int fd, long timeout_ms) {
                         "transport peer closed the channel");
       have += static_cast<std::size_t>(r);
       if (have == sizeof header) {
-        const std::uint32_t len = load_le_u32(header + 4);
+        const auto len = load_le<std::uint32_t>(header + 4);
         if (len > kMaxTransportPayload)
           throw RuntimeError("transport frame length exceeds the size cap");
         body.resize(static_cast<std::size_t>(len) + 4);
@@ -481,10 +489,13 @@ DecodedFrame read_frame_deadline(int fd, long timeout_ms) {
     body_have += static_cast<std::size_t>(r);
     if (body_have == body.size()) break;
   }
+  const std::size_t len = body.size() - 4;
+  const auto crc = load_le<std::uint32_t>(body.data() + len);
+  body.resize(len);  // drop the CRC; the payload keeps the buffer
   DecodedFrame frame;
-  frame.kind = load_le_u32(header);
-  frame.payload.assign(body.begin(), body.end() - 4);
-  if (load_le_u32(body.data() + body.size() - 4) != obs::crc32(frame.payload))
+  frame.kind = load_le<std::uint32_t>(header);
+  frame.payload = std::move(body);
+  if (crc != obs::crc32(frame.payload))
     throw RuntimeError("transport frame CRC mismatch");
   return frame;
 }

@@ -59,7 +59,8 @@ struct BarrierRequest {
 /// advance().
 struct ShardBarrierView {
   std::uint32_t shard = 0;  ///< global shard index
-  std::span<const sim::OffloadRecord> log;  ///< this leg's offloads, in time order
+  /// This leg's offloads, in time order.
+  std::span<const sim::OffloadRecord> log;
   std::uint64_t events = 0;
   std::uint64_t offloads_in_window = 0;
   std::uint64_t tasks_lost = 0;

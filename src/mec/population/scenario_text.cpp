@@ -189,8 +189,9 @@ ScenarioConfig parse_scenario_text(const std::string& text) {
       "delay"};
   for (int i = 0; i < 6; ++i)
     if (!saw[i])
-      throw RuntimeError(std::string("scenario config: missing required key '") +
-                         kNames[i] + "'");
+      throw RuntimeError(
+          std::string("scenario config: missing required key '") + kNames[i] +
+          "'");
   try {
     cfg.check();
   } catch (const ContractViolation& e) {

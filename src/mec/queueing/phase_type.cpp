@@ -42,7 +42,8 @@ std::vector<double> solve_neg_subgenerator(const PhaseType& pt,
     for (std::size_t row = col + 1; row < m; ++row) {
       const double f = a[row * m + col] / a[col * m + col];
       if (f == 0.0) continue;
-      for (std::size_t j = col; j < m; ++j) a[row * m + j] -= f * a[col * m + j];
+      for (std::size_t j = col; j < m; ++j)
+        a[row * m + j] -= f * a[col * m + j];
       rhs[row] -= f * rhs[col];
     }
   }

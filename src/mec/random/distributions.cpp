@@ -86,7 +86,8 @@ class TruncatedExponentialModel final : public DistributionModel {
     });
   }
   double mean() const override {
-    // E[X | X <= cap] for Exp(rate): (1/rate) - cap*e^{-rate*cap}/(1-e^{-rate*cap})
+    // E[X | X <= cap] for Exp(rate):
+    //   (1/rate) - cap*e^{-rate*cap}/(1-e^{-rate*cap})
     const double rc = rate_ * cap_;
     return 1.0 / rate_ - cap_ * std::exp(-rc) / (-std::expm1(-rc));
   }
@@ -111,7 +112,9 @@ class TruncatedNormalModel final : public DistributionModel {
     const auto phi = [](double z) {
       return std::exp(-0.5 * z * z) / std::sqrt(2.0 * std::acos(-1.0));
     };
-    const auto Phi = [](double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); };
+    const auto Phi = [](double z) {
+      return 0.5 * std::erfc(-z / std::sqrt(2.0));
+    };
     const double a = (lo_ - mu_) / sigma_;
     const double b = (hi_ - mu_) / sigma_;
     const double z = Phi(b) - Phi(a);
@@ -135,8 +138,11 @@ class TruncatedLognormalModel final : public DistributionModel {
   }
   double mean() const override {
     // Truncated lognormal mean: E[X | X<=cap] =
-    //   exp(mu+sigma^2/2) * Phi((ln cap - mu - sigma^2)/sigma) / Phi((ln cap - mu)/sigma)
-    const auto Phi = [](double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); };
+    //   exp(mu+sigma^2/2) * Phi((ln cap - mu - sigma^2)/sigma)
+    //     / Phi((ln cap - mu)/sigma)
+    const auto Phi = [](double z) {
+      return 0.5 * std::erfc(-z / std::sqrt(2.0));
+    };
     const double lc = std::log(cap_);
     const double num = Phi((lc - mu_ - sigma_ * sigma_) / sigma_);
     const double den = Phi((lc - mu_) / sigma_);
@@ -279,13 +285,15 @@ Distribution make_truncated_normal(double mu, double sigma, double lo,
                                    double hi) {
   MEC_EXPECTS(sigma > 0.0);
   MEC_EXPECTS(lo < hi);
-  return Distribution(std::make_shared<TruncatedNormalModel>(mu, sigma, lo, hi));
+  return Distribution(
+      std::make_shared<TruncatedNormalModel>(mu, sigma, lo, hi));
 }
 
 Distribution make_truncated_lognormal(double mu, double sigma, double cap) {
   MEC_EXPECTS(sigma > 0.0);
   MEC_EXPECTS(cap > 0.0);
-  return Distribution(std::make_shared<TruncatedLognormalModel>(mu, sigma, cap));
+  return Distribution(
+      std::make_shared<TruncatedLognormalModel>(mu, sigma, cap));
 }
 
 Distribution make_truncated_gamma(double shape, double scale, double cap) {
@@ -319,8 +327,8 @@ Distribution make_mixture(std::vector<Distribution> components,
     mean += weights[i] / total * components[i].mean();
   }
   cdf.back() = 1.0;
-  return Distribution(
-      std::make_shared<MixtureModel>(std::move(components), std::move(cdf), mean));
+  return Distribution(std::make_shared<MixtureModel>(std::move(components),
+                                                     std::move(cdf), mean));
 }
 
 }  // namespace mec::random

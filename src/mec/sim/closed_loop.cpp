@@ -63,7 +63,8 @@ ClosedLoopResult run_closed_loop(std::span<const core::UserParams> users,
       state.counter_l = 1;
       state.ghat_prev2 = 2.0;
       ++result.drift_resumes;
-    } else if (std::abs(state.ghat_prev - state.ghat_prev2) <= options.epsilon) {
+    } else if (std::abs(state.ghat_prev - state.ghat_prev2) <=
+               options.epsilon) {
       state.settled = true;  // estimate pinned; devices hold thresholds
     }
 

@@ -132,7 +132,8 @@ MinorityGameRunResult run_minority_game(
     double acc = 0.0;
     for (const std::size_t a : result.attendance)
       acc += static_cast<double>(a);
-    result.mean_attendance = acc / static_cast<double>(result.attendance.size());
+    result.mean_attendance =
+        acc / static_cast<double>(result.attendance.size());
   }
   return result;
 }

@@ -36,7 +36,8 @@ struct DeviceStats {
 /// (tested), and sampling never perturbs the event stream.
 struct TimelinePoint {
   double time = 0.0;                 ///< scheduled sample time (absolute)
-  double utilization_estimate = 0.0; ///< EWMA (or fixed) gamma decayed to `time`
+  /// EWMA (or fixed) gamma decayed to `time`
+  double utilization_estimate = 0.0;
   double mean_queue_length = 0.0;    ///< mean local queue, left limit at `time`
   /// Offload decisions made in (warmup, time); 0 for samples at or before
   /// the end of warm-up (the measurement counters start only there).

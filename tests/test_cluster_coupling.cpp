@@ -180,7 +180,8 @@ TEST(ClusterConservation, PerClusterOffloadsConserveTotalMass) {
     for (const auto& d : r.devices) device_sum += d.offloaded;
     EXPECT_EQ(cluster_sum, device_sum);
     if (per_device_baseline.empty()) {
-      for (const auto& d : r.devices) per_device_baseline.push_back(d.offloaded);
+      for (const auto& d : r.devices)
+        per_device_baseline.push_back(d.offloaded);
     } else {
       ASSERT_EQ(r.devices.size(), per_device_baseline.size());
       for (std::size_t n = 0; n < r.devices.size(); ++n)
@@ -250,10 +251,10 @@ TEST(GammaReplayMerge, MultiLegMergeMatchesSerialReference) {
             [](const auto& a, const auto& b) { return a.time < b.time; });
 
   const core::EdgeDelay delay = core::make_reciprocal_delay();
-  const auto run_replay = [&](std::span<const std::span<const sim::OffloadRecord>>
-                                  logs,
-                              std::vector<std::vector<double>>& trajectories,
-                              std::vector<double>& delay_sums) {
+  const auto run_replay = [&](
+      std::span<const std::span<const sim::OffloadRecord>> logs,
+      std::vector<std::vector<double>>& trajectories,
+      std::vector<double>& delay_sums) {
     sim::GammaReplay replay(delay, tau, initial_gamma, capacity,
                             /*warmup=*/0.0, /*t_end=*/100.0, kDevices, {},
                             topology);

@@ -78,7 +78,8 @@ SimulationOptions scenario_b_options() {
   return o;
 }
 
-void expect_bitwise_equal(const SimulationResult& a, const SimulationResult& b) {
+void expect_bitwise_equal(const SimulationResult& a,
+                          const SimulationResult& b) {
   EXPECT_EQ(a.total_events, b.total_events);
   EXPECT_EQ(a.measured_utilization, b.measured_utilization);
   EXPECT_EQ(a.mean_cost, b.mean_cost);

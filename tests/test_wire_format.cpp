@@ -9,11 +9,13 @@
 //      each payload codec, so any layout drift (field order, width,
 //      endianness) fails loudly against hand-written expectations;
 //   2. rejection tests: truncation at every byte boundary, CRC corruption
-//      at every byte position, oversized length fields, trailing bytes;
+//      at every byte position, oversized length fields, trailing bytes,
+//      and declared counts the payload cannot hold;
 //   3. round-trip property tests: randomized payloads survive
 //      encode -> decode -> re-encode bit-identically.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -28,6 +30,7 @@
 #include "mec/common/error.hpp"
 #include "mec/net/protocol.hpp"
 #include "mec/obs/run_log.hpp"
+#include "mec/obs/wire.hpp"
 #include "mec/parallel/transport.hpp"
 #include "mec/stats/latency_sketch.hpp"
 
@@ -54,6 +57,31 @@ void append_u64_le(std::vector<std::uint8_t>& out, std::uint64_t v) {
     out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
 }
 
+void append_u16_le(std::vector<std::uint8_t>& out, std::uint16_t v) {
+  out.push_back(static_cast<std::uint8_t>(v & 0xFFu));
+  out.push_back(static_cast<std::uint8_t>(v >> 8));
+}
+
+void append_u32_le(std::vector<std::uint8_t>& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i)
+    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
+}
+
+/// Overwrites the little-endian u32 at `at`, after checking it holds
+/// `expected`, so a test that patches a count cannot patch the wrong field.
+void patch_u32_le(std::vector<std::uint8_t>& out, std::size_t at,
+                  std::uint32_t expected, std::uint32_t v) {
+  ASSERT_LE(at + 4, out.size());
+  std::uint32_t old = 0;
+  for (int i = 0; i < 4; ++i)
+    old |= static_cast<std::uint32_t>(out[at + static_cast<std::size_t>(i)])
+           << (8 * i);
+  ASSERT_EQ(old, expected) << "at=" << at;
+  for (int i = 0; i < 4; ++i)
+    out[at + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu);
+}
+
 std::string thrown_message(const std::function<void()>& fn) {
   try {
     fn();
@@ -61,6 +89,17 @@ std::string thrown_message(const std::function<void()>& fn) {
     return e.what();
   }
   return {};
+}
+
+/// Expects `decode` to refuse a declared count of 0xFFFFFFFF `field` by
+/// name, with the bytes left, before it sizes anything from the count.
+void expect_count_refused(const std::function<void()>& decode,
+                          const std::string& field) {
+  const std::string what = thrown_message(decode);
+  EXPECT_NE(what.find("declares 4294967295 " + field + " of "),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find(" bytes remain"), std::string::npos) << what;
 }
 
 // --- envelope --------------------------------------------------------------
@@ -72,6 +111,49 @@ TEST(TransportWire, Crc32MatchesTheIeeeCheckValue) {
   const std::span<const std::uint8_t> payload(
       reinterpret_cast<const std::uint8_t*>(check.data()), check.size());
   EXPECT_EQ(obs::crc32(payload), 0xCBF43926u);
+}
+
+/// The bytewise table loop obs::crc32 ran before slice-by-8, kept as the
+/// reference the word-at-a-time loop must match.
+std::uint32_t reference_crc32(std::span<const std::uint8_t> bytes) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit)
+        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t b : bytes) c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(TransportWire, Crc32MatchesTheBytewiseReference) {
+  // Every length 0-256 covers the 8-byte blocks and every tail length;
+  // every start offset 0-7 covers every alignment of the word loads.
+  std::mt19937_64 gen(20261018);
+  std::vector<std::uint8_t> buf(std::size_t{1} << 20);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(gen());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 256; ++len) {
+      const std::span<const std::uint8_t> s(buf.data() + offset, len);
+      ASSERT_EQ(obs::crc32(s), reference_crc32(s))
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+  EXPECT_EQ(obs::crc32(buf), reference_crc32(buf));
+}
+
+TEST(TransportWire, ByteswapReversesEveryWidth) {
+  // The codec swaps only on a big-endian host; pin the swap itself here.
+  EXPECT_EQ(obs::wire::byteswap(std::uint8_t{0xAB}), 0xABu);
+  EXPECT_EQ(obs::wire::byteswap(std::uint16_t{0x0102}), 0x0201u);
+  EXPECT_EQ(obs::wire::byteswap(std::uint32_t{0x01020304u}), 0x04030201u);
+  EXPECT_EQ(obs::wire::byteswap(std::uint64_t{0x0102030405060708ull}),
+            0x0807060504030201ull);
 }
 
 TEST(TransportWire, FrameEnvelopeMatchesTheGoldenBytes) {
@@ -199,6 +281,15 @@ TEST(TransportWire, ThresholdsMatchTheGoldenBytes) {
                                                  {1.0, -1.0}));
 }
 
+TEST(TransportWire, ThresholdsRefuseACountThePayloadCannotHold) {
+  const double values[] = {1.0, -1.0};
+  std::vector<std::uint8_t> enc = wire::encode_thresholds(values);
+  patch_u32_le(enc, 0, 2, 0xFFFFFFFFu);
+  EXPECT_EQ(thrown_message([&] { wire::decode_thresholds(enc); }),
+            "payload declares 4294967295 thresholds of 8 bytes each, but 16 "
+            "bytes remain");
+}
+
 // --- device totals ---------------------------------------------------------
 
 TEST(TransportWire, DeviceTotalsMatchTheGoldenBytes) {
@@ -255,6 +346,15 @@ TEST(TransportWire, DeviceTotalsRejectMalformedPayloads) {
   EXPECT_NE(what.find("inverted"), std::string::npos) << what;
 }
 
+TEST(TransportWire, DeviceTotalsRefuseARangeThePayloadCannotHold) {
+  DeviceTotals t;
+  std::vector<std::uint8_t> enc =
+      wire::encode_device_totals(0, 1, std::span(&t, 1));
+  patch_u32_le(enc, 4, 1, 0xFFFFFFFFu);  // device_hi: 2^32 - 1 devices
+  expect_count_refused([&] { wire::decode_device_totals(enc); },
+                       "final device totals");
+}
+
 // --- barrier payload -------------------------------------------------------
 
 TEST(TransportWire, EmptyBarrierPayloadMatchesTheGoldenBytes) {
@@ -268,6 +368,116 @@ TEST(TransportWire, EmptyBarrierPayloadMatchesTheGoldenBytes) {
   const std::string what =
       thrown_message([&] { wire::decode_barrier_payload(trailing); });
   EXPECT_NE(what.find("trailing bytes"), std::string::npos) << what;
+}
+
+/// One shard of three clusters with two records, record 0 penalized with a
+/// non-zero penalty and record 1 unmeasured; queue stats present, sketches
+/// absent, queue sums present.
+std::vector<std::uint8_t> encode_golden_barrier() {
+  sim::OffloadRecord log[2];
+  log[0].time = 1.5;
+  log[0].latency = 0.25;
+  log[0].penalty = 0.75;
+  log[0].device = 0x00ABCDEFu;
+  log[0].cluster = 2;
+  log[0].measured = true;
+  log[0].penalized = true;
+  log[1].time = 2.0;
+  log[1].latency = 0.125;
+  log[1].device = 0x00010203u;
+  log[1].cluster = 0;
+  log[1].measured = false;
+  const std::uint64_t cluster_offloads[] = {1, 0, 0x0A0B0C0Dull};
+  ShardBarrierView v;
+  v.shard = 5;
+  v.log = log;
+  v.events = 0x0102030405060708ull;
+  v.offloads_in_window = 2;
+  v.tasks_lost = 1;
+  v.offloads_rejected = 0;
+  v.offloads_penalized = 1;
+  v.cluster_offloads = cluster_offloads;
+  v.flipped = true;
+  v.has_queue_stats = true;
+  v.queue_depth = 17.0;
+  v.calendar_gear = 1.0;
+  v.gear_switches = 2.0;
+  v.calendar_retunes = 3.0;
+  v.leg_seconds = 0.5;
+  return wire::encode_barrier_payload(std::span(&v, 1), true, 12.5, 40.25);
+}
+
+std::vector<std::uint8_t> golden_barrier_bytes() {
+  std::vector<std::uint8_t> out;
+  append_u32_le(out, 1);                      // shards
+  append_u32_le(out, 5);                      // shard id
+  append_u64_le(out, 0x0102030405060708ull);  // events
+  append_u64_le(out, 2);                      // offloads in window
+  append_u64_le(out, 1);                      // tasks lost
+  append_u64_le(out, 0);                      // offloads rejected
+  append_u64_le(out, 1);                      // offloads penalized
+  append_u32_le(out, 3);                      // clusters
+  append_u64_le(out, 1);
+  append_u64_le(out, 0);
+  append_u64_le(out, 0x0A0B0C0Dull);
+  out.push_back(1);                 // flipped
+  append_u32_le(out, 2);            // records
+  append_f64_le(out, 1.5);          // record 0: time
+  append_f64_le(out, 0.25);         // latency
+  append_f64_le(out, 0.75);         // penalty
+  append_u32_le(out, 0x00ABCDEFu);  // device
+  append_u16_le(out, 2);            // cluster
+  out.push_back(1);                 // measured
+  out.push_back(1);                 // penalized
+  append_f64_le(out, 2.0);          // record 1: time
+  append_f64_le(out, 0.125);        // latency
+  append_f64_le(out, 0.0);          // penalty
+  append_u32_le(out, 0x00010203u);  // device
+  append_u16_le(out, 0);            // cluster
+  out.push_back(0);                 // measured
+  out.push_back(0);                 // penalized
+  out.push_back(0);                 // sketches absent
+  out.push_back(1);                 // queue stats present
+  append_f64_le(out, 17.0);         // queue depth
+  append_f64_le(out, 1.0);          // calendar gear
+  append_f64_le(out, 2.0);          // gear switches
+  append_f64_le(out, 3.0);          // calendar retunes
+  append_f64_le(out, 0.5);          // leg seconds
+  out.push_back(1);                 // has_q
+  append_f64_le(out, 12.5);         // total q
+  append_f64_le(out, 40.25);        // total q^2
+  return out;
+}
+
+TEST(TransportWire, BarrierPayloadWithRecordsMatchesTheGoldenBytes) {
+  const std::vector<std::uint8_t> golden = golden_barrier_bytes();
+  EXPECT_EQ(encode_golden_barrier(), golden);
+  EXPECT_EQ(golden.size(), 4 + 55 + 3 * 8 + 2 * wire::kOffloadRecordWireSize +
+                               5 * 8 + 1 + 2 * 8);
+
+  const wire::RankBarrierData back = wire::decode_barrier_payload(golden);
+  ASSERT_EQ(back.shards.size(), 1u);
+  const wire::RankBarrierData::Shard& s = back.shards[0];
+  EXPECT_EQ(s.shard, 5u);
+  EXPECT_EQ(s.events, 0x0102030405060708ull);
+  EXPECT_EQ(s.cluster_offloads,
+            std::vector<std::uint64_t>({1, 0, 0x0A0B0C0Dull}));
+  EXPECT_TRUE(s.flipped);
+  ASSERT_EQ(s.log.size(), 2u);
+  EXPECT_EQ(s.log[0].penalty, 0.75);
+  EXPECT_EQ(s.log[0].device, 0x00ABCDEFu);
+  EXPECT_EQ(s.log[0].cluster, 2u);
+  EXPECT_TRUE(s.log[0].penalized);
+  EXPECT_EQ(s.log[1].latency, 0.125);
+  EXPECT_FALSE(s.log[1].measured);
+  EXPECT_FALSE(s.has_sketches);
+  EXPECT_TRUE(s.has_queue_stats);
+  EXPECT_EQ(s.leg_seconds, 0.5);
+  EXPECT_TRUE(back.has_q);
+  EXPECT_EQ(back.total_q2, 40.25);
+  EXPECT_EQ(wire::encode_barrier_payload(back.views(), back.has_q,
+                                         back.total_q, back.total_q2),
+            golden);
 }
 
 wire::RankBarrierData sample_rank_data(std::uint64_t seed) {
@@ -373,6 +583,25 @@ TEST(TransportWire, BarrierPayloadRejectsTruncation) {
   }
 }
 
+TEST(TransportWire, BarrierPayloadRefusesCountsThePayloadCannotHold) {
+  // Offsets into the golden payload: the shard count, then (after the shard
+  // id and five u64 totals) the cluster count, then (after three cluster
+  // counts and the flipped flag) the record count.
+  const struct {
+    std::size_t at;
+    std::uint32_t count;
+    const char* field;
+  } counts[] = {{0, 1, "barrier shard blocks"},
+                {48, 3, "barrier cluster offload counts"},
+                {77, 2, "barrier offload records"}};
+  for (const auto& c : counts) {
+    std::vector<std::uint8_t> enc = golden_barrier_bytes();
+    patch_u32_le(enc, c.at, c.count, 0xFFFFFFFFu);
+    expect_count_refused([&] { wire::decode_barrier_payload(enc); },
+                         c.field);
+  }
+}
+
 // --- .meclog envelope ------------------------------------------------------
 
 std::string test_scoped_path(const std::string& suffix) {
@@ -428,17 +657,24 @@ TEST(RunLogWire, ScanTreatsAPartialTailFrameAsTruncation) {
   std::filesystem::remove(path);
 }
 
+TEST(RunLogWire, MetaRefusesACountThePayloadCannotHold) {
+  obs::RunLogMeta meta;
+  meta.emplace_back("scenario", "wire-format-test");
+  std::vector<std::uint8_t> enc = obs::encode_meta(meta);
+  patch_u32_le(enc, 0, 1, 0xFFFFFFFFu);
+  expect_count_refused([&] { obs::decode_meta(enc); },
+                       "run-log meta entries");
+}
+
+TEST(RunLogWire, CountersRefuseACountThePayloadCannotHold) {
+  const obs::CounterValue values[] = {{1, 0, 0.5}, {2, 1, 1.5}};
+  std::vector<std::uint8_t> enc = obs::encode_counters(values);
+  patch_u32_le(enc, 0, 2, 0xFFFFFFFFu);
+  expect_count_refused([&] { obs::decode_counters(enc); },
+                       "run-log counter values");
+}
+
 // --- TCP handshake + population frames (net/protocol.cpp) ------------------
-
-void append_u16_le(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void append_u32_le(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-}
 
 TEST(NetWire, HelloMatchesTheGoldenBytes) {
   net::wire::Hello hello;
@@ -676,19 +912,65 @@ TEST(NetWire, PopulationRejectsTruncationAtEveryByteBoundary) {
   }
 }
 
+TEST(NetWire, PopulationRefusesCountsThePayloadCannotHold) {
+  const net::wire::WorkerPopulation pop = sample_population();
+  const std::vector<std::uint8_t> payload = net::wire::encode_population(pop);
+  // The last three counts, located from the end: one 29-byte action after
+  // the action count, three 32-byte rng states after theirs, three 48-byte
+  // users after theirs.
+  const std::size_t actions_at = payload.size() - 4 - 29;
+  const std::size_t rngs_at = actions_at - 4 - 3 * 32;
+  const std::size_t users_at = rngs_at - 4 - 3 * 48;
+  const struct {
+    std::size_t at;
+    std::uint32_t count;
+    const char* field;
+  } counts[] = {{users_at, 3, "population users"},
+                {rngs_at, 3, "population rng states"},
+                {actions_at, 1, "population fault actions"}};
+  for (const auto& c : counts) {
+    std::vector<std::uint8_t> enc = payload;
+    patch_u32_le(enc, c.at, c.count, 0xFFFFFFFFu);
+    expect_count_refused([&] { net::wire::decode_population(enc); },
+                         c.field);
+  }
+}
+
+TEST(NetWire, SamplerSpecRefusesACountThePayloadCannotHold) {
+  const net::wire::WorkerPopulation pop = sample_population();
+  const std::vector<std::uint8_t> payload = net::wire::encode_population(pop);
+  // The service spec (no data) follows the 74-byte fixed header; its data
+  // count sits after the u8 kind and f64 param.  The latency spec (two
+  // values) follows it.
+  const std::size_t service_at = 74 + 1 + 8;
+  const std::size_t latency_at = service_at + 4 + 1 + 8;
+  const struct {
+    std::size_t at;
+    std::uint32_t count;
+  } counts[] = {{service_at, 0}, {latency_at, 2}};
+  for (const auto& c : counts) {
+    std::vector<std::uint8_t> enc = payload;
+    patch_u32_le(enc, c.at, c.count, 0xFFFFFFFFu);
+    expect_count_refused([&] { net::wire::decode_population(enc); },
+                         "population sampler data values");
+  }
+}
+
 TEST(NetWire, PopulationRejectsInconsistentAssignments) {
   {
     net::wire::WorkerPopulation pop = sample_population();
     pop.rank = 2;  // == ranks
-    const std::string what = thrown_message(
-        [&] { net::wire::decode_population(net::wire::encode_population(pop)); });
+    const std::string what = thrown_message([&] {
+      net::wire::decode_population(net::wire::encode_population(pop));
+    });
     EXPECT_NE(what.find("assigns rank 2 of 2"), std::string::npos) << what;
   }
   {
     net::wire::WorkerPopulation pop = sample_population();
     pop.shard_lo = 4;  // empty slice
-    const std::string what = thrown_message(
-        [&] { net::wire::decode_population(net::wire::encode_population(pop)); });
+    const std::string what = thrown_message([&] {
+      net::wire::decode_population(net::wire::encode_population(pop));
+    });
     EXPECT_NE(what.find("invalid shard slice"), std::string::npos) << what;
   }
   {
@@ -701,29 +983,33 @@ TEST(NetWire, PopulationRejectsInconsistentAssignments) {
   {
     net::wire::WorkerPopulation pop = sample_population();
     pop.users.pop_back();  // 2 users for a 3-device slice
-    const std::string what = thrown_message(
-        [&] { net::wire::decode_population(net::wire::encode_population(pop)); });
+    const std::string what = thrown_message([&] {
+      net::wire::decode_population(net::wire::encode_population(pop));
+    });
     EXPECT_NE(what.find("slice arrays"), std::string::npos) << what;
   }
   {
     net::wire::WorkerPopulation pop = sample_population();
     pop.with_faults = false;  // but actions still present
-    const std::string what = thrown_message(
-        [&] { net::wire::decode_population(net::wire::encode_population(pop)); });
+    const std::string what = thrown_message([&] {
+      net::wire::decode_population(net::wire::encode_population(pop));
+    });
     EXPECT_NE(what.find("with_faults is off"), std::string::npos) << what;
   }
   {
     net::wire::WorkerPopulation pop = sample_population();
     pop.service.kind = static_cast<sim::SamplerSpec::Kind>(9);
-    const std::string what = thrown_message(
-        [&] { net::wire::decode_population(net::wire::encode_population(pop)); });
+    const std::string what = thrown_message([&] {
+      net::wire::decode_population(net::wire::encode_population(pop));
+    });
     EXPECT_NE(what.find("unknown sampler kind 9"), std::string::npos) << what;
   }
   {
     net::wire::WorkerPopulation pop = sample_population();
     pop.actions[0].kind = static_cast<fault::FaultKind>(200);
-    const std::string what = thrown_message(
-        [&] { net::wire::decode_population(net::wire::encode_population(pop)); });
+    const std::string what = thrown_message([&] {
+      net::wire::decode_population(net::wire::encode_population(pop));
+    });
     EXPECT_NE(what.find("unknown fault kind 200"), std::string::npos) << what;
   }
   {

@@ -241,8 +241,9 @@ sim::ClusterTopology build_topology(const io::Args& args,
           if (pos != token.size()) throw RuntimeError("trailing");
           topology.shares.push_back(share);
         } catch (const std::exception&) {
-          throw RuntimeError("--topology expects comma-separated shares, got '" +
-                             token + "'");
+          throw RuntimeError(
+              "--topology expects comma-separated shares, got '" + token +
+              "'");
         }
       }
     topology.clusters = topology.shares.size();
@@ -251,7 +252,8 @@ sim::ClusterTopology build_topology(const io::Args& args,
     const std::size_t k = args.get_count("clusters", 1, 1);
     if (args.has("topology")) {
       if (k != topology.clusters)
-        throw RuntimeError("--clusters disagrees with the --topology share count");
+        throw RuntimeError(
+            "--clusters disagrees with the --topology share count");
     } else {
       topology.clusters = k;
       if (topology.shares.size() != k) topology.shares.clear();
@@ -669,7 +671,8 @@ int cmd_compare(const io::Args& args) {
   };
   table.add_row({"TRO @ MFNE (DTU)", io::TextTable::fmt(dtu_cost, 4),
                  io::TextTable::fmt(mfne.gamma_star, 4), "--"});
-  table.add_row({"DPO per-user optimal", io::TextTable::fmt(dpo.average_cost, 4),
+  table.add_row({"DPO per-user optimal",
+                 io::TextTable::fmt(dpo.average_cost, 4),
                  io::TextTable::fmt(dpo.gamma_star, 4),
                  pct(dpo.average_cost)});
   table.add_row({"DPO shared rho", io::TextTable::fmt(one_rho.average_cost, 4),
