@@ -144,23 +144,26 @@ BENCHMARK(BM_DesStreamedThroughput)
     ->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
-// Hold model on the event queue alone, at 1.5e5 pending nodes: pop the
+// Hold model on the event queue alone at range(0) pending nodes: pop the
 // earliest node and push it back Exp(rate) later, one hold per iteration
 // (the time column is ns per hold).  `exp1` gives every node rate 1, as
 // the suite's sim.queue_hold_ns probe does.  `rates_u06` draws each node's
 // rate from U(0, 6], the paper's at-service arrival law: its slow nodes
-// stretch the mean residual the calendar buckets are sized from, so each
-// bucket window holds ~13,000 nodes here, against ~150 under exp1.
+// stretch the mean residual the calendar buckets are sized from, so at
+// 1.5e5 pending each bucket window holds ~13,000 nodes, against ~150 under
+// exp1.  16 pending stays below the queue's minimum tuned size (a plain
+// side heap), 256 and 4,096 run a small tuned ring, and 1.5e5 is the
+// suite's size.
 void BM_EventQueueHold(benchmark::State& state, bool rate_spread) {
-  constexpr std::uint32_t kPending = 150000;
+  const auto pending = static_cast<std::uint32_t>(state.range(0));
   random::Xoshiro256 rng(2024);
   std::vector<double> increments(4096);
   for (double& x : increments) x = random::exponential(rng, 1.0);
-  std::vector<double> mean(kPending, 1.0);
+  std::vector<double> mean(pending, 1.0);
   if (rate_spread)
     for (double& m : mean) m = 1.0 / (6.0 - random::uniform(rng, 0.0, 6.0));
   sim::EventQueue queue;
-  for (std::uint32_t d = 0; d < kPending; ++d) {
+  for (std::uint32_t d = 0; d < pending; ++d) {
     const double t = random::exponential(rng, 1.0) * mean[d];
     queue.push(t, sim::EventKind::kArrival, d);
   }
@@ -171,12 +174,20 @@ void BM_EventQueueHold(benchmark::State& state, bool rate_spread) {
     queue.push(e.time + dt, e.kind, e.device);
     return e.time;
   };
-  for (std::uint32_t h = 0; h < 4 * kPending; ++h) hold();  // settle
+  for (std::uint32_t h = 0; h < 4 * pending; ++h) hold();  // settle
   for (auto _ : state) benchmark::DoNotOptimize(hold());
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_CAPTURE(BM_EventQueueHold, exp1, false);
-BENCHMARK_CAPTURE(BM_EventQueueHold, rates_u06, true);
+BENCHMARK_CAPTURE(BM_EventQueueHold, exp1, false)
+    ->Arg(16)
+    ->Arg(256)
+    ->Arg(4096)
+    ->Arg(150000);
+BENCHMARK_CAPTURE(BM_EventQueueHold, rates_u06, true)
+    ->Arg(16)
+    ->Arg(256)
+    ->Arg(4096)
+    ->Arg(150000);
 
 // The frame CRC over 1 MiB of seeded random bytes; read the bytes/s column.
 // Every framed byte (barrier payloads, population and threshold frames,

@@ -11,6 +11,7 @@
 
 #include "mec/common/error.hpp"
 #include "mec/net/protocol.hpp"
+#include "mec/obs/stream.hpp"
 #include "mec/obs/wire.hpp"
 #include "mec/parallel/shard_executor.hpp"
 
@@ -89,7 +90,7 @@ FramedTransport::FramedTransport(
   timeout_ms_ = parallel::resolve_transport_timeout_ms();
   peers_.reserve(ranks);
   for (std::size_t r = 0; r < ranks; ++r) {
-    Peer& peer = peers_.emplace_back(Peer{std::move(links[r])});
+    Peer& peer = peers_.emplace_back(std::move(links[r]));
     peer.shard_lo = config.shard_count * r / ranks;
     peer.shard_hi = config.shard_count * (r + 1) / ranks;
     peer.device_lo = parallel::shard_bound(config.n_devices,
@@ -227,8 +228,21 @@ void FramedTransport::check_barrier(Peer& peer,
     if (s.has_queue_stats != request.want_queue_stats)
       reject(field("queue stats"), presence(s.has_queue_stats),
              presence(request.want_queue_stats));
+    // The replay merges each log in time order within the leg
+    // [last barrier, limit), closed on the final leg; NaN fails both
+    // compares.
+    double earliest = peer.last_barrier_time;
     for (std::size_t j = 0; j < s.log.size(); ++j) {
       const sim::OffloadRecord& rec = s.log[j];
+      if (!(rec.time >= earliest &&
+            (rec.time < request.limit ||
+             (request.inclusive && rec.time == request.limit))))
+        reject(field("log[" + std::to_string(j) + "].time"),
+               obs::meta_double(rec.time),
+               "a time in [" + obs::meta_double(earliest) + ", " +
+                   obs::meta_double(request.limit) +
+                   (request.inclusive ? "]" : ")"));
+      earliest = rec.time;
       if (rec.device < peer.device_lo || rec.device >= peer.device_hi)
         reject(field("log[" + std::to_string(j) + "].device"),
                std::to_string(rec.device),

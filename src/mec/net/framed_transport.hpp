@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mec/net/address.hpp"
@@ -104,6 +105,7 @@ class FramedTransport final : public parallel::Transport {
 
  private:
   struct Peer {
+    explicit Peer(RankLink l) : link(std::move(l)) {}
     RankLink link;
     std::size_t shard_lo = 0;
     std::size_t shard_hi = 0;

@@ -2,10 +2,10 @@
 //
 // Counters are sampled only at observation-grid barriers and only when a
 // stream log is attached, so the event loop itself never pays for them; the
-// few counters that live inside hot structures (the two-gear EventQueue's
-// gear switches and calendar retunes) are incremented on rare, already-cold
-// paths.  Counters are always compiled in; SimulationOptions::stream_counters
-// is the one switch.
+// few counters that live inside hot structures (the EventQueue's
+// tuned<->untuned transitions and calendar retunes) are incremented on rare,
+// already-cold paths.  Counters are always compiled in;
+// SimulationOptions::stream_counters is the one switch.
 //
 // Counter samples are wall-clock diagnostics: unlike window frames they are
 // NOT deterministic across shard counts or machines, and no test compares
@@ -19,8 +19,8 @@ namespace mec::obs {
 enum class Counter : std::uint16_t {
   kShardEvents = 0,        ///< cumulative events executed (per shard)
   kShardQueueDepth = 1,    ///< future events pending at the barrier (per shard)
-  kShardCalendarGear = 2,  ///< 1 when the queue is in calendar gear (per shard)
-  kShardGearSwitches = 3,  ///< cumulative heap<->calendar switches (per shard)
+  kShardCalendarGear = 2,  ///< 1 while the queue's ring is tuned (per shard)
+  kShardGearSwitches = 3,  ///< cumulative untuned<->tuned transitions (shard)
   kShardCalendarRetunes = 4,  ///< cumulative calendar resizes (per shard)
   kShardLegSeconds = 5,    ///< wall seconds of the last inter-barrier leg
   kBarrierWaitSeconds = 6, ///< max-min leg seconds across shards (global)

@@ -103,7 +103,7 @@ bool bernoulli(Xoshiro256& rng, double p) noexcept {
 
 std::uint64_t uniform_index(Xoshiro256& rng, std::uint64_t n) noexcept {
   // Lemire's nearly-divisionless method with rejection for exact uniformity.
-  using u128 = unsigned __int128;
+  __extension__ typedef unsigned __int128 u128;
   std::uint64_t x = rng();
   u128 m = static_cast<u128>(x) * n;
   auto lo = static_cast<std::uint64_t>(m);

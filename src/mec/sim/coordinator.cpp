@@ -51,6 +51,41 @@ obs::RunLogMeta make_stream_meta(const CoordinatorContext& cc) {
   return meta;
 }
 
+/// One barrier's views summed over shards, and their latency sketches
+/// merged into fresh ones when the views carry them.  Every sum and the
+/// log-binned merge are exact in any order, so the fold is K-invariant.
+struct ViewFold {
+  std::uint64_t events = 0;
+  std::uint64_t offloads_in_window = 0;
+  std::uint64_t tasks_lost = 0;
+  std::uint64_t offloads_rejected = 0;
+  std::uint64_t offloads_penalized = 0;
+  std::vector<std::uint64_t> cluster_offloads;
+  stats::LatencySketch local_sojourns;
+  stats::LatencySketch offload_delays;  ///< the shards' own (fixed gamma)
+};
+
+ViewFold fold_views(std::span<const parallel::ShardBarrierView> views,
+                    std::uint32_t n_clusters, bool sketches,
+                    bool has_fixed_gamma) {
+  ViewFold f;
+  f.cluster_offloads.assign(n_clusters, 0);
+  for (const parallel::ShardBarrierView& v : views) {
+    f.events += v.events;
+    f.offloads_in_window += v.offloads_in_window;
+    f.tasks_lost += v.tasks_lost;
+    f.offloads_rejected += v.offloads_rejected;
+    f.offloads_penalized += v.offloads_penalized;
+    for (std::uint32_t k = 0; k < n_clusters; ++k)
+      f.cluster_offloads[k] += v.cluster_offloads[k];
+    if (sketches) {
+      f.local_sojourns.merge(*v.local_sojourns);
+      if (has_fixed_gamma) f.offload_delays.merge(*v.offload_delays);
+    }
+  }
+  return f;
+}
+
 }  // namespace
 
 void check_thresholds(std::span<const double> thresholds,
@@ -109,9 +144,7 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
     if (has_fixed_gamma) return fixed_cluster_gammas;
     return replay->cluster_gammas(at);
   };
-  std::vector<std::uint64_t> cluster_off_scratch;  ///< per-window sums
-  stats::LatencySketch local_sojourns;
-  stats::LatencySketch offload_delays;
+  stats::LatencySketch offload_delays;  ///< the replay's (tracked gamma)
   // Feeds the legs' offload logs — fully drained, they cover exactly the
   // records before the current barrier — through the replay.  Ranks free
   // their logs at the start of the next advance.
@@ -139,11 +172,6 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
   // before a barrier have all been popped by the exclusive legs, so the
   // count is exact — and K-invariant — at every barrier.
   std::size_t fault_cursor = 0;
-  // Per-window cumulative sketch snapshots (merged in shard order; the
-  // log-binned merge is order-invariant and exact, so the snapshot equals
-  // what a single queue would have accumulated so far).
-  stats::LatencySketch window_sojourns;
-  stats::LatencySketch window_offload_delays;
   std::uint64_t counter_prev_events = 0;
   const ObservationGrid grid(options.sample_interval, options.epoch_period,
                              cc.t_end);
@@ -159,6 +187,10 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
         transport.advance(req);
     drain_logs(views);
     if (g.sample) {
+      // Cumulative so far; the sketches equal what a single queue would
+      // have accumulated.
+      const ViewFold fold = fold_views(views, cc.n_clusters,
+                                       req.want_sketches, has_fixed_gamma);
       TimelinePoint p;
       p.time = g.time;
       double scale = 1.0;
@@ -190,10 +222,7 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
         p.active_devices = cc.n_devices;
         p.mean_queue_length = total_q / static_cast<double>(cc.n_devices);
       }
-      std::uint64_t so_far = 0;
-      for (const parallel::ShardBarrierView& v : views)
-        so_far += v.offloads_in_window;
-      p.offloads_so_far = so_far;
+      p.offloads_so_far = fold.offloads_in_window;
       if (options.record_timeline) recorder.on_sample(p);
       if (stream != nullptr) {
         stream->on_sample(p);
@@ -206,39 +235,22 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
         // fixed-gamma deliveries (order-invariant sum) + fault actions
         // popped (cursor) + replay deliveries (serial) — each term
         // K-invariant by construction.
-        std::uint64_t events_now = 0;
-        for (const parallel::ShardBarrierView& v : views)
-          events_now += v.events;
+        std::uint64_t events_now = fold.events;
         if (cc.with_faults) {
           while (fault_cursor < plan.actions.size() &&
                  plan.actions[fault_cursor].time < g.time)
             ++fault_cursor;
           events_now += fault_cursor;
-          std::uint64_t lost = 0, rejected = 0, penalized = 0;
-          for (const parallel::ShardBarrierView& v : views) {
-            lost += v.tasks_lost;
-            rejected += v.offloads_rejected;
-            penalized += v.offloads_penalized;
-          }
-          extras.tasks_lost = lost;
-          extras.offloads_rejected = rejected;
-          extras.offloads_penalized = penalized;
+          extras.tasks_lost = fold.tasks_lost;
+          extras.offloads_rejected = fold.offloads_rejected;
+          extras.offloads_penalized = fold.offloads_penalized;
           extras.fault_events_applied = fault_cursor;
         }
         if (!has_fixed_gamma) events_now += replay->deliveries();
         extras.events_so_far = events_now;
-        window_sojourns = stats::LatencySketch{};
-        for (const parallel::ShardBarrierView& v : views)
-          window_sojourns.merge(*v.local_sojourns);
-        extras.sojourns = &window_sojourns;
-        if (has_fixed_gamma) {
-          window_offload_delays = stats::LatencySketch{};
-          for (const parallel::ShardBarrierView& v : views)
-            window_offload_delays.merge(*v.offload_delays);
-          extras.offload_delays = &window_offload_delays;
-        } else {
-          extras.offload_delays = &offload_delays;
-        }
+        extras.sojourns = &fold.local_sojourns;
+        extras.offload_delays =
+            has_fixed_gamma ? &fold.offload_delays : &offload_delays;
         std::fill(thresh_hist.begin(), thresh_hist.end(), 0u);
         if (cc.thresholds != nullptr) {
           for (std::uint32_t d = 0; d < cc.n_devices; ++d) {
@@ -251,12 +263,8 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
           }
         }
         extras.threshold_histogram = thresh_hist;
-        cluster_off_scratch.assign(cc.n_clusters, 0);
-        for (const parallel::ShardBarrierView& v : views)
-          for (std::uint32_t k = 0; k < cc.n_clusters; ++k)
-            cluster_off_scratch[k] += v.cluster_offloads[k];
         extras.cluster_gamma = cluster_gammas_at(g.time);
-        extras.cluster_offloads = cluster_off_scratch;
+        extras.cluster_offloads = fold.cluster_offloads;
         stream->commit_window(extras);
         if (counters_on) {
           counter_scratch.clear();
@@ -361,23 +369,9 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
 
   // Everything view-derived is folded *before* finalize(): the final
   // views reference rank-side storage the finalize exchange may replace.
-  std::uint64_t events = 0;
-  std::uint64_t offloads_in_window = 0;
-  std::vector<std::uint64_t> cluster_offloads(cc.n_clusters, 0);
-  std::uint64_t tasks_lost = 0;
-  std::uint64_t offloads_rejected = 0;
-  std::uint64_t offloads_penalized = 0;
-  for (const parallel::ShardBarrierView& v : final_views) {
-    events += v.events;
-    offloads_in_window += v.offloads_in_window;
-    for (std::uint32_t k = 0; k < cc.n_clusters; ++k)
-      cluster_offloads[k] += v.cluster_offloads[k];
-    local_sojourns.merge(*v.local_sojourns);
-    if (has_fixed_gamma) offload_delays.merge(*v.offload_delays);
-    tasks_lost += v.tasks_lost;
-    offloads_rejected += v.offloads_rejected;
-    offloads_penalized += v.offloads_penalized;
-  }
+  ViewFold totals = fold_views(final_views, cc.n_clusters,
+                               /*sketches=*/true, has_fixed_gamma);
+  std::uint64_t events = totals.events;
   if (cc.with_faults)
     events += plan.actions.size();  // every schedule action popped once
   if (!has_fixed_gamma) events += replay->deliveries();
@@ -401,8 +395,9 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
   SimulationResult result;
   result.horizon = options.horizon;
   result.total_events = events;
-  result.local_sojourn_percentiles = std::move(local_sojourns);
-  result.offload_delay_percentiles = std::move(offload_delays);
+  result.local_sojourn_percentiles = std::move(totals.local_sojourns);
+  result.offload_delay_percentiles = std::move(
+      has_fixed_gamma ? totals.offload_delays : offload_delays);
   result.timeline = recorder.take();
   result.devices.reserve(cc.n_devices);
   const double window = options.horizon;
@@ -415,7 +410,7 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
   double gamma_denom = window * cc.edge_capacity;
   if (cc.with_faults) gamma_denom = cc.edge_capacity * scale_integral;
   const double gamma_measured =
-      static_cast<double>(offloads_in_window) / gamma_denom;
+      static_cast<double>(totals.offloads_in_window) / gamma_denom;
   for (std::uint32_t n = 0; n < cc.n_devices; ++n) {
     if (cc.with_faults) {
       // Churn slots that never joined report all-zero stats and must not
@@ -469,7 +464,7 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
   // Per-cluster utilization divides each cluster's offload count by its
   // capacity share of the same denominator; with one cluster share(0) is
   // exactly 1.0, so cluster_utilization[0] == measured_utilization bitwise.
-  result.cluster_offloads = std::move(cluster_offloads);
+  result.cluster_offloads = std::move(totals.cluster_offloads);
   result.cluster_utilization.reserve(cc.n_clusters);
   for (std::uint32_t k = 0; k < cc.n_clusters; ++k)
     result.cluster_utilization.push_back(
@@ -484,9 +479,9 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
     fs.restarts = plan.restarts;
     fs.churn_joined = plan.churn_joined;
     fs.churn_departed = plan.churn_departed;
-    fs.tasks_lost = tasks_lost;
-    fs.offloads_rejected = offloads_rejected;
-    fs.offloads_penalized = offloads_penalized;
+    fs.tasks_lost = totals.tasks_lost;
+    fs.offloads_rejected = totals.offloads_rejected;
+    fs.offloads_penalized = totals.offloads_penalized;
     fs.min_capacity_scale = env.min_capacity_scale;
     fs.mean_capacity_scale = scale_integral / window;
     fs.degraded_time = env.degraded_time;

@@ -5,18 +5,18 @@
 #include <numeric>
 
 #include "mec/common/error.hpp"
-#include "mec/common/prefetch.hpp"
 
 namespace mec::sim {
 
 namespace {
 
-/// Heap gear below this many stored events; calendar gear above.  At the
-/// threshold the whole heap is ~256 KiB (L2-resident), so the switch
-/// happens before heap pops start paying DRAM-latency sift chains.
-constexpr std::size_t kSwitchThreshold = 16384;
-/// Hysteresis: drop back to the plain heap only below half the threshold.
-constexpr std::size_t kExitThreshold = kSwitchThreshold / 2;
+/// Below this many events a retune leaves the queue untuned, and a ring
+/// tuned here stays tuned until a shrink retune at a quarter of it.
+/// Growth retunes land on 64 * 4^k events (..., 16,384, 65,536, 262,144),
+/// the tune points the large rings were measured at; another base moves
+/// every large queue's bucket occupancy by up to 4x (EXPERIMENTS.md, "One
+/// event queue").
+constexpr std::size_t kMinTuned = 64;
 /// The ring covers this many multiples of the mean residual event time,
 /// which keeps the overflow tier small.  Under the paper's U(0, a_max)
 /// arrival rates the few devices with rates near 0 stretch that mean far
@@ -26,17 +26,16 @@ constexpr double kRingSpanResiduals = 8.0;
 /// Ring sizing target: at least this many events per bucket on average,
 /// i.e. ring size ~ stored / kMinOccupancy, clamped to the bounds below.
 constexpr std::size_t kMinOccupancy = 8;
-/// Ring size bounds (power of two).  The cap trades bucket count for
+/// Ring size bounds (power of two).  The floor gives a queue tuned at
+/// kMinTuned one bucket per event; the cap trades bucket count for
 /// occupancy, which the linear-time window ordering makes cheap.
-constexpr std::size_t kMinBuckets = 1024;
+constexpr std::size_t kMinBuckets = 64;
 constexpr std::size_t kMaxBuckets = 65536;
-/// Sift-down prefetch pays off only once the heap outgrows L1.
-constexpr std::size_t kPrefetchMinHeap = 2048;
 
 }  // namespace
 
 void EventQueue::reserve(std::size_t capacity) {
-  side_.reserve(std::min(capacity, 2 * kSwitchThreshold));
+  side_.reserve(std::min(capacity, kMinTuned));
 }
 
 void EventQueue::clear() noexcept {
@@ -48,13 +47,14 @@ void EventQueue::clear() noexcept {
   ring_count_ = 0;
   overflow_.clear();
   overflow_min_bucket_ = ~std::uint64_t{0};
-  calendar_ = false;
-  base_ = 0;
-  tuned_size_ = 0;
-  switch_check_ = 0;
+  width_ = 0.0;
+  inv_width_ = 0.0;
+  base_ = 1;
+  grow_at_ = 0;
+  shrink_below_ = 0;
   size_ = 0;
   next_seq_ = 0;
-  gear_switches_ = 0;
+  transitions_ = 0;
   retunes_ = 0;
 }
 
@@ -75,21 +75,9 @@ void EventQueue::side_push(const Node& nd) {
 
 void EventQueue::side_sift_down(std::size_t i, const Node& nd) {
   const std::size_t n = side_.size();
-  const bool deep = n > kPrefetchMinHeap;
   for (;;) {
     const std::size_t first = 4 * i + 1;
     if (first >= n) break;
-    if (deep) {
-      // The 16 grandchildren are contiguous; pull their four cache lines
-      // one level ahead so the next iteration's loads overlap the compares.
-      const std::size_t g = 4 * first + 1;
-      if (g < n) {
-        MEC_PREFETCH(side_.data() + g);
-        MEC_PREFETCH(side_.data() + g + 4);
-        MEC_PREFETCH(side_.data() + g + 8);
-        MEC_PREFETCH(side_.data() + g + 12);
-      }
-    }
     std::size_t best = first;
     const std::size_t end = first + 4 < n ? first + 4 : n;
     for (std::size_t c = first + 1; c < end; ++c)
@@ -117,16 +105,17 @@ void EventQueue::side_build() {
 }
 
 const EventQueue::Node& EventQueue::front() const noexcept {
-  // The side heap is almost always empty in calendar gear (only delays
-  // shorter than one bucket width land there), so this compare is
-  // predictable and the common path is a single indexed load.
+  // The side heap of a tuned ring is almost always empty (only delays
+  // shorter than one bucket width land there), and an untuned queue's
+  // window always is, so this compare is predictable and the common path
+  // is a single indexed load.
   if (!side_.empty() && (window_pos_ >= window_.size() ||
                          earlier(side_[0], window_[window_pos_])))
     return side_[0];
   return window_[window_pos_];
 }
 
-// --- calendar gear ---------------------------------------------------------
+// --- bucket ring -----------------------------------------------------------
 
 std::uint64_t EventQueue::bucket_of(double t) const noexcept {
   const double d = t * inv_width_;
@@ -157,51 +146,56 @@ void EventQueue::gather_all() {
   overflow_min_bucket_ = ~std::uint64_t{0};
 }
 
-void EventQueue::try_enter_calendar() {
+void EventQueue::retune() {
+  // Gather every stored node, then spread them over a ring whose width
+  // follows the observed time span.  A queue too small or too simultaneous
+  // to bucket is left untuned instead: inv_width_ = 0 puts every time in
+  // bucket 0, and base_ = 1 files bucket 0 as already drained, so every
+  // node goes to the side heap, now and on every push until the next
+  // retune.
   gather_all();
-  rebuild(size_);
-}
-
-void EventQueue::rebuild(std::size_t target_size) {
-  // scratch_ holds every stored node (see gather_all); retune the bucket
-  // width from the observed time span, rebin everything, and re-establish
-  // the window invariant.
-  double tmin = scratch_.front().time;
-  double tmax = tmin;
-  double tsum = 0.0;
-  for (const Node& nd : scratch_) {
-    tmin = std::min(tmin, nd.time);
-    tmax = std::max(tmax, nd.time);
-    tsum += nd.time;
+  const std::size_t n = size_;
+  const bool small = n < kMinTuned;
+  grow_at_ = small ? kMinTuned : 4 * n;
+  shrink_below_ = small ? 0 : n / 4 + 1;
+  double tmin = 0.0;
+  double mean_residual = 0.0;
+  if (!small) {
+    tmin = scratch_.front().time;
+    double tmax = tmin;
+    double tsum = 0.0;
+    for (const Node& nd : scratch_) {
+      tmin = std::min(tmin, nd.time);
+      tmax = std::max(tmax, nd.time);
+      tsum += nd.time;
+    }
+    mean_residual = tsum / static_cast<double>(n) - tmin;
+    // All events effectively simultaneous: buckets cannot separate them.
+    if (!(mean_residual > tmax * 1e-13)) mean_residual = 0.0;
   }
-  const double mean_residual =
-      tsum / static_cast<double>(scratch_.size()) - tmin;
-  if (!(mean_residual > 0.0) || !(mean_residual > tmax * 1e-13)) {
-    // Degenerate spread (all events effectively simultaneous): a calendar
-    // cannot separate them, so stay a plain heap and defer the next try.
+  const bool was_tuned = tuned();
+  if (mean_residual == 0.0) {
+    if (was_tuned) ++transitions_;
+    width_ = 0.0;
+    inv_width_ = 0.0;
+    base_ = 1;
     side_.swap(scratch_);
     scratch_.clear();
     side_build();
-    calendar_ = false;
-    switch_check_ = 2 * size_;
     return;
   }
+  if (was_tuned)
+    ++retunes_;
+  else
+    ++transitions_;
 
   std::size_t nb = kMinBuckets;
-  while (nb < target_size / kMinOccupancy && nb < kMaxBuckets) nb <<= 1;
+  while (nb < n / kMinOccupancy && nb < kMaxBuckets) nb <<= 1;
   width_ = kRingSpanResiduals * mean_residual / static_cast<double>(nb);
   inv_width_ = 1.0 / width_;
   if (buckets_.size() != nb) buckets_.resize(nb);
   bucket_mask_ = nb - 1;
   base_ = bucket_of(tmin);
-  if (calendar_)
-    ++retunes_;
-  else
-    ++gear_switches_;
-  calendar_ = true;
-  tuned_size_ = target_size;
-  switch_check_ = 0;
-
   for (const Node& nd : scratch_) {
     const std::uint64_t idx = bucket_of(nd.time);
     if (idx - base_ < nb) {
@@ -214,16 +208,6 @@ void EventQueue::rebuild(std::size_t target_size) {
   }
   scratch_.clear();
   advance();
-}
-
-void EventQueue::exit_calendar() {
-  ++gear_switches_;
-  gather_all();
-  side_.swap(scratch_);
-  scratch_.clear();
-  side_build();
-  calendar_ = false;
-  switch_check_ = 0;
 }
 
 void EventQueue::migrate_overflow() {
@@ -323,15 +307,9 @@ void EventQueue::push(double time, EventKind kind, std::uint32_t device) {
                           (static_cast<std::uint64_t>(device) << kKindBits) |
                           static_cast<std::uint64_t>(kind)};
   ++size_;
-  if (!calendar_) {
-    side_push(nd);
-    if (size_ >= kSwitchThreshold && size_ >= switch_check_)
-      try_enter_calendar();
-    return;
-  }
   const std::uint64_t idx = bucket_of(time);
   if (idx < base_) {
-    side_push(nd);  // inside the current window
+    side_push(nd);  // inside the current window, or the queue is untuned
   } else if (idx - base_ < buckets_.size()) {
     buckets_[idx & bucket_mask_].push_back(nd);
     ++ring_count_;
@@ -341,10 +319,7 @@ void EventQueue::push(double time, EventKind kind, std::uint32_t device) {
     overflow_min_bucket_ = std::min(overflow_min_bucket_, idx);
     if (side_.empty() && window_pos_ >= window_.size()) advance();
   }
-  if (size_ >= 4 * tuned_size_) {
-    gather_all();
-    rebuild(size_);
-  }
+  if (size_ >= grow_at_) retune();
 }
 
 double EventQueue::next_time() const {
@@ -370,18 +345,10 @@ Event EventQueue::pop() {
     top = window_[window_pos_++];
   }
   --size_;
-  if (calendar_) {
-    if (side_.empty() && window_pos_ >= window_.size() && size_ > 0)
-      advance();
-    if (size_ * 4 <= tuned_size_) {
-      if (size_ <= kExitThreshold) {
-        exit_calendar();
-      } else {
-        gather_all();
-        rebuild(size_);
-      }
-    }
-  }
+  if (size_ < shrink_below_)
+    retune();
+  else if (side_.empty() && window_pos_ >= window_.size() && size_ > 0)
+    advance();
   return Event{top.time, top.key >> kSeqShift,
                static_cast<std::uint32_t>((top.key >> kKindBits) &
                                           ((1u << kDeviceBits) - 1)),

@@ -5,34 +5,36 @@
 // seed regardless of container internals: (time, seq) is a total order, so
 // any correct priority queue pops the same sequence.
 //
-// Internally the queue is a two-gear hybrid tuned for the N = 1e5..1e6
-// device regime, where the future-event list outgrows L2 and a flat binary
-// or d-ary heap becomes a serial chain of cache misses per pop:
+// The queue is a calendar queue built for the N = 1e5..1e6 device regime,
+// where the future-event list outgrows L2 and a flat binary or d-ary heap
+// becomes a serial chain of cache misses per pop.  Events are binned O(1)
+// into fixed-width time buckets over 16-byte nodes (seq/device/kind packed
+// into one word with seq in the high bits, so the FIFO tie-break is a
+// single integer compare).  When a bucket's window arrives it is ordered
+// once by a linear-time distribution pass (each node's in-bucket fraction
+// picks one of n sub-ranges, and only nodes sharing a sub-range are
+// compared) and consumed by a pointer bump, so a pop costs O(1) amortized
+// however many events a bucket holds.  An event scheduled *inside* the
+// current window (delay shorter than one bucket width) goes to a side heap,
+// an implicit 4-ary min-heap, that pop() consults with one predictable
+// compare.  Events beyond the bucket ring's horizon wait in an overflow tier
+// until the ring reaches them.
 //
-//   - Below a size threshold it is a plain implicit 4-ary min-heap over
-//     16-byte nodes (seq/device/kind packed into one word with seq in the
-//     high bits, so the FIFO tie-break is a single integer compare).
-//   - Above the threshold it switches to a calendar queue: events are
-//     binned O(1) into fixed-width time buckets.  When a bucket's window
-//     arrives it is ordered once by a linear-time distribution pass (each
-//     node's in-bucket fraction picks one of n sub-ranges, and only nodes
-//     sharing a sub-range are compared) and consumed by a pointer bump, so
-//     a pop costs O(1) amortized however many events a bucket holds.  An
-//     event scheduled *inside* the current window (delay shorter than one
-//     bucket width) goes to a side heap that pop() consults with one
-//     predictable compare.  Bucket width self-tunes from the mean residual
-//     event time and re-tunes when the population grows or shrinks by 4x;
-//     under the paper's heterogeneous arrival rates each window then holds
-//     ~10^3 events.  Events beyond the bucket ring's horizon wait in an
-//     overflow tier until the ring reaches them.
+// Bucket width self-tunes from the mean residual event time and re-tunes
+// when the population grows or shrinks by 4x; under the paper's
+// heterogeneous arrival rates each window then holds ~10^3 events.  A queue
+// too small to repay a ring, or too clustered in time to bucket (all events
+// effectively simultaneous), is left *untuned*: its bucket width is
+// infinite, every event falls before the ring's first bucket, and the queue
+// is just its side heap.  The same 4x retune is the only way in or out of
+// that state.
 //
 // Buckets partition time and each window is totally ordered by the sorted
 // bucket + side heap, so the pop sequence is identical to a single global
 // heap — the golden-trace equivalence tests assert this bit-for-bit.
-// `reserve()` pre-sizes the heap-gear storage so small-population steady
-// state never reallocates; in calendar gear the ring reaches its steady
-// footprint after one revolution and is kept across `clear()` for
-// workspace reuse.
+// `reserve()` pre-sizes the side heap an untuned queue lives in; a tuned
+// ring reaches its steady footprint after one revolution and is kept
+// across `clear()` for workspace reuse.
 #pragma once
 
 #include <cstddef>
@@ -65,7 +67,7 @@ class EventQueue {
   /// MecSimulation refuses larger populations and fault schedules.
   static constexpr std::size_t kMaxDevices = std::size_t{1} << 20;
 
-  /// Pre-sizes the live heap (small populations then never reallocate).
+  /// Pre-sizes the side heap (untuned queues then never reallocate).
   void reserve(std::size_t capacity);
 
   /// Schedules an event; `time` must be finite and >= 0, and `device`
@@ -94,23 +96,22 @@ class EventQueue {
   /// which pending event is the live one for a device (lazy cancellation).
   std::uint64_t scheduled_count() const noexcept { return next_seq_; }
 
-  /// True while the queue runs in calendar gear (diagnostics/tests).
-  bool calendar_gear() const noexcept { return calendar_; }
+  /// True while the bucket ring is tuned; false while every event sits in
+  /// the side heap (diagnostics/tests).
+  bool tuned() const noexcept { return inv_width_ > 0.0; }
 
-  /// Current calendar bucket width in simulated seconds; 0 in heap gear.
-  /// Exposed so the gear-switch regression tests can place events exactly
-  /// on bucket-window edges.
-  double calendar_bucket_width() const noexcept {
-    return calendar_ ? width_ : 0.0;
-  }
+  /// Current bucket width in simulated seconds; 0 while untuned.  Exposed
+  /// so the regression tests can place events exactly on bucket-window
+  /// edges.
+  double calendar_bucket_width() const noexcept { return width_; }
 
-  /// Cumulative heap<->calendar gear switches since the last clear().
+  /// Cumulative untuned<->tuned transitions since the last clear().
   /// Telemetry (obs::Counter::kShardGearSwitches); the increments live on
-  /// the rare rebuild paths, off the per-event path.
-  std::uint64_t gear_switches() const noexcept { return gear_switches_; }
+  /// the rare retune path, off the per-event path.
+  std::uint64_t tuned_transitions() const noexcept { return transitions_; }
 
-  /// Cumulative calendar-queue retunes (width/ring resizes) since the last
-  /// clear().  Telemetry (obs::Counter::kShardCalendarRetunes).
+  /// Cumulative retunes that keep the ring tuned (width/ring resizes)
+  /// since the last clear().  Telemetry (obs::Counter::kShardCalendarRetunes).
   std::uint64_t calendar_retunes() const noexcept { return retunes_; }
 
  private:
@@ -142,33 +143,34 @@ class EventQueue {
   /// window cursor and the side-heap root.
   const Node& front() const noexcept;
 
-  // --- calendar gear ---
+  // --- bucket ring ---
   std::uint64_t bucket_of(double t) const noexcept;
-  void try_enter_calendar();
-  void rebuild(std::size_t target_size);  ///< retune width/ring from scratch_
-  void exit_calendar();
+  /// Re-tunes width and ring for the current size, or leaves the queue
+  /// untuned, and re-files every stored node.
+  void retune();
   void gather_all();  ///< move every stored node into scratch_
   void migrate_overflow();
   /// Sorts window_, all of it in bucket base_ - 1, in linear time.
   void order_window();
   void advance();  ///< make the next non-empty bucket the sorted window
 
-  std::vector<Node> side_;    ///< all events (heap gear) or in-window pushes
+  std::vector<Node> side_;    ///< in-window pushes (every node if untuned)
   std::vector<Node> window_;  ///< current bucket, sorted ascending
   std::size_t window_pos_ = 0;  ///< next unconsumed node in window_
 
-  bool calendar_ = false;
   std::vector<std::vector<Node>> buckets_;  ///< ring of unsorted bins
   std::size_t bucket_mask_ = 0;             ///< buckets_.size() - 1 (pow2)
   std::size_t ring_count_ = 0;              ///< nodes currently in the ring
   std::vector<Node> overflow_;              ///< beyond the ring horizon
   std::uint64_t overflow_min_bucket_ = ~std::uint64_t{0};
-  double width_ = 0.0;      ///< bucket width (simulated seconds)
-  double inv_width_ = 0.0;  ///< 1 / width_
-  std::uint64_t base_ = 0;  ///< next bucket index to drain
-  std::size_t tuned_size_ = 0;    ///< size at the last (re)tune
-  std::size_t switch_check_ = 0;  ///< size at which to attempt the switch
-  std::vector<Node> scratch_;     ///< rebuild staging / scatter target
+  double width_ = 0.0;      ///< bucket width (simulated seconds); 0 untuned
+  double inv_width_ = 0.0;  ///< 1 / width_; 0 untuned (every node in bucket 0)
+  std::uint64_t base_ = 1;  ///< next bucket index to drain
+  /// Retune once size_ reaches grow_at_ (a fresh queue: its first push) or
+  /// drops below shrink_below_ (0: never).
+  std::size_t grow_at_ = 0;
+  std::size_t shrink_below_ = 0;
+  std::vector<Node> scratch_;  ///< retune staging / scatter target
 
   /// order_window's sub-range of each node and its count (then offset) per
   /// sub-range, kept across windows so ordering does not allocate.
@@ -177,8 +179,8 @@ class EventQueue {
 
   std::size_t size_ = 0;  ///< total stored nodes across all tiers
   std::uint64_t next_seq_ = 0;
-  std::uint64_t gear_switches_ = 0;  ///< telemetry; see gear_switches()
-  std::uint64_t retunes_ = 0;        ///< telemetry; see calendar_retunes()
+  std::uint64_t transitions_ = 0;  ///< telemetry; see tuned_transitions()
+  std::uint64_t retunes_ = 0;      ///< telemetry; see calendar_retunes()
 };
 
 }  // namespace mec::sim

@@ -185,7 +185,7 @@ struct SimulationOptions {
   /// Requires sample_interval > 0.  Window records are bit-identical to
   /// the in-memory timeline for every shard count.
   std::string stream_log;
-  /// Emit engine-counter frames (events/s per shard, queue gear switches,
+  /// Emit engine-counter frames (events/s per shard, event-queue retunes,
   /// barrier wait, replay backlog, ...) into the stream log.  Counter
   /// frames are wall-clock diagnostics — useful, but not deterministic.
   /// No effect without stream_log.

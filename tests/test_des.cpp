@@ -255,7 +255,8 @@ TEST(Des, DeterministicSamplersAreExact) {
   core::UserParams u;
   u.service_rate = 5.0;
   u.offload_latency = 1.25;
-  const SamplerSpec deterministic{.kind = SamplerSpec::Kind::kDeterministic};
+  const SamplerSpec deterministic{
+      .kind = SamplerSpec::Kind::kDeterministic, .param = 0.0, .data = {}};
   EXPECT_DOUBLE_EQ(make_service_sampler(deterministic)(rng, u), 0.2);
   EXPECT_DOUBLE_EQ(make_latency_sampler(deterministic)(rng, u), 1.25);
 }

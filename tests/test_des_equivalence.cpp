@@ -1,6 +1,6 @@
 // Golden-trace equivalence for the DES hot-path overhaul.
 //
-// The two-gear event queue, the ring-buffer task FIFO, the sealed TRO
+// The calendar event queue, the ring-buffer task FIFO, the sealed TRO
 // arrival fast path, and workspace reuse are pure performance changes: the
 // simulator must pop the identical event sequence and therefore produce
 // bit-identical metrics.  The hexfloat constants below were captured from
@@ -194,10 +194,11 @@ TEST(GoldenTrace, DpoPoliciesOnTheGenericVirtualPath) {
 }
 
 // The paper's heterogeneous population at a size whose future-event list
-// passes the calendar switch (16,384 pending events), so the run pops its
-// events through calendar windows; the 40-device goldens above never leave
-// heap gear.  The run streams engine counters, which never perturb the
-// event stream, and every counter frame must show calendar gear.
+// (over 20,000 pending events) runs on a tuned ring of many buckets, so the
+// run pops its events through sorted calendar windows; the 40-device goldens
+// above stay below the minimum tuned size and pop from the side heap.  The
+// run streams engine counters, which never perturb the event stream, and
+// every counter frame must show the ring tuned.
 SimulationResult calendar_gear_run(bool tracked) {
   const population::Population pop = population::sample_population(
       population::theoretical_comparison_scenario(
@@ -378,10 +379,10 @@ void check_pop(EventQueue& q, std::set<RefNode>& ref) {
 }
 
 TEST(EventQueueEquivalence, MatchesReferenceOrderAcrossGearSwitches) {
-  // Drive the queue through every regime — heap gear, the calendar switch,
+  // Drive the queue through every regime — untuned, the first tune,
   // growth retunes, overflow-tier hits, in-window (side-heap) pushes, the
-  // shrink retune, and the fall back to the heap — checking each pop
-  // against an ordered (time, seq) reference model.
+  // shrink retunes, and the return to untuned — checking each pop against
+  // an ordered (time, seq) reference model.
   EventQueue q;
   std::set<RefNode> ref;
   random::Xoshiro256 rng(2718281828u);
@@ -393,12 +394,12 @@ TEST(EventQueueEquivalence, MatchesReferenceOrderAcrossGearSwitches) {
     ref.emplace(t, seq++, dev, static_cast<int>(k));
   };
 
-  // Grow well past the calendar switch threshold (16384).
+  // Grow well past the minimum tuned size (256).
   for (std::uint32_t i = 0; i < 30000; ++i)
     push(random::exponential(rng, 0.5), EventKind::kArrival, i % 1000);
 
   // Steady churn with a net-growth phase (two pushes per pop, growing the
-  // population past 4x the size at the calendar switch) to force a growth
+  // population past 4x its size at the last retune) to force a growth
   // retune, mixing short delays (side heap), typical delays, same-time
   // ties, and far-future outliers (overflow tier).
   for (int step = 0; step < 120000 && !ref.empty(); ++step) {
@@ -421,16 +422,18 @@ TEST(EventQueueEquivalence, MatchesReferenceOrderAcrossGearSwitches) {
                                                     (step + 7 * j) % 1000));
     }
     if (step == 60000) {
-      // Burst of simultaneous events deep in calendar gear.
+      // Burst of simultaneous events deep in the tuned regime.
       for (int j = 0; j < 500; ++j)
         push(clock + 1.0, EventKind::kLocalDeparture,
              static_cast<std::uint32_t>(j));
     }
   }
 
-  // Drain completely: crosses the shrink retune and the heap-gear exit.
+  // Drain completely: crosses the shrink retunes and the return to
+  // untuned.
   while (!ref.empty()) check_pop(q, ref);
   EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.tuned());
 
   // clear() keeps capacity but restarts the sequence: reuse must still
   // order correctly and report fresh seq numbers.
@@ -471,12 +474,12 @@ TEST(EventQueueEquivalence, DenseHeterogeneousWindowsMatchReferenceOrder) {
       push(t + random::exponential(rng, rates[dev]), EventKind::kArrival, dev);
   };
 
-  // Past the calendar switch (16,384), short of the 4x growth retune.
+  // Tuned, short of the next 4x growth retune.
   constexpr std::uint32_t kFirst = 20000;
   for (std::uint32_t d = 0; d < kFirst; ++d)
     push(random::exponential(rng, rates[d]), EventKind::kArrival, d);
-  ASSERT_TRUE(q.calendar_gear());
-  ASSERT_EQ(q.calendar_retunes(), 0u);
+  ASSERT_TRUE(q.tuned());
+  const std::uint64_t retunes = q.calendar_retunes();
 
   // The tie flood, at the front's time: inside the live window, so it
   // lands in the side heap.  A few pops move its last node to the root and
@@ -485,12 +488,13 @@ TEST(EventQueueEquivalence, DenseHeterogeneousWindowsMatchReferenceOrder) {
   for (std::uint32_t j = 0; j < kTies; ++j)
     push(tie, EventKind::kLocalDeparture, one_shot++);
   for (int j = 0; j < 16 && !HasFailure(); ++j) hold();
+  ASSERT_EQ(q.calendar_retunes(), retunes);
 
-  // Growing past 4x the switch size retunes while the ties are pending:
-  // the rebuild re-bins the side heap in heap-array order.
+  // Growing 4x retunes while the ties are pending: the rebuild re-bins the
+  // side heap in heap-array order.
   for (std::uint32_t d = kFirst; d < kNodes; ++d)
     push(tie + random::exponential(rng, rates[d]), EventKind::kArrival, d);
-  ASSERT_EQ(q.calendar_retunes(), 1u);
+  ASSERT_GT(q.calendar_retunes(), retunes);
   ASSERT_GE(q.size(), std::size_t{kNodes});
   ASSERT_EQ(std::get<0>(*ref.begin()), tie);
   const RefNode last_tie(tie, ~std::uint64_t{0}, 0, 0);
@@ -514,26 +518,28 @@ TEST(EventQueueEquivalence, DenseHeterogeneousWindowsMatchReferenceOrder) {
   for (int step = 0; step < 200000 && !HasFailure(); ++step) {
     hold();
     if (step % 1024 != 0) continue;
-    ASSERT_TRUE(q.calendar_gear());
+    ASSERT_TRUE(q.tuned());
     const double limit = std::get<0>(*ref.begin()) + q.calendar_bucket_width();
     const auto end = ref.lower_bound(RefNode(limit, 0, 0, 0));
     densest = std::max(densest, std::distance(ref.begin(), end));
   }
   EXPECT_GE(densest, 256);
 
-  // Drain: crosses the shrink retune and the fall back to the heap.
+  // Drain: crosses the shrink retunes and the return to untuned.
   while (!ref.empty() && !HasFailure()) check_pop(q, ref);
   EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.tuned());
 }
 
 TEST(EventQueueEquivalence, AllSimultaneousEventsStayFifoAtScale) {
   // A degenerate spread (every event at the same instant) cannot be
-  // separated by time buckets; the queue must still pop in insertion order
-  // above the calendar switch threshold.
+  // separated by time buckets; the queue must stay untuned and still pop in
+  // insertion order far above the minimum tuned size.
   EventQueue q;
   const std::uint32_t n = 20000;
   for (std::uint32_t i = 0; i < n; ++i)
     q.push(3.5, EventKind::kArrival, i % 997);
+  EXPECT_FALSE(q.tuned());
   for (std::uint32_t i = 0; i < n; ++i) {
     const Event e = q.pop();
     ASSERT_EQ(e.seq, i);

@@ -1,9 +1,11 @@
-// Regression tests pinning the EventQueue's two-gear behavior: the pop
-// sequence must equal a single global (time, seq) priority queue across the
-// heap->calendar switch at 16384 events, the hysteresis exit at 8192, and
-// events placed exactly on calendar bucket-window edges.  The reference is
-// std::priority_queue over the same (time, seq) key — any divergence in pop
-// order is a determinism break that would silently change every simulation.
+// Regression tests pinning the EventQueue's tuned/untuned behavior: the pop
+// sequence must equal a single global (time, seq) priority queue while the
+// queue crosses its minimum tuned size (64 events) up and down through the
+// 4x growth and shrink retunes, under an all-simultaneous flood that must
+// stay untuned however large it grows, and with events placed exactly on
+// bucket-window edges.  The reference is std::priority_queue over the same
+// (time, seq) key — any divergence in pop order is a determinism break that
+// would silently change every simulation.
 #include "mec/sim/des.hpp"
 
 #include <gtest/gtest.h>
@@ -17,10 +19,11 @@
 namespace mec::sim {
 namespace {
 
-// Mirrors des.cpp's gear constants (not exported on purpose; these tests
-// pin the observable behavior at the documented sizes).
-constexpr std::size_t kSwitchThreshold = 16384;
-constexpr std::size_t kExitThreshold = kSwitchThreshold / 2;
+// Mirrors des.cpp's kMinTuned (not exported on purpose; these tests pin the
+// observable behavior at the documented size).
+constexpr std::size_t kMinTuned = 64;
+/// A size far inside the tuned regime, with a ring far past its floor.
+constexpr std::size_t kTunedSize = 16384;
 
 struct RefEvent {
   double time;
@@ -102,51 +105,82 @@ EventKind kind_of(std::uint64_t i) {
 TEST(EventQueueGear, PopOrderMatchesReferenceAcrossSwitchUpAndExit) {
   Harness h;
   random::Xoshiro256 rng(99);
-
-  // Grow well past the switch threshold with simulation-like pushes
-  // (scheduled ahead of the current drain point).
   std::uint64_t i = 0;
-  while (h.size() < kSwitchThreshold + 4096) {
+  const auto push_ahead = [&] {
     h.push(h.last_time() + 50.0 * random::uniform01(rng), kind_of(i),
            static_cast<std::uint32_t>(i % 1000));
     ++i;
-    // Interleave pops so the switch happens mid-traffic, not on a quiet
+  };
+
+  // Three round trips across the minimum tuned size with simulation-like
+  // traffic (pushes scheduled ahead of the drain point).
+  for (int round = 0; round < 3; ++round) {
+    // Up 16x: the tune at kMinTuned, then two growth retunes.  Pops are
+    // interleaved so every retune happens mid-traffic, not on a quiet
     // pre-filled queue.
-    if (i % 3 == 0) h.pop_and_check();
-    ASSERT_TRUE(h.ok());
-  }
-  EXPECT_TRUE(h.queue().calendar_gear());
-  EXPECT_GT(h.queue().calendar_bucket_width(), 0.0);
+    while (h.size() < 16 * kMinTuned) {
+      push_ahead();
+      if (i % 3 == 0) h.pop_and_check();
+      ASSERT_TRUE(h.ok());
+    }
+    EXPECT_TRUE(h.queue().tuned());
+    EXPECT_GT(h.queue().calendar_bucket_width(), 0.0);
 
-  // Steady state in calendar gear: push/pop balanced.
-  for (std::uint64_t j = 0; j < 20000; ++j) {
-    h.push(h.last_time() + 50.0 * random::uniform01(rng), kind_of(j),
-           static_cast<std::uint32_t>(j % 1000));
+    // Steady state on the ring: push/pop balanced.
+    for (int j = 0; j < 5000; ++j) {
+      push_ahead();
+      h.pop_and_check();
+      ASSERT_TRUE(h.ok());
+    }
+    EXPECT_TRUE(h.queue().tuned());
+
+    // Down through the shrink retunes; a retune below kMinTuned leaves the
+    // ring untuned, and order must hold throughout.
+    while (h.size() > kMinTuned / 8 && h.ok()) h.pop_and_check();
+    ASSERT_TRUE(h.ok());
+    EXPECT_FALSE(h.queue().tuned());
+    EXPECT_DOUBLE_EQ(h.queue().calendar_bucket_width(), 0.0);
+  }
+  EXPECT_EQ(h.queue().tuned_transitions(), 6u);
+  h.drain_and_check();
+
+  // An all-simultaneous flood 16x past the minimum tuned size: buckets
+  // cannot separate it, so every retune leaves the queue untuned, and FIFO
+  // decides the order.
+  const double flood = h.last_time() + 1.0;
+  for (std::uint64_t j = 0; j < 16 * kMinTuned; ++j) {
+    h.push(flood, kind_of(j), static_cast<std::uint32_t>(j % 64));
+    ASSERT_FALSE(h.queue().tuned());
+  }
+  while (h.size() > kMinTuned / 8 && h.ok()) {
     h.pop_and_check();
-    ASSERT_TRUE(h.ok());
+    ASSERT_FALSE(h.queue().tuned());
   }
-  EXPECT_TRUE(h.queue().calendar_gear());
+  EXPECT_EQ(h.queue().tuned_transitions(), 6u);
 
-  // Shrink through the hysteresis exit and keep checking order.
-  while (h.size() > kExitThreshold / 2 && h.ok()) h.pop_and_check();
-  ASSERT_TRUE(h.ok());
-  EXPECT_FALSE(h.queue().calendar_gear());
-  EXPECT_DOUBLE_EQ(h.queue().calendar_bucket_width(), 0.0);
-
-  // Back in heap gear, traffic continues and the full drain still matches.
+  // Untuned again, traffic continues and the full drain still matches.
   for (std::uint64_t j = 0; j < 2000; ++j)
     h.push(h.last_time() + 10.0 * random::uniform01(rng), kind_of(j),
            static_cast<std::uint32_t>(j % 64));
+  EXPECT_TRUE(h.queue().tuned());
   h.drain_and_check();
 }
 
 TEST(EventQueueGear, SwitchDoesNotFireBelowThreshold) {
+  // Below kMinTuned events the queue stays untuned (no bucket width), and
+  // the push that reaches kMinTuned tunes it.
   Harness h;
   random::Xoshiro256 rng(5);
-  for (std::size_t i = 0; i < kSwitchThreshold - 1; ++i)
+  for (std::size_t i = 0; i < kMinTuned - 1; ++i) {
     h.push(100.0 * random::uniform01(rng), kind_of(i),
            static_cast<std::uint32_t>(i % 100));
-  EXPECT_FALSE(h.queue().calendar_gear());
+    ASSERT_FALSE(h.queue().tuned());
+    ASSERT_DOUBLE_EQ(h.queue().calendar_bucket_width(), 0.0);
+  }
+  EXPECT_EQ(h.queue().tuned_transitions(), 0u);
+  h.push(100.0 * random::uniform01(rng), EventKind::kArrival, 7);
+  EXPECT_TRUE(h.queue().tuned());
+  EXPECT_EQ(h.queue().tuned_transitions(), 1u);
   h.drain_and_check();
 }
 
@@ -154,11 +188,11 @@ TEST(EventQueueGear, EventsExactlyOnBucketWindowEdges) {
   Harness h;
   random::Xoshiro256 rng(17);
 
-  // Enter calendar gear.
-  while (h.size() < kSwitchThreshold + 1000)
+  // Tune the ring.
+  while (h.size() < kTunedSize + 1000)
     h.push(h.last_time() + 20.0 * random::uniform01(rng),
            EventKind::kArrival, 1);
-  ASSERT_TRUE(h.queue().calendar_gear());
+  ASSERT_TRUE(h.queue().tuned());
   const double width = h.queue().calendar_bucket_width();
   ASSERT_GT(width, 0.0);
 
@@ -178,25 +212,25 @@ TEST(EventQueueGear, EventsExactlyOnBucketWindowEdges) {
 }
 
 TEST(EventQueueGear, SameTimeFloodStaysFifoThroughSwitch) {
-  // A single-instant flood larger than the switch threshold: every event at
-  // one time, order fully decided by insertion sequence, crossing the gear
-  // switch while being pushed.
+  // A single-instant flood far past the minimum tuned size: every event
+  // at one time, order fully decided by insertion sequence, crossing every
+  // growth retune (each leaving the queue untuned) while being pushed.
   Harness h;
-  for (std::size_t i = 0; i < kSwitchThreshold + 2000; ++i)
+  for (std::size_t i = 0; i < kTunedSize + 2000; ++i)
     h.push(7.25, kind_of(i), static_cast<std::uint32_t>(i % (1u << 20)));
   h.drain_and_check();
 }
 
 TEST(EventQueueGear, ShortDelayEventsInsideCurrentWindow) {
   // Events scheduled closer than one bucket width ahead (the side-heap
-  // path in calendar gear) must still interleave correctly with the
+  // path of a tuned ring) must still interleave correctly with the
   // sorted-window cursor.
   Harness h;
   random::Xoshiro256 rng(23);
-  while (h.size() < kSwitchThreshold + 1000)
+  while (h.size() < kTunedSize + 1000)
     h.push(h.last_time() + 30.0 * random::uniform01(rng),
            EventKind::kArrival, 1);
-  ASSERT_TRUE(h.queue().calendar_gear());
+  ASSERT_TRUE(h.queue().tuned());
   const double width = h.queue().calendar_bucket_width();
   for (int j = 0; j < 5000; ++j) {
     // Delay far below one bucket width: lands in the live window.

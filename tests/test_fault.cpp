@@ -313,7 +313,9 @@ TEST(FaultEngine, AFixedGammaDeliveryAloneOpensTheMeasurementWindow) {
                    ", seed " + std::to_string(seed));
       EXPECT_EQ(r.mean_queue_length, 0.0);
       EXPECT_EQ(r.mean_cost, 0x1p+0);
-      if (seed == 1) EXPECT_EQ(r.total_events, 18u);
+      if (seed == 1) {
+        EXPECT_EQ(r.total_events, 18u);
+      }
     }
   }
 }

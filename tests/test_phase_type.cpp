@@ -150,7 +150,8 @@ TEST(PhaseTypeTro, AgreesWithDiscreteEventSimulation) {
   o.horizon = 1500.0;
   o.seed = 77;
   o.fixed_gamma = 0.2;
-  o.service = {.kind = sim::SamplerSpec::Kind::kErlang, .param = 3.0};
+  o.service = {
+      .kind = sim::SamplerSpec::Kind::kErlang, .param = 3.0, .data = {}};
   sim::MecSimulation des(users, 10.0, core::make_reciprocal_delay(), o);
   const sim::SimulationResult r =
       des.run_tro(std::vector<double>(users.size(), x));
@@ -177,7 +178,8 @@ TEST(PhaseTypeTro, HyperexponentialAgreesWithSimulation) {
   o.seed = 78;
   o.fixed_gamma = 0.2;
   o.service = {.kind = sim::SamplerSpec::Kind::kHyperExponential,
-               .param = scv};
+               .param = scv,
+               .data = {}};
   sim::MecSimulation des(users, 10.0, core::make_reciprocal_delay(), o);
   const sim::SimulationResult r =
       des.run_tro(std::vector<double>(users.size(), x));

@@ -675,8 +675,9 @@ constexpr std::uint32_t kFixedGammaGoldenCrc = 3942917030u;
 // The golden regression pin: the fixed-gamma scenario's window byte stream,
 // hashed.  This catches silent format or engine-semantics drift that the
 // self-relative cross-K comparisons above cannot see.  If an *intentional*
-// format or engine change moves the value, regenerate with:
-//   MEC_PRINT_STREAM_GOLDEN=1 ./test_stream_log \
+// format or engine change moves the value, regenerate with this one
+// command line:
+//   MEC_PRINT_STREAM_GOLDEN=1 ./test_stream_log
 //       --gtest_filter=StreamGolden.FixedGammaWindowBytes
 TEST(StreamGolden, FixedGammaWindowBytes) {
   sim::SimulationOptions o;

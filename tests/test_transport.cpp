@@ -27,6 +27,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -862,15 +863,17 @@ struct BadSpec {
 };
 const BadSpec kBadSpecs[] = {
     {false,
-     {.kind = sim::SamplerSpec::Kind::kErlang, .param = 2.5},
+     {.kind = sim::SamplerSpec::Kind::kErlang, .param = 2.5, .data = {}},
      "service sampler spec (kind erlang): stage count = 2.5, expected an "
      "integer in [1, 1000000]"},
     {false,
-     {.kind = sim::SamplerSpec::Kind::kHyperExponential, .param = 0.5},
+     {.kind = sim::SamplerSpec::Kind::kHyperExponential,
+      .param = 0.5,
+      .data = {}},
      "service sampler spec (kind hyperexponential): SCV = 0.5, expected a "
      "finite value >= 1"},
     {false,
-     {.kind = sim::SamplerSpec::Kind::kEmpirical},
+     {.kind = sim::SamplerSpec::Kind::kEmpirical, .param = 0.0, .data = {}},
      "service sampler spec (kind empirical): sample count = 0, expected at "
      "least 1"},
     {true,
@@ -878,7 +881,7 @@ const BadSpec kBadSpecs[] = {
      "latency sampler spec (kind empirical): data[1] = -0.2, expected a "
      "finite value >= 0"},
     {true,
-     {.kind = sim::SamplerSpec::Kind::kErlang, .param = 4.0},
+     {.kind = sim::SamplerSpec::Kind::kErlang, .param = 4.0, .data = {}},
      "latency sampler spec (kind erlang): kind = 2, expected 0, 1 or 4"},
 };
 
@@ -1205,6 +1208,19 @@ TEST(FramedTransportValidation, EveryMalformedPayloadIsRefusedByName) {
        "shards[0].log[0].device = 2, expected a device in [5, 10)"},
       {[](RankScript& s) { s.log[0].cluster = 2; },
        "shards[0].log[0].cluster = 2, expected a cluster below 2"},
+      // The replay would merge these times silently: a non-finite time, one
+      // below its predecessor in the log, and one past the leg [0, 1).
+      {[](RankScript& s) {
+         s.log[0].time = std::numeric_limits<double>::quiet_NaN();
+       },
+       "shards[0].log[0].time = nan, expected a time in [0, 1)"},
+      {[](RankScript& s) {
+         s.log.push_back(s.log[0]);
+         s.log[1].time = 0.25;
+       },
+       "shards[0].log[1].time = 0.25, expected a time in [0.5, 1)"},
+      {[](RankScript& s) { s.log[0].time = 1.0; },
+       "shards[0].log[0].time = 1, expected a time in [0, 1)"},
       // Accepting these would overwrite rank 0's totals and leave rank 1's
       // devices at zero.
       {[](RankScript& s) { s.final_lo = 0, s.final_hi = 5; },
