@@ -101,7 +101,7 @@ FramedTransport::FramedTransport(
 
   // Handshake + population, rank by rank; then one ready-barrier pass so
   // every rank builds its slice (concurrently) before the run starts.
-  const double t_startup = -1.0;  // no barrier yet
+  const std::string startup = "during start-up";
   for (std::size_t r = 0; r < ranks; ++r) {
     Peer& peer = peers_[r];
     wire::Hello hello;
@@ -109,17 +109,17 @@ FramedTransport::FramedTransport(
     hello.ranks = static_cast<std::uint32_t>(ranks);
     send_frame(peer, pwire::kFrameHello, wire::encode_hello(hello));
     const pwire::DecodedFrame frame =
-        read_frame(peer, t_startup, pwire::kFrameHelloAck);
+        read_frame(peer, startup, pwire::kFrameHelloAck);
     const wire::HelloAck ack = wire::decode_hello_ack(frame.payload);
     if (ack.revision != wire::kSchemaRevision)
-      fail_peer(peer, t_startup,
+      fail_peer(peer, startup,
                 "answered revision " + std::to_string(ack.revision) +
                     " (schema revision mismatch: this coordinator speaks "
                     "revision " +
                     std::to_string(wire::kSchemaRevision) +
                     "; rebuild one side so both run the same wire schema)");
     if (ack.rank != hello.rank)
-      fail_peer(peer, t_startup,
+      fail_peer(peer, startup,
                 "acknowledged rank " + std::to_string(ack.rank) +
                     " instead of its assignment");
     send_frame(peer, pwire::kFramePopulation, populations[r]);
@@ -127,11 +127,11 @@ FramedTransport::FramedTransport(
   for (std::size_t r = 0; r < ranks; ++r) {
     Peer& peer = peers_[r];
     const pwire::DecodedFrame frame =
-        read_frame(peer, t_startup, pwire::kFrameReady);
+        read_frame(peer, startup, pwire::kFrameReady);
     obs::wire::ByteReader reader(frame.payload);
     const std::uint32_t echoed = reader.get_u32();
     if (echoed != r)
-      fail_peer(peer, t_startup,
+      fail_peer(peer, startup,
                 "reported ready as rank " + std::to_string(echoed));
   }
   broadcast_thresholds(initial_thresholds);
@@ -143,7 +143,7 @@ void FramedTransport::send_frame(Peer& peer, std::uint32_t kind,
   ++peer.stats.frames_sent;
 }
 
-void FramedTransport::fail_peer(Peer& peer, double barrier_time,
+void FramedTransport::fail_peer(Peer& peer, const std::string& phase,
                                 const std::string& what) {
   const std::string rank =
       "rank " + std::to_string(static_cast<std::size_t>(&peer - peers_.data()));
@@ -154,17 +154,16 @@ void FramedTransport::fail_peer(Peer& peer, double barrier_time,
           ? "process transport worker " + rank + " (" + peer.link.label +
                 ", " + peer.link.child.kill_and_reap() + ")"
           : "tcp transport worker " + rank + " at " + peer.link.label;
-  msg += " " + what + " before the barrier at t=" +
-         std::to_string(barrier_time) + "; last completed barrier #" +
+  msg += " " + what + " " + phase + "; last completed barrier #" +
          std::to_string(peer.barriers_done) + " (t=" +
-         std::to_string(peer.last_barrier_time) + ")";
+         obs::meta_double(peer.last_barrier_time) + ")";
   if (peer.pending != 0)
     msg += "; pending frame: " + pwire::frame_kind_name(peer.pending);
   throw RuntimeError(msg);
 }
 
 pwire::DecodedFrame FramedTransport::read_frame(Peer& peer,
-                                                double barrier_time,
+                                                const std::string& phase,
                                                 std::uint32_t expected) {
   peer.pending = expected;
   pwire::DecodedFrame frame;
@@ -172,20 +171,20 @@ pwire::DecodedFrame FramedTransport::read_frame(Peer& peer,
     frame = pwire::read_frame_deadline(peer.link.fd.get(), timeout_ms_);
   } catch (const pwire::PeerError& e) {
     if (e.kind() == pwire::PeerError::Kind::kTimeout)
-      fail_peer(peer, barrier_time,
+      fail_peer(peer, phase,
                 "stopped responding (no payload within " +
                     std::to_string(timeout_ms_) + " ms)");
-    fail_peer(peer, barrier_time, "closed the connection");
+    fail_peer(peer, phase, "closed the connection");
   }
   ++peer.stats.frames_received;
   peer.stats.payload_bytes += frame.payload.size();
   if (frame.kind == pwire::kFrameError) {
     obs::wire::ByteReader r(frame.payload);
     const std::uint32_t n = r.get_u32();
-    fail_peer(peer, barrier_time, "failed: " + r.get_string(n));
+    fail_peer(peer, phase, "failed: " + r.get_string(n));
   }
   if (frame.kind != expected)
-    fail_peer(peer, barrier_time,
+    fail_peer(peer, phase,
               "sent " + pwire::frame_kind_name(frame.kind) + " instead of " +
                   pwire::frame_kind_name(expected));
   peer.pending = 0;
@@ -193,10 +192,11 @@ pwire::DecodedFrame FramedTransport::read_frame(Peer& peer,
 }
 
 void FramedTransport::check_barrier(Peer& peer,
-                                    const parallel::BarrierRequest& request) {
+                                    const parallel::BarrierRequest& request,
+                                    const std::string& phase) {
   const auto reject = [&](const std::string& field, const std::string& got,
                           const std::string& want) {
-    fail_peer(peer, request.limit,
+    fail_peer(peer, phase,
               "sent a barrier payload with " + field + " = " + got +
                   ", expected " + want);
   };
@@ -261,21 +261,23 @@ std::span<const parallel::ShardBarrierView> FramedTransport::advance(
       pwire::encode_barrier_request(request);
   for (Peer& peer : peers_)
     send_frame(peer, pwire::kFrameAdvance, payload);
+  const std::string phase =
+      "before the barrier at t=" + obs::meta_double(request.limit);
   for (Peer& peer : peers_) {
     const auto t0 = std::chrono::steady_clock::now();
     const pwire::DecodedFrame frame =
-        read_frame(peer, request.limit, pwire::kFrameBarrier);
+        read_frame(peer, phase, pwire::kFrameBarrier);
     peer.stats.barrier_wait_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     try {
       peer.data = pwire::decode_barrier_payload(frame.payload);
     } catch (const RuntimeError& e) {
-      fail_peer(peer, request.limit,
+      fail_peer(peer, phase,
                 std::string("sent a malformed barrier payload (") + e.what() +
                     ")");
     }
-    check_barrier(peer, request);
+    check_barrier(peer, request, phase);
     ++peer.barriers_done;
     peer.last_barrier_time = request.limit;
   }
@@ -306,21 +308,21 @@ void FramedTransport::finalize(bool flipped) {
   for (Peer& peer : peers_)
     send_frame(peer, pwire::kFrameFinalize, payload);
   totals_.assign(config_.n_devices, parallel::DeviceTotals{});
-  const double t_mark = -1.0;  // finalize has no barrier time
+  const std::string phase = "at run end";
   for (Peer& peer : peers_) {
     const pwire::DecodedFrame frame =
-        read_frame(peer, t_mark, pwire::kFrameFinal);
+        read_frame(peer, phase, pwire::kFrameFinal);
     pwire::FinalTotals fin;
     try {
       fin = pwire::decode_device_totals(frame.payload);
     } catch (const RuntimeError& e) {
-      fail_peer(peer, t_mark,
+      fail_peer(peer, phase,
                 std::string("sent malformed final totals (") + e.what() + ")");
     }
     // A rank ships exactly its own slice: anything else would overwrite a
     // sibling's totals and leave its own devices at zero.
     if (fin.device_lo != peer.device_lo || fin.device_hi != peer.device_hi)
-      fail_peer(peer, t_mark,
+      fail_peer(peer, phase,
                 "sent final totals with devices = " +
                     range(fin.device_lo, fin.device_hi) + ", expected " +
                     range(peer.device_lo, peer.device_hi));

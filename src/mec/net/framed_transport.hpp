@@ -124,15 +124,17 @@ class FramedTransport final : public parallel::Transport {
                   std::span<const std::uint8_t> payload);
   /// Deadline-bounded read that unwraps kFrameError and rejects any kind
   /// other than `expected` via fail_peer.
-  parallel::wire::DecodedFrame read_frame(Peer& peer, double barrier_time,
+  parallel::wire::DecodedFrame read_frame(Peer& peer, const std::string& phase,
                                           std::uint32_t expected);
   /// Rejects a decoded barrier payload that does not match the rank's
   /// slice, the run's cluster count, or the request's flags.
-  void check_barrier(Peer& peer, const parallel::BarrierRequest& request);
+  void check_barrier(Peer& peer, const parallel::BarrierRequest& request,
+                     const std::string& phase);
   /// Throws the diagnostic: "tcp transport worker rank N at host:port ..."
   /// or "process transport worker rank N (pid P, <how it ended>) ...",
-  /// reaping a local rank's child first.
-  [[noreturn]] void fail_peer(Peer& peer, double barrier_time,
+  /// reaping a local rank's child first.  `phase` is where the run stood:
+  /// "during start-up", "before the barrier at t=T" or "at run end".
+  [[noreturn]] void fail_peer(Peer& peer, const std::string& phase,
                               const std::string& what);
 
   Config config_;

@@ -39,11 +39,13 @@ long env_long(const char* name, long fallback) {
 }
 
 /// The rank's barrier loop: serves advance / thresholds / finalize frames
-/// until the final totals ship.  Reads wait without a deadline — the
-/// coordinator may spend arbitrarily long between barriers, and a closed
-/// channel ends the loop with an error.  Honors the MEC_TEST_WORKER_CRASH_*
-/// / MEC_TEST_WORKER_STALL_* hooks used by the robustness tests.
-void serve_barriers(parallel::RankWorker& worker, std::size_t rank, int fd) {
+/// over `runner` (a sim::engine::LegRunner) until the final totals ship.
+/// Reads wait without a deadline — the coordinator may spend arbitrarily
+/// long between barriers, and a closed channel ends the loop with an error.
+/// Honors the MEC_TEST_WORKER_CRASH_* / MEC_TEST_WORKER_STALL_* hooks used
+/// by the robustness tests.
+template <class Runner>
+void serve_barriers(Runner& runner, std::size_t rank, int fd) {
   // Robustness-test hooks: crash (hard _exit) or stall (stop heartbeating)
   // at the given barrier number, on the given rank only.
   const long crash_rank = env_long("MEC_TEST_WORKER_CRASH_RANK", -1);
@@ -63,7 +65,8 @@ void serve_barriers(parallel::RankWorker& worker, std::size_t rank, int fd) {
       case pwire::kFrameAdvance: {
         const parallel::BarrierRequest req =
             pwire::decode_barrier_request(frame.payload);
-        worker.advance(req);
+        const std::span<const parallel::ShardBarrierView> views =
+            runner.advance(req);
         ++barriers;
         if (static_cast<long>(rank) == crash_rank && barriers == crash_barrier)
           ::_exit(17);
@@ -71,22 +74,22 @@ void serve_barriers(parallel::RankWorker& worker, std::size_t rank, int fd) {
           for (;;) ::pause();
         pwire::write_frame(
             fd, pwire::kFrameBarrier,
-            pwire::encode_barrier_payload(worker.views(), req.want_q,
-                                          worker.total_q(), worker.total_q2()));
+            pwire::encode_barrier_payload(views, req.want_q, runner.total_q(),
+                                          runner.total_q2()));
         break;
       }
       case pwire::kFrameThresholds:
-        worker.set_thresholds(pwire::decode_thresholds(frame.payload));
+        runner.broadcast_thresholds(pwire::decode_thresholds(frame.payload));
         break;
       case pwire::kFrameFinalize: {
         obs::wire::ByteReader r(frame.payload);
-        worker.finalize(r.get_u8() != 0);
-        const std::uint32_t lo = worker.device_lo();
-        const std::uint32_t hi = worker.device_hi();
+        runner.finalize(r.get_u8() != 0);
+        const std::uint32_t lo = runner.device_lo();
+        const std::uint32_t hi = runner.device_hi();
         std::vector<parallel::DeviceTotals> totals;
         totals.reserve(hi - lo);
         for (std::uint32_t d = lo; d < hi; ++d)
-          totals.push_back(worker.device_totals(d));
+          totals.push_back(runner.device_totals(d));
         pwire::write_frame(fd, pwire::kFrameFinal,
                            pwire::encode_device_totals(lo, hi, totals));
         return;

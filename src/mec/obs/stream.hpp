@@ -4,9 +4,9 @@
 // window) instead of O(samples).
 //
 // The sink receives the engine's left-limit TimelinePoint through
-// on_sample, the same point the run's TimelineRecorder gets (a run can
-// stream *and* keep the in-memory timeline, which is exactly what the
-// equivalence tests compare), and the barrier-only extras — cumulative
+// on_sample, the same point the run's in-memory timeline keeps (a run can
+// stream *and* keep the timeline, which is exactly what the equivalence
+// tests compare), and the barrier-only extras — cumulative
 // event totals, merged latency sketches, fault counters, the threshold
 // histogram — through commit_window().  Every value folded into a window
 // is deterministic across shard counts; see run_log.hpp.

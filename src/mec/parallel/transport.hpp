@@ -5,18 +5,21 @@
 // leg by leg to each observation-grid barrier; the *coordinator* (see
 // sim/coordinator.hpp) merges every rank's barrier payload, performs the
 // serial coupling work (GammaReplay, epoch callbacks, stream windows), and
-// broadcasts the post-barrier coupling state back.  The two sides
-// communicate exclusively through the Transport interface below, so the
-// same coordinator drives both backends:
+// broadcasts the post-barrier coupling state back.  The coordinator reaches
+// its ranks only through the Transport interface below, which has two
+// implementations:
 //
-//   InProcessTransport     one rank, this process, zero-copy views — the
-//                          engine's historical path, bit-identical to it;
-//   net::FramedTransport   W ranks over connected fds — forked local
-//                          `mec worker` ranks over socketpairs
-//                          (transport=process) or remote daemons over TCP
-//                          (transport=tcp) — speaking one protocol of
-//                          length-prefixed CRC32 frames in the .meclog
-//                          wire dialect (codec below + obs::crc32).
+//   sim::engine::LegRunner  one rank, this process, zero-copy views — the
+//                           runner that executes the legs is itself the
+//                           transport;
+//   net::FramedTransport    W ranks over connected fds — forked local
+//                           `mec worker` ranks over socketpairs
+//                           (transport=process) or remote daemons over TCP
+//                           (transport=tcp) — speaking one protocol of
+//                           length-prefixed CRC32 frames in the .meclog
+//                           wire dialect (codec below + obs::crc32).  Each
+//                           rank serves the same LegRunner over its fd
+//                           (net/worker.cpp).
 //
 // Determinism contract (docs/ARCHITECTURE.md #8): everything in a barrier
 // payload is either an order-invariant merge (integer counters, latency
@@ -104,42 +107,6 @@ struct RankStats {
   std::uint64_t frames_received = 0;  ///< rank -> coordinator
 };
 
-/// One rank's executable side: advances its owned shards and serves barrier
-/// state.  Implemented by sim::engine::LegRunner (templated on fault mode
-/// and decision provider); this interface is what the worker's barrier
-/// loop (net/worker.cpp) and the in-process transport drive.
-class RankWorker {
- public:
-  virtual ~RankWorker() = default;
-
-  /// Advances every owned shard to the request's limit and rebuilds the
-  /// barrier views (and, per the request flags, the queue sums).
-  virtual void advance(const BarrierRequest& request) = 0;
-
-  /// Views of the owned shards, ascending global shard order.  Valid until
-  /// the next advance().
-  virtual std::span<const ShardBarrierView> views() const = 0;
-
-  /// Sum of local queue lengths (and squares) over the owned device range
-  /// at the last barrier.  Integer-valued doubles, so partial sums across
-  /// ranks recombine exactly.
-  virtual double total_q() const = 0;
-  virtual double total_q2() const = 0;
-
-  /// Installs the post-epoch thresholds in a framed rank's copy of the
-  /// run's threshold array (the in-process rank reads the array itself).
-  virtual void set_thresholds(std::span<const double> values) = 0;
-
-  /// Run end: resets measurements of never-flipped shards (when the run's
-  /// window opened at all) and integrates every owned device to t_end.
-  virtual void finalize(bool flipped) = 0;
-
-  virtual DeviceTotals device_totals(std::uint32_t device) const = 0;
-
-  virtual std::uint32_t device_lo() const = 0;
-  virtual std::uint32_t device_hi() const = 0;
-};
-
 /// Coordinator-side handle on the rank fleet.
 class Transport {
  public:
@@ -159,42 +126,17 @@ class Transport {
 
   /// Hands the post-epoch threshold array to every rank before its next
   /// leg (framed ranks decide on copies; the in-process rank reads the
-  /// array itself, so its transport ignores the call).
+  /// array itself, so the call is a no-op there).
   virtual void broadcast_thresholds(std::span<const double> values) = 0;
 
+  /// Run end: resets measurements of never-flipped shards (when the run's
+  /// window opened at all) and integrates every device to t_end.
   virtual void finalize(bool flipped) = 0;
   virtual DeviceTotals device_totals(std::uint32_t device) const = 0;
 
   /// True when the transport has wire diagnostics worth streaming.
   virtual bool metered() const = 0;
   virtual RankStats rank_stats(std::size_t rank) const = 0;
-};
-
-/// Today's shared-memory path: one rank, zero-copy views, no serialization.
-/// Every call forwards to the worker, so the engine's historical behavior —
-/// and its bytes — are preserved exactly.
-class InProcessTransport final : public Transport {
- public:
-  explicit InProcessTransport(RankWorker& worker) : worker_(&worker) {}
-
-  std::size_t ranks() const override { return 1; }
-  std::span<const ShardBarrierView> advance(
-      const BarrierRequest& request) override {
-    worker_->advance(request);
-    return worker_->views();
-  }
-  double total_q() const override { return worker_->total_q(); }
-  double total_q2() const override { return worker_->total_q2(); }
-  void broadcast_thresholds(std::span<const double>) override {}
-  void finalize(bool flipped) override { worker_->finalize(flipped); }
-  DeviceTotals device_totals(std::uint32_t device) const override {
-    return worker_->device_totals(device);
-  }
-  bool metered() const override { return false; }
-  RankStats rank_stats(std::size_t) const override { return {}; }
-
- private:
-  RankWorker* worker_;
 };
 
 // --- wire protocol (exposed for the format-pinning tests) ------------------

@@ -1,6 +1,7 @@
 #include "mec/sim/coordinator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -65,367 +66,342 @@ struct ViewFold {
   stats::LatencySketch offload_delays;  ///< the shards' own (fixed gamma)
 };
 
-ViewFold fold_views(std::span<const parallel::ShardBarrierView> views,
-                    std::uint32_t n_clusters, bool sketches,
-                    bool has_fixed_gamma) {
-  ViewFold f;
-  f.cluster_offloads.assign(n_clusters, 0);
-  for (const parallel::ShardBarrierView& v : views) {
-    f.events += v.events;
-    f.offloads_in_window += v.offloads_in_window;
-    f.tasks_lost += v.tasks_lost;
-    f.offloads_rejected += v.offloads_rejected;
-    f.offloads_penalized += v.offloads_penalized;
-    for (std::uint32_t k = 0; k < n_clusters; ++k)
-      f.cluster_offloads[k] += v.cluster_offloads[k];
-    if (sketches) {
-      f.local_sojourns.merge(*v.local_sojourns);
-      if (has_fixed_gamma) f.offload_delays.merge(*v.offload_delays);
+using Views = std::span<const parallel::ShardBarrierView>;
+
+/// The barrier-serial half of one run.  run() walks the observation grid:
+/// at each instant the transport advances every rank to the barrier, and
+/// the stages consume the barrier's views in a fixed order — replay(), then
+/// sample() at sample instants and epoch() at epoch instants.  The final
+/// barrier closes the run through replay() and finish().  Members hold the
+/// state that lives across barriers; everything else is a stage's input.
+class Coordinator {
+ public:
+  Coordinator(const CoordinatorContext& cc, parallel::Transport& transport)
+      : cc_(cc), transport_(transport) {
+    if (!options_.stream_log.empty())
+      stream_ = std::make_unique<obs::StreamingSink>(
+          options_.stream_log, make_stream_meta(cc), options_.stream_counters);
+    if (has_fixed_gamma_) {
+      fixed_cluster_gammas_.assign(cc.n_clusters, *options_.fixed_gamma);
+    } else {
+      gamma_.emplace(*cc.delay, options_.utilization_ewma_tau,
+                     options_.initial_gamma, cc.edge_capacity, options_.warmup,
+                     cc.t_end, cc.n_initial, plan_.actions, options_.topology);
+      replay_delay_.assign(cc.n_devices, 0.0);
+    }
+    walk_.actions = plan_.actions;
+    walk_.active = cc.n_initial;
+  }
+
+  SimulationResult run() {
+    ObservationGrid grid(options_.sample_interval, options_.epoch_period,
+                         cc_.t_end);
+    for (GridInstant g; grid.next(g);) {
+      parallel::BarrierRequest req;
+      req.limit = g.time;
+      req.want_q = g.sample;
+      req.want_q2 = req.want_sketches = g.sample && stream_ != nullptr;
+      req.want_queue_stats =
+          g.sample && stream_ != nullptr && stream_->counters_enabled();
+      const Views views = transport_.advance(req);
+      replay(views);
+      if (g.sample) sample(g.time, views);
+      if (g.epoch) epoch(g.time);
+    }
+    parallel::BarrierRequest final_req;
+    final_req.limit = cc_.t_end;
+    final_req.inclusive = true;
+    final_req.want_sketches = true;  // run-end percentile merges in finish()
+    const Views final_views = transport_.advance(final_req);
+    replay(final_views);
+    return finish(final_views);
+  }
+
+ private:
+  ViewFold fold_views(Views views, bool sketches) const {
+    ViewFold f;
+    f.cluster_offloads.assign(cc_.n_clusters, 0);
+    for (const parallel::ShardBarrierView& v : views) {
+      f.events += v.events;
+      f.offloads_in_window += v.offloads_in_window;
+      f.tasks_lost += v.tasks_lost;
+      f.offloads_rejected += v.offloads_rejected;
+      f.offloads_penalized += v.offloads_penalized;
+      for (std::uint32_t k = 0; k < cc_.n_clusters; ++k)
+        f.cluster_offloads[k] += v.cluster_offloads[k];
+      if (sketches) {
+        f.local_sojourns.merge(*v.local_sojourns);
+        if (has_fixed_gamma_) f.offload_delays.merge(*v.offload_delays);
+      }
+    }
+    return f;
+  }
+
+  /// Feeds the legs' offload logs — fully drained, they cover exactly the
+  /// records before the current barrier — through the replay.  Ranks free
+  /// their logs at the start of the next advance.
+  void replay(Views views) {
+    if (has_fixed_gamma_) return;
+    log_spans_.clear();
+    for (const parallel::ShardBarrierView& v : views) {
+      log_spans_.push_back(v.log);
+      replay_backlog_ += v.log.size();
+    }
+    gamma_->consume(log_spans_, replay_delay_.data(), offload_delays_);
+  }
+
+  /// Gamma reads at a grid instant, shared by the samples, the window
+  /// frames and the epoch hooks.  Quasi-stationary runs read the pinned
+  /// value (once per cluster); tracked runs read the replay's EWMA bank.
+  double gamma_at(double t) {
+    return has_fixed_gamma_ ? *options_.fixed_gamma : gamma_->gamma_at(t);
+  }
+  std::span<const double> cluster_gammas(double t) {
+    if (has_fixed_gamma_) return fixed_cluster_gammas_;
+    return gamma_->cluster_gammas(t);
+  }
+
+  /// The timeline point at `t` and, for a streamed run, its window frame.
+  void sample(double t, Views views) {
+    // Cumulative so far; the sketches equal what a single queue would have
+    // accumulated.
+    const ViewFold fold = fold_views(views, stream_ != nullptr);
+    walk_.advance_to(t, /*inclusive=*/false);
+    TimelinePoint p;
+    p.time = t;
+    p.utilization_estimate = gamma_at(t);
+    p.active_devices = cc_.n_devices;
+    if (cc_.with_faults) {
+      // Dead/retired queues are empty, so the sum already covers exactly
+      // the active population.
+      p.capacity_scale = walk_.scale;
+      p.active_devices = walk_.active;
+    }
+    const double active = static_cast<double>(p.active_devices);
+    p.mean_queue_length =
+        p.active_devices == 0 ? 0.0 : transport_.total_q() / active;
+    p.offloads_so_far = fold.offloads_in_window;
+    if (options_.record_timeline) timeline_.push_back(p);
+    if (stream_ == nullptr) return;
+
+    stream_->on_sample(p);
+    obs::WindowExtras extras;
+    extras.queue_second_moment =
+        p.active_devices == 0 ? 0.0 : transport_.total_q2() / active;
+    // Cumulative event total at this barrier: shard task-event pops and
+    // fixed-gamma deliveries (order-invariant sum) + fault actions popped
+    // (the walk's cursor) + replay deliveries (serial) — each term
+    // K-invariant by construction.
+    std::uint64_t events_now = fold.events;
+    if (cc_.with_faults) {
+      events_now += walk_.cursor;
+      extras.tasks_lost = fold.tasks_lost;
+      extras.offloads_rejected = fold.offloads_rejected;
+      extras.offloads_penalized = fold.offloads_penalized;
+      extras.fault_events_applied = walk_.cursor;
+    }
+    if (!has_fixed_gamma_) events_now += gamma_->deliveries();
+    extras.events_so_far = events_now;
+    extras.sojourns = &fold.local_sojourns;
+    extras.offload_delays =
+        has_fixed_gamma_ ? &fold.offload_delays : &offload_delays_;
+    std::array<std::uint32_t, obs::kThresholdBins> thresh_hist{};
+    if (cc_.thresholds != nullptr) {
+      for (std::uint32_t d = 0; d < cc_.n_devices; ++d) {
+        const double th = cc_.thresholds[d];
+        const std::size_t bin =
+            th >= static_cast<double>(obs::kThresholdBins - 1)
+                ? obs::kThresholdBins - 1
+                : static_cast<std::size_t>(th);
+        ++thresh_hist[bin];
+      }
+    }
+    extras.threshold_histogram = thresh_hist;
+    extras.cluster_gamma = cluster_gammas(t);
+    extras.cluster_offloads = fold.cluster_offloads;
+    stream_->commit_window(extras);
+    if (stream_->counters_enabled()) write_counters(views, events_now);
+  }
+
+  void write_counters(Views views, std::uint64_t events_now) {
+    counter_scratch_.clear();
+    const auto add = [&](obs::Counter id, std::uint16_t shard, double value) {
+      counter_scratch_.push_back(
+          {static_cast<std::uint16_t>(id), shard, value});
+    };
+    double leg_min = views[0].leg_seconds;
+    double leg_max = views[0].leg_seconds;
+    for (const parallel::ShardBarrierView& v : views) {
+      const auto sid = static_cast<std::uint16_t>(v.shard);
+      add(obs::Counter::kShardEvents, sid, static_cast<double>(v.events));
+      add(obs::Counter::kShardQueueDepth, sid, v.queue_depth);
+      add(obs::Counter::kShardCalendarGear, sid, v.calendar_gear);
+      add(obs::Counter::kShardGearSwitches, sid, v.gear_switches);
+      add(obs::Counter::kShardCalendarRetunes, sid, v.calendar_retunes);
+      add(obs::Counter::kShardLegSeconds, sid, v.leg_seconds);
+      leg_min = std::min(leg_min, v.leg_seconds);
+      leg_max = std::max(leg_max, v.leg_seconds);
+    }
+    add(obs::Counter::kBarrierWaitSeconds, obs::kGlobalShard,
+        cc_.shard_count > 1 ? leg_max - leg_min : 0.0);
+    add(obs::Counter::kReplayRecords, obs::kGlobalShard,
+        static_cast<double>(replay_backlog_));
+    replay_backlog_ = 0;
+    if (!has_fixed_gamma_)
+      add(obs::Counter::kReplayDeliveries, obs::kGlobalShard,
+          static_cast<double>(gamma_->deliveries()));
+    if (cc_.with_faults)
+      add(obs::Counter::kFaultEventsApplied, obs::kGlobalShard,
+          static_cast<double>(walk_.cursor));
+    add(obs::Counter::kEventsPerSecond, obs::kGlobalShard,
+        leg_max > 0.0
+            ? static_cast<double>(events_now - counter_prev_events_) / leg_max
+            : 0.0);
+    counter_prev_events_ = events_now;
+    if (transport_.metered()) {
+      for (std::size_t r = 0; r < transport_.ranks(); ++r) {
+        const parallel::RankStats rs = transport_.rank_stats(r);
+        const auto rid = static_cast<std::uint16_t>(r);
+        add(obs::Counter::kRankBarrierWaitSeconds, rid,
+            rs.barrier_wait_seconds);
+        add(obs::Counter::kRankPayloadBytes, rid,
+            static_cast<double>(rs.payload_bytes));
+        add(obs::Counter::kTransportFramesSent, rid,
+            static_cast<double>(rs.frames_sent));
+        add(obs::Counter::kTransportFramesReceived, rid,
+            static_cast<double>(rs.frames_received));
+      }
+    }
+    stream_->append_counters(counter_scratch_);
+  }
+
+  void epoch(double t) {
+    if (options_.on_epoch) options_.on_epoch(t, gamma_at(t));
+    // Fires after on_epoch; epoch instants are barriers, so controller
+    // state mutated here is seen identically by every shard count.
+    if (options_.on_cluster_epoch)
+      options_.on_cluster_epoch(t, cluster_gammas(t));
+    // Epoch callbacks are the only place thresholds change.  The array is
+    // checked once, then framed ranks get a copy before their next leg
+    // (the in-process rank reads the array itself).  Shards always see
+    // frozen thresholds between barriers either way, so every rank
+    // decides on the same values.
+    if (cc_.thresholds != nullptr) {
+      const std::span<const double> thresholds(cc_.thresholds, cc_.n_devices);
+      std::ostringstream when;
+      when << "epoch callback at t=" << t;
+      check_thresholds(thresholds, when.str());
+      transport_.broadcast_thresholds(thresholds);
     }
   }
-  return f;
-}
 
-}  // namespace
+  SimulationResult finish(Views final_views);
 
-void check_thresholds(std::span<const double> thresholds,
-                      const std::string& context) {
-  for (std::size_t d = 0; d < thresholds.size(); ++d) {
-    const double x = thresholds[d];
-    if (x >= 0.0 && x < 0x1p64) continue;
-    std::ostringstream os;
-    os << context << ": device " << d << " has threshold " << x
-       << ", expected a value in [0, 2^64)";
-    throw ContractViolation(os.str());
-  }
-}
-
-SimulationResult coordinator_run(const CoordinatorContext& cc,
-                                 parallel::Transport& transport) {
-  const SimulationOptions& options = *cc.options;
-  const fault::FaultPlan& plan = *cc.plan;
-  const bool has_fixed_gamma = options.fixed_gamma.has_value();
+  const CoordinatorContext& cc_;
+  parallel::Transport& transport_;
+  const SimulationOptions& options_ = *cc_.options;
+  const fault::FaultPlan& plan_ = *cc_.plan;
+  const bool has_fixed_gamma_ = options_.fixed_gamma.has_value();
 
   // Streaming telemetry (src/mec/obs/): a StreamingSink folds each sample
   // instant into one window frame at the barrier.  Everything here runs at
   // barrier cadence only — a run without a stream log takes none of these
   // branches inside the legs themselves.
-  std::unique_ptr<obs::StreamingSink> stream;
-  std::vector<std::uint32_t> thresh_hist;  ///< per-window scratch
-  std::vector<obs::CounterValue> counter_scratch;
-  if (!options.stream_log.empty()) {
-    stream = std::make_unique<obs::StreamingSink>(
-        options.stream_log, make_stream_meta(cc),
-        options.stream_counters);
-    thresh_hist.assign(obs::kThresholdBins, 0);
-  }
-  const bool counters_on = stream != nullptr && stream->counters_enabled();
+  std::unique_ptr<obs::StreamingSink> stream_;
+  std::vector<obs::CounterValue> counter_scratch_;
+  std::uint64_t counter_prev_events_ = 0;
 
-  std::optional<GammaReplay> replay;
+  std::optional<GammaReplay> gamma_;  ///< tracked gamma only
   // Tracked-mode per-device offload-delay sums, accumulated by the replay.
   // Kept coordinator-side (device states may live in worker processes); a
   // device's final delay sum is this entry in tracked mode and the rank's
   // DeviceTotals field in fixed-gamma mode — never a mix (the rank-side
   // field provably stays 0.0 in tracked mode).
-  std::vector<double> replay_delay;
-  if (!has_fixed_gamma) {
-    replay.emplace(*cc.delay, options.utilization_ewma_tau,
-                   options.initial_gamma, cc.edge_capacity, options.warmup,
-                   cc.t_end, cc.n_initial, plan.actions, options.topology);
-    replay_delay.assign(cc.n_devices, 0.0);
-  }
-  // Per-cluster gamma reads, shared by the window frames and the
-  // on_cluster_epoch hook.  Quasi-stationary runs replicate the pinned
-  // value; tracked runs read the replay's per-cluster EWMA bank.
-  std::vector<double> fixed_cluster_gammas;
-  if (has_fixed_gamma)
-    fixed_cluster_gammas.assign(cc.n_clusters, *options.fixed_gamma);
-  const auto cluster_gammas_at = [&](double at) -> std::span<const double> {
-    if (has_fixed_gamma) return fixed_cluster_gammas;
-    return replay->cluster_gammas(at);
-  };
-  stats::LatencySketch offload_delays;  ///< the replay's (tracked gamma)
-  // Feeds the legs' offload logs — fully drained, they cover exactly the
-  // records before the current barrier — through the replay.  Ranks free
-  // their logs at the start of the next advance.
-  std::vector<std::span<const OffloadRecord>> log_spans;
-  std::uint64_t replay_backlog = 0;  ///< records drained since last counters
-  const auto drain_logs =
-      [&](std::span<const parallel::ShardBarrierView> views) {
-        if (has_fixed_gamma) return;
-        log_spans.clear();
-        for (const parallel::ShardBarrierView& v : views) {
-          log_spans.push_back(v.log);
-          replay_backlog += v.log.size();
-        }
-        replay->consume(log_spans, replay_delay.data(), offload_delays);
-      };
+  std::vector<double> replay_delay_;
+  stats::LatencySketch offload_delays_;  ///< the replay's (tracked gamma)
+  std::vector<std::span<const OffloadRecord>> log_spans_;
+  std::uint64_t replay_backlog_ = 0;  ///< records drained since last counters
+  std::vector<double> fixed_cluster_gammas_;  ///< fixed gamma only
 
-  // Environment cursor for sample reads in fixed-gamma mode (the replay
-  // carries its own in tracked mode).
-  fault::EnvWalk sample_walk;
-  sample_walk.actions = plan.actions;
-  sample_walk.active = cc.n_initial;
+  // The environment at sample instants, in both gamma modes.  Actions
+  // strictly before a barrier have all been popped by the exclusive legs,
+  // so its cursor, the count of fault events applied, is exact — and
+  // K-invariant — at every barrier.
+  fault::EnvWalk walk_;
+  std::vector<TimelinePoint> timeline_;
+};
 
-  TimelineRecorder recorder;
-  // Cursor over the resolved fault plan (time-sorted): actions strictly
-  // before a barrier have all been popped by the exclusive legs, so the
-  // count is exact — and K-invariant — at every barrier.
-  std::size_t fault_cursor = 0;
-  std::uint64_t counter_prev_events = 0;
-  const ObservationGrid grid(options.sample_interval, options.epoch_period,
-                             cc.t_end);
-  for (const GridInstant& g : grid.instants()) {
-    parallel::BarrierRequest req;
-    req.limit = g.time;
-    req.inclusive = false;
-    req.want_q = g.sample;
-    req.want_q2 = g.sample && stream != nullptr;
-    req.want_sketches = g.sample && stream != nullptr;
-    req.want_queue_stats = counters_on && g.sample;
-    const std::span<const parallel::ShardBarrierView> views =
-        transport.advance(req);
-    drain_logs(views);
-    if (g.sample) {
-      // Cumulative so far; the sketches equal what a single queue would
-      // have accumulated.
-      const ViewFold fold = fold_views(views, cc.n_clusters,
-                                       req.want_sketches, has_fixed_gamma);
-      TimelinePoint p;
-      p.time = g.time;
-      double scale = 1.0;
-      std::uint64_t active = cc.n_devices;
-      if (has_fixed_gamma) {
-        p.utilization_estimate = *options.fixed_gamma;
-        if (cc.with_faults) {
-          sample_walk.advance_to(g.time, /*inclusive=*/false);
-          scale = sample_walk.scale;
-          active = sample_walk.active;
-        }
-      } else {
-        p.utilization_estimate = replay->gamma_at(g.time);
-        if (cc.with_faults) {
-          scale = replay->capacity_scale();
-          active = replay->active_devices();
-        }
-      }
-      const double total_q = transport.total_q();
-      const double total_q2 = transport.total_q2();
-      if (cc.with_faults) {
-        // Dead/retired queues are empty, so the sum already covers exactly
-        // the active population.
-        p.capacity_scale = scale;
-        p.active_devices = active;
-        p.mean_queue_length =
-            active == 0 ? 0.0 : total_q / static_cast<double>(active);
-      } else {
-        p.active_devices = cc.n_devices;
-        p.mean_queue_length = total_q / static_cast<double>(cc.n_devices);
-      }
-      p.offloads_so_far = fold.offloads_in_window;
-      if (options.record_timeline) recorder.on_sample(p);
-      if (stream != nullptr) {
-        stream->on_sample(p);
-        obs::WindowExtras extras;
-        extras.queue_second_moment =
-            p.active_devices == 0
-                ? 0.0
-                : total_q2 / static_cast<double>(p.active_devices);
-        // Cumulative event total at this barrier: shard task-event pops and
-        // fixed-gamma deliveries (order-invariant sum) + fault actions
-        // popped (cursor) + replay deliveries (serial) — each term
-        // K-invariant by construction.
-        std::uint64_t events_now = fold.events;
-        if (cc.with_faults) {
-          while (fault_cursor < plan.actions.size() &&
-                 plan.actions[fault_cursor].time < g.time)
-            ++fault_cursor;
-          events_now += fault_cursor;
-          extras.tasks_lost = fold.tasks_lost;
-          extras.offloads_rejected = fold.offloads_rejected;
-          extras.offloads_penalized = fold.offloads_penalized;
-          extras.fault_events_applied = fault_cursor;
-        }
-        if (!has_fixed_gamma) events_now += replay->deliveries();
-        extras.events_so_far = events_now;
-        extras.sojourns = &fold.local_sojourns;
-        extras.offload_delays =
-            has_fixed_gamma ? &fold.offload_delays : &offload_delays;
-        std::fill(thresh_hist.begin(), thresh_hist.end(), 0u);
-        if (cc.thresholds != nullptr) {
-          for (std::uint32_t d = 0; d < cc.n_devices; ++d) {
-            const double th = cc.thresholds[d];
-            const std::size_t bin =
-                th >= static_cast<double>(obs::kThresholdBins - 1)
-                    ? obs::kThresholdBins - 1
-                    : static_cast<std::size_t>(th);
-            ++thresh_hist[bin];
-          }
-        }
-        extras.threshold_histogram = thresh_hist;
-        extras.cluster_gamma = cluster_gammas_at(g.time);
-        extras.cluster_offloads = fold.cluster_offloads;
-        stream->commit_window(extras);
-        if (counters_on) {
-          counter_scratch.clear();
-          const auto add = [&](obs::Counter id, std::uint16_t shard,
-                               double value) {
-            counter_scratch.push_back(
-                {static_cast<std::uint16_t>(id), shard, value});
-          };
-          double leg_min = views[0].leg_seconds;
-          double leg_max = views[0].leg_seconds;
-          for (const parallel::ShardBarrierView& v : views) {
-            const auto sid = static_cast<std::uint16_t>(v.shard);
-            add(obs::Counter::kShardEvents, sid,
-                static_cast<double>(v.events));
-            add(obs::Counter::kShardQueueDepth, sid, v.queue_depth);
-            add(obs::Counter::kShardCalendarGear, sid, v.calendar_gear);
-            add(obs::Counter::kShardGearSwitches, sid, v.gear_switches);
-            add(obs::Counter::kShardCalendarRetunes, sid,
-                v.calendar_retunes);
-            add(obs::Counter::kShardLegSeconds, sid, v.leg_seconds);
-            leg_min = std::min(leg_min, v.leg_seconds);
-            leg_max = std::max(leg_max, v.leg_seconds);
-          }
-          add(obs::Counter::kBarrierWaitSeconds, obs::kGlobalShard,
-              cc.shard_count > 1 ? leg_max - leg_min : 0.0);
-          add(obs::Counter::kReplayRecords, obs::kGlobalShard,
-              static_cast<double>(replay_backlog));
-          replay_backlog = 0;
-          if (!has_fixed_gamma)
-            add(obs::Counter::kReplayDeliveries, obs::kGlobalShard,
-                static_cast<double>(replay->deliveries()));
-          if (cc.with_faults)
-            add(obs::Counter::kFaultEventsApplied, obs::kGlobalShard,
-                static_cast<double>(fault_cursor));
-          add(obs::Counter::kEventsPerSecond, obs::kGlobalShard,
-              leg_max > 0.0 ? static_cast<double>(events_now -
-                                                  counter_prev_events) /
-                                  leg_max
-                            : 0.0);
-          counter_prev_events = events_now;
-          if (transport.metered()) {
-            for (std::size_t r = 0; r < transport.ranks(); ++r) {
-              const parallel::RankStats rs = transport.rank_stats(r);
-              const auto rid = static_cast<std::uint16_t>(r);
-              add(obs::Counter::kRankBarrierWaitSeconds, rid,
-                  rs.barrier_wait_seconds);
-              add(obs::Counter::kRankPayloadBytes, rid,
-                  static_cast<double>(rs.payload_bytes));
-              add(obs::Counter::kTransportFramesSent, rid,
-                  static_cast<double>(rs.frames_sent));
-              add(obs::Counter::kTransportFramesReceived, rid,
-                  static_cast<double>(rs.frames_received));
-            }
-          }
-          stream->append_counters(counter_scratch);
-        }
-      }
-    }
-    if (g.epoch) {
-      if (options.on_epoch) {
-        const double gamma = has_fixed_gamma ? *options.fixed_gamma
-                                             : replay->gamma_at(g.time);
-        options.on_epoch(g.time, gamma);
-      }
-      // Fires after on_epoch; epoch instants are barriers, so controller
-      // state mutated here is seen identically by every shard count.
-      if (options.on_cluster_epoch)
-        options.on_cluster_epoch(g.time, cluster_gammas_at(g.time));
-      // Epoch callbacks are the only place thresholds change.  The array is
-      // checked once, then framed ranks get a copy before their next leg
-      // (the in-process rank reads the array itself).  Shards always see
-      // frozen thresholds between barriers either way, so every rank
-      // decides on the same values.
-      if (cc.thresholds != nullptr) {
-        const std::span<const double> thresholds(cc.thresholds,
-                                                 cc.n_devices);
-        std::ostringstream when;
-        when << "epoch callback at t=" << g.time;
-        check_thresholds(thresholds, when.str());
-        transport.broadcast_thresholds(thresholds);
-      }
-    }
-  }
-  parallel::BarrierRequest final_req;
-  final_req.limit = cc.t_end;
-  final_req.inclusive = true;
-  final_req.want_sketches = true;  // run-end percentile merges below
-  const std::span<const parallel::ShardBarrierView> final_views =
-      transport.advance(final_req);
-  drain_logs(final_views);
-
+/// The window flip, run totals, finalize exchange and result of one run.
+SimulationResult Coordinator::finish(Views final_views) {
   // Close the measurement window.  A shard whose own events never crossed
   // the warm-up boundary still needs its devices reset if *any* pop did in
   // the single-queue engine — its own, another shard's, a fault action, or
   // an edge delivery (the shard's trigger in fixed-gamma mode, the
   // replay's in tracked-gamma mode).
-  bool flipped = cc.measuring_from_start;
+  bool flipped = cc_.measuring_from_start;
   for (const parallel::ShardBarrierView& v : final_views)
     flipped |= v.flipped;
-  if (cc.with_faults) flipped |= plan.flip_trigger;
-  if (!has_fixed_gamma) flipped |= replay->delivery_flip_trigger();
+  if (cc_.with_faults) flipped |= plan_.flip_trigger;
+  if (!has_fixed_gamma_) flipped |= gamma_->delivery_flip_trigger();
 
   // Everything view-derived is folded *before* finalize(): the final
   // views reference rank-side storage the finalize exchange may replace.
-  ViewFold totals = fold_views(final_views, cc.n_clusters,
-                               /*sketches=*/true, has_fixed_gamma);
+  ViewFold totals = fold_views(final_views, /*sketches=*/true);
   std::uint64_t events = totals.events;
-  if (cc.with_faults)
-    events += plan.actions.size();  // every schedule action popped once
-  if (!has_fixed_gamma) events += replay->deliveries();
+  if (cc_.with_faults)
+    events += plan_.actions.size();  // every schedule action popped once
+  if (!has_fixed_gamma_) events += gamma_->deliveries();
 
   // Ranks reset never-flipped shards, integrate every device to t_end, and
   // (framed ranks) ship their DeviceTotals.
-  transport.finalize(flipped);
+  transport_.finalize(flipped);
 
-  double scale_integral = options.horizon;
+  double scale_integral = options_.horizon;
   fault::EnvWindowStats env;
-  if (cc.with_faults) {
-    env = fault::integrate_environment(plan.actions, options.warmup, cc.t_end,
-                                       flipped);
+  if (cc_.with_faults) {
+    env = fault::integrate_environment(plan_.actions, options_.warmup,
+                                       cc_.t_end, flipped);
     scale_integral = env.scale_integral;
     // A run so short no event crossed the warm-up boundary (or a fully
     // dark window): treat the whole window as nominal so the utilization
     // denominator stays finite.
-    if (scale_integral == 0.0) scale_integral = options.horizon;
+    if (scale_integral == 0.0) scale_integral = options_.horizon;
   }
 
   SimulationResult result;
-  result.horizon = options.horizon;
+  result.horizon = options_.horizon;
   result.total_events = events;
   result.local_sojourn_percentiles = std::move(totals.local_sojourns);
   result.offload_delay_percentiles = std::move(
-      has_fixed_gamma ? totals.offload_delays : offload_delays);
-  result.timeline = recorder.take();
-  result.devices.reserve(cc.n_devices);
-  const double window = options.horizon;
+      has_fixed_gamma_ ? totals.offload_delays : offload_delays_);
+  result.timeline = std::move(timeline_);
+  result.devices.reserve(cc_.n_devices);
+  const double window = options_.horizon;
 
   double cost_acc = 0.0, q_acc = 0.0, alpha_acc = 0.0;
   std::uint32_t participating = 0;
   // Under faults the denominator is the *time-averaged* available capacity
   // over the window (edge_capacity * mean scale * window); fault-free it
   // reduces to the familiar offloads / (window * N * c).
-  double gamma_denom = window * cc.edge_capacity;
-  if (cc.with_faults) gamma_denom = cc.edge_capacity * scale_integral;
+  double gamma_denom = window * cc_.edge_capacity;
+  if (cc_.with_faults) gamma_denom = cc_.edge_capacity * scale_integral;
   const double gamma_measured =
       static_cast<double>(totals.offloads_in_window) / gamma_denom;
-  for (std::uint32_t n = 0; n < cc.n_devices; ++n) {
-    if (cc.with_faults) {
+  for (std::uint32_t n = 0; n < cc_.n_devices; ++n) {
+    if (cc_.with_faults) {
       // Churn slots that never joined report all-zero stats and must not
       // dilute the population means (their empirical cost is not zero —
       // the Eq.-(1) functional of an idle device is w*p_L).
-      if (n >= cc.n_initial + plan.joins) {
+      if (n >= cc_.n_initial + plan_.joins) {
         result.devices.emplace_back();
         continue;
       }
     }
     ++participating;
-    const parallel::DeviceTotals dev = transport.device_totals(n);
-    const core::UserParams& u = cc.users[n];
+    const parallel::DeviceTotals dev = transport_.device_totals(n);
+    const core::UserParams& u = cc_.users[n];
     const double delay_sum =
-        has_fixed_gamma ? dev.offload_delay_sum : replay_delay[n];
+        has_fixed_gamma_ ? dev.offload_delay_sum : replay_delay_[n];
     DeviceStats s;
     s.arrivals = dev.arrivals;
     s.offloaded = dev.offloaded;
@@ -465,20 +441,20 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
   // capacity share of the same denominator; with one cluster share(0) is
   // exactly 1.0, so cluster_utilization[0] == measured_utilization bitwise.
   result.cluster_offloads = std::move(totals.cluster_offloads);
-  result.cluster_utilization.reserve(cc.n_clusters);
-  for (std::uint32_t k = 0; k < cc.n_clusters; ++k)
+  result.cluster_utilization.reserve(cc_.n_clusters);
+  for (std::uint32_t k = 0; k < cc_.n_clusters; ++k)
     result.cluster_utilization.push_back(
         static_cast<double>(result.cluster_offloads[k]) /
-        (gamma_denom * options.topology.share(k)));
+        (gamma_denom * options_.topology.share(k)));
   result.mean_cost = cost_acc / static_cast<double>(participating);
   result.mean_queue_length = q_acc / static_cast<double>(participating);
   result.mean_offload_fraction = alpha_acc / static_cast<double>(participating);
-  if (cc.with_faults) {
+  if (cc_.with_faults) {
     FaultStats fs;
-    fs.crashes = plan.crashes;
-    fs.restarts = plan.restarts;
-    fs.churn_joined = plan.churn_joined;
-    fs.churn_departed = plan.churn_departed;
+    fs.crashes = plan_.crashes;
+    fs.restarts = plan_.restarts;
+    fs.churn_joined = plan_.churn_joined;
+    fs.churn_departed = plan_.churn_departed;
     fs.tasks_lost = totals.tasks_lost;
     fs.offloads_rejected = totals.offloads_rejected;
     fs.offloads_penalized = totals.offloads_penalized;
@@ -488,16 +464,35 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
     fs.participating_devices = participating;
     result.faults = fs;
   }
-  if (stream != nullptr) {
+  if (stream_ != nullptr) {
     obs::RunFooter footer;
-    footer.windows = stream->windows();
+    footer.windows = stream_->windows();
     footer.total_events = result.total_events;
     footer.measured_utilization = result.measured_utilization;
     footer.mean_cost = result.mean_cost;
     footer.horizon = result.horizon;
-    stream->finish(footer);
+    stream_->finish(footer);
   }
   return result;
+}
+
+}  // namespace
+
+void check_thresholds(std::span<const double> thresholds,
+                      const std::string& context) {
+  for (std::size_t d = 0; d < thresholds.size(); ++d) {
+    const double x = thresholds[d];
+    if (x >= 0.0 && x < 0x1p64) continue;
+    std::ostringstream os;
+    os << context << ": device " << d << " has threshold " << x
+       << ", expected a value in [0, 2^64)";
+    throw ContractViolation(os.str());
+  }
+}
+
+SimulationResult coordinator_run(const CoordinatorContext& cc,
+                                 parallel::Transport& transport) {
+  return Coordinator(cc, transport).run();
 }
 
 }  // namespace mec::sim::engine

@@ -3,14 +3,14 @@
 //
 // The coordinator walks the run's observation grid, asking the transport to
 // advance every rank to each barrier, then performs the work that must be
-// serial and global: the GammaReplay over the merged offload logs, sample
-// recording and stream windows, epoch callbacks (and the threshold check
-// and broadcast that follow them), and the final result assembly over
-// per-device totals.  It never touches a
-// DeviceState or an event queue directly — everything it knows about rank
-// state arrives through ShardBarrierView and DeviceTotals — which is
-// exactly what lets the same function drive the in-process rank and a fleet
-// of framed ranks to byte-identical results.
+// serial and global, in four stages: replay (the GammaReplay over the
+// merged offload logs), sample (the timeline point and stream window),
+// epoch (the callbacks, and the threshold check and broadcast that follow
+// them), and finish (the result assembly over per-device totals).  It
+// never touches a DeviceState or an event queue directly — everything it
+// knows about rank state arrives through ShardBarrierView and DeviceTotals
+// — which is exactly what lets the same function drive the in-process rank
+// and a fleet of framed ranks to byte-identical results.
 #pragma once
 
 #include <cstddef>

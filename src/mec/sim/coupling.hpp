@@ -183,8 +183,6 @@ class GammaReplay {
   }
 
   std::size_t clusters() const noexcept { return bank_.size(); }
-  double capacity_scale() const noexcept { return walk_.scale; }
-  std::uint32_t active_devices() const noexcept { return walk_.active; }
   /// Offload deliveries with completion time <= t_end (they pop as events
   /// in the single-queue engine and count toward total_events).
   std::uint64_t deliveries() const noexcept { return deliveries_; }

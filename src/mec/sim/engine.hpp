@@ -4,8 +4,9 @@
 //   policy dispatch (policy_dispatch.hpp) TRO/DPO value-array deciders
 //   edge coupling  (coupling.hpp)      EWMA gamma + g(gamma) replay
 //   fault plan     (fault/fault_plan.hpp) resolved schedule + shard views
-//   observers      (observer.hpp)      grid barriers + timeline recorder
-//   leg runner     (leg_runner.hpp)    per-rank event loop + RankWorker
+//   observers      (observer.hpp)      grid barriers, one instant at a time
+//   leg runner     (leg_runner.hpp)    per-rank event loop; the in-process
+//                                      transport
 //   transport      (parallel/transport.hpp) rank <-> coordinator seam
 //   coordinator    (coordinator.hpp)   serial barrier work + result assembly
 //
@@ -254,8 +255,7 @@ SimulationResult run_sharded(const std::vector<core::UserParams>& users,
                                        shard_count > 1 ? ws.pool.get()
                                                        : nullptr,
                                        nullptr);
-  parallel::InProcessTransport transport(runner);
-  return coordinator_run(cc, transport);
+  return coordinator_run(cc, runner);
 }
 
 }  // namespace engine

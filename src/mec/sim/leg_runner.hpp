@@ -1,5 +1,6 @@
-// Per-rank leg execution: the hot event loop and the RankWorker that wraps
-// it for the transport layer (see parallel/transport.hpp).
+// Per-rank leg execution: the hot event loop and the LegRunner that serves
+// it to the coordinator as a parallel::Transport (see
+// parallel/transport.hpp).
 //
 // Everything in this header runs *between* barriers and touches only the
 // rank's own shards — device states, RNG streams, per-shard queues and
@@ -337,13 +338,14 @@ void init_shard(parallel::ShardContext& sc, const core::UserParams* users,
 }
 
 /// One rank's executable side: owns the shard slice [shard_lo, shard_hi)
-/// of the run's shard contexts and serves the RankWorker protocol over it.
-/// The in-process run wraps one LegRunner covering every shard; a framed
-/// rank (net/worker.cpp) builds one for its slice (over a TroValueDecide on
-/// its copy of the run's threshold array, refreshed by set_thresholds at
-/// epochs).
+/// of the run's shard contexts and advances it barrier by barrier.  The
+/// in-process run hands one LegRunner covering every shard to the
+/// coordinator as its transport; a framed rank (net/worker.cpp) builds one
+/// for its slice (over a TroValueDecide on its copy of the run's threshold
+/// array, refreshed by broadcast_thresholds at epochs) and serves it over
+/// its fd.
 template <bool WithFaults, class Decide>
-class LegRunner final : public parallel::RankWorker {
+class LegRunner final : public parallel::Transport {
  public:
   /// `pool` may be null: a single-shard rank runs serially, and a
   /// multi-shard rank with no caller-provided pool builds its own.
@@ -371,7 +373,12 @@ class LegRunner final : public parallel::RankWorker {
     leg_seconds_.assign(shard_hi_ - shard_lo_, 0.0);
   }
 
-  void advance(const parallel::BarrierRequest& req) override {
+  std::size_t ranks() const override { return 1; }
+
+  /// Advances every owned shard to the request's limit and returns the
+  /// rebuilt barrier views (and, per the request flags, the queue sums).
+  std::span<const parallel::ShardBarrierView> advance(
+      const parallel::BarrierRequest& req) override {
     // The previous leg's offload log was consumed (or serialized) at the
     // last barrier; freeing it here keeps the in-process views zero-copy.
     for (std::size_t s = shard_lo_; s < shard_hi_; ++s)
@@ -439,15 +446,13 @@ class LegRunner final : public parallel::RankWorker {
           total_q_ += static_cast<double>(lc_.devices[d].local_queue.size());
       }
     }
-  }
-
-  std::span<const parallel::ShardBarrierView> views() const override {
     return views_;
   }
+
   double total_q() const override { return total_q_; }
   double total_q2() const override { return total_q2_; }
 
-  void set_thresholds(std::span<const double> values) override {
+  void broadcast_thresholds(std::span<const double> values) override {
     if (mirror_ == nullptr) return;  // the in-process rank has no copy
     MEC_EXPECTS(values.size() == mirror_->size());
     std::copy(values.begin(), values.end(), mirror_->begin());
@@ -479,12 +484,12 @@ class LegRunner final : public parallel::RankWorker {
     return t;
   }
 
-  std::uint32_t device_lo() const override {
-    return shards_[shard_lo_].lo;
-  }
-  std::uint32_t device_hi() const override {
-    return shards_[shard_hi_ - 1].hi;
-  }
+  bool metered() const override { return false; }
+  parallel::RankStats rank_stats(std::size_t) const override { return {}; }
+
+  /// The owned device range, [device_lo(), device_hi()).
+  std::uint32_t device_lo() const { return shards_[shard_lo_].lo; }
+  std::uint32_t device_hi() const { return shards_[shard_hi_ - 1].hi; }
 
  private:
   std::span<parallel::ShardContext> shards_;

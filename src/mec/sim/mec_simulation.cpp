@@ -4,6 +4,7 @@
 // live in their own layer headers/TUs — this file only composes them.
 #include "mec/sim/mec_simulation.hpp"
 
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -45,23 +46,32 @@ MecSimulation::MecSimulation(std::span<const core::UserParams> users,
   MEC_EXPECTS(delay_.valid());
   constexpr std::string_view kRun = "MecSimulation";
   const SimulationOptions& o = options_;
-  check_option(o.warmup >= 0.0, kRun, "warmup", o.warmup, "a value >= 0");
-  check_option(o.horizon > 0.0, kRun, "horizon", o.horizon, "a value > 0");
-  check_option(o.utilization_ewma_tau > 0.0, kRun, "utilization_ewma_tau",
-               o.utilization_ewma_tau, "a value > 0");
+  // Every time is finite, and so is the run's end, warmup + horizon: a run
+  // to an infinite time never ends.
+  check_option(std::isfinite(o.warmup) && o.warmup >= 0.0, kRun, "warmup",
+               o.warmup, "a finite value >= 0");
+  check_option(std::isfinite(o.horizon) && o.horizon > 0.0, kRun, "horizon",
+               o.horizon, "a finite value > 0");
+  check_option(std::isfinite(o.warmup + o.horizon), kRun, "horizon",
+               o.horizon, "a value with a finite warmup + horizon");
+  check_option(
+      std::isfinite(o.utilization_ewma_tau) && o.utilization_ewma_tau > 0.0,
+      kRun, "utilization_ewma_tau", o.utilization_ewma_tau,
+      "a finite value > 0");
   check_option(o.initial_gamma >= 0.0 && o.initial_gamma <= 1.0, kRun,
                "initial_gamma", o.initial_gamma, "a value in [0, 1]");
   if (o.fixed_gamma)
     check_option(*o.fixed_gamma >= 0.0 && *o.fixed_gamma <= 1.0, kRun,
                  "fixed_gamma", *o.fixed_gamma, "a value in [0, 1]");
-  check_option(o.sample_interval >= 0.0, kRun, "sample_interval",
-               o.sample_interval, "a value >= 0");
+  check_option(std::isfinite(o.sample_interval) && o.sample_interval >= 0.0,
+               kRun, "sample_interval", o.sample_interval,
+               "a finite value >= 0");
   check_option(o.stream_log.empty() || o.sample_interval > 0.0, kRun,
                "sample_interval", o.sample_interval,
                "a value > 0 with a stream_log (windows are cut at the "
                "observation grid)");
-  check_option(o.epoch_period >= 0.0, kRun, "epoch_period", o.epoch_period,
-               "a value >= 0");
+  check_option(std::isfinite(o.epoch_period) && o.epoch_period >= 0.0, kRun,
+               "epoch_period", o.epoch_period, "a finite value >= 0");
   check_option(o.epoch_period == 0.0 || o.on_epoch || o.on_cluster_epoch, kRun,
                "epoch_period", o.epoch_period,
                "0 without an on_epoch or on_cluster_epoch callback");

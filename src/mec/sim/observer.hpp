@@ -1,12 +1,12 @@
-// Observer layer: how measurements leave the engine.
+// Observer layer: when measurements leave the engine.
 //
-// The engine never appends to result vectors directly; it hands sampled
-// TimelinePoints to a TimelineRecorder (and, for a streamed run, to
-// obs::StreamingSink) at scheduled grid instants.  The grid itself
-// (ObservationGrid) is precomputed from the sample/epoch cadences and
-// doubles as the sharded engine's barrier schedule: every grid instant
-// is a synchronization point where shard legs stop, the gamma replay
-// catches up, and observers read a globally consistent left-limit state.
+// The coordinator samples a TimelinePoint at each scheduled grid instant,
+// keeps it in the result's timeline and, for a streamed run, hands it to
+// obs::StreamingSink.  The grid itself (ObservationGrid) is generated one
+// instant at a time from the sample/epoch cadences and doubles as the
+// sharded engine's barrier schedule: every grid instant is a
+// synchronization point where shard legs stop, the gamma replay catches
+// up, and observers read a globally consistent left-limit state.
 //
 // Determinism contract: grid times are generated with the same repeated
 // floating-point accumulation (`next += interval`) the single-queue engine
@@ -16,21 +16,7 @@
 // sample and an epoch share an instant the sample fires first.
 #pragma once
 
-#include <vector>
-
-#include "mec/sim/metrics.hpp"
-
 namespace mec::sim {
-
-/// Collects the sampled trajectory for SimulationResult.
-class TimelineRecorder {
- public:
-  void on_sample(const TimelinePoint& point) { points_.push_back(point); }
-  std::vector<TimelinePoint> take() noexcept { return std::move(points_); }
-
- private:
-  std::vector<TimelinePoint> points_;
-};
 
 /// One synchronization instant of a run; at least one flag is set.
 struct GridInstant {
@@ -43,48 +29,41 @@ struct GridInstant {
 /// (0, t_end], in increasing time order, with coinciding sample and epoch
 /// points folded into one instant (exact float equality — the same-cadence
 /// case; nearly-equal points from incommensurate cadences stay distinct
-/// and fire in time order).
+/// and fire in time order).  A cadence of 0 contributes no instants.  The
+/// grid holds two running times, so it costs the same for any run length.
 class ObservationGrid {
  public:
-  ObservationGrid(double sample_interval, double epoch_period, double t_end) {
-    std::vector<double> samples = accumulate(sample_interval, t_end);
-    std::vector<double> epochs = accumulate(epoch_period, t_end);
-    instants_.reserve(samples.size() + epochs.size());
-    std::size_t i = 0, j = 0;
-    while (i < samples.size() || j < epochs.size()) {
-      const bool take_sample =
-          i < samples.size() &&
-          (j >= epochs.size() || samples[i] <= epochs[j]);
-      GridInstant g;
-      g.time = take_sample ? samples[i] : epochs[j];
-      if (i < samples.size() && samples[i] == g.time) {
-        g.sample = true;
-        ++i;
-      }
-      if (j < epochs.size() && epochs[j] == g.time) {
-        g.epoch = true;
-        ++j;
-      }
-      instants_.push_back(g);
-    }
-  }
+  ObservationGrid(double sample_interval, double epoch_period, double t_end)
+      : sample_interval_(sample_interval),
+        epoch_period_(epoch_period),
+        t_end_(t_end),
+        next_sample_(sample_interval),
+        next_epoch_(epoch_period) {}
 
-  const std::vector<GridInstant>& instants() const noexcept {
-    return instants_;
+  /// Writes the next instant to `g` and returns true, or returns false once
+  /// both cadences have passed t_end.
+  bool next(GridInstant& g) {
+    const bool samples = sample_interval_ > 0.0 && next_sample_ <= t_end_;
+    const bool epochs = epoch_period_ > 0.0 && next_epoch_ <= t_end_;
+    if (!samples && !epochs) return false;
+    g.time = samples && (!epochs || next_sample_ <= next_epoch_)
+                 ? next_sample_
+                 : next_epoch_;
+    g.sample = samples && next_sample_ == g.time;
+    g.epoch = epochs && next_epoch_ == g.time;
+    // The exact accumulation the event loop used (`next += interval` from
+    // `interval`): summing k*interval directly would round differently.
+    if (g.sample) next_sample_ += sample_interval_;
+    if (g.epoch) next_epoch_ += epoch_period_;
+    return true;
   }
 
  private:
-  // The exact accumulation the event loop used (`next += interval` from
-  // `interval`): summing k*interval directly would round differently.
-  static std::vector<double> accumulate(double interval, double t_end) {
-    std::vector<double> times;
-    if (interval > 0.0)
-      for (double next = interval; next <= t_end; next += interval)
-        times.push_back(next);
-    return times;
-  }
-
-  std::vector<GridInstant> instants_;
+  double sample_interval_;
+  double epoch_period_;
+  double t_end_;
+  double next_sample_;
+  double next_epoch_;
 };
 
 }  // namespace mec::sim

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -513,6 +514,8 @@ TEST(Des, NamesTheDeviceCeilingAtConstruction) {
   refused(all.first(limit), churn);
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 TEST(Des, RejectsInvalidConfiguration) {
   const auto users = homogeneous(5, 1.0, 2.0);
   // Each bad option is refused by name: the message carries the field and
@@ -541,6 +544,20 @@ TEST(Des, RejectsInvalidConfiguration) {
       {"epoch_period", "5", [](SimulationOptions& o) { o.epoch_period = 5.0; }},
       {"worker_addresses", "empty",
        [](SimulationOptions& o) { o.transport = TransportKind::kTcp; }},
+      // Every time must be finite, not just in range.
+      {"warmup", "inf", [](SimulationOptions& o) { o.warmup = kInf; }},
+      {"horizon", "inf", [](SimulationOptions& o) { o.horizon = kInf; }},
+      {"horizon", "1e+308",
+       [](SimulationOptions& o) { o.warmup = o.horizon = 1e308; }},
+      {"utilization_ewma_tau", "inf",
+       [](SimulationOptions& o) { o.utilization_ewma_tau = kInf; }},
+      {"sample_interval", "inf",
+       [](SimulationOptions& o) { o.sample_interval = kInf; }},
+      {"epoch_period", "inf",
+       [](SimulationOptions& o) {
+         o.epoch_period = kInf;
+         o.on_epoch = [](double, double) {};
+       }},
   };
   for (const BadOption& b : bad) {
     SCOPED_TRACE(b.field);

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mec/core/edge_delay.hpp"
@@ -23,6 +24,7 @@
 #include "mec/random/rng.hpp"
 #include "mec/sim/closed_loop.hpp"
 #include "mec/sim/mec_simulation.hpp"
+#include "mec/sim/observer.hpp"
 #include "mec/stats/latency_sketch.hpp"
 
 namespace mec {
@@ -99,6 +101,83 @@ TEST(SketchMerge, EmptyIsTheMergeIdentity) {
   expect_sketch_equal(other, sketch);
   EXPECT_EQ(empty.count(), 0u);
   EXPECT_EQ(empty.p50(), 0.0);
+}
+
+// --- Barrier schedule -------------------------------------------------------
+
+/// The grid as the engine built it before ObservationGrid generated one
+/// instant at a time: each cadence accumulated into a vector, then the two
+/// merged.  Kept here as the oracle for ObservationGrid::next.
+std::vector<sim::GridInstant> merged_grid(double sample_interval,
+                                          double epoch_period, double t_end) {
+  const auto accumulate = [t_end](double interval) {
+    std::vector<double> times;
+    if (interval > 0.0)
+      for (double next = interval; next <= t_end; next += interval)
+        times.push_back(next);
+    return times;
+  };
+  const std::vector<double> samples = accumulate(sample_interval);
+  const std::vector<double> epochs = accumulate(epoch_period);
+  std::vector<sim::GridInstant> instants;
+  std::size_t i = 0, j = 0;
+  while (i < samples.size() || j < epochs.size()) {
+    const bool take_sample =
+        i < samples.size() && (j >= epochs.size() || samples[i] <= epochs[j]);
+    sim::GridInstant g;
+    g.time = take_sample ? samples[i] : epochs[j];
+    if (i < samples.size() && samples[i] == g.time) {
+      g.sample = true;
+      ++i;
+    }
+    if (j < epochs.size() && epochs[j] == g.time) {
+      g.epoch = true;
+      ++j;
+    }
+    instants.push_back(g);
+  }
+  return instants;
+}
+
+TEST(ObservationGrid, MatchesTheTwoVectorMergeInstantForInstant) {
+  struct Case {
+    double sample_interval, epoch_period, t_end;
+  };
+  const Case cases[] = {
+      {2.0, 2.0, 20.0},   // coinciding cadences: every instant is both
+      {1.0, 5.0, 50.0},   // every fifth sample is an epoch
+      {2.5, 2.0, 60.0},   // coinciding every 10 s
+      {0.7, 2.0, 60.0},   // incommensurate: inexact sums never meet
+      {3.0, 2.5, 60.0},
+      {0.1, 2.0, 30.0},
+      {0.7, 2.5, 45.0},
+      {0.0, 2.0, 20.0},   // no samples
+      {2.0, 0.0, 20.0},   // no epochs
+      {0.0, 0.0, 20.0},   // no grid at all
+      {2.0, 5.0, 20.0},   // t_end exactly on a shared grid point
+      {0.5, 0.0, 10.0},   // t_end on the last sample (0.5 sums exactly)
+      {0.1, 0.25, 1.0},   // ten 0.1 steps fall just short of t_end
+      {5.0, 7.0, 3.0},    // t_end before the first instant
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "sample " << c.sample_interval << ", epoch "
+                 << c.epoch_period << ", t_end " << c.t_end);
+    const std::vector<sim::GridInstant> want =
+        merged_grid(c.sample_interval, c.epoch_period, c.t_end);
+    sim::ObservationGrid grid(c.sample_interval, c.epoch_period, c.t_end);
+    std::vector<sim::GridInstant> got;
+    for (sim::GridInstant g; grid.next(g);) got.push_back(g);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE("instant " + std::to_string(i));
+      EXPECT_EQ(got[i].time, want[i].time);  // bit for bit
+      EXPECT_EQ(got[i].sample, want[i].sample);
+      EXPECT_EQ(got[i].epoch, want[i].epoch);
+    }
+    sim::GridInstant past;
+    EXPECT_FALSE(grid.next(past));  // an exhausted grid stays exhausted
+  }
 }
 
 // --- Cross-shard-count engine equivalence ---------------------------------

@@ -497,6 +497,29 @@ void expect_stream_shard_invariant(
   std::filesystem::remove(base_path);
 }
 
+// CRC32s of K = 1 window byte streams, as produced by the reference
+// toolchain (same compiler flags as CI).  The cross-K comparisons above
+// compare runs with each other, so a change that moves every shard count
+// alike (say, a term dropped from events_so_far) passes them; these pins
+// catch it.  Regenerate on an intentional change with
+//   MEC_PRINT_STREAM_GOLDEN=1 ./test_stream_log
+// and paste the printed values.
+constexpr std::uint32_t kFaultScheduleGoldenCrc = 128264215u;
+constexpr std::uint32_t kPerClusterBrownoutGoldenCrc = 3029228633u;
+constexpr std::uint32_t kClosedLoopDtuGoldenCrc = 1678388868u;
+constexpr std::uint32_t kMultiClusterClosedLoopGoldenCrc = 1174680176u;
+
+/// Checks a window byte stream's CRC32 against its pin, printing it first
+/// under MEC_PRINT_STREAM_GOLDEN.
+void expect_golden_crc(std::uint32_t crc, std::uint32_t golden) {
+  if (std::getenv("MEC_PRINT_STREAM_GOLDEN") != nullptr) {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    std::printf("STREAM GOLDEN %s.%s crc32 = %uu\n", info->test_suite_name(),
+                info->name(), crc);
+  }
+  EXPECT_EQ(crc, golden);
+}
+
 TEST(StreamShardInvariance, FixedGamma) {
   sim::SimulationOptions o;
   o.warmup = 5.0;
@@ -542,7 +565,9 @@ TEST(StreamShardInvariance, FaultScheduleAllActionKinds) {
   tracked.utilization_ewma_tau = 8.0;
   tracked.initial_gamma = 0.2;
   tracked.sample_interval = 4.0;
-  expect_stream_shard_invariant(tracked, schedule);
+  std::uint32_t crc = 0;
+  expect_stream_shard_invariant(tracked, schedule, &crc);
+  expect_golden_crc(crc, kFaultScheduleGoldenCrc);
 }
 
 // Multi-cluster tracked gamma with heterogeneous shares and per-cluster
@@ -565,7 +590,9 @@ TEST(StreamShardInvariance, MultiClusterPerClusterBrownouts) {
   o.sample_interval = 4.0;
   o.topology.clusters = 2;
   o.topology.shares = {0.65, 0.35};
-  expect_stream_shard_invariant(o, schedule);
+  std::uint32_t crc = 0;
+  expect_stream_shard_invariant(o, schedule, &crc);
+  expect_golden_crc(crc, kPerClusterBrownoutGoldenCrc);
 }
 
 // Sanity on the v2 trailer contents themselves: a 2-cluster run streams
@@ -618,6 +645,7 @@ TEST(StreamShardInvariance, ClosedLoopDtu) {
   (void)run_closed_loop(pop.users, pop.config.capacity, pop.config.delay, opt);
   const std::vector<std::uint8_t> base = window_bytes(opt.stream_log);
   ASSERT_FALSE(base.empty());
+  expect_golden_crc(obs::crc32(base), kClosedLoopDtuGoldenCrc);
   std::filesystem::remove(opt.stream_log);
   for (const std::size_t k : {2u, 4u, 7u}) {
     SCOPED_TRACE("shards = " + std::to_string(k));
@@ -649,6 +677,7 @@ TEST(StreamShardInvariance, MultiClusterClosedLoopDtu) {
   (void)run_closed_loop(pop.users, pop.config.capacity, pop.config.delay, opt);
   const std::vector<std::uint8_t> base = window_bytes(opt.stream_log);
   ASSERT_FALSE(base.empty());
+  expect_golden_crc(obs::crc32(base), kMultiClusterClosedLoopGoldenCrc);
   {
     const obs::LogScan scan = obs::scan_log(opt.stream_log);
     ASSERT_FALSE(scan.windows.empty());
@@ -688,9 +717,7 @@ TEST(StreamGolden, FixedGammaWindowBytes) {
   o.sample_interval = 2.5;
   std::uint32_t crc = 0;
   expect_stream_shard_invariant(o, nullptr, &crc);
-  if (std::getenv("MEC_PRINT_STREAM_GOLDEN") != nullptr)
-    std::printf("STREAM GOLDEN crc32 = %uu\n", crc);
-  EXPECT_EQ(crc, kFixedGammaGoldenCrc);
+  expect_golden_crc(crc, kFixedGammaGoldenCrc);
 }
 
 }  // namespace

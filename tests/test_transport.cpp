@@ -998,6 +998,9 @@ TEST(TcpTransportHandshake, CoordinatorRejectsAWorkerRevisionMismatch) {
         << what;
     EXPECT_NE(what.find("answered revision 99"), std::string::npos) << what;
     EXPECT_NE(what.find("127.0.0.1:"), std::string::npos) << what;
+    EXPECT_NE(what.find("during start-up; last completed barrier #0 (t=0)"),
+              std::string::npos)
+        << what;
   }
   fake.join();
 }
@@ -1192,39 +1195,47 @@ TEST(FramedTransportValidation, EveryMalformedPayloadIsRefusedByName) {
   struct Case {
     void (*mutate)(RankScript&);
     const char* field;  ///< field, received value, expected value
+    const char* phase;  ///< where the run stood, and the last barrier
   };
+  // The barrier payload is checked before barrier #1 completes; the final
+  // totals after it.
+  const char* const barrier = "before the barrier at t=1; last completed "
+                              "barrier #0 (t=0)";
+  const char* const run_end = "at run end; last completed barrier #1 (t=1)";
   const Case cases[] = {
-      {[](RankScript& s) { s.shard = 0; }, "shards[0].shard = 0, expected 1"},
-      {[](RankScript& s) { s.shards = 2; }, "shard count = 2, expected 1"},
+      {[](RankScript& s) { s.shard = 0; }, "shards[0].shard = 0, expected 1",
+       barrier},
+      {[](RankScript& s) { s.shards = 2; }, "shard count = 2, expected 1",
+       barrier},
       {[](RankScript& s) { s.cluster_offloads = {3, 4, 5}; },
-       "shards[0].cluster_offloads.size() = 3, expected 2"},
+       "shards[0].cluster_offloads.size() = 3, expected 2", barrier},
       {[](RankScript& s) { s.sketches = false; },
-       "shards[0].sketches = absent, expected present"},
+       "shards[0].sketches = absent, expected present", barrier},
       {[](RankScript& s) { s.queue_stats = true; },
-       "shards[0].queue stats = present, expected absent"},
+       "shards[0].queue stats = present, expected absent", barrier},
       {[](RankScript& s) { s.q = false; },
-       "queue sums = absent, expected present"},
+       "queue sums = absent, expected present", barrier},
       {[](RankScript& s) { s.log[0].device = 2; },
-       "shards[0].log[0].device = 2, expected a device in [5, 10)"},
+       "shards[0].log[0].device = 2, expected a device in [5, 10)", barrier},
       {[](RankScript& s) { s.log[0].cluster = 2; },
-       "shards[0].log[0].cluster = 2, expected a cluster below 2"},
+       "shards[0].log[0].cluster = 2, expected a cluster below 2", barrier},
       // The replay would merge these times silently: a non-finite time, one
       // below its predecessor in the log, and one past the leg [0, 1).
       {[](RankScript& s) {
          s.log[0].time = std::numeric_limits<double>::quiet_NaN();
        },
-       "shards[0].log[0].time = nan, expected a time in [0, 1)"},
+       "shards[0].log[0].time = nan, expected a time in [0, 1)", barrier},
       {[](RankScript& s) {
          s.log.push_back(s.log[0]);
          s.log[1].time = 0.25;
        },
-       "shards[0].log[1].time = 0.25, expected a time in [0.5, 1)"},
+       "shards[0].log[1].time = 0.25, expected a time in [0.5, 1)", barrier},
       {[](RankScript& s) { s.log[0].time = 1.0; },
-       "shards[0].log[0].time = 1, expected a time in [0, 1)"},
+       "shards[0].log[0].time = 1, expected a time in [0, 1)", barrier},
       // Accepting these would overwrite rank 0's totals and leave rank 1's
       // devices at zero.
       {[](RankScript& s) { s.final_lo = 0, s.final_hi = 5; },
-       "final totals with devices = [0, 5), expected [5, 10)"},
+       "final totals with devices = [0, 5), expected [5, 10)", run_end},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.field);
@@ -1235,6 +1246,7 @@ TEST(FramedTransportValidation, EveryMalformedPayloadIsRefusedByName) {
               std::string::npos)
         << what;
     EXPECT_NE(what.find(c.field), std::string::npos) << what;
+    EXPECT_NE(what.find(c.phase), std::string::npos) << what;
   }
 }
 
