@@ -1,13 +1,16 @@
 #include "mec/net/framed_transport.hpp"
 
+#include <poll.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstring>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "mec/common/error.hpp"
 #include "mec/net/protocol.hpp"
@@ -78,6 +81,70 @@ std::vector<RankLink> connect_workers(std::span<const Address> workers) {
   return links;
 }
 
+template <class OnFrame>
+void FramedTransport::receive(std::size_t first, std::size_t last,
+                              std::uint32_t expected, const std::string& phase,
+                              OnFrame on_frame) {
+  for (std::size_t r = first; r < last; ++r) peers_[r].pending = expected;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms_);
+  std::vector<struct pollfd> fds;
+  std::vector<Peer*> polled;
+  for (std::size_t left = last - first; left > 0;) {
+    fds.clear();
+    polled.clear();
+    for (std::size_t r = first; r < last; ++r) {
+      if (peers_[r].pending == 0) continue;
+      fds.push_back({peers_[r].link.fd.get(), POLLIN, 0});
+      polled.push_back(&peers_[r]);
+    }
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= deadline)
+      fail_peer(*polled.front(), phase,
+                "stopped responding (no payload within " +
+                    std::to_string(timeout_ms_) + " ms)");
+    const auto wait_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
+            .count() +
+        1;
+    const int ready = ::poll(fds.data(), fds.size(), static_cast<int>(wait_ms));
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      throw RuntimeError(std::string("transport poll failed: ") +
+                         std::strerror(errno));
+    }
+    for (std::size_t i = 0; i < fds.size(); ++i) {
+      if (fds[i].revents == 0) continue;
+      Peer& peer = *polled[i];
+      bool complete = false;
+      try {
+        complete = peer.reader.read_some(fds[i].fd);
+      } catch (const pwire::PeerError&) {
+        fail_peer(peer, phase, "closed the connection");
+      } catch (const RuntimeError& e) {
+        fail_peer(peer, phase,
+                  std::string("could not be read from (") + e.what() + ")");
+      }
+      if (!complete) continue;
+      const pwire::DecodedFrame frame = peer.reader.take();
+      ++peer.stats.frames_received;
+      peer.stats.payload_bytes += frame.payload.size();
+      if (frame.kind == pwire::kFrameError) {
+        obs::wire::ByteReader r(frame.payload);
+        const std::uint32_t n = r.get_u32();
+        fail_peer(peer, phase, "failed: " + r.get_string(n));
+      }
+      if (frame.kind != expected)
+        fail_peer(peer, phase,
+                  "sent " + pwire::frame_kind_name(frame.kind) +
+                      " instead of " + pwire::frame_kind_name(expected));
+      peer.pending = 0;
+      --left;
+      on_frame(peer, frame);
+    }
+  }
+}
+
 FramedTransport::FramedTransport(
     const Config& config, std::vector<RankLink> links,
     std::span<const std::vector<std::uint8_t>> populations,
@@ -107,40 +174,54 @@ FramedTransport::FramedTransport(
     wire::Hello hello;
     hello.rank = static_cast<std::uint32_t>(r);
     hello.ranks = static_cast<std::uint32_t>(ranks);
-    send_frame(peer, pwire::kFrameHello, wire::encode_hello(hello));
-    const pwire::DecodedFrame frame =
-        read_frame(peer, startup, pwire::kFrameHelloAck);
-    const wire::HelloAck ack = wire::decode_hello_ack(frame.payload);
-    if (ack.revision != wire::kSchemaRevision)
-      fail_peer(peer, startup,
-                "answered revision " + std::to_string(ack.revision) +
-                    " (schema revision mismatch: this coordinator speaks "
-                    "revision " +
-                    std::to_string(wire::kSchemaRevision) +
-                    "; rebuild one side so both run the same wire schema)");
-    if (ack.rank != hello.rank)
-      fail_peer(peer, startup,
-                "acknowledged rank " + std::to_string(ack.rank) +
-                    " instead of its assignment");
-    send_frame(peer, pwire::kFramePopulation, populations[r]);
+    send_frame(peer, pwire::kFrameHello, wire::encode_hello(hello), startup);
+    receive(r, r + 1, pwire::kFrameHelloAck, startup,
+            [&](Peer&, const pwire::DecodedFrame& frame) {
+              const wire::HelloAck ack = wire::decode_hello_ack(frame.payload);
+              if (ack.revision != wire::kSchemaRevision)
+                fail_peer(peer, startup,
+                          "answered revision " + std::to_string(ack.revision) +
+                              " (schema revision mismatch: this coordinator "
+                              "speaks revision " +
+                              std::to_string(wire::kSchemaRevision) +
+                              "; rebuild one side so both run the same wire "
+                              "schema)");
+              if (ack.rank != hello.rank)
+                fail_peer(peer, startup,
+                          "acknowledged rank " + std::to_string(ack.rank) +
+                              " instead of its assignment");
+            });
+    send_frame(peer, pwire::kFramePopulation, populations[r], startup);
   }
-  for (std::size_t r = 0; r < ranks; ++r) {
-    Peer& peer = peers_[r];
-    const pwire::DecodedFrame frame =
-        read_frame(peer, startup, pwire::kFrameReady);
-    obs::wire::ByteReader reader(frame.payload);
-    const std::uint32_t echoed = reader.get_u32();
-    if (echoed != r)
-      fail_peer(peer, startup,
-                "reported ready as rank " + std::to_string(echoed));
-  }
-  broadcast_thresholds(initial_thresholds);
+  receive(0, ranks, pwire::kFrameReady, startup,
+          [&](Peer& peer, const pwire::DecodedFrame& frame) {
+            obs::wire::ByteReader reader(frame.payload);
+            const std::uint32_t echoed = reader.get_u32();
+            if (echoed != static_cast<std::size_t>(&peer - peers_.data()))
+              fail_peer(peer, startup,
+                        "reported ready as rank " + std::to_string(echoed));
+          });
+  send_all(pwire::kFrameThresholds,
+           pwire::encode_thresholds(initial_thresholds), startup);
 }
 
 void FramedTransport::send_frame(Peer& peer, std::uint32_t kind,
-                                 std::span<const std::uint8_t> payload) {
-  pwire::write_frame(peer.link.fd.get(), kind, payload);
+                                 std::span<const std::uint8_t> payload,
+                                 const std::string& phase) {
+  try {
+    pwire::write_frame(peer.link.fd.get(), kind, payload);
+  } catch (const RuntimeError& e) {
+    fail_peer(peer, phase,
+              "could not be sent the " + pwire::frame_kind_name(kind) +
+                  " frame (" + e.what() + ")");
+  }
   ++peer.stats.frames_sent;
+}
+
+void FramedTransport::send_all(std::uint32_t kind,
+                               std::span<const std::uint8_t> payload,
+                               const std::string& phase) {
+  for (Peer& peer : peers_) send_frame(peer, kind, payload, phase);
 }
 
 void FramedTransport::fail_peer(Peer& peer, const std::string& phase,
@@ -160,35 +241,6 @@ void FramedTransport::fail_peer(Peer& peer, const std::string& phase,
   if (peer.pending != 0)
     msg += "; pending frame: " + pwire::frame_kind_name(peer.pending);
   throw RuntimeError(msg);
-}
-
-pwire::DecodedFrame FramedTransport::read_frame(Peer& peer,
-                                                const std::string& phase,
-                                                std::uint32_t expected) {
-  peer.pending = expected;
-  pwire::DecodedFrame frame;
-  try {
-    frame = pwire::read_frame_deadline(peer.link.fd.get(), timeout_ms_);
-  } catch (const pwire::PeerError& e) {
-    if (e.kind() == pwire::PeerError::Kind::kTimeout)
-      fail_peer(peer, phase,
-                "stopped responding (no payload within " +
-                    std::to_string(timeout_ms_) + " ms)");
-    fail_peer(peer, phase, "closed the connection");
-  }
-  ++peer.stats.frames_received;
-  peer.stats.payload_bytes += frame.payload.size();
-  if (frame.kind == pwire::kFrameError) {
-    obs::wire::ByteReader r(frame.payload);
-    const std::uint32_t n = r.get_u32();
-    fail_peer(peer, phase, "failed: " + r.get_string(n));
-  }
-  if (frame.kind != expected)
-    fail_peer(peer, phase,
-              "sent " + pwire::frame_kind_name(frame.kind) + " instead of " +
-                  pwire::frame_kind_name(expected));
-  peer.pending = 0;
-  return frame;
 }
 
 void FramedTransport::check_barrier(Peer& peer,
@@ -255,32 +307,32 @@ void FramedTransport::check_barrier(Peer& peer,
   }
 }
 
-std::span<const parallel::ShardBarrierView> FramedTransport::advance(
-    const parallel::BarrierRequest& request) {
-  const std::vector<std::uint8_t> payload =
-      pwire::encode_barrier_request(request);
-  for (Peer& peer : peers_)
-    send_frame(peer, pwire::kFrameAdvance, payload);
-  const std::string phase =
-      "before the barrier at t=" + obs::meta_double(request.limit);
-  for (Peer& peer : peers_) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const pwire::DecodedFrame frame =
-        read_frame(peer, phase, pwire::kFrameBarrier);
-    peer.stats.barrier_wait_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    try {
-      peer.data = pwire::decode_barrier_payload(frame.payload);
-    } catch (const RuntimeError& e) {
-      fail_peer(peer, phase,
-                std::string("sent a malformed barrier payload (") + e.what() +
-                    ")");
-    }
-    check_barrier(peer, request, phase);
-    ++peer.barriers_done;
-    peer.last_barrier_time = request.limit;
-  }
+void FramedTransport::start(const parallel::BarrierRequest& request) {
+  request_ = request;
+  phase_ = "before the barrier at t=" + obs::meta_double(request.limit);
+  send_all(pwire::kFrameAdvance, pwire::encode_barrier_request(request),
+           phase_);
+}
+
+std::span<const parallel::ShardBarrierView> FramedTransport::collect() {
+  const auto t0 = std::chrono::steady_clock::now();
+  receive(0, peers_.size(), pwire::kFrameBarrier, phase_,
+          [&](Peer& peer, const pwire::DecodedFrame& frame) {
+            peer.stats.barrier_wait_seconds =
+                std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+            try {
+              peer.data = pwire::decode_barrier_payload(frame.payload);
+            } catch (const RuntimeError& e) {
+              fail_peer(peer, phase_,
+                        std::string("sent a malformed barrier payload (") +
+                            e.what() + ")");
+            }
+            check_barrier(peer, request_, phase_);
+            ++peer.barriers_done;
+            peer.last_barrier_time = request_.limit;
+          });
   views_.clear();
   total_q_ = 0.0;
   total_q2_ = 0.0;
@@ -296,42 +348,43 @@ std::span<const parallel::ShardBarrierView> FramedTransport::advance(
 }
 
 void FramedTransport::broadcast_thresholds(std::span<const double> values) {
-  const std::vector<std::uint8_t> payload = pwire::encode_thresholds(values);
-  for (Peer& peer : peers_)
-    send_frame(peer, pwire::kFrameThresholds, payload);
+  send_all(pwire::kFrameThresholds, pwire::encode_thresholds(values),
+           "before the next barrier");
 }
 
 void FramedTransport::finalize(bool flipped) {
   obs::wire::ByteWriter w(1);
   w.put_u8(flipped ? 1 : 0);
-  const std::vector<std::uint8_t> payload = w.take();
-  for (Peer& peer : peers_)
-    send_frame(peer, pwire::kFrameFinalize, payload);
-  totals_.assign(config_.n_devices, parallel::DeviceTotals{});
   const std::string phase = "at run end";
-  for (Peer& peer : peers_) {
-    const pwire::DecodedFrame frame =
-        read_frame(peer, phase, pwire::kFrameFinal);
-    pwire::FinalTotals fin;
-    try {
-      fin = pwire::decode_device_totals(frame.payload);
-    } catch (const RuntimeError& e) {
-      fail_peer(peer, phase,
-                std::string("sent malformed final totals (") + e.what() + ")");
-    }
-    // A rank ships exactly its own slice: anything else would overwrite a
-    // sibling's totals and leave its own devices at zero.
-    if (fin.device_lo != peer.device_lo || fin.device_hi != peer.device_hi)
-      fail_peer(peer, phase,
-                "sent final totals with devices = " +
-                    range(fin.device_lo, fin.device_hi) + ", expected " +
-                    range(peer.device_lo, peer.device_hi));
-    for (std::uint32_t d = fin.device_lo; d < fin.device_hi; ++d)
-      totals_[d] = fin.totals[d - fin.device_lo];
-    // Run complete: a daemon goes back to accepting, a local rank exits.
-    peer.link.fd.reset();
-    peer.link.child.wait();
-  }
+  send_all(pwire::kFrameFinalize, w.take(), phase);
+  totals_.assign(config_.n_devices, parallel::DeviceTotals{});
+  receive(0, peers_.size(), pwire::kFrameFinal, phase,
+          [&](Peer& peer, const pwire::DecodedFrame& frame) {
+            pwire::FinalTotals fin;
+            try {
+              fin = pwire::decode_device_totals(frame.payload);
+            } catch (const RuntimeError& e) {
+              fail_peer(peer, phase,
+                        std::string("sent malformed final totals (") +
+                            e.what() + ")");
+            }
+            // A rank ships exactly its own slice: anything else would
+            // overwrite a sibling's totals and leave its own devices at
+            // zero.
+            if (fin.device_lo != peer.device_lo ||
+                fin.device_hi != peer.device_hi)
+              fail_peer(peer, phase,
+                        "sent final totals with devices = " +
+                            range(fin.device_lo, fin.device_hi) +
+                            ", expected " +
+                            range(peer.device_lo, peer.device_hi));
+            for (std::uint32_t d = fin.device_lo; d < fin.device_hi; ++d)
+              totals_[d] = fin.totals[d - fin.device_lo];
+            // Run complete: a daemon goes back to accepting, a local rank
+            // exits.
+            peer.link.fd.reset();
+            peer.link.child.wait();
+          });
 }
 
 parallel::DeviceTotals FramedTransport::device_totals(

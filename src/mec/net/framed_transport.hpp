@@ -10,13 +10,17 @@
 //     (transport=tcp), with bounded exponential backoff.
 // Every rank then speaks the one daemon protocol: the versioned handshake,
 // the population frame (protocol.hpp), a ready frame, and the barrier loop
-// (advance / thresholds / finalize).  Every read is bounded by the
-// MEC_TRANSPORT_TIMEOUT_MS poll deadline, and every decoded barrier and
+// (advance / thresholds / finalize).  start() writes the advance frames and
+// returns; collect() polls every rank at once, decoding and checking each
+// payload as it completes.  Each exchange that waits on ranks — a
+// handshake ack, the ready pass, a barrier, the final totals — is bounded
+// by one MEC_TRANSPORT_TIMEOUT_MS deadline, and every decoded barrier and
 // final payload is checked against the rank's shard and device slice, so a
 // rank that dies, stalls, or sends a malformed payload raises
 // mec::RuntimeError naming the rank, the peer, the last completed barrier,
 // and the pending frame kind (or the offending field) — never a hang and
-// never a silently corrupted merge.
+// never a silently corrupted merge.  A frame that cannot be written or read
+// names its rank the same way.
 //
 // Determinism contract #8: ranks own ascending contiguous shard slices and
 // payloads merge in rank order, so any rank placement streams the exact
@@ -93,8 +97,8 @@ class FramedTransport final : public parallel::Transport {
   FramedTransport& operator=(const FramedTransport&) = delete;
 
   std::size_t ranks() const override { return peers_.size(); }
-  std::span<const parallel::ShardBarrierView> advance(
-      const parallel::BarrierRequest& request) override;
+  void start(const parallel::BarrierRequest& request) override;
+  std::span<const parallel::ShardBarrierView> collect() override;
   double total_q() const override { return total_q_; }
   double total_q2() const override { return total_q2_; }
   void broadcast_thresholds(std::span<const double> values) override;
@@ -118,14 +122,24 @@ class FramedTransport final : public parallel::Transport {
     /// Frame kind currently awaited from this peer (0 = none); named in
     /// the crash/stall diagnostic.
     std::uint32_t pending = 0;
+    parallel::wire::FrameReader reader;
   };
 
+  /// Writes one frame; a failed write goes through fail_peer with `phase`.
   void send_frame(Peer& peer, std::uint32_t kind,
-                  std::span<const std::uint8_t> payload);
-  /// Deadline-bounded read that unwraps kFrameError and rejects any kind
-  /// other than `expected` via fail_peer.
-  parallel::wire::DecodedFrame read_frame(Peer& peer, const std::string& phase,
-                                          std::uint32_t expected);
+                  std::span<const std::uint8_t> payload,
+                  const std::string& phase);
+  void send_all(std::uint32_t kind, std::span<const std::uint8_t> payload,
+                const std::string& phase);
+  /// Reads one frame of kind `expected` from each of the peers [first,
+  /// last), polling them all under one MEC_TRANSPORT_TIMEOUT_MS deadline,
+  /// and calls on_frame(peer, frame) as each completes.  A closed channel,
+  /// an unreadable frame, a worker error frame, any other kind, or silence
+  /// at the deadline (the lowest silent rank is named) goes through
+  /// fail_peer.
+  template <class OnFrame>
+  void receive(std::size_t first, std::size_t last, std::uint32_t expected,
+               const std::string& phase, OnFrame on_frame);
   /// Rejects a decoded barrier payload that does not match the rank's
   /// slice, the run's cluster count, or the request's flags.
   void check_barrier(Peer& peer, const parallel::BarrierRequest& request,
@@ -133,12 +147,15 @@ class FramedTransport final : public parallel::Transport {
   /// Throws the diagnostic: "tcp transport worker rank N at host:port ..."
   /// or "process transport worker rank N (pid P, <how it ended>) ...",
   /// reaping a local rank's child first.  `phase` is where the run stood:
-  /// "during start-up", "before the barrier at t=T" or "at run end".
+  /// "during start-up", "before the barrier at t=T", "before the next
+  /// barrier" (a threshold broadcast) or "at run end".
   [[noreturn]] void fail_peer(Peer& peer, const std::string& phase,
                               const std::string& what);
 
   Config config_;
   std::vector<Peer> peers_;
+  parallel::BarrierRequest request_;  ///< the started barrier
+  std::string phase_;                 ///< its place in fail_peer messages
   std::vector<parallel::ShardBarrierView> views_;
   std::vector<parallel::DeviceTotals> totals_;
   double total_q_ = 0.0;

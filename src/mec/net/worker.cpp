@@ -65,8 +65,9 @@ void serve_barriers(Runner& runner, std::size_t rank, int fd) {
       case pwire::kFrameAdvance: {
         const parallel::BarrierRequest req =
             pwire::decode_barrier_request(frame.payload);
+        runner.start(req);
         const std::span<const parallel::ShardBarrierView> views =
-            runner.advance(req);
+            runner.collect();
         ++barriers;
         if (static_cast<long>(rank) == crash_rank && barriers == crash_barrier)
           ::_exit(17);

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "mec/common/error.hpp"
 #include "mec/obs/run_log.hpp"
@@ -429,14 +430,55 @@ void write_frame(int fd, std::uint32_t kind,
   write_all(fd, frame.data(), frame.size());
 }
 
+bool FrameReader::read_some(int fd) {
+  const bool in_header = header_have_ < sizeof header_;
+  const ssize_t r =
+      in_header
+          ? ::read(fd, header_ + header_have_, sizeof header_ - header_have_)
+          : ::read(fd, body_.data() + body_have_, body_.size() - body_have_);
+  if (r < 0) {
+    if (errno == EINTR) return false;
+    throw RuntimeError(std::string("transport read failed: ") +
+                       std::strerror(errno));
+  }
+  if (r == 0)
+    throw PeerError(PeerError::Kind::kClosed,
+                    "transport peer closed the channel");
+  if (in_header) {
+    header_have_ += static_cast<std::size_t>(r);
+    if (header_have_ == sizeof header_) {
+      const auto len = load_le<std::uint32_t>(header_ + 4);
+      if (len > kMaxTransportPayload)
+        throw RuntimeError("transport frame length exceeds the size cap");
+      body_.resize(static_cast<std::size_t>(len) + 4);
+    }
+    return false;
+  }
+  body_have_ += static_cast<std::size_t>(r);
+  if (body_have_ < body_.size()) return false;
+  const std::size_t len = body_.size() - 4;
+  if (load_le<std::uint32_t>(body_.data() + len) !=
+      obs::crc32({body_.data(), len}))
+    throw RuntimeError("transport frame CRC mismatch");
+  return true;
+}
+
+DecodedFrame FrameReader::take() {
+  DecodedFrame frame;
+  frame.kind = load_le<std::uint32_t>(header_);
+  body_.resize(body_.size() - 4);  // drop the CRC; the payload keeps the buffer
+  frame.payload = std::move(body_);
+  body_.clear();
+  header_have_ = 0;
+  body_have_ = 0;
+  return frame;
+}
+
 DecodedFrame read_frame_deadline(int fd, long timeout_ms) {
   const bool bounded = timeout_ms >= 0;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(bounded ? timeout_ms : 0);
-  std::uint8_t header[8];
-  std::size_t have = 0;
-  std::vector<std::uint8_t> body;  // payload + crc once the header is in
-  std::size_t body_have = 0;
+  FrameReader reader;
   for (;;) {
     const auto now = std::chrono::steady_clock::now();
     if (bounded && now >= deadline)
@@ -456,48 +498,9 @@ DecodedFrame read_frame_deadline(int fd, long timeout_ms) {
       throw RuntimeError(std::string("transport poll failed: ") +
                          std::strerror(errno));
     }
-    if (ready == 0) continue;  // deadline check at loop head
-    if (have < sizeof header) {
-      const ssize_t r = ::read(fd, header + have, sizeof header - have);
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        throw RuntimeError(std::string("transport read failed: ") +
-                           std::strerror(errno));
-      }
-      if (r == 0)
-        throw PeerError(PeerError::Kind::kClosed,
-                        "transport peer closed the channel");
-      have += static_cast<std::size_t>(r);
-      if (have == sizeof header) {
-        const auto len = load_le<std::uint32_t>(header + 4);
-        if (len > kMaxTransportPayload)
-          throw RuntimeError("transport frame length exceeds the size cap");
-        body.resize(static_cast<std::size_t>(len) + 4);
-      }
-      continue;
-    }
-    const ssize_t r =
-        ::read(fd, body.data() + body_have, body.size() - body_have);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      throw RuntimeError(std::string("transport read failed: ") +
-                         std::strerror(errno));
-    }
-    if (r == 0)
-      throw PeerError(PeerError::Kind::kClosed,
-                      "transport peer closed the channel");
-    body_have += static_cast<std::size_t>(r);
-    if (body_have == body.size()) break;
+    // A timed-out poll returns to the deadline check at the loop head.
+    if (ready > 0 && reader.read_some(fd)) return reader.take();
   }
-  const std::size_t len = body.size() - 4;
-  const auto crc = load_le<std::uint32_t>(body.data() + len);
-  body.resize(len);  // drop the CRC; the payload keeps the buffer
-  DecodedFrame frame;
-  frame.kind = load_le<std::uint32_t>(header);
-  frame.payload = std::move(body);
-  if (crc != obs::crc32(frame.payload))
-    throw RuntimeError("transport frame CRC mismatch");
-  return frame;
 }
 
 }  // namespace wire

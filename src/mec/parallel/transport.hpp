@@ -21,6 +21,17 @@
 //                           rank serves the same LegRunner over its fd
 //                           (net/worker.cpp).
 //
+// A barrier step is split in two: start(request) sends every rank on its
+// next leg and returns at once, collect() waits for the leg and returns the
+// merged views.  Exactly one leg is outstanding at a time, so the calls
+// alternate start, collect, start, collect.  The views (and total_q /
+// total_q2) stay valid until the next collect(), so the coordinator can
+// start leg b+1 and still read barrier b's views while that leg runs.  A
+// framed collect() reads every rank's payload as it arrives, under one
+// MEC_TRANSPORT_TIMEOUT_MS deadline for the whole barrier; the in-process
+// LegRunner only records the request in start() and runs the legs in
+// collect(), so there the split changes nothing.
+//
 // Determinism contract (docs/ARCHITECTURE.md #8): everything in a barrier
 // payload is either an order-invariant merge (integer counters, latency
 // sketches, integer-valued queue sums) or is replayed serially in global
@@ -59,7 +70,7 @@ struct BarrierRequest {
 /// One shard's barrier-time state as the coordinator consumes it.  Over a
 /// framed transport the spans/pointers reference the rank payload decoded
 /// for the current barrier; either way they are valid until the next
-/// advance().
+/// collect().
 struct ShardBarrierView {
   std::uint32_t shard = 0;  ///< global shard index
   /// This leg's offloads, in time order.
@@ -101,7 +112,9 @@ struct DeviceTotals {
 /// in-process rank has no wire to meter).  Feed the kRank*/kTransport*
 /// counters in the stream log.
 struct RankStats {
-  double barrier_wait_seconds = 0.0;  ///< wait for the last barrier payload
+  /// The last collect()'s wait for this rank's payload, from its start
+  /// until the payload was complete.
+  double barrier_wait_seconds = 0.0;
   std::uint64_t payload_bytes = 0;    ///< cumulative payload bytes received
   std::uint64_t frames_sent = 0;      ///< coordinator -> rank
   std::uint64_t frames_received = 0;  ///< rank -> coordinator
@@ -114,19 +127,23 @@ class Transport {
 
   virtual std::size_t ranks() const = 0;
 
-  /// Runs one barrier step on every rank and returns the merged views in
-  /// global shard order.  Valid until the next advance().
-  virtual std::span<const ShardBarrierView> advance(
-      const BarrierRequest& request) = 0;
+  /// Sends every rank on the leg to `request.limit`.  Called only when no
+  /// leg is outstanding; the previous collect()'s views stay valid.
+  virtual void start(const BarrierRequest& request) = 0;
 
-  /// Queue sums of the last want_q advance, rank partials combined in rank
-  /// order (exact: the summands are integer-valued).
+  /// Waits for the outstanding leg and returns the merged views in global
+  /// shard order.  Valid until the next collect().
+  virtual std::span<const ShardBarrierView> collect() = 0;
+
+  /// Queue sums of the last want_q collect(), rank partials combined in
+  /// rank order (exact: the summands are integer-valued).
   virtual double total_q() const = 0;
   virtual double total_q2() const = 0;
 
   /// Hands the post-epoch threshold array to every rank before its next
-  /// leg (framed ranks decide on copies; the in-process rank reads the
-  /// array itself, so the call is a no-op there).
+  /// leg, so it is called only when no leg is outstanding (framed ranks
+  /// decide on copies; the in-process rank reads the array itself, so the
+  /// call is a no-op there).
   virtual void broadcast_thresholds(std::span<const double> values) = 0;
 
   /// Run end: resets measurements of never-flipped shards (when the run's
@@ -265,14 +282,34 @@ class PeerError final : public std::runtime_error {
 void write_frame(int fd, std::uint32_t kind,
                  std::span<const std::uint8_t> payload);
 
-/// Reads one complete frame from `fd` within `timeout_ms` — the one
-/// poll-deadline reader every framed endpoint uses.  Partial reads are
-/// resumed across polls; the deadline covers the whole frame, not each
+/// The one frame parser of every framed endpoint: reads one frame from a
+/// stream fd in steps — the 8-byte header, then the payload and its CRC —
+/// so a caller polling several fds feeds each reader whenever its fd is
+/// ready.  The size cap is checked once the header is in, the CRC once the
+/// body is.
+class FrameReader {
+ public:
+  /// Issues one read() for bytes the frame still lacks and returns true
+  /// once the frame is complete and checked (an interrupted read makes no
+  /// progress).  Throws PeerError(kClosed) on EOF and mec::RuntimeError on
+  /// a read error, an oversized length or a CRC mismatch.
+  bool read_some(int fd);
+  /// Moves the completed frame out and readies the reader for the next.
+  DecodedFrame take();
+
+ private:
+  std::uint8_t header_[8] = {};
+  std::size_t header_have_ = 0;
+  std::vector<std::uint8_t> body_;  ///< payload + CRC, once the header is in
+  std::size_t body_have_ = 0;
+};
+
+/// Reads one complete frame from `fd` within `timeout_ms` by driving a
+/// FrameReader from poll().  The deadline covers the whole frame, not each
 /// chunk.  A negative `timeout_ms` waits without a deadline (a worker's
 /// barrier loop: the coordinator may spend arbitrarily long between
-/// barriers).  Throws PeerError (kClosed on EOF, kTimeout on deadline) and
-/// mec::RuntimeError on CRC mismatch, an oversized length, or a poll/read
-/// error.
+/// barriers).  Throws what FrameReader throws, PeerError(kTimeout) at the
+/// deadline, and mec::RuntimeError on a poll error.
 DecodedFrame read_frame_deadline(int fd, long timeout_ms);
 
 }  // namespace wire

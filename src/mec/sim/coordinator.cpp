@@ -69,11 +69,19 @@ struct ViewFold {
 using Views = std::span<const parallel::ShardBarrierView>;
 
 /// The barrier-serial half of one run.  run() walks the observation grid:
-/// at each instant the transport advances every rank to the barrier, and
-/// the stages consume the barrier's views in a fixed order — replay(), then
-/// sample() at sample instants and epoch() at epoch instants.  The final
-/// barrier closes the run through replay() and finish().  Members hold the
-/// state that lives across barriers; everything else is a stage's input.
+/// at each instant the transport collects every rank's leg to the barrier,
+/// and the stages consume the barrier's views in a fixed order — replay(),
+/// then sample() at sample instants and epoch() at epoch instants.  The
+/// final barrier closes the run through replay() and finish().  Members
+/// hold the state that lives across barriers; everything else is a stage's
+/// input.
+///
+/// run() looks one grid instant ahead.  A rank's leg reads nothing the
+/// stages write except the thresholds, which change only at epochs, so at a
+/// barrier with no epoch the next leg starts before replay() and sample(),
+/// and the ranks run it while the coordinator works.  At an epoch barrier
+/// the next leg starts after epoch()'s threshold broadcast.  Either way
+/// every rank receives the same frames in the same order.
 class Coordinator {
  public:
   Coordinator(const CoordinatorContext& cc, parallel::Transport& transport)
@@ -96,28 +104,49 @@ class Coordinator {
   SimulationResult run() {
     ObservationGrid grid(options_.sample_interval, options_.epoch_period,
                          cc_.t_end);
-    for (GridInstant g; grid.next(g);) {
-      parallel::BarrierRequest req;
-      req.limit = g.time;
-      req.want_q = g.sample;
-      req.want_q2 = req.want_sketches = g.sample && stream_ != nullptr;
-      req.want_queue_stats =
-          g.sample && stream_ != nullptr && stream_->counters_enabled();
-      const Views views = transport_.advance(req);
+    GridInstant next;
+    bool more = grid.next(next);
+    // The leg to `next`, or the final leg once the grid is done.
+    const auto start_next = [&] {
+      transport_.start(request(more ? &next : nullptr));
+    };
+    start_next();
+    while (more) {
+      const GridInstant g = next;
+      const Views views = transport_.collect();
+      more = grid.next(next);
+      if (!g.epoch) start_next();
       replay(views);
       if (g.sample) sample(g.time, views);
-      if (g.epoch) epoch(g.time);
+      if (g.epoch) {
+        epoch(g.time);
+        start_next();
+      }
     }
-    parallel::BarrierRequest final_req;
-    final_req.limit = cc_.t_end;
-    final_req.inclusive = true;
-    final_req.want_sketches = true;  // run-end percentile merges in finish()
-    const Views final_views = transport_.advance(final_req);
+    const Views final_views = transport_.collect();
     replay(final_views);
     return finish(final_views);
   }
 
  private:
+  /// The leg to grid instant `g`, or the final inclusive leg to t_end
+  /// when `g` is null.
+  parallel::BarrierRequest request(const GridInstant* g) const {
+    parallel::BarrierRequest req;
+    if (g == nullptr) {
+      req.limit = cc_.t_end;
+      req.inclusive = true;
+      req.want_sketches = true;  // run-end percentile merges in finish()
+      return req;
+    }
+    req.limit = g->time;
+    req.want_q = g->sample;
+    req.want_q2 = req.want_sketches = g->sample && stream_ != nullptr;
+    req.want_queue_stats =
+        g->sample && stream_ != nullptr && stream_->counters_enabled();
+    return req;
+  }
+
   ViewFold fold_views(Views views, bool sketches) const {
     ViewFold f;
     f.cluster_offloads.assign(cc_.n_clusters, 0);
@@ -138,8 +167,8 @@ class Coordinator {
   }
 
   /// Feeds the legs' offload logs — fully drained, they cover exactly the
-  /// records before the current barrier — through the replay.  Ranks free
-  /// their logs at the start of the next advance.
+  /// records before the current barrier — through the replay.  The logs
+  /// stay valid until the next collect().
   void replay(Views views) {
     if (has_fixed_gamma_) return;
     log_spans_.clear();

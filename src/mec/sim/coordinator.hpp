@@ -1,12 +1,15 @@
 // Barrier-serial coordinator: the half of the engine that is the same for
 // every transport and every decision provider.
 //
-// The coordinator walks the run's observation grid, asking the transport to
-// advance every rank to each barrier, then performs the work that must be
-// serial and global, in four stages: replay (the GammaReplay over the
-// merged offload logs), sample (the timeline point and stream window),
-// epoch (the callbacks, and the threshold check and broadcast that follow
-// them), and finish (the result assembly over per-device totals).  It
+// The coordinator walks the run's observation grid, starting every rank's
+// leg to each barrier and collecting it through the transport, then
+// performs the work that must be serial and global, in four stages:
+// replay (the GammaReplay over the merged offload logs), sample (the
+// timeline point and stream window), epoch (the callbacks, and the
+// threshold check and broadcast that follow them), and finish (the result
+// assembly over per-device totals).  At a barrier with no epoch the next
+// leg is started before replay and sample run, so ranks work while the
+// coordinator does (see Coordinator::run in coordinator.cpp).  It
 // never touches a DeviceState or an event queue directly — everything it
 // knows about rank state arrives through ShardBarrierView and DeviceTotals
 // — which is exactly what lets the same function drive the in-process rank

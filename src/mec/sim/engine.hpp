@@ -15,11 +15,13 @@
 // and serial *barrier work*, where the coordinator replays the merged
 // offload log, records samples, and fires epoch callbacks (the closed
 // loop retunes thresholds only here, so shard legs always see a frozen
-// policy).  run_sharded only assembles the pieces: it splits the RNG
-// streams, resolves the fault plan, picks the transport — the in-process
-// rank over the shared workspace, or framed ranks (forked or remote
-// `mec worker`s) fed population frames — and hands the rank fleet to
-// coordinator_run.  Results are bit-identical for every shard count and
+// policy).  Framed ranks already run the next leg during a sample-only
+// barrier's work, which writes nothing a leg reads; an epoch barrier's
+// work ends before the next leg starts.  run_sharded only assembles the
+// pieces: it splits the RNG streams, resolves the fault plan, picks the
+// transport — the in-process rank over the shared workspace, or framed
+// ranks (forked or remote `mec worker`s) fed population frames — and
+// hands the rank fleet to coordinator_run.  Results are bit-identical for every shard count and
 // every transport — including K = 1 in-process, which is the only serial
 // path; there is no separate monolithic engine left to diverge from.  The
 // golden-trace suite pins this equivalence against the pre-shard engine's

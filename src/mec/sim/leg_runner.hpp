@@ -375,10 +375,15 @@ class LegRunner final : public parallel::Transport {
 
   std::size_t ranks() const override { return 1; }
 
-  /// Advances every owned shard to the request's limit and returns the
-  /// rebuilt barrier views (and, per the request flags, the queue sums).
-  std::span<const parallel::ShardBarrierView> advance(
-      const parallel::BarrierRequest& req) override {
+  /// Records the leg; collect() runs it, so the previous barrier's views,
+  /// which point into the shards' logs, stay valid until then.
+  void start(const parallel::BarrierRequest& req) override { request_ = req; }
+
+  /// Advances every owned shard to the started request's limit and returns
+  /// the rebuilt barrier views (and, per the request flags, the queue
+  /// sums).
+  std::span<const parallel::ShardBarrierView> collect() override {
+    const parallel::BarrierRequest& req = request_;
     // The previous leg's offload log was consumed (or serialized) at the
     // last barrier; freeing it here keeps the in-process views zero-copy.
     for (std::size_t s = shard_lo_; s < shard_hi_; ++s)
@@ -500,6 +505,7 @@ class LegRunner final : public parallel::Transport {
   parallel::ThreadPool* pool_;
   std::unique_ptr<parallel::ThreadPool> owned_pool_;
   std::vector<double>* mirror_;
+  parallel::BarrierRequest request_;  ///< the started leg
   std::vector<parallel::ShardBarrierView> views_;
   std::vector<double> leg_seconds_;
   double total_q_ = 0.0;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "mec/common/error.hpp"
+#include "mec/obs/stream.hpp"
 #include "mec/sim/engine.hpp"
 
 namespace mec::sim {
@@ -75,6 +76,19 @@ MecSimulation::MecSimulation(std::span<const core::UserParams> users,
   check_option(o.epoch_period == 0.0 || o.on_epoch || o.on_cluster_epoch, kRun,
                "epoch_period", o.epoch_period,
                "0 without an on_epoch or on_cluster_epoch callback");
+  // Each cadence is walked one grid instant at a time (`next += interval`),
+  // and a sampled run keeps one TimelinePoint per instant: 2^20 instants
+  // bound both, and keep the cadence far above the ulp of the running time.
+  const double t_end = o.warmup + o.horizon;
+  const double min_cadence = t_end * 0x1p-20;
+  const std::string cadence_range =
+      "0 or a value >= " + obs::meta_double(min_cadence) +
+      " (at most 2^20 grid instants in warmup + horizon = " +
+      obs::meta_double(t_end) + ")";
+  check_option(o.sample_interval == 0.0 || o.sample_interval >= min_cadence,
+               kRun, "sample_interval", o.sample_interval, cadence_range);
+  check_option(o.epoch_period == 0.0 || o.epoch_period >= min_cadence, kRun,
+               "epoch_period", o.epoch_period, cadence_range);
   check_option(
       o.transport != TransportKind::kTcp || !o.worker_addresses.empty(), kRun,
       "worker_addresses", "empty", "one host:port per rank with transport=tcp");
@@ -109,8 +123,8 @@ MecSimulation::MecSimulation(std::span<const core::UserParams> users,
 void check_driver_options(const SimulationOptions& options,
                           double update_period, std::string_view driver,
                           bool steers_on_gamma) {
-  check_option(update_period > 0.0, driver, "update_period", update_period,
-               "a value > 0");
+  check_option(std::isfinite(update_period) && update_period > 0.0, driver,
+               "update_period", update_period, "a finite value > 0");
   check_option(options.epoch_period == 0.0, driver, "epoch_period",
                options.epoch_period, "0 (the driver sets it to update_period)");
   check_option(!options.on_epoch, driver, "on_epoch", "set",

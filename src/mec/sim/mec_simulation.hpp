@@ -111,7 +111,9 @@ struct SimulationOptions {
   double utilization_ewma_tau = 10.0;
   double initial_gamma = 0.0;
   /// When > 0, the run records a TimelinePoint every `sample_interval`
-  /// simulated seconds (from time 0 through warm-up and measurement).
+  /// simulated seconds (from time 0 through warm-up and measurement).  A
+  /// cadence (this or epoch_period) is 0 or at least (warmup + horizon) /
+  /// 2^20, so a run has at most 2^20 grid instants.
   double sample_interval = 0.0;
   /// When > 0 and on_epoch is set, the engine invokes on_epoch(now, gamma)
   /// every `epoch_period` simulated seconds, where gamma is the engine's
@@ -199,8 +201,8 @@ struct SimulationOptions {
 /// Checks the fields a controller driver (run_closed_loop, run_price_based,
 /// run_minority_game) cannot take from its caller, throwing
 /// ContractViolation that names `driver` and the field: update_period must
-/// be > 0, and epoch_period, on_epoch and on_cluster_epoch must be unset,
-/// because the driver sets them.  A driver that steers on measured
+/// be finite and > 0, and epoch_period, on_epoch and on_cluster_epoch must
+/// be unset, because the driver sets them.  A driver that steers on measured
 /// utilization (`steers_on_gamma`) also refuses fixed_gamma: under a pinned
 /// gamma its callback would get the pinned value instead of a measurement.
 void check_driver_options(const SimulationOptions& options,

@@ -136,6 +136,10 @@ TEST(ClosedLoop, RejectsBadOptions) {
   const BadOption bad[] = {
       {"run_closed_loop", "update_period", "0",
        [](ClosedLoopOptions& o) { o.update_period = 0.0; }},
+      {"run_closed_loop", "update_period", "inf",
+       [](ClosedLoopOptions& o) {
+         o.update_period = std::numeric_limits<double>::infinity();
+       }},
       {"run_closed_loop", "horizon", "1",  // below the update period
        [](ClosedLoopOptions& o) { o.horizon = 1.0; }},
       {"run_closed_loop", "eta0", "1.5",

@@ -16,6 +16,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -180,6 +181,10 @@ TEST(ClusterPolicyDrivers, RejectBadOptionsByName) {
   const BadPrice bad_price[] = {
       {"update_period", "0",
        [](sim::PriceBasedOptions& o) { o.update_period = 0.0; }},
+      {"update_period", "inf",
+       [](sim::PriceBasedOptions& o) {
+         o.update_period = std::numeric_limits<double>::infinity();
+       }},
       {"gamma_target", "2",
        [](sim::PriceBasedOptions& o) { o.gamma_target = 2.0; }},
       {"gamma_target", "0",
@@ -221,6 +226,10 @@ TEST(ClusterPolicyDrivers, RejectBadOptionsByName) {
   const BadMinority bad_minority[] = {
       {"run_minority_game", "update_period", "-1",
        [](sim::MinorityGameRunOptions& o) { o.update_period = -1.0; }},
+      {"run_minority_game", "update_period", "inf",
+       [](sim::MinorityGameRunOptions& o) {
+         o.update_period = std::numeric_limits<double>::infinity();
+       }},
       {"run_minority_game", "thresholds.size()", "3",
        [](sim::MinorityGameRunOptions& o) { o.thresholds.resize(3); }},
       {"run_minority_game", "epoch_period", "2",

@@ -558,6 +558,14 @@ TEST(Des, RejectsInvalidConfiguration) {
          o.epoch_period = kInf;
          o.on_epoch = [](double, double) {};
        }},
+      // A cadence giving more than 2^20 grid instants.
+      {"sample_interval", "1e-300",
+       [](SimulationOptions& o) { o.sample_interval = 1e-300; }},
+      {"epoch_period", "1e-300",
+       [](SimulationOptions& o) {
+         o.epoch_period = 1e-300;
+         o.on_epoch = [](double, double) {};
+       }},
   };
   for (const BadOption& b : bad) {
     SCOPED_TRACE(b.field);
@@ -591,6 +599,33 @@ TEST(Des, RejectsInvalidConfiguration) {
               std::string::npos)
         << what;
   }
+}
+
+TEST(Des, BoundsTheObservationGridAt2To20Instants) {
+  // The refusal names the smallest cadence accepted, (warmup + horizon) /
+  // 2^20, and that cadence itself is accepted for either grid.
+  const auto users = homogeneous(5, 1.0, 2.0);
+  SimulationOptions o;
+  o.warmup = 2.0;
+  o.horizon = 8.0;
+  o.sample_interval = 9e-6;
+  try {
+    MecSimulation(users, 10.0, core::make_reciprocal_delay(), o);
+    ADD_FAILURE() << "accepted a cadence of 9e-06 over 10 s";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("MecSimulation: sample_interval is 9e-06, expected 0 "
+                        "or a value >= 9.5367431640625e-06 (at most 2^20 grid "
+                        "instants in warmup + horizon = 10)"),
+              std::string::npos)
+        << what;
+  }
+  o.sample_interval = 10.0 / 1048576.0;
+  EXPECT_NO_THROW(MecSimulation(users, 10.0, core::make_reciprocal_delay(), o));
+  o.sample_interval = 0.0;
+  o.epoch_period = 10.0 / 1048576.0;
+  o.on_epoch = [](double, double) {};
+  EXPECT_NO_THROW(MecSimulation(users, 10.0, core::make_reciprocal_delay(), o));
 }
 
 }  // namespace

@@ -22,7 +22,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -1075,8 +1077,8 @@ TEST(NetAddress, WorkerListRejectsDuplicatesNamingBothRanks) {
 //
 // The run below has 10 devices in 2 shards, 2 clusters and 2 ranks: rank r
 // owns shard r and devices [5r, 5r+5).  A scripted rank is the far end of a
-// socketpair with every reply written up front — hello ack, ready, one
-// barrier payload, final totals — so no thread is needed (the frames are
+// socketpair with every reply written up front — hello ack, ready, its
+// barrier payloads, final totals — so no thread is needed (the frames are
 // tiny, and the coordinator's own frames sit unread in the socket buffer).
 
 /// What one scripted rank sends; well-formed by default for rank `rank`.
@@ -1100,12 +1102,18 @@ struct RankScript {
   bool q = true;
   std::uint32_t final_lo;
   std::uint32_t final_hi;
+  /// Barrier payloads written after ready; payload b answers the barrier
+  /// at t = b + 1 with log times, events and queue sums shifted by b.  With
+  /// 0 the rank sends nothing after ready, not even its final totals.
+  std::size_t barriers = 1;
+  /// Close the far end after the barriers, before the finalize exchange.
+  bool hang_up = false;
 };
 
-/// The request the scripted barrier answers: sums and sketches, no stats.
-parallel::BarrierRequest scripted_request() {
+/// The request scripted barrier `b` answers: sums and sketches, no stats.
+parallel::BarrierRequest scripted_request(std::size_t b) {
   parallel::BarrierRequest req;
-  req.limit = 1.0;
+  req.limit = 1.0 + static_cast<double>(b);
   req.want_q = true;
   req.want_sketches = true;
   return req;
@@ -1126,29 +1134,36 @@ net::RankLink scripted_rank(std::uint32_t rank, const RankScript& script,
 
   stats::LatencySketch sketch;
   sketch.add(0.25);
-  std::vector<parallel::ShardBarrierView> views(script.shards);
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    parallel::ShardBarrierView& v = views[i];
-    v.shard = script.shard + static_cast<std::uint32_t>(i);
-    v.log = script.log;
-    v.events = 7;
-    v.cluster_offloads = script.cluster_offloads;
-    if (script.sketches) {
-      v.local_sojourns = &sketch;
-      v.offload_delays = &sketch;
+  for (std::size_t b = 0; b < script.barriers; ++b) {
+    const auto shift = static_cast<double>(b);
+    std::vector<sim::OffloadRecord> log = script.log;
+    for (sim::OffloadRecord& rec : log) rec.time += shift;
+    std::vector<parallel::ShardBarrierView> views(script.shards);
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      parallel::ShardBarrierView& v = views[i];
+      v.shard = script.shard + static_cast<std::uint32_t>(i);
+      v.log = log;
+      v.events = 7 + b;
+      v.cluster_offloads = script.cluster_offloads;
+      if (script.sketches) {
+        v.local_sojourns = &sketch;
+        v.offload_delays = &sketch;
+      }
+      v.has_queue_stats = script.queue_stats;
     }
-    v.has_queue_stats = script.queue_stats;
+    pwire::write_frame(fds[1], pwire::kFrameBarrier,
+                       pwire::encode_barrier_payload(views, script.q,
+                                                     2.0 + shift, 4.0 + shift));
   }
-  pwire::write_frame(fds[1], pwire::kFrameBarrier,
-                     pwire::encode_barrier_payload(views, script.q, 2.0, 4.0));
-
-  std::vector<parallel::DeviceTotals> totals(script.final_hi -
-                                             script.final_lo);
-  for (std::uint32_t d = script.final_lo; d < script.final_hi; ++d)
-    totals[d - script.final_lo].arrivals = 100 + d;
-  pwire::write_frame(
-      fds[1], pwire::kFrameFinal,
-      pwire::encode_device_totals(script.final_lo, script.final_hi, totals));
+  if (script.barriers > 0) {
+    std::vector<parallel::DeviceTotals> totals(script.final_hi -
+                                               script.final_lo);
+    for (std::uint32_t d = script.final_lo; d < script.final_hi; ++d)
+      totals[d - script.final_lo].arrivals = 100 + d;
+    pwire::write_frame(
+        fds[1], pwire::kFrameFinal,
+        pwire::encode_device_totals(script.final_lo, script.final_hi, totals));
+  }
 
   net::RankLink link;
   link.fd = net::ScopedFd(fds[0]);
@@ -1156,13 +1171,16 @@ net::RankLink scripted_rank(std::uint32_t rank, const RankScript& script,
   return link;
 }
 
-/// Drives one barrier and the finalize exchange against two scripted ranks;
-/// returns the error, or "" when the coordinator accepted everything (then
-/// device d's arrivals must read 100 + d).
-std::string run_scripted(const RankScript& rank1) {
+/// Drives the scripts' barriers — start, collect, start, collect, … — and
+/// the finalize exchange against two scripted ranks; returns the error, or
+/// "" when the coordinator accepted everything (then each barrier's views
+/// and sums match the scripts, a barrier's views survive the next start(),
+/// and device d's arrivals read 100 + d).
+std::string run_scripted(const RankScript& rank1,
+                         const RankScript& rank0 = RankScript(0)) {
   net::ScopedFd far0, far1;
   std::vector<net::RankLink> links;
-  links.push_back(scripted_rank(0, RankScript(0), far0));
+  links.push_back(scripted_rank(0, rank0, far0));
   links.push_back(scripted_rank(1, rank1, far1));
   net::FramedTransport::Config cfg;
   cfg.shard_count = 2;
@@ -1170,14 +1188,27 @@ std::string run_scripted(const RankScript& rank1) {
   cfg.n_clusters = 2;
   const std::vector<std::vector<std::uint8_t>> populations(2);
   const std::vector<double> thresholds(10, 1.0);
+  const std::size_t barriers = std::max(rank0.barriers, rank1.barriers);
   try {
     net::FramedTransport transport(cfg, std::move(links), populations,
                                    thresholds);
-    const auto views = transport.advance(scripted_request());
-    EXPECT_EQ(views.size(), 2u);
-    for (std::size_t i = 0; i < views.size(); ++i)
-      EXPECT_EQ(views[i].shard, i);
-    EXPECT_EQ(transport.total_q(), 4.0);
+    transport.start(scripted_request(0));
+    for (std::size_t b = 0; b < barriers; ++b) {
+      const auto views = transport.collect();
+      if (b + 1 < barriers) transport.start(scripted_request(b + 1));
+      EXPECT_EQ(views.size(), 2u);
+      for (std::size_t i = 0; i < views.size(); ++i) {
+        EXPECT_EQ(views[i].shard, i);
+        EXPECT_EQ(views[i].events, 7 + b);
+        EXPECT_EQ(views[i].log.size(), 1u);
+        if (views[i].log.size() == 1) {
+          EXPECT_EQ(views[i].log[0].time, 0.5 + static_cast<double>(b));
+        }
+      }
+      EXPECT_EQ(transport.total_q(), 4.0 + 2.0 * static_cast<double>(b));
+      EXPECT_EQ(transport.total_q2(), 8.0 + 2.0 * static_cast<double>(b));
+    }
+    if (rank1.hang_up) far1.reset();
     transport.finalize(false);
     for (std::uint32_t d = 0; d < 10; ++d)
       EXPECT_EQ(transport.device_totals(d).arrivals, 100u + d) << d;
@@ -1189,6 +1220,33 @@ std::string run_scripted(const RankScript& rank1) {
 
 TEST(FramedTransportValidation, WellFormedScriptedRanksAreAccepted) {
   EXPECT_EQ(run_scripted(RankScript(1)), "");
+}
+
+TEST(FramedTransportValidation, OverlappedBarriersKeepEachBarriersViews) {
+  // Barrier 2 is started before barrier 1's views are read, as the
+  // coordinator does at a barrier with no epoch.
+  RankScript rank0(0), rank1(1);
+  rank0.barriers = rank1.barriers = 2;
+  EXPECT_EQ(run_scripted(rank1, rank0), "");
+}
+
+TEST(FramedTransportValidation, MalformedPayloadIsRefusedWhileSiblingIsSilent) {
+  // Payloads are read as they arrive: rank 1's refusal cannot wait on rank
+  // 0, which never answers, for the whole deadline.
+  const ScopedEnv timeout("MEC_TRANSPORT_TIMEOUT_MS", "60000");
+  RankScript rank0(0), rank1(1);
+  rank0.barriers = 0;
+  rank1.shard = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string what = run_scripted(rank1, rank0);
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_NE(what.find("worker rank 1 at scripted peer 1 sent a barrier "
+                      "payload with shards[0].shard = 0, expected 1"),
+            std::string::npos)
+      << what;
+  EXPECT_LT(waited, 10.0) << what;
 }
 
 TEST(FramedTransportValidation, EveryMalformedPayloadIsRefusedByName) {
@@ -1236,6 +1294,11 @@ TEST(FramedTransportValidation, EveryMalformedPayloadIsRefusedByName) {
       // devices at zero.
       {[](RankScript& s) { s.final_lo = 0, s.final_hi = 5; },
        "final totals with devices = [0, 5), expected [5, 10)", run_end},
+      // A send fails when the rank's end is gone.
+      {[](RankScript& s) { s.hang_up = true; },
+       "could not be sent the finalize request (kind 0x12) frame "
+       "(transport write failed: ",
+       run_end},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.field);
