@@ -153,7 +153,8 @@ BENCHMARK(BM_DesStreamedThroughput)
 // 1.5e5 pending each bucket window holds ~13,000 nodes, against ~150 under
 // exp1.  16 pending stays below the queue's minimum tuned size (a plain
 // side heap), 256 and 4,096 run a small tuned ring, and 1.5e5 is the
-// suite's size.
+// suite's size.  `bytes_per_pending` is the queue's heap footprint
+// (EventQueue::storage_bytes) after the timed holds over the pending count.
 void BM_EventQueueHold(benchmark::State& state, bool rate_spread) {
   const auto pending = static_cast<std::uint32_t>(state.range(0));
   random::Xoshiro256 rng(2024);
@@ -177,6 +178,8 @@ void BM_EventQueueHold(benchmark::State& state, bool rate_spread) {
   for (std::uint32_t h = 0; h < 4 * pending; ++h) hold();  // settle
   for (auto _ : state) benchmark::DoNotOptimize(hold());
   state.SetItemsProcessed(state.iterations());
+  state.counters["bytes_per_pending"] =
+      static_cast<double>(queue.storage_bytes()) / pending;
 }
 BENCHMARK_CAPTURE(BM_EventQueueHold, exp1, false)
     ->Arg(16)

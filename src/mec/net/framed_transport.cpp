@@ -81,6 +81,17 @@ std::vector<RankLink> connect_workers(std::span<const Address> workers) {
   return links;
 }
 
+template <class Decode>
+auto FramedTransport::decode_from(Peer& peer, const std::string& phase,
+                                  const char* what, Decode decode) {
+  try {
+    return decode();
+  } catch (const RuntimeError& e) {
+    fail_peer(peer, phase,
+              std::string("sent ") + what + " (" + e.what() + ")");
+  }
+}
+
 template <class OnFrame>
 void FramedTransport::receive(std::size_t first, std::size_t last,
                               std::uint32_t expected, const std::string& phase,
@@ -130,9 +141,13 @@ void FramedTransport::receive(std::size_t first, std::size_t last,
       ++peer.stats.frames_received;
       peer.stats.payload_bytes += frame.payload.size();
       if (frame.kind == pwire::kFrameError) {
-        obs::wire::ByteReader r(frame.payload);
-        const std::uint32_t n = r.get_u32();
-        fail_peer(peer, phase, "failed: " + r.get_string(n));
+        const std::string message =
+            decode_from(peer, phase, "a malformed error frame", [&] {
+              obs::wire::ByteReader r(frame.payload);
+              const std::uint32_t n = r.get_u32();
+              return r.get_string(n);
+            });
+        fail_peer(peer, phase, "failed: " + message);
       }
       if (frame.kind != expected)
         fail_peer(peer, phase,
@@ -177,7 +192,10 @@ FramedTransport::FramedTransport(
     send_frame(peer, pwire::kFrameHello, wire::encode_hello(hello), startup);
     receive(r, r + 1, pwire::kFrameHelloAck, startup,
             [&](Peer&, const pwire::DecodedFrame& frame) {
-              const wire::HelloAck ack = wire::decode_hello_ack(frame.payload);
+              const wire::HelloAck ack =
+                  decode_from(peer, startup, "a malformed hello ack", [&] {
+                    return wire::decode_hello_ack(frame.payload);
+                  });
               if (ack.revision != wire::kSchemaRevision)
                 fail_peer(peer, startup,
                           "answered revision " + std::to_string(ack.revision) +
@@ -195,8 +213,10 @@ FramedTransport::FramedTransport(
   }
   receive(0, ranks, pwire::kFrameReady, startup,
           [&](Peer& peer, const pwire::DecodedFrame& frame) {
-            obs::wire::ByteReader reader(frame.payload);
-            const std::uint32_t echoed = reader.get_u32();
+            const std::uint32_t echoed =
+                decode_from(peer, startup, "a malformed ready frame", [&] {
+                  return obs::wire::ByteReader(frame.payload).get_u32();
+                });
             if (echoed != static_cast<std::size_t>(&peer - peers_.data()))
               fail_peer(peer, startup,
                         "reported ready as rank " + std::to_string(echoed));
@@ -322,13 +342,10 @@ std::span<const parallel::ShardBarrierView> FramedTransport::collect() {
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
-            try {
-              peer.data = pwire::decode_barrier_payload(frame.payload);
-            } catch (const RuntimeError& e) {
-              fail_peer(peer, phase_,
-                        std::string("sent a malformed barrier payload (") +
-                            e.what() + ")");
-            }
+            peer.data =
+                decode_from(peer, phase_, "a malformed barrier payload", [&] {
+                  return pwire::decode_barrier_payload(frame.payload);
+                });
             check_barrier(peer, request_, phase_);
             ++peer.barriers_done;
             peer.last_barrier_time = request_.limit;
@@ -360,14 +377,10 @@ void FramedTransport::finalize(bool flipped) {
   totals_.assign(config_.n_devices, parallel::DeviceTotals{});
   receive(0, peers_.size(), pwire::kFrameFinal, phase,
           [&](Peer& peer, const pwire::DecodedFrame& frame) {
-            pwire::FinalTotals fin;
-            try {
-              fin = pwire::decode_device_totals(frame.payload);
-            } catch (const RuntimeError& e) {
-              fail_peer(peer, phase,
-                        std::string("sent malformed final totals (") +
-                            e.what() + ")");
-            }
+            const pwire::FinalTotals fin =
+                decode_from(peer, phase, "malformed final totals", [&] {
+                  return pwire::decode_device_totals(frame.payload);
+                });
             // A rank ships exactly its own slice: anything else would
             // overwrite a sibling's totals and leave its own devices at
             // zero.

@@ -144,6 +144,11 @@ class FramedTransport final : public parallel::Transport {
   /// slice, the run's cluster count, or the request's flags.
   void check_barrier(Peer& peer, const parallel::BarrierRequest& request,
                      const std::string& phase);
+  /// Returns decode(); a RuntimeError from it (a malformed payload) goes
+  /// through fail_peer as "sent <what> (<reason>)".
+  template <class Decode>
+  auto decode_from(Peer& peer, const std::string& phase, const char* what,
+                   Decode decode);
   /// Throws the diagnostic: "tcp transport worker rank N at host:port ..."
   /// or "process transport worker rank N (pid P, <how it ended>) ...",
   /// reaping a local rank's child first.  `phase` is where the run stood:

@@ -84,13 +84,13 @@ std::vector<std::uint8_t> encode_hello_ack(const HelloAck& ack) {
 HelloAck decode_hello_ack(std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
   if (r.get_u32() != kHelloMagic)
-    throw RuntimeError("tcp hello ack magic mismatch — the peer is not a "
+    throw RuntimeError("hello ack magic mismatch — the peer is not a "
                        "mec transport endpoint");
   HelloAck ack;
   ack.revision = r.get_u32();
   ack.rank = r.get_u32();
   if (!r.exhausted())
-    throw RuntimeError("tcp hello ack payload has trailing bytes");
+    throw RuntimeError("hello ack payload has trailing bytes");
   return ack;
 }
 

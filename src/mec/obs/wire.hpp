@@ -139,7 +139,7 @@ class ByteReader {
 
   void need(std::size_t n) const {
     if (n > remaining())
-      throw RuntimeError("run-log payload underflow while decoding");
+      throw RuntimeError("payload underflow while decoding");
   }
 
   std::span<const std::uint8_t> bytes_;

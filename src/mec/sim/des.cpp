@@ -42,8 +42,13 @@ void EventQueue::clear() noexcept {
   side_.clear();
   window_.clear();
   window_pos_ = 0;
-  if (ring_count_ > 0)
-    for (std::vector<Node>& b : buckets_) b.clear();
+  if (ring_count_ > 0) {
+    // Every block goes back to the free list, block 0 on top; the list's
+    // capacity covers the pool, so this does not allocate.
+    for (Bucket& b : buckets_) b.count = 0;
+    free_blocks_.resize(blocks_.size());
+    std::iota(free_blocks_.rbegin(), free_blocks_.rend(), 0u);
+  }
   ring_count_ = 0;
   overflow_.clear();
   overflow_min_bucket_ = ~std::uint64_t{0};
@@ -126,6 +131,46 @@ std::uint64_t EventQueue::bucket_of(double t) const noexcept {
                     : static_cast<std::uint64_t>(9.0e18);
 }
 
+void EventQueue::bucket_push(Bucket& b, const Node& nd) {
+  const std::uint32_t slot = b.count % kBlockNodes;
+  if (slot == 0) {
+    std::uint32_t blk;
+    if (!free_blocks_.empty()) {
+      blk = free_blocks_.back();
+      free_blocks_.pop_back();
+    } else {
+      MEC_ASSERT(blocks_.size() < 0xFFFFFFFFu);
+      blk = static_cast<std::uint32_t>(blocks_.size());
+      blocks_.emplace_back();
+      next_block_.push_back(0);
+      free_blocks_.reserve(blocks_.capacity());
+    }
+    if (b.count == 0)
+      b.head = blk;
+    else
+      next_block_[b.tail] = blk;
+    b.tail = blk;
+  }
+  blocks_[b.tail].nodes[slot] = nd;
+  ++b.count;
+  ++ring_count_;
+}
+
+void EventQueue::bucket_drain(Bucket& b, std::vector<Node>& out) {
+  std::uint32_t blk = b.head;
+  for (std::uint32_t left = b.count;;) {
+    const std::uint32_t take = std::min(left, kBlockNodes);
+    const Node* const nodes = blocks_[blk].nodes;
+    out.insert(out.end(), nodes, nodes + take);
+    free_blocks_.push_back(blk);
+    left -= take;
+    if (left == 0) break;
+    blk = next_block_[blk];
+  }
+  ring_count_ -= b.count;
+  b.count = 0;
+}
+
 void EventQueue::gather_all() {
   scratch_.clear();
   scratch_.reserve(size_);
@@ -135,12 +180,8 @@ void EventQueue::gather_all() {
                   window_.end());
   window_.clear();
   window_pos_ = 0;
-  if (ring_count_ > 0)
-    for (std::vector<Node>& b : buckets_) {
-      scratch_.insert(scratch_.end(), b.begin(), b.end());
-      b.clear();
-    }
-  ring_count_ = 0;
+  for (std::size_t i = 0; ring_count_ > 0; ++i)
+    if (buckets_[i].count > 0) bucket_drain(buckets_[i], scratch_);
   scratch_.insert(scratch_.end(), overflow_.begin(), overflow_.end());
   overflow_.clear();
   overflow_min_bucket_ = ~std::uint64_t{0};
@@ -199,8 +240,7 @@ void EventQueue::retune() {
   for (const Node& nd : scratch_) {
     const std::uint64_t idx = bucket_of(nd.time);
     if (idx - base_ < nb) {
-      buckets_[idx & bucket_mask_].push_back(nd);
-      ++ring_count_;
+      bucket_push(buckets_[idx & bucket_mask_], nd);
     } else {
       overflow_.push_back(nd);
       overflow_min_bucket_ = std::min(overflow_min_bucket_, idx);
@@ -218,8 +258,7 @@ void EventQueue::migrate_overflow() {
   for (const Node& nd : overflow_) {
     const std::uint64_t idx = bucket_of(nd.time);
     if (idx < limit) {
-      buckets_[idx & bucket_mask_].push_back(nd);
-      ++ring_count_;
+      bucket_push(buckets_[idx & bucket_mask_], nd);
     } else {
       overflow_[keep++] = nd;
       new_min = std::min(new_min, idx);
@@ -242,16 +281,15 @@ void EventQueue::advance() {
     // Before consuming bucket base_, pull in any overflow nodes that belong
     // to it (their bucket index has entered the ring's reach).
     if (overflow_min_bucket_ <= base_) migrate_overflow();
-    std::vector<Node>& b = buckets_[base_ & bucket_mask_];
+    Bucket& b = buckets_[base_ & bucket_mask_];
     ++base_;
-    if (!b.empty()) {
-      // Swap the bucket in (capacities circulate between the ring, the
-      // window and scratch_, so steady state stays allocation-free) and
-      // order it once; consumption is then a pointer bump per pop.
-      ring_count_ -= b.size();
-      window_.swap(b);
-      b.clear();
+    if (b.count > 0) {
+      // Copy the bucket out (its blocks return to the free list still in
+      // cache, for the pushes that follow) and order it once; consumption
+      // is then a pointer bump per pop.
+      window_.clear();
       window_pos_ = 0;
+      bucket_drain(b, window_);
       order_window();
       return;
     }
@@ -311,8 +349,7 @@ void EventQueue::push(double time, EventKind kind, std::uint32_t device) {
   if (idx < base_) {
     side_push(nd);  // inside the current window, or the queue is untuned
   } else if (idx - base_ < buckets_.size()) {
-    buckets_[idx & bucket_mask_].push_back(nd);
-    ++ring_count_;
+    bucket_push(buckets_[idx & bucket_mask_], nd);
     if (side_.empty() && window_pos_ >= window_.size()) advance();
   } else {
     overflow_.push_back(nd);
@@ -329,8 +366,7 @@ double EventQueue::next_time() const {
 
 std::uint32_t EventQueue::next_device() const {
   MEC_EXPECTS(size_ > 0);
-  return static_cast<std::uint32_t>((front().key >> kKindBits) &
-                                    ((1u << kDeviceBits) - 1));
+  return device_of(front());
 }
 
 Event EventQueue::pop() {
@@ -349,9 +385,7 @@ Event EventQueue::pop() {
     retune();
   else if (side_.empty() && window_pos_ >= window_.size() && size_ > 0)
     advance();
-  return Event{top.time, top.key >> kSeqShift,
-               static_cast<std::uint32_t>((top.key >> kKindBits) &
-                                          ((1u << kDeviceBits) - 1)),
+  return Event{top.time, top.key >> kSeqShift, device_of(top),
                static_cast<EventKind>(top.key & ((1u << kKindBits) - 1))};
 }
 

@@ -10,15 +10,18 @@
 // becomes a serial chain of cache misses per pop.  Events are binned O(1)
 // into fixed-width time buckets over 16-byte nodes (seq/device/kind packed
 // into one word with seq in the high bits, so the FIFO tie-break is a
-// single integer compare).  When a bucket's window arrives it is ordered
-// once by a linear-time distribution pass (each node's in-bucket fraction
-// picks one of n sub-ranges, and only nodes sharing a sub-range are
-// compared) and consumed by a pointer bump, so a pop costs O(1) amortized
-// however many events a bucket holds.  An event scheduled *inside* the
-// current window (delay shorter than one bucket width) goes to a side heap,
-// an implicit 4-ary min-heap, that pop() consults with one predictable
-// compare.  Events beyond the bucket ring's horizon wait in an overflow tier
-// until the ring reaches them.
+// single integer compare).  A bucket is a chain of fixed 16-node blocks
+// drawn from one pool with a LIFO free list, so a push appends to the
+// bucket's tail block.  When a bucket's window arrives its nodes are copied
+// out, its blocks go back to the free list while still in cache, and the
+// window is ordered once by a linear-time distribution pass (each node's
+// in-bucket fraction picks one of n sub-ranges, and only nodes sharing a
+// sub-range are compared) and consumed by a pointer bump, so a pop costs
+// O(1) amortized however many events a bucket holds.  An event scheduled
+// *inside* the current window (delay shorter than one bucket width) goes to
+// a side heap, an implicit 4-ary min-heap, that pop() consults with one
+// predictable compare.  Events beyond the bucket ring's horizon wait in an
+// overflow tier until the ring reaches them.
 //
 // Bucket width self-tunes from the mean residual event time and re-tunes
 // when the population grows or shrinks by 4x; under the paper's
@@ -32,9 +35,11 @@
 // Buckets partition time and each window is totally ordered by the sorted
 // bucket + side heap, so the pop sequence is identical to a single global
 // heap — the golden-trace equivalence tests assert this bit-for-bit.
-// `reserve()` pre-sizes the side heap an untuned queue lives in; a tuned
-// ring reaches its steady footprint after one revolution and is kept
-// across `clear()` for workspace reuse.
+// `reserve()` pre-sizes the side heap an untuned queue lives in.  The ring
+// holds at most one block per non-empty bucket plus one per 16 pending
+// nodes, so its storage follows the pending count, not the largest window
+// each bucket ever held; the block pool and the window buffers are kept across
+// `clear()` for workspace reuse (storage_bytes() reports the total).
 #pragma once
 
 #include <cstddef>
@@ -88,6 +93,16 @@ class EventQueue {
   /// Requires non-empty queue.
   std::uint32_t next_device() const;
 
+  /// Device of the node `k` places past the sorted window's cursor, or
+  /// kMaxDevices when the window holds fewer: a prefetch hint for the event
+  /// loop, which is not the k-th next pop when the side heap holds earlier
+  /// events.
+  std::uint32_t window_device_ahead(std::size_t k) const noexcept {
+    const std::size_t i = window_pos_ + k;
+    return i < window_.size() ? device_of(window_[i])
+                              : static_cast<std::uint32_t>(kMaxDevices);
+  }
+
   /// Removes and returns the next event. Requires non-empty queue.
   Event pop();
 
@@ -114,6 +129,20 @@ class EventQueue {
   /// since the last clear().  Telemetry (obs::Counter::kShardCalendarRetunes).
   std::uint64_t calendar_retunes() const noexcept { return retunes_; }
 
+  /// Heap bytes the queue holds across every tier, its block pool and its
+  /// ordering buffers (capacities, not contents); kept across clear().
+  /// Read by the footprint tests and the hold benchmark.
+  std::size_t storage_bytes() const noexcept {
+    return (side_.capacity() + window_.capacity() + overflow_.capacity() +
+            scratch_.capacity()) *
+               sizeof(Node) +
+           blocks_.capacity() * sizeof(Block) +
+           buckets_.capacity() * sizeof(Bucket) +
+           (next_block_.capacity() + free_blocks_.capacity() +
+            sub_.capacity() + counts_.capacity()) *
+               sizeof(std::uint32_t);
+  }
+
  private:
   /// 16-byte node; `key` holds (seq << 22) | (device << 2) | kind.  seq is
   /// unique per event and occupies the high bits, so comparing keys compares
@@ -133,6 +162,29 @@ class EventQueue {
     return a.key < b.key;
   }
 
+  static std::uint32_t device_of(const Node& nd) noexcept {
+    return static_cast<std::uint32_t>((nd.key >> kKindBits) &
+                                      ((1u << kDeviceBits) - 1));
+  }
+
+  /// Ring storage unit: kBlockNodes nodes, four cache lines.  Kept against
+  /// 8 and 32 on the hold model, where 32 fell behind at 4,096 pending
+  /// (EXPERIMENTS.md, "An O(pending) calendar ring").
+  static constexpr std::uint32_t kBlockNodes = 16;
+  struct alignas(64) Block {
+    Node nodes[kBlockNodes];
+  };
+  static_assert(sizeof(Block) == 256);
+
+  /// A bucket's nodes are the first `count` slots of its block chain
+  /// head -> ... -> tail (links in next_block_); head and tail are stale
+  /// while count is 0.
+  struct Bucket {
+    std::uint32_t head = 0;
+    std::uint32_t tail = 0;
+    std::uint32_t count = 0;
+  };
+
   // --- side heap (implicit 4-ary min-heap over side_) ---
   void side_push(const Node& nd);
   void side_sift_down(std::size_t i, const Node& nd);
@@ -145,6 +197,12 @@ class EventQueue {
 
   // --- bucket ring ---
   std::uint64_t bucket_of(double t) const noexcept;
+  /// Appends a node to the bucket's tail block, taking a fresh block from
+  /// the free list (or growing the pool) when the tail is full.
+  void bucket_push(Bucket& b, const Node& nd);
+  /// Appends the bucket's nodes to `out` in chain order, returns its blocks
+  /// to the free list and empties it.  Requires b.count > 0.
+  void bucket_drain(Bucket& b, std::vector<Node>& out);
   /// Re-tunes width and ring for the current size, or leaves the queue
   /// untuned, and re-files every stored node.
   void retune();
@@ -158,9 +216,14 @@ class EventQueue {
   std::vector<Node> window_;  ///< current bucket, sorted ascending
   std::size_t window_pos_ = 0;  ///< next unconsumed node in window_
 
-  std::vector<std::vector<Node>> buckets_;  ///< ring of unsorted bins
-  std::size_t bucket_mask_ = 0;             ///< buckets_.size() - 1 (pow2)
-  std::size_t ring_count_ = 0;              ///< nodes currently in the ring
+  std::vector<Bucket> buckets_;  ///< ring of unsorted bins
+  std::size_t bucket_mask_ = 0;  ///< buckets_.size() - 1 (pow2)
+  std::size_t ring_count_ = 0;   ///< nodes currently in the ring
+  std::vector<Block> blocks_;    ///< block pool shared by every bucket
+  std::vector<std::uint32_t> next_block_;   ///< chain link per pool block
+  /// LIFO free list of pool blocks; its capacity covers the whole pool, so
+  /// returning blocks never allocates.
+  std::vector<std::uint32_t> free_blocks_;
   std::vector<Node> overflow_;              ///< beyond the ring horizon
   std::uint64_t overflow_min_bucket_ = ~std::uint64_t{0};
   double width_ = 0.0;      ///< bucket width (simulated seconds); 0 untuned

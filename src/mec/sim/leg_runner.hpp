@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -109,6 +110,24 @@ inline void count_delivery(parallel::ShardContext& sc, double delivery,
   if (delivery >= warmup) sc.delivery_flip = true;
 }
 
+/// How many pops ahead, in the sorted window, run_leg prefetches an event's
+/// device state: far enough for the loads to land before the pop, near
+/// enough that they are not evicted first.  Chosen against 2 and 8 on the
+/// suite (EXPERIMENTS.md, "An O(pending) calendar ring").
+inline constexpr std::size_t kPrefetchAhead = 4;
+
+/// Starts loading everything an event of `device` touches: its two
+/// DeviceState lines, its RNG, its UserParams and its decision value.
+template <class Decide>
+void prefetch_device(const LegContext<Decide>& lc, std::uint32_t device) {
+  const char* dev_lines = reinterpret_cast<const char*>(&lc.devices[device]);
+  MEC_PREFETCH(dev_lines);
+  MEC_PREFETCH(dev_lines + 64);
+  MEC_PREFETCH(&lc.rngs[device]);
+  MEC_PREFETCH(&lc.users[device]);
+  lc.decide->prefetch(device);
+}
+
 /// One shard leg: drains the shard's queue up to `limit` (exclusive at
 /// barriers, inclusive for the final leg to t_end).  This is the hot loop,
 /// instantiated per decision provider so the arrival decision inlines, and
@@ -134,20 +153,17 @@ void run_leg(parallel::ShardContext& sc, const LegContext<Decide>& lc,
     }
     const Event e = queue.pop();
     if (!queue.empty()) {
-      // The next pending event is (usually) the next one processed; start
-      // pulling the state it will touch while this event is handled.  A
-      // pending kFault's `device` is a view index, so it must not index
-      // the device arrays (prefetching a wrong-but-valid slot is harmless;
-      // forming an out-of-range pointer is not).
+      // Start pulling the state of the next pending event, which is
+      // (usually) the next one processed, and of the event kPrefetchAhead
+      // places further on in the sorted window, while this event is
+      // handled.  A pending kFault's `device` is a view index, so it must
+      // not index the device arrays (prefetching a wrong-but-valid slot is
+      // harmless; forming an out-of-range pointer is not); the window
+      // reports kMaxDevices when it holds too few nodes.
       const std::uint32_t upcoming = queue.next_device();
-      if (!WithFaults || upcoming < lc.n_devices) {
-        const char* dev_lines =
-            reinterpret_cast<const char*>(&lc.devices[upcoming]);
-        MEC_PREFETCH(dev_lines);
-        MEC_PREFETCH(dev_lines + 64);
-        MEC_PREFETCH(&lc.rngs[upcoming]);
-        MEC_PREFETCH(&lc.users[upcoming]);
-      }
+      if (!WithFaults || upcoming < lc.n_devices) prefetch_device(lc, upcoming);
+      const std::uint32_t ahead = queue.window_device_ahead(kPrefetchAhead);
+      if (ahead < lc.n_devices) prefetch_device(lc, ahead);
     }
     const double now = e.time;
     if (!sc.measuring && now >= lc.warmup) {

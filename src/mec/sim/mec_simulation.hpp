@@ -213,9 +213,11 @@ void check_driver_options(const SimulationOptions& options,
 /// future-event list).  A default-constructed workspace is empty; the first
 /// run sizes it, and reusing it across runs of same-sized populations makes
 /// steady-state simulation allocation-free — the replication engine runs
-/// thousands of same-shape simulations.  Results are bit-identical whether
-/// or not a workspace is reused.  A workspace must not be shared between
-/// concurrent runs.
+/// thousands of same-shape simulations.  The event queues keep their block
+/// pools, which hold about one block per 16 pending events plus one per
+/// ring bucket, so a reused workspace stays near the pending count's
+/// footprint.  Results are bit-identical whether or not a workspace is
+/// reused.  A workspace must not be shared between concurrent runs.
 class SimWorkspace {
  public:
   SimWorkspace();

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "mec/common/prefetch.hpp"
 #include "mec/random/rng.hpp"
 
 namespace mec::sim {
@@ -39,6 +40,10 @@ inline bool tro_offload(double threshold, std::uint64_t queue_length,
 /// own copy.
 struct TroValueDecide {
   const double* thresholds;
+  /// Starts loading the value a later decision for `device` reads.
+  void prefetch(std::uint32_t device) const {
+    MEC_PREFETCH(thresholds + device);
+  }
   bool operator()(std::uint32_t device, std::uint64_t queue_length,
                   random::Xoshiro256& rng) const {
     return tro_offload(thresholds[device], queue_length, rng);
@@ -49,6 +54,7 @@ struct TroValueDecide {
 /// independently of the queue, one bernoulli(rho_n) per arrival.
 struct DpoValueDecide {
   const double* rhos;
+  void prefetch(std::uint32_t device) const { MEC_PREFETCH(rhos + device); }
   bool operator()(std::uint32_t device, std::uint64_t /*queue_length*/,
                   random::Xoshiro256& rng) const {
     return random::bernoulli(rng, rhos[device]);

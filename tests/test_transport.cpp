@@ -1108,6 +1108,12 @@ struct RankScript {
   std::size_t barriers = 1;
   /// Close the far end after the barriers, before the finalize exchange.
   bool hang_up = false;
+  /// Payloads sent in place of the well-formed hello ack and ready frame.
+  std::optional<std::vector<std::uint8_t>> hello_ack;
+  std::optional<std::vector<std::uint8_t>> ready;
+  /// An error frame sent ahead of the barrier payloads, as a failed rank
+  /// answers its advance request.
+  std::optional<std::vector<std::uint8_t>> error;
 };
 
 /// The request scripted barrier `b` answers: sums and sketches, no stats.
@@ -1126,11 +1132,15 @@ net::RankLink scripted_rank(std::uint32_t rank, const RankScript& script,
   far_end = net::ScopedFd(fds[1]);
   net::wire::HelloAck ack;
   ack.rank = rank;
-  pwire::write_frame(fds[1], pwire::kFrameHelloAck,
-                     net::wire::encode_hello_ack(ack));
+  pwire::write_frame(
+      fds[1], pwire::kFrameHelloAck,
+      script.hello_ack.value_or(net::wire::encode_hello_ack(ack)));
   obs::wire::ByteWriter ready(4);
   ready.put_u32(rank);
-  pwire::write_frame(fds[1], pwire::kFrameReady, ready.take());
+  pwire::write_frame(fds[1], pwire::kFrameReady,
+                     script.ready.value_or(ready.take()));
+  if (script.error)
+    pwire::write_frame(fds[1], pwire::kFrameError, *script.error);
 
   stats::LatencySketch sketch;
   sketch.add(0.25);
@@ -1260,6 +1270,7 @@ TEST(FramedTransportValidation, EveryMalformedPayloadIsRefusedByName) {
   const char* const barrier = "before the barrier at t=1; last completed "
                               "barrier #0 (t=0)";
   const char* const run_end = "at run end; last completed barrier #1 (t=1)";
+  const char* const startup = "during start-up; last completed barrier #0";
   const Case cases[] = {
       {[](RankScript& s) { s.shard = 0; }, "shards[0].shard = 0, expected 1",
        barrier},
@@ -1299,6 +1310,29 @@ TEST(FramedTransportValidation, EveryMalformedPayloadIsRefusedByName) {
        "could not be sent the finalize request (kind 0x12) frame "
        "(transport write failed: ",
        run_end},
+      // Handshake payloads and a rank's own error report are decoded under
+      // the same name and phase as a barrier payload.
+      {[](RankScript& s) { s.hello_ack = std::vector<std::uint8_t>{}; },
+       "sent a malformed hello ack (payload underflow while decoding)",
+       startup},
+      {[](RankScript& s) {
+         s.hello_ack = net::wire::encode_hello_ack({});
+         s.hello_ack->at(0) ^= 0xFF;
+       },
+       "sent a malformed hello ack (hello ack magic mismatch", startup},
+      {[](RankScript& s) { s.ready = std::vector<std::uint8_t>{}; },
+       "sent a malformed ready frame (payload underflow while decoding)",
+       startup},
+      {[](RankScript& s) {
+         obs::wire::ByteWriter w(8);
+         w.put_u32(40);  // declares 40 message bytes, sends 3
+         w.put_u8('b');
+         w.put_u8('a');
+         w.put_u8('d');
+         s.error = w.take();
+       },
+       "sent a malformed error frame (payload underflow while decoding)",
+       barrier},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.field);
