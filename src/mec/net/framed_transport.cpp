@@ -14,7 +14,7 @@
 
 #include "mec/common/error.hpp"
 #include "mec/net/protocol.hpp"
-#include "mec/obs/stream.hpp"
+#include "mec/obs/run_log.hpp"
 #include "mec/obs/wire.hpp"
 #include "mec/parallel/shard_executor.hpp"
 
@@ -338,10 +338,12 @@ std::span<const parallel::ShardBarrierView> FramedTransport::collect() {
   const auto t0 = std::chrono::steady_clock::now();
   receive(0, peers_.size(), pwire::kFrameBarrier, phase_,
           [&](Peer& peer, const pwire::DecodedFrame& frame) {
-            peer.stats.barrier_wait_seconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
+            const std::chrono::duration<double> wait =
+                std::chrono::steady_clock::now() - t0;
+            peer.wait_seconds += wait.count();
+            if (request_.want_queue_stats)
+              peer.stats.barrier_wait_seconds =
+                  std::exchange(peer.wait_seconds, 0.0);
             peer.data =
                 decode_from(peer, phase_, "a malformed barrier payload", [&] {
                   return pwire::decode_barrier_payload(frame.payload);

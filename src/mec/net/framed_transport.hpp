@@ -117,6 +117,9 @@ class FramedTransport final : public parallel::Transport {
     std::uint32_t device_hi = 0;
     parallel::wire::RankBarrierData data;
     parallel::RankStats stats;
+    /// Barrier wait since the last queue-stats request, latched into
+    /// stats.barrier_wait_seconds at the next one.
+    double wait_seconds = 0.0;
     std::uint64_t barriers_done = 0;
     double last_barrier_time = 0.0;
     /// Frame kind currently awaited from this peer (0 = none); named in

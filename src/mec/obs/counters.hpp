@@ -22,17 +22,25 @@ enum class Counter : std::uint16_t {
   kShardCalendarGear = 2,  ///< 1 while the queue's ring is tuned (per shard)
   kShardGearSwitches = 3,  ///< cumulative untuned<->tuned transitions (shard)
   kShardCalendarRetunes = 4,  ///< cumulative calendar resizes (per shard)
-  kShardLegSeconds = 5,    ///< wall seconds of the last inter-barrier leg
-  kBarrierWaitSeconds = 6, ///< max-min leg seconds across shards (global)
+  /// Wall seconds of the shard's legs since the previous counter frame
+  /// (every leg, epoch-only barriers included).
+  kShardLegSeconds = 5,
+  /// Max - min of shard_leg_seconds across shards, since the previous
+  /// counter frame (global).
+  kBarrierWaitSeconds = 6,
   kReplayRecords = 7,      ///< gamma-replay records merged this window (global)
   kReplayDeliveries = 8,   ///< cumulative edge deliveries replayed (global)
   kFaultEventsApplied = 9, ///< cumulative fault-schedule actions (global)
-  kEventsPerSecond = 10,   ///< events/s over the last leg, all shards (global)
+  /// Events since the previous counter frame over the slowest shard's
+  /// shard_leg_seconds, all shards (global).
+  kEventsPerSecond = 10,
   // Framed-transport diagnostics (per rank; emitted only when the run uses
   // transport=process or transport=tcp — an in-process run has no wire to
   // meter).  Frame counts include the startup exchange (hello, population,
   // initial thresholds out; hello ack, ready in).
-  kRankBarrierWaitSeconds = 11,  ///< coordinator wait for the rank's payload
+  /// Coordinator wait for the rank's barrier payloads since the previous
+  /// counter frame.
+  kRankBarrierWaitSeconds = 11,
   kRankPayloadBytes = 12,        ///< cumulative payload bytes shipped
   kTransportFramesSent = 13,     ///< frames coordinator -> rank (cumulative)
   kTransportFramesReceived = 14, ///< frames rank -> coordinator (cumulative)

@@ -387,67 +387,60 @@ ReadStatus RunLogReader::next(Frame& out) {
 
 // --- whole-file scan -------------------------------------------------------
 
-bool apply_frame(LogScan& scan, const Frame& frame, std::uint64_t index) {
-  try {
-    switch (frame.kind) {
-      case FrameKind::kMeta:
-        scan.meta = decode_meta(frame.payload);
-        break;
-      case FrameKind::kWindow:
-        scan.windows.push_back(decode_window(frame.payload));
-        break;
-      case FrameKind::kCounters:
-        scan.counters.push_back(decode_counters(frame.payload));
-        break;
-      case FrameKind::kFooter:
-        scan.footer = decode_footer(frame.payload);
-        break;
+ReadStatus scan_frames(RunLogReader& reader, LogScan& scan) {
+  Frame frame;
+  scan.truncated = false;
+  for (;;) {
+    const ReadStatus status = reader.next(frame);
+    if (status != ReadStatus::kFrame) {
+      scan.truncated = status == ReadStatus::kTruncated;
+      if (status == ReadStatus::kCorrupt) {
+        scan.corrupt = true;
+        scan.error =
+            "corrupt frame (bad header or CRC mismatch) at frame index " +
+            std::to_string(scan.frames);
+      }
+      return status;
     }
-  } catch (const RuntimeError& e) {
-    scan.corrupt = true;
-    scan.error = std::string(e.what()) + " (frame index " +
-                 std::to_string(index) + ")";
-    return false;
+    try {
+      switch (frame.kind) {
+        case FrameKind::kMeta:
+          scan.meta = decode_meta(frame.payload);
+          break;
+        case FrameKind::kWindow:
+          scan.windows.push_back(decode_window(frame.payload));
+          break;
+        case FrameKind::kCounters:
+          scan.counters.push_back(decode_counters(frame.payload));
+          break;
+        case FrameKind::kFooter:
+          scan.footer = decode_footer(frame.payload);
+          break;
+      }
+    } catch (const RuntimeError& e) {
+      scan.corrupt = true;
+      scan.error = std::string(e.what()) + " (frame index " +
+                   std::to_string(scan.frames) + ")";
+      return ReadStatus::kCorrupt;
+    }
+    ++scan.frames;
   }
-  return true;
 }
 
 LogScan scan_log(const std::string& path) {
   RunLogReader reader(path);
   LogScan scan;
-  Frame frame;
-  std::uint64_t index = 0;
-  for (;;) {
-    const ReadStatus status = reader.next(frame);
-    if (status == ReadStatus::kEndOfData) break;
-    if (status == ReadStatus::kTruncated) {
-      scan.truncated = true;
-      break;
-    }
-    if (status == ReadStatus::kCorrupt) {
-      scan.corrupt = true;
-      scan.error =
-          "corrupt frame (bad header or CRC mismatch) at frame index " +
-          std::to_string(index);
-      break;
-    }
-    if (!apply_frame(scan, frame, index)) break;
-    ++index;
-  }
+  scan_frames(reader, scan);
   return scan;
 }
 
-// --- CSV export ------------------------------------------------------------
-
-namespace {
-
-std::string f64_cell(double v) {
+std::string meta_double(double value) {
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
+  std::snprintf(buf, sizeof buf, "%.17g", value);
   return buf;
 }
 
-}  // namespace
+// --- CSV export ------------------------------------------------------------
 
 void export_windows_csv(const LogScan& scan, const std::string& csv_path,
                         const std::string& hist_path) {
@@ -469,22 +462,23 @@ void export_windows_csv(const LogScan& scan, const std::string& csv_path,
   out << '\n';
   for (std::size_t i = 0; i < scan.windows.size(); ++i) {
     const WindowRecord& w = scan.windows[i];
-    out << i << ',' << f64_cell(w.time) << ',' << f64_cell(w.gamma) << ','
-        << f64_cell(w.mean_queue_length) << ','
-        << f64_cell(w.queue_second_moment) << ','
-        << f64_cell(w.capacity_scale) << ',' << w.active_devices << ','
+    out << i << ',' << meta_double(w.time) << ',' << meta_double(w.gamma) << ','
+        << meta_double(w.mean_queue_length) << ','
+        << meta_double(w.queue_second_moment) << ','
+        << meta_double(w.capacity_scale) << ',' << w.active_devices << ','
         << w.offloads_so_far << ',' << w.offloads_delta << ','
         << w.events_so_far << ',' << w.events_delta << ',' << w.sojourn_count
-        << ',' << f64_cell(w.sojourn_min) << ',' << f64_cell(w.sojourn_max)
-        << ',' << f64_cell(w.sojourn_p50) << ',' << f64_cell(w.sojourn_p95)
-        << ',' << f64_cell(w.sojourn_p99) << ',' << w.offload_count << ','
-        << f64_cell(w.offload_min) << ',' << f64_cell(w.offload_max) << ','
-        << f64_cell(w.offload_p50) << ',' << f64_cell(w.offload_p95) << ','
-        << f64_cell(w.offload_p99) << ',' << w.tasks_lost << ','
-        << w.offloads_rejected << ',' << w.offloads_penalized << ','
-        << w.fault_events_applied;
+        << ',' << meta_double(w.sojourn_min) << ','
+        << meta_double(w.sojourn_max) << ',' << meta_double(w.sojourn_p50)
+        << ',' << meta_double(w.sojourn_p95) << ','
+        << meta_double(w.sojourn_p99) << ',' << w.offload_count << ','
+        << meta_double(w.offload_min) << ',' << meta_double(w.offload_max)
+        << ',' << meta_double(w.offload_p50) << ','
+        << meta_double(w.offload_p95) << ',' << meta_double(w.offload_p99)
+        << ',' << w.tasks_lost << ',' << w.offloads_rejected << ','
+        << w.offloads_penalized << ',' << w.fault_events_applied;
     for (std::size_t k = 0; k < clusters; ++k)
-      out << ',' << f64_cell(w.cluster_gamma[k]) << ','
+      out << ',' << meta_double(w.cluster_gamma[k]) << ','
           << w.cluster_offloads[k];
     out << '\n';
   }

@@ -205,27 +205,36 @@ class RunLogReader {
 
 // --- whole-file scan -------------------------------------------------------
 
-/// Everything a one-shot consumer (tests, `mec tail --check`, CSV export)
-/// needs from a log, with partial-file tolerance.
+/// Everything a consumer (tests, `mec tail`, CSV export) needs from a log,
+/// with partial-file tolerance.
 struct LogScan {
   RunLogMeta meta;
   std::vector<WindowRecord> windows;
   std::vector<std::vector<CounterValue>> counters;  ///< one entry per frame
   std::optional<RunFooter> footer;
-  bool truncated = false;  ///< a partial frame at the tail was skipped
-  bool corrupt = false;    ///< CRC mismatch / malformed frame encountered
-  std::string error;       ///< first corruption diagnostic
+  std::uint64_t frames = 0;  ///< frames decoded, meta and footer included
+  bool truncated = false;    ///< the last scan stopped at a partial frame
+  bool corrupt = false;      ///< CRC mismatch / malformed frame encountered
+  std::string error;         ///< first corruption diagnostic
 
   bool complete() const noexcept { return footer.has_value() && !corrupt; }
 };
 
-/// Decodes one frame into the scan.  On a malformed payload sets
-/// corrupt/error (tagging the diagnostic with `index`) and returns false.
-bool apply_frame(LogScan& scan, const Frame& frame, std::uint64_t index);
+/// Decodes every complete frame `reader` has not yet returned into `scan`
+/// and returns the status it stopped on.  kEndOfData and kTruncated leave
+/// the reader at a frame boundary, so a later call resumes there once the
+/// file has grown (`mec tail --follow`).  kCorrupt — a bad frame header, a
+/// CRC mismatch, or a payload that does not decode — sets corrupt and an
+/// error naming the frame's index; the scan is final after it.
+ReadStatus scan_frames(RunLogReader& reader, LogScan& scan);
 
 /// Scans the whole file; never throws past the header check (partial and
 /// corrupt tails are reported in the flags instead).
 LogScan scan_log(const std::string& path);
+
+/// Formats a double with full round-trip precision (17 significant
+/// digits): meta values, CSV cells and diagnostics.
+std::string meta_double(double value);
 
 /// Lossless CSV export of the window frames (doubles printed with 17
 /// significant digits, integers verbatim).  The threshold histogram goes to

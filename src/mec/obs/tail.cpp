@@ -185,29 +185,13 @@ int run_tail(const std::string& path, const TailOptions& options) {
 
     RunLogReader reader(path);
     LogScan scan;
-    Frame frame;
-    std::uint64_t index = 0;
     std::uint64_t updates = 0;
     for (;;) {
-      bool progressed = false;
-      for (;;) {
-        const ReadStatus status = reader.next(frame);
-        if (status == ReadStatus::kFrame) {
-          if (!apply_frame(scan, frame, index)) break;
-          ++index;
-          progressed = true;
-          continue;
-        }
-        if (status == ReadStatus::kCorrupt) {
-          scan.corrupt = true;
-          scan.error =
-              "corrupt frame (bad header or CRC mismatch) at frame index " +
-              std::to_string(index);
-        }
-        // kEndOfData / kTruncated: the tail may still be growing.
-        break;
-      }
-      if (progressed || updates == 0) {
+      // Each poll resumes where the last one stopped, at the end of what
+      // the writer had flushed.
+      const std::uint64_t seen = scan.frames;
+      scan_frames(reader, scan);
+      if (scan.frames != seen || updates == 0) {
         render(os, path, scan, options.ansi);
         ++updates;
       }

@@ -93,6 +93,8 @@ struct ShardBarrierView {
   double calendar_gear = 0.0;
   double gear_switches = 0.0;
   double calendar_retunes = 0.0;
+  /// Wall seconds of this shard's legs since the previous want_queue_stats
+  /// request, this one's included.
   double leg_seconds = 0.0;
 };
 
@@ -112,8 +114,10 @@ struct DeviceTotals {
 /// in-process rank has no wire to meter).  Feed the kRank*/kTransport*
 /// counters in the stream log.
 struct RankStats {
-  /// The last collect()'s wait for this rank's payload, from its start
-  /// until the payload was complete.
+  /// The coordinator's wait for this rank's barrier payloads, each from
+  /// collect()'s start until the payload was complete, summed over the
+  /// legs since the previous want_queue_stats request; latched by the
+  /// latest such request's collect().
   double barrier_wait_seconds = 0.0;
   std::uint64_t payload_bytes = 0;    ///< cumulative payload bytes received
   std::uint64_t frames_sent = 0;      ///< coordinator -> rank

@@ -1,8 +1,6 @@
 #include "mec/sim/coordinator.hpp"
 
 #include <algorithm>
-#include <array>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -10,7 +8,7 @@
 
 #include "mec/common/error.hpp"
 #include "mec/obs/counters.hpp"
-#include "mec/obs/stream.hpp"
+#include "mec/obs/run_log.hpp"
 #include "mec/sim/coupling.hpp"
 #include "mec/sim/observer.hpp"
 #include "mec/stats/latency_sketch.hpp"
@@ -52,6 +50,20 @@ obs::RunLogMeta make_stream_meta(const CoordinatorContext& cc) {
   return meta;
 }
 
+/// Snapshot of a cumulative sketch; all zeros while the sketch is empty
+/// (min()/max() of an empty sketch are sentinels, not data).
+void snapshot(const stats::LatencySketch& sketch, std::uint64_t& count,
+              double& min, double& max, double& p50, double& p95,
+              double& p99) {
+  count = sketch.count();
+  if (count == 0) return;
+  min = sketch.min();
+  max = sketch.max();
+  p50 = sketch.p50();
+  p95 = sketch.p95();
+  p99 = sketch.p99();
+}
+
 /// One barrier's views summed over shards, and their latency sketches
 /// merged into fresh ones when the views carry them.  Every sum and the
 /// log-binned merge are exact in any order, so the fold is K-invariant.
@@ -87,8 +99,7 @@ class Coordinator {
   Coordinator(const CoordinatorContext& cc, parallel::Transport& transport)
       : cc_(cc), transport_(transport) {
     if (!options_.stream_log.empty())
-      stream_ = std::make_unique<obs::StreamingSink>(
-          options_.stream_log, make_stream_meta(cc), options_.stream_counters);
+      log_.emplace(options_.stream_log, make_stream_meta(cc));
     if (has_fixed_gamma_) {
       fixed_cluster_gammas_.assign(cc.n_clusters, *options_.fixed_gamma);
     } else {
@@ -141,9 +152,8 @@ class Coordinator {
     }
     req.limit = g->time;
     req.want_q = g->sample;
-    req.want_q2 = req.want_sketches = g->sample && stream_ != nullptr;
-    req.want_queue_stats =
-        g->sample && stream_ != nullptr && stream_->counters_enabled();
+    req.want_q2 = req.want_sketches = g->sample && log_.has_value();
+    req.want_queue_stats = g->sample && counters_;
     return req;
   }
 
@@ -190,11 +200,12 @@ class Coordinator {
     return gamma_->cluster_gammas(t);
   }
 
-  /// The timeline point at `t` and, for a streamed run, its window frame.
+  /// The timeline point at `t` and, for a streamed run, its window frame
+  /// and counter frame.
   void sample(double t, Views views) {
     // Cumulative so far; the sketches equal what a single queue would have
     // accumulated.
-    const ViewFold fold = fold_views(views, stream_ != nullptr);
+    const ViewFold fold = fold_views(views, log_.has_value());
     walk_.advance_to(t, /*inclusive=*/false);
     TimelinePoint p;
     p.time = t;
@@ -211,30 +222,39 @@ class Coordinator {
         p.active_devices == 0 ? 0.0 : transport_.total_q() / active;
     p.offloads_so_far = fold.offloads_in_window;
     if (options_.record_timeline) timeline_.push_back(p);
-    if (stream_ == nullptr) return;
+    if (!log_) return;
 
-    stream_->on_sample(p);
-    obs::WindowExtras extras;
-    extras.queue_second_moment =
+    obs::WindowRecord w;
+    w.time = p.time;
+    w.gamma = p.utilization_estimate;
+    w.mean_queue_length = p.mean_queue_length;
+    w.queue_second_moment =
         p.active_devices == 0 ? 0.0 : transport_.total_q2() / active;
+    w.capacity_scale = p.capacity_scale;
+    w.active_devices = p.active_devices;
+    w.offloads_so_far = p.offloads_so_far;
+    w.offloads_delta = p.offloads_so_far - prev_offloads_;
+    prev_offloads_ = p.offloads_so_far;
     // Cumulative event total at this barrier: shard task-event pops and
     // fixed-gamma deliveries (order-invariant sum) + fault actions popped
     // (the walk's cursor) + replay deliveries (serial) — each term
     // K-invariant by construction.
-    std::uint64_t events_now = fold.events;
+    w.events_so_far = fold.events;
     if (cc_.with_faults) {
-      events_now += walk_.cursor;
-      extras.tasks_lost = fold.tasks_lost;
-      extras.offloads_rejected = fold.offloads_rejected;
-      extras.offloads_penalized = fold.offloads_penalized;
-      extras.fault_events_applied = walk_.cursor;
+      w.events_so_far += walk_.cursor;
+      w.tasks_lost = fold.tasks_lost;
+      w.offloads_rejected = fold.offloads_rejected;
+      w.offloads_penalized = fold.offloads_penalized;
+      w.fault_events_applied = walk_.cursor;
     }
-    if (!has_fixed_gamma_) events_now += gamma_->deliveries();
-    extras.events_so_far = events_now;
-    extras.sojourns = &fold.local_sojourns;
-    extras.offload_delays =
-        has_fixed_gamma_ ? &fold.offload_delays : &offload_delays_;
-    std::array<std::uint32_t, obs::kThresholdBins> thresh_hist{};
+    if (!has_fixed_gamma_) w.events_so_far += gamma_->deliveries();
+    w.events_delta = w.events_so_far - prev_events_;
+    prev_events_ = w.events_so_far;
+    snapshot(fold.local_sojourns, w.sojourn_count, w.sojourn_min,
+             w.sojourn_max, w.sojourn_p50, w.sojourn_p95, w.sojourn_p99);
+    snapshot(has_fixed_gamma_ ? fold.offload_delays : offload_delays_,
+             w.offload_count, w.offload_min, w.offload_max, w.offload_p50,
+             w.offload_p95, w.offload_p99);
     if (cc_.thresholds != nullptr) {
       for (std::uint32_t d = 0; d < cc_.n_devices; ++d) {
         const double th = cc_.thresholds[d];
@@ -242,17 +262,19 @@ class Coordinator {
             th >= static_cast<double>(obs::kThresholdBins - 1)
                 ? obs::kThresholdBins - 1
                 : static_cast<std::size_t>(th);
-        ++thresh_hist[bin];
+        ++w.threshold_histogram[bin];
       }
     }
-    extras.threshold_histogram = thresh_hist;
-    extras.cluster_gamma = cluster_gammas(t);
-    extras.cluster_offloads = fold.cluster_offloads;
-    stream_->commit_window(extras);
-    if (stream_->counters_enabled()) write_counters(views, events_now);
+    const std::span<const double> gammas = cluster_gammas(t);
+    w.cluster_gamma.assign(gammas.begin(), gammas.end());
+    w.cluster_offloads = fold.cluster_offloads;
+    log_->append_window(w);
+    if (counters_) write_counters(views, w.events_delta);
   }
 
-  void write_counters(Views views, std::uint64_t events_now) {
+  /// One counter frame; `events_delta` counts the events since the
+  /// previous one (one frame follows every window).
+  void write_counters(Views views, std::uint64_t events_delta) {
     counter_scratch_.clear();
     const auto add = [&](obs::Counter id, std::uint16_t shard, double value) {
       counter_scratch_.push_back(
@@ -283,10 +305,7 @@ class Coordinator {
       add(obs::Counter::kFaultEventsApplied, obs::kGlobalShard,
           static_cast<double>(walk_.cursor));
     add(obs::Counter::kEventsPerSecond, obs::kGlobalShard,
-        leg_max > 0.0
-            ? static_cast<double>(events_now - counter_prev_events_) / leg_max
-            : 0.0);
-    counter_prev_events_ = events_now;
+        leg_max > 0.0 ? static_cast<double>(events_delta) / leg_max : 0.0);
     if (transport_.metered()) {
       for (std::size_t r = 0; r < transport_.ranks(); ++r) {
         const parallel::RankStats rs = transport_.rank_stats(r);
@@ -301,7 +320,7 @@ class Coordinator {
             static_cast<double>(rs.frames_received));
       }
     }
-    stream_->append_counters(counter_scratch_);
+    log_->append_counters(counter_scratch_);
   }
 
   void epoch(double t) {
@@ -332,13 +351,17 @@ class Coordinator {
   const fault::FaultPlan& plan_ = *cc_.plan;
   const bool has_fixed_gamma_ = options_.fixed_gamma.has_value();
 
-  // Streaming telemetry (src/mec/obs/): a StreamingSink folds each sample
-  // instant into one window frame at the barrier.  Everything here runs at
-  // barrier cadence only — a run without a stream log takes none of these
-  // branches inside the legs themselves.
-  std::unique_ptr<obs::StreamingSink> stream_;
+  // Streaming telemetry (src/mec/obs/): sample() folds each sample
+  // instant into one window frame (and, with counters on, one counter
+  // frame) at the barrier.  Everything here runs at barrier cadence only —
+  // a run without a stream log takes none of these branches inside the
+  // legs themselves.
+  std::optional<obs::RunLogWriter> log_;
+  const bool counters_ =
+      !options_.stream_log.empty() && options_.stream_counters;
   std::vector<obs::CounterValue> counter_scratch_;
-  std::uint64_t counter_prev_events_ = 0;
+  std::uint64_t prev_offloads_ = 0;  ///< at the previous window
+  std::uint64_t prev_events_ = 0;    ///< at the previous window
 
   std::optional<GammaReplay> gamma_;  ///< tracked gamma only
   // Tracked-mode per-device offload-delay sums, accumulated by the replay.
@@ -493,14 +516,14 @@ SimulationResult Coordinator::finish(Views final_views) {
     fs.participating_devices = participating;
     result.faults = fs;
   }
-  if (stream_ != nullptr) {
+  if (log_) {
     obs::RunFooter footer;
-    footer.windows = stream_->windows();
+    footer.windows = log_->windows_written();
     footer.total_events = result.total_events;
     footer.measured_utilization = result.measured_utilization;
     footer.mean_cost = result.mean_cost;
     footer.horizon = result.horizon;
-    stream_->finish(footer);
+    log_->finish(footer);
   }
   return result;
 }

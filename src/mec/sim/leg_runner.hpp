@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "mec/common/error.hpp"
@@ -404,17 +405,15 @@ class LegRunner final : public parallel::Transport {
     // last barrier; freeing it here keeps the in-process views zero-copy.
     for (std::size_t s = shard_lo_; s < shard_hi_; ++s)
       shards_[s].log.clear();
+    // Every leg is timed; a queue-stats request reports (and restarts)
+    // each shard's total since the previous one, so a window's leg time
+    // covers its epoch-only legs too.
     const auto run_one = [&](std::size_t s) {
-      if (req.want_queue_stats) {
-        const auto t0 = std::chrono::steady_clock::now();
-        run_leg<WithFaults>(shards_[s], lc_, req.limit, req.inclusive);
-        leg_seconds_[s - shard_lo_] =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
-                .count();
-      } else {
-        run_leg<WithFaults>(shards_[s], lc_, req.limit, req.inclusive);
-      }
+      const auto t0 = std::chrono::steady_clock::now();
+      run_leg<WithFaults>(shards_[s], lc_, req.limit, req.inclusive);
+      const std::chrono::duration<double> leg =
+          std::chrono::steady_clock::now() - t0;
+      leg_seconds_[s - shard_lo_] += leg.count();
     };
     const std::size_t owned = shard_hi_ - shard_lo_;
     if (owned == 1) {
@@ -446,7 +445,7 @@ class LegRunner final : public parallel::Transport {
         v.calendar_gear = sc.queue.tuned() ? 1.0 : 0.0;
         v.gear_switches = static_cast<double>(sc.queue.tuned_transitions());
         v.calendar_retunes = static_cast<double>(sc.queue.calendar_retunes());
-        v.leg_seconds = leg_seconds_[s - shard_lo_];
+        v.leg_seconds = std::exchange(leg_seconds_[s - shard_lo_], 0.0);
       }
       views_.push_back(v);
     }
@@ -523,6 +522,8 @@ class LegRunner final : public parallel::Transport {
   std::vector<double>* mirror_;
   parallel::BarrierRequest request_;  ///< the started leg
   std::vector<parallel::ShardBarrierView> views_;
+  /// Per owned shard: wall seconds of its legs since the last queue-stats
+  /// request.
   std::vector<double> leg_seconds_;
   double total_q_ = 0.0;
   double total_q2_ = 0.0;

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "mec/common/error.hpp"
-#include "mec/obs/stream.hpp"
+#include "mec/obs/run_log.hpp"
 #include "mec/sim/engine.hpp"
 
 namespace mec::sim {

@@ -1,10 +1,10 @@
 // Observer layer: when measurements leave the engine.
 //
 // The coordinator samples a TimelinePoint at each scheduled grid instant,
-// keeps it in the result's timeline and, for a streamed run, hands it to
-// obs::StreamingSink.  The grid itself (ObservationGrid) is generated one
-// instant at a time from the sample/epoch cadences and doubles as the
-// sharded engine's barrier schedule: every grid instant is a
+// keeps it in the result's timeline and, for a streamed run, folds it into
+// the window frame of the run log.  The grid itself (ObservationGrid) is
+// generated one instant at a time from the sample/epoch cadences and
+// doubles as the sharded engine's barrier schedule: every grid instant is a
 // synchronization point where shard legs stop, the gamma replay catches
 // up, and observers read a globally consistent left-limit state.
 //

@@ -1,16 +1,19 @@
 // Streaming telemetry battery: .meclog round-trips, partial-file recovery,
-// CRC corruption detection, stream-vs-timeline equivalence, and the
-// cross-shard-count bitwise determinism contract (window frames byte-equal
-// for K in {1, 2, 4, 7}, pinned by a golden checksum).
+// CRC and payload corruption detection, stream-vs-timeline equivalence,
+// counter frames that cover every leg, and the cross-shard-count bitwise
+// determinism contract (window frames byte-equal for K in {1, 2, 4, 7},
+// pinned by a golden checksum).
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "mec/core/edge_delay.hpp"
 #include "mec/core/user.hpp"
 #include "mec/fault/fault_schedule.hpp"
+#include "mec/obs/counters.hpp"
 #include "mec/obs/run_log.hpp"
 #include "mec/obs/tail.hpp"
 #include "mec/population/population.hpp"
@@ -229,27 +233,26 @@ TEST(RunLogFormat, FollowSeesFramesAsTheFileGrows) {
     bytes.assign(std::istreambuf_iterator<char>(in),
                  std::istreambuf_iterator<char>());
   }
+  // Writes the finished log's bytes [from, to) to `path`.
+  const auto put = [&](std::size_t from, std::size_t to,
+                       std::ios::openmode mode) {
+    std::ofstream out(path, std::ios::binary | mode);
+    out.write(reinterpret_cast<const char*>(bytes.data() + from),
+              static_cast<std::streamsize>(to - from));
+  };
   // Start with the header + meta + one window, and a half-written frame.
   const std::size_t meta_frame = 8 + obs::encode_meta({{"k", "v"}}).size() + 4;
   const std::size_t window_frame = 8 + obs::window_payload_size(2) + 4;
   const std::size_t first_cut = 24 + meta_frame + window_frame + 20;
   ASSERT_LT(first_cut, bytes.size());
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(first_cut));
-  }
+  put(0, first_cut, std::ios::trunc);
   obs::RunLogReader reader(path);
   obs::Frame frame;
   ASSERT_EQ(reader.next(frame), obs::ReadStatus::kFrame);  // meta
   ASSERT_EQ(reader.next(frame), obs::ReadStatus::kFrame);  // window 0
   EXPECT_EQ(reader.next(frame), obs::ReadStatus::kTruncated);
   // The writer catches up; the parked reader resumes at the boundary.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    out.write(reinterpret_cast<const char*>(bytes.data() + first_cut),
-              static_cast<std::streamsize>(bytes.size() - first_cut));
-  }
+  put(first_cut, bytes.size(), std::ios::app);
   ASSERT_EQ(reader.next(frame), obs::ReadStatus::kFrame);  // window 1
   EXPECT_EQ(frame.kind, obs::FrameKind::kWindow);
   expect_window_equal(obs::decode_window(frame.payload), sample_window(1));
@@ -257,6 +260,27 @@ TEST(RunLogFormat, FollowSeesFramesAsTheFileGrows) {
   ASSERT_EQ(reader.next(frame), obs::ReadStatus::kFrame);  // footer
   EXPECT_EQ(frame.kind, obs::FrameKind::kFooter);
   EXPECT_EQ(reader.next(frame), obs::ReadStatus::kEndOfData);
+
+  // The shared scan resumes the same way, counting each frame once.
+  put(0, first_cut, std::ios::trunc);
+  obs::RunLogReader scan_reader(path);
+  obs::LogScan scan;
+  EXPECT_EQ(obs::scan_frames(scan_reader, scan), obs::ReadStatus::kTruncated);
+  EXPECT_TRUE(scan.truncated);
+  EXPECT_EQ(scan.frames, 2u);  // meta + window 0
+  EXPECT_EQ(scan.meta, (obs::RunLogMeta{{"k", "v"}}));
+  ASSERT_EQ(scan.windows.size(), 1u);
+  EXPECT_FALSE(scan.footer.has_value());
+  put(first_cut, bytes.size(), std::ios::app);
+  EXPECT_EQ(obs::scan_frames(scan_reader, scan), obs::ReadStatus::kEndOfData);
+  EXPECT_FALSE(scan.truncated);
+  EXPECT_EQ(scan.frames, 5u);  // + windows 1, 2 and the footer
+  ASSERT_EQ(scan.windows.size(), 3u);
+  for (std::uint64_t i = 0; i < 3; ++i)
+    expect_window_equal(scan.windows[i], sample_window(i));
+  ASSERT_TRUE(scan.footer.has_value());
+  EXPECT_EQ(scan.footer->windows, 3u);
+  EXPECT_TRUE(scan.complete()) << scan.error;
   std::filesystem::remove(path);
   std::filesystem::remove(grown);
 }
@@ -295,6 +319,64 @@ TEST(RunLogFormat, CorruptedByteIsDetectedByCrc) {
   obs::TailOptions check;
   check.check = true;
   EXPECT_EQ(obs::run_tail(path, check), 1);
+  std::filesystem::remove(path);
+}
+
+// A frame whose CRC holds but whose payload does not decode: only the
+// decoder can tell.  The scan keeps what came before and names the frame;
+// both viewer paths stop on it.
+TEST(RunLogFormat, UndecodablePayloadIsNamedByFrameIndex) {
+  const std::string path = test_scoped_path("undecodable.meclog");
+  const obs::RunLogMeta meta = {{"k", "v"}};
+  const obs::CounterValue value{0, 0, 1.0};
+  std::vector<std::uint8_t> counters =
+      obs::encode_counters(std::span<const obs::CounterValue>(&value, 1));
+  {
+    obs::RunLogWriter writer(path, meta);
+    writer.append_window(sample_window(0));
+    writer.append_counters(std::span<const obs::CounterValue>(&value, 1));
+    writer.append_window(sample_window(1));
+    obs::RunFooter footer;
+    footer.windows = 2;
+    writer.finish(footer);
+  }
+  // Frame 2, the counter frame, now declares two values and holds one.
+  counters[0] = 2;
+  const std::uint32_t crc = obs::crc32(counters);
+  const std::size_t payload_at = 24 + (8 + obs::encode_meta(meta).size() + 4) +
+                                 (8 + obs::window_payload_size(2) + 4) + 8;
+  {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(static_cast<std::streamoff>(payload_at));
+    file.write(reinterpret_cast<const char*>(counters.data()),
+               static_cast<std::streamsize>(counters.size()));
+    for (int i = 0; i < 4; ++i) file.put(static_cast<char>(crc >> (8 * i)));
+  }
+  const obs::LogScan scan = obs::scan_log(path);
+  EXPECT_TRUE(scan.corrupt);
+  EXPECT_FALSE(scan.truncated);
+  EXPECT_EQ(scan.frames, 2u);
+  EXPECT_EQ(scan.meta, meta);
+  ASSERT_EQ(scan.windows.size(), 1u);
+  expect_window_equal(scan.windows[0], sample_window(0));
+  EXPECT_TRUE(scan.counters.empty());
+  EXPECT_FALSE(scan.footer.has_value());
+  EXPECT_NE(scan.error.find("run-log counter values"), std::string::npos)
+      << scan.error;
+  EXPECT_NE(scan.error.find("(frame index 2)"), std::string::npos)
+      << scan.error;
+  for (const bool follow : {true, false}) {
+    SCOPED_TRACE(follow ? "--follow" : "--check");
+    std::ostringstream out;
+    obs::TailOptions options;
+    options.follow = follow;
+    options.check = !follow;
+    options.max_updates = 1;  // a scan that missed the error returns, not hangs
+    options.out = &out;
+    EXPECT_EQ(obs::run_tail(path, options), 1);
+    EXPECT_NE(out.str().find("(frame index 2)"), std::string::npos)
+        << out.str();
+  }
   std::filesystem::remove(path);
 }
 
@@ -386,6 +468,7 @@ TEST(StreamEquivalence, WindowsMatchTheInMemoryTimeline) {
   EXPECT_TRUE(scan.complete()) << scan.error;
   ASSERT_EQ(scan.windows.size(), r.timeline.size());
   std::uint64_t prev_offloads = 0;
+  std::uint64_t prev_events = 0;
   for (std::size_t i = 0; i < scan.windows.size(); ++i) {
     SCOPED_TRACE("window " + std::to_string(i));
     const obs::WindowRecord& w = scan.windows[i];
@@ -398,6 +481,12 @@ TEST(StreamEquivalence, WindowsMatchTheInMemoryTimeline) {
     EXPECT_EQ(w.offloads_so_far, p.offloads_so_far);
     EXPECT_EQ(w.offloads_delta, p.offloads_so_far - prev_offloads);
     prev_offloads = p.offloads_so_far;
+    EXPECT_EQ(w.events_delta, w.events_so_far - prev_events);
+    prev_events = w.events_so_far;
+    // One cluster: the per-cluster block repeats the scalars.
+    EXPECT_EQ(w.cluster_gamma, std::vector<double>{w.gamma});
+    EXPECT_EQ(w.cluster_offloads,
+              std::vector<std::uint64_t>{w.offloads_so_far});
   }
   // The final window's cumulative sketch snapshot equals the run totals.
   const obs::WindowRecord& last = scan.windows.back();
@@ -436,6 +525,44 @@ TEST(StreamEquivalence, RecordTimelineOffStillStreams) {
   const obs::LogScan scan = obs::scan_log(path);
   EXPECT_TRUE(scan.complete()) << scan.error;
   EXPECT_GT(scan.windows.size(), 5u);
+  std::filesystem::remove(path);
+}
+
+// Counter frames cover everything since the previous one.  With an epoch
+// every 0.25 s and a window every 2 s, seven of each window's eight legs end
+// at epoch-only barriers; the leg time summed over the frames must still
+// account for most of the run's wall time.
+TEST(StreamCounters, LegSecondsCoverEveryLegOfTheWindow) {
+  const std::string path = test_scoped_path("legs.meclog");
+  const auto users = mixed_users(20000);
+  sim::SimulationOptions o;
+  o.warmup = 0.0;
+  o.horizon = 20.0;
+  o.seed = 5;
+  o.shards = 1;
+  o.fixed_gamma = 0.25;
+  o.sample_interval = 2.0;
+  o.epoch_period = 0.25;
+  o.on_epoch = [](double, double) {};
+  o.stream_log = path;
+  o.stream_counters = true;
+  sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
+  const std::vector<double> thresholds = mixed_thresholds(users.size());
+  const auto t0 = std::chrono::steady_clock::now();
+  (void)des.run_tro(thresholds);
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - t0;
+
+  const obs::LogScan scan = obs::scan_log(path);
+  ASSERT_TRUE(scan.complete()) << scan.error;
+  ASSERT_EQ(scan.counters.size(), 10u);
+  double leg_seconds = 0.0;
+  for (const std::vector<obs::CounterValue>& frame : scan.counters)
+    for (const obs::CounterValue& c : frame)
+      if (c.id == static_cast<std::uint16_t>(obs::Counter::kShardLegSeconds))
+        leg_seconds += c.value;
+  EXPECT_GE(leg_seconds, 0.5 * wall.count())
+      << "legs " << leg_seconds << " s of a " << wall.count() << " s run";
   std::filesystem::remove(path);
 }
 

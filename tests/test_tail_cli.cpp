@@ -66,6 +66,7 @@ TEST(TailFrontEnds, AgreeOnEveryFlag) {
       {log + " --check", 0, ""},
       {"--log=" + log + " --check", 0, ""},
       {log + " --csv=" + csv, 0, ""},
+      {log + " --follow --max-updates=1", 0, ""},
       {log + " --csv", 1, "error: flag --csv expects a value"},
       {log + " --hist-csv", 1, "error: flag --hist-csv expects a value"},
       {"--log", 1, "error: flag --log expects a value"},

@@ -4,7 +4,7 @@
 //            [--csv=<file>] [--hist-csv=<file>] [--max-updates=<k>]
 //
 // Identical to `mec tail` (both parse their flags with obs::tail_main), but
-// links only the obs/io/stats layers — it can ship to a monitoring box
+// links only the obs/io layers — it can ship to a monitoring box
 // without the simulation engine.  --follow keeps polling a growing log
 // until the writer's footer lands; --check validates frame CRCs and the
 // footer and sets the exit status (for CI gates).
