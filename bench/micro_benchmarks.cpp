@@ -1,8 +1,9 @@
 // Ablation X5: google-benchmark micro-benchmarks of the hot paths — the TRO
 // closed forms, the Lemma-1 oracle, a full V(gamma) population sweep, the
-// MFNE bisection, the discrete-event simulator's event throughput, the
-// event queue's hold cost, the frame CRC and barrier-payload codec, and the
-// parallel replication engine's scaling across thread counts.
+// MFNE bisection, a Poisson churn schedule's construction, the
+// discrete-event simulator's event throughput, the event queue's hold cost,
+// the frame CRC and barrier-payload codec, and the parallel replication
+// engine's scaling across thread counts.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -17,6 +18,7 @@
 #include "mec/core/best_response.hpp"
 #include "mec/core/mfne.hpp"
 #include "mec/core/threshold_oracle.hpp"
+#include "mec/fault/fault_schedule.hpp"
 #include "mec/obs/run_log.hpp"
 #include "mec/parallel/replication.hpp"
 #include "mec/parallel/sequential.hpp"
@@ -33,13 +35,15 @@ namespace {
 
 using namespace mec;
 
-const population::Population& shared_population(std::size_t n) {
+// The first `n` users of one at-service draw of 10^5 users (the benchmark
+// suite's N).  Users are drawn one after another from one stream, so any
+// prefix equals a smaller draw from the same seed.
+std::span<const core::UserParams> shared_users(std::size_t n) {
   static const population::Population pop = population::sample_population(
       population::theoretical_scenario(population::LoadRegime::kAtService,
-                                       10000),
+                                       100000),
       1);
-  (void)n;
-  return pop;
+  return std::span<const core::UserParams>(pop.users).first(n);
 }
 
 void BM_TroMetrics(benchmark::State& state) {
@@ -64,9 +68,7 @@ void BM_BestThresholdOracle(benchmark::State& state) {
 BENCHMARK(BM_BestThresholdOracle)->Arg(1)->Arg(5)->Arg(10);
 
 void BM_BestResponseSweep(benchmark::State& state) {
-  const auto& pop = shared_population(10000);
-  const auto users = std::span<const core::UserParams>(
-      pop.users.data(), static_cast<std::size_t>(state.range(0)));
+  const auto users = shared_users(static_cast<std::size_t>(state.range(0)));
   const core::EdgeDelay delay = core::make_reciprocal_delay();
   for (auto _ : state)
     benchmark::DoNotOptimize(
@@ -76,20 +78,43 @@ void BM_BestResponseSweep(benchmark::State& state) {
 BENCHMARK(BM_BestResponseSweep)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_MfneSolve(benchmark::State& state) {
-  const auto& pop = shared_population(10000);
-  const auto users = std::span<const core::UserParams>(
-      pop.users.data(), static_cast<std::size_t>(state.range(0)));
+  const auto users = shared_users(static_cast<std::size_t>(state.range(0)));
   const core::EdgeDelay delay = core::make_reciprocal_delay();
   for (auto _ : state)
     benchmark::DoNotOptimize(
         core::solve_mfne(users, delay, 10.0).gamma_star);
 }
-BENCHMARK(BM_MfneSolve)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MfneSolve)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+// One Poisson churn process of about range(0) actions, joins at twice the
+// departure rate, drawn into an empty schedule: the user draws and the one
+// merge per process.
+void BM_PoissonChurnSchedule(benchmark::State& state) {
+  const population::ScenarioConfig scenario =
+      population::theoretical_comparison_scenario(
+          population::LoadRegime::kAtService);
+  const double rate = static_cast<double>(state.range(0)) / 150.0;
+  std::size_t actions = 0;
+  for (auto _ : state) {
+    fault::FaultSchedule schedule;
+    schedule.add_poisson_churn(scenario, rate, rate / 2.0, 0.0, 100.0, 7);
+    actions += schedule.size();
+    benchmark::DoNotOptimize(schedule.actions().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(actions));
+}
+BENCHMARK(BM_PoissonChurnSchedule)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DesEventThroughput(benchmark::State& state) {
-  const auto& pop = shared_population(10000);
-  const auto users = std::span<const core::UserParams>(
-      pop.users.data(), static_cast<std::size_t>(state.range(0)));
+  const auto users = shared_users(static_cast<std::size_t>(state.range(0)));
   sim::SimulationOptions o;
   o.warmup = 0.0;
   o.horizon = 20.0;
@@ -116,9 +141,7 @@ BENCHMARK(BM_DesEventThroughput)
 // BM_DesEventThroughput is the full cost of the streaming path: counter
 // sampling, window folding, and the per-frame flush.
 void BM_DesStreamedThroughput(benchmark::State& state) {
-  const auto& pop = shared_population(10000);
-  const auto users = std::span<const core::UserParams>(
-      pop.users.data(), static_cast<std::size_t>(state.range(0)));
+  const auto users = shared_users(static_cast<std::size_t>(state.range(0)));
   sim::SimulationOptions o;
   o.warmup = 0.0;
   o.horizon = 20.0;
@@ -327,17 +350,14 @@ BENCHMARK(BM_RunUntilConfident)
 // Scaling of the parallel V(gamma) sweep: one best_response over N = 10^5
 // users per iteration, spread over range(0) threads in 256-user chunks.
 void BM_ParallelBestResponse(benchmark::State& state) {
-  static const population::Population pop = population::sample_population(
-      population::theoretical_scenario(population::LoadRegime::kAtService,
-                                       100000),
-      1);
+  const auto users = shared_users(100000);
   const core::EdgeDelay delay = core::make_reciprocal_delay();
   parallel::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        core::best_response(pop.users, delay, 10.0, 0.3, pool).utilization);
+        core::best_response(users, delay, 10.0, 0.3, pool).utilization);
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(pop.users.size()));
+                          static_cast<std::int64_t>(users.size()));
 }
 BENCHMARK(BM_ParallelBestResponse)
     ->Arg(1)

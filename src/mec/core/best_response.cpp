@@ -12,12 +12,12 @@ namespace {
 // dispatch overhead below a percent while still load-balancing 10^4 users.
 constexpr std::size_t kUserGrain = 256;
 
+}  // namespace
+
 double user_offload_rate(const UserParams& u, double threshold) {
   return u.arrival_rate *
          queueing::tro_offload_probability(u.intensity(), threshold);
 }
-
-}  // namespace
 
 BestResponse best_response(std::span<const UserParams> users,
                            const EdgeDelay& delay, double capacity,

@@ -27,6 +27,10 @@ struct BestResponse {
   double utilization;                    ///< V(gamma)
 };
 
+/// User `u`'s offload rate a * alpha(x) under threshold `x`: its term of
+/// the V(gamma) sum before the 1/(N c) scaling.
+double user_offload_rate(const UserParams& u, double threshold);
+
 /// Computes every user's Lemma-1 threshold at utilization `gamma` and the
 /// resulting aggregate utilization. Requires a valid delay, capacity c > 0,
 /// non-empty population, and 0 <= gamma <= 1.

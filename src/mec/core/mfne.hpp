@@ -6,6 +6,20 @@
 // bisection.  On a finite sampled population V is piecewise constant in
 // gamma (thresholds are integers), so the "root" is the unique crossing
 // point; bisection still brackets it to any tolerance.
+//
+// Each bisection step keeps every user's threshold and offload rate at the
+// bracket's two ends, and only users whose ends disagree call the Lemma-1
+// oracle at the midpoint.  This is exact, not an approximation: the oracle
+// walks the same f(m|theta) sequence for any price, so its threshold is
+// non-decreasing in the price, and the price a*(g + tau + w*(p_E - p_L)) is
+// non-decreasing in g in IEEE arithmetic (each rounding is monotone).  So
+// whenever the computed g(lo) <= g(mid) <= g(hi), a user whose two ends
+// agree has that threshold at mid too.  The solver checks that condition at
+// every step and sweeps every user when it fails (a numerically evaluated
+// delay need not be monotone to the last ulp).  gamma = 1 is never
+// evaluated: the upper end has no sweep until an evaluation moves it.  The
+// rates are summed in user order as best_response sums them, so every
+// result bit equals that of a full best_response sweep at every step.
 #pragma once
 
 #include <cstdint>

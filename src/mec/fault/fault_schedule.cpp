@@ -2,20 +2,77 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <sstream>
 
 #include "mec/common/error.hpp"
 #include "mec/random/rng.hpp"
 
 namespace mec::fault {
 
+namespace {
+
+void check_time(double time) {
+  MEC_EXPECTS(std::isfinite(time));
+  MEC_EXPECTS(time >= 0.0);
+}
+
+bool earlier(const FaultAction& a, const FaultAction& b) {
+  return a.time < b.time;
+}
+
+FaultAction user_arrival(double time, const core::UserParams& user) {
+  user.check();
+  check_time(time);
+  FaultAction a;
+  a.time = time;
+  a.kind = FaultKind::kUserArrival;
+  a.user = user;
+  return a;
+}
+
+FaultAction user_departure(double time, double selector) {
+  MEC_EXPECTS_MSG(selector >= 0.0 && selector < 1.0,
+                  "departure selector must be in [0, 1)");
+  check_time(time);
+  FaultAction a;
+  a.time = time;
+  a.kind = FaultKind::kUserDeparture;
+  a.value = selector;
+  return a;
+}
+
+// Refuses a churn field by name: "<field> is <value>, expected <range>".
+void check_churn(bool ok, const char* field, double value,
+                 const char* expected) {
+  if (ok) return;
+  std::ostringstream os;
+  os << field << " is " << value << ", expected " << expected;
+  throw ContractViolation(os.str());
+}
+
+// Refuses a process whose expected count no run can hold, before any draw:
+// each join adds a device and each effective departure retires a distinct
+// one, and no run holds more than 2^20 devices.
+void check_churn_count(double rate, double t_begin, double t_end,
+                       const char* what) {
+  const double expected = rate * (t_end - t_begin);
+  if (expected <= static_cast<double>(FaultSchedule::kMaxChurnCount)) return;
+  std::ostringstream os;
+  os << "expected " << expected << ' ' << what << " (rate " << rate
+     << " over [" << t_begin << ", " << t_end << ")), expected at most "
+     << FaultSchedule::kMaxChurnCount << " (2^20, the device ceiling)";
+  throw ContractViolation(os.str());
+}
+
+}  // namespace
+
 void FaultSchedule::insert(FaultAction action) {
-  MEC_EXPECTS(std::isfinite(action.time));
-  MEC_EXPECTS(action.time >= 0.0);
+  check_time(action.time);
   // Stable by time: equal-time actions keep insertion order, matching the
   // event queue's (time, seq) tie-break once they are scheduled.
-  const auto at = std::upper_bound(
-      actions_.begin(), actions_.end(), action.time,
-      [](double t, const FaultAction& a) { return t < a.time; });
+  const auto at = std::upper_bound(actions_.begin(), actions_.end(), action,
+                                   earlier);
   actions_.insert(at, std::move(action));
 }
 
@@ -64,38 +121,38 @@ void FaultSchedule::add_restart(double time, std::uint32_t device) {
 
 void FaultSchedule::add_user_arrival(double time,
                                      const core::UserParams& user) {
-  user.check();
-  FaultAction a;
-  a.time = time;
-  a.kind = FaultKind::kUserArrival;
-  a.user = user;
-  insert(a);
+  insert(user_arrival(time, user));
   ++churn_arrivals_;
 }
 
 void FaultSchedule::add_user_departure(double time, double selector) {
-  MEC_EXPECTS_MSG(selector >= 0.0 && selector < 1.0,
-                  "departure selector must be in [0, 1)");
-  FaultAction a;
-  a.time = time;
-  a.kind = FaultKind::kUserDeparture;
-  a.value = selector;
-  insert(a);
+  insert(user_departure(time, selector));
 }
 
 void FaultSchedule::add_poisson_churn(
     const population::ScenarioConfig& scenario, double arrival_rate,
     double departure_rate, double t_begin, double t_end, std::uint64_t seed) {
-  MEC_EXPECTS_MSG(t_begin >= 0.0 && t_begin < t_end,
-                  "churn window needs 0 <= t_begin < t_end");
-  MEC_EXPECTS(arrival_rate >= 0.0);
-  MEC_EXPECTS(departure_rate >= 0.0);
+  check_churn(std::isfinite(t_end), "t_end", t_end, "a finite value");
+  check_churn(t_begin >= 0.0 && t_begin < t_end, "t_begin", t_begin,
+              "a value in [0, t_end)");
+  check_churn(std::isfinite(arrival_rate) && arrival_rate >= 0.0,
+              "arrival rate", arrival_rate, "a finite value >= 0");
+  check_churn(std::isfinite(departure_rate) && departure_rate >= 0.0,
+              "departure rate", departure_rate, "a finite value >= 0");
+  check_churn_count(arrival_rate, t_begin, t_end, "joins");
+  check_churn_count(departure_rate, t_begin, t_end, "departures");
   scenario.check();
   random::Xoshiro256 rng(seed);
+  // Each process is drawn in time order into its own vector, then merged
+  // into the schedule once.  A stable merge puts an existing action ahead
+  // of a drawn one at the same time, where one insert per action would put
+  // it, and a refused draw leaves the schedule as it was.
+  //
   // Joins: a Poisson(arrival_rate) process whose marks are users drawn
   // exactly as population::sample_population draws them (same field order,
   // same redraw-at-zero rules), so churn users are exchangeable with the
   // initial population.
+  std::vector<FaultAction> joins;
   if (arrival_rate > 0.0) {
     for (double t = t_begin + random::exponential(rng, arrival_rate);
          t < t_end; t += random::exponential(rng, arrival_rate)) {
@@ -116,15 +173,23 @@ void FaultSchedule::add_poisson_churn(
       } else {
         u.weight = scenario.weight;
       }
-      add_user_arrival(t, u);
+      joins.push_back(user_arrival(t, u));
     }
   }
+  std::vector<FaultAction> departures;
   if (departure_rate > 0.0) {
     for (double t = t_begin + random::exponential(rng, departure_rate);
          t < t_end; t += random::exponential(rng, departure_rate)) {
-      add_user_departure(t, random::uniform01(rng));
+      departures.push_back(user_departure(t, random::uniform01(rng)));
     }
   }
+  for (std::vector<FaultAction>* drawn : {&joins, &departures}) {
+    const auto mid =
+        actions_.insert(actions_.end(), std::make_move_iterator(drawn->begin()),
+                        std::make_move_iterator(drawn->end()));
+    std::inplace_merge(actions_.begin(), mid, actions_.end(), earlier);
+  }
+  churn_arrivals_ += joins.size();
 }
 
 std::vector<core::UserParams> FaultSchedule::churn_users() const {

@@ -68,6 +68,11 @@ struct FaultAction {
 /// their insertion order, so construction order is part of the contract).
 class FaultSchedule {
  public:
+  /// The most joins, or departures, one churn process may expect: no run
+  /// holds more than 2^20 devices (the event queue's device field), and
+  /// each effective departure retires a distinct device.
+  static constexpr std::size_t kMaxChurnCount = std::size_t{1} << 20;
+
   /// Scales the edge capacity to `scale` x nominal from `time` on.
   /// Requires time >= 0 and scale > 0 (1.0 restores nominal capacity).
   /// With an explicit `cluster` the brown-out hits only that cluster's
@@ -102,7 +107,10 @@ class FaultSchedule {
   /// `arrival_rate` (users drawn i.i.d. from the scenario's marginals, as
   /// population::sample_population draws them) and departures at rate
   /// `departure_rate`, all materialized from `seed`.  Rates are per second;
-  /// either may be 0.  Requires 0 <= t_begin < t_end and rates >= 0.
+  /// either may be 0.  Requires a finite t_end, 0 <= t_begin < t_end,
+  /// finite rates >= 0 and rate * (t_end - t_begin) <= kMaxChurnCount for
+  /// each process; a refusal names the field, its value and the limit, and
+  /// leaves the schedule unchanged.
   void add_poisson_churn(const population::ScenarioConfig& scenario,
                          double arrival_rate, double departure_rate,
                          double t_begin, double t_end, std::uint64_t seed);

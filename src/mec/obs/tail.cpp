@@ -185,19 +185,18 @@ int run_tail(const std::string& path, const TailOptions& options) {
 
     RunLogReader reader(path);
     LogScan scan;
-    std::uint64_t updates = 0;
-    for (;;) {
+    for (std::uint64_t polls = 1;; ++polls) {
       // Each poll resumes where the last one stopped, at the end of what
-      // the writer had flushed.
+      // the writer had flushed, and repaints only when it read a frame.
       const std::uint64_t seen = scan.frames;
       scan_frames(reader, scan);
-      if (scan.frames != seen || updates == 0) {
+      if (scan.frames != seen || polls == 1) {
         render(os, path, scan, options.ansi);
-        ++updates;
+        os.flush();
       }
       const bool done = scan.footer.has_value() || scan.corrupt ||
                         (options.max_updates > 0 &&
-                         updates >= options.max_updates);
+                         polls >= options.max_updates);
       if (done) return finish(os, scan, options);
       std::this_thread::sleep_for(
           std::chrono::milliseconds(options.interval_ms));

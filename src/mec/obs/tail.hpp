@@ -22,8 +22,9 @@ struct TailOptions {
   bool ansi = false;           ///< clear-screen repaint (follow on a tty)
   std::string csv;             ///< lossless window CSV export path
   std::string hist_csv;        ///< threshold-histogram CSV export path
-  /// Stop after this many repaints (0 = unlimited); lets tests drive
-  /// follow mode without a second process running forever.
+  /// Stop after this many follow-mode polls (0 = unlimited), whether or
+  /// not the log grew; a log that stopped growing without a footer then
+  /// ends too.
   std::uint64_t max_updates = 0;
   std::ostream* out = nullptr;  ///< defaults to std::cout
 };

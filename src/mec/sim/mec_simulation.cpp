@@ -99,6 +99,7 @@ MecSimulation::MecSimulation(std::span<const core::UserParams> users,
   // The event queue carries a device id, or a fault's index in a shard's
   // view of the schedule, in a 20-bit field.
   constexpr std::size_t kMaxDevices = EventQueue::kMaxDevices;
+  static_assert(fault::FaultSchedule::kMaxChurnCount == kMaxDevices);
   constexpr std::string_view kLimit =
       "a value <= 1048576 (2^20, the event queue's device field)";
   if (o.faults && !o.faults->empty()) {

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -120,6 +123,109 @@ TEST(FaultSchedule, PoissonChurnIsDeterministicInItsSeed) {
               c.actions()[0].time != a.actions()[0].time);
 }
 
+// FNV-1a over every field of every action, each double by its bits.
+std::uint64_t digest(const FaultSchedule& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xFFu;
+      h *= 1099511628211ull;
+    }
+  };
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  for (const FaultAction& a : s.actions()) {
+    mix(bits(a.time));
+    mix(static_cast<std::uint64_t>(a.kind));
+    mix(a.device);
+    mix(bits(a.value));
+    mix(static_cast<std::uint64_t>(a.outage_mode));
+    mix(a.cluster);
+    mix(bits(a.user.arrival_rate));
+    mix(bits(a.user.service_rate));
+    mix(bits(a.user.offload_latency));
+    mix(bits(a.user.energy_local));
+    mix(bits(a.user.energy_offload));
+    mix(bits(a.user.weight));
+  }
+  return h;
+}
+
+TEST(FaultSchedule, PoissonChurnMergesLikeOneInsertPerAction) {
+  // The benchmark suite's brown-out and churn schedule, on its scenario.
+  const auto scenario = population::theoretical_comparison_scenario(
+      population::LoadRegime::kAtService, 100000);
+  const FaultSchedule suite = parse_fault_schedule(
+      "capacity 6 0.6\n"
+      "outage 8 9 reject\n"
+      "capacity 10 1.0 cluster 1\n"
+      "capacity 14 1.0\n"
+      "churn 2 18 1000 500 7\n"
+      "crash 10 100\n"
+      "restart 12 100\n",
+      &scenario);
+  // Captured when every drawn action went through its own sorted insert.
+  EXPECT_EQ(suite.size(), 24097u);
+  EXPECT_EQ(suite.churn_arrivals(), 16059u);
+  EXPECT_EQ(digest(suite), 0x07d8c7ae44005e57ull);
+
+  // Explicit actions placed at the exact times of a drawn join and a drawn
+  // departure, before the churn is drawn, sort ahead of the drawn action.
+  FaultSchedule drawn;
+  drawn.add_poisson_churn(scenario, 5.0, 3.0, 0.0, 40.0, 11);
+  double join_t = -1.0, departure_t = -1.0;
+  for (const FaultAction& a : drawn.actions()) {
+    if (a.kind == FaultKind::kUserArrival && join_t < 0.0) join_t = a.time;
+    if (a.kind == FaultKind::kUserDeparture && departure_t < 0.0)
+      departure_t = a.time;
+  }
+  ASSERT_GE(join_t, 0.0);
+  ASSERT_GE(departure_t, 0.0);
+  FaultSchedule tied;
+  tied.add_capacity_scale(join_t, 0.5);
+  tied.add_crash(departure_t, 3);
+  tied.add_poisson_churn(scenario, 5.0, 3.0, 0.0, 40.0, 11);
+  ASSERT_EQ(tied.size(), drawn.size() + 2);
+  std::size_t explicit_seen = 0;
+  for (std::size_t i = 0, j = 0; i < tied.size(); ++i) {
+    const FaultAction& a = tied.actions()[i];
+    if (a.kind == FaultKind::kCapacityScale ||
+        a.kind == FaultKind::kDeviceCrash) {
+      // The drawn action at the same time comes next.
+      ASSERT_LT(i + 1, tied.size());
+      EXPECT_EQ(tied.actions()[i + 1].time, a.time);
+      EXPECT_EQ(tied.actions()[i + 1].kind,
+                a.kind == FaultKind::kCapacityScale
+                    ? FaultKind::kUserArrival
+                    : FaultKind::kUserDeparture);
+      ++explicit_seen;
+      continue;
+    }
+    // Every drawn action keeps its bits and its order.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.time),
+              std::bit_cast<std::uint64_t>(drawn.actions()[j].time));
+    EXPECT_EQ(a.kind, drawn.actions()[j].kind);
+    ++j;
+  }
+  EXPECT_EQ(explicit_seen, 2u);
+}
+
+TEST(FaultSchedule, RefusedChurnLeavesTheScheduleUnchanged) {
+  const auto scenario = population::theoretical_scenario(
+      population::LoadRegime::kAtService, 100);
+  FaultSchedule s;
+  s.add_capacity_scale(1.0, 0.5);
+  s.add_poisson_churn(scenario, 0.5, 0.3, 0.0, 20.0, 5);
+  const std::uint64_t before = digest(s);
+  const std::size_t joins = s.churn_arrivals();
+  EXPECT_THROW(s.add_poisson_churn(scenario, 1e9, 0.0, 0.0, 1000.0, 7),
+               ContractViolation);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(s.add_poisson_churn(scenario, 1.0, 0.0, 0.0, inf, 7),
+               ContractViolation);
+  EXPECT_EQ(digest(s), before);
+  EXPECT_EQ(s.churn_arrivals(), joins);
+}
+
 // ------------------------------------------------------------------ parser
 
 TEST(FaultText, ParsesEveryVerbAndComments) {
@@ -151,6 +257,39 @@ TEST(FaultText, ReportsLineNumberedErrors) {
   expect_fails("outage 1 2 maybe\n");          // unknown mode
   expect_fails("warp 1 2\n");                  // unknown verb
   expect_fails("churn 0 10 0.5 0.5 7\n");      // churn without a scenario
+  // A churn line no run can hold is refused before anything is drawn, by
+  // line, field, value and limit.
+  const auto scenario = population::theoretical_scenario(
+      population::LoadRegime::kAtService, 100);
+  const struct {
+    const char* text;
+    const char* message;
+  } churn_rows[] = {
+      {"churn 0 inf 1 1 7\n", "line 1: invalid churn: t_end is inf, "
+                              "expected a finite value"},
+      {"churn 0 10 inf 0 7\n", "line 1: invalid churn: arrival rate is inf, "
+                               "expected a finite value >= 0"},
+      {"churn 0 10 0 nan 7\n",
+       "line 1: invalid churn: departure rate is nan, expected a finite value "
+       ">= 0"},
+      {"churn 5 1 1 1 7\n", "line 1: invalid churn: t_begin is 5, expected "
+                            "a value in [0, t_end)"},
+      {"\nchurn 0 1000 1e9 0 7\n",
+       "line 2: invalid churn: expected 1e+12 joins (rate 1e+09 over [0, "
+       "1000)), expected at most 1048576 (2^20, the device ceiling)"},
+      {"churn 0 1000 0 1e9 7\n",
+       "line 1: invalid churn: expected 1e+12 departures (rate 1e+09 over "
+       "[0, 1000)), expected at most 1048576 (2^20, the device ceiling)"},
+  };
+  for (const auto& row : churn_rows) {
+    try {
+      parse_fault_schedule(row.text, &scenario);
+      ADD_FAILURE() << "expected a refusal of " << row.text;
+    } catch (const RuntimeError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("fault schedule ") + row.message);
+    }
+  }
   try {
     parse_fault_schedule("capacity 10 0.5\nbogus line\n");
     FAIL() << "expected RuntimeError";

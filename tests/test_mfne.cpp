@@ -3,6 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <numbers>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "mec/common/error.hpp"
@@ -18,6 +26,65 @@ std::vector<UserParams> sampled(population::LoadRegime regime, std::size_t n,
   return population::sample_population(
              population::theoretical_scenario(regime, n), seed)
       .users;
+}
+
+// The bisection with a full best_response sweep at every midpoint and at
+// gamma*: what solve_mfne computed before it kept its bracket's sweeps.
+MfneResult full_sweep_mfne(std::span<const UserParams> users,
+                           const EdgeDelay& delay, double capacity,
+                           const MfneOptions& options = {}) {
+  const double v0 = best_response(users, delay, capacity, 0.0).utilization;
+  if (!(v0 < 1.0)) throw ContractViolation("V(0) >= 1");
+  MfneResult r;
+  if (v0 == 0.0) {
+    r.thresholds = best_response(users, delay, capacity, 0.0).thresholds;
+    r.converged = true;
+    return r;
+  }
+  double lo = 0.0, hi = 1.0;
+  int iters = 0;
+  while (hi - lo > options.tolerance && iters < options.max_iterations) {
+    const double mid = 0.5 * (lo + hi);
+    if (best_response(users, delay, capacity, mid).utilization > mid)
+      lo = mid;
+    else
+      hi = mid;
+    ++iters;
+  }
+  r.gamma_star = 0.5 * (lo + hi);
+  BestResponse br = best_response(users, delay, capacity, r.gamma_star);
+  r.best_response_value = br.utilization;
+  r.thresholds = std::move(br.thresholds);
+  r.iterations = iters;
+  r.converged = hi - lo <= options.tolerance;
+  return r;
+}
+
+void expect_same_bits(const MfneResult& got, const MfneResult& want) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.gamma_star),
+            std::bit_cast<std::uint64_t>(want.gamma_star));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.best_response_value),
+            std::bit_cast<std::uint64_t>(want.best_response_value));
+  EXPECT_EQ(got.thresholds, want.thresholds);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.converged, want.converged);
+}
+
+// solve_mfne agrees with full_sweep_mfne bit for bit, or both refuse the
+// population (V(0) >= 1).  Returns whether they solved it.
+bool expect_matches_full_sweeps(std::span<const UserParams> users,
+                                const EdgeDelay& delay, double capacity,
+                                const MfneOptions& options = {}) {
+  MfneResult want;
+  try {
+    want = full_sweep_mfne(users, delay, capacity, options);
+  } catch (const ContractViolation&) {
+    EXPECT_THROW(solve_mfne(users, delay, capacity, options),
+                 ContractViolation);
+    return false;
+  }
+  expect_same_bits(solve_mfne(users, delay, capacity, options), want);
+  return true;
 }
 
 TEST(Mfne, FixedPointPropertyHolds) {
@@ -175,6 +242,130 @@ TEST(Mfne, FlagsNonConvergenceWhenTheIterationGuardCutsOff) {
   // The midpoint of the last bracket is still a usable estimate.
   EXPECT_GT(r.gamma_star, 0.0);
   EXPECT_LT(r.gamma_star, 1.0);
+}
+
+TEST(Mfne, BracketedBisectionMatchesFullSweeps) {
+  using population::LoadRegime;
+  using Builder = population::ScenarioConfig (*)(LoadRegime, std::size_t);
+  const std::pair<const char*, Builder> builders[] = {
+      {"theoretical",
+       [](LoadRegime r, std::size_t n) {
+         return population::theoretical_scenario(r, n);
+       }},
+      {"comparison",
+       [](LoadRegime r, std::size_t n) {
+         return population::theoretical_comparison_scenario(r, n);
+       }},
+      {"practical",
+       [](LoadRegime r, std::size_t n) {
+         return population::practical_scenario(r, n);
+       }},
+  };
+  // The five delay families; a delay that passes the constructor's
+  // ten-point monotonicity spot check but swings between the grid points,
+  // so the bracket's g(lo) <= g(mid) <= g(hi) check must send some
+  // midpoints to a full sweep; and a delay whose oracle walk at gamma = 1
+  // exceeds the supported threshold range, which the bisection never
+  // evaluates.
+  const std::pair<const char*, EdgeDelay> delays[] = {
+      {"reciprocal", make_reciprocal_delay()},
+      {"linear", make_linear_delay(0.5, 4.0)},
+      {"power", make_power_delay(8.0, 2.0)},
+      {"constant", make_constant_delay(1.0)},
+      {"erlang_c", make_erlang_c_delay(4, 2.5)},
+      {"swinging", EdgeDelay(
+                       [](double g) {
+                         return 1.0 / (1.1 - g) +
+                                0.8 * std::sin(20.0 * std::numbers::pi * g);
+                       },
+                       "swinging")},
+      {"steep_at_one", make_power_delay(1e9, 60.0)},
+  };
+  const LoadRegime regimes[] = {LoadRegime::kBelowService,
+                                LoadRegime::kAtService,
+                                LoadRegime::kAboveService};
+  int cases = 0, solved = 0;
+  std::size_t rotation = 0;
+  for (const auto& [builder_name, builder] : builders) {
+    for (const LoadRegime regime : regimes) {
+      for (std::size_t d = 0; d < std::size(delays); ++d) {
+        for (const std::size_t n : {std::size_t{50}, std::size_t{2000}}) {
+          for (const std::uint64_t seed : {1u, 42u}) {
+            const population::ScenarioConfig cfg = builder(regime, n);
+            const auto users = population::sample_population(cfg, seed).users;
+            SCOPED_TRACE(std::string(builder_name) + " " +
+                         population::to_string(regime) + " " +
+                         delays[d].first + " n=" + std::to_string(n) +
+                         " seed=" + std::to_string(seed));
+            solved += expect_matches_full_sweeps(users, delays[d].second,
+                                                 cfg.capacity);
+            ++cases;
+          }
+        }
+      }
+      // 20,000 users, one delay family per regime in turn.
+      const std::size_t d = rotation++ % std::size(delays);
+      const population::ScenarioConfig cfg = builder(regime, 20000);
+      const auto users = population::sample_population(cfg, 7).users;
+      SCOPED_TRACE(std::string(builder_name) + " " +
+                   population::to_string(regime) + " " + delays[d].first +
+                   " n=20000");
+      solved +=
+          expect_matches_full_sweeps(users, delays[d].second, cfg.capacity);
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 3 * 3 * (7 * 2 * 2 + 1));
+  // Both solvers refuse the 50-user above-service practical draw of seed 42
+  // under the two power delays, whose g(0) = 0 lets V(0) reach 1.
+  EXPECT_EQ(solved, cases - 2);
+
+  const auto users = sampled(LoadRegime::kAtService, 2000, 3);
+  const EdgeDelay delay = make_reciprocal_delay();
+  {
+    // A tolerance below one ulp of gamma*: the iteration guard ends the
+    // bisection after the bracket has stopped shrinking.
+    MfneOptions opt;
+    opt.tolerance = 1e-30;
+    const MfneResult r = solve_mfne(users, delay, 10.0, opt);
+    EXPECT_FALSE(r.converged);
+    EXPECT_EQ(r.iterations, opt.max_iterations);
+    expect_same_bits(r, full_sweep_mfne(users, delay, 10.0, opt));
+  }
+  {
+    // Nobody offloads even at gamma = 0: V(0) == 0 and gamma* = 0.
+    std::vector<UserParams> never(50);
+    for (auto& u : never) {
+      u.arrival_rate = 0.05;
+      u.service_rate = 5.0;
+      u.offload_latency = 1000.0;
+      u.energy_local = 0.0;
+      u.energy_offload = 1.0;
+    }
+    const EdgeDelay zero = make_constant_delay(0.0);
+    const MfneResult r = solve_mfne(never, zero, 10.0);
+    EXPECT_EQ(r.gamma_star, 0.0);
+    EXPECT_EQ(r.iterations, 0);
+    expect_same_bits(r, full_sweep_mfne(never, zero, 10.0));
+  }
+  {
+    // V(0) >= 1 is refused before any bisection step.
+    std::vector<UserParams> heavy(10);
+    for (auto& u : heavy) {
+      u.arrival_rate = 5.0;
+      u.service_rate = 1.0;
+      u.energy_local = 3.0;
+    }
+    const EdgeDelay zero = make_constant_delay(0.0);
+    EXPECT_THROW(full_sweep_mfne(heavy, zero, 2.0), ContractViolation);
+    try {
+      solve_mfne(heavy, zero, 2.0);
+      ADD_FAILURE() << "expected V(0) >= 1 to be refused";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("V(0) >= 1"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -57,6 +57,17 @@ TEST(TailFrontEnds, AgreeOnEveryFlag) {
     sim::MecSimulation sim(users, 10.0, core::make_reciprocal_delay(), o);
     (void)sim.run_tro(std::vector<double>(users.size(), 2.0));
   }
+  // The same log without its 52-byte footer frame: what a run that died
+  // between frames leaves, and a log that will never grow again.
+  const std::string cut = temp_path("mec_tail_cli_cut.meclog");
+  {
+    std::ifstream in(log, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    ASSERT_GT(bytes.size(), 52u);
+    bytes.resize(bytes.size() - 52);
+    std::ofstream(cut, std::ios::binary) << bytes;
+  }
   struct Row {
     std::string args;
     int exit_code;
@@ -67,6 +78,8 @@ TEST(TailFrontEnds, AgreeOnEveryFlag) {
       {"--log=" + log + " --check", 0, ""},
       {log + " --csv=" + csv, 0, ""},
       {log + " --follow --max-updates=1", 0, ""},
+      {cut + " --check", 1, ""},
+      {cut + " --follow --max-updates=3 --interval=1", 0, ""},
       {log + " --csv", 1, "error: flag --csv expects a value"},
       {log + " --hist-csv", 1, "error: flag --hist-csv expects a value"},
       {"--log", 1, "error: flag --log expects a value"},
@@ -84,7 +97,9 @@ TEST(TailFrontEnds, AgreeOnEveryFlag) {
     for (const Row& row : rows) {
       SCOPED_TRACE(binary + " " + row.args);
       std::string err;
-      EXPECT_EQ(run(binary + " " + row.args, err), row.exit_code);
+      // A viewer that would poll forever fails its row instead.
+      EXPECT_EQ(run("timeout 10 " + binary + " " + row.args, err),
+                row.exit_code);
       if (row.message.empty())
         EXPECT_EQ(err, "");
       else
@@ -92,7 +107,18 @@ TEST(TailFrontEnds, AgreeOnEveryFlag) {
     }
     ASSERT_TRUE(std::filesystem::exists(csv));
     std::filesystem::remove(csv);
+
+    // Following the footer-less log polls until killed; what it drew before
+    // that is in the file, because every repaint is flushed.
+    const std::string out = temp_path("mec_tail_cli_follow.out");
+    const int status = std::system(("timeout 2 " + binary + " " + cut +
+                                    " --follow --interval=50 > " + out)
+                                       .c_str());
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 124) << status;
+    EXPECT_GT(std::filesystem::file_size(out), 0u) << binary;
+    std::filesystem::remove(out);
   }
+  std::filesystem::remove(cut);
   std::filesystem::remove(log);
 }
 

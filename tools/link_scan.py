@@ -94,6 +94,21 @@ ALLOWED = {
     "mec::sim::SimWorkspace::SimWorkspace":
         "the defaulted move constructor; "
         "WorkspaceReuse.MovedWorkspaceKeepsItsCachedState",
+    "mec::fault::FaultSchedule::add_user_arrival":
+        "places one join at a chosen time (churn lines draw theirs); "
+        "FaultEngine.ChurnJoinsAndDeparturesAdjustThePopulation, "
+        "FaultEngine.NeverJoinedChurnSlotsDoNotDiluteMeans, "
+        "Des.NamesTheDeviceCeilingAtConstruction, "
+        "ShardEquivalence.FaultScheduleAllActionKinds, "
+        "StreamShardInvariance.FaultScheduleAllActionKinds, "
+        "TransportEquivalence.FaultsAndChurnAcrossClusters",
+    "mec::fault::FaultSchedule::add_user_departure":
+        "places one departure at a chosen time (churn lines draw theirs); "
+        "FaultSchedule.BuildersRejectInvalidArguments, "
+        "FaultEngine.ChurnJoinsAndDeparturesAdjustThePopulation, "
+        "ShardEquivalence.FaultScheduleAllActionKinds, "
+        "StreamShardInvariance.FaultScheduleAllActionKinds, "
+        "TransportEquivalence.FaultsAndChurnAcrossClusters",
 }
 
 CLONE = re.compile(r" \[clone [^\]]*\]")
