@@ -59,10 +59,9 @@ int run(mec::bench::Context& ctx) {
         pop.users, shape, cfg.delay, cfg.capacity, 1e-4);
 
     // Mismatched: exponential Lemma-1 thresholds, true phase-type queue,
-    // at the utilization those thresholds actually induce.
-    double lo = 0.0, hi = 1.0;
-    for (int i = 0; i < 25; ++i) {
-      const double mid = 0.5 * (lo + hi);
+    // at the utilization those thresholds actually induce: 25 halvings (a
+    // zero tolerance never ends the bisection first).
+    const auto above = [&](double mid) {
       const double g = cfg.delay(mid);
       double acc = 0.0;
       for (const auto& u : pop.users) {
@@ -73,10 +72,10 @@ int run(mec::bench::Context& ctx) {
                    x)
                    .offload_probability;
       }
-      (acc / (static_cast<double>(pop.size()) * cfg.capacity) > mid ? lo : hi) =
-          mid;
-    }
-    const double gamma_mis = 0.5 * (lo + hi);
+      return acc / (static_cast<double>(pop.size()) * cfg.capacity) > mid;
+    };
+    const double gamma_mis =
+        core::bisect_fixed_point(above, 0.0, 25).gamma_star;
     const double g_mis = cfg.delay(gamma_mis);
     double cost_mis = 0.0;
     for (const auto& u : pop.users)

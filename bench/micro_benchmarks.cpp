@@ -347,26 +347,6 @@ BENCHMARK(BM_RunUntilConfident)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Scaling of the parallel V(gamma) sweep: one best_response over N = 10^5
-// users per iteration, spread over range(0) threads in 256-user chunks.
-void BM_ParallelBestResponse(benchmark::State& state) {
-  const auto users = shared_users(100000);
-  const core::EdgeDelay delay = core::make_reciprocal_delay();
-  parallel::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        core::best_response(users, delay, 10.0, 0.3, pool).utilization);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(users.size()));
-}
-BENCHMARK(BM_ParallelBestResponse)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 // google-benchmark keeps its own flag parser, so the experiment hands it a
 // synthetic argv: the runner's --filter maps to --benchmark_filter, and
 // --smoke pins the two cheapest closed-form benchmarks, the queue hold

@@ -74,21 +74,18 @@ RowResult evaluate(const mec::population::ScenarioConfig& cfg,
     dtu_costs.add(
         core::average_cost(pop.users, xs, cfg.delay, mfne.gamma_star));
 
-    // Delay-only DPO at its own consistent utilization.
+    // Delay-only DPO at its own consistent utilization: 50 halvings (a
+    // zero tolerance never ends the bisection first).
     {
-      double lo = 0.0, hi = 1.0;
-      for (int i = 0; i < 50; ++i) {
-        const double mid = 0.5 * (lo + hi);
+      const auto above = [&](double mid) {
         const double g = cfg.delay(mid);
         double acc = 0.0;
         for (const auto& u : pop.users)
           acc += u.arrival_rate *
                  baseline::delay_only_offload_probability(u, g);
-        (acc / (static_cast<double>(pop.size()) * cfg.capacity) > mid ? lo
-                                                                      : hi) =
-            mid;
-      }
-      const double gamma = 0.5 * (lo + hi);
+        return acc / (static_cast<double>(pop.size()) * cfg.capacity) > mid;
+      };
+      const double gamma = core::bisect_fixed_point(above, 0.0, 50).gamma_star;
       const double g = cfg.delay(gamma);
       double cost = 0.0;
       for (const auto& u : pop.users)

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "mec/common/error.hpp"
+#include "mec/core/mfne.hpp"
 
 namespace mec::baseline {
 
@@ -97,21 +98,16 @@ DpoEquilibrium solve_dpo_equilibrium(std::span<const core::UserParams> users,
   MEC_EXPECTS_MSG(v0 < 1.0, "DPO best response at gamma=0 exceeds capacity");
 
   DpoEquilibrium eq;
-  if (v0 == 0.0) {
-    eq.gamma_star = 0.0;
-  } else {
-    double lo = 0.0, hi = 1.0;
-    while (hi - lo > tolerance && eq.iterations < 200) {
-      const double mid = 0.5 * (lo + hi);
-      const double v =
-          best_response_utilization(users, delay, capacity, mid, nullptr);
-      if (v > mid)
-        lo = mid;
-      else
-        hi = mid;
-      ++eq.iterations;
-    }
-    eq.gamma_star = 0.5 * (lo + hi);
+  if (v0 != 0.0) {
+    const core::FixedPoint b = core::bisect_fixed_point(
+        [&](double mid) {
+          const double v =
+              best_response_utilization(users, delay, capacity, mid, nullptr);
+          return v > mid;
+        },
+        tolerance, core::kMaxBisectionIterations);
+    eq.gamma_star = b.gamma_star;
+    eq.iterations = b.iterations;
   }
 
   best_response_utilization(users, delay, capacity, eq.gamma_star, &eq.rhos);

@@ -6,14 +6,6 @@
 
 namespace mec::core {
 
-namespace {
-
-// Users per pool chunk: the Lemma-1 oracle costs ~100ns/user, so this keeps
-// dispatch overhead below a percent while still load-balancing 10^4 users.
-constexpr std::size_t kUserGrain = 256;
-
-}  // namespace
-
 double user_offload_rate(const UserParams& u, double threshold) {
   return u.arrival_rate *
          queueing::tro_offload_probability(u.intensity(), threshold);
@@ -35,34 +27,6 @@ BestResponse best_response(std::span<const UserParams> users,
     out.thresholds.push_back(x);
     acc += user_offload_rate(u, static_cast<double>(x));
   }
-  out.utilization = acc / (static_cast<double>(users.size()) * capacity);
-  MEC_ENSURES(out.utilization >= 0.0);
-  return out;
-}
-
-BestResponse best_response(std::span<const UserParams> users,
-                           const EdgeDelay& delay, double capacity,
-                           double gamma, parallel::ThreadPool& pool) {
-  MEC_EXPECTS(!users.empty());
-  MEC_EXPECTS(capacity > 0.0);
-  MEC_EXPECTS(gamma >= 0.0 && gamma <= 1.0);
-  const double g = delay(gamma);
-
-  BestResponse out;
-  out.thresholds.assign(users.size(), 0);
-  std::vector<double> rates(users.size(), 0.0);
-  pool.parallel_for_each(
-      users.size(),
-      [&](std::size_t n) {
-        const std::int64_t x = best_threshold(users[n], g);
-        out.thresholds[n] = x;
-        rates[n] = user_offload_rate(users[n], static_cast<double>(x));
-      },
-      kUserGrain);
-  // In-order serial reduction: the same additions, in the same order, as the
-  // serial overload's accumulation loop.
-  double acc = 0.0;
-  for (const double r : rates) acc += r;
   out.utilization = acc / (static_cast<double>(users.size()) * capacity);
   MEC_ENSURES(out.utilization >= 0.0);
   return out;

@@ -17,7 +17,6 @@
 
 #include "mec/core/edge_delay.hpp"
 #include "mec/core/user.hpp"
-#include "mec/parallel/thread_pool.hpp"
 
 namespace mec::core {
 
@@ -37,14 +36,6 @@ double user_offload_rate(const UserParams& u, double threshold);
 BestResponse best_response(std::span<const UserParams> users,
                            const EdgeDelay& delay, double capacity,
                            double gamma);
-
-/// As above, with the per-user sweep (embarrassingly parallel) spread across
-/// `pool`.  Per-user contributions land in per-index slots and are reduced
-/// serially in user order, so the result is bit-identical to the serial
-/// overload for every thread count.
-BestResponse best_response(std::span<const UserParams> users,
-                           const EdgeDelay& delay, double capacity,
-                           double gamma, parallel::ThreadPool& pool);
 
 /// Aggregate utilization induced by an arbitrary (not necessarily optimal)
 /// threshold vector: (1/N) * sum a_n * alpha_n(x_n) / c.  This is Algorithm

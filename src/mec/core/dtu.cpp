@@ -37,11 +37,56 @@ UpdateGate make_bernoulli_gate(double p, std::uint64_t seed) {
   };
 }
 
+void DtuParams::check(std::string_view run) const {
+  check_option(eta0 > 0.0 && eta0 <= 1.0, run, "eta0", eta0,
+               "a value in (0, 1]");
+  check_option(epsilon > 0.0 && epsilon < 1.0, run, "epsilon", epsilon,
+               "a value in (0, 1)");
+}
+
+bool dtu_settled(const DtuState& state, double epsilon) {
+  return std::abs(state.ghat_prev - state.ghat_prev2) <= epsilon;
+}
+
+DtuState dtu_restart(double ghat, double eta0) {
+  return {.ghat_prev2 = 2.0, .ghat_prev = ghat, .eta = eta0};
+}
+
+double dtu_update(DtuState& state, const DtuParams& params, int t, double gamma,
+                  std::span<const UserParams> users, const EdgeDelay& delay,
+                  std::span<double> thresholds) {
+  // Line 3: signed fixed step towards the true utilization, clamped to
+  // [0, 1] (the paper clamps at 1; the 0 clamp is never active when
+  // gamma_t > 0 but protects degenerate inputs).
+  double step = 0.0;
+  if (gamma > state.ghat_prev)
+    step = state.eta;
+  else if (gamma < state.ghat_prev)
+    step = -state.eta;
+  const double ghat = std::clamp(state.ghat_prev + step, 0.0, 1.0);
+
+  // Lines 5-7: every (gated) user best-responds to the broadcast estimate
+  // using only its own parameters.
+  const double g_value = delay(ghat);
+  for (std::size_t n = 0; n < users.size(); ++n) {
+    if (params.update_gate && !params.update_gate(n, t)) continue;
+    thresholds[n] = static_cast<double>(best_threshold(users[n], g_value));
+  }
+
+  // Lines 9-14: shrink the step when the estimate 2-cycles.
+  if (t >= 2 && std::abs(ghat - state.ghat_prev2) <= kOscillationTol) {
+    ++state.counter_l;
+    state.eta = params.eta0 / state.counter_l;
+  }
+  state.ghat_prev2 = state.ghat_prev;
+  state.ghat_prev = ghat;
+  return ghat;
+}
+
 DtuResult run_dtu(std::span<const UserParams> users, const EdgeDelay& delay,
                   UtilizationSource& source, const DtuOptions& options) {
   MEC_EXPECTS(!users.empty());
-  MEC_EXPECTS(options.eta0 > 0.0 && options.eta0 <= 1.0);
-  MEC_EXPECTS(options.epsilon > 0.0 && options.epsilon < 1.0);
+  options.check("run_dtu");
   MEC_EXPECTS(options.max_iterations >= 1);
   MEC_EXPECTS(options.initial_thresholds.empty() ||
               options.initial_thresholds.size() == users.size());
@@ -57,42 +102,15 @@ DtuResult run_dtu(std::span<const UserParams> users, const EdgeDelay& delay,
   DtuResult result;
   // gamma_1: true utilization of the initial thresholds.
   double gamma = source.utilization(thresholds);
-
-  double ghat_prev2 = 1.0;  // gamma_hat_{-1}
-  double ghat_prev = 0.0;   // gamma_hat_0
-  double eta = options.eta0;
-  int counter_l = 1;
+  DtuState state{.eta = options.eta0};
 
   for (int t = 1; t <= options.max_iterations; ++t) {
-    if (std::abs(ghat_prev - ghat_prev2) <= options.epsilon) {
+    if (dtu_settled(state, options.epsilon)) {
       result.converged = true;
       break;
     }
-
-    // Line 3: signed fixed step towards the true utilization, clamped to
-    // [0, 1] (the paper clamps at 1; the 0 clamp is never active when
-    // gamma_t > 0 but protects degenerate inputs).
-    double step = 0.0;
-    if (gamma > ghat_prev)
-      step = eta;
-    else if (gamma < ghat_prev)
-      step = -eta;
-    const double ghat = std::clamp(ghat_prev + step, 0.0, 1.0);
-
-    // Lines 5-7: every (gated) user best-responds to the broadcast estimate
-    // using only its own parameters.
-    const double g_value = delay(ghat);
-    for (std::size_t n = 0; n < n_users; ++n) {
-      if (options.update_gate && !options.update_gate(n, t)) continue;
-      thresholds[n] =
-          static_cast<double>(best_threshold(users[n], g_value));
-    }
-
-    // Lines 9-14: shrink the step when the estimate 2-cycles.
-    if (t >= 2 && std::abs(ghat - ghat_prev2) <= options.oscillation_tol) {
-      ++counter_l;
-      eta = options.eta0 / counter_l;
-    }
+    const double ghat =
+        dtu_update(state, options, t, gamma, users, delay, thresholds);
 
     // Line 15: next true utilization.
     const double gamma_next = source.utilization(thresholds);
@@ -103,15 +121,12 @@ DtuResult run_dtu(std::span<const UserParams> users, const EdgeDelay& delay,
     const double realized_cost = average_cost(
         users, thresholds, delay, std::clamp(gamma_next, 0.0, 1.0));
     result.trace.push_back(
-        DtuIterate{t, gamma, ghat, eta, mean_x, realized_cost});
-
-    ghat_prev2 = ghat_prev;
-    ghat_prev = ghat;
+        DtuIterate{t, gamma, ghat, state.eta, mean_x, realized_cost});
     gamma = gamma_next;
   }
 
   result.thresholds = std::move(thresholds);
-  result.final_gamma_hat = ghat_prev;
+  result.final_gamma_hat = state.ghat_prev;
   result.final_gamma = gamma;
   result.iterations = static_cast<int>(result.trace.size());
   return result;

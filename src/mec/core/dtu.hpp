@@ -8,15 +8,16 @@
 // incremented counter L.  Theorem 2: the iterates converge to the unique
 // MFNE.
 //
-// The true utilization gamma_t is obtained from a pluggable
-// UtilizationSource: the analytic Eq.-(6) evaluator (exact for exponential
-// service) or a discrete-event-simulation-backed measurement (practical
-// settings; see mec/sim/mec_simulation.hpp).
+// run_dtu takes the true utilization gamma_t from a UtilizationSource, the
+// analytic Eq.-(6) evaluator (exact for exponential service) or a test's
+// wrapper of it.  The same iteration, dtu_update, also runs inside the
+// discrete-event simulator on measured utilization (sim::run_closed_loop).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "mec/core/edge_delay.hpp"
@@ -54,17 +55,49 @@ using UpdateGate = std::function<bool(std::size_t n, int t)>;
 /// Requires 0 <= p <= 1.
 UpdateGate make_bernoulli_gate(double p, std::uint64_t seed = 0);
 
-struct DtuOptions {
+/// Algorithm 1's parameters (DtuOptions, sim::ClosedLoopOptions).
+struct DtuParams {
   // Defaults give the paper's ~20-iteration convergence profile (Fig. 5/7).
   // The step decays harmonically (eta0/L), so reaching accuracy epsilon
   // costs O(eta0/epsilon) iterations — pick the pair jointly.
-  double eta0 = 0.1;            ///< initial step, 0 < eta0 <= 1
-  double epsilon = 0.01;        ///< convergence accuracy, 0 < epsilon < 1
+  double eta0 = 0.1;       ///< initial step, 0 < eta0 <= 1
+  double epsilon = 0.01;   ///< convergence accuracy, 0 < epsilon < 1
+  UpdateGate update_gate;  ///< null => synchronous updates
+
+  /// Throws ContractViolation "<run>: <field> is <value>, expected <range>".
+  void check(std::string_view run) const;
+};
+
+/// FP tolerance of the 2-cycle test gamma_hat_t == gamma_hat_{t-2}.
+inline constexpr double kOscillationTol = 1e-12;
+
+/// Algorithm 1's state; `{.eta = eta0}` is the cold start.
+struct DtuState {
+  double ghat_prev2 = 1.0;  ///< gamma_hat_{t-2}
+  double ghat_prev = 0.0;   ///< gamma_hat_{t-1}
+  double eta = 0.0;         ///< step size eta_t
+  int counter_l = 1;        ///< L: eta = eta0 / L
+};
+
+/// The stop test: |gamma_hat_{t-1} - gamma_hat_{t-2}| <= epsilon.
+bool dtu_settled(const DtuState& state, double epsilon);
+
+/// Restarts the step schedule (eta = eta0) from estimate `ghat`, with a
+/// gamma_hat_{t-2} sentinel (2) that no clamped estimate reaches, so neither
+/// the stop nor the 2-cycle test fires before two fresh updates.
+DtuState dtu_restart(double ghat, double eta0);
+
+/// Lines 3-14 of Algorithm 1 at iteration t on the true (or measured)
+/// utilization gamma: the signed step, the clamp, the gated Lemma-1 best
+/// responses into thresholds[n], eta0/L on a 2-cycle (t >= 2), and the
+/// shift.  Returns gamma_hat_t.
+double dtu_update(DtuState& state, const DtuParams& params, int t, double gamma,
+                  std::span<const UserParams> users, const EdgeDelay& delay,
+                  std::span<double> thresholds);
+
+struct DtuOptions : DtuParams {
   int max_iterations = 100000;  ///< hard guard
-  /// FP tolerance for gamma_hat_t == gamma_hat_{t-2}
-  double oscillation_tol = 1e-12;
   std::vector<double> initial_thresholds;  ///< empty => all users start at 0
-  UpdateGate update_gate;       ///< null => synchronous updates
 };
 
 /// One recorded iteration of the algorithm.
@@ -91,8 +124,8 @@ struct DtuResult {
 };
 
 /// Runs Algorithm 1 to convergence. Requires non-empty users, a valid delay,
-/// 0 < eta0 <= 1, 0 < epsilon < 1, and initial_thresholds either empty or of
-/// matching size with non-negative entries.
+/// parameters that pass DtuParams::check, and initial_thresholds either
+/// empty or of matching size with non-negative entries.
 DtuResult run_dtu(std::span<const UserParams> users, const EdgeDelay& delay,
                   UtilizationSource& source, const DtuOptions& options = {});
 

@@ -1,8 +1,7 @@
 #include "mec/core/general_service.hpp"
 
-#include <limits>
-
 #include "mec/common/error.hpp"
+#include "mec/core/mfne.hpp"
 
 namespace mec::core {
 
@@ -78,21 +77,17 @@ PhaseTypeEquilibrium solve_phase_type_equilibrium(
                                              0.0);
   MEC_EXPECTS_MSG(v0 < 1.0, "V(0) >= 1: capacity too small");
 
-  double lo = 0.0, hi = 1.0;
-  if (v0 == 0.0) {
-    lo = hi = 0.0;
-  } else {
-    while (hi - lo > tolerance) {
-      const double mid = 0.5 * (lo + hi);
-      if (phase_type_best_response(users, shape, delay, capacity, mid) > mid)
-        lo = mid;
-      else
-        hi = mid;
-    }
-  }
-
   PhaseTypeEquilibrium eq;
-  eq.gamma_star = 0.5 * (lo + hi);
+  if (v0 != 0.0) {
+    const FixedPoint b = bisect_fixed_point(
+        [&](double mid) {
+          const double v =
+              phase_type_best_response(users, shape, delay, capacity, mid);
+          return v > mid;
+        },
+        tolerance, kMaxBisectionIterations);
+    eq.gamma_star = b.gamma_star;
+  }
   const double g = delay(eq.gamma_star);
   double cost = 0.0;
   eq.thresholds.reserve(users.size());

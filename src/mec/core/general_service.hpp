@@ -57,8 +57,9 @@ struct PhaseTypeEquilibrium {
   double average_cost = 0.0;
 };
 
-/// Fixed point of the phase-type best response (bisection; the map is
-/// non-increasing in gamma by the same monotonicity argument as Theorem 1).
+/// Fixed point of the phase-type best response (bisect_fixed_point, at most
+/// kMaxBisectionIterations halvings; the map is non-increasing in gamma by
+/// the same monotonicity argument as Theorem 1).
 PhaseTypeEquilibrium solve_phase_type_equilibrium(
     std::span<const UserParams> users, const queueing::PhaseType& shape,
     const EdgeDelay& delay, double capacity, double tolerance = 1e-6);

@@ -75,29 +75,13 @@ MeanFieldEquilibrium mean_field_equilibrium(const MeanFieldModel& model,
   MEC_EXPECTS(max_iterations >= 1);
   const double v0 = mean_field_best_response(model, 0.0, points);
   MEC_EXPECTS_MSG(v0 < 1.0, "V(0) >= 1: capacity too small");
-  MeanFieldEquilibrium result;
-  if (v0 == 0.0) {
-    result.converged = true;  // exact: gamma* = 0
-    return result;
-  }
+  if (v0 == 0.0) return {.converged = true};  // exact: gamma* = 0
 
-  // Guarded like solve_mfne: for tolerances near/below one ulp the bracket
-  // stops shrinking (0.5*(lo+hi) rounds back to lo or hi) and an unguarded
-  // loop never exits.
-  double lo = 0.0, hi = 1.0;
-  int iters = 0;
-  while (hi - lo > tolerance && iters < max_iterations) {
-    const double mid = 0.5 * (lo + hi);
-    if (mean_field_best_response(model, mid, points) > mid)
-      lo = mid;
-    else
-      hi = mid;
-    ++iters;
-  }
-  result.gamma_star = 0.5 * (lo + hi);
-  result.iterations = iters;
-  result.converged = hi - lo <= tolerance;
-  return result;
+  return bisect_fixed_point(
+      [&](double mid) {
+        return mean_field_best_response(model, mid, points) > mid;
+      },
+      tolerance, max_iterations);
 }
 
 }  // namespace mec::core

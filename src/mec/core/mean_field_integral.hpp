@@ -14,6 +14,7 @@
 #include <functional>
 
 #include "mec/core/edge_delay.hpp"
+#include "mec/core/mfne.hpp"
 
 namespace mec::core {
 
@@ -45,15 +46,8 @@ double halton(std::size_t index, std::size_t dimension);
 double mean_field_best_response(const MeanFieldModel& model, double gamma,
                                 std::size_t points = 1 << 16);
 
-/// Outcome of the mean-field bisection (mirrors MfneResult's contract).
-struct MeanFieldEquilibrium {
-  double gamma_star = 0.0;  ///< midpoint of the final bracket
-  int iterations = 0;       ///< bisection iterations used
-  /// True when the bracket reached `tolerance`; false when `max_iterations`
-  /// cut the bisection off first (tolerances at or below one ulp of gamma*
-  /// can never be met — the bracket stops shrinking).
-  bool converged = false;
-};
+/// Outcome of the mean-field bisection.
+using MeanFieldEquilibrium = FixedPoint;
 
 /// Solves V(gamma) = gamma by bisection on the QMC evaluation.
 /// Requires V(0) < 1 (checked), tolerance > 0, max_iterations >= 1.

@@ -48,6 +48,21 @@ double sweep(std::span<const UserParams> users, double capacity,
 
 }  // namespace
 
+FixedPoint bisect_fixed_point(const std::function<bool(double)>& above,
+                              double tolerance, int max_iterations) {
+  double lo = 0.0, hi = 1.0;
+  int iters = 0;
+  while (hi - lo > tolerance && iters < max_iterations) {
+    const double mid = 0.5 * (lo + hi);
+    if (above(mid))
+      lo = mid;
+    else
+      hi = mid;
+    ++iters;
+  }
+  return {0.5 * (lo + hi), iters, hi - lo <= tolerance};
+}
+
 MfneResult solve_mfne(std::span<const UserParams> users, const EdgeDelay& delay,
                       double capacity, const MfneOptions& options) {
   MEC_EXPECTS(!users.empty());
@@ -72,31 +87,28 @@ MfneResult solve_mfne(std::span<const UserParams> users, const EdgeDelay& delay,
     return r;
   }
 
-  // h(gamma) = V(gamma) - gamma: h(0) = v0 > 0, h(1) = V(1) - 1 < 0.
-  double lo = 0.0, hi = 1.0;
-  int iters = 0;
-  while (hi - lo > options.tolerance && iters < options.max_iterations) {
-    const double mid = 0.5 * (lo + hi);
-    mid_sweep.g = delay(mid);
-    const double v = sweep(users, capacity, &lo_sweep, hi_swept, mid_sweep);
-    if (v > mid) {
-      lo = mid;
-      std::swap(lo_sweep, mid_sweep);
-    } else {
-      hi = mid;
-      std::swap(hi_sweep, mid_sweep);
-      hi_swept = &hi_sweep;
-    }
-    ++iters;
-  }
+  // h(gamma) = V(gamma) - gamma: h(0) = v0 > 0, h(1) = V(1) - 1 < 0.  Each
+  // evaluated midpoint's sweep becomes the sweep of the end it moves.
+  const FixedPoint b = bisect_fixed_point(
+      [&](double mid) {
+        mid_sweep.g = delay(mid);
+        if (sweep(users, capacity, &lo_sweep, hi_swept, mid_sweep) > mid) {
+          std::swap(lo_sweep, mid_sweep);
+          return true;
+        }
+        std::swap(hi_sweep, mid_sweep);
+        hi_swept = &hi_sweep;
+        return false;
+      },
+      options.tolerance, options.max_iterations);
 
-  r.gamma_star = 0.5 * (lo + hi);
+  r.gamma_star = b.gamma_star;
   mid_sweep.g = delay(r.gamma_star);
   r.best_response_value =
       sweep(users, capacity, &lo_sweep, hi_swept, mid_sweep);
   r.thresholds = std::move(mid_sweep.thresholds);
-  r.iterations = iters;
-  r.converged = hi - lo <= options.tolerance;
+  r.iterations = b.iterations;
+  r.converged = b.converged;
   MEC_ENSURES(r.gamma_star >= 0.0 && r.gamma_star <= 1.0);
   return r;
 }

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -32,9 +33,28 @@
 
 namespace mec::core {
 
+/// A fixed point gamma* = V(gamma*) bracketed by bisection.
+struct FixedPoint {
+  double gamma_star = 0.0;  ///< midpoint of the final bracket
+  int iterations = 0;       ///< halvings performed
+  /// False when max_iterations cut the bisection off first: a tolerance at
+  /// or below one ulp of gamma* stops the bracket shrinking.
+  bool converged = false;
+};
+
+/// Bisects [0, 1] for the crossing of a non-increasing map V with the
+/// identity (Theorem 1; the DPO, phase-type and mean-field solvers).
+/// `above(mid)` returns V(mid) > mid.  Halves until the bracket is at most
+/// `tolerance` wide or after `max_iterations` halvings.
+FixedPoint bisect_fixed_point(const std::function<bool(double)>& above,
+                              double tolerance, int max_iterations);
+
+/// The solvers' default guard on halvings (2^-200 is below any tolerance).
+inline constexpr int kMaxBisectionIterations = 200;
+
 struct MfneOptions {
-  double tolerance = 1e-10;   ///< bisection interval width at termination
-  int max_iterations = 200;   ///< bisection guard (2^-200 << any tolerance)
+  double tolerance = 1e-10;  ///< bisection interval width at termination
+  int max_iterations = kMaxBisectionIterations;  ///< bisection guard
 };
 
 struct MfneResult {

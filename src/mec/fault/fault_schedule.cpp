@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iterator>
 #include <sstream>
+#include <string_view>
 
 #include "mec/common/error.hpp"
 #include "mec/random/rng.hpp"
@@ -12,9 +13,18 @@ namespace mec::fault {
 
 namespace {
 
+// Refuses a field by name: "<field> is <value>, expected <range>".
+void check_field(bool ok, std::string_view field, double value,
+                 std::string_view expected) {
+  if (ok) return;
+  std::ostringstream os;
+  os << field << " is " << value << ", expected " << expected;
+  throw ContractViolation(os.str());
+}
+
 void check_time(double time) {
-  MEC_EXPECTS(std::isfinite(time));
-  MEC_EXPECTS(time >= 0.0);
+  check_field(std::isfinite(time) && time >= 0.0, "time", time,
+              "a finite value >= 0");
 }
 
 bool earlier(const FaultAction& a, const FaultAction& b) {
@@ -40,15 +50,6 @@ FaultAction user_departure(double time, double selector) {
   a.kind = FaultKind::kUserDeparture;
   a.value = selector;
   return a;
-}
-
-// Refuses a churn field by name: "<field> is <value>, expected <range>".
-void check_churn(bool ok, const char* field, double value,
-                 const char* expected) {
-  if (ok) return;
-  std::ostringstream os;
-  os << field << " is " << value << ", expected " << expected;
-  throw ContractViolation(os.str());
 }
 
 // Refuses a process whose expected count no run can hold, before any draw:
@@ -78,7 +79,7 @@ void FaultSchedule::insert(FaultAction action) {
 
 void FaultSchedule::add_capacity_scale(double time, double scale,
                                        std::uint16_t cluster) {
-  MEC_EXPECTS_MSG(scale > 0.0, "capacity scale must be positive");
+  check_field(scale > 0.0, "scale", scale, "a value > 0");
   FaultAction a;
   a.time = time;
   a.kind = FaultKind::kCapacityScale;
@@ -89,8 +90,13 @@ void FaultSchedule::add_capacity_scale(double time, double scale,
 
 void FaultSchedule::add_outage(double begin, double end, OutageMode mode,
                                double penalty) {
-  MEC_EXPECTS_MSG(begin >= 0.0 && begin < end, "outage needs 0 <= begin < end");
-  MEC_EXPECTS(penalty >= 0.0);
+  check_field(std::isfinite(end), "end", end, "a finite value");
+  if (!(begin >= 0.0 && begin < end)) {
+    std::ostringstream range;
+    range << "a value in [0, end) = [0, " << end << ")";
+    check_field(false, "begin", begin, range.str());
+  }
+  check_field(penalty >= 0.0, "penalty", penalty, "a value >= 0");
   FaultAction open;
   open.time = begin;
   open.kind = FaultKind::kOutageBegin;
@@ -132,12 +138,12 @@ void FaultSchedule::add_user_departure(double time, double selector) {
 void FaultSchedule::add_poisson_churn(
     const population::ScenarioConfig& scenario, double arrival_rate,
     double departure_rate, double t_begin, double t_end, std::uint64_t seed) {
-  check_churn(std::isfinite(t_end), "t_end", t_end, "a finite value");
-  check_churn(t_begin >= 0.0 && t_begin < t_end, "t_begin", t_begin,
+  check_field(std::isfinite(t_end), "t_end", t_end, "a finite value");
+  check_field(t_begin >= 0.0 && t_begin < t_end, "t_begin", t_begin,
               "a value in [0, t_end)");
-  check_churn(std::isfinite(arrival_rate) && arrival_rate >= 0.0,
+  check_field(std::isfinite(arrival_rate) && arrival_rate >= 0.0,
               "arrival rate", arrival_rate, "a finite value >= 0");
-  check_churn(std::isfinite(departure_rate) && departure_rate >= 0.0,
+  check_field(std::isfinite(departure_rate) && departure_rate >= 0.0,
               "departure rate", departure_rate, "a finite value >= 0");
   check_churn_count(arrival_rate, t_begin, t_end, "joins");
   check_churn_count(departure_rate, t_begin, t_end, "departures");
@@ -217,11 +223,24 @@ void FaultSchedule::check(std::size_t n_initial_devices) const {
     switch (a.kind) {
       case FaultKind::kDeviceCrash:
       case FaultKind::kDeviceRestart:
-        MEC_EXPECTS_MSG(a.device < n_initial_devices,
-                        "crash/restart targets an out-of-range device");
+        if (a.device >= n_initial_devices) {
+          std::ostringstream os;
+          os << "fault schedule: "
+             << (a.kind == FaultKind::kDeviceCrash ? "crash" : "restart")
+             << " at t=" << a.time << ": device is " << a.device
+             << ", expected an index < " << n_initial_devices
+             << " (the initial population)";
+          throw ContractViolation(os.str());
+        }
         break;
       case FaultKind::kOutageBegin:
-        MEC_EXPECTS_MSG(!outage_open, "overlapping outage windows");
+        if (outage_open) {
+          std::ostringstream os;
+          os << "fault schedule: outage at t=" << a.time
+             << " begins inside another outage, expected outage windows "
+                "that do not overlap";
+          throw ContractViolation(os.str());
+        }
         outage_open = true;
         break;
       case FaultKind::kOutageEnd:

@@ -74,7 +74,9 @@ class FaultSchedule {
   static constexpr std::size_t kMaxChurnCount = std::size_t{1} << 20;
 
   /// Scales the edge capacity to `scale` x nominal from `time` on.
-  /// Requires time >= 0 and scale > 0 (1.0 restores nominal capacity).
+  /// Requires a finite time >= 0 and scale > 0 (1.0 restores nominal
+  /// capacity); like every add_*, a refusal names the field, its value and
+  /// the accepted range.
   /// With an explicit `cluster` the brown-out hits only that cluster's
   /// effective capacity (per-cluster gamma clamp); the default targets the
   /// whole edge exactly as before.
@@ -83,7 +85,7 @@ class FaultSchedule {
 
   /// Opens an outage window [begin, end). kPenalty adds `penalty` seconds to
   /// every offload's wireless latency; kReject reroutes offloads to the
-  /// local queue. Requires 0 <= begin < end and penalty >= 0.
+  /// local queue. Requires 0 <= begin < end, a finite end and penalty >= 0.
   void add_outage(double begin, double end,
                   OutageMode mode = OutageMode::kReject, double penalty = 0.0);
 
@@ -133,9 +135,9 @@ class FaultSchedule {
   double capacity_scale_at(double time) const noexcept;
 
   /// Validates the schedule against a population size: crash/restart
-  /// targets must be < n_initial_devices, and outage windows must nest
-  /// correctly (every begin closed before the next opens).
-  /// Throws mec::ContractViolation on violation.
+  /// targets must be < n_initial_devices, and outage windows must not
+  /// overlap.  Throws mec::ContractViolation naming the action's kind and
+  /// time, the device and the initial population size, or the outage.
   void check(std::size_t n_initial_devices) const;
 
  private:

@@ -1,12 +1,10 @@
 #include "mec/sim/closed_loop.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <string_view>
 #include <utility>
 
 #include "mec/common/error.hpp"
-#include "mec/core/threshold_oracle.hpp"
 
 namespace mec::sim {
 
@@ -20,10 +18,7 @@ ClosedLoopResult run_closed_loop(std::span<const core::UserParams> users,
                "0 (the whole closed-loop run is the measurement)");
   check_option(options.horizon > options.update_period, kRun, "horizon",
                options.horizon, "a value > update_period");
-  check_option(options.eta0 > 0.0 && options.eta0 <= 1.0, kRun, "eta0",
-               options.eta0, "a value in (0, 1]");
-  check_option(options.epsilon > 0.0 && options.epsilon < 1.0, kRun, "epsilon",
-               options.epsilon, "a value in (0, 1)");
+  options.check(kRun);
   check_option(options.drift_margin > 0.0, kRun, "drift_margin",
                options.drift_margin, "a value > 0");
 
@@ -34,63 +29,31 @@ ClosedLoopResult run_closed_loop(std::span<const core::UserParams> users,
   std::span<const core::UserParams> population;
   std::vector<double> thresholds;
 
-  // Algorithm 1 state, updated by the epoch callback.
-  struct LoopState {
-    double ghat_prev2 = 1.0;  // gamma_hat_{-1}
-    double ghat_prev = 0.0;   // gamma_hat_0
-    double eta;
-    int counter_l = 1;
-    int t = 0;
-    bool settled = false;
-  } state;
-  state.eta = options.eta0;
+  // Algorithm 1's state; `settled` stays set until a drift restart.
+  core::DtuState state{.eta = options.eta0};
+  int t = 0;
+  bool settled = false;
 
   ClosedLoopResult result;
 
   SimulationOptions sim_options = options;
   sim_options.epoch_period = options.update_period;
   sim_options.on_epoch = [&](double now, double gamma_measured) {
-    ++state.t;
-    if (state.settled && options.resume_on_drift &&
+    ++t;
+    if (settled && options.resume_on_drift &&
         std::abs(gamma_measured - state.ghat_prev) > options.drift_margin) {
       // The environment moved under a settled estimate (capacity shock,
-      // churn wave): restart the step/halving schedule.  ghat_prev2 gets a
-      // far sentinel so the settling test cannot re-fire before two fresh
-      // updates (mirroring the cold-start state), and the sentinel is
-      // unreachable by ghat so the oscillation rule stays quiet.
-      state.settled = false;
-      state.eta = options.eta0;
-      state.counter_l = 1;
-      state.ghat_prev2 = 2.0;
+      // churn wave): restart the step/halving schedule.
+      settled = false;
+      state = core::dtu_restart(state.ghat_prev, options.eta0);
       ++result.drift_resumes;
-    } else if (std::abs(state.ghat_prev - state.ghat_prev2) <=
-               options.epsilon) {
-      state.settled = true;  // estimate pinned; devices hold thresholds
+    } else if (core::dtu_settled(state, options.epsilon)) {
+      settled = true;  // estimate pinned; devices hold thresholds
     }
-
-    double ghat = state.ghat_prev;
-    if (!state.settled) {
-      double step = 0.0;
-      if (gamma_measured > state.ghat_prev)
-        step = state.eta;
-      else if (gamma_measured < state.ghat_prev)
-        step = -state.eta;
-      ghat = std::clamp(state.ghat_prev + step, 0.0, 1.0);
-
-      const double g_value = delay(ghat);
-      for (std::size_t n = 0; n < population.size(); ++n) {
-        if (options.update_gate && !options.update_gate(n, state.t)) continue;
-        thresholds[n] =
-            static_cast<double>(core::best_threshold(population[n], g_value));
-      }
-      if (state.t >= 2 &&
-          std::abs(ghat - state.ghat_prev2) <= options.oscillation_tol) {
-        ++state.counter_l;
-        state.eta = options.eta0 / state.counter_l;
-      }
-      state.ghat_prev2 = state.ghat_prev;
-      state.ghat_prev = ghat;
-    }
+    const double ghat =
+        settled ? state.ghat_prev
+                : core::dtu_update(state, options, t, gamma_measured,
+                                   population, delay, thresholds);
 
     double mean_x = 0.0;
     for (const double x : thresholds) mean_x += x;
@@ -107,7 +70,7 @@ ClosedLoopResult run_closed_loop(std::span<const core::UserParams> users,
 
   result.thresholds = std::move(thresholds);
   result.final_gamma_hat = state.ghat_prev;
-  result.estimate_settled = state.settled;
+  result.estimate_settled = settled;
   return result;
 }
 

@@ -1,17 +1,16 @@
 // Closed-loop operation: Algorithm 1 running *inside* the discrete-event
 // simulator.
 //
-// The iteration-level DTU (mec/core/dtu.hpp) evaluates gamma_t with an
-// oracle between iterations.  In a deployed system the two time scales of
-// the paper's quasi-stationary argument coexist in real time: tasks flow
-// continuously (fast scale) while every `update_period` seconds the edge
-// broadcasts its *measured* utilization estimate and devices best-respond
-// (slow scale).  This module runs exactly that: one continuous run_tro
-// simulation in which an epoch callback executes Algorithm 1's
-// estimate/step/halving logic against the engine's EWMA utilization and
-// rewrites the per-device threshold array in place — queues are never
-// reset, stragglers can skip updates, and convergence happens under genuine
-// measurement noise.
+// run_dtu (mec/core/dtu.hpp) evaluates gamma_t with an oracle between
+// iterations.  In a deployed system the two time scales of the paper's
+// quasi-stationary argument coexist in real time: tasks flow continuously
+// (fast scale) while every `update_period` seconds the edge broadcasts its
+// *measured* utilization estimate and devices best-respond (slow scale).
+// This module runs exactly that: one continuous run_tro simulation in which
+// an epoch callback calls Algorithm 1's one update, core::dtu_update, on the
+// engine's EWMA utilization and so rewrites the per-device threshold array
+// in place — queues are never reset, stragglers can skip updates, and
+// convergence happens under genuine measurement noise.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +24,8 @@
 
 namespace mec::sim {
 
-/// A closed-loop run: the simulation it runs plus Algorithm 1's parameters.
+/// A closed-loop run: the simulation it runs plus Algorithm 1's parameters
+/// (eta0, epsilon, update_gate; a null gate means every device updates).
 /// Every SimulationOptions field applies as in any run — shards,
 /// transports, topology, faults, streaming — except three that
 /// run_closed_loop refuses by name:
@@ -39,17 +39,13 @@ namespace mec::sim {
 /// late joiner in Algorithm 1.  With several clusters, Algorithm 1 keeps
 /// broadcasting the aggregate utilization; the per-cluster gamma
 /// trajectories still land in the telemetry stream.
-struct ClosedLoopOptions : SimulationOptions {
+struct ClosedLoopOptions : SimulationOptions, core::DtuParams {
   ClosedLoopOptions() {
     warmup = 0.0;
     horizon = 400.0;
   }
 
   double update_period = 5.0;  ///< seconds between broadcast epochs, > 0
-  double eta0 = 0.1;           ///< Algorithm 1 step, (0, 1]
-  double epsilon = 0.01;       ///< Algorithm 1 accuracy, (0, 1)
-  double oscillation_tol = 1e-12;
-  core::UpdateGate update_gate;  ///< null => every device updates
   /// Algorithm 1 freezes thresholds once |ghat_t - ghat_{t-1}| <= epsilon —
   /// correct in a stationary environment, blind in a faulty one.  With
   /// resume_on_drift, a settled loop whose *measured* utilization strays

@@ -5,13 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "bit_digest.hpp"
 #include "mec/common/error.hpp"
 #include "mec/core/mfne.hpp"
+#include "mec/fault/fault_schedule.hpp"
 #include "mec/population/population.hpp"
 #include "mec/population/scenario.hpp"
 #include "mec/random/empirical_data.hpp"
@@ -119,6 +123,84 @@ TEST(ClosedLoop, ThresholdsFreezeOnceSettled) {
   const double settled_mean = r.epochs.back().mean_threshold;
   for (std::size_t i = r.epochs.size() - 5; i < r.epochs.size(); ++i)
     EXPECT_DOUBLE_EQ(r.epochs[i].mean_threshold, settled_mean);
+}
+
+std::shared_ptr<const fault::FaultSchedule> capacity_drop(double time,
+                                                          double scale) {
+  auto schedule = std::make_shared<fault::FaultSchedule>();
+  schedule->add_capacity_scale(time, scale);
+  return schedule;
+}
+
+// Every epoch field and the run's totals of five loops, pinned by digest: a
+// larger step on a shorter period, an asynchronous gate, 2 shards over 3
+// clusters, and a brown-out with and without the drift restart.  Captured
+// before Algorithm 1 had one implementation shared with run_dtu; a refactor
+// of the update must leave them unmoved.
+TEST(ClosedLoop, EpochsKeepTheirBits) {
+  const auto pop = sampled(300);
+  struct Row {
+    const char* name;
+    void (*set)(ClosedLoopOptions&);
+    std::uint64_t digest;
+  };
+  const Row rows[] = {
+      {"eta0 0.2, period 4",
+       [](ClosedLoopOptions& o) {
+         o.eta0 = 0.2;
+         o.update_period = 4.0;
+       },
+       0x67aad4f2200e2d61ull},
+      {"async 0.8",
+       [](ClosedLoopOptions& o) {
+         o.update_gate = core::make_bernoulli_gate(0.8, 3);
+       },
+       0x950255dc366263aaull},
+      {"2 shards x 3 clusters",
+       [](ClosedLoopOptions& o) {
+         o.shards = 2;
+         o.topology.clusters = 3;
+       },
+       0xaaead6463e4d6d60ull},
+      {"brown-out, resume on drift",
+       [](ClosedLoopOptions& o) {
+         o.horizon = 500.0;
+         o.faults = capacity_drop(200.0, 0.6);
+         o.resume_on_drift = true;
+       },
+       0xf99468235cff7726ull},
+      {"brown-out, frozen",
+       [](ClosedLoopOptions& o) {
+         o.horizon = 500.0;
+         o.faults = capacity_drop(200.0, 0.6);
+       },
+       0x7140f97f35fb6796ull},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    ClosedLoopOptions opt;
+    opt.horizon = 300.0;
+    opt.seed = 7;
+    row.set(opt);
+    const ClosedLoopResult r =
+        run_closed_loop(pop.users, pop.config.capacity, pop.config.delay, opt);
+    test::BitDigest d;
+    for (const ClosedLoopEpoch& e : r.epochs) {
+      d.real(e.time);
+      d.real(e.gamma_measured);
+      d.real(e.gamma_hat);
+      d.real(e.eta);
+      d.real(e.mean_threshold);
+    }
+    d.reals(r.thresholds);
+    d.real(r.final_gamma_hat);
+    d.word(r.estimate_settled);
+    d.word(r.drift_resumes);
+    d.word(r.run.total_events);
+    d.real(r.run.measured_utilization);
+    d.real(r.run.mean_cost);
+    EXPECT_EQ(d.value(), row.digest) << std::hex << "0x" << d.value();
+  }
 }
 
 TEST(ClosedLoop, RejectsBadOptions) {

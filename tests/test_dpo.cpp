@@ -254,5 +254,21 @@ TEST(DpoEquilibriumTest, ThrowsWhenEveryoneMustOffloadBeyondCapacity) {
       ContractViolation);
 }
 
+TEST(DpoEquilibriumTest, BisectionEndsBelowOneUlp) {
+  // A tolerance below one ulp of gamma* can never be met: the bracket stops
+  // shrinking, and the 200-iteration guard ends the bisection.  The users
+  // are those of GeneralService.EquilibriumExistsAndIsAFixedPoint.
+  std::vector<core::UserParams> users;
+  for (int i = 0; i < 60; ++i)
+    users.push_back(
+        make_user(1.0 + 0.05 * i, 2.0 + 0.03 * i, 0.2 + 0.01 * i, 1.0, 0.3));
+  const DpoEquilibrium eq =
+      solve_dpo_equilibrium(users, core::make_reciprocal_delay(), 5.0, 1e-300);
+  EXPECT_EQ(eq.iterations, 200);
+  EXPECT_GT(eq.gamma_star, 0.0);
+  EXPECT_LT(eq.gamma_star, 1.0);
+  EXPECT_NEAR(dpo_utilization(users, eq.rhos, 5.0), eq.gamma_star, 1e-9);
+}
+
 }  // namespace
 }  // namespace mec::baseline

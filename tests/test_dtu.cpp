@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
+#include "bit_digest.hpp"
 #include "mec/common/error.hpp"
 #include "mec/core/mfne.hpp"
 #include "mec/population/population.hpp"
@@ -259,6 +261,73 @@ TEST(Dtu, ToleratesBoundedMeasurementNoise) {
   const DtuResult r = run_dtu(users, delay, noisy, opt);
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(r.final_gamma_hat, star, 0.05);
+}
+
+// Every trace field and every final value of five runs, pinned by digest:
+// the defaults, a larger step with a tighter accuracy, an asynchronous gate
+// on a practical population, a cold start from high thresholds, and a run
+// the iteration guard cuts off.  Captured before Algorithm 1 had one
+// implementation shared with the closed loop; a refactor of the update must
+// leave them unmoved.
+TEST(Dtu, TracesKeepTheirBits) {
+  using population::LoadRegime;
+  const auto at_service = population::sample_population(
+      population::theoretical_scenario(LoadRegime::kAtService, 500), 17);
+  const auto practical = population::sample_population(
+      population::practical_scenario(LoadRegime::kAboveService, 800), 5);
+  struct Row {
+    const char* name;
+    const population::Population* pop;
+    void (*set)(DtuOptions&);
+    std::uint64_t digest;
+  };
+  const Row rows[] = {
+      {"defaults", &at_service, [](DtuOptions&) {}, 0xb7b07421d1de9c49ull},
+      {"eta0 0.25 epsilon 0.005", &at_service,
+       [](DtuOptions& o) {
+         o.eta0 = 0.25;
+         o.epsilon = 0.005;
+       },
+       0xc2b240cd321f2f1dull},
+      {"async 0.8, practical", &practical,
+       [](DtuOptions& o) { o.update_gate = make_bernoulli_gate(0.8, 3); },
+       0x5d7b18b0ef01f746ull},
+      {"initial 30, eta0 0.15", &at_service,
+       [](DtuOptions& o) {
+         o.initial_thresholds.assign(500, 30.0);
+         o.eta0 = 0.15;
+       },
+       0x1f609324e254aa71ull},
+      {"max_iterations 5", &at_service,
+       [](DtuOptions& o) {
+         o.epsilon = 1e-6;
+         o.max_iterations = 5;
+       },
+       0x6dbc8e8030854cdfull},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    const auto& cfg = row.pop->config;
+    DtuOptions opt;
+    row.set(opt);
+    AnalyticUtilization source(row.pop->users, cfg.capacity);
+    const DtuResult r = run_dtu(row.pop->users, cfg.delay, source, opt);
+    test::BitDigest d;
+    for (const DtuIterate& it : r.trace) {
+      d.word(static_cast<std::uint64_t>(it.t));
+      d.real(it.gamma);
+      d.real(it.gamma_hat);
+      d.real(it.eta);
+      d.real(it.mean_threshold);
+      d.real(it.mean_cost);
+    }
+    d.reals(r.thresholds);
+    d.real(r.final_gamma_hat);
+    d.real(r.final_gamma);
+    d.word(r.converged);
+    d.word(static_cast<std::uint64_t>(r.iterations));
+    EXPECT_EQ(d.value(), row.digest) << std::hex << "0x" << d.value();
+  }
 }
 
 TEST(AnalyticUtilizationTest, MatchesDirectFormula) {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "bit_digest.hpp"
 #include "mec/common/error.hpp"
 #include "mec/core/mfne.hpp"
 #include "mec/fault/fault_text.hpp"
@@ -125,29 +126,22 @@ TEST(FaultSchedule, PoissonChurnIsDeterministicInItsSeed) {
 
 // FNV-1a over every field of every action, each double by its bits.
 std::uint64_t digest(const FaultSchedule& s) {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xFFu;
-      h *= 1099511628211ull;
-    }
-  };
-  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  test::BitDigest d;
   for (const FaultAction& a : s.actions()) {
-    mix(bits(a.time));
-    mix(static_cast<std::uint64_t>(a.kind));
-    mix(a.device);
-    mix(bits(a.value));
-    mix(static_cast<std::uint64_t>(a.outage_mode));
-    mix(a.cluster);
-    mix(bits(a.user.arrival_rate));
-    mix(bits(a.user.service_rate));
-    mix(bits(a.user.offload_latency));
-    mix(bits(a.user.energy_local));
-    mix(bits(a.user.energy_offload));
-    mix(bits(a.user.weight));
+    d.real(a.time);
+    d.word(static_cast<std::uint64_t>(a.kind));
+    d.word(a.device);
+    d.real(a.value);
+    d.word(static_cast<std::uint64_t>(a.outage_mode));
+    d.word(a.cluster);
+    d.real(a.user.arrival_rate);
+    d.real(a.user.service_rate);
+    d.real(a.user.offload_latency);
+    d.real(a.user.energy_local);
+    d.real(a.user.energy_offload);
+    d.real(a.user.weight);
   }
-  return h;
+  return d.value();
 }
 
 TEST(FaultSchedule, PoissonChurnMergesLikeOneInsertPerAction) {
@@ -257,14 +251,28 @@ TEST(FaultText, ReportsLineNumberedErrors) {
   expect_fails("outage 1 2 maybe\n");          // unknown mode
   expect_fails("warp 1 2\n");                  // unknown verb
   expect_fails("churn 0 10 0.5 0.5 7\n");      // churn without a scenario
-  // A churn line no run can hold is refused before anything is drawn, by
-  // line, field, value and limit.
+  // A bad field is refused by line, verb, field, value and range; a churn
+  // line no run can hold is refused before anything is drawn.
   const auto scenario = population::theoretical_scenario(
       population::LoadRegime::kAtService, 100);
   const struct {
     const char* text;
     const char* message;
-  } churn_rows[] = {
+  } rows[] = {
+      {"capacity 10 0\n",
+       "line 1: invalid capacity: scale is 0, expected a value > 0"},
+      {"capacity -1 0.5\n",
+       "line 1: invalid capacity: time is -1, expected a finite value >= 0"},
+      {"outage 10 5 reject\n", "line 1: invalid outage: begin is 10, expected "
+                               "a value in [0, end) = [0, 5)"},
+      {"outage 0 inf reject\n",
+       "line 1: invalid outage: end is inf, expected a finite value"},
+      {"outage 1 2 penalty -1\n",
+       "line 1: invalid outage: penalty is -1, expected a value >= 0"},
+      {"crash nan 3\n",
+       "line 1: invalid crash: time is nan, expected a finite value >= 0"},
+      {"restart inf 3\n",
+       "line 1: invalid restart: time is inf, expected a finite value >= 0"},
       {"churn 0 inf 1 1 7\n", "line 1: invalid churn: t_end is inf, "
                               "expected a finite value"},
       {"churn 0 10 inf 0 7\n", "line 1: invalid churn: arrival rate is inf, "
@@ -281,13 +289,36 @@ TEST(FaultText, ReportsLineNumberedErrors) {
        "line 1: invalid churn: expected 1e+12 departures (rate 1e+09 over "
        "[0, 1000)), expected at most 1048576 (2^20, the device ceiling)"},
   };
-  for (const auto& row : churn_rows) {
+  for (const auto& row : rows) {
     try {
       parse_fault_schedule(row.text, &scenario);
       ADD_FAILURE() << "expected a refusal of " << row.text;
     } catch (const RuntimeError& e) {
       EXPECT_EQ(std::string(e.what()),
                 std::string("fault schedule ") + row.message);
+    }
+  }
+  // A device past the initial population is refused when a run checks the
+  // schedule, by kind, time, device and population size.
+  const struct {
+    const char* text;
+    const char* message;
+  } check_rows[] = {
+      {"crash 10 99999\n", "fault schedule: crash at t=10: device is 99999, "
+                           "expected an index < 50 (the initial population)"},
+      {"restart 12.5 50\n", "fault schedule: restart at t=12.5: device is 50, "
+                            "expected an index < 50 (the initial population)"},
+      {"outage 1 5 reject\noutage 2 6 reject\n",
+       "fault schedule: outage at t=2 begins inside another outage, expected "
+       "outage windows that do not overlap"},
+  };
+  for (const auto& row : check_rows) {
+    const FaultSchedule s = parse_fault_schedule(row.text);
+    try {
+      s.check(50);
+      ADD_FAILURE() << "expected a refusal of " << row.text;
+    } catch (const ContractViolation& e) {
+      EXPECT_EQ(std::string(e.what()), row.message);
     }
   }
   try {

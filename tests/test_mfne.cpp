@@ -13,10 +13,15 @@
 #include <utility>
 #include <vector>
 
+#include "bit_digest.hpp"
+#include "mec/baseline/dpo.hpp"
 #include "mec/common/error.hpp"
 #include "mec/core/cost_model.hpp"
+#include "mec/core/general_service.hpp"
+#include "mec/core/mean_field_integral.hpp"
 #include "mec/population/population.hpp"
 #include "mec/population/scenario.hpp"
+#include "mec/queueing/phase_type.hpp"
 
 namespace mec::core {
 namespace {
@@ -365,6 +370,77 @@ TEST(Mfne, BracketedBisectionMatchesFullSweeps) {
       EXPECT_NE(std::string(e.what()).find("V(0) >= 1"), std::string::npos)
           << e.what();
     }
+  }
+}
+
+// Each equilibrium solver's answer, pinned by digest: MFNE, DPO and the
+// phase-type fixed point on a theoretical and a practical population, and
+// the mean-field bisection at its defaults and cut off by its iteration
+// guard.  Captured before the four solvers shared one bisection; a refactor
+// of the bisection must leave them unmoved.
+TEST(Equilibria, KeepTheirBits) {
+  using population::LoadRegime;
+  const population::Population pops[] = {
+      population::sample_population(
+          population::theoretical_scenario(LoadRegime::kAtService, 60), 11),
+      population::sample_population(
+          population::practical_scenario(LoadRegime::kBelowService, 60), 4),
+  };
+  // MFNE, DPO and phase-type digests, one row per population.
+  const std::uint64_t want[][3] = {
+      {0xf6e9db8839af639cull, 0x8da2cc52e74bb9c3ull, 0x8dc0e186785f0f8eull},
+      {0xc186239e8b5d3e0cull, 0x3a03645c1f564759ull, 0xb821133a806f09adull},
+  };
+  const queueing::PhaseType erlang = queueing::erlang_phase(2, 1.0);
+  for (std::size_t p = 0; p < std::size(pops); ++p) {
+    const auto& users = pops[p].users;
+    const auto& cfg = pops[p].config;
+    SCOPED_TRACE(cfg.name);
+    const MfneResult mfne = solve_mfne(users, cfg.delay, cfg.capacity);
+    test::BitDigest m;
+    m.real(mfne.gamma_star);
+    m.real(mfne.best_response_value);
+    m.words(mfne.thresholds);
+    m.word(static_cast<std::uint64_t>(mfne.iterations));
+    m.word(mfne.converged);
+    EXPECT_EQ(m.value(), want[p][0]) << "mfne 0x" << std::hex << m.value();
+
+    const baseline::DpoEquilibrium dpo =
+        baseline::solve_dpo_equilibrium(users, cfg.delay, cfg.capacity);
+    test::BitDigest d;
+    d.real(dpo.gamma_star);
+    d.reals(dpo.rhos);
+    d.real(dpo.average_cost);
+    d.word(static_cast<std::uint64_t>(dpo.iterations));
+    EXPECT_EQ(d.value(), want[p][1]) << "dpo 0x" << std::hex << d.value();
+
+    const PhaseTypeEquilibrium phase =
+        solve_phase_type_equilibrium(users, erlang, cfg.delay, cfg.capacity);
+    test::BitDigest h;
+    h.real(phase.gamma_star);
+    h.words(phase.thresholds);
+    h.real(phase.average_cost);
+    EXPECT_EQ(h.value(), want[p][2]) << "phase 0x" << std::hex << h.value();
+  }
+
+  MeanFieldModel model;
+  model.arrival = uniform_inverse_cdf(0.0, 6.0);
+  model.service = uniform_inverse_cdf(1.0, 5.0);
+  model.latency = uniform_inverse_cdf(0.0, 1.0);
+  model.energy_local = uniform_inverse_cdf(0.0, 3.0);
+  model.energy_offload = uniform_inverse_cdf(0.0, 1.0);
+  model.delay = make_reciprocal_delay();
+  const std::pair<MeanFieldEquilibrium, std::uint64_t> mean_field[] = {
+      {mean_field_equilibrium(model), 0x3f3de3880ee1c250ull},
+      {mean_field_equilibrium(model, 1 << 12, 1e-30, 60),
+       0x27b799ee22810e1dull},
+  };
+  for (const auto& [eq, digest] : mean_field) {
+    test::BitDigest f;
+    f.real(eq.gamma_star);
+    f.word(static_cast<std::uint64_t>(eq.iterations));
+    f.word(eq.converged);
+    EXPECT_EQ(f.value(), digest) << "mean field 0x" << std::hex << f.value();
   }
 }
 

@@ -354,23 +354,5 @@ TEST(RunReplications, AcceptsAnExternalPool) {
   EXPECT_DOUBLE_EQ(external.mean_cost.mean(), internal.mean_cost.mean());
 }
 
-TEST(ParallelBestResponse, BitIdenticalToSerialAcrossThreadCounts) {
-  const auto cfg = population::theoretical_scenario(
-      population::LoadRegime::kAtService, 3000);
-  const auto pop = population::sample_population(cfg, 17);
-  for (const double gamma : {0.0, 0.21, 0.9}) {
-    const core::BestResponse serial =
-        core::best_response(pop.users, cfg.delay, cfg.capacity, gamma);
-    for (const std::size_t threads : {1u, 4u}) {
-      ThreadPool pool(threads);
-      const core::BestResponse parallel = core::best_response(
-          pop.users, cfg.delay, cfg.capacity, gamma, pool);
-      ASSERT_EQ(parallel.thresholds, serial.thresholds) << "gamma=" << gamma;
-      EXPECT_DOUBLE_EQ(parallel.utilization, serial.utilization)
-          << "gamma=" << gamma;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace mec::parallel

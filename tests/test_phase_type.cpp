@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mec/common/error.hpp"
@@ -240,7 +241,8 @@ TEST(GeneralService, BestThresholdBeatsNeighborsUnderErlang) {
   }
 }
 
-TEST(GeneralService, EquilibriumExistsAndIsAFixedPoint) {
+// 60 users whose arrival, service and latency rise in even steps.
+std::vector<core::UserParams> graded_users() {
   std::vector<core::UserParams> users;
   for (int i = 0; i < 60; ++i) {
     core::UserParams u;
@@ -251,6 +253,11 @@ TEST(GeneralService, EquilibriumExistsAndIsAFixedPoint) {
     u.energy_offload = 0.3;
     users.push_back(u);
   }
+  return users;
+}
+
+TEST(GeneralService, EquilibriumExistsAndIsAFixedPoint) {
+  const std::vector<core::UserParams> users = graded_users();
   const core::EdgeDelay delay = core::make_reciprocal_delay();
   const PhaseType shape = erlang_phase(2, 1.0);
   const core::PhaseTypeEquilibrium eq =
@@ -261,6 +268,26 @@ TEST(GeneralService, EquilibriumExistsAndIsAFixedPoint) {
                                              eq.gamma_star),
               eq.gamma_star, 5e-3);
   EXPECT_EQ(eq.thresholds.size(), users.size());
+}
+
+TEST(GeneralService, EquilibriumBisectionEndsBelowOneUlp) {
+  // A tolerance below one ulp of gamma* can never be met: the bracket stops
+  // shrinking, and the bisection's iteration guard must end it.  Looser
+  // tolerances stop on the bracket width.
+  const std::vector<core::UserParams> users = graded_users();
+  const core::EdgeDelay delay = core::make_reciprocal_delay();
+  const PhaseType shape = erlang_phase(2, 1.0);
+  const std::pair<double, double> rows[] = {
+      {1e-4, 0x1.54fp-3},
+      {1e-15, 0x1.54fda21f800bp-3},
+      {1e-300, 0x1.54fda21f800aep-3},
+  };
+  for (const auto& [tolerance, gamma_star] : rows) {
+    SCOPED_TRACE(tolerance);
+    const core::PhaseTypeEquilibrium eq =
+        core::solve_phase_type_equilibrium(users, shape, delay, 5.0, tolerance);
+    EXPECT_EQ(eq.gamma_star, gamma_star);
+  }
 }
 
 }  // namespace

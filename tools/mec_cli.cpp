@@ -27,6 +27,7 @@
 #include <climits>
 #include <cstdio>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -306,6 +307,23 @@ void fill_run_options(const io::Args& args,
   o.stream_counters = args.get_long("counters", 1) != 0;
 }
 
+// Algorithm 1's flags, read alike by `mec dtu` and `mec closedloop`: --eta0
+// and --epsilon (the run refuses a bad one by name) and --async, the
+// probability that a device joins an update, which below 1 installs a
+// Bernoulli gate.  Returns the --async value.
+double read_dtu_flags(const io::Args& args, core::DtuParams& params) {
+  params.eta0 = args.get_double("eta0", params.eta0);
+  params.epsilon = args.get_double("epsilon", params.epsilon);
+  const double async = args.get_double("async", 1.0);
+  if (!(async >= 0.0 && async <= 1.0)) {
+    std::ostringstream os;
+    os << "--async is " << async << ", expected a value in [0, 1]";
+    throw RuntimeError(os.str());
+  }
+  if (async < 1.0) params.update_gate = core::make_bernoulli_gate(async, 1);
+  return async;
+}
+
 int cmd_scenarios() {
   io::TextTable table("built-in scenario presets");
   table.set_header({"name", "paper section", "N", "c", "notes"});
@@ -367,13 +385,10 @@ int cmd_dtu(const io::Args& args) {
       cfg, static_cast<std::uint64_t>(args.get_long("seed", 42)));
 
   core::DtuOptions opt;
-  opt.eta0 = args.get_double("eta0", opt.eta0);
-  opt.epsilon = args.get_double("epsilon", opt.epsilon);
+  const double async = read_dtu_flags(args, opt);
   opt.max_iterations = static_cast<int>(args.get_count(
       "max-iterations", static_cast<std::size_t>(opt.max_iterations), 1,
       INT_MAX));
-  const double async = args.get_double("async", 1.0);
-  if (async < 1.0) opt.update_gate = core::make_bernoulli_gate(async, 1);
 
   core::AnalyticUtilization source(pop.users, cfg.capacity);
   const core::DtuResult r = run_dtu(pop.users, cfg.delay, source, opt);
@@ -571,10 +586,7 @@ int cmd_closedloop(const io::Args& args) {
   sim::ClosedLoopOptions opt;
   fill_run_options(args, cfg, opt);
   opt.update_period = args.get_double("period", opt.update_period);
-  opt.eta0 = args.get_double("eta0", opt.eta0);
-  opt.epsilon = args.get_double("epsilon", opt.epsilon);
-  const double async = args.get_double("async", 1.0);
-  if (async < 1.0) opt.update_gate = core::make_bernoulli_gate(async, 1);
+  const double async = read_dtu_flags(args, opt);
   if (opt.faults) {
     // Under a fault schedule Algorithm 1 must not stay frozen when the
     // environment moves; the margin is tunable for sensitivity studies.
