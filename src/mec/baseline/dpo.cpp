@@ -98,6 +98,7 @@ DpoEquilibrium solve_dpo_equilibrium(std::span<const core::UserParams> users,
   MEC_EXPECTS_MSG(v0 < 1.0, "DPO best response at gamma=0 exceeds capacity");
 
   DpoEquilibrium eq;
+  eq.converged = true;  // exact when v0 == 0: gamma* = 0
   if (v0 != 0.0) {
     const core::FixedPoint b = core::bisect_fixed_point(
         [&](double mid) {
@@ -108,6 +109,7 @@ DpoEquilibrium solve_dpo_equilibrium(std::span<const core::UserParams> users,
         tolerance, core::kMaxBisectionIterations);
     eq.gamma_star = b.gamma_star;
     eq.iterations = b.iterations;
+    eq.converged = b.converged;
   }
 
   best_response_utilization(users, delay, capacity, eq.gamma_star, &eq.rhos);

@@ -50,7 +50,10 @@ struct DpoEquilibrium {
   double gamma_star = 0.0;
   std::vector<double> rhos;     ///< equilibrium offload probabilities
   double average_cost = 0.0;    ///< population mean of h(rho*) at gamma_star
-  int iterations = 0;
+  int iterations = 0;           ///< bisection halvings
+  /// False when the bisection's iteration guard cut it off before the
+  /// bracket reached `tolerance` (a tolerance below one ulp of gamma*).
+  bool converged = false;
 };
 
 /// Unique fixed point of the DPO best-response utilization map, by bisection.

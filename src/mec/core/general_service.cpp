@@ -78,6 +78,7 @@ PhaseTypeEquilibrium solve_phase_type_equilibrium(
   MEC_EXPECTS_MSG(v0 < 1.0, "V(0) >= 1: capacity too small");
 
   PhaseTypeEquilibrium eq;
+  eq.converged = true;  // exact when v0 == 0: gamma* = 0
   if (v0 != 0.0) {
     const FixedPoint b = bisect_fixed_point(
         [&](double mid) {
@@ -87,6 +88,8 @@ PhaseTypeEquilibrium solve_phase_type_equilibrium(
         },
         tolerance, kMaxBisectionIterations);
     eq.gamma_star = b.gamma_star;
+    eq.iterations = b.iterations;
+    eq.converged = b.converged;
   }
   const double g = delay(eq.gamma_star);
   double cost = 0.0;

@@ -55,6 +55,10 @@ struct PhaseTypeEquilibrium {
   double gamma_star = 0.0;
   std::vector<std::int64_t> thresholds;
   double average_cost = 0.0;
+  int iterations = 0;  ///< bisection halvings
+  /// False when the bisection's iteration guard cut it off before the
+  /// bracket reached `tolerance` (a tolerance below one ulp of gamma*).
+  bool converged = false;
 };
 
 /// Fixed point of the phase-type best response (bisect_fixed_point, at most

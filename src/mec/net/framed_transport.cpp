@@ -15,7 +15,6 @@
 #include "mec/common/error.hpp"
 #include "mec/net/protocol.hpp"
 #include "mec/obs/run_log.hpp"
-#include "mec/obs/wire.hpp"
 #include "mec/parallel/shard_executor.hpp"
 
 namespace mec::net {
@@ -142,11 +141,8 @@ void FramedTransport::receive(std::size_t first, std::size_t last,
       peer.stats.payload_bytes += frame.payload.size();
       if (frame.kind == pwire::kFrameError) {
         const std::string message =
-            decode_from(peer, phase, "a malformed error frame", [&] {
-              obs::wire::ByteReader r(frame.payload);
-              const std::uint32_t n = r.get_u32();
-              return r.get_string(n);
-            });
+            decode_from(peer, phase, "a malformed error frame",
+                        [&] { return pwire::decode_error(frame.payload); });
         fail_peer(peer, phase, "failed: " + message);
       }
       if (frame.kind != expected)
@@ -215,7 +211,7 @@ FramedTransport::FramedTransport(
           [&](Peer& peer, const pwire::DecodedFrame& frame) {
             const std::uint32_t echoed =
                 decode_from(peer, startup, "a malformed ready frame", [&] {
-                  return obs::wire::ByteReader(frame.payload).get_u32();
+                  return pwire::decode_ready(frame.payload);
                 });
             if (echoed != static_cast<std::size_t>(&peer - peers_.data()))
               fail_peer(peer, startup,
@@ -372,10 +368,8 @@ void FramedTransport::broadcast_thresholds(std::span<const double> values) {
 }
 
 void FramedTransport::finalize(bool flipped) {
-  obs::wire::ByteWriter w(1);
-  w.put_u8(flipped ? 1 : 0);
   const std::string phase = "at run end";
-  send_all(pwire::kFrameFinalize, w.take(), phase);
+  send_all(pwire::kFrameFinalize, pwire::encode_finalize(flipped), phase);
   totals_.assign(config_.n_devices, parallel::DeviceTotals{});
   receive(0, peers_.size(), pwire::kFrameFinal, phase,
           [&](Peer& peer, const pwire::DecodedFrame& frame) {

@@ -9,9 +9,6 @@
 
 namespace mec::net::wire {
 
-using obs::wire::ByteReader;
-using obs::wire::ByteWriter;
-
 // The population layout mirrors these in-memory structs field by field;
 // the asserts make a drifted struct a build error here instead of a silent
 // protocol skew (same convention as the barrier codec in
@@ -44,192 +41,105 @@ static_assert(offsetof(fault::ResolvedAction, time) == 0 &&
 // unlike the padded in-memory struct.
 static_assert(kResolvedActionWireSize == 29);
 
-std::vector<std::uint8_t> encode_hello(const Hello& hello) {
-  ByteWriter w(kHelloWireSize);
-  w.put_u32(kHelloMagic);
-  w.put_u32(hello.revision);
-  w.put_u32(hello.rank);
-  w.put_u32(hello.ranks);
-  return w.take();
-}
+namespace {
 
-Hello decode_hello(std::span<const std::uint8_t> payload) {
-  ByteReader r(payload);
-  const std::uint32_t magic = r.get_u32();
+using obs::wire::decode_whole;
+using obs::wire::encode_whole;
+
+/// The "MECT" magic that opens both handshake payloads; a reader that finds
+/// anything else names the payload (`what`) and the expected magic.
+template <class Io>
+void magic_field(Io& io, const char* what) {
+  std::uint32_t magic = kHelloMagic;
+  io(magic);
   if (magic != kHelloMagic) {
     char got[16];
     std::snprintf(got, sizeof got, "%08X", magic);
-    throw RuntimeError("tcp handshake magic mismatch (got 0x" +
-                       std::string(got) +
+    throw RuntimeError(std::string(what) + " magic mismatch (got 0x" + got +
                        ", want 0x5443454D \"MECT\") - the peer is not a mec "
                        "transport endpoint");
   }
-  Hello hello;
-  hello.revision = r.get_u32();
-  hello.rank = r.get_u32();
-  hello.ranks = r.get_u32();
-  if (!r.exhausted())
-    throw RuntimeError("tcp hello payload has trailing bytes");
-  return hello;
 }
 
-std::vector<std::uint8_t> encode_hello_ack(const HelloAck& ack) {
-  ByteWriter w(kHelloAckWireSize);
-  w.put_u32(kHelloMagic);
-  w.put_u32(ack.revision);
-  w.put_u32(ack.rank);
-  return w.take();
-}
+constexpr auto hello_fields = []<class Io, class H>(Io& io, H& hello) {
+  magic_field(io, "tcp handshake");
+  io(hello.revision, hello.rank, hello.ranks);
+};
 
-HelloAck decode_hello_ack(std::span<const std::uint8_t> payload) {
-  ByteReader r(payload);
-  if (r.get_u32() != kHelloMagic)
-    throw RuntimeError("hello ack magic mismatch — the peer is not a "
-                       "mec transport endpoint");
-  HelloAck ack;
-  ack.revision = r.get_u32();
-  ack.rank = r.get_u32();
-  if (!r.exhausted())
-    throw RuntimeError("hello ack payload has trailing bytes");
-  return ack;
-}
+constexpr auto hello_ack_fields = []<class Io, class A>(Io& io, A& ack) {
+  magic_field(io, "hello ack");
+  io(ack.revision, ack.rank);
+};
 
-namespace {
+constexpr auto sampler_fields = []<class Io, class S>(Io& io, S& spec) {
+  io(spec.kind, sim::SamplerSpec::Kind::kEmpirical, "sampler kind");
+  io(spec.param);
+  io.items(spec.data, 8, "population sampler data values");
+};
 
-void encode_sampler_spec(ByteWriter& w, const sim::SamplerSpec& spec) {
-  w.put_u8(static_cast<std::uint8_t>(spec.kind));
-  w.put_f64(spec.param);
-  w.put_u32(static_cast<std::uint32_t>(spec.data.size()));
-  for (const double v : spec.data) w.put_f64(v);
-}
+constexpr auto user_fields = []<class Io, class U>(Io& io, U& u) {
+  io(u.arrival_rate, u.service_rate, u.offload_latency, u.energy_local,
+     u.energy_offload, u.weight);
+};
 
-sim::SamplerSpec decode_sampler_spec(ByteReader& r) {
-  sim::SamplerSpec spec;
-  const std::uint8_t kind = r.get_u8();
-  if (kind > static_cast<std::uint8_t>(sim::SamplerSpec::Kind::kEmpirical))
-    throw RuntimeError("population frame has an unknown sampler kind " +
-                       std::to_string(kind));
-  spec.kind = static_cast<sim::SamplerSpec::Kind>(kind);
-  spec.param = r.get_f64();
-  const std::uint32_t n = r.get_u32();
-  r.need_items(n, 8, "population sampler data values");
-  spec.data.resize(n);
-  for (double& v : spec.data) v = r.get_f64();
-  return spec;
-}
+constexpr auto rng_fields = []<class Io, class S>(Io& io, S& state) {
+  io(state[0], state[1], state[2], state[3]);
+};
+
+constexpr auto action_fields = []<class Io, class A>(Io& io, A& a) {
+  io(a.time);
+  io(a.kind, fault::FaultKind::kUserDeparture, "fault kind");
+  io(a.device, a.value);
+  io(a.outage_mode, fault::OutageMode::kPenalty, "outage mode");
+  io(a.cluster, a.effective, a.active_after);
+};
+
+constexpr auto population_fields = []<class Io, class P>(Io& io, P& pop) {
+  io(pop.rank, pop.ranks, pop.seed, pop.n_devices, pop.n_initial,
+     pop.n_clusters, pop.shard_count, pop.shard_lo, pop.shard_hi, pop.device_lo,
+     pop.device_hi, pop.warmup, pop.t_end, pop.has_fixed_gamma, pop.fixed_delay,
+     pop.with_faults);
+  sampler_fields(io, pop.service);
+  sampler_fields(io, pop.latency);
+  io.items(pop.users, kUserParamsWireSize, "population users", user_fields);
+  io.items(pop.rng_states, kRngStateWireSize, "population rng states",
+           rng_fields);
+  io.items(pop.actions, kResolvedActionWireSize, "population fault actions",
+           action_fields);
+};
 
 }  // namespace
 
+std::vector<std::uint8_t> encode_hello(const Hello& hello) {
+  return encode_whole(hello, hello_fields, kHelloWireSize);
+}
+
+Hello decode_hello(std::span<const std::uint8_t> payload) {
+  return decode_whole<Hello>(payload, "tcp hello payload has trailing bytes",
+                             hello_fields);
+}
+
+std::vector<std::uint8_t> encode_hello_ack(const HelloAck& ack) {
+  return encode_whole(ack, hello_ack_fields, kHelloAckWireSize);
+}
+
+HelloAck decode_hello_ack(std::span<const std::uint8_t> payload) {
+  return decode_whole<HelloAck>(
+      payload, "hello ack payload has trailing bytes", hello_ack_fields);
+}
+
 std::vector<std::uint8_t> encode_population(const WorkerPopulation& pop) {
   const std::size_t slice = pop.users.size();
-  ByteWriter w(112 + slice * (kUserParamsWireSize + kRngStateWireSize) +
-               pop.actions.size() * kResolvedActionWireSize +
-               (pop.service.data.size() + pop.latency.data.size()) * 8);
-  w.put_u32(pop.rank);
-  w.put_u32(pop.ranks);
-  w.put_u64(pop.seed);
-  w.put_u32(pop.n_devices);
-  w.put_u32(pop.n_initial);
-  w.put_u32(pop.n_clusters);
-  w.put_u32(pop.shard_count);
-  w.put_u32(pop.shard_lo);
-  w.put_u32(pop.shard_hi);
-  w.put_u32(pop.device_lo);
-  w.put_u32(pop.device_hi);
-  w.put_f64(pop.warmup);
-  w.put_f64(pop.t_end);
-  w.put_u8(pop.has_fixed_gamma ? 1 : 0);
-  w.put_f64(pop.fixed_delay);
-  w.put_u8(pop.with_faults ? 1 : 0);
-  encode_sampler_spec(w, pop.service);
-  encode_sampler_spec(w, pop.latency);
-  w.put_u32(static_cast<std::uint32_t>(pop.users.size()));
-  for (const core::UserParams& u : pop.users) {
-    w.put_f64(u.arrival_rate);
-    w.put_f64(u.service_rate);
-    w.put_f64(u.offload_latency);
-    w.put_f64(u.energy_local);
-    w.put_f64(u.energy_offload);
-    w.put_f64(u.weight);
-  }
-  w.put_u32(static_cast<std::uint32_t>(pop.rng_states.size()));
-  for (const std::array<std::uint64_t, 4>& s : pop.rng_states)
-    for (const std::uint64_t word : s) w.put_u64(word);
-  w.put_u32(static_cast<std::uint32_t>(pop.actions.size()));
-  for (const fault::ResolvedAction& a : pop.actions) {
-    w.put_f64(a.time);
-    w.put_u8(static_cast<std::uint8_t>(a.kind));
-    w.put_u32(a.device);
-    w.put_f64(a.value);
-    w.put_u8(static_cast<std::uint8_t>(a.outage_mode));
-    w.put_u16(a.cluster);
-    w.put_u8(a.effective ? 1 : 0);
-    w.put_u32(a.active_after);
-  }
-  return w.take();
+  return encode_whole(
+      pop, population_fields,
+      112 + slice * (kUserParamsWireSize + kRngStateWireSize) +
+          pop.actions.size() * kResolvedActionWireSize +
+          (pop.service.data.size() + pop.latency.data.size()) * 8);
 }
 
 WorkerPopulation decode_population(std::span<const std::uint8_t> payload) {
-  ByteReader r(payload);
-  WorkerPopulation pop;
-  pop.rank = r.get_u32();
-  pop.ranks = r.get_u32();
-  pop.seed = r.get_u64();
-  pop.n_devices = r.get_u32();
-  pop.n_initial = r.get_u32();
-  pop.n_clusters = r.get_u32();
-  pop.shard_count = r.get_u32();
-  pop.shard_lo = r.get_u32();
-  pop.shard_hi = r.get_u32();
-  pop.device_lo = r.get_u32();
-  pop.device_hi = r.get_u32();
-  pop.warmup = r.get_f64();
-  pop.t_end = r.get_f64();
-  pop.has_fixed_gamma = r.get_u8() != 0;
-  pop.fixed_delay = r.get_f64();
-  pop.with_faults = r.get_u8() != 0;
-  pop.service = decode_sampler_spec(r);
-  pop.latency = decode_sampler_spec(r);
-  const std::uint32_t n_users = r.get_u32();
-  r.need_items(n_users, kUserParamsWireSize, "population users");
-  pop.users.resize(n_users);
-  for (core::UserParams& u : pop.users) {
-    u.arrival_rate = r.get_f64();
-    u.service_rate = r.get_f64();
-    u.offload_latency = r.get_f64();
-    u.energy_local = r.get_f64();
-    u.energy_offload = r.get_f64();
-    u.weight = r.get_f64();
-  }
-  const std::uint32_t n_rngs = r.get_u32();
-  r.need_items(n_rngs, kRngStateWireSize, "population rng states");
-  pop.rng_states.resize(n_rngs);
-  for (std::array<std::uint64_t, 4>& s : pop.rng_states)
-    for (std::uint64_t& word : s) word = r.get_u64();
-  const std::uint32_t n_actions = r.get_u32();
-  r.need_items(n_actions, kResolvedActionWireSize,
-               "population fault actions");
-  pop.actions.resize(n_actions);
-  for (fault::ResolvedAction& a : pop.actions) {
-    a.time = r.get_f64();
-    const std::uint8_t kind = r.get_u8();
-    if (kind > static_cast<std::uint8_t>(fault::FaultKind::kUserDeparture))
-      throw RuntimeError("population frame has an unknown fault kind " +
-                         std::to_string(kind));
-    a.kind = static_cast<fault::FaultKind>(kind);
-    a.device = r.get_u32();
-    a.value = r.get_f64();
-    const std::uint8_t mode = r.get_u8();
-    if (mode > static_cast<std::uint8_t>(fault::OutageMode::kPenalty))
-      throw RuntimeError("population frame has an unknown outage mode " +
-                         std::to_string(mode));
-    a.outage_mode = static_cast<fault::OutageMode>(mode);
-    a.cluster = r.get_u16();
-    a.effective = r.get_u8() != 0;
-    a.active_after = r.get_u32();
-  }
-  if (!r.exhausted())
-    throw RuntimeError("population payload has trailing bytes");
+  WorkerPopulation pop = decode_whole<WorkerPopulation>(
+      payload, "population payload has trailing bytes", population_fields);
 
   if (pop.ranks == 0 || pop.rank >= pop.ranks)
     throw RuntimeError("population frame assigns rank " +

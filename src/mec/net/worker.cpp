@@ -18,7 +18,6 @@
 
 #include "mec/common/error.hpp"
 #include "mec/net/protocol.hpp"
-#include "mec/obs/wire.hpp"
 #include "mec/parallel/transport.hpp"
 #include "mec/random/rng.hpp"
 #include "mec/sim/engine.hpp"
@@ -83,8 +82,7 @@ void serve_barriers(Runner& runner, std::size_t rank, int fd) {
         runner.broadcast_thresholds(pwire::decode_thresholds(frame.payload));
         break;
       case pwire::kFrameFinalize: {
-        obs::wire::ByteReader r(frame.payload);
-        runner.finalize(r.get_u8() != 0);
+        runner.finalize(pwire::decode_finalize(frame.payload));
         const std::uint32_t lo = runner.device_lo();
         const std::uint32_t hi = runner.device_hi();
         std::vector<parallel::DeviceTotals> totals;
@@ -179,9 +177,7 @@ void serve_rank(int fd, wire::WorkerPopulation pop) {
       shards, sim::TroValueDecide{mirror.data()}, lc, pop.shard_lo,
       pop.shard_hi, nullptr, &mirror);
 
-  obs::wire::ByteWriter w(4);
-  w.put_u32(pop.rank);
-  pwire::write_frame(fd, pwire::kFrameReady, w.take());
+  pwire::write_frame(fd, pwire::kFrameReady, pwire::encode_ready(pop.rank));
   serve_barriers(runner, pop.rank, fd);
 }
 
@@ -235,11 +231,7 @@ void serve_connection(int fd, bool quiet) {
 /// instead of a bare connection close.
 void send_error(int fd, const char* what) noexcept {
   try {
-    obs::wire::ByteWriter w;
-    const std::size_t n = std::strlen(what);
-    w.put_u32(static_cast<std::uint32_t>(n));
-    w.put_bytes(what, n);
-    pwire::write_frame(fd, pwire::kFrameError, w.take());
+    pwire::write_frame(fd, pwire::kFrameError, pwire::encode_error(what));
   } catch (...) {
   }
 }

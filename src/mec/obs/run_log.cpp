@@ -12,7 +12,6 @@ namespace {
 
 // All multi-byte fields are little-endian on disk, independent of the host;
 // the scalar codec lives in obs/wire.hpp, shared with the transport layer.
-using wire::ByteReader;
 using wire::ByteWriter;
 using wire::load_le;
 
@@ -68,16 +67,56 @@ std::size_t window_payload_size(std::size_t clusters) noexcept {
   return kWindowFixedSize + 4 + clusters * 16;
 }
 
-std::vector<std::uint8_t> encode_meta(const RunLogMeta& meta) {
-  ByteWriter w;
-  w.put_u32(static_cast<std::uint32_t>(meta.size()));
-  for (const auto& [key, value] : meta) {
-    w.put_u32(static_cast<std::uint32_t>(key.size()));
-    w.put_bytes(key.data(), key.size());
-    w.put_u32(static_cast<std::uint32_t>(value.size()));
-    w.put_bytes(value.data(), value.size());
+namespace {
+
+constexpr auto meta_entry_fields = []<class Io, class E>(Io& io, E& entry) {
+  io(entry.first, entry.second);
+};
+
+constexpr auto meta_fields = []<class Io, class M>(Io& io, M& meta) {
+  // Each entry is at least its two u32 string lengths.
+  io.items(meta, 8, "run-log meta entries", meta_entry_fields);
+};
+
+constexpr auto window_fields = []<class Io, class W>(Io& io, W& w) {
+  io(w.time, w.gamma, w.mean_queue_length, w.queue_second_moment,
+     w.capacity_scale, w.active_devices, w.offloads_so_far, w.offloads_delta,
+     w.events_so_far, w.events_delta, w.sojourn_count, w.sojourn_min,
+     w.sojourn_max, w.sojourn_p50, w.sojourn_p95, w.sojourn_p99,
+     w.offload_count, w.offload_min, w.offload_max, w.offload_p50,
+     w.offload_p95, w.offload_p99, w.tasks_lost, w.offloads_rejected,
+     w.offloads_penalized, w.fault_events_applied);
+  for (auto& bin : w.threshold_histogram) io(bin);
+  // The v2 trailer: a cluster count, then one (gamma, offloads) pair per
+  // cluster, taken from the two parallel vectors.
+  auto clusters = static_cast<std::uint32_t>(w.cluster_gamma.size());
+  io(clusters);
+  if constexpr (Io::kReading) {
+    if (clusters == 0 || io.remaining() != std::size_t{clusters} * 16)
+      throw RuntimeError("run-log window frame has unexpected size");
+    w.cluster_gamma.resize(clusters);
+    w.cluster_offloads.resize(clusters);
   }
-  return w.take();
+  for (std::size_t k = 0; k < clusters; ++k)
+    io(w.cluster_gamma[k], w.cluster_offloads[k]);
+};
+
+constexpr auto counter_fields = []<class Io, class C>(Io& io, C& v) {
+  io(v.id, v.shard, v.value);
+};
+
+constexpr auto counters_fields = []<class Io, class V>(Io& io, V& values) {
+  io.items(values, 12, "run-log counter values", counter_fields);
+};
+
+constexpr auto footer_fields = []<class Io, class F>(Io& io, F& f) {
+  io(f.windows, f.total_events, f.measured_utilization, f.mean_cost, f.horizon);
+};
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_meta(const RunLogMeta& meta) {
+  return wire::encode_whole(meta, meta_fields);
 }
 
 std::vector<std::uint8_t> encode_window(const WindowRecord& window) {
@@ -85,157 +124,40 @@ std::vector<std::uint8_t> encode_window(const WindowRecord& window) {
                       window.cluster_gamma.size() ==
                           window.cluster_offloads.size(),
                   "window record needs matching per-cluster vectors");
-  ByteWriter w(window_payload_size(window.cluster_gamma.size()));
-  w.put_f64(window.time);
-  w.put_f64(window.gamma);
-  w.put_f64(window.mean_queue_length);
-  w.put_f64(window.queue_second_moment);
-  w.put_f64(window.capacity_scale);
-  w.put_u64(window.active_devices);
-  w.put_u64(window.offloads_so_far);
-  w.put_u64(window.offloads_delta);
-  w.put_u64(window.events_so_far);
-  w.put_u64(window.events_delta);
-  w.put_u64(window.sojourn_count);
-  w.put_f64(window.sojourn_min);
-  w.put_f64(window.sojourn_max);
-  w.put_f64(window.sojourn_p50);
-  w.put_f64(window.sojourn_p95);
-  w.put_f64(window.sojourn_p99);
-  w.put_u64(window.offload_count);
-  w.put_f64(window.offload_min);
-  w.put_f64(window.offload_max);
-  w.put_f64(window.offload_p50);
-  w.put_f64(window.offload_p95);
-  w.put_f64(window.offload_p99);
-  w.put_u64(window.tasks_lost);
-  w.put_u64(window.offloads_rejected);
-  w.put_u64(window.offloads_penalized);
-  w.put_u64(window.fault_events_applied);
-  for (const std::uint32_t bin : window.threshold_histogram) w.put_u32(bin);
-  w.put_u32(static_cast<std::uint32_t>(window.cluster_gamma.size()));
-  for (std::size_t k = 0; k < window.cluster_gamma.size(); ++k) {
-    w.put_f64(window.cluster_gamma[k]);
-    w.put_u64(window.cluster_offloads[k]);
-  }
-  auto bytes = w.take();
-  MEC_ASSERT(bytes.size() == window_payload_size(window.cluster_gamma.size()));
+  const std::size_t size = window_payload_size(window.cluster_gamma.size());
+  auto bytes = wire::encode_whole(window, window_fields, size);
+  MEC_ASSERT(bytes.size() == size);
   return bytes;
 }
 
 std::vector<std::uint8_t> encode_counters(
     std::span<const CounterValue> values) {
-  ByteWriter w(4 + values.size() * 12);
-  w.put_u32(static_cast<std::uint32_t>(values.size()));
-  for (const CounterValue& v : values) {
-    w.put_u16(v.id);
-    w.put_u16(v.shard);
-    w.put_f64(v.value);
-  }
-  return w.take();
+  return wire::encode_whole(values, counters_fields, 4 + values.size() * 12);
 }
 
 std::vector<std::uint8_t> encode_footer(const RunFooter& footer) {
-  ByteWriter w(5 * 8);
-  w.put_u64(footer.windows);
-  w.put_u64(footer.total_events);
-  w.put_f64(footer.measured_utilization);
-  w.put_f64(footer.mean_cost);
-  w.put_f64(footer.horizon);
-  return w.take();
+  return wire::encode_whole(footer, footer_fields, 5 * 8);
 }
 
 RunLogMeta decode_meta(std::span<const std::uint8_t> payload) {
-  ByteReader r(payload);
-  const std::uint32_t n = r.get_u32();
-  // Each entry is at least its two u32 string lengths.
-  r.need_items(n, 8, "run-log meta entries");
-  RunLogMeta meta;
-  meta.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string key = r.get_string(r.get_u32());
-    std::string value = r.get_string(r.get_u32());
-    meta.emplace_back(std::move(key), std::move(value));
-  }
-  if (!r.exhausted())
-    throw RuntimeError("run-log meta frame has trailing bytes");
-  return meta;
+  return wire::decode_whole<RunLogMeta>(
+      payload, "run-log meta frame has trailing bytes", meta_fields);
 }
 
 WindowRecord decode_window(std::span<const std::uint8_t> payload) {
-  if (payload.size() < kWindowFixedSize + 4)
-    throw RuntimeError("run-log window frame has unexpected size");
-  ByteReader r(payload);
-  WindowRecord win;
-  win.time = r.get_f64();
-  win.gamma = r.get_f64();
-  win.mean_queue_length = r.get_f64();
-  win.queue_second_moment = r.get_f64();
-  win.capacity_scale = r.get_f64();
-  win.active_devices = r.get_u64();
-  win.offloads_so_far = r.get_u64();
-  win.offloads_delta = r.get_u64();
-  win.events_so_far = r.get_u64();
-  win.events_delta = r.get_u64();
-  win.sojourn_count = r.get_u64();
-  win.sojourn_min = r.get_f64();
-  win.sojourn_max = r.get_f64();
-  win.sojourn_p50 = r.get_f64();
-  win.sojourn_p95 = r.get_f64();
-  win.sojourn_p99 = r.get_f64();
-  win.offload_count = r.get_u64();
-  win.offload_min = r.get_f64();
-  win.offload_max = r.get_f64();
-  win.offload_p50 = r.get_f64();
-  win.offload_p95 = r.get_f64();
-  win.offload_p99 = r.get_f64();
-  win.tasks_lost = r.get_u64();
-  win.offloads_rejected = r.get_u64();
-  win.offloads_penalized = r.get_u64();
-  win.fault_events_applied = r.get_u64();
-  for (std::uint32_t& bin : win.threshold_histogram) bin = r.get_u32();
-  const std::uint32_t clusters = r.get_u32();
-  if (clusters == 0 || payload.size() != window_payload_size(clusters))
-    throw RuntimeError("run-log window frame has unexpected size");
-  win.cluster_gamma.resize(clusters);
-  win.cluster_offloads.resize(clusters);
-  for (std::uint32_t k = 0; k < clusters; ++k) {
-    win.cluster_gamma[k] = r.get_f64();
-    win.cluster_offloads[k] = r.get_u64();
-  }
-  return win;
+  return wire::decode_whole<WindowRecord>(
+      payload, "run-log window frame has trailing bytes", window_fields);
 }
 
 std::vector<CounterValue> decode_counters(
     std::span<const std::uint8_t> payload) {
-  ByteReader r(payload);
-  const std::uint32_t n = r.get_u32();
-  r.need_items(n, 12, "run-log counter values");
-  std::vector<CounterValue> values;
-  values.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    CounterValue v;
-    v.id = r.get_u16();
-    v.shard = r.get_u16();
-    v.value = r.get_f64();
-    values.push_back(v);
-  }
-  if (!r.exhausted())
-    throw RuntimeError("run-log counter frame has trailing bytes");
-  return values;
+  return wire::decode_whole<std::vector<CounterValue>>(
+      payload, "run-log counter frame has trailing bytes", counters_fields);
 }
 
 RunFooter decode_footer(std::span<const std::uint8_t> payload) {
-  if (payload.size() != 5 * 8)
-    throw RuntimeError("run-log footer frame has unexpected size");
-  ByteReader r(payload);
-  RunFooter footer;
-  footer.windows = r.get_u64();
-  footer.total_events = r.get_u64();
-  footer.measured_utilization = r.get_f64();
-  footer.mean_cost = r.get_f64();
-  footer.horizon = r.get_f64();
-  return footer;
+  return wire::decode_whole<RunFooter>(
+      payload, "run-log footer frame has trailing bytes", footer_fields);
 }
 
 // --- writer ----------------------------------------------------------------

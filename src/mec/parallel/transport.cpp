@@ -24,6 +24,8 @@ namespace wire {
 
 using obs::wire::ByteReader;
 using obs::wire::ByteWriter;
+using obs::wire::decode_whole;
+using obs::wire::encode_whole;
 using obs::wire::load_le;
 
 // The wire layout below spells out every field explicitly; these asserts
@@ -129,56 +131,108 @@ DecodedFrame decode_frame(std::span<const std::uint8_t> bytes,
   return frame;
 }
 
+namespace {
+
+constexpr auto request_fields = []<class Io, class R>(Io& io, R& req) {
+  io(req.limit, req.inclusive, req.want_q, req.want_q2, req.want_sketches,
+     req.want_queue_stats);
+};
+
+constexpr auto record_fields = []<class Io, class R>(Io& io, R& rec) {
+  io(rec.time, rec.latency, rec.penalty, rec.device, rec.cluster, rec.measured,
+     rec.penalized);
+};
+
+// A sketch's state is private; restore() validates it on the way in.
+void encode_sketch(ByteWriter& w, const stats::LatencySketch& sketch) {
+  w(sketch.count());
+  if (sketch.count() == 0) return;
+  w(sketch.min(), sketch.max());
+  w.items(sketch.bin_counts(), 8, "sketch bins");
+}
+
+stats::LatencySketch decode_sketch(ByteReader& r) {
+  std::uint64_t count = 0;
+  r(count);
+  if (count == 0) return stats::LatencySketch{};
+  double min = 0.0;
+  double max = 0.0;
+  std::vector<std::uint64_t> bins;
+  r(min, max);
+  r.items(bins, 8, "sketch bins");
+  if (bins.size() != stats::LatencySketch::bin_count())
+    throw RuntimeError("transport sketch bin count mismatch");
+  return stats::LatencySketch::restore(count, min, max, bins);
+}
+
+/// One shard block, written from a ShardBarrierView and read into a
+/// RankBarrierData::Shard; only the sketches differ between the two.
+constexpr auto shard_fields = []<class Io, class S>(Io& io, S& s) {
+  io(s.shard, s.events, s.offloads_in_window, s.tasks_lost, s.offloads_rejected,
+     s.offloads_penalized);
+  io.items(s.cluster_offloads, 8, "barrier cluster offload counts");
+  io(s.flipped);
+  io.items(s.log, kOffloadRecordWireSize, "barrier offload records",
+           record_fields);
+  if constexpr (Io::kReading) {
+    io(s.has_sketches);
+    if (s.has_sketches) {
+      s.local_sojourns = decode_sketch(io);
+      s.offload_delays = decode_sketch(io);
+    }
+  } else {
+    const bool has_sketches = s.local_sojourns != nullptr;
+    io(has_sketches);
+    if (has_sketches) {
+      encode_sketch(io, *s.local_sojourns);
+      encode_sketch(io, *s.offload_delays);
+    }
+  }
+  io(s.has_queue_stats);
+  if (s.has_queue_stats)
+    io(s.queue_depth, s.calendar_gear, s.gear_switches, s.calendar_retunes,
+       s.leg_seconds);
+};
+
+constexpr auto barrier_fields = []<class Io, class P>(Io& io, P& p) {
+  io.items(p.shards, kMinShardWireSize, "barrier shard blocks", shard_fields);
+  io(p.has_q);
+  if (p.has_q) io(p.total_q, p.total_q2);
+};
+
+constexpr auto thresholds_fields = []<class Io, class V>(Io& io, V& values) {
+  io.items(values, 8, "thresholds");
+};
+
+constexpr auto totals_fields = []<class Io, class T>(Io& io, T& t) {
+  io(t.arrivals, t.offloaded, t.local_completed, t.queue_integral,
+     t.local_sojourn_sum, t.offload_delay_sum, t.energy_sum);
+};
+
+/// The device range, then one totals record per device: the range, not a
+/// count, sizes the list.
+constexpr auto final_fields = []<class Io, class F>(Io& io, F& f) {
+  io(f.device_lo, f.device_hi);
+  if constexpr (Io::kReading) {
+    if (f.device_hi < f.device_lo)
+      throw RuntimeError("transport final-totals device range is inverted");
+    io.need_items(f.device_hi - f.device_lo, kDeviceTotalsWireSize,
+                  "final device totals");
+    f.totals.resize(f.device_hi - f.device_lo);
+  }
+  for (auto& t : f.totals) totals_fields(io, t);
+};
+
+}  // namespace
+
 std::vector<std::uint8_t> encode_barrier_request(const BarrierRequest& req) {
-  ByteWriter w(13);
-  w.put_f64(req.limit);
-  w.put_u8(req.inclusive ? 1 : 0);
-  w.put_u8(req.want_q ? 1 : 0);
-  w.put_u8(req.want_q2 ? 1 : 0);
-  w.put_u8(req.want_sketches ? 1 : 0);
-  w.put_u8(req.want_queue_stats ? 1 : 0);
-  return w.take();
+  return encode_whole(req, request_fields, 13);
 }
 
 BarrierRequest decode_barrier_request(std::span<const std::uint8_t> payload) {
-  ByteReader r(payload);
-  BarrierRequest req;
-  req.limit = r.get_f64();
-  req.inclusive = r.get_u8() != 0;
-  req.want_q = r.get_u8() != 0;
-  req.want_q2 = r.get_u8() != 0;
-  req.want_sketches = r.get_u8() != 0;
-  req.want_queue_stats = r.get_u8() != 0;
-  return req;
+  return decode_whole<BarrierRequest>(
+      payload, "transport barrier request has trailing bytes", request_fields);
 }
-
-namespace {
-
-void encode_sketch(ByteWriter& w, const stats::LatencySketch& sketch) {
-  w.put_u64(sketch.count());
-  if (sketch.count() == 0) return;
-  w.put_f64(sketch.min());
-  w.put_f64(sketch.max());
-  const auto bins = sketch.bin_counts();
-  w.put_u32(static_cast<std::uint32_t>(bins.size()));
-  for (const std::uint64_t b : bins) w.put_u64(b);
-}
-
-stats::LatencySketch decode_sketch(ByteReader& r,
-                                   std::vector<std::uint64_t>& bin_scratch) {
-  const std::uint64_t count = r.get_u64();
-  if (count == 0) return stats::LatencySketch{};
-  const double min = r.get_f64();
-  const double max = r.get_f64();
-  const std::uint32_t n_bins = r.get_u32();
-  if (n_bins != stats::LatencySketch::bin_count())
-    throw RuntimeError("transport sketch bin count mismatch");
-  bin_scratch.resize(n_bins);
-  for (std::uint32_t i = 0; i < n_bins; ++i) bin_scratch[i] = r.get_u64();
-  return stats::LatencySketch::restore(count, min, max, bin_scratch);
-}
-
-}  // namespace
 
 std::vector<std::uint8_t> encode_barrier_payload(
     std::span<const ShardBarrierView> views, bool has_q, double total_q,
@@ -191,105 +245,18 @@ std::vector<std::uint8_t> encode_barrier_payload(
     reserve += 128 + v.log.size() * kOffloadRecordWireSize +
                v.cluster_offloads.size() * 8 +
                (v.local_sojourns != nullptr ? 2 * kSketchWireSize : 0);
-  ByteWriter w(reserve);
-  w.put_u32(static_cast<std::uint32_t>(views.size()));
-  for (const ShardBarrierView& v : views) {
-    w.put_u32(v.shard);
-    w.put_u64(v.events);
-    w.put_u64(v.offloads_in_window);
-    w.put_u64(v.tasks_lost);
-    w.put_u64(v.offloads_rejected);
-    w.put_u64(v.offloads_penalized);
-    w.put_u32(static_cast<std::uint32_t>(v.cluster_offloads.size()));
-    for (const std::uint64_t c : v.cluster_offloads) w.put_u64(c);
-    w.put_u8(v.flipped ? 1 : 0);
-    w.put_u32(static_cast<std::uint32_t>(v.log.size()));
-    for (const sim::OffloadRecord& rec : v.log) {
-      w.put_f64(rec.time);
-      w.put_f64(rec.latency);
-      w.put_f64(rec.penalty);
-      w.put_u32(rec.device);
-      w.put_u16(rec.cluster);
-      w.put_u8(rec.measured ? 1 : 0);
-      w.put_u8(rec.penalized ? 1 : 0);
-    }
-    const bool has_sketches = v.local_sojourns != nullptr;
-    w.put_u8(has_sketches ? 1 : 0);
-    if (has_sketches) {
-      encode_sketch(w, *v.local_sojourns);
-      encode_sketch(w, *v.offload_delays);
-    }
-    w.put_u8(v.has_queue_stats ? 1 : 0);
-    if (v.has_queue_stats) {
-      w.put_f64(v.queue_depth);
-      w.put_f64(v.calendar_gear);
-      w.put_f64(v.gear_switches);
-      w.put_f64(v.calendar_retunes);
-      w.put_f64(v.leg_seconds);
-    }
-  }
-  w.put_u8(has_q ? 1 : 0);
-  if (has_q) {
-    w.put_f64(total_q);
-    w.put_f64(total_q2);
-  }
-  return w.take();
+  const struct {
+    std::span<const ShardBarrierView> shards;
+    bool has_q;
+    double total_q;
+    double total_q2;
+  } payload{views, has_q, total_q, total_q2};
+  return encode_whole(payload, barrier_fields, reserve);
 }
 
 RankBarrierData decode_barrier_payload(std::span<const std::uint8_t> payload) {
-  ByteReader r(payload);
-  RankBarrierData data;
-  std::vector<std::uint64_t> bin_scratch;
-  const std::uint32_t n_shards = r.get_u32();
-  r.need_items(n_shards, kMinShardWireSize, "barrier shard blocks");
-  data.shards.resize(n_shards);
-  for (RankBarrierData::Shard& s : data.shards) {
-    s.shard = r.get_u32();
-    s.events = r.get_u64();
-    s.offloads_in_window = r.get_u64();
-    s.tasks_lost = r.get_u64();
-    s.offloads_rejected = r.get_u64();
-    s.offloads_penalized = r.get_u64();
-    const std::uint32_t n_clusters = r.get_u32();
-    r.need_items(n_clusters, 8, "barrier cluster offload counts");
-    s.cluster_offloads.resize(n_clusters);
-    for (std::uint32_t k = 0; k < n_clusters; ++k)
-      s.cluster_offloads[k] = r.get_u64();
-    s.flipped = r.get_u8() != 0;
-    const std::uint32_t n_log = r.get_u32();
-    r.need_items(n_log, kOffloadRecordWireSize, "barrier offload records");
-    s.log.resize(n_log);
-    for (sim::OffloadRecord& rec : s.log) {
-      rec.time = r.get_f64();
-      rec.latency = r.get_f64();
-      rec.penalty = r.get_f64();
-      rec.device = r.get_u32();
-      rec.cluster = r.get_u16();
-      rec.measured = r.get_u8() != 0;
-      rec.penalized = r.get_u8() != 0;
-    }
-    s.has_sketches = r.get_u8() != 0;
-    if (s.has_sketches) {
-      s.local_sojourns = decode_sketch(r, bin_scratch);
-      s.offload_delays = decode_sketch(r, bin_scratch);
-    }
-    s.has_queue_stats = r.get_u8() != 0;
-    if (s.has_queue_stats) {
-      s.queue_depth = r.get_f64();
-      s.calendar_gear = r.get_f64();
-      s.gear_switches = r.get_f64();
-      s.calendar_retunes = r.get_f64();
-      s.leg_seconds = r.get_f64();
-    }
-  }
-  data.has_q = r.get_u8() != 0;
-  if (data.has_q) {
-    data.total_q = r.get_f64();
-    data.total_q2 = r.get_f64();
-  }
-  if (!r.exhausted())
-    throw RuntimeError("transport barrier payload has trailing bytes");
-  return data;
+  return decode_whole<RankBarrierData>(
+      payload, "transport barrier payload has trailing bytes", barrier_fields);
 }
 
 std::vector<ShardBarrierView> RankBarrierData::views() const {
@@ -324,62 +291,62 @@ std::vector<ShardBarrierView> RankBarrierData::views() const {
 }
 
 std::vector<std::uint8_t> encode_thresholds(std::span<const double> values) {
-  ByteWriter w(4 + values.size() * 8);
-  w.put_u32(static_cast<std::uint32_t>(values.size()));
-  for (const double v : values) w.put_f64(v);
-  return w.take();
+  return encode_whole(values, thresholds_fields, 4 + values.size() * 8);
 }
 
 std::vector<double> decode_thresholds(std::span<const std::uint8_t> payload) {
-  ByteReader r(payload);
-  const std::uint32_t count = r.get_u32();
-  r.need_items(count, 8, "thresholds");
-  std::vector<double> values(count);
-  for (std::uint32_t i = 0; i < count; ++i) values[i] = r.get_f64();
-  return values;
+  return decode_whole<std::vector<double>>(
+      payload, "transport threshold payload has trailing bytes",
+      thresholds_fields);
 }
 
 std::vector<std::uint8_t> encode_device_totals(
     std::uint32_t device_lo, std::uint32_t device_hi,
     std::span<const DeviceTotals> totals) {
   MEC_EXPECTS(device_hi - device_lo == totals.size());
-  ByteWriter w(8 + totals.size() * kDeviceTotalsWireSize);
-  w.put_u32(device_lo);
-  w.put_u32(device_hi);
-  for (const DeviceTotals& t : totals) {
-    w.put_u64(t.arrivals);
-    w.put_u64(t.offloaded);
-    w.put_u64(t.local_completed);
-    w.put_f64(t.queue_integral);
-    w.put_f64(t.local_sojourn_sum);
-    w.put_f64(t.offload_delay_sum);
-    w.put_f64(t.energy_sum);
-  }
-  return w.take();
+  const struct {
+    std::uint32_t device_lo;
+    std::uint32_t device_hi;
+    std::span<const DeviceTotals> totals;
+  } payload{device_lo, device_hi, totals};
+  return encode_whole(payload, final_fields,
+                      8 + totals.size() * kDeviceTotalsWireSize);
 }
 
 FinalTotals decode_device_totals(std::span<const std::uint8_t> payload) {
-  ByteReader r(payload);
-  FinalTotals out;
-  out.device_lo = r.get_u32();
-  out.device_hi = r.get_u32();
-  if (out.device_hi < out.device_lo)
-    throw RuntimeError("transport final-totals device range is inverted");
-  r.need_items(out.device_hi - out.device_lo, kDeviceTotalsWireSize,
-               "final device totals");
-  out.totals.resize(out.device_hi - out.device_lo);
-  for (DeviceTotals& t : out.totals) {
-    t.arrivals = r.get_u64();
-    t.offloaded = r.get_u64();
-    t.local_completed = r.get_u64();
-    t.queue_integral = r.get_f64();
-    t.local_sojourn_sum = r.get_f64();
-    t.offload_delay_sum = r.get_f64();
-    t.energy_sum = r.get_f64();
-  }
-  if (!r.exhausted())
-    throw RuntimeError("transport final-totals payload has trailing bytes");
-  return out;
+  return decode_whole<FinalTotals>(
+      payload, "transport final-totals payload has trailing bytes",
+      final_fields);
+}
+
+std::vector<std::uint8_t> encode_finalize(bool flipped) {
+  return encode_whole(flipped, obs::wire::one_field, 1);
+}
+
+bool decode_finalize(std::span<const std::uint8_t> payload) {
+  return decode_whole<bool>(payload,
+                            "transport finalize request has trailing bytes",
+                            obs::wire::one_field);
+}
+
+std::vector<std::uint8_t> encode_ready(std::uint32_t rank) {
+  return encode_whole(rank, obs::wire::one_field, 4);
+}
+
+std::uint32_t decode_ready(std::span<const std::uint8_t> payload) {
+  return decode_whole<std::uint32_t>(
+      payload, "transport ready frame has trailing bytes",
+      obs::wire::one_field);
+}
+
+std::vector<std::uint8_t> encode_error(std::string_view message) {
+  return encode_whole(message, obs::wire::one_field, 4 + message.size());
+}
+
+std::string decode_error(std::span<const std::uint8_t> payload) {
+  return decode_whole<std::string>(
+      payload, "transport error frame has trailing bytes",
+      obs::wire::one_field);
 }
 
 }  // namespace wire

@@ -47,6 +47,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mec/sim/coupling.hpp"
@@ -262,6 +263,16 @@ struct FinalTotals {
   std::vector<DeviceTotals> totals;
 };
 FinalTotals decode_device_totals(std::span<const std::uint8_t> payload);
+
+/// The one-field payloads: the finalize request's flipped flag (u8), a
+/// ready frame's rank echo (u32) and a worker error's message (u32 length,
+/// then the bytes).
+std::vector<std::uint8_t> encode_finalize(bool flipped);
+bool decode_finalize(std::span<const std::uint8_t> payload);
+std::vector<std::uint8_t> encode_ready(std::uint32_t rank);
+std::uint32_t decode_ready(std::span<const std::uint8_t> payload);
+std::vector<std::uint8_t> encode_error(std::string_view message);
+std::string decode_error(std::span<const std::uint8_t> payload);
 
 // --- deadline-bounded fd framing (coordinator and worker sides) -------------
 

@@ -265,9 +265,21 @@ TEST(DpoEquilibriumTest, BisectionEndsBelowOneUlp) {
   const DpoEquilibrium eq =
       solve_dpo_equilibrium(users, core::make_reciprocal_delay(), 5.0, 1e-300);
   EXPECT_EQ(eq.iterations, 200);
+  EXPECT_FALSE(eq.converged);
   EXPECT_GT(eq.gamma_star, 0.0);
   EXPECT_LT(eq.gamma_star, 1.0);
   EXPECT_NEAR(dpo_utilization(users, eq.rhos, 5.0), eq.gamma_star, 1e-9);
+  EXPECT_TRUE(
+      solve_dpo_equilibrium(users, core::make_reciprocal_delay(), 5.0)
+          .converged);
+  // Nobody offloads even at gamma = 0: gamma* = 0 is exact, so converged.
+  const std::vector<core::UserParams> local = {
+      make_user(0.2, 50.0, /*tau=*/10.0, /*p_l=*/0.0, /*p_e=*/1.0)};
+  const DpoEquilibrium zero =
+      solve_dpo_equilibrium(local, core::make_reciprocal_delay(), 5.0);
+  EXPECT_EQ(zero.gamma_star, 0.0);
+  EXPECT_EQ(zero.iterations, 0);
+  EXPECT_TRUE(zero.converged);
 }
 
 }  // namespace

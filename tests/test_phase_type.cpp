@@ -277,17 +277,28 @@ TEST(GeneralService, EquilibriumBisectionEndsBelowOneUlp) {
   const std::vector<core::UserParams> users = graded_users();
   const core::EdgeDelay delay = core::make_reciprocal_delay();
   const PhaseType shape = erlang_phase(2, 1.0);
-  const std::pair<double, double> rows[] = {
-      {1e-4, 0x1.54fp-3},
-      {1e-15, 0x1.54fda21f800bp-3},
-      {1e-300, 0x1.54fda21f800aep-3},
+  const struct {
+    double tolerance;
+    double gamma_star;
+    bool converged;
+  } rows[] = {
+      {1e-4, 0x1.54fp-3, true},
+      {1e-15, 0x1.54fda21f800bp-3, true},
+      {1e-300, 0x1.54fda21f800aep-3, false},
   };
-  for (const auto& [tolerance, gamma_star] : rows) {
-    SCOPED_TRACE(tolerance);
-    const core::PhaseTypeEquilibrium eq =
-        core::solve_phase_type_equilibrium(users, shape, delay, 5.0, tolerance);
-    EXPECT_EQ(eq.gamma_star, gamma_star);
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.tolerance);
+    const core::PhaseTypeEquilibrium eq = core::solve_phase_type_equilibrium(
+        users, shape, delay, 5.0, row.tolerance);
+    EXPECT_EQ(eq.gamma_star, row.gamma_star);
+    // The guard's cut-off is reported, not passed off as convergence.
+    EXPECT_EQ(eq.converged, row.converged);
+    if (!row.converged) {
+      EXPECT_EQ(eq.iterations, 200);
+    }
   }
+  EXPECT_TRUE(
+      core::solve_phase_type_equilibrium(users, shape, delay, 5.0).converged);
 }
 
 }  // namespace

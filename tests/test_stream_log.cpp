@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "bit_digest.hpp"
 #include "mec/common/error.hpp"
 #include "mec/core/edge_delay.hpp"
 #include "mec/core/user.hpp"
@@ -162,6 +164,71 @@ TEST(RunLogFormat, PayloadCodecsRoundTrip) {
   EXPECT_EQ(f2.measured_utilization, footer.measured_utilization);
   EXPECT_EQ(f2.mean_cost, footer.mean_cost);
   EXPECT_EQ(f2.horizon, footer.horizon);
+}
+
+/// Little-endian builder for the hand-written golden payloads below.
+struct Golden {
+  std::vector<std::uint8_t> bytes;
+  Golden& le(std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i)
+      bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    return *this;
+  }
+  Golden& u16(std::uint16_t v) { return le(v, 2); }
+  Golden& u32(std::uint32_t v) { return le(v, 4); }
+  Golden& u64(std::uint64_t v) { return le(v, 8); }
+  Golden& f64(double v) { return u64(std::bit_cast<std::uint64_t>(v)); }
+  Golden& str(const std::string& s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    bytes.insert(bytes.end(), s.begin(), s.end());
+    return *this;
+  }
+};
+
+// The round trips above pass a layout change made in both the encoder and
+// the decoder; these pins do not.  (Window payloads are pinned by the CRC
+// goldens at the end of this file.)
+TEST(RunLogFormat, MetaMatchesTheGoldenBytes) {
+  const obs::RunLogMeta meta = {{"n", "41"}, {"gamma", "tracked"}};
+  const std::vector<std::uint8_t> golden =
+      Golden().u32(2).str("n").str("41").str("gamma").str("tracked").bytes;
+  EXPECT_EQ(obs::encode_meta(meta), golden);
+  EXPECT_EQ(obs::decode_meta(golden), meta);
+}
+
+TEST(RunLogFormat, CountersMatchTheGoldenBytes) {
+  const std::vector<obs::CounterValue> counters = {
+      {3, 1, 12345.0}, {6, obs::kGlobalShard, 0.25}};
+  Golden golden;
+  golden.u32(2).u16(3).u16(1).f64(12345.0).u16(6).u16(0xFFFF).f64(0.25);
+  EXPECT_EQ(obs::encode_counters(counters), golden.bytes);
+  const std::vector<obs::CounterValue> back =
+      obs::decode_counters(golden.bytes);
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_EQ(back[0].id, 3u);
+  EXPECT_EQ(back[0].shard, 1u);
+  EXPECT_EQ(back[0].value, 12345.0);
+  EXPECT_EQ(back[1].id, 6u);
+  EXPECT_EQ(back[1].shard, obs::kGlobalShard);
+  EXPECT_EQ(back[1].value, 0.25);
+}
+
+TEST(RunLogFormat, FooterMatchesTheGoldenBytes) {
+  obs::RunFooter footer;
+  footer.windows = 7;
+  footer.total_events = 99999;
+  footer.measured_utilization = 0.31;
+  footer.mean_cost = 2.75;
+  footer.horizon = 60.0;
+  const std::vector<std::uint8_t> golden =
+      Golden().u64(7).u64(99999).f64(0.31).f64(2.75).f64(60.0).bytes;
+  EXPECT_EQ(obs::encode_footer(footer), golden);
+  const obs::RunFooter back = obs::decode_footer(golden);
+  EXPECT_EQ(back.windows, 7u);
+  EXPECT_EQ(back.total_events, 99999u);
+  EXPECT_EQ(back.measured_utilization, 0.31);
+  EXPECT_EQ(back.mean_cost, 2.75);
+  EXPECT_EQ(back.horizon, 60.0);
 }
 
 TEST(RunLogFormat, WriterReaderRoundTrip) {
@@ -845,6 +912,56 @@ TEST(StreamGolden, FixedGammaWindowBytes) {
   std::uint32_t crc = 0;
   expect_stream_shard_invariant(o, nullptr, &crc);
   expect_golden_crc(crc, kFixedGammaGoldenCrc);
+}
+
+// FNV-1a digest (bit_digest.hpp, one word per byte) of one whole
+// counters-off .meclog: header, meta, windows, footer and every frame
+// envelope, from a small two-cluster tracked-gamma run on the reference
+// toolchain.  The window pins above hash window payloads only.  A CRC-32
+// of the file would not do: each frame ends with the CRC-32 of its payload,
+// and the CRC-32 of any bytes followed by their own CRC-32 is a constant,
+// so a whole-file CRC-32 moves with the frame headers alone.  The meta
+// frame lists the counter catalogue, so a new counter moves this pin too.
+// Regenerate on an intentional change with
+//   MEC_PRINT_STREAM_GOLDEN=1 ./test_stream_log
+//       --gtest_filter=StreamGolden.WholeLogBytes
+constexpr std::uint64_t kWholeLogGoldenDigest = 0x75BD4959C495DBF0ull;
+
+TEST(StreamGolden, WholeLogBytes) {
+  const auto users = mixed_users(41);
+  sim::SimulationOptions o;
+  o.warmup = 2.0;
+  o.horizon = 20.0;
+  o.seed = 2031;
+  o.shards = 1;
+  o.utilization_ewma_tau = 5.0;
+  o.initial_gamma = 0.3;
+  o.sample_interval = 4.0;
+  o.topology.clusters = 2;
+  o.topology.shares = {0.6, 0.4};
+  o.stream_counters = false;
+  o.stream_log = test_scoped_path("whole.meclog");
+  {
+    sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
+    (void)des.run_tro(mixed_thresholds(users.size()));
+  }
+  std::vector<std::uint8_t> bytes;
+  {
+    std::ifstream in(o.stream_log, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  const obs::LogScan scan = obs::scan_log(o.stream_log);
+  EXPECT_TRUE(scan.complete()) << scan.error;
+  EXPECT_EQ(scan.windows.size(), 5u);
+  EXPECT_TRUE(scan.counters.empty());
+  test::BitDigest digest;
+  for (const std::uint8_t byte : bytes) digest.word(byte);
+  if (std::getenv("MEC_PRINT_STREAM_GOLDEN") != nullptr)
+    std::printf("STREAM GOLDEN WholeLogBytes digest = 0x%016llXull\n",
+                static_cast<unsigned long long>(digest.value()));
+  EXPECT_EQ(digest.value(), kWholeLogGoldenDigest);
+  std::filesystem::remove(o.stream_log);
 }
 
 }  // namespace

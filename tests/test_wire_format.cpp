@@ -290,6 +290,58 @@ TEST(TransportWire, ThresholdsRefuseACountThePayloadCannotHold) {
             "bytes remain");
 }
 
+// --- one-field payloads ----------------------------------------------------
+
+TEST(TransportWire, FinalizeReadyAndErrorMatchTheGoldenBytes) {
+  EXPECT_EQ(wire::encode_finalize(true), bytes({0x01}));
+  EXPECT_EQ(wire::encode_finalize(false), bytes({0x00}));
+  EXPECT_TRUE(wire::decode_finalize(bytes({0x01})));
+  EXPECT_FALSE(wire::decode_finalize(bytes({0x00})));
+
+  const std::vector<std::uint8_t> ready = bytes({0x05, 0x00, 0x00, 0x00});
+  EXPECT_EQ(wire::encode_ready(5), ready);
+  EXPECT_EQ(wire::decode_ready(ready), 5u);
+
+  // u32 length, then the message bytes.
+  const std::vector<std::uint8_t> error =
+      bytes({0x03, 0x00, 0x00, 0x00, 'b', 'a', 'd'});
+  EXPECT_EQ(wire::encode_error("bad"), error);
+  EXPECT_EQ(wire::decode_error(error), "bad");
+  EXPECT_EQ(wire::encode_error(""), bytes({0x00, 0x00, 0x00, 0x00}));
+}
+
+/// Expects `decode` to take `payload` and to refuse it with 1, 2 or 7
+/// trailing bytes.
+template <class Decode>
+void expect_trailing_refused(const char* name,
+                             const std::vector<std::uint8_t>& payload,
+                             Decode decode) {
+  SCOPED_TRACE(name);
+  EXPECT_NO_THROW((void)decode(payload));
+  for (const std::size_t extra : {1u, 2u, 7u}) {
+    std::vector<std::uint8_t> trailing = payload;
+    trailing.resize(trailing.size() + extra, 0x00);
+    const std::string what = thrown_message([&] { (void)decode(trailing); });
+    EXPECT_NE(what.find("trailing bytes"), std::string::npos)
+        << "extra=" << extra << " what=" << what;
+  }
+}
+
+TEST(TransportWire, EveryRequestAndEchoRefusesTrailingBytes) {
+  // These five decoders once stopped reading at their last field; a byte
+  // past it means the peer and we disagree about the layout.
+  const double values[] = {1.0, -1.0};
+  expect_trailing_refused("barrier request", wire::encode_barrier_request({}),
+                          wire::decode_barrier_request);
+  expect_trailing_refused("thresholds", wire::encode_thresholds(values),
+                          wire::decode_thresholds);
+  expect_trailing_refused("finalize", wire::encode_finalize(true),
+                          wire::decode_finalize);
+  expect_trailing_refused("ready", wire::encode_ready(1), wire::decode_ready);
+  expect_trailing_refused("error", wire::encode_error("bad"),
+                          wire::decode_error);
+}
+
 // --- device totals ---------------------------------------------------------
 
 TEST(TransportWire, DeviceTotalsMatchTheGoldenBytes) {
