@@ -1,5 +1,6 @@
 #include "bench/sweep.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -81,14 +82,9 @@ std::string sanitize(std::string s) {
 
 bool is_preset_scenario(const std::string& token) {
   const std::string head = token.substr(0, token.find(':'));
-  return head == "theoretical" || head == "comparison" || head == "practical";
-}
-
-population::LoadRegime parse_regime_token(const std::string& name) {
-  if (name == "low") return population::LoadRegime::kBelowService;
-  if (name == "eq") return population::LoadRegime::kAtService;
-  if (name == "high") return population::LoadRegime::kAboveService;
-  throw RuntimeError("unknown load regime '" + name + "' (low|eq|high)");
+  return std::find(population::kPresetNames.begin(),
+                   population::kPresetNames.end(),
+                   head) != population::kPresetNames.end();
 }
 
 /// Syntax check for preset scenario tokens (file tokens are checked when the
@@ -100,7 +96,7 @@ void validate_scenario_token(const std::string& token, int line) {
     fail(line, "scenario preset '" + token +
                    "' wants <preset>:<low|eq|high>[:<n>]");
   try {
-    (void)parse_regime_token(parts[1]);
+    (void)population::parse_load_regime(parts[1]);
     if (parts.size() == 3 && parse_spec_integer(parts[2], line, "scenario n") ==
                                  0)
       fail(line, "scenario population size must be >= 1");
@@ -135,15 +131,9 @@ population::ScenarioConfig resolve_scenario(const std::string& token) {
   if (!is_preset_scenario(token))
     return population::load_scenario_file(token);
   const auto parts = split(token, ':');
-  const auto regime = parse_regime_token(parts[1]);
-  const std::size_t n =
-      parts.size() == 3 ? static_cast<std::size_t>(std::stoull(parts[2])) : 0;
-  if (parts[0] == "theoretical")
-    return population::theoretical_scenario(regime, n != 0 ? n : 10'000);
-  if (parts[0] == "comparison")
-    return population::theoretical_comparison_scenario(regime,
-                                                       n != 0 ? n : 1'000);
-  return population::practical_scenario(regime, n != 0 ? n : 1'000);
+  return population::preset_scenario(
+      parts[0], population::parse_load_regime(parts[1]),
+      parts.size() == 3 ? static_cast<std::size_t>(std::stoull(parts[2])) : 0);
 }
 
 std::string scenario_label(const std::string& token) {
@@ -405,13 +395,8 @@ std::shared_ptr<const fault::FaultSchedule> resolve_faults(
     if (sc.config.fault_lines.empty())
       throw RuntimeError("fault token 'embedded': scenario '" +
                          sc.config.name + "' has no fault = lines");
-    std::string text;
-    for (const std::string& line : sc.config.fault_lines) {
-      text += line;
-      text += '\n';
-    }
     return std::make_shared<const fault::FaultSchedule>(
-        fault::parse_fault_schedule(text, &sc.config));
+        fault::embedded_fault_schedule(sc.config));
   }
   return std::make_shared<const fault::FaultSchedule>(
       fault::load_fault_schedule_file(token, &sc.config));

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "mec/queueing/erlang.hpp"
 
@@ -29,7 +31,8 @@ double EdgeDelay::operator()(double gamma) const {
 }
 
 EdgeDelay make_reciprocal_delay(double margin) {
-  MEC_EXPECTS_MSG(margin > 1.0, "reciprocal delay needs margin > 1");
+  check_option(margin > 1.0, "reciprocal delay", "margin", margin,
+               "a value > 1");
   std::ostringstream os;
   os << "1/(" << margin << " - gamma)";
   return EdgeDelay([margin](double g) { return 1.0 / (margin - g); },
@@ -37,16 +40,16 @@ EdgeDelay make_reciprocal_delay(double margin) {
 }
 
 EdgeDelay make_linear_delay(double g0, double slope) {
-  MEC_EXPECTS(g0 >= 0.0);
-  MEC_EXPECTS(slope >= 0.0);
+  check_option(g0 >= 0.0, "linear delay", "g0", g0, "a value >= 0");
+  check_option(slope >= 0.0, "linear delay", "slope", slope, "a value >= 0");
   std::ostringstream os;
   os << g0 << " + " << slope << "*gamma";
   return EdgeDelay([g0, slope](double g) { return g0 + slope * g; }, os.str());
 }
 
 EdgeDelay make_power_delay(double gmax, double p) {
-  MEC_EXPECTS(gmax >= 0.0);
-  MEC_EXPECTS(p > 0.0);
+  check_option(gmax >= 0.0, "power delay", "gmax", gmax, "a value >= 0");
+  check_option(p > 0.0, "power delay", "p", p, "a value > 0");
   std::ostringstream os;
   os << gmax << "*gamma^" << p;
   return EdgeDelay(
@@ -54,7 +57,7 @@ EdgeDelay make_power_delay(double gmax, double p) {
 }
 
 EdgeDelay make_constant_delay(double value) {
-  MEC_EXPECTS(value >= 0.0);
+  check_option(value >= 0.0, "constant delay", "value", value, "a value >= 0");
   std::ostringstream os;
   os << "const " << value;
   return EdgeDelay([value](double) { return value; }, os.str());
@@ -62,9 +65,14 @@ EdgeDelay make_constant_delay(double value) {
 
 EdgeDelay make_erlang_c_delay(std::size_t servers, double server_rate,
                               double gamma_cap) {
-  MEC_EXPECTS(servers >= 1);
-  MEC_EXPECTS(server_rate > 0.0);
-  MEC_EXPECTS(gamma_cap > 0.0 && gamma_cap < 1.0);
+  constexpr std::string_view kDelay = "erlangc delay";
+  check_option(servers >= 1 && servers <= kMaxErlangOrder, kDelay, "servers",
+               servers,
+               "an integer in [1, " + std::to_string(kMaxErlangOrder) + "]");
+  check_option(server_rate > 0.0, kDelay, "server_rate", server_rate,
+               "a value > 0");
+  check_option(gamma_cap > 0.0 && gamma_cap < 1.0, kDelay, "gamma_cap",
+               gamma_cap, "a value in (0, 1)");
   std::ostringstream os;
   os << "ErlangC(N=" << servers << ", mu=" << server_rate
      << ", cap=" << gamma_cap << ")";

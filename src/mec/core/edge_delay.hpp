@@ -5,6 +5,7 @@
 // exercise alternative shapes.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <utility>
@@ -12,6 +13,10 @@
 #include "mec/common/error.hpp"
 
 namespace mec::core {
+
+/// Largest server or stage count an Erlang model accepts: each evaluation
+/// of one walks O(k) steps.
+inline constexpr std::size_t kMaxErlangOrder = 1'000'000;
 
 /// Value-semantic wrapper around an increasing continuous delay function.
 class EdgeDelay {
@@ -32,6 +37,9 @@ class EdgeDelay {
   std::string description_;
 };
 
+// Each factory below names a bad parameter's family, value and range in its
+// ContractViolation: "linear delay: g0 is -1, expected a value >= 0".
+
 /// The paper's evaluation delay g(gamma) = 1/(margin - gamma).
 /// Requires margin > 1 so g is finite and increasing on [0,1].
 EdgeDelay make_reciprocal_delay(double margin = 1.1);
@@ -49,8 +57,8 @@ EdgeDelay make_constant_delay(double value);
 /// `servers` servers of rate `server_rate`; utilization gamma maps to
 /// offered load gamma * N * server_rate and the delay is the Erlang-C mean
 /// sojourn time, saturated at `gamma_cap` (< 1) so g stays bounded on [0,1]
-/// as the model requires. Requires servers >= 1, server_rate > 0,
-/// 0 < gamma_cap < 1.
+/// as the model requires. Requires 1 <= servers <= kMaxErlangOrder,
+/// server_rate > 0, 0 < gamma_cap < 1.
 EdgeDelay make_erlang_c_delay(std::size_t servers, double server_rate,
                               double gamma_cap = 0.95);
 

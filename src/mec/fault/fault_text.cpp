@@ -122,6 +122,16 @@ FaultSchedule parse_fault_schedule(
   return schedule;
 }
 
+FaultSchedule embedded_fault_schedule(
+    const population::ScenarioConfig& scenario) {
+  std::string text;
+  for (const std::string& line : scenario.fault_lines) {
+    text += line;
+    text += '\n';
+  }
+  return parse_fault_schedule(text, &scenario);
+}
+
 FaultSchedule load_fault_schedule_file(
     const std::string& path,
     const population::ScenarioConfig* churn_scenario) {

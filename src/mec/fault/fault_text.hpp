@@ -34,6 +34,11 @@ FaultSchedule parse_fault_schedule(
     const std::string& text,
     const population::ScenarioConfig* churn_scenario = nullptr);
 
+/// Parses `scenario`'s embedded `fault =` lines (an empty schedule when it
+/// has none), with the scenario as the churn scenario.
+FaultSchedule embedded_fault_schedule(
+    const population::ScenarioConfig& scenario);
+
 /// Reads and parses a fault-schedule file.
 FaultSchedule load_fault_schedule_file(
     const std::string& path,

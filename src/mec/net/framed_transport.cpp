@@ -157,24 +157,24 @@ void FramedTransport::receive(std::size_t first, std::size_t last,
 }
 
 FramedTransport::FramedTransport(
-    const Config& config, std::vector<RankLink> links,
+    const parallel::RunShape& shape, std::vector<RankLink> links,
     std::span<const std::vector<std::uint8_t>> populations,
-    std::span<const double> initial_thresholds)
-    : config_(config) {
+    std::span<const double> initial_values)
+    : shape_(shape) {
   const std::size_t ranks = links.size();
-  MEC_EXPECTS_MSG(ranks >= 1 && ranks <= config.shard_count,
+  MEC_EXPECTS_MSG(ranks >= 1 && ranks <= shape.shard_count,
                   "a framed transport needs 1..shard_count ranks");
   MEC_EXPECTS(populations.size() == ranks);
   timeout_ms_ = parallel::resolve_transport_timeout_ms();
   peers_.reserve(ranks);
   for (std::size_t r = 0; r < ranks; ++r) {
     Peer& peer = peers_.emplace_back(std::move(links[r]));
-    peer.shard_lo = config.shard_count * r / ranks;
-    peer.shard_hi = config.shard_count * (r + 1) / ranks;
-    peer.device_lo = parallel::shard_bound(config.n_devices,
-                                           config.shard_count, peer.shard_lo);
-    peer.device_hi = parallel::shard_bound(config.n_devices,
-                                           config.shard_count, peer.shard_hi);
+    peer.shard_lo = shape.shard_count * r / ranks;
+    peer.shard_hi = shape.shard_count * (r + 1) / ranks;
+    peer.device_lo = parallel::shard_bound(shape.n_devices, shape.shard_count,
+                                           peer.shard_lo);
+    peer.device_hi = parallel::shard_bound(shape.n_devices, shape.shard_count,
+                                           peer.shard_hi);
   }
 
   // Handshake + population, rank by rank; then one ready-barrier pass so
@@ -217,8 +217,8 @@ FramedTransport::FramedTransport(
               fail_peer(peer, startup,
                         "reported ready as rank " + std::to_string(echoed));
           });
-  send_all(pwire::kFrameThresholds,
-           pwire::encode_thresholds(initial_thresholds), startup);
+  send_all(pwire::kFrameThresholds, pwire::encode_thresholds(initial_values),
+           startup);
 }
 
 void FramedTransport::send_frame(Peer& peer, std::uint32_t kind,
@@ -286,10 +286,10 @@ void FramedTransport::check_barrier(Peer& peer,
     if (s.shard != peer.shard_lo + i)
       reject(field("shard"), std::to_string(s.shard),
              std::to_string(peer.shard_lo + i));
-    if (s.cluster_offloads.size() != config_.n_clusters)
+    if (s.cluster_offloads.size() != shape_.n_clusters)
       reject(field("cluster_offloads.size()"),
              std::to_string(s.cluster_offloads.size()),
-             std::to_string(config_.n_clusters));
+             std::to_string(shape_.n_clusters));
     if (s.has_sketches != request.want_sketches)
       reject(field("sketches"), presence(s.has_sketches),
              presence(request.want_sketches));
@@ -315,10 +315,10 @@ void FramedTransport::check_barrier(Peer& peer,
         reject(field("log[" + std::to_string(j) + "].device"),
                std::to_string(rec.device),
                "a device in " + range(peer.device_lo, peer.device_hi));
-      if (rec.cluster >= config_.n_clusters)
+      if (rec.cluster >= shape_.n_clusters)
         reject(field("log[" + std::to_string(j) + "].cluster"),
                std::to_string(rec.cluster),
-               "a cluster below " + std::to_string(config_.n_clusters));
+               "a cluster below " + std::to_string(shape_.n_clusters));
     }
   }
 }
@@ -370,7 +370,7 @@ void FramedTransport::broadcast_thresholds(std::span<const double> values) {
 void FramedTransport::finalize(bool flipped) {
   const std::string phase = "at run end";
   send_all(pwire::kFrameFinalize, pwire::encode_finalize(flipped), phase);
-  totals_.assign(config_.n_devices, parallel::DeviceTotals{});
+  totals_.assign(shape_.n_devices, parallel::DeviceTotals{});
   receive(0, peers_.size(), pwire::kFrameFinal, phase,
           [&](Peer& peer, const pwire::DecodedFrame& frame) {
             const pwire::FinalTotals fin =

@@ -79,20 +79,15 @@ std::vector<RankLink> connect_workers(std::span<const Address> workers);
 
 class FramedTransport final : public parallel::Transport {
  public:
-  struct Config {
-    std::size_t shard_count = 1;
-    std::uint32_t n_devices = 0;
-    std::uint32_t n_clusters = 1;
-  };
-
   /// Handshakes every link, ships populations[r] to rank r, waits for every
-  /// rank's ready frame, then pushes `initial_thresholds`.  Rank r of W owns
-  /// shards [K*r/W, K*(r+1)/W).  Throws mec::RuntimeError (naming the rank
-  /// and its peer) on any refusal: schema-revision mismatch (both revisions
-  /// named), wrong rank echo, or a worker-side build failure.
-  FramedTransport(const Config& config, std::vector<RankLink> links,
+  /// rank's ready frame, then pushes `initial_values` (the run's per-device
+  /// values under shape.rule).  Rank r of W owns shards [K*r/W, K*(r+1)/W)
+  /// of the shape's K.  Throws mec::RuntimeError (naming the rank and its
+  /// peer) on any refusal: schema-revision mismatch (both revisions named),
+  /// wrong rank echo, or a worker-side build failure.
+  FramedTransport(const parallel::RunShape& shape, std::vector<RankLink> links,
                   std::span<const std::vector<std::uint8_t>> populations,
-                  std::span<const double> initial_thresholds);
+                  std::span<const double> initial_values);
   FramedTransport(const FramedTransport&) = delete;
   FramedTransport& operator=(const FramedTransport&) = delete;
 
@@ -160,7 +155,7 @@ class FramedTransport final : public parallel::Transport {
   [[noreturn]] void fail_peer(Peer& peer, const std::string& phase,
                               const std::string& what);
 
-  Config config_;
+  parallel::RunShape shape_;
   std::vector<Peer> peers_;
   parallel::BarrierRequest request_;  ///< the started barrier
   std::string phase_;                 ///< its place in fail_peer messages

@@ -99,6 +99,7 @@ constexpr auto population_fields = []<class Io, class P>(Io& io, P& pop) {
      pop.n_clusters, pop.shard_count, pop.shard_lo, pop.shard_hi, pop.device_lo,
      pop.device_hi, pop.warmup, pop.t_end, pop.has_fixed_gamma, pop.fixed_delay,
      pop.with_faults);
+  io(pop.rule, sim::OffloadRule::kDpo, "offload rule");
   sampler_fields(io, pop.service);
   sampler_fields(io, pop.latency);
   io.items(pop.users, kUserParamsWireSize, "population users", user_fields);
@@ -132,7 +133,7 @@ std::vector<std::uint8_t> encode_population(const WorkerPopulation& pop) {
   const std::size_t slice = pop.users.size();
   return encode_whole(
       pop, population_fields,
-      112 + slice * (kUserParamsWireSize + kRngStateWireSize) +
+      113 + slice * (kUserParamsWireSize + kRngStateWireSize) +
           pop.actions.size() * kResolvedActionWireSize +
           (pop.service.data.size() + pop.latency.data.size()) * 8);
 }

@@ -15,11 +15,13 @@
 // the daemon survives to serve the next connection.
 //
 // The population frame carries everything a rank needs to rebuild
-// its slice of the run: scenario scalars, sampler specs, the owned slice of
-// user parameters and per-device RNG streams (the *pre-init* snapshots —
-// the worker re-runs init_shard and reproduces the coordinator's draws
-// bit-for-bit), and the full resolved fault plan (outage/capacity state is
-// global; see apply_shard_fault).  Layouts are pinned with static_asserts
+// its slice of the run: the run's shape (parallel::RunShape, the offload
+// rule included), sampler specs, the owned slice of user parameters and
+// per-device RNG streams (the *pre-init* snapshots — the worker seeds its
+// shards and reproduces the coordinator's draws bit-for-bit), and the full
+// resolved fault plan (outage/capacity state is global; see
+// apply_shard_fault).  Thresholds frames carry the rule's per-device
+// values, one f64 each.  Layouts are pinned with static_asserts
 // in protocol.cpp and golden bytes in tests/test_wire_format.cpp, mirroring
 // the barrier-payload conventions.
 #pragma once
@@ -31,6 +33,7 @@
 
 #include "mec/core/user.hpp"
 #include "mec/fault/fault_plan.hpp"
+#include "mec/parallel/transport.hpp"
 #include "mec/sim/mec_simulation.hpp"
 
 namespace mec::net::wire {
@@ -40,7 +43,7 @@ inline constexpr std::uint32_t kHelloMagic = 0x5443454D;
 
 /// Wire schema revision.  Bump whenever any transport payload layout
 /// changes; the handshake rejects mismatched peers by name.
-inline constexpr std::uint32_t kSchemaRevision = 1;
+inline constexpr std::uint32_t kSchemaRevision = 2;
 
 /// Wire sizes pinned by the golden-vector tests.
 inline constexpr std::size_t kHelloWireSize = 16;
@@ -69,28 +72,19 @@ Hello decode_hello(std::span<const std::uint8_t> payload);
 std::vector<std::uint8_t> encode_hello_ack(const HelloAck& ack);
 HelloAck decode_hello_ack(std::span<const std::uint8_t> payload);
 
-/// One rank's scenario slice, as shipped in the population frame.
-struct WorkerPopulation {
+/// One rank's scenario slice, as shipped in the population frame: the
+/// run's shape (fixed_delay is g(fixed_gamma), so the worker never needs
+/// the EdgeDelay) and the rank's own part.
+struct WorkerPopulation : parallel::RunShape {
   std::uint32_t rank = 0;
   std::uint32_t ranks = 0;
   std::uint64_t seed = 0;
-  /// Full population incl. churn users; n_initial is the pre-churn count.
-  std::uint32_t n_devices = 0;
-  std::uint32_t n_initial = 0;
-  std::uint32_t n_clusters = 0;
-  /// Global shard count K; this rank owns shards [shard_lo, shard_hi) and
-  /// devices [device_lo, device_hi).
-  std::uint32_t shard_count = 0;
+  /// This rank owns shards [shard_lo, shard_hi) of shard_count and devices
+  /// [device_lo, device_hi).
   std::uint32_t shard_lo = 0;
   std::uint32_t shard_hi = 0;
   std::uint32_t device_lo = 0;
   std::uint32_t device_hi = 0;
-  double warmup = 0.0;
-  double t_end = 0.0;
-  bool has_fixed_gamma = false;
-  /// g(fixed_gamma), precomputed — the worker never needs the EdgeDelay.
-  double fixed_delay = 0.0;
-  bool with_faults = false;
   sim::SamplerSpec service;
   sim::SamplerSpec latency;
   /// Owned slice only (device_hi - device_lo entries each): per-worker

@@ -136,9 +136,11 @@ class RankSlice {
 // pointers are indexed by global device id, so a compacted layout would
 // corrupt the merge order — but only the owned slice exists (RankSlice).
 // The shipped RNG words are the coordinator's pre-init snapshots
-// (ws.rng_init); re-running init_shard here reproduces the coordinator's
-// initial-arrival draws bit for bit, which is what keeps the streamed
-// .meclog bytes identical to inproc for any worker placement.
+// (ws.rng_init); the LegRunner seeds the owned shards from them exactly as
+// the in-process rank does, reproducing the coordinator's initial-arrival
+// draws bit for bit, which is what keeps the streamed .meclog bytes
+// identical to inproc for any worker placement.  The rank decides on its
+// copy of the run's values, filled by the first thresholds frame.
 template <bool WithFaults>
 void serve_rank(int fd, wire::WorkerPopulation pop) {
   const std::uint32_t lo = pop.device_lo;
@@ -154,28 +156,17 @@ void serve_rank(int fd, wire::WorkerPopulation pop) {
       rngs.data()[lo + i] = random::Xoshiro256::from_state(shipped_rngs[i]);
   }
 
-  std::vector<parallel::ShardContext> shards(pop.shard_count);
-  for (std::uint32_t s = pop.shard_lo; s < pop.shard_hi; ++s) {
-    parallel::ShardContext& sc = shards[s];
-    sc.reset(parallel::shard_bound(pop.n_devices, pop.shard_count, s),
-             parallel::shard_bound(pop.n_devices, pop.shard_count, s + 1),
-             /*measuring_from_start=*/pop.warmup == 0.0);
-    sc.cluster_offloads.assign(pop.n_clusters, 0);
-    sim::engine::init_shard<WithFaults>(sc, users.data(), pop.n_initial,
-                                        rngs.data(), pop.actions);
-  }
-
   const sim::ServiceSampler service = sim::make_service_sampler(pop.service);
   const sim::LatencySampler latency = sim::make_latency_sampler(pop.latency);
   std::vector<double> mirror(pop.n_devices, 0.0);
-  const sim::engine::LegContext<sim::TroValueDecide> lc{
-      users.data(),  devices.data(),      rngs.data(),     nullptr,
-      &service,      &latency,            pop.warmup,      pop.t_end,
-      pop.n_devices, pop.n_clusters,      pop.has_fixed_gamma,
-      pop.fixed_delay};
-  sim::engine::LegRunner<WithFaults, sim::TroValueDecide> runner(
-      shards, sim::TroValueDecide{mirror.data()}, lc, pop.shard_lo,
-      pop.shard_hi, nullptr, &mirror);
+  const parallel::RunShape& shape = pop;
+  const sim::engine::LegContext lc{shape,       users.data(),  devices.data(),
+                                   rngs.data(), mirror.data(), &service,
+                                   &latency,    pop.actions};
+  std::vector<parallel::ShardContext> shards(pop.shard_count);
+  std::unique_ptr<parallel::ThreadPool> pool;
+  sim::engine::LegRunner<WithFaults> runner(shards, lc, pop.shard_lo,
+                                            pop.shard_hi, pool, &mirror);
 
   pwire::write_frame(fd, pwire::kFrameReady, pwire::encode_ready(pop.rank));
   serve_barriers(runner, pop.rank, fd);

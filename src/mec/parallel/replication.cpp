@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "mec/common/error.hpp"
@@ -116,8 +117,11 @@ ReplicationResult run_replications(std::span<const core::UserParams> users,
                                    std::span<const double> thresholds,
                                    const ReplicationOptions& options,
                                    ThreadPool* pool) {
-  MEC_EXPECTS(options.replications >= 1);
-  MEC_EXPECTS(options.confidence > 0.0 && options.confidence < 1.0);
+  constexpr std::string_view kRun = "ReplicationOptions";
+  check_option(options.replications >= 1, kRun, "replications",
+               options.replications, "a value >= 1");
+  check_option(options.confidence > 0.0 && options.confidence < 1.0, kRun,
+               "confidence", options.confidence, "a value in (0, 1)");
   check_replication_config(users, base_options, thresholds);
 
   const std::size_t r_total = options.replications;

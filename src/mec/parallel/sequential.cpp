@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "mec/common/error.hpp"
@@ -61,6 +63,22 @@ bool target_met(const SequentialOptions& options, double mean,
   return met;
 }
 
+/// The fields SequentialOptions and CompareOptions share, each refused by
+/// name (`run` is the struct) with its value and range.
+void check_budget(std::string_view run, double confidence,
+                  std::size_t min_replications, std::size_t max_replications,
+                  std::size_t wave) {
+  check_option(confidence > 0.0 && confidence < 1.0, run, "confidence",
+               confidence, "a value in (0, 1)");
+  check_option(min_replications >= 2, run, "min_replications",
+               min_replications, "a value >= 2");
+  check_option(max_replications >= min_replications, run, "max_replications",
+               max_replications,
+               "a value >= min_replications (" +
+                   std::to_string(min_replications) + ")");
+  check_option(wave >= 1, run, "wave", wave, "a value >= 1");
+}
+
 }  // namespace
 
 SequentialResult run_until_confident(std::span<const core::UserParams> users,
@@ -70,16 +88,17 @@ SequentialResult run_until_confident(std::span<const core::UserParams> users,
                                      std::span<const double> thresholds,
                                      const SequentialOptions& options,
                                      ThreadPool* pool) {
-  MEC_EXPECTS(options.confidence > 0.0 && options.confidence < 1.0);
-  MEC_EXPECTS(options.target_half_width >= 0.0);
-  MEC_EXPECTS(options.target_relative >= 0.0);
-  MEC_EXPECTS_MSG(
-      options.target_half_width > 0.0 || options.target_relative > 0.0,
-      "run_until_confident needs a target: an absolute or relative CI "
-      "half-width");
-  MEC_EXPECTS(options.min_replications >= 2);
-  MEC_EXPECTS(options.max_replications >= options.min_replications);
-  MEC_EXPECTS(options.wave >= 1);
+  constexpr std::string_view kRun = "SequentialOptions";
+  check_budget(kRun, options.confidence, options.min_replications,
+               options.max_replications, options.wave);
+  check_option(options.target_half_width >= 0.0, kRun, "target_half_width",
+               options.target_half_width, "a value >= 0");
+  check_option(options.target_relative >= 0.0, kRun, "target_relative",
+               options.target_relative, "a value >= 0");
+  check_option(
+      options.target_half_width > 0.0 || options.target_relative > 0.0, kRun,
+      "target_half_width", options.target_half_width,
+      "a value > 0 when target_relative is 0 (the run needs a target)");
   check_replication_config(users, base_options, thresholds);
 
   std::optional<ThreadPool> own_pool;
@@ -123,10 +142,8 @@ CompareResult compare_sequential(const PairedEvaluator& evaluate,
                                  const CompareOptions& options,
                                  ThreadPool* pool) {
   MEC_EXPECTS(static_cast<bool>(evaluate));
-  MEC_EXPECTS(options.confidence > 0.0 && options.confidence < 1.0);
-  MEC_EXPECTS(options.min_replications >= 2);
-  MEC_EXPECTS(options.max_replications >= options.min_replications);
-  MEC_EXPECTS(options.wave >= 1);
+  check_budget("CompareOptions", options.confidence, options.min_replications,
+               options.max_replications, options.wave);
 
   std::optional<ThreadPool> own_pool;
   if (pool == nullptr) {

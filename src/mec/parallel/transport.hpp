@@ -51,9 +51,29 @@
 #include <vector>
 
 #include "mec/sim/coupling.hpp"
+#include "mec/sim/policy_dispatch.hpp"
 #include "mec/stats/latency_sketch.hpp"
 
 namespace mec::parallel {
+
+/// The run's shape: everything a rank needs besides its own slice of the
+/// population and the run's per-device values.  run_sharded fills it once;
+/// it is the base of the coordinator's context, each rank's leg context and
+/// the population frame, so each fact is written down in one place.
+struct RunShape {
+  /// Full population incl. churn users; n_initial is the pre-churn count.
+  std::uint32_t n_devices = 0;
+  std::uint32_t n_initial = 0;
+  std::uint32_t n_clusters = 1;  ///< topology cluster count (1 = scalar gamma)
+  std::uint32_t shard_count = 1;  ///< global shard count K
+  double warmup = 0.0;
+  double t_end = 0.0;  ///< warmup + horizon
+  bool has_fixed_gamma = false;
+  /// g(fixed_gamma), hoisted off the offload path; 0 with tracked gamma.
+  double fixed_delay = 0.0;
+  bool with_faults = false;
+  sim::OffloadRule rule = sim::OffloadRule::kTro;
+};
 
 /// What the coordinator asks every rank to do for one barrier: advance all
 /// owned shards to `limit`, then report the listed quantities.  The flags

@@ -1,5 +1,6 @@
 #include "mec/population/scenario.hpp"
 
+#include <cmath>
 #include <string>
 #include <string_view>
 
@@ -54,6 +55,14 @@ std::string to_string(LoadRegime regime) {
   throw ContractViolation("unknown LoadRegime");
 }
 
+LoadRegime parse_load_regime(std::string_view name) {
+  if (name == "low") return LoadRegime::kBelowService;
+  if (name == "eq") return LoadRegime::kAtService;
+  if (name == "high") return LoadRegime::kAboveService;
+  throw RuntimeError("unknown load regime '" + std::string(name) +
+                     "' (low|eq|high)");
+}
+
 namespace {
 
 ScenarioConfig theoretical_base(LoadRegime regime, std::size_t n_users,
@@ -97,7 +106,9 @@ ScenarioConfig theoretical_comparison_scenario(LoadRegime regime,
 
 ScenarioConfig practical_scenario(LoadRegime regime, std::size_t n_users,
                                   double mean_latency) {
-  MEC_EXPECTS(mean_latency > 0.0);
+  check_option(std::isfinite(mean_latency) && mean_latency > 0.0,
+               "practical_scenario", "mean_latency", mean_latency,
+               "a finite value > 0");
   const auto times = random::synthetic_yolo_processing_times();
   const auto rates = random::service_rates_from_times(times);
   const auto latencies =
@@ -131,6 +142,20 @@ ScenarioConfig practical_scenario(LoadRegime regime, std::size_t n_users,
   cfg.delay = core::make_reciprocal_delay(1.1);
   cfg.n_users = n_users;
   return cfg;
+}
+
+ScenarioConfig preset_scenario(std::string_view name, LoadRegime regime,
+                               std::size_t n_users, double mean_latency) {
+  if (name == "theoretical")
+    return theoretical_scenario(regime, n_users != 0 ? n_users : 10'000);
+  if (name == "comparison")
+    return theoretical_comparison_scenario(regime,
+                                           n_users != 0 ? n_users : 1'000);
+  if (name == "practical")
+    return practical_scenario(regime, n_users != 0 ? n_users : 1'000,
+                              mean_latency);
+  throw RuntimeError("unknown scenario '" + std::string(name) +
+                     "' (theoretical|comparison|practical)");
 }
 
 }  // namespace mec::population

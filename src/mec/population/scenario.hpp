@@ -11,8 +11,10 @@
 // land in the bands of Tables I and II.  Every field remains overridable.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mec/core/edge_delay.hpp"
@@ -63,6 +65,9 @@ enum class LoadRegime {
 /// Human-readable label, e.g. "E[A] < E[S]".
 std::string to_string(LoadRegime regime);
 
+/// The regime named "low", "eq" or "high"; throws mec::RuntimeError else.
+LoadRegime parse_load_regime(std::string_view name);
+
 /// Section IV-A theoretical settings: A ~ U(0, a_max) with a_max in
 /// {4, 6, 8} for the three regimes, S ~ U(1,5), T ~ U(0,1), P_L ~ U(0,3),
 /// P_E ~ U(0,1), w = 1, g = 1/(1.1 - gamma), N = 10^4, c = 10.
@@ -82,5 +87,16 @@ ScenarioConfig theoretical_comparison_scenario(LoadRegime regime,
 ScenarioConfig practical_scenario(LoadRegime regime,
                                   std::size_t n_users = 1'000,
                                   double mean_latency = 0.4);
+
+/// The presets above by the names the tools use, in listing order.
+inline constexpr std::array<std::string_view, 3> kPresetNames = {
+    "theoretical", "comparison", "practical"};
+
+/// The preset `name` at `regime`; n_users = 0 keeps its own default, and
+/// `mean_latency` goes to the practical preset only.  Throws
+/// mec::RuntimeError for a name not in kPresetNames.
+ScenarioConfig preset_scenario(std::string_view name, LoadRegime regime,
+                               std::size_t n_users = 0,
+                               double mean_latency = 0.4);
 
 }  // namespace mec::population

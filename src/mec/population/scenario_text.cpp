@@ -1,5 +1,6 @@
 #include "mec/population/scenario_text.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -34,6 +35,12 @@ double to_number(const std::string& token, int line) {
   } catch (const std::exception&) {
     fail(line, "expected a number, got '" + token + "'");
   }
+}
+
+/// True when `v` is an integer in [1, max], so casting it to std::size_t is
+/// defined (it is not for a negative, NaN or too large value).
+bool is_count(double v, double max) {
+  return v >= 1.0 && v <= max && v == std::floor(v);
 }
 
 /// Parses "<family> <params...>" into a Distribution.
@@ -72,7 +79,7 @@ random::Distribution parse_distribution(const std::string& value, int line) {
       return random::make_truncated_gamma(num(1), num(2), num(3));
     }
   } catch (const ContractViolation& e) {
-    fail(line, std::string("invalid ") + family + " parameters: " + e.what());
+    fail(line, e.what());
   }
   fail(line, "unknown distribution family '" + family + "'");
 }
@@ -91,13 +98,18 @@ core::EdgeDelay parse_delay(const std::string& value, int line) {
     if (family == "power") return core::make_power_delay(num(1), num(2));
     if (family == "constant") return core::make_constant_delay(num(1));
     if (family == "erlangc") {
-      const auto servers = static_cast<std::size_t>(num(1));
+      const double servers = num(1);
+      check_option(
+          is_count(servers, static_cast<double>(core::kMaxErlangOrder)),
+          "erlangc delay", "servers", servers,
+          "an integer in [1, " + std::to_string(core::kMaxErlangOrder) + "]");
       const double mu = num(2);
       const double cap = tokens.size() > 3 ? num(3) : 0.95;
-      return core::make_erlang_c_delay(servers, mu, cap);
+      return core::make_erlang_c_delay(static_cast<std::size_t>(servers), mu,
+                                       cap);
     }
   } catch (const ContractViolation& e) {
-    fail(line, std::string("invalid ") + family + " parameters: " + e.what());
+    fail(line, e.what());
   }
   fail(line, "unknown delay family '" + family + "'");
 }
@@ -137,14 +149,14 @@ ScenarioConfig parse_scenario_text(const std::string& text) {
       cfg.name = value;
     } else if (key == "n_users") {
       const double n = to_number(value, line_number);
-      if (n < 1 || n != static_cast<double>(static_cast<std::size_t>(n)))
+      if (!is_count(n, 0x1p53))
         fail(line_number, "n_users must be a positive integer");
       cfg.n_users = static_cast<std::size_t>(n);
     } else if (key == "capacity") {
       cfg.capacity = to_number(value, line_number);
     } else if (key == "clusters") {
       const double k = to_number(value, line_number);
-      if (k < 1 || k != static_cast<double>(static_cast<std::size_t>(k)))
+      if (!is_count(k, 0x1p53))
         fail(line_number, "clusters must be a positive integer");
       cfg.clusters = static_cast<std::size_t>(k);
     } else if (key == "cluster_shares") {

@@ -267,7 +267,7 @@ class MixtureModel final : public DistributionModel {
 }  // namespace
 
 Distribution make_uniform(double lo, double hi) {
-  MEC_EXPECTS(lo <= hi);
+  check_option(lo <= hi, "uniform", "hi", hi, "a value >= lo");
   return Distribution(std::make_shared<UniformModel>(lo, hi));
 }
 
@@ -276,48 +276,52 @@ Distribution make_constant(double value) {
 }
 
 Distribution make_truncated_exponential(double mean, double cap) {
-  MEC_EXPECTS(mean > 0.0);
-  MEC_EXPECTS_MSG(cap > mean / 4.0, "cap too tight for rejection sampling");
+  check_option(mean > 0.0, "exponential", "mean", mean, "a value > 0");
+  check_option(cap > mean / 4.0, "exponential", "cap", cap,
+               "a value > mean / 4 (for rejection sampling)");
   return Distribution(std::make_shared<TruncatedExponentialModel>(mean, cap));
 }
 
 Distribution make_truncated_normal(double mu, double sigma, double lo,
                                    double hi) {
-  MEC_EXPECTS(sigma > 0.0);
-  MEC_EXPECTS(lo < hi);
+  check_option(sigma > 0.0, "normal", "sigma", sigma, "a value > 0");
+  check_option(lo < hi, "normal", "hi", hi, "a value > lo");
   return Distribution(
       std::make_shared<TruncatedNormalModel>(mu, sigma, lo, hi));
 }
 
 Distribution make_truncated_lognormal(double mu, double sigma, double cap) {
-  MEC_EXPECTS(sigma > 0.0);
-  MEC_EXPECTS(cap > 0.0);
+  check_option(sigma > 0.0, "lognormal", "sigma", sigma, "a value > 0");
+  check_option(cap > 0.0, "lognormal", "cap", cap, "a value > 0");
   return Distribution(
       std::make_shared<TruncatedLognormalModel>(mu, sigma, cap));
 }
 
 Distribution make_truncated_gamma(double shape, double scale, double cap) {
-  MEC_EXPECTS(shape > 0.0);
-  MEC_EXPECTS(scale > 0.0);
-  MEC_EXPECTS(cap > 0.0);
+  check_option(shape > 0.0, "gamma", "shape", shape, "a value > 0");
+  check_option(scale > 0.0, "gamma", "scale", scale, "a value > 0");
+  check_option(cap > 0.0, "gamma", "cap", cap, "a value > 0");
   return Distribution(std::make_shared<TruncatedGammaModel>(shape, scale, cap));
 }
 
 Distribution make_resampling(std::vector<double> data) {
-  MEC_EXPECTS(!data.empty());
-  MEC_EXPECTS(std::all_of(data.begin(), data.end(),
-                          [](double v) { return v >= 0.0; }));
+  check_option(!data.empty(), "resampling", "the sample count", data.size(),
+               "at least 1");
+  for (const double v : data)
+    check_option(v >= 0.0, "resampling", "a sample", v, "a value >= 0");
   return Distribution(std::make_shared<ResamplingModel>(std::move(data)));
 }
 
 Distribution make_mixture(std::vector<Distribution> components,
                           std::vector<double> weights) {
-  MEC_EXPECTS(!components.empty());
-  MEC_EXPECTS(components.size() == weights.size());
-  MEC_EXPECTS(std::all_of(weights.begin(), weights.end(),
-                          [](double w) { return w >= 0.0; }));
+  check_option(!components.empty() && weights.size() == components.size(),
+               "mixture", "the weight count", weights.size(),
+               "one per component, at least 1");
+  for (const double w : weights)
+    check_option(w >= 0.0, "mixture", "a weight", w, "a value >= 0");
   const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-  MEC_EXPECTS(total > 0.0);
+  check_option(total > 0.0, "mixture", "the total weight", total,
+               "a value > 0");
 
   std::vector<double> cdf(weights.size());
   double acc = 0.0, mean = 0.0;

@@ -41,6 +41,8 @@ class Distribution {
   std::shared_ptr<const DistributionModel> model_;
 };
 
+// Each factory names a bad parameter's family, value and range in its
+// ContractViolation: "uniform: hi is -1, expected a value >= lo".
 /// U(lo, hi). Requires lo <= hi.
 Distribution make_uniform(double lo, double hi);
 

@@ -28,14 +28,14 @@ obs::RunLogMeta make_stream_meta(const CoordinatorContext& cc) {
   meta.emplace_back("n_devices", std::to_string(cc.n_devices));
   meta.emplace_back("n_initial", std::to_string(cc.n_initial));
   meta.emplace_back("capacity", obs::meta_double(cc.capacity));
-  meta.emplace_back("clusters", std::to_string(options.topology.clusters));
+  meta.emplace_back("clusters", std::to_string(cc.n_clusters));
   meta.emplace_back("seed", std::to_string(options.seed));
-  meta.emplace_back("warmup", obs::meta_double(options.warmup));
+  meta.emplace_back("warmup", obs::meta_double(cc.warmup));
   meta.emplace_back("horizon", obs::meta_double(options.horizon));
   meta.emplace_back("window", obs::meta_double(options.sample_interval));
   meta.emplace_back("epoch_period", obs::meta_double(options.epoch_period));
   meta.emplace_back("gamma",
-                    options.fixed_gamma.has_value()
+                    cc.has_fixed_gamma
                         ? "fixed=" + obs::meta_double(*options.fixed_gamma)
                         : std::string("tracked"));
   meta.emplace_back("shards", std::to_string(cc.shard_count));
@@ -100,11 +100,11 @@ class Coordinator {
       : cc_(cc), transport_(transport) {
     if (!options_.stream_log.empty())
       log_.emplace(options_.stream_log, make_stream_meta(cc));
-    if (has_fixed_gamma_) {
+    if (cc_.has_fixed_gamma) {
       fixed_cluster_gammas_.assign(cc.n_clusters, *options_.fixed_gamma);
     } else {
       gamma_.emplace(*cc.delay, options_.utilization_ewma_tau,
-                     options_.initial_gamma, cc.edge_capacity, options_.warmup,
+                     options_.initial_gamma, cc.edge_capacity, cc.warmup,
                      cc.t_end, cc.n_initial, plan_.actions, options_.topology);
       replay_delay_.assign(cc.n_devices, 0.0);
     }
@@ -170,7 +170,7 @@ class Coordinator {
         f.cluster_offloads[k] += v.cluster_offloads[k];
       if (sketches) {
         f.local_sojourns.merge(*v.local_sojourns);
-        if (has_fixed_gamma_) f.offload_delays.merge(*v.offload_delays);
+        if (cc_.has_fixed_gamma) f.offload_delays.merge(*v.offload_delays);
       }
     }
     return f;
@@ -180,7 +180,7 @@ class Coordinator {
   /// records before the current barrier — through the replay.  The logs
   /// stay valid until the next collect().
   void replay(Views views) {
-    if (has_fixed_gamma_) return;
+    if (cc_.has_fixed_gamma) return;
     log_spans_.clear();
     for (const parallel::ShardBarrierView& v : views) {
       log_spans_.push_back(v.log);
@@ -193,10 +193,10 @@ class Coordinator {
   /// frames and the epoch hooks.  Quasi-stationary runs read the pinned
   /// value (once per cluster); tracked runs read the replay's EWMA bank.
   double gamma_at(double t) {
-    return has_fixed_gamma_ ? *options_.fixed_gamma : gamma_->gamma_at(t);
+    return cc_.has_fixed_gamma ? *options_.fixed_gamma : gamma_->gamma_at(t);
   }
   std::span<const double> cluster_gammas(double t) {
-    if (has_fixed_gamma_) return fixed_cluster_gammas_;
+    if (cc_.has_fixed_gamma) return fixed_cluster_gammas_;
     return gamma_->cluster_gammas(t);
   }
 
@@ -247,17 +247,17 @@ class Coordinator {
       w.offloads_penalized = fold.offloads_penalized;
       w.fault_events_applied = walk_.cursor;
     }
-    if (!has_fixed_gamma_) w.events_so_far += gamma_->deliveries();
+    if (!cc_.has_fixed_gamma) w.events_so_far += gamma_->deliveries();
     w.events_delta = w.events_so_far - prev_events_;
     prev_events_ = w.events_so_far;
     snapshot(fold.local_sojourns, w.sojourn_count, w.sojourn_min,
              w.sojourn_max, w.sojourn_p50, w.sojourn_p95, w.sojourn_p99);
-    snapshot(has_fixed_gamma_ ? fold.offload_delays : offload_delays_,
+    snapshot(cc_.has_fixed_gamma ? fold.offload_delays : offload_delays_,
              w.offload_count, w.offload_min, w.offload_max, w.offload_p50,
              w.offload_p95, w.offload_p99);
-    if (cc_.thresholds != nullptr) {
+    if (cc_.rule == OffloadRule::kTro) {
       for (std::uint32_t d = 0; d < cc_.n_devices; ++d) {
-        const double th = cc_.thresholds[d];
+        const double th = cc_.values[d];
         const std::size_t bin =
             th >= static_cast<double>(obs::kThresholdBins - 1)
                 ? obs::kThresholdBins - 1
@@ -298,7 +298,7 @@ class Coordinator {
     add(obs::Counter::kReplayRecords, obs::kGlobalShard,
         static_cast<double>(replay_backlog_));
     replay_backlog_ = 0;
-    if (!has_fixed_gamma_)
+    if (!cc_.has_fixed_gamma)
       add(obs::Counter::kReplayDeliveries, obs::kGlobalShard,
           static_cast<double>(gamma_->deliveries()));
     if (cc_.with_faults)
@@ -329,18 +329,16 @@ class Coordinator {
     // state mutated here is seen identically by every shard count.
     if (options_.on_cluster_epoch)
       options_.on_cluster_epoch(t, cluster_gammas(t));
-    // Epoch callbacks are the only place thresholds change.  The array is
-    // checked once, then framed ranks get a copy before their next leg
-    // (the in-process rank reads the array itself).  Shards always see
-    // frozen thresholds between barriers either way, so every rank
-    // decides on the same values.
-    if (cc_.thresholds != nullptr) {
-      const std::span<const double> thresholds(cc_.thresholds, cc_.n_devices);
-      std::ostringstream when;
-      when << "epoch callback at t=" << t;
-      check_thresholds(thresholds, when.str());
-      transport_.broadcast_thresholds(thresholds);
-    }
+    // Epoch callbacks are the only place the run's values change.  The
+    // array is checked once, then framed ranks get a copy before their next
+    // leg (the in-process rank reads the array itself).  Shards always see
+    // frozen values between barriers either way, so every rank decides on
+    // the same values.
+    const std::span<const double> values(cc_.values, cc_.n_devices);
+    std::ostringstream when;
+    when << "epoch callback at t=" << t;
+    check_values(cc_.rule, values, when.str());
+    transport_.broadcast_thresholds(values);
   }
 
   SimulationResult finish(Views final_views);
@@ -349,7 +347,6 @@ class Coordinator {
   parallel::Transport& transport_;
   const SimulationOptions& options_ = *cc_.options;
   const fault::FaultPlan& plan_ = *cc_.plan;
-  const bool has_fixed_gamma_ = options_.fixed_gamma.has_value();
 
   // Streaming telemetry (src/mec/obs/): sample() folds each sample
   // instant into one window frame (and, with counters on, one counter
@@ -390,11 +387,11 @@ SimulationResult Coordinator::finish(Views final_views) {
   // the single-queue engine — its own, another shard's, a fault action, or
   // an edge delivery (the shard's trigger in fixed-gamma mode, the
   // replay's in tracked-gamma mode).
-  bool flipped = cc_.measuring_from_start;
+  bool flipped = cc_.warmup == 0.0;  // measuring from the start
   for (const parallel::ShardBarrierView& v : final_views)
     flipped |= v.flipped;
   if (cc_.with_faults) flipped |= plan_.flip_trigger;
-  if (!has_fixed_gamma_) flipped |= gamma_->delivery_flip_trigger();
+  if (!cc_.has_fixed_gamma) flipped |= gamma_->delivery_flip_trigger();
 
   // Everything view-derived is folded *before* finalize(): the final
   // views reference rank-side storage the finalize exchange may replace.
@@ -402,7 +399,7 @@ SimulationResult Coordinator::finish(Views final_views) {
   std::uint64_t events = totals.events;
   if (cc_.with_faults)
     events += plan_.actions.size();  // every schedule action popped once
-  if (!has_fixed_gamma_) events += gamma_->deliveries();
+  if (!cc_.has_fixed_gamma) events += gamma_->deliveries();
 
   // Ranks reset never-flipped shards, integrate every device to t_end, and
   // (framed ranks) ship their DeviceTotals.
@@ -411,8 +408,8 @@ SimulationResult Coordinator::finish(Views final_views) {
   double scale_integral = options_.horizon;
   fault::EnvWindowStats env;
   if (cc_.with_faults) {
-    env = fault::integrate_environment(plan_.actions, options_.warmup,
-                                       cc_.t_end, flipped);
+    env = fault::integrate_environment(plan_.actions, cc_.warmup, cc_.t_end,
+                                       flipped);
     scale_integral = env.scale_integral;
     // A run so short no event crossed the warm-up boundary (or a fully
     // dark window): treat the whole window as nominal so the utilization
@@ -425,7 +422,7 @@ SimulationResult Coordinator::finish(Views final_views) {
   result.total_events = events;
   result.local_sojourn_percentiles = std::move(totals.local_sojourns);
   result.offload_delay_percentiles = std::move(
-      has_fixed_gamma_ ? totals.offload_delays : offload_delays_);
+      cc_.has_fixed_gamma ? totals.offload_delays : offload_delays_);
   result.timeline = std::move(timeline_);
   result.devices.reserve(cc_.n_devices);
   const double window = options_.horizon;
@@ -453,7 +450,7 @@ SimulationResult Coordinator::finish(Views final_views) {
     const parallel::DeviceTotals dev = transport_.device_totals(n);
     const core::UserParams& u = cc_.users[n];
     const double delay_sum =
-        has_fixed_gamma_ ? dev.offload_delay_sum : replay_delay_[n];
+        cc_.has_fixed_gamma ? dev.offload_delay_sum : replay_delay_[n];
     DeviceStats s;
     s.arrivals = dev.arrivals;
     s.offloaded = dev.offloaded;
@@ -530,14 +527,16 @@ SimulationResult Coordinator::finish(Views final_views) {
 
 }  // namespace
 
-void check_thresholds(std::span<const double> thresholds,
-                      const std::string& context) {
-  for (std::size_t d = 0; d < thresholds.size(); ++d) {
-    const double x = thresholds[d];
-    if (x >= 0.0 && x < 0x1p64) continue;
+void check_values(OffloadRule rule, std::span<const double> values,
+                  const std::string& context) {
+  const bool tro = rule == OffloadRule::kTro;
+  for (std::size_t d = 0; d < values.size(); ++d) {
+    const double x = values[d];
+    if (tro ? x >= 0.0 && x < 0x1p64 : x >= 0.0 && x <= 1.0) continue;
     std::ostringstream os;
-    os << context << ": device " << d << " has threshold " << x
-       << ", expected a value in [0, 2^64)";
+    os << context << ": device " << d << " has "
+       << (tro ? "threshold " : "offload probability ") << x
+       << ", expected a value in " << (tro ? "[0, 2^64)" : "[0, 1]");
     throw ContractViolation(os.str());
   }
 }

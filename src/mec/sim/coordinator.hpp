@@ -1,5 +1,5 @@
 // Barrier-serial coordinator: the half of the engine that is the same for
-// every transport and every decision provider.
+// every transport and every offload rule.
 //
 // The coordinator walks the run's observation grid, starting every rank's
 // leg to each barrier and collecting it through the transport, then
@@ -26,40 +26,36 @@
 #include "mec/fault/fault_plan.hpp"
 #include "mec/parallel/transport.hpp"
 #include "mec/sim/mec_simulation.hpp"
+#include "mec/sim/policy_dispatch.hpp"
 
 namespace mec::sim::engine {
 
-/// Everything coordinator_run needs that is not rank state.  Plain pointers
-/// into the caller's run setup (run_sharded owns all of it for the run's
-/// duration); `with_faults` is the runtime mirror of the engine's WithFaults
-/// template flag — the coordinator is deliberately untemplated, so there is
-/// exactly one serial barrier path for every engine instantiation.
-struct CoordinatorContext {
-  const core::UserParams* users = nullptr;  ///< total_devices() entries
+/// Everything coordinator_run needs that is not rank state: the run's shape
+/// and plain pointers into the caller's run setup (run_sharded owns all of
+/// it for the run's duration).  `with_faults` is the runtime mirror of the
+/// engine's WithFaults template flag — the coordinator is deliberately
+/// untemplated, so there is exactly one serial barrier path for every
+/// engine instantiation.
+struct CoordinatorContext : parallel::RunShape {
+  const core::UserParams* users = nullptr;  ///< n_devices entries
   const SimulationOptions* options = nullptr;
   const core::EdgeDelay* delay = nullptr;
   const fault::FaultPlan* plan = nullptr;
-  /// The run_tro threshold array (n_devices entries), which epoch callbacks
-  /// may rewrite: feeds the stream's threshold histogram and the post-epoch
-  /// check and broadcast.  Null for a run_dpo run.
-  const double* thresholds = nullptr;
-  std::uint32_t n_devices = 0;
-  std::uint32_t n_initial = 0;
-  std::uint32_t n_clusters = 1;
+  /// The run's per-device values under `rule` (n_devices entries), which
+  /// epoch callbacks may rewrite: checked and broadcast after every epoch;
+  /// TRO thresholds also feed the stream's threshold histogram.
+  const double* values = nullptr;
   double capacity = 0.0;       ///< per-device nominal edge capacity
   double edge_capacity = 0.0;  ///< n_initial * capacity
-  double t_end = 0.0;
-  bool with_faults = false;
-  bool measuring_from_start = false;
-  std::size_t shard_count = 1;
 };
 
-/// Throws mec::ContractViolation naming the first device whose threshold
-/// lies outside [0, 2^64) — NaN and infinities included; floor(x) must be
-/// a queue length for tro_offload — with its value and `context` (the
-/// caller, or the epoch whose callbacks wrote it).
-void check_thresholds(std::span<const double> thresholds,
-                      const std::string& context);
+/// Throws mec::ContractViolation naming the first device whose value lies
+/// outside the rule's range — a TRO threshold in [0, 2^64) (floor(x) must
+/// be a queue length for tro_offload), a DPO offload probability in
+/// [0, 1]; NaN and infinities are refused either way — with its value and
+/// `context` (the caller, or the epoch whose callbacks wrote it).
+void check_values(OffloadRule rule, std::span<const double> values,
+                  const std::string& context);
 
 /// One full run over an already-initialized rank fleet: grid-stepped
 /// barriers, replay, observation, result assembly.  Bit-identical across

@@ -11,9 +11,9 @@
 // unchanged.
 //
 // This header is internal to the engine: the templates here are
-// instantiated once per (fault mode x decision provider) pair in
-// mec_simulation.cpp, and once per fault mode over TroValueDecide in
-// net/worker.cpp.
+// instantiated once per fault mode, in mec_simulation.cpp and in
+// net/worker.cpp.  The offload rule is data (LegContext::rule), decided by
+// sim::decide on every arrival.
 #pragma once
 
 #include <algorithm>
@@ -40,30 +40,28 @@
 
 namespace mec::sim::engine {
 
-/// Immutable per-run parameters shared by every shard leg.
-template <class Decide>
-struct LegContext {
-  const core::UserParams* users;
-  DeviceState* devices;
-  random::Xoshiro256* rngs;
-  const Decide* decide;
-  const ServiceSampler* service;
-  const LatencySampler* latency;
-  double warmup;
-  double t_end;
-  std::uint32_t n_devices;
-  std::uint32_t clusters;  ///< topology cluster count (1 = scalar gamma)
-  bool has_fixed_gamma;
-  double fixed_delay;  ///< g(fixed_gamma), hoisted off the offload path
+/// Immutable per-run parameters shared by every shard leg: the run's shape
+/// and the run's arrays, each indexed by global device id.
+struct LegContext : parallel::RunShape {
+  const core::UserParams* users = nullptr;
+  DeviceState* devices = nullptr;
+  random::Xoshiro256* rngs = nullptr;
+  /// The per-device values `rule` decides on, read on every arrival.  Epoch
+  /// callbacks may rewrite them between legs; a framed rank reads its own
+  /// copy.
+  const double* values = nullptr;
+  const ServiceSampler* service = nullptr;
+  const LatencySampler* latency = nullptr;
+  /// The resolved fault plan (empty without faults); each shard seeds its
+  /// view from it.
+  std::span<const fault::ResolvedAction> actions;
 };
 
 /// Applies one resolved fault action inside a shard leg.  Views contain
 /// only outage toggles and *effective* membership actions for this shard's
 /// range, so no state checks are needed here — the plan already made them.
-template <class Decide>
-void apply_shard_fault(parallel::ShardContext& sc,
-                       const LegContext<Decide>& lc,
-                       const fault::ResolvedAction& a, double now) {
+inline void apply_shard_fault(parallel::ShardContext& sc, const LegContext& lc,
+                              const fault::ResolvedAction& a, double now) {
   switch (a.kind) {
     case fault::FaultKind::kOutageBegin:
       sc.outage = true;
@@ -119,23 +117,22 @@ inline constexpr std::size_t kPrefetchAhead = 4;
 
 /// Starts loading everything an event of `device` touches: its two
 /// DeviceState lines, its RNG, its UserParams and its decision value.
-template <class Decide>
-void prefetch_device(const LegContext<Decide>& lc, std::uint32_t device) {
+inline void prefetch_device(const LegContext& lc, std::uint32_t device) {
   const char* dev_lines = reinterpret_cast<const char*>(&lc.devices[device]);
   MEC_PREFETCH(dev_lines);
   MEC_PREFETCH(dev_lines + 64);
   MEC_PREFETCH(&lc.rngs[device]);
   MEC_PREFETCH(&lc.users[device]);
-  lc.decide->prefetch(device);
+  MEC_PREFETCH(&lc.values[device]);
 }
 
 /// One shard leg: drains the shard's queue up to `limit` (exclusive at
 /// barriers, inclusive for the final leg to t_end).  This is the hot loop,
-/// instantiated per decision provider so the arrival decision inlines, and
-/// per fault mode so fault-free runs fold every fault branch away.
-template <bool WithFaults, class Decide>
-void run_leg(parallel::ShardContext& sc, const LegContext<Decide>& lc,
-             double limit, bool inclusive) {
+/// instantiated per fault mode so fault-free runs fold every fault branch
+/// away; the offload rule is one predictable branch per arrival.
+template <bool WithFaults>
+void run_leg(parallel::ShardContext& sc, const LegContext& lc, double limit,
+             bool inclusive) {
   const auto in_leg = [&](double t) {
     return inclusive ? t <= limit : t < limit;
   };
@@ -203,7 +200,8 @@ void run_leg(parallel::ShardContext& sc, const LegContext<Decide>& lc,
         }
         dev.integrate_to(now);
         if (sc.measuring) ++dev.arrivals;
-        bool offload = (*lc.decide)(e.device, dev.local_queue.size(), rng);
+        bool offload = decide(lc.rule, lc.values[e.device],
+                              dev.local_queue.size(), rng);
         if constexpr (WithFaults) {
           // Outage check sits *after* the decision so the Bernoulli draw at
           // the boundary state is consumed either way (RNG alignment).
@@ -217,8 +215,8 @@ void run_leg(parallel::ShardContext& sc, const LegContext<Decide>& lc,
           // Static routing: device d feeds cluster d mod K.  The branch
           // keeps the 1-cluster fast path free of the modulo.
           const std::uint16_t cluster =
-              lc.clusters > 1
-                  ? static_cast<std::uint16_t>(e.device % lc.clusters)
+              lc.n_clusters > 1
+                  ? static_cast<std::uint16_t>(e.device % lc.n_clusters)
                   : std::uint16_t{0};
           double penalty = 0.0;
           bool penalized = false;
@@ -325,14 +323,11 @@ void run_leg(parallel::ShardContext& sc, const LegContext<Decide>& lc,
 /// equal times the environment change applies before any task event —
 /// lower sequence number), then the initial arrivals of the owned range in
 /// device order (matching the global RNG-consumption order per device).
-/// `users` and `rngs` are indexed by global device id; only the owned range
-/// is read.
+/// Only the owned range of the run's arrays is read.
 template <bool WithFaults>
-void init_shard(parallel::ShardContext& sc, const core::UserParams* users,
-                std::uint32_t n_initial, random::Xoshiro256* rngs,
-                std::span<const fault::ResolvedAction> plan_actions) {
+void init_shard(parallel::ShardContext& sc, const LegContext& lc) {
   if constexpr (WithFaults) {
-    for (const fault::ResolvedAction& a : plan_actions) {
+    for (const fault::ResolvedAction& a : lc.actions) {
       const bool outage_toggle = a.kind == fault::FaultKind::kOutageBegin ||
                                  a.kind == fault::FaultKind::kOutageEnd;
       const bool owned_membership =
@@ -346,10 +341,10 @@ void init_shard(parallel::ShardContext& sc, const core::UserParams* users,
     sc.arrival_seq.assign(sc.hi - sc.lo, parallel::ShardContext::kNoEvent);
     sc.departure_seq.assign(sc.hi - sc.lo, parallel::ShardContext::kNoEvent);
   }
-  for (std::uint32_t d = sc.lo; d < sc.hi && d < n_initial; ++d) {
+  for (std::uint32_t d = sc.lo; d < sc.hi && d < lc.n_initial; ++d) {
     if constexpr (WithFaults)
       sc.arrival_seq[d - sc.lo] = sc.queue.scheduled_count();
-    sc.queue.push(random::exponential(rngs[d], users[d].arrival_rate),
+    sc.queue.push(random::exponential(lc.rngs[d], lc.users[d].arrival_rate),
                   EventKind::kArrival, d);
   }
 }
@@ -358,36 +353,45 @@ void init_shard(parallel::ShardContext& sc, const core::UserParams* users,
 /// of the run's shard contexts and advances it barrier by barrier.  The
 /// in-process run hands one LegRunner covering every shard to the
 /// coordinator as its transport; a framed rank (net/worker.cpp) builds one
-/// for its slice (over a TroValueDecide on its copy of the run's threshold
-/// array, refreshed by broadcast_thresholds at epochs) and serves it over
-/// its fd.
-template <bool WithFaults, class Decide>
+/// for its slice (deciding on its copy of the run's values, refreshed by
+/// broadcast_thresholds at epochs) and serves it over its fd.
+template <bool WithFaults>
 class LegRunner final : public parallel::Transport {
  public:
-  /// `pool` may be null: a single-shard rank runs serially, and a
-  /// multi-shard rank with no caller-provided pool builds its own.
-  /// `threshold_mirror` is the buffer a framed rank's TroValueDecide reads
-  /// (null for the in-process rank, whose provider reads the caller's
-  /// array).
-  LegRunner(std::vector<parallel::ShardContext>& shards, Decide decide,
-            const LegContext<Decide>& lc, std::size_t shard_lo,
-            std::size_t shard_hi, parallel::ThreadPool* pool,
-            std::vector<double>* threshold_mirror)
+  /// Resets and seeds the owned shards from `lc`; `shards` holds the run's
+  /// shard_count contexts, and the devices and RNG streams of the owned
+  /// range must hold their pre-run state.  A single-shard rank runs
+  /// serially; a multi-shard one runs on `pool`, rebuilt here unless it has
+  /// one lane per owned shard (capped at the hardware concurrency), so a
+  /// caller that keeps the pool reuses it across runs.  `value_mirror` is
+  /// the buffer a framed rank's lc.values points into (null for the
+  /// in-process rank, which reads the caller's array).
+  LegRunner(std::vector<parallel::ShardContext>& shards, const LegContext& lc,
+            std::size_t shard_lo, std::size_t shard_hi,
+            std::unique_ptr<parallel::ThreadPool>& pool,
+            std::vector<double>* value_mirror)
       : shards_(shards),
-        decide_(decide),
         lc_(lc),
         shard_lo_(shard_lo),
         shard_hi_(shard_hi),
-        pool_(pool),
-        mirror_(threshold_mirror) {
+        mirror_(value_mirror) {
     MEC_EXPECTS(shard_lo_ < shard_hi_ && shard_hi_ <= shards_.size());
-    lc_.decide = &decide_;
-    if (pool_ == nullptr && shard_hi_ - shard_lo_ > 1) {
-      owned_pool_ = std::make_unique<parallel::ThreadPool>(std::min(
-          shard_hi_ - shard_lo_, parallel::resolve_thread_count(0)));
-      pool_ = owned_pool_.get();
+    MEC_EXPECTS(shards_.size() == lc_.shard_count);
+    for (std::size_t s = shard_lo_; s < shard_hi_; ++s) {
+      parallel::ShardContext& sc = shards_[s];
+      sc.reset(parallel::shard_bound(lc_.n_devices, lc_.shard_count, s),
+               parallel::shard_bound(lc_.n_devices, lc_.shard_count, s + 1),
+               /*measuring_from_start=*/lc_.warmup == 0.0);
+      sc.cluster_offloads.assign(lc_.n_clusters, 0);
+      init_shard<WithFaults>(sc, lc_);
     }
-    leg_seconds_.assign(shard_hi_ - shard_lo_, 0.0);
+    const std::size_t owned = shard_hi_ - shard_lo_;
+    const std::size_t lanes =
+        std::min(owned, parallel::resolve_thread_count(0));
+    if (owned > 1 && (!pool || pool->thread_count() != lanes))
+      pool = std::make_unique<parallel::ThreadPool>(lanes);
+    pool_ = pool.get();
+    leg_seconds_.assign(owned, 0.0);
   }
 
   std::size_t ranks() const override { return 1; }
@@ -513,12 +517,10 @@ class LegRunner final : public parallel::Transport {
 
  private:
   std::span<parallel::ShardContext> shards_;
-  Decide decide_;
-  LegContext<Decide> lc_;
+  LegContext lc_;
   std::size_t shard_lo_;
   std::size_t shard_hi_;
-  parallel::ThreadPool* pool_;
-  std::unique_ptr<parallel::ThreadPool> owned_pool_;
+  parallel::ThreadPool* pool_;  ///< used only with more than one shard
   std::vector<double>* mirror_;
   parallel::BarrierRequest request_;  ///< the started leg
   std::vector<parallel::ShardBarrierView> views_;

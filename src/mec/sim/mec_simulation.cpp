@@ -5,7 +5,6 @@
 #include "mec/sim/mec_simulation.hpp"
 
 #include <cmath>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -22,17 +21,19 @@ SimWorkspace::~SimWorkspace() = default;
 SimWorkspace::SimWorkspace(SimWorkspace&&) noexcept = default;
 SimWorkspace& SimWorkspace::operator=(SimWorkspace&&) noexcept = default;
 
-/// Picks the fault-free or fault-aware instantiation of the engine.
-template <class Decide>
-SimulationResult MecSimulation::dispatch(SimWorkspace& workspace,
-                                         const Decide& decide) const {
+SimulationResult MecSimulation::dispatch(OffloadRule rule,
+                                         std::span<const double> values,
+                                         SimWorkspace& workspace) const {
+  MEC_EXPECTS(values.size() == users_.size());
+  engine::check_values(rule, values,
+                       rule == OffloadRule::kTro ? "run_tro" : "run_dpo");
   if (options_.faults && !options_.faults->empty())
     return engine::run_sharded<true>(users_, n_initial_, capacity_, delay_,
                                      options_, service_, latency_,
-                                     *workspace.impl_, decide);
+                                     *workspace.impl_, rule, values.data());
   return engine::run_sharded<false>(users_, n_initial_, capacity_, delay_,
                                     options_, service_, latency_,
-                                    *workspace.impl_, decide);
+                                    *workspace.impl_, rule, values.data());
 }
 
 MecSimulation::MecSimulation(std::span<const core::UserParams> users,
@@ -145,22 +146,12 @@ SimulationResult MecSimulation::run_tro(
 
 SimulationResult MecSimulation::run_tro(std::span<const double> thresholds,
                                         SimWorkspace& workspace) const {
-  MEC_EXPECTS(thresholds.size() == users_.size());
-  engine::check_thresholds(thresholds, "run_tro");
-  return dispatch(workspace, TroValueDecide{thresholds.data()});
+  return dispatch(OffloadRule::kTro, thresholds, workspace);
 }
 
 SimulationResult MecSimulation::run_dpo(std::span<const double> rhos) const {
-  MEC_EXPECTS(rhos.size() == users_.size());
-  for (std::size_t d = 0; d < rhos.size(); ++d) {
-    if (rhos[d] >= 0.0 && rhos[d] <= 1.0) continue;
-    std::ostringstream os;
-    os << "run_dpo: device " << d << " has offload probability " << rhos[d]
-       << ", expected a value in [0, 1]";
-    throw ContractViolation(os.str());
-  }
   SimWorkspace workspace;
-  return dispatch(workspace, DpoValueDecide{rhos.data()});
+  return dispatch(OffloadRule::kDpo, rhos, workspace);
 }
 
 }  // namespace mec::sim

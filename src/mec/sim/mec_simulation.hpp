@@ -29,6 +29,7 @@
 #include "mec/random/rng.hpp"
 #include "mec/sim/coupling.hpp"
 #include "mec/sim/metrics.hpp"
+#include "mec/sim/policy_dispatch.hpp"
 
 namespace mec::sim {
 
@@ -60,7 +61,7 @@ struct SamplerSpec {
     /// rescaled per device to the target mean.
     kEmpirical = 4,
   };
-  static constexpr std::uint32_t kMaxErlangStages = 1'000'000;
+  static constexpr std::uint32_t kMaxErlangStages = core::kMaxErlangOrder;
 
   Kind kind = Kind::kExponential;
   double param = 0.0;
@@ -93,9 +94,9 @@ enum class TransportKind {
   /// The same framed ranks, hosted by `mec worker` daemons reached over TCP
   /// (SimulationOptions::worker_addresses, one rank per address).
   kTcp,
-  // Both framed kinds run run_tro only: ranks decide on a copy of the
-  // caller's threshold array, refreshed after every epoch.  run_dpo runs
-  // in process only.
+  // Both framed kinds run run_tro and run_dpo alike: the population frame
+  // carries the offload rule, and ranks decide on a copy of the caller's
+  // value array, refreshed after every epoch.
 };
 
 struct SimulationOptions {
@@ -259,8 +260,7 @@ class MecSimulation {
 
   /// Runs the DPO policy with per-device offload probabilities: one
   /// bernoulli(rho_n) per arrival.  Every rho_n must lie in [0, 1]; a
-  /// violation names the device and the value.  In-process only: framed
-  /// transports refuse it.
+  /// violation names the device and the value.
   SimulationResult run_dpo(std::span<const double> rhos) const;
 
   /// Initial population plus any churn users from the fault schedule, in
@@ -272,9 +272,10 @@ class MecSimulation {
   std::size_t initial_devices() const noexcept { return n_initial_; }
 
  private:
-  template <class Decide>
-  SimulationResult dispatch(SimWorkspace& workspace,
-                            const Decide& decide) const;
+  /// Checks `values` for `rule` and runs the fault-free or fault-aware
+  /// instantiation of the engine.
+  SimulationResult dispatch(OffloadRule rule, std::span<const double> values,
+                            SimWorkspace& workspace) const;
 
   std::vector<core::UserParams> users_;  ///< initial population + churn users
   std::size_t n_initial_ = 0;

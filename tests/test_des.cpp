@@ -89,12 +89,11 @@ TEST(Policies, TroRandomizesAtTheBoundaryState) {
 
 TEST(Policies, DpoIgnoresQueueLength) {
   random::Xoshiro256 rng(3);
-  const double rhos[] = {0.4};
-  const DpoValueDecide decide{rhos};
   int offloads = 0;
   const int trials = 40000;
   for (int i = 0; i < trials; ++i)
-    offloads += decide(0, static_cast<std::uint64_t>(i % 7), rng);
+    offloads += decide(OffloadRule::kDpo, 0.4,
+                       static_cast<std::uint64_t>(i % 7), rng);
   EXPECT_NEAR(static_cast<double>(offloads) / trials, 0.4, 0.01);
 }
 
@@ -104,11 +103,9 @@ TEST(Policies, DegenerateAndDescriptions) {
   // probability is 0).
   random::Xoshiro256 rng(4);
   const auto before = rng.state();
-  const double rhos[] = {0.0, 1.0};
-  const DpoValueDecide decide{rhos};
-  EXPECT_FALSE(decide(0, 100, rng));
-  EXPECT_TRUE(decide(1, 0, rng));
-  EXPECT_TRUE(tro_offload(0.0, 0, rng));
+  EXPECT_FALSE(decide(OffloadRule::kDpo, 0.0, 100, rng));
+  EXPECT_TRUE(decide(OffloadRule::kDpo, 1.0, 0, rng));
+  EXPECT_TRUE(decide(OffloadRule::kTro, 0.0, 0, rng));
   EXPECT_EQ(rng.state(), before);
 
   // Out-of-range inputs are refused up front, naming the device and value.

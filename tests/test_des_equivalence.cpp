@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <iterator>
+#include <memory>
 #include <set>
 #include <span>
 #include <string>
@@ -23,14 +24,17 @@
 #include <utility>
 #include <vector>
 
+#include "bit_digest.hpp"
 #include "mec/core/edge_delay.hpp"
 #include "mec/core/user.hpp"
+#include "mec/fault/fault_schedule.hpp"
 #include "mec/obs/counters.hpp"
 #include "mec/obs/run_log.hpp"
 #include "mec/population/population.hpp"
 #include "mec/population/scenario.hpp"
 #include "mec/random/rng.hpp"
 #include "mec/sim/des.hpp"
+#include "mec/stats/latency_sketch.hpp"
 
 namespace mec::sim {
 namespace {
@@ -191,6 +195,106 @@ TEST(GoldenTrace, DpoPoliciesOnTheGenericVirtualPath) {
   EXPECT_EQ(d7.mean_offload_delay, 0x1.7791115f1ffadp+0);
   EXPECT_EQ(d7.energy_per_task, 0x1.cd6e1e98a04d2p-1);
   EXPECT_EQ(d7.empirical_cost, 0x1.b332232937deap+0);
+}
+
+/// FNV-1a digest of every field of a result.
+std::uint64_t result_digest(const SimulationResult& r) {
+  test::BitDigest h;
+  for (const DeviceStats& d : r.devices) {
+    h.word(d.arrivals);
+    h.word(d.offloaded);
+    h.word(d.local_completed);
+    h.real(d.mean_queue_length);
+    h.real(d.offload_fraction);
+    h.real(d.mean_local_sojourn);
+    h.real(d.mean_offload_delay);
+    h.real(d.energy_per_task);
+    h.real(d.empirical_cost);
+  }
+  for (const stats::LatencySketch* s :
+       {&r.local_sojourn_percentiles, &r.offload_delay_percentiles}) {
+    h.word(s->count());
+    h.real(s->min());
+    h.real(s->max());
+    for (const std::uint64_t c : s->bin_counts()) h.word(c);
+  }
+  for (const TimelinePoint& p : r.timeline) {
+    h.real(p.time);
+    h.real(p.utilization_estimate);
+    h.real(p.mean_queue_length);
+    h.word(p.offloads_so_far);
+    h.real(p.capacity_scale);
+    h.word(p.active_devices);
+  }
+  const FaultStats& f = r.faults;
+  for (const std::uint64_t c :
+       {f.crashes, f.restarts, f.churn_joined, f.churn_departed, f.tasks_lost,
+        f.offloads_rejected, f.offloads_penalized, f.participating_devices})
+    h.word(c);
+  h.real(f.min_capacity_scale);
+  h.real(f.mean_capacity_scale);
+  h.real(f.degraded_time);
+  h.real(r.measured_utilization);
+  h.reals(r.cluster_utilization);
+  for (const std::uint64_t c : r.cluster_offloads) h.word(c);
+  h.real(r.mean_cost);
+  h.real(r.mean_queue_length);
+  h.real(r.mean_offload_fraction);
+  h.real(r.horizon);
+  h.word(r.total_events);
+  return h.value();
+}
+
+// run_dpo under every kind of device and edge fault — a crash and its
+// restart, a reject and a penalty outage, a churn join and a departure —
+// on two clusters, with fixed and tracked gamma, at K = 1 and K = 3.  The
+// probabilities include 0 and 1, which draw nothing.  Each digest covers
+// every field of the result; they were captured while each offload rule
+// was its own template instantiation of the event loop.
+TEST(GoldenTrace, DpoUnderFaultsKeepsItsBits) {
+  const auto users = golden_users(40);
+  auto schedule = std::make_shared<fault::FaultSchedule>();
+  schedule->add_crash(6.0, 3);
+  schedule->add_restart(15.0, 3);
+  schedule->add_outage(10.0, 16.0, fault::OutageMode::kReject);
+  schedule->add_outage(22.0, 28.0, fault::OutageMode::kPenalty, 0.3);
+  schedule->add_user_arrival(12.0, users[5]);
+  schedule->add_user_departure(19.0, 0.61);
+  // Fixed gamma, then tracked gamma; equal at every shard count.
+  const std::uint64_t want[] = {0x94670863b2e655a1ull, 0x9cd794fbe9672f55ull};
+  for (const bool tracked : {false, true}) {
+    for (const std::size_t shards : {1u, 3u}) {
+      SCOPED_TRACE(std::string(tracked ? "tracked" : "fixed") +
+                   " gamma, K = " + std::to_string(shards));
+      SimulationOptions o;
+      o.warmup = 4.0;
+      o.horizon = 36.0;
+      o.seed = 808;
+      o.sample_interval = 3.0;
+      o.topology.clusters = 2;
+      o.shards = shards;
+      o.faults = schedule;
+      if (tracked) {
+        o.utilization_ewma_tau = 6.0;
+        o.initial_gamma = 0.2;
+      } else {
+        o.fixed_gamma = 0.3;
+      }
+      MecSimulation s(users, 8.0, core::make_reciprocal_delay(), o);
+      std::vector<double> rhos;
+      for (std::size_t i = 0; i < s.total_devices(); ++i)
+        rhos.push_back(0.2 * static_cast<double>(i % 6));
+      const SimulationResult r = s.run_dpo(rhos);
+      EXPECT_EQ(r.faults.crashes, 1u);
+      EXPECT_EQ(r.faults.restarts, 1u);
+      EXPECT_EQ(r.faults.churn_joined, 1u);
+      EXPECT_EQ(r.faults.churn_departed, 1u);
+      EXPECT_GT(r.faults.offloads_rejected, 0u);
+      EXPECT_GT(r.faults.offloads_penalized, 0u);
+      EXPECT_EQ(result_digest(r), want[tracked])
+          << "0x" << std::hex << result_digest(r);
+    }
+  }
 }
 
 // The paper's heterogeneous population at a size whose future-event list

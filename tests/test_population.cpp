@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "mec/common/error.hpp"
 #include "mec/random/empirical_data.hpp"
@@ -62,6 +63,19 @@ TEST(PracticalScenario, LatencyMeanIsConfigurable) {
   EXPECT_NEAR(cfg.latency.mean(), 3.5, 1e-9);
   EXPECT_THROW(practical_scenario(LoadRegime::kAtService, 100, -1.0),
                mec::ContractViolation);
+}
+
+TEST(PracticalScenario, RefusesABadLatencyMeanByName) {
+  for (const char* bad : {"0", "-1", "nan", "inf"}) {
+    try {
+      practical_scenario(LoadRegime::kAtService, 100, std::stod(bad));
+      ADD_FAILURE() << "mean latency " << bad << " was accepted";
+    } catch (const mec::ContractViolation& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("practical_scenario: mean_latency is ") + bad +
+                    ", expected a finite value > 0");
+    }
+  }
 }
 
 TEST(SamplePopulation, RespectsScenarioBoundsAndContracts) {

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "mec/common/error.hpp"
 #include "mec/core/mfne.hpp"
@@ -101,7 +102,61 @@ TEST(ScenarioText, RejectsUnknownKeysFamiliesAndBadNumbers) {
   EXPECT_THROW(parse_scenario_text("arrival = zipf 1 2\n"), RuntimeError);
   EXPECT_THROW(parse_scenario_text("capacity = ten\n"), RuntimeError);
   EXPECT_THROW(parse_scenario_text("n_users = 2.5\n"), RuntimeError);
+  // Counts too large or not a number are refused before any cast.
+  EXPECT_THROW(parse_scenario_text("n_users = 1e30\n"), RuntimeError);
+  EXPECT_THROW(parse_scenario_text("clusters = nan\n"), RuntimeError);
   EXPECT_THROW(parse_scenario_text("arrival = uniform 4 0\n"), RuntimeError);
+}
+
+// Every distribution and delay family refuses a bad parameter by line,
+// family, parameter, value and range, and an Erlang-C server count is
+// checked as a number before it becomes a count: a negative, NaN, huge or
+// fractional one is refused, never cast.
+TEST(ScenarioText, RefusesBadFamilyParametersByName) {
+  const struct {
+    const char* line;
+    const char* message;
+  } rows[] = {
+      {"arrival = uniform 0 -1", "uniform: hi is -1, expected a value >= lo"},
+      {"arrival = exponential -1 6",
+       "exponential: mean is -1, expected a value > 0"},
+      {"arrival = exponential 4 0.5",
+       "exponential: cap is 0.5, expected a value > mean / 4 (for rejection "
+       "sampling)"},
+      {"latency = normal 1 0 0 2", "normal: sigma is 0, expected a value > 0"},
+      {"latency = normal 1 0.5 2 2", "normal: hi is 2, expected a value > lo"},
+      {"latency = lognormal -1 0.5 0",
+       "lognormal: cap is 0, expected a value > 0"},
+      {"service = gamma 0 1 5", "gamma: shape is 0, expected a value > 0"},
+      {"delay = reciprocal 0.5",
+       "reciprocal delay: margin is 0.5, expected a value > 1"},
+      {"delay = linear -1 2", "linear delay: g0 is -1, expected a value >= 0"},
+      {"delay = power -1 2", "power delay: gmax is -1, expected a value >= 0"},
+      {"delay = constant -2",
+       "constant delay: value is -2, expected a value >= 0"},
+      {"delay = erlangc -1 2",
+       "erlangc delay: servers is -1, expected an integer in [1, 1000000]"},
+      {"delay = erlangc nan 2",
+       "erlangc delay: servers is nan, expected an integer in [1, 1000000]"},
+      {"delay = erlangc 1e30 2",
+       "erlangc delay: servers is 1e+30, expected an integer in [1, "
+       "1000000]"},
+      {"delay = erlangc 2.5 2",
+       "erlangc delay: servers is 2.5, expected an integer in [1, 1000000]"},
+      {"delay = erlangc 4 0",
+       "erlangc delay: server_rate is 0, expected a value > 0"},
+      {"delay = erlangc 4 2 1",
+       "erlangc delay: gamma_cap is 1, expected a value in (0, 1)"},
+  };
+  for (const auto& row : rows) {
+    try {
+      parse_scenario_text(std::string("n_users = 10\n") + row.line + "\n");
+      ADD_FAILURE() << row.line << " was accepted";
+    } catch (const RuntimeError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("scenario config line 2: ") + row.message);
+    }
+  }
 }
 
 TEST(ScenarioText, RejectsIncompleteConfigs) {

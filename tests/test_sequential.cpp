@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "mec/common/error.hpp"
@@ -179,6 +182,100 @@ TEST(RunUntilConfident, RejectsAMissingTarget) {
       run_until_confident(users, 10.0, core::make_reciprocal_delay(),
                           short_options(), xs, opt),
       ContractViolation);
+}
+
+/// The message of the ContractViolation `run` throws, or "" without one.
+std::string refusal(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const ContractViolation& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Every replication, sequential and comparison option is refused by name:
+// struct, field, value and accepted range, NaN included.
+TEST(OptionRefusals, NameTheStructFieldValueAndRange) {
+  const auto users = homogeneous(5, 1.0, 2.0);
+  const std::vector<double> xs(users.size(), 1.0);
+  const auto delay = core::make_reciprocal_delay();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto replicate = [&](const ReplicationOptions& o) {
+    return refusal([&] {
+      run_replications(users, 10.0, delay, short_options(), xs, o);
+    });
+  };
+  ReplicationOptions ro;
+  ro.replications = 0;
+  EXPECT_EQ(replicate(ro),
+            "ReplicationOptions: replications is 0, expected a value >= 1");
+  ro.replications = 2;
+  ro.confidence = 1.5;
+  EXPECT_EQ(replicate(ro),
+            "ReplicationOptions: confidence is 1.5, expected a value in "
+            "(0, 1)");
+  ro.confidence = 0.0;
+  EXPECT_EQ(replicate(ro),
+            "ReplicationOptions: confidence is 0, expected a value in (0, 1)");
+
+  const auto sequential = [&](const SequentialOptions& o) {
+    return refusal([&] {
+      run_until_confident(users, 10.0, delay, short_options(), xs, o);
+    });
+  };
+  SequentialOptions so;
+  so.target_half_width = -1.0;
+  EXPECT_EQ(sequential(so),
+            "SequentialOptions: target_half_width is -1, expected a value "
+            ">= 0");
+  so.target_half_width = 0.0;
+  so.target_relative = -1.0;
+  EXPECT_EQ(sequential(so),
+            "SequentialOptions: target_relative is -1, expected a value >= 0");
+  so.target_relative = 0.0;
+  EXPECT_EQ(sequential(so),
+            "SequentialOptions: target_half_width is 0, expected a value > 0 "
+            "when target_relative is 0 (the run needs a target)");
+  so.target_half_width = 0.1;
+  so.confidence = nan;
+  EXPECT_EQ(sequential(so),
+            "SequentialOptions: confidence is nan, expected a value in (0, 1)");
+  so.confidence = 0.95;
+  so.max_replications = 1;
+  EXPECT_EQ(sequential(so),
+            "SequentialOptions: max_replications is 1, expected a value >= "
+            "min_replications (4)");
+  so.min_replications = 6;
+  so.max_replications = 3;
+  EXPECT_EQ(sequential(so),
+            "SequentialOptions: max_replications is 3, expected a value >= "
+            "min_replications (6)");
+  so.max_replications = 512;
+  so.min_replications = 1;
+  EXPECT_EQ(sequential(so),
+            "SequentialOptions: min_replications is 1, expected a value >= 2");
+  so.min_replications = 4;
+  so.wave = 0;
+  EXPECT_EQ(sequential(so),
+            "SequentialOptions: wave is 0, expected a value >= 1");
+
+  const auto compare = [&](const CompareOptions& o) {
+    return refusal([&] {
+      compare_sequential(
+          [](std::size_t, std::uint64_t) { return PairedSample{0.0, 1.0}; },
+          o);
+    });
+  };
+  CompareOptions co;
+  co.confidence = nan;
+  EXPECT_EQ(compare(co),
+            "CompareOptions: confidence is nan, expected a value in (0, 1)");
+  co.confidence = 0.95;
+  co.max_replications = 4;
+  EXPECT_EQ(compare(co),
+            "CompareOptions: max_replications is 4, expected a value >= "
+            "min_replications (8)");
 }
 
 TEST(CompareSequential, DecidesAClearGapEarly) {

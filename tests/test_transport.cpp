@@ -10,12 +10,12 @@
 // #8 (docs/ARCHITECTURE.md): results and streamed .meclog bytes (counter
 // frames off — they carry wall-clock values) equal the in-process run's on
 // fixed and tracked gamma, faults with churn across clusters,
-// non-exponential sampler specs, the closed-loop DTU, and the price and
-// minority-game controllers.  A rank that
+// non-exponential sampler specs, the closed-loop DTU, the price and
+// minority-game controllers, and DPO runs.  A rank that
 // dies or stalls fails the run naming the rank, its peer, and its last
-// completed barrier, and leaves no forked rank behind; runs over policy
-// objects and invalid sampler specs are refused up front; scripted peers
-// check that malformed payloads are refused by name.
+// completed barrier, and leaves no forked rank behind; invalid sampler
+// specs are refused up front; scripted peers check that malformed payloads
+// are refused by name.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -422,24 +422,43 @@ std::vector<char> slurp(const std::string& path) {
 }
 
 /// Streams the two-cluster tracked-gamma scenario in process and over
-/// framed ranks, fault-free and under its fault schedule; the .meclog files
-/// must match byte for byte.
-void expect_streamed_logs_identical(TransportKind kind) {
+/// framed ranks, fault-free and under its fault schedule; results and the
+/// .meclog files must match byte for byte.  A DPO run reaches the ranks
+/// through the population frame's offload rule and thresholds frames that
+/// carry rho: its probabilities cover {0, 0.2, ..., 1}, so ranks meet the
+/// rule's no-draw ends, and an epoch callback flips every rho to 1 - rho,
+/// so the post-epoch broadcast carries new values.
+void expect_streamed_logs_identical(TransportKind kind, sim::OffloadRule rule) {
   const auto users = mixed_users(41);
   const std::string in_path = test_scoped_path("inproc.meclog");
   const std::string framed_path = test_scoped_path("framed.meclog");
+  std::vector<double> rhos;
+  const auto run = [&](const sim::SimulationOptions& o) {
+    sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
+    if (rule == sim::OffloadRule::kTro)
+      return des.run_tro(mixed_thresholds(des.total_devices()));
+    rhos.clear();
+    for (std::size_t i = 0; i < des.total_devices(); ++i)
+      rhos.push_back(0.2 * static_cast<double>(i % 6));
+    return des.run_dpo(rhos);
+  };
   for (const bool faulted : {false, true}) {
     SCOPED_TRACE(faulted ? "faulted" : "fault-free");
     sim::SimulationOptions o = faulted_cluster_options();
     if (faulted) o.faults = faulted_cluster_schedule();
+    if (rule == sim::OffloadRule::kDpo) {
+      o.epoch_period = 10.0;
+      o.on_epoch = [&rhos](double, double) {
+        for (double& rho : rhos) rho = 1.0 - rho;
+      };
+    }
     o.seed = 7;
     o.sample_interval = 2.0;
     o.shards = 4;
     o.stream_counters = false;  // counter frames carry wall-clock values
     o.transport = TransportKind::kInProcess;
     o.stream_log = in_path;
-    sim::MecSimulation a(users, 8.0, core::make_reciprocal_delay(), o);
-    a.run_tro(mixed_thresholds(a.total_devices()));
+    const sim::SimulationResult base = run(o);
     const std::vector<char> in_bytes = slurp(in_path);
     ASSERT_FALSE(in_bytes.empty());
 
@@ -447,9 +466,9 @@ void expect_streamed_logs_identical(TransportKind kind) {
       const Ranks ranks(kind, w);
       ranks.place(o);
       o.stream_log = framed_path;
-      sim::MecSimulation b(users, 8.0, core::make_reciprocal_delay(), o);
-      b.run_tro(mixed_thresholds(b.total_devices()));
+      const sim::SimulationResult r = run(o);
       SCOPED_TRACE("workers = " + std::to_string(w));
+      expect_result_identical(base, r);
       EXPECT_EQ(in_bytes, slurp(framed_path));
     }
   }
@@ -458,11 +477,21 @@ void expect_streamed_logs_identical(TransportKind kind) {
 }
 
 TEST(TransportEquivalence, StreamedLogsAreByteIdentical) {
-  expect_streamed_logs_identical(TransportKind::kProcess);
+  expect_streamed_logs_identical(TransportKind::kProcess,
+                                 sim::OffloadRule::kTro);
 }
 
 TEST(TcpTransportEquivalence, StreamedLogsAreByteIdentical) {
-  expect_streamed_logs_identical(TransportKind::kTcp);
+  expect_streamed_logs_identical(TransportKind::kTcp, sim::OffloadRule::kTro);
+}
+
+TEST(TransportEquivalence, DpoRunCrossesTheProcessBoundary) {
+  expect_streamed_logs_identical(TransportKind::kProcess,
+                                 sim::OffloadRule::kDpo);
+}
+
+TEST(TcpTransportEquivalence, DpoRunCrossesTheMachineBoundary) {
+  expect_streamed_logs_identical(TransportKind::kTcp, sim::OffloadRule::kDpo);
 }
 
 /// A controller driver's run: its simulation result and its controller's
@@ -821,40 +850,6 @@ TEST(TransportTimeout, EnvOverrideAndFallbackResolve) {
 
 // --- refusals --------------------------------------------------------------
 
-/// Framed ranks decide on a copy of a threshold array; a DPO run has none,
-/// so it must be refused up front — before any fork or connect — not fail
-/// mid-run or silently diverge.
-void expect_non_tro_refused(TransportKind kind) {
-  const auto users = mixed_users(8);
-  sim::SimulationOptions o = hooked_run_options();
-  o.transport = kind;
-  if (kind == TransportKind::kTcp) o.worker_addresses = {"127.0.0.1:9"};
-  sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
-  const bool local = kind == TransportKind::kProcess;
-  try {
-    des.run_dpo(std::vector<double>(users.size(), 0.5));
-    FAIL() << "non-TRO policies must be rejected under framed transports";
-  } catch (const RuntimeError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(local ? "transport=process" : "transport=tcp"),
-              std::string::npos)
-        << what;
-    EXPECT_NE(what.find("TRO"), std::string::npos) << what;
-    EXPECT_NE(what.find(local ? "process boundary" : "machine boundary"),
-              std::string::npos)
-        << what;
-  }
-  if (local) expect_no_child_left();
-}
-
-TEST(ProcessTransportRobustness, RejectsPoliciesWithoutTroThresholds) {
-  expect_non_tro_refused(TransportKind::kProcess);
-}
-
-TEST(TcpTransportRobustness, RejectsPoliciesWithoutTroThresholds) {
-  expect_non_tro_refused(TransportKind::kTcp);
-}
-
 /// Invalid sampler specs, each with the message naming its role, kind,
 /// received value and accepted range.  Specs are the only sampler input, so
 /// this check is the user-facing gate.
@@ -960,7 +955,8 @@ TEST(TcpTransportHandshake, WorkerRejectsACoordinatorRevisionMismatch) {
   obs::wire::ByteReader r(reply.payload);
   const std::string what = r.get_string(r.get_u32());
   EXPECT_NE(what.find("revision 99"), std::string::npos) << what;
-  EXPECT_NE(what.find("revision 1"), std::string::npos) << what;
+  EXPECT_NE(what.find("this worker speaks revision 2"), std::string::npos)
+      << what;
   fd.reset();
   expect_tiny_tcp_run_succeeds(fleet.addresses());
 }
@@ -983,19 +979,18 @@ TEST(TcpTransportHandshake, CoordinatorRejectsAWorkerRevisionMismatch) {
     pwire::write_frame(conn.get(), pwire::kFrameHelloAck,
                        net::wire::encode_hello_ack(ack));
   });
-  net::FramedTransport::Config cfg;
-  cfg.shard_count = 1;
-  cfg.n_devices = 1;
+  parallel::RunShape shape;
+  shape.n_devices = 1;
   const std::vector<net::Address> workers = {net::Address{"127.0.0.1", port}};
   const std::vector<std::vector<std::uint8_t>> populations(1);
   const std::vector<double> thresholds(1, 1.0);
   try {
-    net::FramedTransport transport(cfg, net::connect_workers(workers),
+    net::FramedTransport transport(shape, net::connect_workers(workers),
                                    populations, thresholds);
     FAIL() << "a worker revision mismatch must be refused";
   } catch (const RuntimeError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("this coordinator speaks revision 1"),
+    EXPECT_NE(what.find("this coordinator speaks revision 2"),
               std::string::npos)
         << what;
     EXPECT_NE(what.find("answered revision 99"), std::string::npos) << what;
@@ -1192,15 +1187,15 @@ std::string run_scripted(const RankScript& rank1,
   std::vector<net::RankLink> links;
   links.push_back(scripted_rank(0, rank0, far0));
   links.push_back(scripted_rank(1, rank1, far1));
-  net::FramedTransport::Config cfg;
-  cfg.shard_count = 2;
-  cfg.n_devices = 10;
-  cfg.n_clusters = 2;
+  parallel::RunShape shape;
+  shape.shard_count = 2;
+  shape.n_devices = 10;
+  shape.n_clusters = 2;
   const std::vector<std::vector<std::uint8_t>> populations(2);
   const std::vector<double> thresholds(10, 1.0);
   const std::size_t barriers = std::max(rank0.barriers, rank1.barriers);
   try {
-    net::FramedTransport transport(cfg, std::move(links), populations,
+    net::FramedTransport transport(shape, std::move(links), populations,
                                    thresholds);
     transport.start(scripted_request(0));
     for (std::size_t b = 0; b < barriers; ++b) {

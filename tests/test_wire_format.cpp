@@ -736,7 +736,7 @@ TEST(NetWire, HelloMatchesTheGoldenBytes) {
   // magic "MECT" | revision | rank | ranks, all u32 LE.
   const std::vector<std::uint8_t> golden = bytes({
       0x4D, 0x45, 0x43, 0x54,  // "MECT"
-      0x01, 0x00, 0x00, 0x00,  // schema revision 1
+      0x02, 0x00, 0x00, 0x00,  // schema revision 2
       0x03, 0x00, 0x00, 0x00,  // rank 3
       0x08, 0x00, 0x00, 0x00,  // of 8 ranks
   });
@@ -754,7 +754,7 @@ TEST(NetWire, HelloAckMatchesTheGoldenBytes) {
   const std::vector<std::uint8_t> payload = net::wire::encode_hello_ack(ack);
   const std::vector<std::uint8_t> golden = bytes({
       0x4D, 0x45, 0x43, 0x54,  // "MECT"
-      0x01, 0x00, 0x00, 0x00,  // schema revision 1
+      0x02, 0x00, 0x00, 0x00,  // schema revision 2
       0x03, 0x00, 0x00, 0x00,  // rank echo
   });
   EXPECT_EQ(payload, golden);
@@ -798,7 +798,8 @@ TEST(NetWire, HelloRejectsTruncationAndTrailingBytes) {
 
 /// A two-rank population whose rank 1 owns shards [2, 4) of 4 and devices
 /// [2, 5) of 5 — small enough to write the golden bytes by hand, rich
-/// enough to cover every field (faults on, empirical latency data).
+/// enough to cover every field (faults on, the DPO rule, empirical latency
+/// data).
 net::wire::WorkerPopulation sample_population() {
   net::wire::WorkerPopulation pop;
   pop.rank = 1;
@@ -817,6 +818,7 @@ net::wire::WorkerPopulation sample_population() {
   pop.has_fixed_gamma = true;
   pop.fixed_delay = 0.75;
   pop.with_faults = true;
+  pop.rule = sim::OffloadRule::kDpo;
   pop.service.kind = sim::SamplerSpec::Kind::kErlang;
   pop.service.param = 4.0;
   pop.latency.kind = sim::SamplerSpec::Kind::kEmpirical;
@@ -863,6 +865,7 @@ std::vector<std::uint8_t> golden_population_bytes(
   out.push_back(pop.has_fixed_gamma ? 1 : 0);
   append_f64_le(out, pop.fixed_delay);
   out.push_back(pop.with_faults ? 1 : 0);
+  out.push_back(static_cast<std::uint8_t>(pop.rule));
   for (const sim::SamplerSpec* spec : {&pop.service, &pop.latency}) {
     out.push_back(static_cast<std::uint8_t>(spec->kind));
     append_f64_le(out, spec->param);
@@ -991,10 +994,10 @@ TEST(NetWire, PopulationRefusesCountsThePayloadCannotHold) {
 TEST(NetWire, SamplerSpecRefusesACountThePayloadCannotHold) {
   const net::wire::WorkerPopulation pop = sample_population();
   const std::vector<std::uint8_t> payload = net::wire::encode_population(pop);
-  // The service spec (no data) follows the 74-byte fixed header; its data
+  // The service spec (no data) follows the 75-byte fixed header; its data
   // count sits after the u8 kind and f64 param.  The latency spec (two
   // values) follows it.
-  const std::size_t service_at = 74 + 1 + 8;
+  const std::size_t service_at = 75 + 1 + 8;
   const std::size_t latency_at = service_at + 4 + 1 + 8;
   const struct {
     std::size_t at;
@@ -1055,6 +1058,14 @@ TEST(NetWire, PopulationRejectsInconsistentAssignments) {
       net::wire::decode_population(net::wire::encode_population(pop));
     });
     EXPECT_NE(what.find("unknown sampler kind 9"), std::string::npos) << what;
+  }
+  {
+    net::wire::WorkerPopulation pop = sample_population();
+    pop.rule = static_cast<sim::OffloadRule>(2);
+    const std::string what = thrown_message([&] {
+      net::wire::decode_population(net::wire::encode_population(pop));
+    });
+    EXPECT_NE(what.find("unknown offload rule 2"), std::string::npos) << what;
   }
   {
     net::wire::WorkerPopulation pop = sample_population();

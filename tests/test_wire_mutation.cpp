@@ -133,6 +133,7 @@ nwire::WorkerPopulation population(bool with_faults) {
   pop.has_fixed_gamma = with_faults;
   pop.fixed_delay = 0.75;
   pop.with_faults = with_faults;
+  pop.rule = with_faults ? sim::OffloadRule::kDpo : sim::OffloadRule::kTro;
   pop.service.kind = sim::SamplerSpec::Kind::kErlang;
   pop.service.param = 4.0;
   pop.latency.kind = sim::SamplerSpec::Kind::kEmpirical;

@@ -180,13 +180,6 @@ void parse_workers_flag(const io::Args& args, sim::TransportKind transport,
   workers = args.get_count("workers", 0, 1, parallel::kMaxShardCount);
 }
 
-population::LoadRegime parse_regime(const std::string& name) {
-  if (name == "low") return population::LoadRegime::kBelowService;
-  if (name == "eq") return population::LoadRegime::kAtService;
-  if (name == "high") return population::LoadRegime::kAboveService;
-  throw RuntimeError("unknown regime '" + name + "' (low|eq|high)");
-}
-
 population::ScenarioConfig build_scenario(const io::Args& args) {
   if (args.has("config")) {
     population::ScenarioConfig cfg =
@@ -197,24 +190,12 @@ population::ScenarioConfig build_scenario(const io::Args& args) {
     return cfg;
   }
   const std::string name = args.get_string("scenario", "theoretical");
-  const auto regime = parse_regime(args.get_string("regime", "eq"));
-  // Each preset has its own default population size.
-  const auto n = [&args](std::size_t preset) {
-    return args.get_count("n", preset, 1);
-  };
-
-  population::ScenarioConfig cfg;
-  if (name == "theoretical") {
-    cfg = population::theoretical_scenario(regime, n(10000));
-  } else if (name == "comparison") {
-    cfg = population::theoretical_comparison_scenario(regime, n(1000));
-  } else if (name == "practical") {
-    cfg = population::practical_scenario(regime, n(1000),
-                                         args.get_double("latency-mean", 0.4));
-  } else {
-    throw RuntimeError("unknown scenario '" + name +
-                       "' (theoretical|comparison|practical)");
-  }
+  const auto regime =
+      population::parse_load_regime(args.get_string("regime", "eq"));
+  // n = 0 keeps the preset's own default population size.
+  const std::size_t n = args.has("n") ? args.get_count("n", 0, 1) : 0;
+  population::ScenarioConfig cfg = population::preset_scenario(
+      name, regime, n, args.get_double("latency-mean", 0.4));
   if (args.has("capacity")) cfg.capacity = args.get_double("capacity", 0.0);
   cfg.check();
   return cfg;
@@ -276,15 +257,9 @@ std::shared_ptr<const fault::FaultSchedule> build_faults(
     return std::make_shared<const fault::FaultSchedule>(
         fault::load_fault_schedule_file(args.get_path("fault-schedule"),
                                         &cfg));
-  if (!cfg.fault_lines.empty()) {
-    std::string text;
-    for (const std::string& line : cfg.fault_lines) {
-      text += line;
-      text += '\n';
-    }
+  if (!cfg.fault_lines.empty())
     return std::make_shared<const fault::FaultSchedule>(
-        fault::parse_fault_schedule(text, &cfg));
-  }
+        fault::embedded_fault_schedule(cfg));
   return nullptr;
 }
 
